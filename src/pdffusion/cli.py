@@ -32,8 +32,8 @@ from .errors import (
     SingularityError,
 )
 from .fileio import read_density_csv, read_gaussian_json, read_model_json, write_density_csv
-from .gaussian import DEFAULT_POINTS_1D, Gaussian, to_grid
-from .grid import GridDensity, OpinionProfile, moments
+from .gaussian import Gaussian, common_grid
+from .grid import OpinionProfile, moments
 from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, pool
 from .supra import (
     local_statistics,
@@ -77,8 +77,10 @@ def _parse_floats(text: str) -> np.ndarray:
         raise ValueError(f"could not parse {text!r} as comma-separated numbers")
 
 
-def _grid_points() -> int:
-    return int(os.environ.get("FUSION_GRID_POINTS", DEFAULT_POINTS_1D))
+def _grid_points() -> int | None:
+    """Nodes per axis for grids built from Gaussians; None keeps the defaults."""
+    points = os.environ.get("FUSION_GRID_POINTS")
+    return None if points is None else int(points)
 
 
 def _load_density(path):
@@ -88,26 +90,9 @@ def _load_density(path):
     return read_density_csv(path)
 
 
-def _as_profile(inputs) -> OpinionProfile:
-    """Load agent densities, evaluating Gaussians on the shared grid."""
-    loaded = [_load_density(p) for p in inputs]
-    grids = [d for d in loaded if isinstance(d, GridDensity)]
-    if grids:
-        ref = grids[0]
-    else:
-        ref = to_grid(loaded[0], shape=(_grid_points(),) * 1)
-    members = []
-    for d in loaded:
-        if isinstance(d, Gaussian):
-            d = to_grid(d, lower=ref.lower, upper=ref.upper, shape=ref.shape)
-        members.append(d)
-    return OpinionProfile(tuple(members))
-
-
-def _on_grid(d, ref: GridDensity) -> GridDensity:
-    if isinstance(d, Gaussian):
-        return to_grid(d, lower=ref.lower, upper=ref.upper, shape=ref.shape)
-    return d
+def _load_on_common_grid(paths):
+    """Load densities and put them all on one shared grid."""
+    return common_grid(*(_load_density(p) for p in paths), points=_grid_points())
 
 
 def _chi_from_flags(chi: str | None, chi_alpha: float | None) -> ChiTransform | None:
@@ -121,14 +106,10 @@ def _chi_from_flags(chi: str | None, chi_alpha: float | None) -> ChiTransform | 
     return ChiTransform(kind)
 
 
-def _build_spec(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha, ref=None):
+def _build_spec(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha):
+    """A PoolingSpec from the pooling flags; ``q0`` is an already loaded density."""
     kind = PoolingKind(kind)
     w = _parse_floats(weights) if weights else None
-    q0d = None
-    if q0 is not None:
-        q0d = _load_density(q0)
-        if ref is not None:
-            q0d = _on_grid(q0d, ref)
     xi = None
     if xi0 is not None:
         xi = read_density_csv(xi0).values
@@ -136,7 +117,7 @@ def _build_spec(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha, ref
         kind=kind,
         weights=w,
         alpha=alpha,
-        q0=q0d,
+        q0=q0,
         w0=w0,
         xi0=xi,
         dictator=dictator,
@@ -179,8 +160,10 @@ def main():
 @wrap_errors
 def pool_cmd(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha, inputs, output):
     """Fuse agent densities; writes the fused CSV and prints its moments."""
-    profile = _as_profile(inputs)
-    spec = _build_spec(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha, ref=profile.grid)
+    densities = _load_on_common_grid(inputs + ((q0,) if q0 is not None else ()))
+    profile = OpinionProfile(densities[: len(inputs)])
+    q0d = densities[-1] if q0 is not None else None
+    spec = _build_spec(kind, weights, alpha, w0, q0d, xi0, dictator, chi, chi_alpha)
     fused = pool(spec, profile)
     write_density_csv(output, fused)
     mean, cov = moments(fused)
@@ -199,7 +182,7 @@ def divergence_cmd(kind, alpha, chi, chi_alpha, inputs):
     spec = divmod_.DivergenceSpec(
         divmod_.DivergenceKind(kind), alpha=alpha, chi=_chi_from_flags(chi, chi_alpha)
     )
-    value = divmod_.evaluate(spec, _load_density(inputs[0]), _load_density(inputs[1]))
+    value = divmod_.evaluate(spec, *_load_on_common_grid(inputs))
     click.echo(FLOAT_FMT % value)
 
 
@@ -222,7 +205,7 @@ def weights_cmd(method, criterion, max_iter, tol, inputs):
             gaussians, criterion=wmod.CICriterion(criterion), max_iter=max_iter, tol=tol
         )
     else:
-        profile = _as_profile(inputs)
+        profile = OpinionProfile(_load_on_common_grid(inputs))
         if method == "min-kld":
             result = wmod.min_kld_weights(profile, max_iter=max_iter, tol=tol)
         else:
@@ -255,7 +238,8 @@ def axiom_check_cmd(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha,
     A completed check exits 0 whether or not violations were found; the
     verdict is the "passed" field.
     """
-    spec = _build_spec(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha)
+    q0d = _load_density(q0) if q0 is not None else None
+    spec = _build_spec(kind, weights, alpha, w0, q0d, xi0, dictator, chi, chi_alpha)
     report = axmod.check_axiom(spec, axiom, trials=trials, seed=seed, tol=tol)
     payload = {
         "axiom": report.axiom.value,
@@ -346,13 +330,10 @@ def supra_cmd(model_path, private_shared, y_text, mode):
 FIG4_ALPHAS = (-1.0, 0.5, 1.0, 2.0)
 
 
-def _fig4_panel(path, g1: Gaussian, g2: Gaussian, lower: float, upper: float) -> None:
+def _fig4_panel(path, g1: Gaussian, g2: Gaussian) -> None:
     from .pooling import holder_pool, log_linear_pool
 
-    n = _grid_points()
-    shape = (n,)
-    q1 = to_grid(g1, [lower], [upper], shape)
-    q2 = to_grid(g2, [lower], [upper], shape)
+    q1, q2 = common_grid(g1, g2, points=_grid_points())
     profile = OpinionProfile((q1, q2))
     w = np.array([0.5, 0.5])
     columns = {
@@ -385,21 +366,11 @@ def fig4_cmd(output_dir):
     weights at powers -1, 0 (geometric), 0.5, 1 and 2.
     """
     os.makedirs(output_dir, exist_ok=True)
-    half_a = 8.0
     _fig4_panel(
-        os.path.join(output_dir, "fig4a.csv"),
-        Gaussian([-2.5], [[1.0]]),
-        Gaussian([2.5], [[1.0]]),
-        -2.5 - half_a,
-        2.5 + half_a,
+        os.path.join(output_dir, "fig4a.csv"), Gaussian([-2.5], [[1.0]]), Gaussian([2.5], [[1.0]])
     )
-    half_b = 8.0 * np.sqrt(5.0)
     _fig4_panel(
-        os.path.join(output_dir, "fig4b.csv"),
-        Gaussian([0.0], [[5.0]]),
-        Gaussian([0.0], [[0.5]]),
-        -half_b,
-        half_b,
+        os.path.join(output_dir, "fig4b.csv"), Gaussian([0.0], [[5.0]]), Gaussian([0.0], [[0.5]])
     )
     click.echo(_json_line({"written": ["fig4a.csv", "fig4b.csv"], "dir": output_dir}))
 

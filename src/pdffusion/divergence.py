@@ -10,9 +10,9 @@ vanishes.
 Squared distances (`l2`, `chi_distance`) are returned squared: they are
 used as optimization objectives, where the square root adds nothing.
 
-Any of the two density arguments may be a closed-form Gaussian; it is
-converted onto the other argument's grid first so that every comparison
-runs through a single quadrature pathway.
+Either density argument may be a closed-form Gaussian; both are put on
+one grid by `gaussian.common_grid` first, so that every comparison runs
+through a single quadrature pathway.
 """
 from __future__ import annotations
 
@@ -24,8 +24,7 @@ import numpy as np
 
 from . import gaussian as gaussmod
 from .errors import NotNormalizedError, PositivityError, SupportError
-from .gaussian import Gaussian
-from .grid import GridDensity, require_same_grid
+from .grid import GridDensity
 from .pooling import ChiKind, ChiTransform
 
 
@@ -46,26 +45,16 @@ class DivergenceSpec:
     chi: ChiTransform | None = None
 
     def __post_init__(self):
-        if self.kind in (DivergenceKind.ALPHA, DivergenceKind.REVERSE_ALPHA):
-            if self.alpha is None:
-                raise ValueError(f"{self.kind.value} divergence requires the alpha parameter")
-            if self.alpha in (0.0, 1.0):
-                raise ValueError("alpha may not be 0 or 1; those limits are the two KLDs")
-        if self.kind is DivergenceKind.CHI_DISTANCE and self.chi is None:
-            raise ValueError("chi-distance needs a transform")
+        required = _DISPATCH[self.kind][0]
+        for field in required:
+            if getattr(self, field) is None:
+                raise ValueError(f"{self.kind.value} divergence requires {field}")
+        if "alpha" in required and self.alpha in (0.0, 1.0):
+            raise ValueError("alpha may not be 0 or 1; those limits are the two KLDs")
 
 
 def _as_grid_pair(p, q) -> tuple[GridDensity, GridDensity]:
-    if isinstance(p, Gaussian) and isinstance(q, Gaussian):
-        lo = np.minimum(*(gaussmod.default_grid_bounds(g)[0] for g in (p, q)))
-        hi = np.maximum(*(gaussmod.default_grid_bounds(g)[1] for g in (p, q)))
-        p = gaussmod.to_grid(p, lo, hi)
-        return p, gaussmod.to_grid(q, lo, hi, p.shape)
-    if isinstance(p, Gaussian):
-        p = gaussmod.to_grid(p, q.lower, q.upper, q.shape)
-    elif isinstance(q, Gaussian):
-        q = gaussmod.to_grid(q, p.lower, p.upper, p.shape)
-    require_same_grid(p, q)
+    p, q = gaussmod.common_grid(p, q)
     if not (p.normalized and q.normalized):
         raise NotNormalizedError("divergences are defined between normalized densities")
     return p, q
@@ -194,8 +183,7 @@ def _apply_chi(chi: ChiTransform, values: np.ndarray) -> np.ndarray:
 
 def entropy(p) -> float:
     """Differential entropy: minus the integral of p log p."""
-    if isinstance(p, Gaussian):
-        p = gaussmod.to_grid(p)
+    (p,) = gaussmod.common_grid(p)
     if not p.normalized:
         raise NotNormalizedError("entropy is defined for normalized densities")
     pos = p.values > 0.0
@@ -217,21 +205,18 @@ def cross_entropy(p, q) -> float:
     return -float(np.sum(p.quad_weights * terms))
 
 
+# kind -> (spec fields the kind cannot run without, call)
+_DISPATCH = {
+    DivergenceKind.KL: ((), lambda s, p, q: kl(p, q)),
+    DivergenceKind.REVERSE_KL: ((), lambda s, p, q: reverse_kl(p, q)),
+    DivergenceKind.ALPHA: (("alpha",), lambda s, p, q: alpha_div(p, q, s.alpha)),
+    DivergenceKind.REVERSE_ALPHA: (("alpha",), lambda s, p, q: reverse_alpha_div(p, q, s.alpha)),
+    DivergenceKind.PEARSON_CHI2: ((), lambda s, p, q: pearson_chi2(p, q)),
+    DivergenceKind.L2: ((), lambda s, p, q: l2(p, q)),
+    DivergenceKind.CHI_DISTANCE: (("chi",), lambda s, p, q: chi_distance(p, q, s.chi)),
+}
+
+
 def evaluate(spec: DivergenceSpec, p, q) -> float:
     """Evaluate a declaratively specified divergence."""
-    kind = spec.kind
-    if kind is DivergenceKind.KL:
-        return kl(p, q)
-    if kind is DivergenceKind.REVERSE_KL:
-        return reverse_kl(p, q)
-    if kind is DivergenceKind.ALPHA:
-        return alpha_div(p, q, spec.alpha)
-    if kind is DivergenceKind.REVERSE_ALPHA:
-        return reverse_alpha_div(p, q, spec.alpha)
-    if kind is DivergenceKind.PEARSON_CHI2:
-        return pearson_chi2(p, q)
-    if kind is DivergenceKind.L2:
-        return l2(p, q)
-    if kind is DivergenceKind.CHI_DISTANCE:
-        return chi_distance(p, q, spec.chi)
-    raise ValueError(f"unknown divergence kind {kind!r}")
+    return _DISPATCH[spec.kind][1](spec, p, q)

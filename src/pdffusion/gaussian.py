@@ -48,7 +48,8 @@ def pd_inverse(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
 class Gaussian:
     """A multivariate normal distribution N(mean, cov).
 
-    cov must be symmetric to 1e-10 and positive definite.
+    cov must be symmetric to 1e-10 times max(1, largest absolute entry)
+    and positive definite.
     """
 
     mean: np.ndarray
@@ -64,7 +65,7 @@ class Gaussian:
             raise DimensionError(f"cov shape {cov.shape} does not match mean length {d}")
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
             raise ValueError("mean and cov must be finite")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(cov))):
             raise ValueError("cov is not symmetric")
         cov = symmetrize(cov)
         _cholesky(cov, "cov")
@@ -137,11 +138,43 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
     return gridmod.normalize(gridmod.from_samples(lower, upper, shape, vals))
 
 
+def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
+    """Every input on one shared grid, with Gaussians evaluated on it.
+
+    Grid inputs fix the grid, and all of them must share it. Without one,
+    the grid is the union of the Gaussians' default_grid_bounds boxes with
+    ``points`` nodes per axis, or to_grid's default node counts when
+    ``points`` is None.
+
+    Raises
+    ------
+    DimensionError
+        If the inputs differ in dimension.
+    GridMismatchError
+        If two grid inputs live on different grids.
+    """
+    dims = {d.dims if isinstance(d, GridDensity) else d.dim for d in inputs}
+    if len(dims) > 1:
+        raise DimensionError(f"inputs mix dimensions {sorted(dims)}")
+    grids = [d for d in inputs if isinstance(d, GridDensity)]
+    if grids:
+        gridmod.require_same_grid(*grids)
+        lower, upper, shape = grids[0].lower, grids[0].upper, grids[0].shape
+    else:
+        boxes = [default_grid_bounds(g) for g in inputs]
+        lower = np.min([lo for lo, _ in boxes], axis=0)
+        upper = np.max([hi for _, hi in boxes], axis=0)
+        shape = None if points is None else (int(points),) * len(lower)
+    return tuple(d if isinstance(d, GridDensity) else to_grid(d, lower, upper, shape) for d in inputs)
+
+
 def check_simplex(weights, n: int, what: str = "weights") -> np.ndarray:
-    """Validate a nonnegative vector of length ``n`` summing to 1 within 1e-9."""
+    """Validate a finite nonnegative vector of length ``n`` summing to 1 within 1e-9."""
     w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
     if w.shape != (n,):
         raise SimplexError(f"{what} must have length {n}, got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise SimplexError(f"{what} must be finite, got {w}")
     if np.any(w < 0.0):
         raise SimplexError(f"{what} must be nonnegative, got {w}")
     if abs(float(np.sum(w)) - 1.0) > SIMPLEX_TOL:

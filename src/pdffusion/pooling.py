@@ -265,60 +265,38 @@ def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> G
     """Pool by averaging in transform space: chi^{-1}(sum w_k chi(q_k)).
 
     The result is normalized. Identity, Log, Reciprocal and Power(alpha)
-    reproduce the linear, log-linear, inverse-linear and Holder pools.
+    are the linear, log-linear, inverse-linear and Holder pools, and are
+    computed by them.
     """
-    if chi.needs_positive:
-        _require_positive(profile, f"{chi.kind.value} transform pooling")
-    w = check_simplex(weights, profile.K)
     if chi.kind is ChiKind.IDENTITY:
-        combined = np.tensordot(w, _stack(profile), axes=1)
-    elif chi.kind is ChiKind.LOG:
-        logs = np.tensordot(w, _log_values(profile), axes=1)
-        combined = np.exp(logs - logs.max())
-    elif chi.kind is ChiKind.RECIPROCAL:
-        combined = 1.0 / np.tensordot(w, 1.0 / _stack(profile), axes=1)
-    else:
-        return holder_pool(profile, w, chi.alpha)
-    return _finish(profile, combined)
+        return gridmod.normalize(linear_pool(profile, weights))
+    if chi.kind is ChiKind.LOG:
+        return log_linear_pool(profile, weights)
+    if chi.kind is ChiKind.RECIPROCAL:
+        return inverse_linear_pool(profile, weights)
+    return holder_pool(profile, weights, chi.alpha)
 
 
-# fields beyond weights that each kind cannot run without
-_REQUIRED_FIELDS = {
-    PoolingKind.HOLDER: ("alpha",),
-    PoolingKind.MULTIPLICATIVE: ("q0",),
-    PoolingKind.GENERALIZED_MULTIPLICATIVE: ("q0",),
-    PoolingKind.DICTATORSHIP: ("dictator",),
-    PoolingKind.DOGMATIC: ("q0",),
-    PoolingKind.CHI_TRANSFORM: ("chi",),
+# kind -> (spec fields the kind cannot run without, call)
+_DISPATCH = {
+    PoolingKind.LINEAR: ((), lambda s, p: linear_pool(p, s.weights)),
+    PoolingKind.GENERALIZED_LINEAR: ((), lambda s, p: linear_pool(p, s.weights, q0=s.q0, w0=s.w0)),
+    PoolingKind.LOG_LINEAR: ((), lambda s, p: log_linear_pool(p, s.weights)),
+    PoolingKind.GENERALIZED_LOG_LINEAR: ((), lambda s, p: log_linear_pool(p, s.weights, xi0=s.xi0)),
+    PoolingKind.HOLDER: (("alpha",), lambda s, p: holder_pool(p, s.weights, s.alpha)),
+    PoolingKind.INVERSE_LINEAR: ((), lambda s, p: inverse_linear_pool(p, s.weights)),
+    PoolingKind.MULTIPLICATIVE: (("q0",), lambda s, p: multiplicative_pool(p, s.q0)),
+    PoolingKind.GENERALIZED_MULTIPLICATIVE: (("q0",), lambda s, p: multiplicative_pool(p, s.q0, s.weights)),
+    PoolingKind.DICTATORSHIP: (("dictator",), lambda s, p: dictatorship_pool(p, s.dictator)),
+    PoolingKind.DOGMATIC: (("q0",), lambda s, p: dogmatic_pool(p, s.q0)),
+    PoolingKind.CHI_TRANSFORM: (("chi",), lambda s, p: chi_transform_pool(p, s.weights, s.chi)),
 }
 
 
 def pool(spec: PoolingSpec, profile: OpinionProfile) -> GridDensity:
     """Apply a declaratively specified pooling rule to a profile."""
-    kind = spec.kind
-    for field in _REQUIRED_FIELDS.get(kind, ()):
+    required, call = _DISPATCH[spec.kind]
+    for field in required:
         if getattr(spec, field) is None:
-            raise ValueError(f"{kind.value} pooling requires {field}")
-    if kind is PoolingKind.LINEAR:
-        return linear_pool(profile, spec.weights)
-    if kind is PoolingKind.GENERALIZED_LINEAR:
-        return linear_pool(profile, spec.weights, q0=spec.q0, w0=spec.w0)
-    if kind is PoolingKind.LOG_LINEAR:
-        return log_linear_pool(profile, spec.weights)
-    if kind is PoolingKind.GENERALIZED_LOG_LINEAR:
-        return log_linear_pool(profile, spec.weights, xi0=spec.xi0)
-    if kind is PoolingKind.HOLDER:
-        return holder_pool(profile, spec.weights, spec.alpha)
-    if kind is PoolingKind.INVERSE_LINEAR:
-        return inverse_linear_pool(profile, spec.weights)
-    if kind is PoolingKind.MULTIPLICATIVE:
-        return multiplicative_pool(profile, spec.q0)
-    if kind is PoolingKind.GENERALIZED_MULTIPLICATIVE:
-        return multiplicative_pool(profile, spec.q0, spec.weights)
-    if kind is PoolingKind.DICTATORSHIP:
-        return dictatorship_pool(profile, spec.dictator)
-    if kind is PoolingKind.DOGMATIC:
-        return dogmatic_pool(profile, spec.q0)
-    if kind is PoolingKind.CHI_TRANSFORM:
-        return chi_transform_pool(profile, spec.weights, spec.chi)
-    raise ValueError(f"unknown pooling kind {kind!r}")
+            raise ValueError(f"{spec.kind.value} pooling requires {field}")
+    return call(spec, profile)

@@ -21,11 +21,10 @@ import numpy as np
 from scipy import linalg
 
 from .errors import DimensionError, RankError, SingularityError
-from .gaussian import Gaussian, pd_inverse, symmetrize
+from .gaussian import SYMMETRY_TOL, Gaussian, pd_inverse, symmetrize
 from .grid import GridDensity, OpinionProfile
 from .pooling import multiplicative_pool
 
-SYMMETRY_TOL = 1e-10
 PSD_TOL = -1e-10
 
 
@@ -131,21 +130,23 @@ class LinearGaussianModel:
         return self.Sigma[lo:hi, lo:hi]
 
     @cached_property
+    def _noise_block_inverses(self) -> tuple[np.ndarray, ...]:
+        return tuple(pd_inverse(self.sigma_block(k), f"noise block {k}") for k in range(self.K))
+
+    @cached_property
     def local_precisions(self) -> tuple[np.ndarray, ...]:
         """H_k^T Sigma_kk^{-1} H_k per agent."""
-        out = []
-        for k, h in enumerate(self.H_blocks):
-            inv_block = pd_inverse(self.sigma_block(k), f"noise block {k}")
-            out.append(symmetrize(h.T @ inv_block @ h))
-        return tuple(out)
+        return tuple(
+            symmetrize(h.T @ inv_block @ h)
+            for h, inv_block in zip(self.H_blocks, self._noise_block_inverses)
+        )
 
     @cached_property
     def V_blocks(self) -> tuple[np.ndarray, ...]:
         """Per-agent statistic maps (H_k^T S^{-1} H_k)^{-1} H_k^T S^{-1}."""
         out = []
         for k, h in enumerate(self.H_blocks):
-            inv_block = pd_inverse(self.sigma_block(k), f"noise block {k}")
-            gram = symmetrize(h.T @ inv_block @ h)
+            gram, inv_block = self.local_precisions[k], self._noise_block_inverses[k]
             if not _try_cholesky(gram):
                 raise RankError(f"agent {k} statistic map is rank deficient")
             v = pd_inverse(gram, f"agent {k} gram") @ h.T @ inv_block
@@ -204,16 +205,26 @@ def global_likelihood_params(model: LinearGaussianModel) -> tuple[np.ndarray, np
     return model.Sigma_tilde, sigma_hat_inv
 
 
+def _conjugate_update(model: LinearGaussianModel, precision, shift, what: str) -> Gaussian:
+    """Posterior of theta from the prior and a Gaussian likelihood in
+    information form: precision H^T N H and shift H^T N y, N the noise
+    precision."""
+    prior_prec = pd_inverse(model.prior_cov, "prior covariance")
+    cov = pd_inverse(symmetrize(precision + prior_prec), what)
+    return Gaussian(cov @ (shift + prior_prec @ model.prior_mean), cov)
+
+
+def _observed_update(model: LinearGaussianModel, noise_precision, y, what: str) -> Gaussian:
+    """Conjugate update on the raw observation y = H theta + n."""
+    H = np.vstack(model.H_blocks)
+    return _conjugate_update(model, H.T @ noise_precision @ H, H.T @ noise_precision @ y, what)
+
+
 def _oracle_posterior(model: LinearGaussianModel, y: np.ndarray) -> Gaussian | None:
     if not _try_cholesky(model.Sigma):
         return None  # oracle undefined for singular joint noise
-    H = np.vstack(model.H_blocks)
     sigma_inv = pd_inverse(model.Sigma, "joint noise covariance")
-    prior_prec = pd_inverse(model.prior_cov, "prior covariance")
-    post_prec = symmetrize(H.T @ sigma_inv @ H + prior_prec)
-    cov = pd_inverse(post_prec, "oracle posterior precision")
-    mean = cov @ (H.T @ sigma_inv @ y + prior_prec @ model.prior_mean)
-    return Gaussian(mean, cov)
+    return _observed_update(model, sigma_inv, y, "oracle posterior precision")
 
 
 def scalar_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
@@ -270,7 +281,7 @@ def vector_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
         raise DimensionError(f"statistic length {t.shape}, expected ({K * dt},)")
     sti = model.sigma_tilde_inv
     ones = model.ones_kron
-    sigma_hat_inv = symmetrize(ones.T @ sti @ ones)
+    _, sigma_hat_inv = global_likelihood_params(model)
     vector_weights = []
     for k in range(K):
         block_row = sti[k * dt : (k + 1) * dt, :]  # (e_k kron I)^T SigmaTilde^{-1}
@@ -281,14 +292,12 @@ def vector_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
         wk = vector_weights[k]
         G = G - wk.T @ model.local_precisions[k] @ wk
     G = symmetrize(G)
-    prior_prec = pd_inverse(model.prior_cov, "prior covariance")
-    cov1 = pd_inverse(symmetrize(sigma_hat_inv + prior_prec), "fused posterior precision")
-    mean1 = cov1 @ (ones.T @ sti @ t + prior_prec @ model.prior_mean)
+    posterior = _conjugate_update(model, sigma_hat_inv, ones.T @ sti @ t, "fused posterior precision")
     oracle = None
     if y is not None:
         oracle = _oracle_posterior(model, np.atleast_1d(np.asarray(y, dtype=np.float64)))
     return SupraFusionResult(
-        posterior=Gaussian(mean1, cov1),
+        posterior=posterior,
         oracle=oracle,
         scalar_weights=None,
         vector_weights=tuple(vector_weights),
@@ -308,13 +317,8 @@ def substituted_oracle(model: LinearGaussianModel, y) -> Gaussian:
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.shape != (model.d_y,):
         raise DimensionError(f"observation length {y.shape}, expected ({model.d_y},)")
-    H = np.vstack(model.H_blocks)
     M = model.V.T @ model.sigma_tilde_inv @ model.V
-    prior_prec = pd_inverse(model.prior_cov, "prior covariance")
-    post_prec = symmetrize(H.T @ M @ H + prior_prec)
-    cov = pd_inverse(post_prec, "substituted posterior precision")
-    mean = cov @ (H.T @ M @ y + prior_prec @ model.prior_mean)
-    return Gaussian(mean, cov)
+    return _observed_update(model, M, y, "substituted posterior precision")
 
 
 def private_shared_model(

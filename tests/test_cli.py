@@ -14,7 +14,7 @@ from pdffusion.fileio import (
     write_gaussian_json,
     write_model_json,
 )
-from pdffusion.gaussian import Gaussian, to_grid
+from pdffusion.gaussian import Gaussian, ci_fuse, to_grid
 from pdffusion.supra import LinearGaussianModel, private_shared_model
 
 SMALL_ENV = {"FUSION_GRID_POINTS": "128"}
@@ -104,6 +104,49 @@ class TestPool:
         )
         assert result.exit_code == 2
         stderr_error(result)
+
+    def test_mirrored_json_pair_uses_union_grid(self, runner, tmp_path):
+        a = gauss_json(tmp_path, "a.json", -2.5, 1.0)
+        b = gauss_json(tmp_path, "b.json", 2.5, 1.0)
+        out = str(tmp_path / "fused.csv")
+        result = runner.invoke(
+            main, ["pool", "--kind", "linear", "--weights", "0.5,0.5", a, b, "-o", out]
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        # mixture moments: mean 0, variance 1 + 2.5^2
+        assert abs(payload["mean"][0]) < 1e-12
+        assert abs(payload["cov"][0][0] - 7.25) < 1e-8
+
+    def test_2d_json_log_linear_matches_ci_fuse(self, runner, tmp_path):
+        gs = [
+            Gaussian([0.5, -0.3], [[1.0, 0.3], [0.3, 2.0]]),
+            Gaussian([-0.4, 0.6], [[1.5, -0.2], [-0.2, 0.8]]),
+        ]
+        paths = []
+        for i, g in enumerate(gs):
+            paths.append(str(tmp_path / f"g{i}.json"))
+            write_gaussian_json(paths[-1], g)
+        out = str(tmp_path / "fused.csv")
+        result = runner.invoke(
+            main, ["pool", "--kind", "log-linear", "--weights", "0.3,0.7", *paths, "-o", out]
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        exact = ci_fuse(gs, [0.3, 0.7])
+        np.testing.assert_allclose(payload["mean"], exact.mean, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(payload["cov"], exact.cov, rtol=0, atol=1e-8)
+        assert read_density_csv(out).shape == (257, 257)
+
+    def test_non_finite_weights_exit_2(self, runner, tmp_path):
+        a = density_csv(tmp_path, "a.csv", -1.0, 1.0)
+        b = density_csv(tmp_path, "b.csv", 1.0, 1.0)
+        out = str(tmp_path / "fused.csv")
+        result = runner.invoke(
+            main, ["pool", "--kind", "linear", "--weights", "nan,nan", a, b, "-o", out]
+        )
+        assert result.exit_code == 2
+        assert stderr_error(result) == "SimplexError"
 
     def test_missing_file_exits_2(self, runner, tmp_path):
         out = str(tmp_path / "fused.csv")

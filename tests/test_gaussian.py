@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdffusion import gaussian as G
-from pdffusion.errors import DimensionError, SimplexError, SingularityError
+from pdffusion.errors import DimensionError, GridMismatchError, SimplexError, SingularityError
 from pdffusion.grid import integrate, moments
 
 
@@ -12,6 +12,11 @@ class TestGaussianType:
     def test_asymmetric_cov_rejected(self):
         with pytest.raises(ValueError):
             G.Gaussian([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
+
+    def test_symmetry_tolerance_is_relative_to_scale(self):
+        # asymmetry 1e-9 against entries of 1e6: a relative 1e-15 round-off
+        g = G.Gaussian([0.0, 0.0], [[1e6, 0.1], [0.1 + 1e-9, 1e6]])
+        assert g.cov[0, 1] == g.cov[1, 0]
 
     def test_indefinite_cov_rejected(self):
         with pytest.raises(SingularityError):
@@ -77,6 +82,44 @@ class TestToGrid:
             G.to_grid(g)
 
 
+class TestCommonGrid:
+    def test_grid_input_fixes_the_grid(self):
+        ref = G.to_grid(G.Gaussian([0.0], [[1.0]]), [-5.0], [6.0], (300,))
+        wide = G.Gaussian([1.0], [[9.0]])
+        on_grid, same = G.common_grid(wide, ref, points=64)
+        assert same is ref
+        assert on_grid.same_grid(ref)
+        np.testing.assert_array_equal(on_grid.values, G.to_grid(wide, [-5.0], [6.0], (300,)).values)
+
+    def test_gaussians_use_union_of_boxes(self):
+        a, b = G.Gaussian([-2.5], [[1.0]]), G.Gaussian([2.5], [[1.0]])
+        qa, qb = G.common_grid(a, b)
+        np.testing.assert_array_equal(qa.lower, [-10.5])
+        np.testing.assert_array_equal(qa.upper, [10.5])
+        assert qa.shape == (G.DEFAULT_POINTS_1D,)
+        assert qb.same_grid(qa)
+
+    def test_different_grids_rejected(self):
+        g = G.Gaussian([0.0], [[1.0]])
+        with pytest.raises(GridMismatchError):
+            G.common_grid(G.to_grid(g, [-8.0], [8.0], (64,)), G.to_grid(g, [-8.0], [8.0], (65,)))
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionError):
+            G.common_grid(G.Gaussian([0.0], [[1.0]]), G.Gaussian([0.0, 0.0], np.eye(2)))
+        with pytest.raises(DimensionError):
+            G.common_grid(G.to_grid(G.Gaussian([0.0], [[1.0]])), G.Gaussian([0.0, 0.0], np.eye(2)))
+
+    def test_points_apply_per_axis_in_2d(self):
+        a = G.Gaussian([0.0, 1.0], [[1.0, 0.2], [0.2, 4.0]])
+        b = G.Gaussian([3.0, -1.0], np.eye(2))
+        qa, qb = G.common_grid(a, b, points=40)
+        assert qa.shape == qb.shape == (40, 40)
+        np.testing.assert_allclose(qa.lower, [-8.0, -15.0])
+        np.testing.assert_allclose(qa.upper, [11.0, 17.0])
+        assert G.common_grid(a, b)[0].shape == (G.DEFAULT_POINTS_2D, G.DEFAULT_POINTS_2D)
+
+
 class TestMixtureMoments:
     def test_two_component_example(self):
         mean, cov = G.mixture_moments(
@@ -130,6 +173,11 @@ class TestMixtureMoments:
             G.mixture_moments([g, g], [0.7, 0.7])
         with pytest.raises(SimplexError):
             G.mixture_moments([g, g], [-0.2, 1.2])
+
+    def test_non_finite_weights_rejected(self):
+        for w in ([np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]):
+            with pytest.raises(SimplexError):
+                G.check_simplex(w, 2)
 
 
 class TestCiFuse:
