@@ -7,9 +7,9 @@ covariance intersection weights minimizing the trace or log-determinant of
 the fused covariance. The reverse form of the KLD objective, whose optimum
 is always uniform weights, is exposed for verification.
 
-The simplex optimizer is projected gradient descent with finite-difference
-gradients and Armijo backtracking; two-agent covariance intersection uses
-golden-section search on the single free weight.
+Both optimized schemes run through one projected gradient descent over
+the simplex, driven by the objective's exact gradient: a Barzilai-Borwein
+first trial step, then Armijo backtracking.
 """
 from __future__ import annotations
 
@@ -20,18 +20,24 @@ from typing import Callable
 import numpy as np
 
 from . import divergence, pooling
-from .errors import DegenerateError, NonConvergenceError, PositivityError
-from .gaussian import Gaussian, check_simplex, ci_fuse
+from .errors import DegenerateError, DimensionError, NonConvergenceError, PositivityError
+from .gaussian import check_simplex, pd_inverse
 from .grid import OpinionProfile
 
-FD_STEP = 1e-5
 ARMIJO_C = 1e-4
 MIN_STEP = 1e-13
-GOLDEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class WeightResult:
+    """Outcome of a simplex weight optimization.
+
+    ``iterations`` counts projected-gradient steps, for every number of
+    agents. ``gradient_norm`` is the projected-gradient residual, the
+    distance from the weights to their projected gradient step; the name is
+    kept for the CLI's JSON output. ``converged`` means it is below tol.
+    """
+
     weights: np.ndarray
     objective: float
     iterations: int
@@ -59,52 +65,46 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _fd_gradient(objective: Callable[[np.ndarray], float], w: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(w)
-    for i in range(w.size):
-        e = np.zeros_like(w)
-        e[i] = FD_STEP
-        g[i] = (objective(w + e) - objective(w - e)) / (2.0 * FD_STEP)
-    return g
-
-
 def _minimize_on_simplex(
-    objective: Callable[[np.ndarray], float],
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     K: int,
     max_iter: int,
     tol: float,
 ) -> WeightResult:
     """Projected gradient descent from uniform weights.
 
-    Convergence is declared when the natural residual, the distance between
-    the iterate and its projected gradient step, drops below tol.
+    ``value_and_grad`` returns the objective and its exact gradient. Each
+    step starts from the Barzilai-Borwein length s.s / s.y of the last two
+    iterates (1.0 on the first step or when s.y <= 0) and backtracks until
+    the Armijo condition holds. Convergence is declared when the natural
+    residual, the distance between the iterate and its projected gradient
+    step, drops below tol.
     """
     w = np.full(K, 1.0 / K)
-    f = objective(w)
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        g = _fd_gradient(objective, w)
+    f, g = value_and_grad(w)
+    step, residual = 1.0, np.inf
+    for it in range(max_iter + 1):
         g = g - g.mean()  # tangent component along the simplex
         residual = float(np.linalg.norm(w - project_to_simplex(w - g)))
         if residual < tol:
-            return WeightResult(w, f, it - 1, True, residual)
-        step = 1.0
-        while step > MIN_STEP:
+            return WeightResult(w, f, it, True, residual)
+        if it == max_iter:
+            break
+        while True:
             trial = project_to_simplex(w - step * g)
-            f_trial = objective(trial)
+            f_trial, g_trial = value_and_grad(trial)
             if f_trial <= f - ARMIJO_C * float(g @ (w - trial)):
                 break
             step *= 0.5
-        else:
-            # no productive step left; treat the iterate as converged if the
-            # residual is within a loose multiple of tol, else give up
-            if residual < 100 * tol:
-                return WeightResult(w, f, it, True, residual)
-            raise NonConvergenceError(
-                f"line search stalled at iteration {it} with residual {residual:.3e}",
-                result=WeightResult(w, f, it, False, residual),
-            )
-        w, f = trial, f_trial
+            if step < MIN_STEP:
+                raise NonConvergenceError(
+                    f"line search stalled at iteration {it + 1} with residual {residual:.3e}",
+                    result=WeightResult(w, f, it, False, residual),
+                )
+        s, y = trial - w, g_trial - g
+        sy = float(s @ y)
+        step = float(s @ s) / sy if sy > 0.0 else 1.0
+        w, f, g = trial, f_trial, g_trial
     raise NonConvergenceError(
         f"no convergence in {max_iter} iterations, residual {residual:.3e}",
         result=WeightResult(w, f, max_iter, False, residual),
@@ -126,8 +126,9 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
 
     The objective splits into the log normalizer of the unnormalized
     geometric mean plus a weighted average of pairwise KLDs, so the pairwise
-    table and the agent log-densities are precomputed once and each
-    evaluation is a single weighted sum.
+    table and the agent log-densities are precomputed once; each evaluation
+    is one weighted sum of log-densities, and the gradient is the pooled
+    mean of each log-density plus its KLD coefficient.
 
     Raises
     ------
@@ -147,13 +148,15 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     # b_j collects the column sums: the coefficient of w_j in the KLD average
     b = D.sum(axis=0) / K
 
-    def objective(w: np.ndarray) -> float:
+    def value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
         s = w @ logs
         m = s.max()
-        log_norm = m + np.log(float(np.sum(quad * np.exp(s - m))))
-        return log_norm + float(w @ b)
+        p = quad * np.exp(s - m)
+        z = float(p.sum())
+        # the gradient of a log normalizer is the pooled mean of log q_j
+        return m + np.log(z) + float(w @ b), logs @ (p / z) + b
 
-    return _minimize_on_simplex(objective, K, max_iter, tol)
+    return _minimize_on_simplex(value_and_grad, K, max_iter, tol)
 
 
 def reverse_kld_objective(profile: OpinionProfile, w) -> float:
@@ -188,25 +191,6 @@ def discrepancy_weights(profile: OpinionProfile) -> np.ndarray:
     return gamma / gamma.sum()
 
 
-def _golden_section(f: Callable[[float], float], max_iter: int) -> tuple[float, int, float]:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while b - a > GOLDEN_TOL and it < max_iter:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        it += 1
-    return 0.5 * (a + b), it, b - a
-
-
 def ci_weights(
     gaussians,
     criterion: CICriterion = CICriterion.TRACE,
@@ -215,37 +199,33 @@ def ci_weights(
 ) -> WeightResult:
     """Covariance intersection weights minimizing fused covariance size.
 
-    criterion TRACE minimizes trace of the fused covariance, LOGDET its
-    log-determinant. Two agents use golden-section search on the single
-    free weight; more use projected gradient descent.
+    criterion TRACE minimizes the trace of the fused covariance
+    C = (sum_k w_k P_k)^-1, with P_k the agent precisions, and LOGDET its
+    log-determinant. Their gradients are -tr(C P_k C) and -tr(C P_k).
+
+    Raises
+    ------
+    DimensionError
+        If the agents differ in dimension.
+    NonConvergenceError
+        After max_iter iterations; the error carries the best iterate.
     """
     gaussians = list(gaussians)
     K = len(gaussians)
     if K < 2:
         raise ValueError("weight selection needs at least two agents")
+    if len({g.dim for g in gaussians}) > 1:
+        raise DimensionError("fusion inputs must share a dimension")
+    d = gaussians[0].dim
+    precisions = np.stack([pd_inverse(g.cov, "agent cov") for g in gaussians]).reshape(K, d * d)
 
-    def size(cov: np.ndarray) -> float:
+    def value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
+        cov = pd_inverse((w @ precisions).reshape(d, d), "combined precision")
         if criterion is CICriterion.TRACE:
-            return float(np.trace(cov))
+            return float(np.trace(cov)), -(precisions @ (cov @ cov).reshape(-1))
         sign, logdet = np.linalg.slogdet(cov)
         if sign <= 0:
             raise DegenerateError("fused covariance lost positive definiteness")
-        return float(logdet)
+        return float(logdet), -(precisions @ cov.reshape(-1))
 
-    if K == 2:
-
-        def f(w1: float) -> float:
-            return size(ci_fuse(gaussians, [w1, 1.0 - w1]).cov)
-
-        w1, it, width = _golden_section(f, max_iter)
-        w = np.array([w1, 1.0 - w1])
-        return WeightResult(w, f(w1), it, bool(width <= GOLDEN_TOL * 2), width)
-
-    def objective(w: np.ndarray) -> float:
-        w = np.maximum(w, 0.0)
-        s = w.sum()
-        if s <= 0.0:
-            return np.inf
-        return size(ci_fuse(gaussians, w / s).cov)
-
-    return _minimize_on_simplex(objective, K, max_iter, tol)
+    return _minimize_on_simplex(value_and_grad, K, max_iter, tol)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdffusion import weights as W
-from pdffusion.errors import DegenerateError, NonConvergenceError, PositivityError
-from pdffusion.gaussian import Gaussian, to_grid
+from pdffusion.divergence import kl
+from pdffusion.errors import DegenerateError, DimensionError, NonConvergenceError, PositivityError
+from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import OpinionProfile, from_samples, normalize
 
 LO, HI, N = -8.0, 8.0, 1024
@@ -15,6 +16,29 @@ LO, HI, N = -8.0, 8.0, 1024
 
 def gauss_grid(mu, var):
     return to_grid(Gaussian([mu], [[var]]), [LO], [HI], (N,))
+
+
+def min_kld_sweep(prof, step):
+    """Smallest min-KLD objective over a simplex lattice of spacing ``step``, K=3."""
+    logs = np.stack([np.log(q.values) for q in prof.densities]).reshape(3, -1)
+    quad = prof.grid.quad_weights.reshape(-1)
+    D = np.array([[kl(p, q) if p is not q else 0.0 for q in prof.densities] for p in prof.densities])
+    bcoef = D.sum(axis=0) / 3.0
+    ticks = np.arange(0.0, 1.0 + step / 2, step)
+    a, b = np.meshgrid(ticks, ticks, indexing="ij")
+    keep = a + b <= 1.0 + step / 2
+    lattice = np.column_stack([a[keep], b[keep], np.clip(1.0 - a[keep] - b[keep], 0.0, None)])
+    best = np.inf
+    for chunk in np.array_split(lattice, max(1, len(lattice) // 500)):
+        s = chunk @ logs
+        m = s.max(axis=1)
+        vals = m + np.log(np.exp(s - m[:, None]) @ quad) + chunk @ bcoef
+        best = min(best, float(vals.min()))
+    return best
+
+
+def one_d_profile(means_vars):
+    return OpinionProfile(common_grid(*(Gaussian([m], [[v]]) for m, v in means_vars)))
 
 
 class TestSimplexProjection:
@@ -131,6 +155,28 @@ class TestMinKldWeights:
         with pytest.raises(PositivityError):
             W.min_kld_weights(OpinionProfile((d, d)))
 
+    def test_stall_profile_converges(self):
+        # projected descent with finite-difference gradients stalled here
+        # after 500 iterations at residual 8e-6
+        prof = one_d_profile([(-0.36, 2.1), (-0.69, 1.45), (-0.78, 0.712)])
+        res = W.min_kld_weights(prof)
+        assert res.converged
+        assert res.gradient_norm < 1e-6
+        assert res.objective <= min_kld_sweep(prof, 0.005) + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.5)),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_random_three_agent_profiles_converge(self, means_vars):
+        res = W.min_kld_weights(one_d_profile(means_vars))
+        assert res.converged
+        assert np.sum(res.weights) == pytest.approx(1.0, abs=1e-12)
+
     def test_nonconvergence_carries_best_iterate(self):
         prof = OpinionProfile((gauss_grid(0.0, 1.0), gauss_grid(0.0, 4.0), gauss_grid(0.0, 9.0)))
         with pytest.raises(NonConvergenceError) as einfo:
@@ -205,6 +251,32 @@ class TestCiWeights:
         res = W.ci_weights(gs, W.CICriterion.TRACE)
         assert res.converged
         assert res.weights[0] == pytest.approx(1.0, abs=1e-2)
+
+    @pytest.mark.parametrize("criterion", list(W.CICriterion))
+    @pytest.mark.parametrize(
+        "covs",
+        [
+            pytest.param(([[1.0]], [[3.0]]), id="1d-dominant-vertex"),
+            pytest.param((np.diag([1.0, 4.0]), np.diag([4.0, 1.0])), id="2d-crossed"),
+            pytest.param(([[2.0, 0.6], [0.6, 0.5]], [[0.7, -0.3], [-0.3, 1.8]]), id="2d-correlated"),
+            pytest.param((np.eye(2), np.diag([2.0, 3.0])), id="2d-dominant-vertex"),
+        ],
+    )
+    def test_two_agents_match_dense_sweep(self, covs, criterion):
+        gs = [Gaussian(np.zeros(len(c)), c) for c in covs]
+        res = W.ci_weights(gs, criterion)
+        assert res.converged
+        w1 = np.linspace(0.0, 1.0, 100001)[:, None, None]
+        precision = w1 * np.linalg.inv(gs[0].cov) + (1.0 - w1) * np.linalg.inv(gs[1].cov)
+        if criterion is W.CICriterion.TRACE:
+            sizes = np.trace(np.linalg.inv(precision), axis1=1, axis2=2)
+        else:
+            sizes = -np.linalg.slogdet(precision)[1]
+        assert abs(res.objective - sizes.min()) <= 1e-9
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionError):
+            W.ci_weights([Gaussian([0.0], [[1.0]]), Gaussian([0.0, 0.0], np.eye(2))])
 
     def test_logdet_criterion_runs(self):
         a = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
