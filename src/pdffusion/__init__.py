@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedAxiomError,
 )
 from .grid import (
+    Grid,
     GridDensity,
     OpinionProfile,
     event_probability,

@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 
 import numpy as np
 
 from . import grid as gridmod
 from .errors import UnsupportedAxiomError
-from .grid import GridDensity, OpinionProfile, event_probability
+from .grid import Grid, GridDensity, OpinionProfile, event_probability
 from .pooling import ChiKind, PoolingKind, PoolingSpec, bayes_update, pool
 
 DEFAULT_TOL = 1e-6
 DEFAULT_TRIALS = 100
 
 # harness domains: checks are grid-resolution statements, not user data
-GRID_1D = ((-5.0,), (5.0,), (512,))
-GRID_2D = ((-5.0, -5.0), (5.0, 5.0), (65, 65))
+GRID_1D = Grid((-5.0,), (5.0,), (512,))
+GRID_2D = Grid((-5.0, -5.0), (5.0, 5.0), (65, 65))
 
 PROBE_PAIRS = 8
 _TINY = 1e-300
@@ -114,14 +115,6 @@ def expected_matrix() -> dict[tuple[PoolingKind, Axiom], AxiomStatus]:
     return out
 
 
-def _template(spec3):
-    lower, upper, shape = spec3
-    return GridDensity(lower, upper, shape, np.ones(shape))
-
-
-_T1 = _template(GRID_1D)
-_T2 = _template(GRID_2D)
-
 # axioms about independence or factorization need a 2-D state space
 _TWO_DIM_AXIOMS = (Axiom.A8, Axiom.A9)
 
@@ -153,8 +146,8 @@ def _agent_count(spec: PoolingSpec) -> int:
     return 3
 
 
-def _l1(template: GridDensity, a: GridDensity, b: GridDensity) -> float:
-    return float(np.sum(template.quad_weights * np.abs(a.values - b.values)))
+def _l1(template: Grid, a: GridDensity, b: GridDensity) -> float:
+    return template.integral(np.abs(a.values - b.values))
 
 
 def _mixture_on_axis(rng, x: np.ndarray) -> np.ndarray:
@@ -170,7 +163,7 @@ def _mixture_on_axis(rng, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _random_density(rng, template: GridDensity, broad: bool = False) -> GridDensity:
+def _random_density(rng, template: Grid, broad: bool = False) -> GridDensity:
     if template.dims == 1:
         vals = _mixture_on_axis(rng, template.axes[0])
         if broad:
@@ -190,14 +183,14 @@ def _random_density(rng, template: GridDensity, broad: bool = False) -> GridDens
             f = _mixture_on_axis(rng, x1)
             g = _mixture_on_axis(rng, x2)
         vals = np.outer(f, g)
-    return gridmod.normalize(template.with_values(vals))
+    return gridmod.normalize(GridDensity(template, vals))
 
 
-def _random_profile(rng, K: int, template: GridDensity) -> OpinionProfile:
+def _random_profile(rng, K: int, template: Grid) -> OpinionProfile:
     return OpinionProfile(tuple(_random_density(rng, template) for _ in range(K)))
 
 
-def _random_xi0(rng, template: GridDensity) -> np.ndarray:
+def _random_xi0(rng, template: Grid) -> np.ndarray:
     """Bounded, strictly positive calibration function on the grid."""
 
     def axis_part(x):
@@ -210,7 +203,7 @@ def _random_xi0(rng, template: GridDensity) -> np.ndarray:
     return np.outer(axis_part(template.axes[0]), axis_part(template.axes[1]))
 
 
-def _with_companions(spec: PoolingSpec, rng, template: GridDensity) -> PoolingSpec:
+def _with_companions(spec: PoolingSpec, rng, template: Grid) -> PoolingSpec:
     """Fill in the side inputs a kind needs, drawn on the harness grid.
 
     The caller's spec fixes kind, weights, alpha, dictator and chi; the
@@ -265,25 +258,24 @@ def _masses(profile: OpinionProfile, cells: np.ndarray) -> np.ndarray:
 
 
 def _scaled_to_mass(
-    template: GridDensity, cand: GridDensity, cells: np.ndarray, nodes, target: float
+    template: Grid, cand: GridDensity, cells: np.ndarray, nodes, target: float
 ):
     """Two-level node scaling: event mass becomes ``target``, total stays one.
 
     ``target`` must not exceed the candidate's current event mass; scaling
     down inside the event and up outside keeps every value positive.
     """
-    w = template.quad_weights
     a = target / event_probability(cand, cells)
-    covered = float(np.sum(w[nodes] * cand.values[nodes]))
+    covered = template.integral(cand.values, where=nodes)
     b = (1.0 - a * covered) / (1.0 - covered)
     vals = cand.values.copy()
     vals[nodes] *= a
     vals[~nodes] *= b
-    return gridmod.normalize(template.with_values(vals))
+    return gridmod.normalize(GridDensity(template, vals))
 
 
 def _matched_mass_pair(
-    rng, template: GridDensity, cells: np.ndarray, K: int
+    rng, template: Grid, cells: np.ndarray, K: int
 ) -> tuple[OpinionProfile, OpinionProfile]:
     """Two profiles of distinct shapes with identical per-agent event masses.
 
@@ -302,13 +294,12 @@ def _matched_mass_pair(
 
 
 def _equalized_two_events(
-    rng, template: GridDensity, cells_a: np.ndarray, cells_b: np.ndarray, K: int
+    rng, template: Grid, cells_a: np.ndarray, cells_b: np.ndarray, K: int
 ) -> OpinionProfile:
     """A profile giving every agent identical mass on two disjoint events."""
     nodes_a = _nodes_of_cells_1d(cells_a)
     nodes_b = _nodes_of_cells_1d(cells_b)
     rest = ~(nodes_a | nodes_b)
-    w = template.quad_weights
     members = []
     for _ in range(K):
         cand = _random_density(rng, template)
@@ -317,14 +308,14 @@ def _equalized_two_events(
         target = 0.5 * min(ma, mb)
         a = target / ma
         c = target / mb
-        ja = float(np.sum(w[nodes_a] * cand.values[nodes_a]))
-        jb = float(np.sum(w[nodes_b] * cand.values[nodes_b]))
+        ja = template.integral(cand.values, where=nodes_a)
+        jb = template.integral(cand.values, where=nodes_b)
         b = (1.0 - a * ja - c * jb) / (1.0 - ja - jb)
         vals = cand.values.copy()
         vals[nodes_a] *= a
         vals[nodes_b] *= c
         vals[rest] *= b
-        members.append(gridmod.normalize(template.with_values(vals)))
+        members.append(gridmod.normalize(GridDensity(template, vals)))
     return OpinionProfile(tuple(members))
 
 
@@ -374,7 +365,7 @@ def _trial_zero_preservation(spec, rng, template, K):
         cand = _random_density(rng, template)
         vals = cand.values.copy()
         vals[nodes] = 0.0
-        members.append(gridmod.normalize(template.with_values(vals)))
+        members.append(gridmod.normalize(GridDensity(template, vals)))
     profile = OpinionProfile(tuple(members))
     s = _with_companions(spec, rng, template)
     v = abs(event_probability(pool(s, profile), cells))
@@ -432,14 +423,6 @@ def _event_function_residual(spec, rng, template, K, cross_events: bool):
     return v, f"fused event mass drifted {v:.3g} across {kind}"
 
 
-def _trial_strong_setwise(spec, rng, template, K):
-    return _event_function_residual(spec, rng, template, K, cross_events=True)
-
-
-def _trial_weak_setwise(spec, rng, template, K):
-    return _event_function_residual(spec, rng, template, K, cross_events=False)
-
-
 def _pick_probes(rng, n: int, count: int) -> np.ndarray:
     lo = int(0.1 * n)
     hi = int(0.9 * n)
@@ -461,9 +444,8 @@ def _trial_local_values(spec, rng, template, K):
         for q in _random_profile(rng, K, template).densities:
             vals = q.values.copy()
             vals[dst] = vals[src]
-            w = template.quad_weights
-            deficit = 1.0 - float(np.sum(w * vals))
-            denom = float(np.sum(w * vals * bump))
+            deficit = 1.0 - template.integral(vals)
+            denom = template.integral(vals, bump)
             if abs(denom) < 1e-9:
                 members = None
                 break
@@ -471,7 +453,7 @@ def _trial_local_values(spec, rng, template, K):
             if abs(scale) * float(bump.max()) >= 0.9:
                 members = None
                 break
-            members.append(gridmod.normalize(template.with_values(vals * (1.0 + scale * bump))))
+            members.append(gridmod.normalize(GridDensity(template, vals * (1.0 + scale * bump))))
         if members is not None:
             break
     if members is None:
@@ -486,7 +468,6 @@ def _trial_local_values_two_profiles(spec, rng, template, K):
     s = _with_companions(spec, rng, template)
     x = template.axes[0]
     base = _random_profile(rng, K, template)
-    w = template.quad_weights
     for _ in range(40):
         probes = _pick_probes(rng, template.shape[0], PROBE_PAIRS)
         c1, c2 = rng.uniform(-3.0, 3.0, size=2)
@@ -500,16 +481,16 @@ def _trial_local_values_two_profiles(spec, rng, template, K):
         while amp > 1e-3:
             members = []
             for q in base.densities:
-                denom = float(np.sum(w * q.values * b2))
+                denom = template.integral(q.values, b2)
                 if abs(denom) < 1e-9:
                     members = None
                     break
-                t = -amp * float(np.sum(w * q.values * b1)) / denom
+                t = -amp * template.integral(q.values, b1) / denom
                 mod = 1.0 + amp * b1 + t * b2
                 if mod.min() <= 0.1:
                     members = None
                     break
-                members.append(gridmod.normalize(template.with_values(q.values * mod)))
+                members.append(gridmod.normalize(GridDensity(template, q.values * mod)))
             if members is not None:
                 break
             amp *= 0.5
@@ -551,14 +532,10 @@ def _trial_factorization(spec, rng, template, K):
     s = _with_companions(spec, rng, template)
     profile = _random_profile(rng, K, template)
     fused = pool(s, profile)
-    n1, n2 = template.shape
-    w1 = np.full(n1, float(template.spacing[0]))
-    w1[[0, -1]] *= 0.5
-    w2 = np.full(n2, float(template.spacing[1]))
-    w2[[0, -1]] *= 0.5
+    w1, w2 = template.axis_weights
     marg1 = fused.values @ w2
     marg2 = w1 @ fused.values
-    v = float(np.sum(template.quad_weights * np.abs(fused.values - np.outer(marg1, marg2))))
+    v = template.integral(np.abs(fused.values - np.outer(marg1, marg2)))
     return v, f"fused pdf is L1 {v:.3g} from the product of its marginals"
 
 
@@ -589,29 +566,22 @@ def _trial_single_agent_update(spec, rng, template, K):
     return v, f"agent {j + 1} update propagated with L1 error {v:.3g}"
 
 
-_FUSED_LIKELIHOOD_KINDS = (
-    PoolingKind.LOG_LINEAR,
-    PoolingKind.GENERALIZED_LOG_LINEAR,
-    PoolingKind.MULTIPLICATIVE,
-    PoolingKind.GENERALIZED_MULTIPLICATIVE,
-    PoolingKind.DICTATORSHIP,
-    PoolingKind.DOGMATIC,
-)
-
-
-def _combined_likelihood(spec: PoolingSpec, ells) -> np.ndarray:
+def _combined_likelihood(spec: PoolingSpec, ells) -> np.ndarray | None:
+    """The fused likelihood in closed form, or None for kinds without one."""
     kind = spec.kind
-    if kind in (PoolingKind.LOG_LINEAR, PoolingKind.GENERALIZED_LOG_LINEAR):
-        return np.prod([e ** w for e, w in zip(ells, spec.weights)], axis=0)
     if kind is PoolingKind.MULTIPLICATIVE:
         return np.prod(ells, axis=0)
-    if kind is PoolingKind.GENERALIZED_MULTIPLICATIVE:
+    if kind in (
+        PoolingKind.LOG_LINEAR,
+        PoolingKind.GENERALIZED_LOG_LINEAR,
+        PoolingKind.GENERALIZED_MULTIPLICATIVE,
+    ):
         return np.prod([e ** w for e, w in zip(ells, spec.weights)], axis=0)
     if kind is PoolingKind.DICTATORSHIP:
         return np.asarray(ells[spec.dictator - 1])
     if kind is PoolingKind.DOGMATIC:
         return np.ones_like(np.asarray(ells[0]))
-    raise ValueError(f"no closed-form combined likelihood for {kind!r}")
+    return None
 
 
 def _trial_fused_likelihood(spec, rng, template, K):
@@ -619,8 +589,9 @@ def _trial_fused_likelihood(spec, rng, template, K):
     profile = _random_profile(rng, K, template)
     ells = [_random_likelihood(rng, template.axes[0]) for _ in range(K)]
     after = pool(s, _updated(profile, ells))
-    if spec.kind in _FUSED_LIKELIHOOD_KINDS:
-        before = bayes_update(pool(s, profile), _combined_likelihood(spec, ells))
+    combined = _combined_likelihood(spec, ells)
+    if combined is not None:
+        before = bayes_update(pool(s, profile), combined)
         v = _l1(template, after, before)
         return v, f"closed-form fused likelihood misses by L1 {v:.3g}"
     # no closed form: the implied fused likelihood must not depend on the profile
@@ -638,8 +609,8 @@ _TRIALS = {
     Axiom.A1: _trial_symmetry,
     Axiom.A2: _trial_zero_preservation,
     Axiom.A3: _trial_unanimity,
-    Axiom.A4: _trial_strong_setwise,
-    Axiom.A5: _trial_weak_setwise,
+    Axiom.A4: functools.partial(_event_function_residual, cross_events=True),
+    Axiom.A5: functools.partial(_event_function_residual, cross_events=False),
     Axiom.A6: _trial_local_values,
     Axiom.A7: _trial_local_values_two_profiles,
     Axiom.A8: _trial_independence,
@@ -690,7 +661,7 @@ def check_axiom(
             f"{spec.kind.value} pooling requires a strictly positive profile; "
             "zero-probability events cannot arise"
         )
-    template = _T2 if axiom in _TWO_DIM_AXIOMS else _T1
+    template = GRID_2D if axiom in _TWO_DIM_AXIOMS else GRID_1D
     K = _agent_count(spec)
     fn = _TRIALS[axiom]
     rng = np.random.default_rng(seed)

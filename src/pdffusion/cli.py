@@ -90,9 +90,9 @@ def _load_density(path):
     return read_density_csv(path)
 
 
-def _load_on_common_grid(paths):
-    """Load densities and put them all on one shared grid."""
-    return common_grid(*(_load_density(p) for p in paths), points=_grid_points())
+def _load_on_common_grid(paths, *loaded):
+    """Load densities and put them, and any already ``loaded`` ones, on one shared grid."""
+    return common_grid(*(_load_density(p) for p in paths), *loaded, points=_grid_points())
 
 
 def _chi_from_flags(chi: str | None, chi_alpha: float | None) -> ChiTransform | None:
@@ -106,20 +106,15 @@ def _chi_from_flags(chi: str | None, chi_alpha: float | None) -> ChiTransform | 
     return ChiTransform(kind)
 
 
-def _build_spec(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha):
-    """A PoolingSpec from the pooling flags; ``q0`` is an already loaded density."""
-    kind = PoolingKind(kind)
-    w = _parse_floats(weights) if weights else None
-    xi = None
-    if xi0 is not None:
-        xi = read_density_csv(xi0).values
+def _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0=None, xi0=None):
+    """A PoolingSpec from the pooling flags; ``q0`` and ``xi0`` are loaded densities."""
     return PoolingSpec(
-        kind=kind,
-        weights=w,
+        kind=PoolingKind(kind),
+        weights=_parse_floats(weights) if weights else None,
         alpha=alpha,
         q0=q0,
         w0=w0,
-        xi0=xi,
+        xi0=None if xi0 is None else xi0.values,
         dictator=dictator,
         chi=_chi_from_flags(chi, chi_alpha),
     )
@@ -129,13 +124,12 @@ def _json_line(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
+# the flags that define a pooling rule; `pool` adds its --q0 and --xi0 files
 _POOLING_FLAGS = [
     click.option("--kind", required=True, type=click.Choice([k.value for k in PoolingKind])),
     click.option("--weights", default=None, help="comma-separated agent weights"),
     click.option("--alpha", type=float, default=None),
     click.option("--w0", type=float, default=None),
-    click.option("--q0", type=click.Path(exists=True, dir_okay=False), default=None),
-    click.option("--xi0", type=click.Path(exists=True, dir_okay=False), default=None),
     click.option("--dictator", type=int, default=None),
     click.option("--chi", type=click.Choice([c.value for c in ChiKind]), default=None),
     click.option("--chi-alpha", type=float, default=None),
@@ -155,15 +149,22 @@ def main():
 
 @main.command("pool")
 @pooling_flags
+@click.option("--q0", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--xi0", type=click.Path(exists=True, dir_okay=False), help="calibration grid CSV")
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "-o", required=True, type=click.Path(dir_okay=False))
 @wrap_errors
-def pool_cmd(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha, inputs, output):
-    """Fuse agent densities; writes the fused CSV and prints its moments."""
-    densities = _load_on_common_grid(inputs + ((q0,) if q0 is not None else ()))
+def pool_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0, xi0, inputs, output):
+    """Fuse agent densities; writes the fused CSV and prints its moments.
+
+    The agents, --q0 and --xi0 share one grid; a CSV on another grid is rejected.
+    """
+    xi0d = None if xi0 is None else read_density_csv(xi0)
+    paths = inputs + (() if q0 is None else (q0,))
+    densities = _load_on_common_grid(paths, *(() if xi0d is None else (xi0d,)))
     profile = OpinionProfile(densities[: len(inputs)])
-    q0d = densities[-1] if q0 is not None else None
-    spec = _build_spec(kind, weights, alpha, w0, q0d, xi0, dictator, chi, chi_alpha)
+    q0d = None if q0 is None else densities[len(inputs)]
+    spec = _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0=q0d, xi0=xi0d)
     fused = pool(spec, profile)
     write_density_csv(output, fused)
     mean, cov = moments(fused)
@@ -232,14 +233,14 @@ def weights_cmd(method, criterion, max_iter, tol, inputs):
 @click.option("--seed", type=int, default=0)
 @click.option("--tol", type=float, default=axmod.DEFAULT_TOL)
 @wrap_errors
-def axiom_check_cmd(kind, weights, alpha, w0, q0, xi0, dictator, chi, chi_alpha, axiom, trials, seed, tol):
+def axiom_check_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, axiom, trials, seed, tol):
     """Check one axiom against one pooling rule; prints the report as JSON.
 
-    A completed check exits 0 whether or not violations were found; the
-    verdict is the "passed" field.
+    The harness draws its own profiles and q0/xi0 companions. A completed
+    check exits 0 whether or not violations were found; the verdict is the
+    "passed" field.
     """
-    q0d = _load_density(q0) if q0 is not None else None
-    spec = _build_spec(kind, weights, alpha, w0, q0d, xi0, dictator, chi, chi_alpha)
+    spec = _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha)
     report = axmod.check_axiom(spec, axiom, trials=trials, seed=seed, tol=tol)
     payload = {
         "axiom": report.axiom.value,
@@ -337,7 +338,7 @@ def _fig4_panel(path, g1: Gaussian, g2: Gaussian) -> None:
     profile = OpinionProfile((q1, q2))
     w = np.array([0.5, 0.5])
     columns = {
-        "theta": q1.axes[0],
+        "theta": q1.grid.axes[0],
         "q1": q1.values,
         "q2": q2.values,
         "holder_alpha_-1": holder_pool(profile, w, -1.0).values,

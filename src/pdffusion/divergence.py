@@ -87,7 +87,7 @@ def f_divergence(p, q, f: Callable[[np.ndarray], np.ndarray]) -> float:
     bad = pos & ~np.isfinite(fx) & (p.values > 0.0)
     if np.any(bad):
         raise SupportError("f produced non-finite values where p is positive")
-    return float(np.sum(q.quad_weights * terms))
+    return q.grid.integral(terms)
 
 
 def kl(p, q) -> float:
@@ -98,7 +98,7 @@ def kl(p, q) -> float:
     pos = pv > 0.0
     terms = np.zeros_like(pv)
     terms[pos] = pv[pos] * np.log(pv[pos] / qv[pos])
-    return float(np.sum(p.quad_weights * terms))
+    return p.grid.integral(terms)
 
 
 def reverse_kl(p, q) -> float:
@@ -125,7 +125,7 @@ def alpha_div(p, q, alpha: float) -> float:
     both = (pv > 0.0) & (qv > 0.0)
     terms = np.zeros_like(pv)
     terms[both] = np.exp(alpha * np.log(pv[both]) + (1.0 - alpha) * np.log(qv[both]))
-    integral = float(np.sum(p.quad_weights * terms))
+    integral = p.grid.integral(terms)
     return (integral - 1.0) / (alpha * (alpha - 1.0))
 
 
@@ -146,14 +146,14 @@ def pearson_chi2(p, q) -> float:
     terms = np.zeros_like(p.values)
     diff = p.values[pos] - q.values[pos]
     terms[pos] = diff * diff / q.values[pos]
-    return float(np.sum(p.quad_weights * terms))
+    return p.grid.integral(terms)
 
 
 def l2(p, q) -> float:
     """Squared L2 distance: integral (p - q)^2."""
     p, q = _as_grid_pair(p, q)
     diff = p.values - q.values
-    return float(np.sum(p.quad_weights * diff * diff))
+    return p.grid.integral(diff, diff)
 
 
 def chi_distance(p, q, chi: ChiTransform) -> float:
@@ -168,7 +168,7 @@ def chi_distance(p, q, chi: ChiTransform) -> float:
             raise PositivityError(f"{chi.kind.value} transform distance needs positive densities")
     with np.errstate(over="ignore"):
         diff = _apply_chi(chi, p.values) - _apply_chi(chi, q.values)
-        return float(np.sum(p.quad_weights * diff * diff))
+        return p.grid.integral(diff, diff)
 
 
 def _apply_chi(chi: ChiTransform, values: np.ndarray) -> np.ndarray:
@@ -189,7 +189,7 @@ def entropy(p) -> float:
     pos = p.values > 0.0
     terms = np.zeros_like(p.values)
     terms[pos] = p.values[pos] * np.log(p.values[pos])
-    return -float(np.sum(p.quad_weights * terms))
+    return -p.grid.integral(terms)
 
 
 def cross_entropy(p, q) -> float:
@@ -202,7 +202,7 @@ def cross_entropy(p, q) -> float:
     pos = p.values > 0.0
     terms = np.zeros_like(p.values)
     terms[pos] = p.values[pos] * np.log(q.values[pos])
-    return -float(np.sum(p.quad_weights * terms))
+    return -p.grid.integral(terms)
 
 
 # kind -> (spec fields the kind cannot run without, call)

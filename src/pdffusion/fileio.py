@@ -14,20 +14,16 @@ import json
 import numpy as np
 
 from .gaussian import Gaussian
-from .grid import NORMALIZATION_TOL, GridDensity, integrate
+from .grid import NORMALIZATION_TOL, Grid, GridDensity
 from .supra import LinearGaussianModel
 
 FLOAT_FMT = "%.17g"
 
 
 def write_density_csv(path, d: GridDensity) -> None:
-    header = ",".join(
-        ["# " + str(d.dims)]
-        + [FLOAT_FMT % v for v in d.lower]
-        + [FLOAT_FMT % v for v in d.upper]
-        + [str(n) for n in d.shape]
-    )
-    lines = [header]
+    grid = d.grid
+    bounds = [FLOAT_FMT % v for v in grid.lower + grid.upper]
+    lines = ["# " + ",".join([str(grid.dims), *bounds, *map(str, grid.shape)])]
     lines.extend(FLOAT_FMT % v for v in d.values.ravel())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -48,12 +44,13 @@ def read_density_csv(path) -> GridDensity:
         values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
     if values.size != int(np.prod(shape)):
         raise ValueError(f"{path}: {values.size} values for grid shape {shape}")
-    d = GridDensity(lower, upper, shape, values)
-    # tag densities that already integrate to one so they can enter
-    # operations that insist on normalized inputs
-    if abs(integrate(d) - 1.0) <= NORMALIZATION_TOL:
-        d = GridDensity(lower, upper, shape, values, normalized=True)
-    return d
+    grid = Grid(lower, upper, shape)
+    values = values.reshape(grid.shape)
+    # tag densities that already integrate to one so they can enter operations
+    # that insist on normalized inputs; the constructor rejects non-finite values
+    with np.errstate(invalid="ignore"):
+        normalized = abs(grid.integral(values) - 1.0) <= NORMALIZATION_TOL
+    return GridDensity(grid, values, normalized)
 
 
 def write_gaussian_json(path, g: Gaussian) -> None:

@@ -14,7 +14,7 @@ from scipy import linalg, stats
 
 from . import grid as gridmod
 from .errors import DimensionError, SimplexError, SingularityError
-from .grid import GridDensity
+from .grid import Grid, GridDensity
 
 SYMMETRY_TOL = 1e-10
 SIMPLEX_TOL = 1e-9
@@ -124,18 +124,22 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
     if shape is None:
         shape = (DEFAULT_POINTS_1D,) if g.dim == 1 else (DEFAULT_POINTS_2D, DEFAULT_POINTS_2D)
     shape = tuple(int(n) for n in np.atleast_1d(shape))
-    lower = np.atleast_1d(np.asarray(lower, dtype=np.float64))
-    upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
     if len(shape) != g.dim:
         raise DimensionError(f"grid shape {shape} does not match Gaussian dim {g.dim}")
-    axes = [np.linspace(lower[d], upper[d], shape[d]) for d in range(g.dim)]
-    if g.dim == 1:
-        vals = eval_many(g, axes[0])
+    return _on_grid(g, Grid(lower, upper, shape))
+
+
+def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:
+    """``g`` sampled at the nodes of ``grid``, renormalized."""
+    if grid.dims == 1:
+        vals = eval_many(g, grid.axes[0])
     else:
-        x0, x1 = np.meshgrid(axes[0], axes[1], indexing="ij")
+        x0, x1 = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
         pts = np.column_stack([x0.ravel(), x1.ravel()])
-        vals = eval_many(g, pts).reshape(shape)
-    return gridmod.normalize(gridmod.from_samples(lower, upper, shape, vals))
+        vals = eval_many(g, pts).reshape(grid.shape)
+    d = GridDensity(grid, vals)
+    gridmod.require_mass(d)
+    return gridmod.normalize(d)
 
 
 def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
@@ -144,7 +148,7 @@ def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
     Grid inputs fix the grid, and all of them must share it. Without one,
     the grid is the union of the Gaussians' default_grid_bounds boxes with
     ``points`` nodes per axis, or to_grid's default node counts when
-    ``points`` is None.
+    ``points`` is None. All outputs hold the same :class:`Grid` object.
 
     Raises
     ------
@@ -153,19 +157,21 @@ def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
     GridMismatchError
         If two grid inputs live on different grids.
     """
-    dims = {d.dims if isinstance(d, GridDensity) else d.dim for d in inputs}
+    dims = {d.grid.dims if isinstance(d, GridDensity) else d.dim for d in inputs}
     if len(dims) > 1:
         raise DimensionError(f"inputs mix dimensions {sorted(dims)}")
-    grids = [d for d in inputs if isinstance(d, GridDensity)]
+    out = list(inputs)
+    grids = [d.grid for d in inputs if isinstance(d, GridDensity)]
     if grids:
         gridmod.require_same_grid(*grids)
-        lower, upper, shape = grids[0].lower, grids[0].upper, grids[0].shape
     else:
         boxes = [default_grid_bounds(g) for g in inputs]
         lower = np.min([lo for lo, _ in boxes], axis=0)
         upper = np.max([hi for _, hi in boxes], axis=0)
         shape = None if points is None else (int(points),) * len(lower)
-    return tuple(d if isinstance(d, GridDensity) else to_grid(d, lower, upper, shape) for d in inputs)
+        out[0] = to_grid(inputs[0], lower, upper, shape)
+        grids = [out[0].grid]
+    return tuple(d if isinstance(d, GridDensity) else _on_grid(d, grids[0]) for d in out)
 
 
 def check_simplex(weights, n: int, what: str = "weights") -> np.ndarray:

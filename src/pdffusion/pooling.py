@@ -98,21 +98,13 @@ class PoolingSpec:
     chi: ChiTransform | None = None
 
 
-def _stack(profile: OpinionProfile) -> np.ndarray:
-    return np.stack([q.values for q in profile.densities])
-
-
 def _require_positive(profile: OpinionProfile, op: str) -> None:
     if not profile.positive:
         raise PositivityError(f"{op} requires a strictly positive opinion profile")
 
 
-def _log_values(profile: OpinionProfile) -> np.ndarray:
-    return np.log(_stack(profile))
-
-
 def _finish(profile: OpinionProfile, values: np.ndarray) -> GridDensity:
-    return gridmod.normalize(profile.grid.with_values(values))
+    return gridmod.normalize(GridDensity(profile.grid, values))
 
 
 def linear_pool(
@@ -134,14 +126,14 @@ def linear_pool(
         raise ValueError("q0 and w0 must be supplied together")
     if q0 is None:
         w = check_simplex(weights, profile.K)
-        combined = np.tensordot(w, _stack(profile), axes=1)
+        combined = np.tensordot(w, profile.values, axes=1)
         flag = all(q.normalized for q in profile.densities)
-        return profile.grid.with_values(combined, normalized=flag)
-    gridmod.require_same_grid(profile.grid, q0)
+        return GridDensity(profile.grid, combined, normalized=flag)
+    gridmod.require_same_grid(profile.grid, q0.grid)
     full = check_simplex(np.concatenate([[float(w0)], np.atleast_1d(weights)]), profile.K + 1)
-    combined = np.tensordot(full[1:], _stack(profile), axes=1) + full[0] * q0.values
+    combined = np.tensordot(full[1:], profile.values, axes=1) + full[0] * q0.values
     flag = all(q.normalized for q in profile.densities) and q0.normalized
-    return profile.grid.with_values(combined, normalized=flag)
+    return GridDensity(profile.grid, combined, normalized=flag)
 
 
 def _check_xi0(profile: OpinionProfile, xi0) -> np.ndarray:
@@ -163,7 +155,7 @@ def log_linear_pool(profile: OpinionProfile, weights, xi0=None) -> GridDensity:
     """
     _require_positive(profile, "log-linear pooling")
     w = check_simplex(weights, profile.K)
-    logs = np.tensordot(w, _log_values(profile), axes=1)
+    logs = np.tensordot(w, np.log(profile.values), axes=1)
     if xi0 is not None:
         logs = logs + np.log(_check_xi0(profile, xi0))
     return _finish(profile, np.exp(logs - logs.max()))
@@ -184,7 +176,7 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
     if alpha < 0.0:
         _require_positive(profile, "negative-exponent Holder pooling")
     w = check_simplex(weights, profile.K)
-    stack = _stack(profile)
+    stack = profile.values
     # factor out the pointwise max so ratios stay in [0, 1] before powering
     m = stack.max(axis=0)
     pos = m > 0.0
@@ -216,7 +208,7 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
         If some weighted log ratio exceeds the overflow threshold.
     """
     _require_positive(profile, "multiplicative pooling")
-    gridmod.require_same_grid(profile.grid, q0)
+    gridmod.require_same_grid(profile.grid, q0.grid)
     if not float(q0.values.min()) > 0.0:
         raise PositivityError("calibrating pdf must be strictly positive")
     K = profile.K
@@ -226,7 +218,7 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     if not np.all(np.isfinite(w)):
         raise SimplexError("weights must be finite")
     log_q0 = np.log(q0.values)
-    log_ratios = _log_values(profile) - log_q0[None, ...]
+    log_ratios = np.log(profile.values) - log_q0[None, ...]
     weighted = w.reshape((K,) + (1,) * profile.grid.dims) * log_ratios
     worst = float(np.max(np.abs(weighted)))
     if worst > LOG_OVERFLOW:
@@ -247,18 +239,18 @@ def dictatorship_pool(profile: OpinionProfile, k: int) -> GridDensity:
 
 def dogmatic_pool(profile: OpinionProfile, q0: GridDensity) -> GridDensity:
     """The fixed density ``q0``, ignoring the profile entirely."""
-    gridmod.require_same_grid(profile.grid, q0)
+    gridmod.require_same_grid(profile.grid, q0.grid)
     return q0
 
 
 def bayes_update(q: GridDensity, ell) -> GridDensity:
     """Multiply a density by a nonnegative likelihood and renormalize."""
     ell = np.asarray(ell, dtype=np.float64)
-    if ell.shape != q.shape:
-        raise GridMismatchError(f"likelihood shape {ell.shape} does not match grid {q.shape}")
+    if ell.shape != q.grid.shape:
+        raise GridMismatchError(f"likelihood shape {ell.shape} does not match grid {q.grid.shape}")
     if np.any(ell < 0.0) or not np.all(np.isfinite(ell)):
         raise ValueError("likelihood values must be finite and nonnegative")
-    return gridmod.normalize(q.with_values(q.values * ell))
+    return gridmod.normalize(GridDensity(q.grid, q.values * ell))
 
 
 def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> GridDensity:

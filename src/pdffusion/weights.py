@@ -80,6 +80,8 @@ def _minimize_on_simplex(
     residual, the distance between the iterate and its projected gradient
     step, drops below tol.
     """
+    if not (max_iter >= 1 and np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"need max_iter >= 1 and a finite tol > 0, got {max_iter=}, {tol=}")
     w = np.full(K, 1.0 / K)
     f, g = value_and_grad(w)
     step, residual = 1.0, np.inf
@@ -134,6 +136,8 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     ------
     PositivityError
         If any agent density has a zero.
+    ValueError
+        Unless max_iter >= 1 and tol is finite and positive.
     NonConvergenceError
         After max_iter iterations; the error carries the best iterate.
     """
@@ -142,7 +146,7 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     if profile.K < 2:
         raise ValueError("weight selection needs at least two agents")
     K = profile.K
-    logs = np.stack([np.log(q.values) for q in profile.densities]).reshape(K, -1)
+    logs = np.log(profile.values).reshape(K, -1)
     quad = profile.grid.quad_weights.reshape(-1)
     D = _pairwise_kld(profile)
     # b_j collects the column sums: the coefficient of w_j in the KLD average
@@ -207,6 +211,8 @@ def ci_weights(
     ------
     DimensionError
         If the agents differ in dimension.
+    ValueError
+        Unless max_iter >= 1 and tol is finite and positive.
     NonConvergenceError
         After max_iter iterations; the error carries the best iterate.
     """

@@ -16,7 +16,7 @@ from pdffusion.axioms import Axiom, AxiomStatus, check_axiom, expected_matrix
 from pdffusion.divergence import alpha_div, chi_distance, kl, l2
 from pdffusion.errors import UnsupportedAxiomError
 from pdffusion.gaussian import Gaussian, ci_fuse, to_grid
-from pdffusion.grid import GridDensity, OpinionProfile, integrate, moments, normalize
+from pdffusion.grid import Grid, GridDensity, OpinionProfile, integrate, moments, normalize
 from pdffusion.pooling import (
     ChiKind,
     ChiTransform,
@@ -87,7 +87,7 @@ def _perturbed(rng, base: GridDensity, l1=0.05, floor=1e-12) -> GridDensity:
     noise = rng.normal(size=base.values.shape)
     mass = float(np.sum(base.quad_weights * np.abs(noise)))
     vals = np.clip(base.values + noise * (l1 / mass), floor, None)
-    return normalize(base.with_values(vals))
+    return normalize(GridDensity(base.grid, vals))
 
 
 def test_criterion_01_partly_shared_noise_weights():
@@ -147,7 +147,7 @@ def test_criterion_03_independent_noise_collapse():
     t, _ = local_statistics(model, y)
     res = scalar_fusion(model, t, y)
     prior = to_grid(Gaussian([0.0], [[1.0]]), [-8.0], [8.0], (2048,))
-    x = prior.axes[0]
+    x = prior.grid.axes[0]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     posteriors = []
     for k in range(2):
@@ -246,7 +246,7 @@ def test_criterion_05_pooling_optimality():
 
 def test_criterion_06_order_reflection_identity():
     rng = np.random.default_rng(23)
-    grid = to_grid(Gaussian([0.0], [[1.0]]), [-8.0], [8.0], (512,))
+    grid = Grid((-8.0,), (8.0,), (512,))
     x = grid.axes[0]
     worst = 0.0
     for _ in range(20):
@@ -257,7 +257,7 @@ def test_criterion_06_order_reflection_identity():
                 m = rng.uniform(-3.0, 3.0)
                 s = rng.uniform(0.5, 1.5)
                 vals += rng.uniform(0.2, 1.0) * np.exp(-0.5 * ((x - m) / s) ** 2)
-            pair.append(normalize(grid.with_values(vals)))
+            pair.append(normalize(GridDensity(grid, vals)))
         p, q = pair
         for a in (0.3, 2.0, -1.0):
             worst = max(worst, abs(alpha_div(p, q, a) - alpha_div(q, p, 1.0 - a)))

@@ -15,6 +15,7 @@ from pdffusion.fileio import (
     write_model_json,
 )
 from pdffusion.gaussian import Gaussian, ci_fuse, to_grid
+from pdffusion.grid import from_samples
 from pdffusion.supra import LinearGaussianModel, private_shared_model
 
 SMALL_ENV = {"FUSION_GRID_POINTS": "128"}
@@ -55,7 +56,7 @@ class TestPool:
         assert result.exit_code == 0
         fused = read_density_csv(out)
         assert fused.normalized
-        assert fused.shape == (256,)
+        assert fused.grid.shape == (256,)
         payload = json.loads(result.output)
         assert set(payload) == {"mean", "cov"}
         assert abs(payload["mean"][0]) < 1e-8
@@ -70,7 +71,7 @@ class TestPool:
             env=SMALL_ENV,
         )
         assert result.exit_code == 0
-        assert read_density_csv(out).shape == (128,)
+        assert read_density_csv(out).grid.shape == (128,)
 
     def test_deterministic_output(self, runner, tmp_path):
         a = density_csv(tmp_path, "a.csv", -1.0, 1.0)
@@ -136,7 +137,7 @@ class TestPool:
         exact = ci_fuse(gs, [0.3, 0.7])
         np.testing.assert_allclose(payload["mean"], exact.mean, rtol=0, atol=1e-8)
         np.testing.assert_allclose(payload["cov"], exact.cov, rtol=0, atol=1e-8)
-        assert read_density_csv(out).shape == (257, 257)
+        assert read_density_csv(out).grid.shape == (257, 257)
 
     def test_non_finite_weights_exit_2(self, runner, tmp_path):
         a = density_csv(tmp_path, "a.csv", -1.0, 1.0)
@@ -147,6 +148,22 @@ class TestPool:
         )
         assert result.exit_code == 2
         assert stderr_error(result) == "SimplexError"
+
+    def test_xi0_on_another_grid_exits_2(self, runner, tmp_path):
+        a = density_csv(tmp_path, "a.csv", -1.0, 1.0, -6.0, 6.0, 64)
+        b = density_csv(tmp_path, "b.csv", 1.0, 2.0, -6.0, 6.0, 64)
+        out = str(tmp_path / "fused.csv")
+        args = ["pool", "--kind", "generalized-log-linear", "--weights", "0.5,0.5", a, b, "-o", out]
+        for name, lower, upper in (("far.csv", 0.0, 12.0), ("near.csv", -6.0, 6.0)):
+            x = np.linspace(lower, upper, 64)
+            write_density_csv(tmp_path / name, from_samples([lower], [upper], (64,), np.exp(x)))
+        result = runner.invoke(main, args + ["--xi0", str(tmp_path / "far.csv")])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "GridMismatchError"
+        # on the agents' grid, exp(x) shifts the pool N(-1/3, 4/3) by its variance
+        result = runner.invoke(main, args + ["--xi0", str(tmp_path / "near.csv")])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["mean"][0] == pytest.approx(1.0, abs=1e-3)
 
     def test_missing_file_exits_2(self, runner, tmp_path):
         out = str(tmp_path / "fused.csv")
@@ -215,10 +232,27 @@ class TestWeights:
         a = density_csv(tmp_path, "a.csv", -1.0, 1.0)
         b = density_csv(tmp_path, "b.csv", 1.0, 1.5)
         result = runner.invoke(
-            main, ["weights", "--method", "min-kld", "--max-iter", "0", a, b]
+            main, ["weights", "--method", "min-kld", "--max-iter", "1", a, b]
         )
         assert result.exit_code == 4
         assert stderr_error(result) == "NonConvergenceError"
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            ["--method", "ci", "--max-iter", "-3"],
+            ["--method", "ci", "--tol", "-1"],
+            ["--method", "ci", "--tol", "nan"],
+            ["--method", "min-kld", "--max-iter", "0"],
+            ["--method", "min-kld", "--tol", "-1"],
+        ],
+    )
+    def test_bad_budget_exits_2(self, runner, tmp_path, budget):
+        a = gauss_json(tmp_path, "a.json", 0.0, 1.0)
+        b = gauss_json(tmp_path, "b.json", 1.0, 2.0)
+        result = runner.invoke(main, ["weights", *budget, a, b], env=SMALL_ENV)
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
 
     def test_ci_on_gaussians(self, runner, tmp_path):
         a = gauss_json(tmp_path, "a.json", 0.0, 1.0)
@@ -257,6 +291,16 @@ class TestAxiomCheck:
         assert payload["passed"] is False
         ce = payload["counterexample"]
         assert ce is not None and ce["detail"]
+
+    @pytest.mark.parametrize("flag", ["--q0", "--xi0"])
+    def test_density_files_rejected(self, runner, tmp_path, flag):
+        # the harness draws its own companions, so it takes no density files
+        q0 = density_csv(tmp_path, "q0.csv", 0.0, 1.0)
+        result = runner.invoke(
+            main, ["axiom-check", "--kind", "dogmatic", "--axiom", "A3", "--trials", "3", flag, q0]
+        )
+        assert result.exit_code == 2
+        assert "No such option" in result.output + result.stderr
 
     def test_not_applicable_exits_2(self, runner):
         result = runner.invoke(

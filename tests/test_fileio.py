@@ -6,7 +6,7 @@ import pytest
 from pdffusion import fileio
 from pdffusion.errors import RankError
 from pdffusion.gaussian import Gaussian, to_grid
-from pdffusion.grid import GridDensity
+from pdffusion.grid import Grid, GridDensity
 from pdffusion.supra import private_shared_model
 
 
@@ -16,9 +16,8 @@ class TestDensityCsv:
         path = tmp_path / "d.csv"
         fileio.write_density_csv(path, d)
         back = fileio.read_density_csv(path)
-        assert back.shape == (256,)
-        np.testing.assert_array_equal(back.lower, d.lower)
-        np.testing.assert_array_equal(back.upper, d.upper)
+        assert back.grid == d.grid
+        assert back.grid.shape == (256,)
         np.testing.assert_array_equal(back.values, d.values)
         assert back.normalized
 
@@ -27,12 +26,23 @@ class TestDensityCsv:
         path = tmp_path / "d2.csv"
         fileio.write_density_csv(path, d)
         back = fileio.read_density_csv(path)
-        assert back.shape == (33, 49)
+        assert back.grid == d.grid
+        assert back.grid.shape == (33, 49)
         np.testing.assert_array_equal(back.values, d.values)
         assert back.normalized
 
+    def test_grid_round_trips_bit_exactly(self, tmp_path):
+        grid = Grid([-1.0 / 3.0, np.pi], [2.0 / 7.0, 2.0 * np.pi], (17, 19))
+        d = GridDensity(grid, np.arange(17.0 * 19.0))
+        path = tmp_path / "g.csv"
+        fileio.write_density_csv(path, d)
+        back = fileio.read_density_csv(path)
+        assert back.grid == grid
+        assert hash(back.grid) == hash(grid)
+        np.testing.assert_array_equal(back.values, d.values)
+
     def test_unnormalized_not_tagged(self, tmp_path):
-        d = GridDensity([0.0], [1.0], (32,), np.full(32, 3.0))
+        d = GridDensity(Grid([0.0], [1.0], (32,)), np.full(32, 3.0))
         path = tmp_path / "u.csv"
         fileio.write_density_csv(path, d)
         assert not fileio.read_density_csv(path).normalized

@@ -5,7 +5,7 @@ import pytest
 
 from pdffusion import gaussian as G
 from pdffusion.errors import DimensionError, GridMismatchError, SimplexError, SingularityError
-from pdffusion.grid import integrate, moments
+from pdffusion.grid import Grid, integrate, moments
 
 
 class TestGaussianType:
@@ -54,7 +54,7 @@ class TestToGrid:
     def test_default_1d_moments(self):
         d = G.to_grid(G.Gaussian([0.0], [[1.0]]))
         assert d.normalized
-        assert d.shape == (2048,)
+        assert d.grid.shape == (2048,)
         mean, cov = moments(d)
         assert mean[0] == pytest.approx(0.0, abs=1e-4)
         assert cov[0, 0] == pytest.approx(1.0, abs=1e-4)
@@ -66,7 +66,7 @@ class TestToGrid:
 
     def test_2d_default(self):
         d = G.to_grid(G.Gaussian([1.0, -1.0], np.diag([1.0, 4.0])))
-        assert d.shape == (257, 257)
+        assert d.grid.shape == (257, 257)
         mean, cov = moments(d)
         np.testing.assert_allclose(mean, [1.0, -1.0], atol=1e-4)
         np.testing.assert_allclose(cov, np.diag([1.0, 4.0]), atol=1e-3)
@@ -74,7 +74,7 @@ class TestToGrid:
     def test_explicit_bounds(self):
         d = G.to_grid(G.Gaussian([0.0], [[1.0]]), [-8.0], [8.0], (2048,))
         assert integrate(d) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_array_equal(d.lower, [-8.0])
+        assert d.grid.lower == (-8.0,)
 
     def test_three_dims_rejected(self):
         g = G.Gaussian(np.zeros(3), np.eye(3))
@@ -88,16 +88,14 @@ class TestCommonGrid:
         wide = G.Gaussian([1.0], [[9.0]])
         on_grid, same = G.common_grid(wide, ref, points=64)
         assert same is ref
-        assert on_grid.same_grid(ref)
+        assert on_grid.grid is ref.grid
         np.testing.assert_array_equal(on_grid.values, G.to_grid(wide, [-5.0], [6.0], (300,)).values)
 
     def test_gaussians_use_union_of_boxes(self):
         a, b = G.Gaussian([-2.5], [[1.0]]), G.Gaussian([2.5], [[1.0]])
         qa, qb = G.common_grid(a, b)
-        np.testing.assert_array_equal(qa.lower, [-10.5])
-        np.testing.assert_array_equal(qa.upper, [10.5])
-        assert qa.shape == (G.DEFAULT_POINTS_1D,)
-        assert qb.same_grid(qa)
+        assert qa.grid == Grid((-10.5,), (10.5,), (G.DEFAULT_POINTS_1D,))
+        assert qb.grid is qa.grid
 
     def test_different_grids_rejected(self):
         g = G.Gaussian([0.0], [[1.0]])
@@ -114,10 +112,11 @@ class TestCommonGrid:
         a = G.Gaussian([0.0, 1.0], [[1.0, 0.2], [0.2, 4.0]])
         b = G.Gaussian([3.0, -1.0], np.eye(2))
         qa, qb = G.common_grid(a, b, points=40)
-        assert qa.shape == qb.shape == (40, 40)
-        np.testing.assert_allclose(qa.lower, [-8.0, -15.0])
-        np.testing.assert_allclose(qa.upper, [11.0, 17.0])
-        assert G.common_grid(a, b)[0].shape == (G.DEFAULT_POINTS_2D, G.DEFAULT_POINTS_2D)
+        assert qa.grid is qb.grid
+        assert qa.grid.shape == (40, 40)
+        np.testing.assert_allclose(qa.grid.lower, [-8.0, -15.0])
+        np.testing.assert_allclose(qa.grid.upper, [11.0, 17.0])
+        assert G.common_grid(a, b)[0].grid.shape == (G.DEFAULT_POINTS_2D, G.DEFAULT_POINTS_2D)
 
 
 class TestMixtureMoments:

@@ -13,6 +13,7 @@ from pdffusion.errors import (
     NotNormalizedError,
 )
 from pdffusion.grid import (
+    Grid,
     GridDensity,
     OpinionProfile,
     event_probability,
@@ -39,47 +40,58 @@ def std_normal_2d(n=257, half_width=8.0):
     return from_samples([-half_width] * 2, [half_width] * 2, (n, n), vals)
 
 
+UNIT = Grid([0.0], [1.0], (32,))
+
+
 class TestConstruction:
     def test_flat_values_are_reshaped(self):
-        d = GridDensity([0.0], [1.0], (32,), np.ones(32))
+        d = GridDensity(UNIT, np.ones(32))
         assert d.values.shape == (32,)
-        d2 = GridDensity([0.0, 0.0], [1.0, 2.0], (16, 24), np.ones(16 * 24))
+        d2 = GridDensity(Grid([0.0, 0.0], [1.0, 2.0], (16, 24)), np.ones(16 * 24))
         assert d2.values.shape == (16, 24)
 
     def test_values_are_frozen(self):
-        d = GridDensity([0.0], [1.0], (32,), np.ones(32))
+        d = GridDensity(UNIT, np.ones(32))
         with pytest.raises(ValueError):
             d.values[0] = 2.0
 
     def test_domain_must_be_ordered(self):
+        with pytest.raises(DomainError, match="upper bounds must exceed lower bounds"):
+            Grid([1.0], [0.0], (32,))
+        with pytest.raises(DomainError, match="upper bounds must exceed lower bounds"):
+            Grid([0.0], [0.0], (32,))
         with pytest.raises(DomainError):
-            GridDensity([1.0], [0.0], (32,), np.ones(32))
-        with pytest.raises(DomainError):
-            GridDensity([0.0], [0.0], (32,), np.ones(32))
+            Grid([0.0, 0.0], [1.0, -1.0], (32, 32))
 
     def test_bounds_must_be_finite(self):
-        with pytest.raises(DomainError):
-            GridDensity([-np.inf], [0.0], (32,), np.ones(32))
+        with pytest.raises(DomainError, match="finite"):
+            Grid([-np.inf], [0.0], (32,))
+        with pytest.raises(DomainError, match="finite"):
+            Grid([0.0], [np.nan], (32,))
 
     def test_minimum_resolution(self):
-        with pytest.raises(ValueError):
-            GridDensity([0.0], [1.0], (8,), np.ones(8))
+        with pytest.raises(ValueError, match="at least 16 nodes"):
+            Grid([0.0], [1.0], (8,))
+        with pytest.raises(ValueError, match="at least 16 nodes"):
+            Grid([0.0, 0.0], [1.0, 1.0], (32, 15))
 
     def test_only_one_or_two_dims(self):
-        with pytest.raises(DimensionError):
-            GridDensity([0.0] * 3, [1.0] * 3, (16, 16, 16), np.ones(16**3))
+        with pytest.raises(DimensionError, match="1 or 2 dimensions"):
+            Grid([0.0] * 3, [1.0] * 3, (16, 16, 16))
+        with pytest.raises(DimensionError, match="inconsistent lengths"):
+            Grid([0.0], [1.0, 1.0], (16,))
 
     def test_negative_values_rejected(self):
         vals = np.ones(32)
         vals[3] = -1e-12
         with pytest.raises(ValueError):
-            GridDensity([0.0], [1.0], (32,), vals)
+            GridDensity(UNIT, vals)
 
     def test_nonfinite_values_rejected(self):
         vals = np.ones(32)
         vals[3] = np.nan
         with pytest.raises(ValueError):
-            GridDensity([0.0], [1.0], (32,), vals)
+            GridDensity(UNIT, vals)
 
     def test_all_zero_rejected_by_from_samples(self):
         with pytest.raises(ValueError):
@@ -87,7 +99,55 @@ class TestConstruction:
 
     def test_false_normalization_claim_rejected(self):
         with pytest.raises(NotNormalizedError):
-            GridDensity([0.0], [1.0], (32,), np.full(32, 3.0), normalized=True)
+            GridDensity(UNIT, np.full(32, 3.0), normalized=True)
+
+
+class TestGrid:
+    def test_equal_grids_compare_and_hash_alike(self):
+        a = Grid([0.0, -1.0], [1.0, 2.0], (16, 24))
+        b = Grid((0.0, -1.0), np.array([1.0, 2.0]), [16, 24])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a.lower == (0.0, -1.0) and a.upper == (1.0, 2.0) and a.shape == (16, 24)
+        assert a != Grid([0.0, -1.0], [1.0, 2.0], (16, 25))
+        assert a != Grid([0.0, -1.0], [1.0, 2.5], (16, 24))
+
+    def test_geometry_is_computed_once_and_read_only(self):
+        g = Grid([0.0, 0.0], [1.0, 2.0], (16, 24))
+        assert g.quad_weights is g.quad_weights
+        assert g.axes is g.axes
+        assert g.dims == 2
+        for arr in (g.quad_weights, g.spacing, *g.axes, *g.axis_weights):
+            assert not arr.flags.writeable
+        np.testing.assert_array_equal(g.quad_weights, np.multiply.outer(*g.axis_weights))
+        np.testing.assert_array_equal(g.axes[1], np.linspace(0.0, 2.0, 24))
+
+    def test_integral_is_the_trapezoid_sum(self):
+        g = Grid([0.0], [1.0], (17,))
+        x = g.axes[0]
+        assert g.integral(np.ones(17)) == pytest.approx(1.0, abs=1e-15)
+        # trapezoid is exact for linear integrands
+        assert g.integral(x) == pytest.approx(0.5, abs=1e-15)
+        assert g.integral(x, x) == float(np.sum(g.quad_weights * x * x))
+        left = x <= 0.5
+        assert g.integral(x, where=left) == float(np.sum(g.quad_weights[left] * x[left]))
+
+    def test_densities_share_their_grid(self):
+        d = from_samples([0.0], [1.0], (32,), np.full(32, 3.0))
+        nd = normalize(d)
+        assert nd.grid is d.grid
+        assert nd.quad_weights is d.grid.quad_weights
+        prof = OpinionProfile((nd, GridDensity(d.grid, nd.values * 0.5)))
+        assert prof.grid is d.grid
+        np.testing.assert_array_equal(prof.values, np.stack([nd.values, nd.values * 0.5]))
+
+    def test_density_needs_a_grid(self):
+        with pytest.raises(TypeError):
+            GridDensity([0.0], [1.0])
+
+    def test_values_must_match_grid_shape(self):
+        with pytest.raises(ValueError):
+            GridDensity(UNIT, np.ones(31))
 
 
 class TestQuadrature:
@@ -96,7 +156,7 @@ class TestQuadrature:
         assert integrate(d) == pytest.approx(2.0, abs=1e-12)
 
     def test_weights_halve_at_boundary(self):
-        d = GridDensity([0.0], [1.0], (17,), np.ones(17))
+        d = GridDensity(Grid([0.0], [1.0], (17,)), np.ones(17))
         w = d.quad_weights
         assert w[0] == pytest.approx(w[1] / 2.0)
         assert w[-1] == pytest.approx(w[1] / 2.0)
@@ -136,7 +196,7 @@ class TestNormalize:
         assert integrate(nd) == pytest.approx(1.0, abs=1e-14)
 
     def test_degenerate_when_all_zero(self):
-        d = GridDensity([0.0], [1.0], (32,), np.zeros(32))
+        d = GridDensity(UNIT, np.zeros(32))
         with pytest.raises(DegenerateError):
             normalize(d)
 
@@ -204,13 +264,13 @@ class TestEvents:
 
     def test_all_cells_recover_integral(self):
         d = std_normal_1d()
-        cells = np.ones(d.shape[0] - 1, dtype=bool)
+        cells = np.ones(d.grid.shape[0] - 1, dtype=bool)
         assert event_probability(d, cells) == pytest.approx(integrate(d), abs=1e-13)
 
     def test_disjoint_additivity(self):
         d = normalize(std_normal_1d())
         rng = np.random.default_rng(0)
-        mask = rng.random(d.shape[0] - 1) < 0.3
+        mask = rng.random(d.grid.shape[0] - 1) < 0.3
         a = mask.copy()
         a[1000:] = False
         b = mask.copy()
@@ -242,7 +302,7 @@ class TestOpinionProfile:
         assert prof.positive
         vals = d.values.copy()
         vals[0] = 0.0
-        prof2 = OpinionProfile((d, d.with_values(vals)))
+        prof2 = OpinionProfile((d, GridDensity(d.grid, vals)))
         assert not prof2.positive
 
     def test_grid_mismatch_rejected(self):
@@ -253,7 +313,7 @@ class TestOpinionProfile:
 
     def test_permuted(self):
         a = std_normal_1d()
-        b = a.with_values(a.values * 2.0)
+        b = GridDensity(a.grid, a.values * 2.0)
         prof = OpinionProfile((a, b)).permuted([1, 0])
         np.testing.assert_array_equal(prof.densities[0].values, b.values)
         with pytest.raises(ValueError):

@@ -170,7 +170,7 @@ class TestMultiplicativePool:
         # fused posterior must match the all-data answer N(-1/22, 2/11)
         lo, hi, n = -8.0, 8.0, 2048
         prior = gauss_grid(0.3, 2.0, lo, hi, n)
-        x = prior.axes[0]
+        x = prior.grid.axes[0]
         po1 = P.bayes_update(prior, np.exp(-0.5 * (1.2 - x) ** 2 / 1.0))
         po2 = P.bayes_update(prior, np.exp(-0.5 * (-0.4 - x) ** 2 / 0.25))
         fused = P.multiplicative_pool(OpinionProfile((po1, po2)), prior)
@@ -224,7 +224,7 @@ class TestBayesUpdate:
 
     def test_conjugate_gaussian_update(self):
         prior = gauss_grid(0.0, 1.0, -8.0, 8.0)
-        x = prior.axes[0]
+        x = prior.grid.axes[0]
         updated = P.bayes_update(prior, np.exp(-0.5 * (x - 1.0) ** 2))
         mean, cov = moments(updated)
         assert mean[0] == pytest.approx(0.5, abs=1e-4)
@@ -232,7 +232,7 @@ class TestBayesUpdate:
 
     def test_step_likelihood_reweights_masses(self):
         d = normalize(from_samples([0.0], [1.0], (129,), np.ones(129)))
-        ell = np.where(d.axes[0] < 0.5, 1.0, 2.0)
+        ell = np.where(d.grid.axes[0] < 0.5, 1.0, 2.0)
         updated = P.bayes_update(d, ell)
         from pdffusion.grid import event_probability
 

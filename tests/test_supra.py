@@ -312,7 +312,7 @@ class TestGridCrossCheck:
         res = S.scalar_fusion(model, t)
 
         prior = to_grid(Gaussian([0.0], [[1.0]]), [-8.0], [8.0], (2048,))
-        x = prior.axes[0]
+        x = prior.grid.axes[0]
         offsets = np.concatenate([[0], np.cumsum(model.block_sizes)])
         posteriors = []
         for k in range(3):

@@ -187,6 +187,23 @@ class TestMinKldWeights:
         assert not best.converged
 
 
+BAD_BUDGETS = [(0, 1e-6), (-3, 1e-6), (500, -1.0), (500, 0.0), (500, np.nan), (500, np.inf)]
+
+
+class TestBudget:
+    @pytest.mark.parametrize("max_iter, tol", BAD_BUDGETS)
+    def test_min_kld_rejects_bad_budget(self, max_iter, tol):
+        prof = OpinionProfile((gauss_grid(0.0, 1.0), gauss_grid(1.0, 2.0)))
+        with pytest.raises(ValueError, match="max_iter"):
+            W.min_kld_weights(prof, max_iter=max_iter, tol=tol)
+
+    @pytest.mark.parametrize("max_iter, tol", BAD_BUDGETS)
+    def test_ci_rejects_bad_budget(self, max_iter, tol):
+        gs = [Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]), Gaussian([0.5], [[0.7]])]
+        with pytest.raises(ValueError, match="max_iter"):
+            W.ci_weights(gs, max_iter=max_iter, tol=tol)
+
+
 class TestReverseKldObjective:
     def test_uniform_beats_random(self):
         prof = OpinionProfile((gauss_grid(-1.0, 1.0), gauss_grid(0.5, 2.0), gauss_grid(1.5, 0.7)))
