@@ -649,6 +649,8 @@ def check_axiom(
 
     Raises
     ------
+    ValueError
+        Unless trials >= 1 and tol is finite and nonnegative.
     UnsupportedAxiomError
         For zero-probability-event checks against rules that require a
         strictly positive profile.
@@ -656,6 +658,8 @@ def check_axiom(
     axiom = Axiom(axiom) if not isinstance(axiom, Axiom) else axiom
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if axiom is Axiom.A2 and _zero_events_unsupported(spec):
         raise UnsupportedAxiomError(
             f"{spec.kind.value} pooling requires a strictly positive profile; "

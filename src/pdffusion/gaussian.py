@@ -1,16 +1,17 @@
 """Closed-form Gaussian machinery.
 
-Evaluation of multivariate normal densities, conversion to quadrature grids,
-moment matching of weighted mixtures, and the covariance intersection rule,
-which fuses Gaussian estimates by averaging their precisions and is the
-closed-form counterpart of log-linear pooling.
+Log-densities from each Gaussian's kept Cholesky factor (scipy.linalg only),
+conversion to quadrature grids, moment matching of weighted mixtures, the
+covariance intersection rule (precision averaging, the closed-form
+counterpart of log-linear pooling), and the package's symmetry and
+positive-definiteness checks for every covariance-like matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg
 
 from . import grid as gridmod
 from .errors import DimensionError, SimplexError, SingularityError
@@ -25,11 +26,18 @@ DEFAULT_POINTS_2D = 257
 DEFAULT_HALF_WIDTH_SIGMAS = 8.0
 
 
-def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+def cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor; SingularityError unless ``mat`` is positive definite."""
     try:
         return linalg.cholesky(mat, lower=True)
     except linalg.LinAlgError as exc:
         raise SingularityError(f"{what} is not positive definite") from exc
+
+
+def require_symmetric(mat: np.ndarray, what: str) -> None:
+    """ValueError unless max|A - A.T| <= 1e-10 * max(1, max|A|)."""
+    if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(mat))):
+        raise ValueError(f"{what} is not symmetric")
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -37,11 +45,14 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def cho_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of L L^T from its lower Cholesky factor L."""
+    return symmetrize(linalg.cho_solve((c, True), np.eye(c.shape[0])))
+
+
 def pd_inverse(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky."""
-    c = _cholesky(mat, what)
-    inv = linalg.cho_solve((c, True), np.eye(mat.shape[0]))
-    return symmetrize(inv)
+    return cho_inverse(cholesky(mat, what))
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +60,12 @@ class Gaussian:
     """A multivariate normal distribution N(mean, cov).
 
     cov must be symmetric to 1e-10 times max(1, largest absolute entry)
-    and positive definite.
+    and positive definite. ``chol`` is its lower Cholesky factor.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64)).copy()
@@ -65,37 +77,32 @@ class Gaussian:
             raise DimensionError(f"cov shape {cov.shape} does not match mean length {d}")
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
             raise ValueError("mean and cov must be finite")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(cov))):
-            raise ValueError("cov is not symmetric")
+        require_symmetric(cov, "cov")
         cov = symmetrize(cov)
-        _cholesky(cov, "cov")
-        for arr in (mean, cov):
+        chol = cholesky(cov, "cov")
+        for arr in (mean, cov, chol):
             arr.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "chol", chol)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
 
-def eval(g: Gaussian, theta) -> float:
-    """Density of ``g`` at a single point."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if theta.shape != (g.dim,):
-        raise DimensionError(f"point of dim {theta.shape} against Gaussian of dim {g.dim}")
-    return float(stats.multivariate_normal.pdf(theta, mean=g.mean, cov=g.cov))
+def log_pdf(g: Gaussian, points) -> np.ndarray:
+    """Log-density of ``g`` at points of shape (..., dim); returns shape (...).
 
-
-def eval_many(g: Gaussian, points: np.ndarray) -> np.ndarray:
-    """Density of ``g`` at an (n, d) array of points."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.shape[1] != g.dim:
-        raise DimensionError(f"points of dim {points.shape[1]} against Gaussian of dim {g.dim}")
-    out = stats.multivariate_normal.pdf(points, mean=g.mean, cov=g.cov)
-    return np.atleast_1d(out)
+    -|L^{-1}(x - mean)|^2 / 2 - sum_i log L_ii - (dim / 2) log(2 pi), with L
+    the kept Cholesky factor. Finite wherever the pdf underflows.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] != g.dim:
+        raise DimensionError(f"points of shape {x.shape} against Gaussian of dim {g.dim}")
+    z = linalg.solve_triangular(g.chol, (x - g.mean).reshape(-1, g.dim).T, lower=True)
+    log_norm = np.sum(np.log(np.diag(g.chol))) + 0.5 * g.dim * np.log(2.0 * np.pi)
+    return (-0.5 * np.sum(z * z, axis=0) - log_norm).reshape(x.shape[:-1])
 
 
 def default_grid_bounds(g: Gaussian, half_width_sigmas: float = DEFAULT_HALF_WIDTH_SIGMAS):
@@ -131,13 +138,8 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
 
 def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:
     """``g`` sampled at the nodes of ``grid``, renormalized."""
-    if grid.dims == 1:
-        vals = eval_many(g, grid.axes[0])
-    else:
-        x0, x1 = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-        pts = np.column_stack([x0.ravel(), x1.ravel()])
-        vals = eval_many(g, pts).reshape(grid.shape)
-    d = GridDensity(grid, vals)
+    nodes = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)
+    d = GridDensity(grid, np.exp(log_pdf(g, nodes)))
     gridmod.require_mass(d)
     return gridmod.normalize(d)
 
@@ -235,7 +237,7 @@ def ci_fuse(gaussians, weights) -> Gaussian:
     precision = np.zeros((d, d))
     shift = np.zeros(d)
     for wk, g in zip(w, gaussians):
-        pk = pd_inverse(g.cov, "agent cov")
+        pk = cho_inverse(g.chol)
         precision = precision + wk * pk
         shift = shift + wk * (pk @ g.mean)
     precision = symmetrize(precision)

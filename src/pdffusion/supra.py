@@ -21,19 +21,11 @@ import numpy as np
 from scipy import linalg
 
 from .errors import DimensionError, RankError, SingularityError
-from .gaussian import SYMMETRY_TOL, Gaussian, pd_inverse, symmetrize
+from .gaussian import Gaussian, cholesky, pd_inverse, require_symmetric, symmetrize
 from .grid import GridDensity, OpinionProfile
 from .pooling import multiplicative_pool
 
 PSD_TOL = -1e-10
-
-
-def _try_cholesky(mat: np.ndarray) -> bool:
-    try:
-        linalg.cholesky(mat, lower=True)
-        return True
-    except linalg.LinAlgError:
-        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +68,7 @@ class LinearGaussianModel:
             raise DimensionError(f"Sigma shape {sigma.shape}, expected ({d_y}, {d_y})")
         if not np.all(np.isfinite(sigma)):
             raise ValueError("Sigma has non-finite entries")
-        if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(sigma))):
-            raise ValueError("Sigma is not symmetric")
+        require_symmetric(sigma, "Sigma")
         sigma = symmetrize(sigma)
         eigs = np.linalg.eigvalsh(sigma)
         if eigs[0] < PSD_TOL * max(1.0, eigs[-1]):
@@ -86,12 +77,10 @@ class LinearGaussianModel:
         prior_cov = np.atleast_2d(np.asarray(self.prior_cov, dtype=np.float64)).copy()
         if prior_mean.shape != (d_theta,) or prior_cov.shape != (d_theta, d_theta):
             raise DimensionError("prior dimensions do not match the parameter dimension")
-        if not _try_cholesky(prior_cov):
-            raise SingularityError("prior covariance is not positive definite")
+        cholesky(prior_cov, "prior covariance")
         for k in range(len(blocks)):
             lo, hi = self._span(blocks, k)
-            if not _try_cholesky(sigma[lo:hi, lo:hi]):
-                raise SingularityError(f"diagonal noise block {k} is not positive definite")
+            cholesky(sigma[lo:hi, lo:hi], f"diagonal noise block {k}")
         for arr in blocks:
             arr.flags.writeable = False
         sigma.flags.writeable = False
@@ -147,9 +136,11 @@ class LinearGaussianModel:
         out = []
         for k, h in enumerate(self.H_blocks):
             gram, inv_block = self.local_precisions[k], self._noise_block_inverses[k]
-            if not _try_cholesky(gram):
-                raise RankError(f"agent {k} statistic map is rank deficient")
-            v = pd_inverse(gram, f"agent {k} gram") @ h.T @ inv_block
+            try:
+                gram_inv = pd_inverse(gram)
+            except SingularityError as exc:
+                raise RankError(f"agent {k} statistic map is rank deficient") from exc
+            v = gram_inv @ h.T @ inv_block
             if np.max(np.abs(v @ h - np.eye(self.d_theta))) > 1e-10:
                 raise RankError(f"agent {k} statistic map fails the identity check")
             out.append(v)
@@ -221,9 +212,10 @@ def _observed_update(model: LinearGaussianModel, noise_precision, y, what: str) 
 
 
 def _oracle_posterior(model: LinearGaussianModel, y: np.ndarray) -> Gaussian | None:
-    if not _try_cholesky(model.Sigma):
+    try:
+        sigma_inv = pd_inverse(model.Sigma)
+    except SingularityError:
         return None  # oracle undefined for singular joint noise
-    sigma_inv = pd_inverse(model.Sigma, "joint noise covariance")
     return _observed_update(model, sigma_inv, y, "oracle posterior precision")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import divergence, pooling
 from .errors import DegenerateError, DimensionError, NonConvergenceError, PositivityError
-from .gaussian import check_simplex, pd_inverse
+from .gaussian import check_simplex, cho_inverse, pd_inverse
 from .grid import OpinionProfile
 
 ARMIJO_C = 1e-4
@@ -223,7 +223,7 @@ def ci_weights(
     if len({g.dim for g in gaussians}) > 1:
         raise DimensionError("fusion inputs must share a dimension")
     d = gaussians[0].dim
-    precisions = np.stack([pd_inverse(g.cov, "agent cov") for g in gaussians]).reshape(K, d * d)
+    precisions = np.stack([cho_inverse(g.chol) for g in gaussians]).reshape(K, d * d)
 
     def value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
         cov = pd_inverse((w @ precisions).reshape(d, d), "combined precision")

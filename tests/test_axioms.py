@@ -94,6 +94,11 @@ class TestReportContract:
         with pytest.raises(ValueError):
             check_axiom(linear(), Axiom.A1, trials=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_tol_validated(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check_axiom(linear(), Axiom.A1, trials=1, tol=tol)
+
     def test_axiom_accepts_string(self):
         rep = check_axiom(linear((0.5, 0.5)), "A1", trials=5, seed=0)
         assert rep.axiom is Axiom.A1

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pdffusion
 from pdffusion.cli import main
 from pdffusion.fileio import (
     read_density_csv,
@@ -313,6 +318,18 @@ class TestAxiomCheck:
         assert result.exit_code == 2
         assert stderr_error(result) == "UnsupportedAxiomError"
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_exits_2(self, runner, tol):
+        result = runner.invoke(
+            main,
+            [
+                "axiom-check", "--kind", "dictatorship", "--dictator", "1",
+                "--axiom", "A3", "--trials", "2", "--tol", tol,
+            ],
+        )
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+
 
 class TestSupra:
     def test_private_shared_weights(self, runner):
@@ -420,3 +437,18 @@ class TestFig4:
             assert result.exit_code == 0
         assert (d1 / "fig4a.csv").read_bytes() == (d2 / "fig4a.csv").read_bytes()
         assert (d1 / "fig4b.csv").read_bytes() == (d2 / "fig4b.csv").read_bytes()
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats is the heaviest scipy import; the CLI must not pay for it
+    src = str(Path(pdffusion.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import pdffusion.cli, sys; assert 'scipy.stats' not in sys.modules"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdffusion import gaussian as G
+from pdffusion.divergence import kl
 from pdffusion.errors import DimensionError, GridMismatchError, SimplexError, SingularityError
-from pdffusion.grid import Grid, integrate, moments
+from pdffusion.grid import Grid, OpinionProfile, integrate, moments
+from pdffusion.pooling import linear_pool, log_linear_pool
 
 
 class TestGaussianType:
@@ -34,20 +38,73 @@ class TestGaussianType:
 class TestEval:
     def test_standard_normal_mode(self):
         g = G.Gaussian([0.0], [[1.0]])
-        assert G.eval(g, [0.0]) == pytest.approx(0.3989422804014327, abs=1e-15)
+        assert np.exp(G.log_pdf(g, [0.0])) == pytest.approx(0.3989422804014327, abs=1e-15)
 
     def test_standard_2d_mode(self):
         g = G.Gaussian([0.0, 0.0], np.eye(2))
-        assert G.eval(g, [0.0, 0.0]) == pytest.approx(0.15915494309189535, abs=1e-15)
+        assert np.exp(G.log_pdf(g, [0.0, 0.0])) == pytest.approx(0.15915494309189535, abs=1e-15)
 
     def test_shifted_evaluation(self):
         g = G.Gaussian([2.5], [[1.0]])
-        assert G.eval(g, [0.0]) == pytest.approx(0.017528300493568537, rel=1e-13)
+        assert np.exp(G.log_pdf(g, [0.0])) == pytest.approx(0.017528300493568537, rel=1e-13)
 
     def test_dim_mismatch(self):
         g = G.Gaussian([0.0], [[1.0]])
         with pytest.raises(DimensionError):
-            G.eval(g, [0.0, 1.0])
+            G.log_pdf(g, [0.0, 1.0])
+
+
+def _spd(a, b, c):
+    """The 2x2 SPD matrix L L^T with L = [[a, 0], [b, c]], a, c > 0."""
+    low = np.array([[a, 0.0], [b, c]])
+    return low @ low.T
+
+
+class TestLogPdf:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mean=st.tuples(*[st.floats(-5.0, 5.0)] * 2),
+        factor=st.tuples(st.floats(0.05, 3.0), st.floats(-3.0, 3.0), st.floats(0.05, 3.0)),
+        unit=st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+        radius=st.floats(0.0, 40.0),
+    )
+    def test_matches_scipy_reference(self, mean, factor, unit, radius):
+        from scipy import stats
+
+        g = G.Gaussian(mean, _spd(*factor))
+        # up to `radius` standard deviations out along a random direction
+        u = np.array(unit)
+        norm = np.linalg.norm(u)
+        u = u / norm if norm > 1e-3 else np.array([1.0, 0.0])
+        points = g.mean + np.outer(np.linspace(0.0, radius, 9), g.chol @ u)
+        expected = stats.multivariate_normal.logpdf(points, mean=g.mean, cov=g.cov)
+        # relative to max(1, |log-pdf|), since the log-pdf passes through 0
+        error = np.abs(G.log_pdf(g, points) - expected)
+        assert np.all(error <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    def test_finite_where_pdf_underflows(self):
+        from scipy import stats
+
+        g = G.Gaussian([1.0, -2.0], [[1.0, 0.9], [0.9, 1.0]])
+        x = g.mean + g.chol @ np.array([40.0, 0.0])
+        value = G.log_pdf(g, x)
+        assert np.exp(value) == 0.0
+        assert value == pytest.approx(stats.multivariate_normal.logpdf(x, g.mean, g.cov), rel=1e-12)
+
+    def test_one_dimensional_batch_shape(self):
+        g = G.Gaussian([0.5], [[2.0]])
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4, 1)
+        out = G.log_pdf(g, x)
+        assert out.shape == (3, 4)
+        expected = -0.5 * (x[..., 0] - 0.5) ** 2 / 2.0 - 0.5 * np.log(2.0 * np.pi * 2.0)
+        np.testing.assert_allclose(out, expected, rtol=1e-14)
+
+    def test_kept_factor_is_read_only(self):
+        g = G.Gaussian([0.0, 0.0], [[4.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose(g.chol @ g.chol.T, g.cov, rtol=1e-15)
+        assert np.all(np.triu(g.chol, 1) == 0.0)
+        with pytest.raises(ValueError):
+            g.chol[0, 0] = 1.0
 
 
 class TestToGrid:
@@ -131,8 +188,8 @@ class TestMixtureMoments:
         a, b = G.Gaussian([0.0], [[1.0]]), G.Gaussian([2.0], [[1.0]])
         mean, cov = G.mixture_moments([a, b], [0.5, 0.5])
         x = np.linspace(-9.0, 11.0, 4096)
-        ga = G.eval_many(a, x)
-        gb = G.eval_many(b, x)
+        ga = np.exp(G.log_pdf(a, x[:, None]))
+        gb = np.exp(G.log_pdf(b, x[:, None]))
         from pdffusion.grid import from_samples, normalize
 
         d = normalize(from_samples([-9.0], [11.0], (4096,), 0.5 * ga + 0.5 * gb))
@@ -215,3 +272,55 @@ class TestCiFuse:
             fused = G.ci_fuse(gs, w)
             target = sum(wk * G.pd_inverse(g.cov) for wk, g in zip(w, gs))
             np.testing.assert_allclose(G.pd_inverse(fused.cov), target, atol=1e-12)
+
+    def test_kept_factor_inverse_matches_pd_inverse_bitwise(self):
+        g = G.Gaussian([1.0, -1.0], [[2.0, 0.7], [0.7, 0.4]])
+        np.testing.assert_array_equal(G.cho_inverse(g.chol), G.pd_inverse(g.cov))
+
+
+def _gaussian_kl(p: G.Gaussian, q: G.Gaussian) -> float:
+    q_inv = np.linalg.inv(q.cov)
+    delta = q.mean - p.mean
+    log_det_ratio = np.linalg.slogdet(q.cov)[1] - np.linalg.slogdet(p.cov)[1]
+    return 0.5 * (np.trace(q_inv @ p.cov) + delta @ q_inv @ delta - p.dim + log_det_ratio)
+
+
+# pairs whose grid values stay above the float64 underflow threshold
+_CLOSED_FORM_PAIRS = {
+    "narrow": (G.Gaussian([0.0], [[0.01]]), G.Gaussian([0.3], [[0.02]])),
+    "far-apart": (G.Gaussian([-6.0], [[1.0]]), G.Gaussian([6.0], [[2.0]])),
+    "correlated-2d": (
+        G.Gaussian([0.0, 0.0], [[1.0, 0.8], [0.8, 1.0]]),
+        G.Gaussian([1.5, -1.0], [[2.0, -0.6], [-0.6, 1.0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_PAIRS))
+class TestGridAgainstClosedForms:
+    def _profile(self, name):
+        a, b = _CLOSED_FORM_PAIRS[name]
+        profile = OpinionProfile(G.common_grid(a, b))
+        assert profile.positive
+        return a, b, profile
+
+    def test_kl(self, name):
+        a, b, _ = self._profile(name)
+        assert kl(a, b) == pytest.approx(_gaussian_kl(a, b), rel=1e-9)
+        assert kl(b, a) == pytest.approx(_gaussian_kl(b, a), rel=1e-9)
+
+    @pytest.mark.parametrize("w", [(0.3, 0.7), (0.5, 0.5)])
+    def test_log_linear_pool_is_covariance_intersection(self, name, w):
+        a, b, profile = self._profile(name)
+        mean, cov = moments(log_linear_pool(profile, w))
+        fused = G.ci_fuse([a, b], w)
+        np.testing.assert_allclose(mean, fused.mean, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(cov, fused.cov, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("w", [(0.3, 0.7), (0.5, 0.5)])
+    def test_linear_pool_has_mixture_moments(self, name, w):
+        a, b, profile = self._profile(name)
+        mean, cov = moments(linear_pool(profile, w))
+        mix_mean, mix_cov = G.mixture_moments([a, b], w)
+        np.testing.assert_allclose(mean, mix_mean, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(cov, mix_cov, rtol=1e-9, atol=1e-12)
