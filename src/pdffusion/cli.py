@@ -35,12 +35,7 @@ from .fileio import read_density_csv, read_gaussian_json, read_model_json, write
 from .gaussian import Gaussian, common_grid
 from .grid import OpinionProfile, moments
 from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, pool
-from .supra import (
-    local_statistics,
-    private_shared_model,
-    scalar_fusion,
-    vector_fusion,
-)
+from .supra import local_statistics, private_shared_model, vector_fusion
 
 FLOAT_FMT = "%.17g"
 
@@ -282,14 +277,15 @@ def supra_cmd(model_path, private_shared, y_text, mode):
 
     Without observations only the fusion weights and structural matrices
     are reported; with --y the fused posterior (and, when the joint noise
-    covariance is invertible, the all-data oracle) is included.
+    covariance is invertible, the all-data oracle) is included. --scalar and
+    --vector only choose the payload shape of the one fusion.
     """
     if (model_path is None) == (private_shared is None):
         raise ValueError("provide exactly one of --model or --private-shared")
     if model_path is not None:
         model = read_model_json(model_path)
     else:
-        counts = [int(v) for v in _parse_floats(private_shared)]
+        counts = _parse_floats(private_shared)
         if len(counts) < 2:
             raise ValueError("--private-shared needs r0 plus at least one agent count")
         model = private_shared_model(len(counts) - 1, counts[0], counts[1:])
@@ -305,23 +301,17 @@ def supra_cmd(model_path, private_shared, y_text, mode):
     else:
         t = np.zeros(model.K * model.d_theta)
 
+    res = vector_fusion(model, t, y)
+    payload = {
+        "mode": mode,
+        "sigma_hat_inv": res.Sigma_hat_inv.tolist(),
+        "sigma_tilde": res.Sigma_tilde.tolist(),
+    }
     if mode == "scalar":
-        res = scalar_fusion(model, t, y)
-        payload = {
-            "mode": "scalar",
-            "weights": res.scalar_weights.tolist(),
-            "sigma_hat_inv": res.Sigma_hat_inv.tolist(),
-            "sigma_tilde": res.Sigma_tilde.tolist(),
-        }
+        payload["weights"] = res.scalar_weights.tolist()
     else:
-        res = vector_fusion(model, t, y)
-        payload = {
-            "mode": "vector",
-            "weights": [w.tolist() for w in res.vector_weights],
-            "sigma_hat_inv": res.Sigma_hat_inv.tolist(),
-            "sigma_tilde": res.Sigma_tilde.tolist(),
-            "G": res.G.tolist(),
-        }
+        payload["weights"] = [w.tolist() for w in res.vector_weights]
+        payload["G"] = res.G.tolist()
     if y is not None:
         payload["posterior"] = _gaussian_payload(res.posterior)
         payload["oracle"] = _gaussian_payload(res.oracle)

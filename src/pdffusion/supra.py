@@ -8,20 +8,20 @@ naive product rules. The oracle posterior conditioned on the raw
 observations is computed alongside for comparison whenever the full noise
 covariance is invertible.
 
-Scalar (d_theta = 1) models admit scalar pooling weights; general models get
-matrix-valued weights plus the quadratic correction factor that makes the
-fused likelihood exact.
+One fusion path, ``vector_fusion``, gives matrix-valued agent weights W_k
+plus the quadratic correction G that makes the weighted likelihood product
+exact; scalar weights are its d_theta = 1 case. Each model matrix (prior,
+noise block, local precision) is factorized once per model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DimensionError, RankError, SingularityError
-from .gaussian import Gaussian, cholesky, pd_inverse, require_symmetric, symmetrize
+from .gaussian import Gaussian, cho_inverse, cholesky, pd_inverse, require_symmetric, symmetrize
 from .grid import GridDensity, OpinionProfile
 from .pooling import multiplicative_pool
 
@@ -39,12 +39,16 @@ class LinearGaussianModel:
     Sigma : full noise covariance over the stacked observation, symmetric
         positive semidefinite with positive definite diagonal blocks.
     prior_mean, prior_cov : Gaussian prior on theta, prior_cov PD.
+    prior_chol, noise_block_chols : lower Cholesky factors of prior_cov and
+        of each diagonal noise block, kept from validation.
     """
 
     H_blocks: tuple[np.ndarray, ...]
     Sigma: np.ndarray
     prior_mean: np.ndarray
     prior_cov: np.ndarray
+    prior_chol: np.ndarray = field(init=False, repr=False)
+    noise_block_chols: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks = tuple(np.atleast_2d(np.asarray(h, dtype=np.float64)).copy() for h in self.H_blocks)
@@ -77,26 +81,20 @@ class LinearGaussianModel:
         prior_cov = np.atleast_2d(np.asarray(self.prior_cov, dtype=np.float64)).copy()
         if prior_mean.shape != (d_theta,) or prior_cov.shape != (d_theta, d_theta):
             raise DimensionError("prior dimensions do not match the parameter dimension")
-        cholesky(prior_cov, "prior covariance")
-        for k in range(len(blocks)):
-            lo, hi = self._span(blocks, k)
-            cholesky(sigma[lo:hi, lo:hi], f"diagonal noise block {k}")
-        for arr in blocks:
-            arr.flags.writeable = False
-        sigma.flags.writeable = False
-        prior_mean.flags.writeable = False
-        prior_cov.flags.writeable = False
         object.__setattr__(self, "H_blocks", blocks)
         object.__setattr__(self, "Sigma", sigma)
         object.__setattr__(self, "prior_mean", prior_mean)
         object.__setattr__(self, "prior_cov", prior_cov)
+        prior_chol = cholesky(prior_cov, "prior covariance")
+        noise_chols = tuple(
+            cholesky(self.sigma_block(k), f"diagonal noise block {k}") for k in range(self.K)
+        )
+        for arr in (*blocks, sigma, prior_mean, prior_cov, prior_chol, *noise_chols):
+            arr.flags.writeable = False
+        object.__setattr__(self, "prior_chol", prior_chol)
+        object.__setattr__(self, "noise_block_chols", noise_chols)
         # materializing the reduced covariance validates its invertibility
         self.sigma_tilde_inv
-
-    @staticmethod
-    def _span(blocks, k: int) -> tuple[int, int]:
-        lo = sum(h.shape[0] for h in blocks[:k])
-        return lo, lo + blocks[k].shape[0]
 
     @property
     def K(self) -> int:
@@ -114,13 +112,23 @@ class LinearGaussianModel:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(h.shape[0] for h in self.H_blocks)
 
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Rows (lo, hi) of each agent's block in the stacked observation."""
+        hi = np.cumsum(self.block_sizes)
+        return tuple(zip((hi - self.block_sizes).tolist(), hi.tolist()))
+
     def sigma_block(self, k: int) -> np.ndarray:
-        lo, hi = self._span(self.H_blocks, k)
+        lo, hi = self.spans[k]
         return self.Sigma[lo:hi, lo:hi]
 
     @cached_property
+    def prior_precision(self) -> np.ndarray:
+        return cho_inverse(self.prior_chol)
+
+    @cached_property
     def _noise_block_inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(pd_inverse(self.sigma_block(k), f"noise block {k}") for k in range(self.K))
+        return tuple(cho_inverse(c) for c in self.noise_block_chols)
 
     @cached_property
     def local_precisions(self) -> tuple[np.ndarray, ...]:
@@ -131,16 +139,22 @@ class LinearGaussianModel:
         )
 
     @cached_property
+    def local_covariances(self) -> tuple[np.ndarray, ...]:
+        """(H_k^T Sigma_kk^{-1} H_k)^{-1} per agent; RankError if singular."""
+        out = []
+        for k, gram in enumerate(self.local_precisions):
+            try:
+                out.append(pd_inverse(gram))
+            except SingularityError as exc:
+                raise RankError(f"agent {k} statistic map is rank deficient") from exc
+        return tuple(out)
+
+    @cached_property
     def V_blocks(self) -> tuple[np.ndarray, ...]:
         """Per-agent statistic maps (H_k^T S^{-1} H_k)^{-1} H_k^T S^{-1}."""
         out = []
         for k, h in enumerate(self.H_blocks):
-            gram, inv_block = self.local_precisions[k], self._noise_block_inverses[k]
-            try:
-                gram_inv = pd_inverse(gram)
-            except SingularityError as exc:
-                raise RankError(f"agent {k} statistic map is rank deficient") from exc
-            v = gram_inv @ h.T @ inv_block
+            v = self.local_covariances[k] @ h.T @ self._noise_block_inverses[k]
             if np.max(np.abs(v @ h - np.eye(self.d_theta))) > 1e-10:
                 raise RankError(f"agent {k} statistic map fails the identity check")
             out.append(v)
@@ -149,7 +163,11 @@ class LinearGaussianModel:
     @cached_property
     def V(self) -> np.ndarray:
         """Block-diagonal stack of the V_blocks, (K d_theta) x d_y."""
-        return linalg.block_diag(*self.V_blocks)
+        dt = self.d_theta
+        out = np.zeros((self.K * dt, self.d_y))
+        for k, (v, (lo, hi)) in enumerate(zip(self.V_blocks, self.spans)):
+            out[k * dt : (k + 1) * dt, lo:hi] = v
+        return out
 
     @cached_property
     def Sigma_tilde(self) -> np.ndarray:
@@ -167,24 +185,40 @@ class LinearGaussianModel:
 
 @dataclass(frozen=True, eq=False)
 class SupraFusionResult:
+    """What ``vector_fusion`` computes.
+
+    ``vector_weights`` (one d_theta x d_theta W_k per agent), ``G``,
+    ``Sigma_tilde``, ``Sigma_hat_inv`` and ``posterior`` are always set.
+    ``scalar_weights`` holds the [0, 0] entries of the W_k exactly when
+    d_theta = 1, and is None otherwise. ``oracle`` is set when ``y`` was
+    given and the joint noise covariance is invertible.
+    """
+
     posterior: Gaussian
     oracle: Gaussian | None
     scalar_weights: np.ndarray | None
-    vector_weights: tuple[np.ndarray, ...] | None
+    vector_weights: tuple[np.ndarray, ...]
     Sigma_tilde: np.ndarray
     Sigma_hat_inv: np.ndarray
-    G: np.ndarray | None
+    G: np.ndarray
+
+
+def _finite_vector(x, length: int, what: str) -> np.ndarray:
+    """``x`` as a float vector; DimensionError unless it has ``length``
+    entries, ValueError naming its first non-finite entry."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if x.shape != (length,):
+        raise DimensionError(f"{what} length {x.shape}, expected ({length},)")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"{what} entry {bad[0]} is not finite ({x[bad[0]]})")
+    return x
 
 
 def local_statistics(model: LinearGaussianModel, y) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Per-agent statistics t_k = V_k y_k, stacked, plus the maps V_k."""
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.shape != (model.d_y,):
-        raise DimensionError(f"observation length {y.shape}, expected ({model.d_y},)")
-    parts = []
-    for k, v in enumerate(model.V_blocks):
-        lo, hi = model._span(model.H_blocks, k)
-        parts.append(v @ y[lo:hi])
+    y = _finite_vector(y, model.d_y, "observation")
+    parts = [v @ y[lo:hi] for v, (lo, hi) in zip(model.V_blocks, model.spans)]
     return np.concatenate(parts), model.V_blocks
 
 
@@ -200,7 +234,7 @@ def _conjugate_update(model: LinearGaussianModel, precision, shift, what: str) -
     """Posterior of theta from the prior and a Gaussian likelihood in
     information form: precision H^T N H and shift H^T N y, N the noise
     precision."""
-    prior_prec = pd_inverse(model.prior_cov, "prior covariance")
+    prior_prec = model.prior_precision
     cov = pd_inverse(symmetrize(precision + prior_prec), what)
     return Gaussian(cov @ (shift + prior_prec @ model.prior_mean), cov)
 
@@ -220,44 +254,11 @@ def _oracle_posterior(model: LinearGaussianModel, y: np.ndarray) -> Gaussian | N
 
 
 def scalar_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
-    """Fused posterior from local statistics of a scalar-parameter model.
-
-    Weights w_k attach to the agent posteriors in the product-of-powers
-    fusion rule; the posterior itself comes from the closed-form conjugate
-    update. When the raw observation ``y`` is supplied and the joint noise
-    covariance is invertible, the oracle posterior is filled in as well.
-
-    Raises
-    ------
-    DimensionError
-        If the model's parameter is not scalar.
-    """
+    """``vector_fusion`` of a scalar-parameter model; DimensionError for
+    any other model."""
     if model.d_theta != 1:
         raise DimensionError("scalar fusion needs a one-dimensional parameter")
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if t.shape != (model.K,):
-        raise DimensionError(f"statistic length {t.shape}, expected ({model.K},)")
-    sti = model.sigma_tilde_inv
-    col = sti @ np.ones(model.K)
-    d = np.array([float(p[0, 0]) for p in model.local_precisions])
-    weights = col / d
-    sigma_hat_sq = 1.0 / float(col.sum())
-    s0 = float(model.prior_cov[0, 0])
-    m0 = float(model.prior_mean[0])
-    var1 = sigma_hat_sq * s0 / (sigma_hat_sq + s0)
-    mean1 = var1 * (float(col @ t) + m0 / s0)
-    oracle = None
-    if y is not None:
-        oracle = _oracle_posterior(model, np.atleast_1d(np.asarray(y, dtype=np.float64)))
-    return SupraFusionResult(
-        posterior=Gaussian([mean1], [[var1]]),
-        oracle=oracle,
-        scalar_weights=weights,
-        vector_weights=None,
-        Sigma_tilde=model.Sigma_tilde,
-        Sigma_hat_inv=np.array([[1.0 / sigma_hat_sq]]),
-        G=None,
-    )
+    return vector_fusion(model, t, y)
 
 
 def vector_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
@@ -266,32 +267,30 @@ def vector_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
     W_k = (H_k^T S_kk^{-1} H_k)^{-1} (e_k kron I)^T SigmaTilde^{-1} (1 kron I);
     G is the quadratic correction making the weighted likelihood product
     exact. The posterior is the conjugate update under the fused precision.
+    When the raw observation ``y`` is supplied and the joint noise
+    covariance is invertible, the oracle posterior is filled in as well.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     dt, K = model.d_theta, model.K
-    if t.shape != (K * dt,):
-        raise DimensionError(f"statistic length {t.shape}, expected ({K * dt},)")
+    t = _finite_vector(t, K * dt, "statistic")
     sti = model.sigma_tilde_inv
     ones = model.ones_kron
     _, sigma_hat_inv = global_likelihood_params(model)
     vector_weights = []
-    for k in range(K):
-        block_row = sti[k * dt : (k + 1) * dt, :]  # (e_k kron I)^T SigmaTilde^{-1}
-        wk = pd_inverse(model.local_precisions[k], f"agent {k} precision") @ block_row @ ones
-        vector_weights.append(wk)
     G = sigma_hat_inv.copy()
     for k in range(K):
-        wk = vector_weights[k]
+        block_row = sti[k * dt : (k + 1) * dt, :]  # (e_k kron I)^T SigmaTilde^{-1}
+        wk = model.local_covariances[k] @ block_row @ ones
+        vector_weights.append(wk)
         G = G - wk.T @ model.local_precisions[k] @ wk
     G = symmetrize(G)
     posterior = _conjugate_update(model, sigma_hat_inv, ones.T @ sti @ t, "fused posterior precision")
     oracle = None
     if y is not None:
-        oracle = _oracle_posterior(model, np.atleast_1d(np.asarray(y, dtype=np.float64)))
+        oracle = _oracle_posterior(model, _finite_vector(y, model.d_y, "observation"))
     return SupraFusionResult(
         posterior=posterior,
         oracle=oracle,
-        scalar_weights=None,
+        scalar_weights=np.array([w[0, 0] for w in vector_weights]) if dt == 1 else None,
         vector_weights=tuple(vector_weights),
         Sigma_tilde=model.Sigma_tilde,
         Sigma_hat_inv=sigma_hat_inv,
@@ -306,11 +305,24 @@ def substituted_oracle(model: LinearGaussianModel, y) -> Gaussian:
     This reproduces the fused posterior exactly: the substitution is what
     discarding the raw observations in favor of the local statistics costs.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.shape != (model.d_y,):
-        raise DimensionError(f"observation length {y.shape}, expected ({model.d_y},)")
+    y = _finite_vector(y, model.d_y, "observation")
     M = model.V.T @ model.sigma_tilde_inv @ model.V
     return _observed_update(model, M, y, "substituted posterior precision")
+
+
+def _private_shared_counts(K, r0, r) -> tuple[int, int, np.ndarray]:
+    """K, r0 and the r_k as ints. ValueError unless each is a finite whole
+    number, r0 >= 0 and every r_k >= 1; DimensionError unless there are K r_k."""
+    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    counts = np.concatenate([[K, r0], r.ravel()])
+    if not np.all(np.isfinite(counts)) or np.any(counts != np.round(counts)):
+        raise ValueError(f"counts must be finite whole numbers, got K={K}, r0={r0}, r={r.tolist()}")
+    K, r0 = int(K), int(r0)
+    if K < 1 or r.shape != (K,):
+        raise DimensionError(f"need K={K} private counts, got {r.size}")
+    if r0 < 0 or np.any(r < 1):
+        raise ValueError("private counts must be positive and the shared count nonnegative")
+    return K, r0, r.astype(np.int64)
 
 
 def private_shared_model(
@@ -326,23 +338,13 @@ def private_shared_model(
     The shared observations occupy the leading r0 coordinates of every
     agent's block, making the cross covariance an identity on that corner.
     """
-    r = [int(v) for v in np.atleast_1d(r)]
-    K = int(K)
-    r0 = int(r0)
-    if K < 1 or len(r) != K:
-        raise DimensionError(f"need K={K} private counts, got {len(r)}")
-    if r0 < 0 or any(v < 1 for v in r):
-        raise ValueError("private counts must be positive and the shared count nonnegative")
-    sizes = [r0 + rk for rk in r]
-    H_blocks = [np.ones((n, 1)) for n in sizes]
-    d_y = sum(sizes)
-    sigma = np.eye(d_y)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for a in range(K):
-        for b in range(K):
-            if a != b and r0 > 0:
-                sigma[offsets[a] : offsets[a] + r0, offsets[b] : offsets[b] + r0] = np.eye(r0)
-    return LinearGaussianModel(tuple(H_blocks), sigma, [prior_mean], [[prior_var]])
+    K, r0, r = _private_shared_counts(K, r0, r)
+    sizes = r0 + r
+    sigma = np.eye(int(sizes.sum()))
+    shared = np.concatenate([lo + np.arange(r0) for lo in np.cumsum(sizes) - sizes])
+    sigma[np.ix_(shared, shared)] = np.tile(np.eye(r0), (K, K))
+    H_blocks = tuple(np.ones((n, 1)) for n in sizes)
+    return LinearGaussianModel(H_blocks, sigma, [prior_mean], [[prior_var]])
 
 
 def private_shared_weights(K: int, r0: int, r) -> np.ndarray:
@@ -351,10 +353,7 @@ def private_shared_weights(K: int, r0: int, r) -> np.ndarray:
     w_k = 1 - (K-1)/r_k * (1/r0 + sum_j 1/r_j)^{-1}; with no shared
     observations every weight is 1 and fusion is the plain product rule.
     """
-    r = np.array([float(v) for v in np.atleast_1d(r)])
-    K = int(K)
-    if len(r) != K:
-        raise DimensionError(f"need K={K} private counts, got {len(r)}")
+    K, r0, r = _private_shared_counts(K, r0, r)
     if r0 == 0:
         return np.ones(K)
     total = 1.0 / float(r0) + float(np.sum(1.0 / r))

@@ -385,6 +385,29 @@ class TestSupra:
         assert {"G", "sigma_hat_inv", "sigma_tilde", "posterior", "oracle"} <= set(payload)
         assert np.array(payload["weights"]).shape == (2, 2, 2)
 
+    def test_scalar_and_vector_payloads_share_one_fusion(self, runner):
+        scalar = json.loads(runner.invoke(main, ["supra", "--private-shared", "4,1,4,4"]).output)
+        vector = json.loads(
+            runner.invoke(main, ["supra", "--private-shared", "4,1,4,4", "--vector"]).output
+        )
+        assert scalar["weights"] == [w[0][0] for w in vector["weights"]]
+        assert scalar["sigma_hat_inv"] == vector["sigma_hat_inv"]
+        assert scalar["sigma_tilde"] == vector["sigma_tilde"]
+        assert "G" not in scalar and vector["G"] is not None
+
+    @pytest.mark.parametrize("counts", ["4,1,4,4.5", "4,1,4,inf", "nan,1,4,4", "4,1.5,4,4"])
+    def test_non_integral_counts_exit_2(self, runner, counts):
+        result = runner.invoke(main, ["supra", "--private-shared", counts])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert "finite whole numbers" in json.loads(result.stderr)["message"]
+
+    def test_non_finite_observation_exit_2(self, runner):
+        y = ",".join(["0"] * 5 + ["nan"] + ["0"] * 15)
+        result = runner.invoke(main, ["supra", "--private-shared", "4,1,4,4", "--y", y])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["message"] == "observation entry 5 is not finite (nan)"
+
     def test_exactly_one_source_required(self, runner, tmp_path):
         path = tmp_path / "model.json"
         write_model_json(path, private_shared_model(2, 1, (1, 1)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg, stats
 
+from pdffusion import gaussian as gaussian_module
 from pdffusion import supra as S
 from pdffusion.errors import DimensionError, RankError, SingularityError
 from pdffusion.gaussian import Gaussian, pd_inverse, to_grid
@@ -78,6 +79,51 @@ class TestModelValidation:
         with pytest.raises(SingularityError):
             S.LinearGaussianModel((np.ones((1, 1)),), np.eye(1), np.zeros(1), np.zeros((1, 1)))
 
+    def test_kept_factors_are_read_only_and_out_of_repr(self):
+        rng = np.random.default_rng(4)
+        model = random_correlated_model(rng)
+        chol = model.prior_chol
+        np.testing.assert_allclose(chol @ chol.T, model.prior_cov, atol=1e-12)
+        assert len(model.noise_block_chols) == model.K
+        for c in (model.prior_chol, *model.noise_block_chols):
+            assert not c.flags.writeable
+        assert "chol" not in repr(model)
+
+
+class TestFactorizedOnce:
+    """The prior, each noise block and each local precision is factorized
+    once per model, however many fusions run on it."""
+
+    @pytest.fixture
+    def factorized(self, monkeypatch):
+        calls = []
+        original = gaussian_module.cholesky
+
+        def counting(mat, what):
+            calls.append(np.array(mat, copy=True))
+            return original(mat, what)
+
+        monkeypatch.setattr(gaussian_module, "cholesky", counting)
+        monkeypatch.setattr(S, "cholesky", counting)
+        return calls
+
+    @pytest.mark.parametrize("d_theta, fuse", [(1, S.scalar_fusion), (2, S.vector_fusion)])
+    def test_each_model_matrix_once(self, factorized, d_theta, fuse):
+        rng = np.random.default_rng(17)
+        model = random_correlated_model(rng, K=3, d_yk=3, d_theta=d_theta)
+        y = rng.normal(size=model.d_y)
+        t, _ = S.local_statistics(model, y)
+        fuse(model, t, y)
+        fuse(model, t)
+        S.substituted_oracle(model, y)
+        matrices = [
+            model.prior_cov,
+            *(model.sigma_block(k) for k in range(model.K)),
+            *model.local_precisions,
+        ]
+        counts = [sum(np.array_equal(c, m) for c in factorized) for m in matrices]
+        assert counts == [1] * len(matrices)
+
 
 class TestLocalStatistics:
     def test_identity_map(self):
@@ -107,6 +153,14 @@ class TestLocalStatistics:
         model = S.private_shared_model(2, 1, (1, 1))
         with pytest.raises(DimensionError):
             S.local_statistics(model, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_rejected(self, bad):
+        model = S.private_shared_model(2, 1, (1, 1))
+        y = np.zeros(model.d_y)
+        y[2] = bad
+        with pytest.raises(ValueError, match="observation entry 2 is not finite"):
+            S.local_statistics(model, y)
 
 
 class TestGlobalParams:
@@ -178,17 +232,43 @@ class TestScalarFusion:
         with pytest.raises(DimensionError):
             S.scalar_fusion(model, np.zeros(4))
 
+    def test_result_carries_the_vector_fields(self):
+        model = S.private_shared_model(3, 4, (1, 4, 4))
+        res = S.scalar_fusion(model, np.zeros(3))
+        assert len(res.vector_weights) == 3 and res.G.shape == (1, 1)
+        flat = [float(w[0, 0]) for w in res.vector_weights]
+        np.testing.assert_array_equal(res.scalar_weights, flat)
+
 
 class TestVectorFusion:
     def test_scalar_model_weights_agree(self):
+        # at d_theta = 1 the weights are the private-shared closed form and
+        # the posterior is the substituted oracle
+        rng = np.random.default_rng(12)
+        for counts in ((4, 1, 4, 4), (0, 2, 5, 7), (2, 3, 1), (5, 1, 2, 3, 4)):
+            r0, r = counts[0], counts[1:]
+            model = S.private_shared_model(len(r), r0, r)
+            y = rng.normal(size=model.d_y)
+            t, _ = S.local_statistics(model, y)
+            res = S.vector_fusion(model, t, y)
+            flat = np.array([float(w[0, 0]) for w in res.vector_weights])
+            np.testing.assert_allclose(flat, S.private_shared_weights(len(r), r0, r), atol=1e-12)
+            np.testing.assert_array_equal(res.scalar_weights, flat)
+            sub = S.substituted_oracle(model, y)
+            np.testing.assert_allclose(res.posterior.mean, sub.mean, atol=1e-12)
+            np.testing.assert_allclose(res.posterior.cov, sub.cov, atol=1e-12)
+
+    def test_vector_model_has_no_scalar_weights(self):
+        rng = np.random.default_rng(6)
+        model = random_correlated_model(rng)
+        res = S.vector_fusion(model, np.zeros(model.K * model.d_theta))
+        assert res.scalar_weights is None
+        assert len(res.vector_weights) == model.K and res.G.shape == (2, 2)
+
+    def test_non_finite_statistic_rejected(self):
         model = S.private_shared_model(3, 4, (1, 4, 4))
-        t = np.array([0.3, -0.2, 0.9])
-        sres = S.scalar_fusion(model, t)
-        vres = S.vector_fusion(model, t)
-        flat = np.array([float(w[0, 0]) for w in vres.vector_weights])
-        np.testing.assert_allclose(flat, sres.scalar_weights, atol=1e-12)
-        np.testing.assert_allclose(vres.posterior.mean, sres.posterior.mean, atol=1e-12)
-        np.testing.assert_allclose(vres.posterior.cov, sres.posterior.cov, atol=1e-12)
+        with pytest.raises(ValueError, match="statistic entry 1 is not finite"):
+            S.vector_fusion(model, [0.0, np.nan, 0.0])
 
     def test_multi_sensor_precision_update(self):
         rng = np.random.default_rng(5)
@@ -272,6 +352,41 @@ class TestPrivateShared:
     def test_dominant_shared_noise_evens_out(self):
         w = S.private_shared_weights(3, 10**6, (5, 5, 5))
         np.testing.assert_allclose(w, np.full(3, 1.0 / 3.0), atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "K, r0, r",
+        [
+            (3, 4, (1, 4, 4.5)),
+            (3, 4.9, (1.5, 4, 4)),
+            (3, np.inf, (1, 4, 4)),
+            (3, 4, (1, 4, np.nan)),
+            (2.5, 4, (1, 4)),
+        ],
+    )
+    def test_non_integral_counts_rejected(self, K, r0, r):
+        with pytest.raises(ValueError, match="finite whole numbers"):
+            S.private_shared_model(K, r0, r)
+        with pytest.raises(ValueError, match="finite whole numbers"):
+            S.private_shared_weights(K, r0, r)
+
+    def test_integral_floats_accepted(self):
+        model = S.private_shared_model(3.0, 4.0, np.array([1.0, 4.0, 4.0]))
+        assert model.block_sizes == (5, 8, 8)
+        np.testing.assert_array_equal(
+            S.private_shared_weights(3.0, 4.0, [1.0, 4.0, 4.0]),
+            S.private_shared_weights(3, 4, (1, 4, 4)),
+        )
+
+    @pytest.mark.parametrize("r0, r", [(4, (1, 0, 4)), (-1, (1, 4, 4))])
+    def test_weights_check_counts_like_the_model(self, r0, r):
+        for build in (S.private_shared_model, S.private_shared_weights):
+            with pytest.raises(ValueError, match="private counts must be positive"):
+                build(3, r0, r)
+
+    def test_weights_count_mismatch(self):
+        for build in (S.private_shared_model, S.private_shared_weights):
+            with pytest.raises(DimensionError):
+                build(3, 4, (1, 4))
 
     def test_weight_sum_bounds(self):
         rng = np.random.default_rng(55)
