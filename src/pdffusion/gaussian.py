@@ -1,6 +1,6 @@
 """Closed-form Gaussian machinery.
 
-Log-densities from each Gaussian's kept Cholesky factor (scipy.linalg only),
+Log-densities from each Gaussian's kept Cholesky factor,
 conversion to quadrature grids, moment matching of weighted mixtures, the
 covariance intersection rule (precision averaging, the closed-form
 counterpart of log-linear pooling), and the package's symmetry and
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from . import grid as gridmod
 from .errors import DimensionError, SimplexError, SingularityError
@@ -27,10 +26,12 @@ DEFAULT_HALF_WIDTH_SIGMAS = 8.0
 
 
 def cholesky(mat: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor; SingularityError unless ``mat`` is positive definite."""
+    """Lower Cholesky factor; ValueError if non-finite, else SingularityError unless PD."""
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} has non-finite entries")
     try:
-        return linalg.cholesky(mat, lower=True)
-    except linalg.LinAlgError as exc:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
         raise SingularityError(f"{what} is not positive definite") from exc
 
 
@@ -47,7 +48,8 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
 
 def cho_inverse(c: np.ndarray) -> np.ndarray:
     """Inverse of L L^T from its lower Cholesky factor L."""
-    return symmetrize(linalg.cho_solve((c, True), np.eye(c.shape[0])))
+    ci = np.linalg.inv(c)
+    return symmetrize(ci.T @ ci)
 
 
 def pd_inverse(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -100,7 +102,7 @@ def log_pdf(g: Gaussian, points) -> np.ndarray:
     x = np.asarray(points, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] != g.dim:
         raise DimensionError(f"points of shape {x.shape} against Gaussian of dim {g.dim}")
-    z = linalg.solve_triangular(g.chol, (x - g.mean).reshape(-1, g.dim).T, lower=True)
+    z = np.linalg.inv(g.chol) @ (x - g.mean).reshape(-1, g.dim).T
     log_norm = np.sum(np.log(np.diag(g.chol))) + 0.5 * g.dim * np.log(2.0 * np.pi)
     return (-0.5 * np.sum(z * z, axis=0) - log_norm).reshape(x.shape[:-1])
 
@@ -222,18 +224,20 @@ def ci_fuse(gaussians, weights) -> Gaussian:
     ------
     SimplexError
         If weights leave the simplex.
+    DimensionError
+        If the inputs differ in dimension.
     SingularityError
         If the combined precision is not positive definite.
     """
     gaussians = list(gaussians)
     w = check_simplex(weights, len(gaussians))
-    for k, wk in enumerate(w):
-        if wk == 1.0 and np.all(np.delete(w, k) == 0.0):
-            return gaussians[k]
     d = gaussians[0].dim
     for g in gaussians:
         if g.dim != d:
             raise DimensionError("fusion inputs must share a dimension")
+    for k, wk in enumerate(w):
+        if wk == 1.0 and np.all(np.delete(w, k) == 0.0):
+            return gaussians[k]
     precision = np.zeros((d, d))
     shift = np.zeros(d)
     for wk, g in zip(w, gaussians):

@@ -11,7 +11,7 @@ covariance is invertible.
 One fusion path, ``vector_fusion``, gives matrix-valued agent weights W_k
 plus the quadratic correction G that makes the weighted likelihood product
 exact; scalar weights are its d_theta = 1 case. Each model matrix (prior,
-noise block, local precision) is factorized once per model.
+noise block, local precision, joint noise) is factorized once per model.
 """
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ class LinearGaussianModel:
         d_{y_k} >= d_theta and full column rank.
     Sigma : full noise covariance over the stacked observation, symmetric
         positive semidefinite with positive definite diagonal blocks.
-    prior_mean, prior_cov : Gaussian prior on theta, prior_cov PD.
+    prior_mean, prior_cov : Gaussian prior on theta, prior_mean finite and
+        prior_cov symmetric positive definite.
     prior_chol, noise_block_chols : lower Cholesky factors of prior_cov and
         of each diagonal noise block, kept from validation.
     """
@@ -81,6 +82,10 @@ class LinearGaussianModel:
         prior_cov = np.atleast_2d(np.asarray(self.prior_cov, dtype=np.float64)).copy()
         if prior_mean.shape != (d_theta,) or prior_cov.shape != (d_theta, d_theta):
             raise DimensionError("prior dimensions do not match the parameter dimension")
+        if not np.all(np.isfinite(prior_mean)):
+            raise ValueError("prior mean has non-finite entries")
+        require_symmetric(prior_cov, "prior covariance")
+        prior_cov = symmetrize(prior_cov)
         object.__setattr__(self, "H_blocks", blocks)
         object.__setattr__(self, "Sigma", sigma)
         object.__setattr__(self, "prior_mean", prior_mean)
@@ -129,6 +134,14 @@ class LinearGaussianModel:
     @cached_property
     def _noise_block_inverses(self) -> tuple[np.ndarray, ...]:
         return tuple(cho_inverse(c) for c in self.noise_block_chols)
+
+    @cached_property
+    def noise_precision(self) -> np.ndarray | None:
+        """Sigma^{-1}, or None when the joint noise covariance is singular."""
+        try:
+            return pd_inverse(self.Sigma)
+        except SingularityError:
+            return None
 
     @cached_property
     def local_precisions(self) -> tuple[np.ndarray, ...]:
@@ -246,11 +259,9 @@ def _observed_update(model: LinearGaussianModel, noise_precision, y, what: str) 
 
 
 def _oracle_posterior(model: LinearGaussianModel, y: np.ndarray) -> Gaussian | None:
-    try:
-        sigma_inv = pd_inverse(model.Sigma)
-    except SingularityError:
+    if model.noise_precision is None:
         return None  # oracle undefined for singular joint noise
-    return _observed_update(model, sigma_inv, y, "oracle posterior precision")
+    return _observed_update(model, model.noise_precision, y, "oracle posterior precision")
 
 
 def scalar_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:

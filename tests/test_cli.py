@@ -429,6 +429,24 @@ class TestSupra:
         result = runner.invoke(main, ["supra", "--model", str(path), "--scalar"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "prior_mean, prior_cov, message",
+        [
+            ("[NaN, 0.0]", "[[1.0, 0.0], [0.0, 1.0]]", "prior mean has non-finite entries"),
+            ("[0.0, 0.0]", "[[NaN, 0.0], [0.0, 1.0]]", "prior covariance has non-finite entries"),
+            ("[0.0, 0.0]", "[[1.0, 0.9], [-0.5, 1.0]]", "prior covariance is not symmetric"),
+        ],
+    )
+    def test_bad_prior_exits_2(self, runner, tmp_path, prior_mean, prior_cov, message):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"H_blocks": [[[1.0, 0.0], [0.0, 1.0]]], "Sigma": [[1.0, 0.0], [0.0, 1.0]], '
+            f'"prior_mean": {prior_mean}, "prior_cov": {prior_cov}}}'
+        )
+        result = runner.invoke(main, ["supra", "--model", str(path)])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["message"] == message
+
     def test_singular_joint_noise_exits_3(self, runner, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(
@@ -462,16 +480,48 @@ class TestFig4:
         assert (d1 / "fig4b.csv").read_bytes() == (d2 / "fig4b.csv").read_bytes()
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats is the heaviest scipy import; the CLI must not pay for it
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this pdffusion."""
     src = str(Path(pdffusion.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import pdffusion.cli, sys; assert 'scipy.stats' not in sys.modules"
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path, **SMALL_ENV),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_cli_import_skips_scipy_stats():
+    # numpy is the only linear-algebra library; the CLI must not pay for scipy
+    code = (
+        "import pdffusion.cli, sys; "
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+        "assert not loaded, loaded"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    code = """
+import sys
+sys.modules["scipy"] = None
+from click.testing import CliRunner
+from pdffusion.cli import main
+a, b, out = sys.argv[1:]
+for args in (
+    ["supra", "--private-shared", "4,1,4,4"],
+    ["pool", "--kind", "log-linear", "--weights", "0.3,0.7", a, b, "-o", out],
+    ["divergence", "--kind", "kl", a, b],
+    ["weights", "--method", "ci", a, b],
+):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, (args, result.output, repr(result.exception))
+"""
+    a = gauss_json(tmp_path, "a.json", 0.0, 1.0)
+    b = gauss_json(tmp_path, "b.json", 1.0, 4.0)
+    result = run_python(code, a, b, str(tmp_path / "fused.csv"))
     assert result.returncode == 0, result.stderr

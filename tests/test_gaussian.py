@@ -35,6 +35,18 @@ class TestGaussianType:
         assert g.dim == 1
 
 
+class TestCholesky:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        with pytest.raises(ValueError, match="^m has non-finite entries$"):
+            G.cholesky(np.array([[bad, 0.0], [0.0, 1.0]]), "m")
+
+    @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]])
+    def test_non_positive_definite_raises_singularity_error(self, mat):
+        with pytest.raises(SingularityError, match="^m is not positive definite$"):
+            G.cholesky(np.array(mat), "m")
+
+
 class TestEval:
     def test_standard_normal_mode(self):
         g = G.Gaussian([0.0], [[1.0]])
@@ -260,6 +272,12 @@ class TestCiFuse:
         a = G.Gaussian([0.3], [[1.7]])
         b = G.Gaussian([-4.0], [[0.2]])
         assert G.ci_fuse([a, b], [0.0, 1.0]) is b
+
+    def test_one_hot_weights_still_check_dimensions(self):
+        a = G.Gaussian([0.0], [[1.0]])
+        b = G.Gaussian([0.0, 0.0], np.eye(2))
+        with pytest.raises(DimensionError):
+            G.ci_fuse([a, b], [1.0, 0.0])
 
     def test_fused_precision_is_weighted_average(self):
         rng = np.random.default_rng(7)

@@ -79,6 +79,22 @@ class TestModelValidation:
         with pytest.raises(SingularityError):
             S.LinearGaussianModel((np.ones((1, 1)),), np.eye(1), np.zeros(1), np.zeros((1, 1)))
 
+    def test_asymmetric_prior_cov_rejected(self):
+        with pytest.raises(ValueError, match="prior covariance is not symmetric"):
+            S.LinearGaussianModel(
+                (np.eye(2),), np.eye(2), np.zeros(2), [[1.0, 0.9], [-0.5, 1.0]]
+            )
+
+    def test_prior_cov_round_off_is_symmetrized(self):
+        prior_cov = np.array([[2.0, 0.3], [0.3 + 1e-12, 1.0]])
+        model = S.LinearGaussianModel((np.eye(2),), np.eye(2), np.zeros(2), prior_cov)
+        assert model.prior_cov[0, 1] == model.prior_cov[1, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prior_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="prior mean has non-finite entries"):
+            S.LinearGaussianModel((np.eye(2),), np.eye(2), [0.0, bad], np.eye(2))
+
     def test_kept_factors_are_read_only_and_out_of_repr(self):
         rng = np.random.default_rng(4)
         model = random_correlated_model(rng)
@@ -91,8 +107,8 @@ class TestModelValidation:
 
 
 class TestFactorizedOnce:
-    """The prior, each noise block and each local precision is factorized
-    once per model, however many fusions run on it."""
+    """The prior, each noise block, each local precision and the joint noise
+    covariance is factorized once per model, however many fusions run on it."""
 
     @pytest.fixture
     def factorized(self, monkeypatch):
@@ -114,12 +130,14 @@ class TestFactorizedOnce:
         y = rng.normal(size=model.d_y)
         t, _ = S.local_statistics(model, y)
         fuse(model, t, y)
+        fuse(model, t, y)
         fuse(model, t)
         S.substituted_oracle(model, y)
         matrices = [
             model.prior_cov,
             *(model.sigma_block(k) for k in range(model.K)),
             *model.local_precisions,
+            model.Sigma,
         ]
         counts = [sum(np.array_equal(c, m) for c in factorized) for m in matrices]
         assert counts == [1] * len(matrices)
