@@ -532,9 +532,7 @@ def _trial_factorization(spec, rng, template, K):
     s = _with_companions(spec, rng, template)
     profile = _random_profile(rng, K, template)
     fused = pool(s, profile)
-    w1, w2 = template.axis_weights
-    marg1 = fused.values @ w2
-    marg2 = w1 @ fused.values
+    marg1, marg2 = template.marginals(fused.values)
     v = template.integral(np.abs(fused.values - np.outer(marg1, marg2)))
     return v, f"fused pdf is L1 {v:.3g} from the product of its marginals"
 

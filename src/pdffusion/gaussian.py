@@ -102,9 +102,20 @@ def log_pdf(g: Gaussian, points) -> np.ndarray:
     x = np.asarray(points, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] != g.dim:
         raise DimensionError(f"points of shape {x.shape} against Gaussian of dim {g.dim}")
-    z = np.linalg.inv(g.chol) @ (x - g.mean).reshape(-1, g.dim).T
+    return _log_pdf(g, [x[..., j] for j in range(g.dim)])
+
+
+def _log_pdf(g: Gaussian, coords) -> np.ndarray:
+    """``log_pdf`` at the points spanned by one broadcastable array per coordinate.
+
+    L^{-1} is lower triangular, so z_i = sum_{j <= i} L^{-1}[i, j] (x_j - mean_j)
+    broadcasts over x_0 .. x_i only: on an open mesh, z_0 spans one axis.
+    """
+    inv = np.linalg.inv(g.chol)
+    centered = [x - m for x, m in zip(coords, g.mean)]
+    quad = sum(sum(inv[i, j] * centered[j] for j in range(i + 1)) ** 2 for i in range(g.dim))
     log_norm = np.sum(np.log(np.diag(g.chol))) + 0.5 * g.dim * np.log(2.0 * np.pi)
-    return (-0.5 * np.sum(z * z, axis=0) - log_norm).reshape(x.shape[:-1])
+    return np.asarray(-0.5 * quad - log_norm)
 
 
 def default_grid_bounds(g: Gaussian, half_width_sigmas: float = DEFAULT_HALF_WIDTH_SIGMAS):
@@ -140,8 +151,7 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
 
 def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:
     """``g`` sampled at the nodes of ``grid``, renormalized."""
-    nodes = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)
-    d = GridDensity(grid, np.exp(log_pdf(g, nodes)))
+    d = GridDensity(grid, np.exp(_log_pdf(g, np.ix_(*grid.axes))))
     gridmod.require_mass(d)
     return gridmod.normalize(d)
 

@@ -3,7 +3,9 @@
 A :class:`Grid` holds the bounds and node counts of a uniform rectangular
 grid in one or two dimensions. It is the one place that validates them, and
 it builds its node coordinates and trapezoid weights once for all densities
-on it; :meth:`Grid.integral` is the package's only quadrature sum. A
+on it. It owns the trapezoid rule: the per-axis weights, :meth:`Grid.integral`
+over all nodes, and :meth:`Grid.marginals`, which integrates out all but one
+axis so that moments need only per-axis vectors. A
 :class:`GridDensity` pairs a grid with node values and validates only those.
 Every other module reduces its non closed-form work to these objects.
 """
@@ -119,6 +121,17 @@ class Grid:
             terms = terms * (f if where is None else f[where])
         return float(np.sum(terms))
 
+    def marginals(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-axis marginals of the node array ``values``.
+
+        Part ``d`` is ``values`` integrated over every other axis, a vector
+        along axis ``d``; in one dimension it is ``values`` itself.
+        """
+        if self.dims == 1:
+            return (values,)
+        w0, w1 = self.axis_weights
+        return values @ w1, w0 @ values
+
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
@@ -203,7 +216,7 @@ def moments(d: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     -------
     mean : ndarray, shape (dims,)
     cov : ndarray, shape (dims, dims)
-        Symmetrized as ``(A + A.T) / 2``.
+        Symmetric: the one cross term fills both off-diagonal entries.
 
     Raises
     ------
@@ -213,21 +226,15 @@ def moments(d: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     if not d.normalized:
         raise NotNormalizedError("moments require a normalized density")
     grid, v = d.grid, d.values
-    if grid.dims == 1:
-        x = grid.axes[0]
-        mean = grid.integral(v, x)
-        var = grid.integral(v, (x - mean) ** 2)
-        return np.array([mean]), np.array([[var]])
-    x0, x1 = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-    mean = np.array([grid.integral(v, x0), grid.integral(v, x1)])
-    c0, c1 = x0 - mean[0], x1 - mean[1]
-    cov = np.array(
-        [
-            [grid.integral(v, c0, c0), grid.integral(v, c0, c1)],
-            [grid.integral(v, c1, c0), grid.integral(v, c1, c1)],
-        ]
-    )
-    return mean, 0.5 * (cov + cov.T)
+    weights = grid.axis_weights
+    # means and variances need only each axis's marginal mass
+    masses = [w * m for w, m in zip(weights, grid.marginals(v))]
+    mean = np.array([np.sum(m * x) for m, x in zip(masses, grid.axes)])
+    centered = [x - mu for x, mu in zip(grid.axes, mean)]
+    cov = np.diag([np.sum(m * c**2) for m, c in zip(masses, centered)])
+    if grid.dims == 2:
+        cov[0, 1] = cov[1, 0] = (weights[0] * centered[0]) @ v @ (weights[1] * centered[1])
+    return mean, cov
 
 
 def event_probability(d: GridDensity, cells: np.ndarray) -> float:

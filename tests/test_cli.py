@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -478,6 +479,46 @@ class TestFig4:
             assert result.exit_code == 0
         assert (d1 / "fig4a.csv").read_bytes() == (d2 / "fig4a.csv").read_bytes()
         assert (d1 / "fig4b.csv").read_bytes() == (d2 / "fig4b.csv").read_bytes()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestOneDimensionalOutputsPinned:
+    """1-D CLI outputs at the default grids, pinned byte for byte.
+
+    The expected bytes come from the full-mesh `to_grid` and `moments`
+    (numpy 2.4, x86-64); evaluating one axis at a time must not change any
+    1-D arithmetic.
+    """
+
+    DEFAULT_GRID = {"FUSION_GRID_POINTS": None}
+
+    def test_fig4_csvs(self, runner, tmp_path):
+        result = runner.invoke(main, ["fig4", "-d", str(tmp_path)], env=self.DEFAULT_GRID)
+        assert result.exit_code == 0
+        assert sha256((tmp_path / "fig4a.csv").read_bytes()) == (
+            "93e691b9b682463f66251d18225b7b6ebee604dbb556d4b3cb70c3b8da5329d4"
+        )
+        assert sha256((tmp_path / "fig4b.csv").read_bytes()) == (
+            "41e6365fa0029e80a3d5208102dbc92295ccac658f568edc63dc6558a93d3693"
+        )
+
+    def test_linear_pool_of_json_gaussians(self, runner, tmp_path):
+        a = gauss_json(tmp_path, "a.json", -1.0, 0.5)
+        b = gauss_json(tmp_path, "b.json", 2.0, 2.0)
+        out = tmp_path / "fused.csv"
+        result = runner.invoke(
+            main,
+            ["pool", "--kind", "linear", "--weights", "0.3,0.7", a, b, "-o", str(out)],
+            env=self.DEFAULT_GRID,
+        )
+        assert result.exit_code == 0
+        assert result.output == '{"cov": [[3.4399999999998867]], "mean": [1.0999999999999996]}\n'
+        assert sha256(out.read_bytes()) == (
+            "2cf8a8910cbca1e6319a1704193212afa2f946ec60ff12883f4cdd42ffb82c67"
+        )
 
 
 def run_python(code, *args):

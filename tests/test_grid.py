@@ -132,6 +132,18 @@ class TestGrid:
         left = x <= 0.5
         assert g.integral(x, where=left) == float(np.sum(g.quad_weights[left] * x[left]))
 
+    def test_marginals_integrate_out_the_other_axis(self):
+        g = Grid([0.0, -1.0], [1.0, 2.0], (16, 24))
+        vals = np.random.default_rng(3).lognormal(size=g.shape)
+        m0, m1 = g.marginals(vals)
+        np.testing.assert_allclose(m0, np.sum(g.axis_weights[1] * vals, axis=1), rtol=1e-14)
+        np.testing.assert_allclose(m1, np.sum(g.axis_weights[0][:, None] * vals, 0), rtol=1e-14)
+        for w, m in zip(g.axis_weights, (m0, m1)):
+            assert float(w @ m) == pytest.approx(g.integral(vals), rel=1e-14)
+        column = vals[:, 0]
+        (m,) = Grid([0.0], [1.0], (16,)).marginals(column)
+        assert m is column
+
     def test_densities_share_their_grid(self):
         d = from_samples([0.0], [1.0], (32,), np.full(32, 3.0))
         nd = normalize(d)
@@ -246,6 +258,38 @@ class TestMoments:
         mean, cov = moments(d)
         np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(cov, np.eye(2), atol=1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_2d_matches_full_grid_formula(self, seed):
+        # the full-mesh formula: five products over every node
+        rng = np.random.default_rng(seed)
+        vals = rng.lognormal(size=(40, 56))
+        d = normalize(from_samples([-1.0, 0.5], [2.0, 4.0], (40, 56), vals))
+        grid = d.grid
+        x0, x1 = np.meshgrid(*grid.axes, indexing="ij")
+        m0, m1 = grid.integral(d.values, x0), grid.integral(d.values, x1)
+        c0, c1 = x0 - m0, x1 - m1
+        full = np.array(
+            [
+                [grid.integral(d.values, c0, c0), grid.integral(d.values, c0, c1)],
+                [grid.integral(d.values, c1, c0), grid.integral(d.values, c1, c1)],
+            ]
+        )
+        mean, cov = moments(d)
+        np.testing.assert_allclose(mean, [m0, m1], rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(cov, 0.5 * (full + full.T), rtol=1e-14, atol=1e-14)
+
+    def test_correlated_2d_gaussian_moments(self):
+        mean = np.array([0.5, -1.0])
+        cov = np.array([[1.5, -0.8], [-0.8, 0.9]])
+        x = np.linspace(-9.0, 10.0, 257)
+        y = np.linspace(-10.0, 8.0, 257)
+        nodes = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1) - mean
+        quad = np.einsum("...i,ij,...j->...", nodes, np.linalg.inv(cov), nodes)
+        d = normalize(from_samples([-9.0, -10.0], [10.0, 8.0], (257, 257), np.exp(-0.5 * quad)))
+        got_mean, got_cov = moments(d)
+        np.testing.assert_allclose(got_mean, mean, atol=1e-9)
+        np.testing.assert_allclose(got_cov, cov, atol=1e-9)
 
     def test_cov_is_symmetric(self):
         rng = np.random.default_rng(42)
