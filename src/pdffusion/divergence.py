@@ -49,8 +49,15 @@ class DivergenceSpec:
         for field in required:
             if getattr(self, field) is None:
                 raise ValueError(f"{self.kind.value} divergence requires {field}")
-        if "alpha" in required and self.alpha in (0.0, 1.0):
-            raise ValueError("alpha may not be 0 or 1; those limits are the two KLDs")
+        if "alpha" in required:
+            _check_alpha(self.alpha)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    if alpha in (0.0, 1.0):
+        raise ValueError("alpha may not be 0 or 1; those limits are the two KLDs")
 
 
 def _as_grid_pair(p, q) -> tuple[GridDensity, GridDensity]:
@@ -82,7 +89,7 @@ def f_divergence(p, q, f: Callable[[np.ndarray], np.ndarray]) -> float:
         fx = np.asarray(f(ratio), dtype=np.float64)
     terms = np.zeros_like(fx)
     ok = pos & np.isfinite(fx)
-    terms[ok] = q.values[ok] * fx[ok]
+    np.multiply(q.values, fx, out=terms, where=ok)
     # 0 * log 0 style limits: p = 0 with non-finite f(0) contributes nothing
     bad = pos & ~np.isfinite(fx) & (p.values > 0.0)
     if np.any(bad):
@@ -97,7 +104,9 @@ def kl(p, q) -> float:
     pv, qv = p.values, q.values
     pos = pv > 0.0
     terms = np.zeros_like(pv)
-    terms[pos] = pv[pos] * np.log(pv[pos] / qv[pos])
+    np.divide(pv, qv, out=terms, where=pos)
+    np.log(terms, out=terms, where=pos)
+    np.multiply(pv, terms, out=terms, where=pos)
     return p.grid.integral(terms)
 
 
@@ -114,8 +123,7 @@ def alpha_div(p, q, alpha: float) -> float:
     chi-squared is twice the alpha = 2 member.
     """
     alpha = float(alpha)
-    if alpha in (0.0, 1.0):
-        raise ValueError("alpha may not be 0 or 1; those limits are the two KLDs")
+    _check_alpha(alpha)
     p, q = _as_grid_pair(p, q)
     if alpha > 1.0:
         _check_dominates(p, q, "alpha-divergence")
@@ -124,7 +132,13 @@ def alpha_div(p, q, alpha: float) -> float:
     pv, qv = p.values, q.values
     both = (pv > 0.0) & (qv > 0.0)
     terms = np.zeros_like(pv)
-    terms[both] = np.exp(alpha * np.log(pv[both]) + (1.0 - alpha) * np.log(qv[both]))
+    log_q = np.empty_like(qv)
+    np.log(pv, out=terms, where=both)
+    np.multiply(alpha, terms, out=terms, where=both)
+    np.log(qv, out=log_q, where=both)
+    np.multiply(1.0 - alpha, log_q, out=log_q, where=both)
+    np.add(terms, log_q, out=terms, where=both)
+    np.exp(terms, out=terms, where=both)
     integral = p.grid.integral(terms)
     return (integral - 1.0) / (alpha * (alpha - 1.0))
 
@@ -144,8 +158,9 @@ def pearson_chi2(p, q) -> float:
     _check_dominates(p, q, "Pearson chi-squared")
     pos = q.values > 0.0
     terms = np.zeros_like(p.values)
-    diff = p.values[pos] - q.values[pos]
-    terms[pos] = diff * diff / q.values[pos]
+    np.subtract(p.values, q.values, out=terms, where=pos)
+    np.multiply(terms, terms, out=terms, where=pos)
+    np.divide(terms, q.values, out=terms, where=pos)
     return p.grid.integral(terms)
 
 
@@ -188,7 +203,8 @@ def entropy(p) -> float:
         raise NotNormalizedError("entropy is defined for normalized densities")
     pos = p.values > 0.0
     terms = np.zeros_like(p.values)
-    terms[pos] = p.values[pos] * np.log(p.values[pos])
+    np.log(p.values, out=terms, where=pos)
+    np.multiply(p.values, terms, out=terms, where=pos)
     return -p.grid.integral(terms)
 
 
@@ -201,7 +217,8 @@ def cross_entropy(p, q) -> float:
     _check_dominates(p, q, "cross-entropy")
     pos = p.values > 0.0
     terms = np.zeros_like(p.values)
-    terms[pos] = p.values[pos] * np.log(q.values[pos])
+    np.log(q.values, out=terms, where=pos)
+    np.multiply(p.values, terms, out=terms, where=pos)
     return -p.grid.integral(terms)
 
 

@@ -109,13 +109,22 @@ def _log_pdf(g: Gaussian, coords) -> np.ndarray:
     """``log_pdf`` at the points spanned by one broadcastable array per coordinate.
 
     L^{-1} is lower triangular, so z_i = sum_{j <= i} L^{-1}[i, j] (x_j - mean_j)
-    broadcasts over x_0 .. x_i only: on an open mesh, z_0 spans one axis.
+    broadcasts over x_0 .. x_i only: on an open mesh, z_0 spans one axis. Only
+    the last z spans every point; the quadratic form and the log-density are
+    accumulated in place in it, so the result is the one array of that size.
     """
     inv = np.linalg.inv(g.chol)
     centered = [x - m for x, m in zip(coords, g.mean)]
-    quad = sum(sum(inv[i, j] * centered[j] for j in range(i + 1)) ** 2 for i in range(g.dim))
+    quad = 0.0
+    for i in range(g.dim):
+        z = np.asarray(sum(inv[i, j] * centered[j] for j in range(i + 1)))
+        np.multiply(z, z, out=z)
+        z += quad
+        quad = z
     log_norm = np.sum(np.log(np.diag(g.chol))) + 0.5 * g.dim * np.log(2.0 * np.pi)
-    return np.asarray(-0.5 * quad - log_norm)
+    quad *= -0.5
+    quad -= log_norm
+    return quad
 
 
 def default_grid_bounds(g: Gaussian, half_width_sigmas: float = DEFAULT_HALF_WIDTH_SIGMAS):
@@ -151,7 +160,8 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
 
 def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:
     """``g`` sampled at the nodes of ``grid``, renormalized."""
-    d = GridDensity(grid, np.exp(_log_pdf(g, np.ix_(*grid.axes))))
+    values = _log_pdf(g, np.ix_(*grid.axes))
+    d = GridDensity(grid, gridmod.frozen(np.exp(values, out=values)))
     gridmod.require_mass(d)
     return gridmod.normalize(d)
 

@@ -5,9 +5,13 @@ grid in one or two dimensions. It is the one place that validates them, and
 it builds its node coordinates and trapezoid weights once for all densities
 on it. It owns the trapezoid rule: the per-axis weights, :meth:`Grid.integral`
 over all nodes, and :meth:`Grid.marginals`, which integrates out all but one
-axis so that moments need only per-axis vectors. A
-:class:`GridDensity` pairs a grid with node values and validates only those.
-Every other module reduces its non closed-form work to these objects.
+axis so that moments need only per-axis vectors. An unmasked 2-D integral
+also contracts one axis at a time, ``w0 @ t @ w1``. A :class:`GridDensity`
+pairs a grid with node values and validates only those; it adopts a
+read-only, owned, C-contiguous float64 array of grid shape without a copy,
+which is how kernels hand over a full-grid result (see :func:`frozen`), and
+copies anything else. Every other module reduces its non closed-form work
+to these objects.
 """
 from __future__ import annotations
 
@@ -33,7 +37,8 @@ DEGENERATE_INTEGRAL = float(np.finfo(np.float64).eps)
 NORMALIZATION_TOL = 1e-9
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` read-only and return it; a fresh one is then adopted by GridDensity."""
     arr.flags.writeable = False
     return arr
 
@@ -81,13 +86,13 @@ class Grid:
     @cached_property
     def spacing(self) -> np.ndarray:
         """Node spacing per dimension."""
-        return _frozen((np.array(self.upper) - np.array(self.lower)) / (np.array(self.shape) - 1))
+        return frozen((np.array(self.upper) - np.array(self.lower)) / (np.array(self.shape) - 1))
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Node coordinates per dimension."""
         return tuple(
-            _frozen(np.linspace(self.lower[d], self.upper[d], self.shape[d]))
+            frozen(np.linspace(self.lower[d], self.upper[d], self.shape[d]))
             for d in range(self.dims)
         )
 
@@ -99,7 +104,7 @@ class Grid:
             w = np.full(self.shape[d], self.spacing[d])
             w[0] *= 0.5
             w[-1] *= 0.5
-            parts.append(_frozen(w))
+            parts.append(frozen(w))
         return tuple(parts)
 
     @cached_property
@@ -107,15 +112,22 @@ class Grid:
         """Tensor-product trapezoid quadrature weights, shaped like the grid."""
         if self.dims == 1:
             return self.axis_weights[0]
-        return _frozen(np.multiply.outer(*self.axis_weights))
+        return frozen(np.multiply.outer(*self.axis_weights))
 
     def integral(self, *factors: np.ndarray, where: np.ndarray | None = None) -> float:
         """Trapezoid integral of the product of ``factors``, node arrays on this grid.
 
         The factors multiply into the quadrature weights from left to right.
         ``where``, a boolean node mask, restricts the sum to the flagged
-        nodes.
+        nodes. Unmasked in two dimensions, the product of the factors is
+        contracted with one axis's weights at a time, ``w0 @ t @ w1``.
         """
+        if where is None and self.dims == 2:
+            t = factors[0]
+            for f in factors[1:]:
+                t = t * f
+            w0, w1 = self.axis_weights
+            return float(w0 @ t @ w1)
         terms = self.quad_weights if where is None else self.quad_weights[where]
         for f in factors:
             terms = terms * (f if where is None else f[where])
@@ -133,13 +145,28 @@ class Grid:
         return values @ w1, w0 @ values
 
 
+def _adoptable(values, shape: tuple[int, ...]) -> bool:
+    """Whether ``values`` can become a density's values without a copy."""
+    return (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.shape == shape
+        and values.base is None
+        and values.flags.c_contiguous
+        and not values.flags.writeable
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class GridDensity:
     """A pdf (or unnormalized density) sampled at the nodes of a :class:`Grid`.
 
     ``values`` are finite nonnegative node samples, row-major, flat or shaped
-    like the grid; they are copied and frozen. ``normalized`` claims that
-    they integrate to one, which is enforced to 1e-9.
+    like the grid. A float64 array of grid shape that is read-only,
+    C-contiguous and owns its data (``base is None``) is adopted as it is;
+    anything else is copied and the copy frozen, so no writable caller
+    array aliases a density. ``normalized`` claims that the values integrate
+    to one, which is enforced to 1e-9.
     """
 
     grid: Grid
@@ -149,12 +176,16 @@ class GridDensity:
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
             raise TypeError(f"grid must be a Grid, got {type(self.grid).__name__}")
-        values = np.asarray(self.values, dtype=np.float64).reshape(self.grid.shape).copy()
-        if not np.all(np.isfinite(values)):
+        values = self.values
+        if not _adoptable(values, self.grid.shape):
+            values = frozen(np.asarray(values, dtype=np.float64).reshape(self.grid.shape).copy())
+        # NaN propagates through min and max, so it reports "finite" as -inf does
+        lo, hi = values.min(), values.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("density values must be finite")
-        if np.any(values < 0.0):
+        if lo < 0.0:
             raise ValueError("density values must be nonnegative")
-        object.__setattr__(self, "values", _frozen(values))
+        object.__setattr__(self, "values", values)
         if self.normalized:
             total = self.grid.integral(values)
             if abs(total - 1.0) > NORMALIZATION_TOL:
@@ -185,7 +216,7 @@ def from_samples(lower, upper, shape, values) -> GridDensity:
 
 def require_mass(d: GridDensity) -> None:
     """Raise ValueError unless some value of ``d`` is positive."""
-    if not np.any(d.values > 0.0):
+    if not d.values.max() > 0.0:
         raise ValueError("density values are all zero")
 
 
@@ -206,7 +237,7 @@ def normalize(d: GridDensity) -> GridDensity:
     total = integrate(d)
     if not np.isfinite(total) or total <= DEGENERATE_INTEGRAL:
         raise DegenerateError(f"cannot normalize density with integral {total!r}")
-    return GridDensity(d.grid, d.values / total, normalized=True)
+    return GridDensity(d.grid, frozen(d.values / total), normalized=True)
 
 
 def moments(d: GridDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +332,11 @@ class OpinionProfile:
 
     @property
     def values(self) -> np.ndarray:
-        """The members' values stacked into one K x shape array, built on each access."""
+        """The members' values stacked into one K x shape array, built on each access.
+
+        The stack is fresh and writable on every access, and shares no
+        memory with any member: the pooling kernels use it as scratch.
+        """
         return np.stack([q.values for q in self.densities])
 
     def permuted(self, order) -> OpinionProfile:

@@ -71,6 +71,8 @@ class ChiTransform:
 
     def __post_init__(self):
         if self.kind is ChiKind.POWER:
+            if self.alpha is not None and not np.isfinite(self.alpha):
+                raise ValueError(f"Power transform needs a finite alpha, got {self.alpha!r}")
             if self.alpha is None or abs(self.alpha) < ALPHA_ZERO_BAND:
                 raise ValueError("Power transform needs alpha away from 0; use Log for the limit")
         elif self.alpha is not None:
@@ -104,7 +106,15 @@ def _require_positive(profile: OpinionProfile, op: str) -> None:
 
 
 def _finish(profile: OpinionProfile, values: np.ndarray) -> GridDensity:
-    return gridmod.normalize(GridDensity(profile.grid, values))
+    """Normalize ``values``, a fresh full-grid array the density adopts."""
+    return gridmod.normalize(GridDensity(profile.grid, gridmod.frozen(values)))
+
+
+def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``np.tensordot(w, stack, axes=1)``, the same product, into a fresh owned array."""
+    out = np.empty(stack.shape[1:])
+    np.dot(w[None, :], stack.reshape(len(w), -1), out=out.reshape(1, -1))
+    return out
 
 
 def linear_pool(
@@ -126,14 +136,15 @@ def linear_pool(
         raise ValueError("q0 and w0 must be supplied together")
     if q0 is None:
         w = check_simplex(weights, profile.K)
-        combined = np.tensordot(w, profile.values, axes=1)
+        combined = _weighted_sum(w, profile.values)
         flag = all(q.normalized for q in profile.densities)
-        return GridDensity(profile.grid, combined, normalized=flag)
+        return GridDensity(profile.grid, gridmod.frozen(combined), normalized=flag)
     gridmod.require_same_grid(profile.grid, q0.grid)
     full = check_simplex(np.concatenate([[float(w0)], np.atleast_1d(weights)]), profile.K + 1)
-    combined = np.tensordot(full[1:], profile.values, axes=1) + full[0] * q0.values
+    combined = _weighted_sum(full[1:], profile.values)
+    combined += full[0] * q0.values
     flag = all(q.normalized for q in profile.densities) and q0.normalized
-    return GridDensity(profile.grid, combined, normalized=flag)
+    return GridDensity(profile.grid, gridmod.frozen(combined), normalized=flag)
 
 
 def _check_xi0(profile: OpinionProfile, xi0) -> np.ndarray:
@@ -155,10 +166,12 @@ def log_linear_pool(profile: OpinionProfile, weights, xi0=None) -> GridDensity:
     """
     _require_positive(profile, "log-linear pooling")
     w = check_simplex(weights, profile.K)
-    logs = np.tensordot(w, np.log(profile.values), axes=1)
+    stack = profile.values
+    logs = _weighted_sum(w, np.log(stack, out=stack))
     if xi0 is not None:
-        logs = logs + np.log(_check_xi0(profile, xi0))
-    return _finish(profile, np.exp(logs - logs.max()))
+        logs += np.log(_check_xi0(profile, xi0))
+    logs -= logs.max()
+    return _finish(profile, np.exp(logs, out=logs))
 
 
 def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
@@ -169,6 +182,8 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
     inside (-1e-6, 1e-6) are rejected).
     """
     alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"Holder exponent must be finite, got {alpha!r}")
     if abs(alpha) < ALPHA_ZERO_BAND:
         raise ValueError(
             "alpha too close to 0 for a stable power mean; use log_linear_pool for the limit"
@@ -177,14 +192,14 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
         _require_positive(profile, "negative-exponent Holder pooling")
     w = check_simplex(weights, profile.K)
     stack = profile.values
-    # factor out the pointwise max so ratios stay in [0, 1] before powering
+    # factor out the pointwise max so ratios stay in [0, 1] before powering;
+    # where the max is 0 every ratio stays 0, and so does the result
     m = stack.max(axis=0)
-    pos = m > 0.0
-    ratios = np.ones_like(stack)
-    np.divide(stack, m, out=ratios, where=pos[None, ...])
-    inner = np.tensordot(w, ratios**alpha, axes=1)
-    combined = np.zeros_like(m)
-    combined[pos] = m[pos] * inner[pos] ** (1.0 / alpha)
+    np.divide(stack, m, out=stack, where=m > 0.0)
+    stack **= alpha
+    combined = _weighted_sum(w, stack)
+    combined **= 1.0 / alpha
+    combined *= m
     return _finish(profile, combined)
 
 
@@ -218,15 +233,19 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     if not np.all(np.isfinite(w)):
         raise SimplexError("weights must be finite")
     log_q0 = np.log(q0.values)
-    log_ratios = np.log(profile.values) - log_q0[None, ...]
-    weighted = w.reshape((K,) + (1,) * profile.grid.dims) * log_ratios
-    worst = float(np.max(np.abs(weighted)))
+    weighted = profile.values
+    np.log(weighted, out=weighted)
+    weighted -= log_q0
+    weighted *= w.reshape((K,) + (1,) * profile.grid.dims)
+    worst = max(float(weighted.max()), -float(weighted.min()))
     if worst > LOG_OVERFLOW:
         raise BoundednessError(
             f"weighted density ratio has log magnitude {worst:.1f}, beyond {LOG_OVERFLOW:g}"
         )
-    logs = log_q0 + weighted.sum(axis=0)
-    return _finish(profile, np.exp(logs - logs.max()))
+    logs = weighted.sum(axis=0)
+    logs += log_q0
+    logs -= logs.max()
+    return _finish(profile, np.exp(logs, out=logs))
 
 
 def dictatorship_pool(profile: OpinionProfile, k: int) -> GridDensity:
@@ -250,7 +269,7 @@ def bayes_update(q: GridDensity, ell) -> GridDensity:
         raise GridMismatchError(f"likelihood shape {ell.shape} does not match grid {q.grid.shape}")
     if np.any(ell < 0.0) or not np.all(np.isfinite(ell)):
         raise ValueError("likelihood values must be finite and nonnegative")
-    return gridmod.normalize(GridDensity(q.grid, q.values * ell))
+    return gridmod.normalize(GridDensity(q.grid, gridmod.frozen(q.values * ell)))
 
 
 def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> GridDensity:

@@ -146,19 +146,24 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     if profile.K < 2:
         raise ValueError("weight selection needs at least two agents")
     K = profile.K
-    logs = np.log(profile.values).reshape(K, -1)
+    logs = profile.values.reshape(K, -1)
+    np.log(logs, out=logs)
     quad = profile.grid.quad_weights.reshape(-1)
     D = _pairwise_kld(profile)
     # b_j collects the column sums: the coefficient of w_j in the KLD average
     b = D.sum(axis=0) / K
 
     def value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-        s = w @ logs
-        m = s.max()
-        p = quad * np.exp(s - m)
+        # one buffer: s, then the pooled weights quad * exp(s - m), then p / z
+        p = w @ logs
+        m = p.max()
+        p -= m
+        np.exp(p, out=p)
+        p *= quad
         z = float(p.sum())
+        p /= z
         # the gradient of a log normalizer is the pooled mean of log q_j
-        return m + np.log(z) + float(w @ b), logs @ (p / z) + b
+        return m + np.log(z) + float(w @ b), logs @ p + b
 
     return _minimize_on_simplex(value_and_grad, K, max_iter, tol)
 

@@ -171,6 +171,17 @@ class TestPool:
         assert result.exit_code == 0
         assert json.loads(result.output)["mean"][0] == pytest.approx(1.0, abs=1e-3)
 
+    def test_holder_nonfinite_alpha_exits_2_at_entry(self, runner, tmp_path):
+        a = density_csv(tmp_path, "a.csv", -1.0, 1.0)
+        b = density_csv(tmp_path, "b.csv", 1.0, 1.0)
+        out = tmp_path / "fused.csv"
+        args = ["pool", "--kind", "holder", "--alpha", "nan", "--weights", "0.5,0.5", a, b]
+        result = runner.invoke(main, args + ["-o", str(out)])
+        assert result.exit_code == 2
+        message = json.loads(result.stderr.strip().splitlines()[-1])["message"]
+        assert message == "Holder exponent must be finite, got nan"
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, runner, tmp_path):
         out = str(tmp_path / "fused.csv")
         result = runner.invoke(
@@ -199,6 +210,22 @@ class TestDivergence:
         result = runner.invoke(main, ["divergence", "--kind", "alpha", a, a])
         assert result.exit_code == 2
         assert stderr_error(result) in ("ValueError", "ParameterError")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "alpha", "--alpha", "nan"],
+            ["--kind", "reverse-alpha", "--alpha", "inf"],
+            ["--kind", "chi-distance", "--chi", "power", "--chi-alpha", "nan"],
+        ],
+    )
+    def test_nonfinite_exponent_exits_2(self, runner, tmp_path, flags):
+        a = density_csv(tmp_path, "a.csv", 0.0, 1.0)
+        b = density_csv(tmp_path, "b.csv", 0.5, 1.0)
+        result = runner.invoke(main, ["divergence", *flags, a, b])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert "finite" in json.loads(result.stderr.strip().splitlines()[-1])["message"]
 
     def test_chi_power_requires_chi_alpha(self, runner, tmp_path):
         a = density_csv(tmp_path, "a.csv", 0.0, 1.0)

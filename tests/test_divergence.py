@@ -115,12 +115,63 @@ class TestAlphaDivergence:
             with pytest.raises(ValueError):
                 D.alpha_div(p, q, alpha)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_alpha_rejected(self, std_pair, alpha):
+        p, q = std_pair
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            D.alpha_div(p, q, alpha)
+
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(5)
         for alpha in (-1.0, 0.3, 0.5, 2.0):
             for _ in range(5):
                 p, q = random_mixture(rng), random_mixture(rng)
                 assert D.alpha_div(p, q, alpha) >= -1e-9
+
+
+class TestMaskedTerms:
+    """The integrands are built with masked ufuncs; each must equal the
+    gather-and-scatter form they replace, bit for bit, zeros included."""
+
+    @staticmethod
+    def gathered(pv, qv, rule):
+        pos = pv > 0.0
+        terms = np.zeros_like(pv)
+        if rule == "kl":
+            terms[pos] = pv[pos] * np.log(pv[pos] / qv[pos])
+        elif rule == "entropy":
+            terms[pos] = pv[pos] * np.log(pv[pos])
+        elif rule == "cross-entropy":
+            terms[pos] = pv[pos] * np.log(qv[pos])
+        elif rule == "pearson":
+            pos = qv > 0.0
+            diff = pv[pos] - qv[pos]
+            terms[pos] = diff * diff / qv[pos]
+        else:
+            alpha = rule
+            both = pos & (qv > 0.0)
+            terms[both] = np.exp(alpha * np.log(pv[both]) + (1.0 - alpha) * np.log(qv[both]))
+        return terms
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(21)
+        p, q = random_mixture(rng), random_mixture(rng)
+        cut = p.values.copy()
+        cut[: N // 3] = 0.0
+        return [(p, q), (normalize(from_samples([LO], [HI], (N,), cut)), q)]
+
+    def test_matches_gather_and_scatter(self, pairs):
+        for p, q in pairs:
+            pv, qv = p.values, q.values
+            grid = p.grid
+            assert D.kl(p, q) == grid.integral(self.gathered(pv, qv, "kl"))
+            assert D.entropy(p) == -grid.integral(self.gathered(pv, qv, "entropy"))
+            assert D.cross_entropy(p, q) == -grid.integral(self.gathered(pv, qv, "cross-entropy"))
+            assert D.pearson_chi2(p, q) == grid.integral(self.gathered(pv, qv, "pearson"))
+            for alpha in (0.5, 2.0):
+                integral = grid.integral(self.gathered(pv, qv, alpha))
+                assert D.alpha_div(p, q, alpha) == (integral - 1.0) / (alpha * (alpha - 1.0))
 
 
 class TestQuadraticDistances:
@@ -209,3 +260,6 @@ class TestDispatcher:
             D.DivergenceSpec(D.DivergenceKind.ALPHA, alpha=1.0)
         with pytest.raises(ValueError):
             D.DivergenceSpec(D.DivergenceKind.CHI_DISTANCE)
+        for alpha in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                D.DivergenceSpec(D.DivergenceKind.REVERSE_ALPHA, alpha=alpha)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from pdffusion.errors import (
     GridMismatchError,
     NotNormalizedError,
 )
+from pdffusion.gaussian import Gaussian, to_grid
 from pdffusion.grid import (
     Grid,
     GridDensity,
@@ -22,6 +26,7 @@ from pdffusion.grid import (
     moments,
     normalize,
 )
+from pdffusion.pooling import holder_pool
 
 INV_SQRT_2PI = 0.3989422804014327
 INV_2PI = 0.15915494309189535
@@ -102,6 +107,112 @@ class TestConstruction:
             GridDensity(UNIT, np.full(32, 3.0), normalized=True)
 
 
+def _readonly(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+class TestOwnership:
+    """A density adopts a read-only, owned, C-contiguous float64 array of grid
+    shape without a copy, and copies every other input."""
+
+    GRID = Grid([0.0, 0.0], [1.0, 2.0], (16, 24))
+
+    def test_writable_caller_array_is_copied(self):
+        vals = np.ones(self.GRID.shape)
+        d = GridDensity(self.GRID, vals)
+        vals[0, 0] = 5.0
+        assert d.values[0, 0] == 1.0
+        assert not np.shares_memory(d.values, vals)
+        assert not d.values.flags.writeable
+
+    def test_readonly_owned_array_is_adopted(self):
+        vals = _readonly(np.ones(self.GRID.shape))
+        d = GridDensity(self.GRID, vals)
+        assert d.values is vals
+        assert np.shares_memory(d.values, vals)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda shape: np.ones((2,) + shape)[0], id="view"),
+            pytest.param(lambda shape: np.ones(shape, dtype=np.float32), id="float32"),
+            pytest.param(lambda shape: np.ones(shape[0] * shape[1]), id="flat"),
+            pytest.param(lambda shape: np.ones(shape, order="F"), id="fortran-order"),
+        ],
+    )
+    def test_other_readonly_arrays_are_copied(self, make):
+        vals = _readonly(make(self.GRID.shape))
+        d = GridDensity(self.GRID, vals)
+        assert not np.shares_memory(d.values, vals)
+        assert d.values.dtype == np.float64 and d.values.shape == self.GRID.shape
+        assert d.values.flags.c_contiguous and not d.values.flags.writeable
+        np.testing.assert_array_equal(d.values, np.ones(self.GRID.shape))
+
+    @pytest.mark.parametrize("adopt", [False, True], ids=["copied", "adopted"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({3: np.nan}, "density values must be finite"),
+            ({3: np.inf}, "density values must be finite"),
+            ({3: -np.inf}, "density values must be finite"),
+            ({3: -1e-12}, "density values must be nonnegative"),
+            ({3: -np.inf, 7: -1.0}, "density values must be finite"),
+            ({3: -1.0, 7: -np.inf}, "density values must be finite"),
+            ({3: np.nan, 7: -1.0}, "density values must be finite"),
+            ({3: -1.0, 7: np.nan}, "density values must be finite"),
+        ],
+    )
+    def test_bad_values_raise_as_before(self, bad, message, adopt):
+        vals = np.ones(32)
+        for i, v in bad.items():
+            vals[i] = v
+        if adopt:
+            _readonly(vals)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GridDensity(UNIT, vals)
+
+
+def _peak_over_output(fn) -> float:
+    """Traced peak allocation of ``fn()`` over the bytes of the density it returns."""
+    fn()  # caches and lazy set-up are not what is measured
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak / out.values.nbytes
+
+
+class TestAllocationBudget:
+    """Peak memory of the 257x257 kernels, in multiples of their output.
+
+    tracemalloc sees numpy's data buffers. The lean kernels write each
+    full-grid result once: to_grid peaks at 2 outputs (the log-density,
+    exponentiated in place, and the normalized copy), normalize at 1, and a
+    two-agent Holder pool at 5.
+    """
+
+    G = Gaussian([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]])
+    H = Gaussian([-0.5, 0.4], [[1.5, -0.3], [-0.3, 0.9]])
+
+    def test_to_grid(self):
+        assert _peak_over_output(lambda: to_grid(self.G)) <= 2.5
+
+    def test_normalize(self):
+        d = to_grid(self.G)
+        raw = GridDensity(d.grid, d.values * 3.0)
+        assert _peak_over_output(lambda: normalize(raw)) <= 1.5
+
+    def test_holder_pool_of_two(self):
+        a = to_grid(self.G)
+        b = to_grid(self.H, a.grid.lower, a.grid.upper, a.grid.shape)
+        prof = OpinionProfile((a, b))
+        assert _peak_over_output(lambda: holder_pool(prof, [0.4, 0.6], 2.0)) <= 7.0
+
+
 class TestGrid:
     def test_equal_grids_compare_and_hash_alike(self):
         a = Grid([0.0, -1.0], [1.0, 2.0], (16, 24))
@@ -131,6 +242,22 @@ class TestGrid:
         assert g.integral(x, x) == float(np.sum(g.quad_weights * x * x))
         left = x <= 0.5
         assert g.integral(x, where=left) == float(np.sum(g.quad_weights[left] * x[left]))
+
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    def test_2d_integral_contracts_one_axis_at_a_time(self, n_factors):
+        g = Grid([0.0, -1.0], [1.0, 2.0], (257, 129))
+        rng = np.random.default_rng(n_factors)
+        factors = [rng.lognormal(size=g.shape) for _ in range(n_factors)]
+        full = float(np.sum(g.quad_weights * np.prod(factors, axis=0)))
+        assert g.integral(*factors) == pytest.approx(full, rel=1e-15, abs=0.0)
+
+    def test_2d_masked_integral_is_the_masked_sum_bit_for_bit(self):
+        g = Grid([0.0, -1.0], [1.0, 2.0], (257, 129))
+        rng = np.random.default_rng(11)
+        a, b = rng.lognormal(size=(2,) + g.shape)
+        mask = rng.random(g.shape) < 0.6
+        masked_sum = float(np.sum(g.quad_weights[mask] * a[mask] * b[mask]))
+        assert g.integral(a, b, where=mask) == masked_sum
 
     def test_marginals_integrate_out_the_other_axis(self):
         g = Grid([0.0, -1.0], [1.0, 2.0], (16, 24))

@@ -139,6 +139,11 @@ class TestHolderPool:
         with pytest.raises(ValueError):
             P.holder_pool(mirror_pair, [0.5, 0.5], 1e-9)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_alpha_rejected_at_entry(self, mirror_pair, alpha):
+        with pytest.raises(ValueError, match="Holder exponent must be finite"):
+            P.holder_pool(mirror_pair, [0.5, 0.5], alpha)
+
     def test_alpha_two_keeps_two_modes(self, mirror_pair):
         fused = P.holder_pool(mirror_pair, [0.5, 0.5], 2.0)
         v = fused.values
@@ -282,6 +287,11 @@ class TestChiTransformPool:
         with pytest.raises(ValueError):
             P.ChiTransform(P.ChiKind.LOG, 2.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_power_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="finite alpha"):
+            P.ChiTransform(P.ChiKind.POWER, alpha)
+
 
 class TestPoolingInvariants:
     KINDS = [
@@ -307,6 +317,68 @@ class TestPoolingInvariants:
             order = [2, 0, 1]
             permuted = fn(prof.permuted(order), w[order])
             assert np.max(np.abs(base.values - permuted.values)) < 1e-12
+
+
+def _grid2(mu, cov, n=65):
+    return to_grid(Gaussian(mu, cov), [-7.0, -7.0], [7.0, 7.0], (n, n))
+
+
+class TestNoAliasing:
+    """The kernels work in place in the profile's fresh stack and in their own
+    output; none of it may reach a member, ``q0`` or a later call."""
+
+    RULES = {
+        "linear": lambda prof, q0: P.linear_pool(prof, [0.2, 0.5, 0.3]),
+        "generalized-linear": lambda prof, q0: P.linear_pool(prof, [0.1, 0.3, 0.2], q0=q0, w0=0.4),
+        "log-linear": lambda prof, q0: P.log_linear_pool(prof, [0.2, 0.5, 0.3]),
+        "generalized-log-linear": lambda prof, q0: P.log_linear_pool(
+            prof, [0.2, 0.5, 0.3], xi0=q0.values
+        ),
+        "holder-2": lambda prof, q0: P.holder_pool(prof, [0.2, 0.5, 0.3], 2.0),
+        "holder--0.5": lambda prof, q0: P.holder_pool(prof, [0.2, 0.5, 0.3], -0.5),
+        "multiplicative": lambda prof, q0: P.multiplicative_pool(prof, q0),
+        "generalized-multiplicative": lambda prof, q0: P.multiplicative_pool(
+            prof, q0, [0.5, -0.3, 1.2]
+        ),
+        "chi-sqrt": lambda prof, q0: P.chi_transform_pool(
+            prof, [0.2, 0.5, 0.3], P.ChiTransform(P.ChiKind.POWER, 0.5)
+        ),
+        "bayes-update": lambda prof, q0: P.bayes_update(prof.densities[0], q0.values),
+    }
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["1d", "2d"])
+    def profile_and_q0(self, request):
+        if request.param == 1:
+            members = (gauss_grid(-1.0, 1.0), gauss_grid(0.5, 2.0), gauss_grid(1.5, 0.7))
+            return OpinionProfile(members), gauss_grid(0.0, 3.0)
+        members = (
+            _grid2([-1.0, 0.5], [[1.0, 0.3], [0.3, 1.5]]),
+            _grid2([0.5, -0.5], [[2.0, -0.4], [-0.4, 1.0]]),
+            _grid2([0.0, 1.0], [[1.2, 0.0], [0.0, 0.8]]),
+        )
+        return OpinionProfile(members), _grid2([0.0, 0.0], [[3.0, 0.5], [0.5, 3.0]])
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_pooling_leaves_inputs_alone(self, profile_and_q0, rule):
+        prof, q0 = profile_and_q0
+        inputs = [q.values for q in prof.densities] + [q0.values]
+        before = [v.copy() for v in inputs]
+        first = self.RULES[rule](prof, q0)
+        second = self.RULES[rule](prof, q0)
+        assert first.values.tobytes() == second.values.tobytes()
+        for v, b in zip(inputs, before):
+            assert v.tobytes() == b.tobytes()
+            assert not np.shares_memory(first.values, v)
+        assert not first.values.flags.writeable
+        assert not np.shares_memory(first.values, second.values)
+
+    def test_profile_values_is_a_fresh_writable_stack(self, profile_and_q0):
+        prof, _ = profile_and_q0
+        stack = prof.values
+        assert stack.flags.writeable
+        assert not np.shares_memory(stack, prof.values)
+        for q in prof.densities:
+            assert not np.shares_memory(stack, q.values)
 
 
 class TestDispatcher:
