@@ -20,7 +20,7 @@ import numpy as np
 from . import grid as gridmod
 from .errors import UnsupportedAxiomError
 from .grid import Grid, GridDensity, OpinionProfile, event_probability
-from .pooling import ChiKind, PoolingKind, PoolingSpec, bayes_update, pool
+from .pooling import PoolingKind, PoolingSpec, bayes_update, fields_read, pool
 
 DEFAULT_TOL = 1e-6
 DEFAULT_TRIALS = 100
@@ -118,25 +118,6 @@ def expected_matrix() -> dict[tuple[PoolingKind, Axiom], AxiomStatus]:
 # axioms about independence or factorization need a 2-D state space
 _TWO_DIM_AXIOMS = (Axiom.A8, Axiom.A9)
 
-_ZERO_EVENT_UNSAFE = frozenset(
-    {
-        PoolingKind.LOG_LINEAR,
-        PoolingKind.GENERALIZED_LOG_LINEAR,
-        PoolingKind.HOLDER,
-        PoolingKind.INVERSE_LINEAR,
-        PoolingKind.MULTIPLICATIVE,
-        PoolingKind.GENERALIZED_MULTIPLICATIVE,
-    }
-)
-
-
-def _zero_events_unsupported(spec: PoolingSpec) -> bool:
-    if spec.kind in _ZERO_EVENT_UNSAFE:
-        return True
-    if spec.kind is PoolingKind.CHI_TRANSFORM:
-        return spec.chi is not None and spec.chi.needs_positive
-    return False
-
 
 def _agent_count(spec: PoolingSpec) -> int:
     if spec.weights is not None:
@@ -150,6 +131,15 @@ def _l1(template: Grid, a: GridDensity, b: GridDensity) -> float:
     return template.integral(np.abs(a.values - b.values))
 
 
+def _bump(x: np.ndarray, c: float, s: float) -> np.ndarray:
+    """Unnormalized Gaussian bump of center ``c`` and width ``s``."""
+    return np.exp(-0.5 * ((x - c) / s) ** 2)
+
+
+def _density(template: Grid, vals: np.ndarray) -> GridDensity:
+    return gridmod.normalize(GridDensity(template, vals))
+
+
 def _mixture_on_axis(rng, x: np.ndarray) -> np.ndarray:
     """Unnormalized 1-3 component Gaussian mixture, strictly positive on x."""
     n = int(rng.integers(1, 4))
@@ -159,7 +149,7 @@ def _mixture_on_axis(rng, x: np.ndarray) -> np.ndarray:
     sds = rng.uniform(0.3, 1.5, size=n)
     vals = np.zeros_like(x)
     for cw, m, s in zip(comp_w, means, sds):
-        vals += cw * np.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        vals += cw * _bump(x, m, s) / (s * math.sqrt(2.0 * math.pi))
     return vals
 
 
@@ -168,22 +158,19 @@ def _random_density(rng, template: Grid, broad: bool = False) -> GridDensity:
         vals = _mixture_on_axis(rng, template.axes[0])
         if broad:
             # flatten toward a wide single bump so negative exponents stay tame
-            x = template.axes[0]
-            s = rng.uniform(1.0, 1.5)
-            m = rng.uniform(-2.0, 2.0)
-            vals = np.exp(-0.5 * ((x - m) / s) ** 2)
+            s, m = rng.uniform(1.0, 1.5), rng.uniform(-2.0, 2.0)
+            vals = _bump(template.axes[0], m, s)
     else:
         x1, x2 = template.axes
         if broad:
             s1, s2 = rng.uniform(1.0, 1.5, size=2)
             m1, m2 = rng.uniform(-2.0, 2.0, size=2)
-            f = np.exp(-0.5 * ((x1 - m1) / s1) ** 2)
-            g = np.exp(-0.5 * ((x2 - m2) / s2) ** 2)
+            f, g = _bump(x1, m1, s1), _bump(x2, m2, s2)
         else:
             f = _mixture_on_axis(rng, x1)
             g = _mixture_on_axis(rng, x2)
         vals = np.outer(f, g)
-    return gridmod.normalize(GridDensity(template, vals))
+    return _density(template, vals)
 
 
 def _random_profile(rng, K: int, template: Grid) -> OpinionProfile:
@@ -196,7 +183,7 @@ def _random_xi0(rng, template: Grid) -> np.ndarray:
     def axis_part(x):
         c = rng.uniform(-3.0, 3.0)
         s = rng.uniform(0.8, 2.0)
-        return 0.3 + rng.uniform(0.5, 1.5) * np.exp(-0.5 * ((x - c) / s) ** 2)
+        return 0.3 + rng.uniform(0.5, 1.5) * _bump(x, c, s)
 
     if template.dims == 1:
         return axis_part(template.axes[0])
@@ -212,18 +199,11 @@ def _with_companions(spec: PoolingSpec, rng, template: Grid) -> PoolingSpec:
     claims are about the agents, not the companion).
     """
     updates = {}
-    if spec.kind in (
-        PoolingKind.GENERALIZED_LINEAR,
-        PoolingKind.MULTIPLICATIVE,
-        PoolingKind.DOGMATIC,
-    ):
-        updates["q0"] = _random_density(rng, template)
-    elif spec.kind is PoolingKind.GENERALIZED_MULTIPLICATIVE:
-        updates["q0"] = _random_density(rng, template, broad=True)
-    elif spec.kind is PoolingKind.GENERALIZED_LOG_LINEAR:
+    if "q0" in fields_read(spec.kind):
+        broad = spec.kind is PoolingKind.GENERALIZED_MULTIPLICATIVE
+        updates["q0"] = _random_density(rng, template, broad=broad)
+    if "xi0" in fields_read(spec.kind):
         updates["xi0"] = _random_xi0(rng, template)
-    if not updates:
-        return spec
     return dataclasses.replace(spec, **updates)
 
 
@@ -253,25 +233,25 @@ def _disjoint_cell_pair(rng, ncells: int) -> tuple[np.ndarray, np.ndarray]:
     raise RuntimeError("could not draw disjoint events")
 
 
-def _masses(profile: OpinionProfile, cells: np.ndarray) -> np.ndarray:
-    return np.array([event_probability(q, cells) for q in profile.densities])
+def _with_event_mass(template: Grid, cand: GridDensity, events, target: float) -> GridDensity:
+    """Node scaling that gives each of the disjoint ``events`` mass ``target``, total one.
 
-
-def _scaled_to_mass(
-    template: Grid, cand: GridDensity, cells: np.ndarray, nodes, target: float
-):
-    """Two-level node scaling: event mass becomes ``target``, total stays one.
-
-    ``target`` must not exceed the candidate's current event mass; scaling
-    down inside the event and up outside keeps every value positive.
+    ``target`` must not exceed any event's current mass; scaling down inside
+    the events and up outside them keeps every value positive.
     """
-    a = target / event_probability(cand, cells)
-    covered = template.integral(cand.values, where=nodes)
-    b = (1.0 - a * covered) / (1.0 - covered)
     vals = cand.values.copy()
-    vals[nodes] *= a
-    vals[~nodes] *= b
-    return gridmod.normalize(GridDensity(template, vals))
+    rest = np.ones(vals.shape, dtype=bool)
+    outside = outside_target = 1.0
+    for cells in events:
+        nodes = _nodes_of_cells_1d(cells)
+        scale = target / event_probability(cand, cells)
+        covered = template.integral(cand.values, where=nodes)
+        outside_target -= scale * covered
+        outside -= covered
+        vals[nodes] *= scale
+        rest &= ~nodes
+    vals[rest] *= outside_target / outside
+    return _density(template, vals)
 
 
 def _matched_mass_pair(
@@ -282,40 +262,23 @@ def _matched_mass_pair(
     Each agent's pair is built from two independent draws downscaled to a
     common event mass, so the construction never needs a retry.
     """
-    nodes = _nodes_of_cells_1d(cells)
     first, second = [], []
     for _ in range(K):
         one = _random_density(rng, template)
         two = _random_density(rng, template)
         target = 0.5 * min(event_probability(one, cells), event_probability(two, cells))
-        first.append(_scaled_to_mass(template, one, cells, nodes, target))
-        second.append(_scaled_to_mass(template, two, cells, nodes, target))
+        first.append(_with_event_mass(template, one, [cells], target))
+        second.append(_with_event_mass(template, two, [cells], target))
     return OpinionProfile(tuple(first)), OpinionProfile(tuple(second))
 
 
-def _equalized_two_events(
-    rng, template: Grid, cells_a: np.ndarray, cells_b: np.ndarray, K: int
-) -> OpinionProfile:
-    """A profile giving every agent identical mass on two disjoint events."""
-    nodes_a = _nodes_of_cells_1d(cells_a)
-    nodes_b = _nodes_of_cells_1d(cells_b)
-    rest = ~(nodes_a | nodes_b)
+def _equalized_profile(rng, template: Grid, events, K: int) -> OpinionProfile:
+    """A profile giving every agent identical mass on each of the disjoint ``events``."""
     members = []
     for _ in range(K):
         cand = _random_density(rng, template)
-        ma = event_probability(cand, cells_a)
-        mb = event_probability(cand, cells_b)
-        target = 0.5 * min(ma, mb)
-        a = target / ma
-        c = target / mb
-        ja = template.integral(cand.values, where=nodes_a)
-        jb = template.integral(cand.values, where=nodes_b)
-        b = (1.0 - a * ja - c * jb) / (1.0 - ja - jb)
-        vals = cand.values.copy()
-        vals[nodes_a] *= a
-        vals[nodes_b] *= c
-        vals[rest] *= b
-        members.append(gridmod.normalize(GridDensity(template, vals)))
+        target = 0.5 * min(event_probability(cand, cells) for cells in events)
+        members.append(_with_event_mass(template, cand, events, target))
     return OpinionProfile(tuple(members))
 
 
@@ -328,7 +291,7 @@ def _random_likelihood(rng, x: np.ndarray) -> np.ndarray:
     else:
         c = rng.uniform(-3.0, 3.0)
         s = rng.uniform(0.5, 2.0)
-        ell = 0.3 + rng.uniform(0.5, 2.0) * np.exp(-0.5 * ((x - c) / s) ** 2)
+        ell = 0.3 + rng.uniform(0.5, 2.0) * _bump(x, c, s)
     return ell
 
 
@@ -365,7 +328,7 @@ def _trial_zero_preservation(spec, rng, template, K):
         cand = _random_density(rng, template)
         vals = cand.values.copy()
         vals[nodes] = 0.0
-        members.append(gridmod.normalize(GridDensity(template, vals)))
+        members.append(_density(template, vals))
     profile = OpinionProfile(tuple(members))
     s = _with_companions(spec, rng, template)
     v = abs(event_probability(pool(s, profile), cells))
@@ -388,7 +351,7 @@ def _event_function_residual(spec, rng, template, K, cross_events: bool):
     parts = []
 
     # constructive anchors where the combining function is known in closed form
-    agent_masses = _masses(profile, cells)
+    agent_masses = np.array([event_probability(q, cells) for q in profile.densities])
     if spec.kind is PoolingKind.LINEAR:
         parts.append(abs(fused_mass - float(np.dot(spec.weights, agent_masses))))
     elif spec.kind is PoolingKind.DICTATORSHIP:
@@ -412,7 +375,7 @@ def _event_function_residual(spec, rng, template, K, cross_events: bool):
 
     if cross_events:
         cells_a, cells_b = _disjoint_cell_pair(rng, template.shape[0] - 1)
-        both = _equalized_two_events(rng, template, cells_a, cells_b, K)
+        both = _equalized_profile(rng, template, [cells_a, cells_b], K)
         fused = pool(s, both)
         parts.append(
             abs(event_probability(fused, cells_a) - event_probability(fused, cells_b))
@@ -436,9 +399,7 @@ def _trial_local_values(spec, rng, template, K):
     for _ in range(40):
         probes = _pick_probes(rng, template.shape[0], 2 * PROBE_PAIRS)
         src, dst = probes[:PROBE_PAIRS], probes[PROBE_PAIRS:]
-        c_bump = rng.uniform(-2.0, 2.0)
-        s_bump = rng.uniform(1.5, 3.0)
-        bump = np.exp(-0.5 * ((x - c_bump) / s_bump) ** 2)
+        bump = _bump(x, rng.uniform(-2.0, 2.0), rng.uniform(1.5, 3.0))
         bump[probes] = 0.0
         members = []
         for q in _random_profile(rng, K, template).densities:
@@ -446,21 +407,37 @@ def _trial_local_values(spec, rng, template, K):
             vals[dst] = vals[src]
             deficit = 1.0 - template.integral(vals)
             denom = template.integral(vals, bump)
-            if abs(denom) < 1e-9:
-                members = None
+            if abs(denom) < 1e-9 or abs(deficit / denom) * float(bump.max()) >= 0.9:
                 break
-            scale = deficit / denom
-            if abs(scale) * float(bump.max()) >= 0.9:
-                members = None
-                break
-            members.append(gridmod.normalize(GridDensity(template, vals * (1.0 + scale * bump))))
-        if members is not None:
+            members.append(_density(template, vals * (1.0 + deficit / denom * bump)))
+        else:
             break
-    if members is None:
+    else:
         return 0.0, "no admissible probe construction"
     fused = pool(s, OpinionProfile(tuple(members))).values
     v = max(_rel_diff(float(fused[a]), float(fused[b])) for a, b in zip(src, dst))
     return v, f"fused values differ by {v:.3g} at states where all agents agree"
+
+
+def _modulated(template: Grid, base: OpinionProfile, b1, b2) -> list[GridDensity] | None:
+    """Members q (1 + amp b1 + t b2), t keeping each integral, at the largest amp of
+    0.25, 0.125, ... above 1e-3 that keeps every factor above 0.1; None if none does."""
+    amp = 0.25
+    while amp > 1e-3:
+        members = []
+        for q in base.densities:
+            denom = template.integral(q.values, b2)
+            if abs(denom) < 1e-9:
+                break
+            t = -amp * template.integral(q.values, b1) / denom
+            mod = 1.0 + amp * b1 + t * b2
+            if mod.min() <= 0.1:
+                break
+            members.append(_density(template, q.values * mod))
+        else:
+            return members
+        amp *= 0.5
+    return None
 
 
 def _trial_local_values_two_profiles(spec, rng, template, K):
@@ -472,31 +449,12 @@ def _trial_local_values_two_profiles(spec, rng, template, K):
         probes = _pick_probes(rng, template.shape[0], PROBE_PAIRS)
         c1, c2 = rng.uniform(-3.0, 3.0, size=2)
         s1, s2 = rng.uniform(0.8, 2.0, size=2)
-        b1 = np.exp(-0.5 * ((x - c1) / s1) ** 2)
-        b2 = np.exp(-0.5 * ((x - c2) / s2) ** 2)
-        b1[probes] = 0.0
-        b2[probes] = 0.0
-        amp = 0.25
-        members = []
-        while amp > 1e-3:
-            members = []
-            for q in base.densities:
-                denom = template.integral(q.values, b2)
-                if abs(denom) < 1e-9:
-                    members = None
-                    break
-                t = -amp * template.integral(q.values, b1) / denom
-                mod = 1.0 + amp * b1 + t * b2
-                if mod.min() <= 0.1:
-                    members = None
-                    break
-                members.append(gridmod.normalize(GridDensity(template, q.values * mod)))
-            if members is not None:
-                break
-            amp *= 0.5
-        if members:
+        b1, b2 = _bump(x, c1, s1), _bump(x, c2, s2)
+        b1[probes] = b2[probes] = 0.0
+        members = _modulated(template, base, b1, b2)
+        if members is not None:
             break
-    if not members:
+    else:
         return 0.0, "no admissible modulation found"
     fused_base = pool(s, base).values[probes]
     fused_mod = pool(s, OpinionProfile(tuple(members))).values[probes]
@@ -541,27 +499,23 @@ def _updated(profile: OpinionProfile, ells) -> OpinionProfile:
     return OpinionProfile(tuple(bayes_update(q, e) for q, e in zip(profile.densities, ells)))
 
 
-def _trial_common_update(spec, rng, template, K):
+def _trial_update(spec, rng, template, K, single_agent: bool):
+    """Updating every agent (A10) or one random agent (A11) by a likelihood
+    should equal updating the pool by it."""
     s = _with_companions(spec, rng, template)
     profile = _random_profile(rng, K, template)
     ell = _random_likelihood(rng, template.axes[0])
-    after = pool(s, _updated(profile, [ell] * K))
-    before = bayes_update(pool(s, profile), ell)
-    v = _l1(template, after, before)
-    return v, f"update-then-pool vs pool-then-update differ by L1 {v:.3g}"
-
-
-def _trial_single_agent_update(spec, rng, template, K):
-    s = _with_companions(spec, rng, template)
-    profile = _random_profile(rng, K, template)
-    ell = _random_likelihood(rng, template.axes[0])
-    j = int(rng.integers(K))
-    ells = [np.ones(template.shape[0]) for _ in range(K)]
-    ells[j] = ell
+    ells = [ell] * K
+    detail = "update-then-pool vs pool-then-update differ by L1"
+    if single_agent:
+        j = int(rng.integers(K))
+        ells = [np.ones(template.shape[0])] * K
+        ells[j] = ell
+        detail = f"agent {j + 1} update propagated with L1 error"
     after = pool(s, _updated(profile, ells))
     before = bayes_update(pool(s, profile), ell)
     v = _l1(template, after, before)
-    return v, f"agent {j + 1} update propagated with L1 error {v:.3g}"
+    return v, f"{detail} {v:.3g}"
 
 
 def _combined_likelihood(spec: PoolingSpec, ells) -> np.ndarray | None:
@@ -613,8 +567,8 @@ _TRIALS = {
     Axiom.A7: _trial_local_values_two_profiles,
     Axiom.A8: _trial_independence,
     Axiom.A9: _trial_factorization,
-    Axiom.A10: _trial_common_update,
-    Axiom.A11: _trial_single_agent_update,
+    Axiom.A10: functools.partial(_trial_update, single_agent=False),
+    Axiom.A11: functools.partial(_trial_update, single_agent=True),
     Axiom.A12: _trial_fused_likelihood,
 }
 
@@ -650,15 +604,19 @@ def check_axiom(
     ValueError
         Unless trials >= 1 and tol is finite and nonnegative.
     UnsupportedAxiomError
-        For zero-probability-event checks against rules that require a
-        strictly positive profile.
+        Where the expected matrix says n.a. (zero-probability events against
+        rules needing a positive profile), and for A2 against such a transform.
     """
     axiom = Axiom(axiom) if not isinstance(axiom, Axiom) else axiom
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    if axiom is Axiom.A2 and _zero_events_unsupported(spec):
+    if spec.kind is PoolingKind.CHI_TRANSFORM:
+        unsupported = axiom is Axiom.A2 and spec.chi is not None and spec.chi.needs_positive
+    else:
+        unsupported = expected_matrix()[(spec.kind, axiom)] is AxiomStatus.NOT_APPLICABLE
+    if unsupported:
         raise UnsupportedAxiomError(
             f"{spec.kind.value} pooling requires a strictly positive profile; "
             "zero-probability events cannot arise"

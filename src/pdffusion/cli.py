@@ -31,13 +31,11 @@ from .errors import (
     RankError,
     SingularityError,
 )
-from .fileio import read_density_csv, read_gaussian_json, read_model_json, write_density_csv
+from .fileio import FLOAT_FMT, read_density_csv, read_gaussian_json, read_model_json, write_density_csv
 from .gaussian import Gaussian, common_grid
 from .grid import OpinionProfile, moments
 from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, pool
 from .supra import local_statistics, private_shared_model, vector_fusion
-
-FLOAT_FMT = "%.17g"
 
 _NUMERICAL = (DegenerateError, SingularityError, BoundednessError, RankError)
 
@@ -92,6 +90,8 @@ def _load_on_common_grid(paths, *loaded):
 
 def _chi_from_flags(chi: str | None, chi_alpha: float | None) -> ChiTransform | None:
     if chi is None:
+        if chi_alpha is not None:
+            raise ValueError("--chi-alpha requires --chi power")
         return None
     kind = ChiKind(chi)
     if kind is ChiKind.POWER:
@@ -194,7 +194,8 @@ def divergence_cmd(kind, alpha, chi, chi_alpha, inputs):
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @wrap_errors
 def weights_cmd(method, criterion, max_iter, tol, inputs):
-    """Select pooling weights; prints a WeightResult as JSON."""
+    """Select pooling weights; prints a WeightResult as JSON. min-kld weights are fixed
+    only to --tol: their trailing digits follow summation order and are not byte-stable."""
     if method == "ci":
         gaussians = [read_gaussian_json(p) for p in inputs]
         result = wmod.ci_weights(

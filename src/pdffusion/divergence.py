@@ -25,7 +25,7 @@ import numpy as np
 from . import gaussian as gaussmod
 from .errors import NotNormalizedError, PositivityError, SupportError
 from .grid import GridDensity
-from .pooling import ChiKind, ChiTransform
+from .pooling import ChiKind, ChiTransform, check_fields
 
 
 class DivergenceKind(enum.Enum):
@@ -40,16 +40,16 @@ class DivergenceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DivergenceSpec:
+    """A divergence by kind, with exactly the fields that kind reads set."""
+
     kind: DivergenceKind
     alpha: float | None = None
     chi: ChiTransform | None = None
 
     def __post_init__(self):
-        required = _DISPATCH[self.kind][0]
-        for field in required:
-            if getattr(self, field) is None:
-                raise ValueError(f"{self.kind.value} divergence requires {field}")
-        if "alpha" in required:
+        reads = _DISPATCH[self.kind][0]
+        check_fields(self, reads, "divergence")
+        if "alpha" in reads:
             _check_alpha(self.alpha)
 
 
@@ -222,7 +222,7 @@ def cross_entropy(p, q) -> float:
     return -p.grid.integral(terms)
 
 
-# kind -> (spec fields the kind cannot run without, call)
+# kind -> (spec fields the kind reads, call)
 _DISPATCH = {
     DivergenceKind.KL: ((), lambda s, p, q: kl(p, q)),
     DivergenceKind.REVERSE_KL: ((), lambda s, p, q: reverse_kl(p, q)),

@@ -13,7 +13,7 @@ tails near 1e-300 do not underflow before they can cancel.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,8 +87,9 @@ class ChiTransform:
 
 @dataclass(frozen=True)
 class PoolingSpec:
-    """Declarative description of a pooling rule, used by the axiom harness
-    and the command line front end."""
+    """Declarative description of a pooling rule, used by the axiom harness and
+    the command line front end. `pool` raises ValueError unless the spec sets
+    exactly the optional fields its kind reads (`fields_read`)."""
 
     kind: PoolingKind
     weights: np.ndarray | None = None
@@ -288,26 +289,37 @@ def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> G
     return holder_pool(profile, weights, chi.alpha)
 
 
-# kind -> (spec fields the kind cannot run without, call)
+# kind -> (spec fields the kind reads, call)
 _DISPATCH = {
-    PoolingKind.LINEAR: ((), lambda s, p: linear_pool(p, s.weights)),
-    PoolingKind.GENERALIZED_LINEAR: ((), lambda s, p: linear_pool(p, s.weights, q0=s.q0, w0=s.w0)),
-    PoolingKind.LOG_LINEAR: ((), lambda s, p: log_linear_pool(p, s.weights)),
-    PoolingKind.GENERALIZED_LOG_LINEAR: ((), lambda s, p: log_linear_pool(p, s.weights, xi0=s.xi0)),
-    PoolingKind.HOLDER: (("alpha",), lambda s, p: holder_pool(p, s.weights, s.alpha)),
-    PoolingKind.INVERSE_LINEAR: ((), lambda s, p: inverse_linear_pool(p, s.weights)),
+    PoolingKind.LINEAR: (("weights",), lambda s, p: linear_pool(p, s.weights)),
+    PoolingKind.GENERALIZED_LINEAR: (("weights", "q0", "w0"), lambda s, p: linear_pool(p, s.weights, q0=s.q0, w0=s.w0)),
+    PoolingKind.LOG_LINEAR: (("weights",), lambda s, p: log_linear_pool(p, s.weights)),
+    PoolingKind.GENERALIZED_LOG_LINEAR: (("weights", "xi0"), lambda s, p: log_linear_pool(p, s.weights, xi0=s.xi0)),
+    PoolingKind.HOLDER: (("weights", "alpha"), lambda s, p: holder_pool(p, s.weights, s.alpha)),
+    PoolingKind.INVERSE_LINEAR: (("weights",), lambda s, p: inverse_linear_pool(p, s.weights)),
     PoolingKind.MULTIPLICATIVE: (("q0",), lambda s, p: multiplicative_pool(p, s.q0)),
-    PoolingKind.GENERALIZED_MULTIPLICATIVE: (("q0",), lambda s, p: multiplicative_pool(p, s.q0, s.weights)),
+    PoolingKind.GENERALIZED_MULTIPLICATIVE: (("weights", "q0"), lambda s, p: multiplicative_pool(p, s.q0, s.weights)),
     PoolingKind.DICTATORSHIP: (("dictator",), lambda s, p: dictatorship_pool(p, s.dictator)),
     PoolingKind.DOGMATIC: (("q0",), lambda s, p: dogmatic_pool(p, s.q0)),
-    PoolingKind.CHI_TRANSFORM: (("chi",), lambda s, p: chi_transform_pool(p, s.weights, s.chi)),
+    PoolingKind.CHI_TRANSFORM: (("weights", "chi"), lambda s, p: chi_transform_pool(p, s.weights, s.chi)),
 }
+
+
+def fields_read(kind: PoolingKind) -> tuple[str, ...]:
+    """The optional `PoolingSpec` fields that pooling of this kind reads."""
+    return _DISPATCH[kind][0]
+
+
+def check_fields(spec, reads: tuple[str, ...], rule: str) -> None:
+    """Raise ValueError unless ``spec`` sets exactly the optional fields in ``reads``."""
+    for field in fields(spec)[1:]:  # every field but kind
+        if (getattr(spec, field.name) is None) == (field.name in reads):
+            verb = "requires" if field.name in reads else "does not take"
+            raise ValueError(f"{spec.kind.value} {rule} {verb} {field.name}")
 
 
 def pool(spec: PoolingSpec, profile: OpinionProfile) -> GridDensity:
     """Apply a declaratively specified pooling rule to a profile."""
-    required, call = _DISPATCH[spec.kind]
-    for field in required:
-        if getattr(spec, field) is None:
-            raise ValueError(f"{spec.kind.value} pooling requires {field}")
+    reads, call = _DISPATCH[spec.kind]
+    check_fields(spec, reads, "pooling")
     return call(spec, profile)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pdffusion import axioms
 from pdffusion.axioms import (
     Axiom,
     AxiomCheckReport,
@@ -12,6 +13,7 @@ from pdffusion.axioms import (
     expected_matrix,
 )
 from pdffusion.errors import UnsupportedAxiomError
+from pdffusion.grid import event_probability, integrate
 from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec
 
 TRIALS = 25
@@ -163,6 +165,26 @@ class TestZeroEvents:
             chi=ChiTransform(ChiKind.IDENTITY),
         )
         assert check_axiom(identity, Axiom.A2, trials=10, seed=4).passed
+
+
+class TestEventMassScaling:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("two_events", [False, True], ids=["one-event", "two-events"])
+    def test_each_event_gets_the_target_mass(self, seed, two_events):
+        rng = np.random.default_rng(seed)
+        template = axioms.GRID_1D
+        ncells = template.shape[0] - 1
+        if two_events:
+            events = list(axioms._disjoint_cell_pair(rng, ncells))
+        else:
+            events = [axioms._random_cells_1d(rng, ncells)]
+        cand = axioms._random_density(rng, template)
+        target = 0.5 * min(event_probability(cand, cells) for cells in events)
+        scaled = axioms._with_event_mass(template, cand, events, target)
+        for cells in events:
+            assert abs(event_probability(scaled, cells) - target) <= 1e-12
+        assert abs(integrate(scaled) - 1.0) <= 1e-12
+        assert np.all(scaled.values > 0.0)
 
 
 class TestUnanimityAndSetwise:

@@ -50,6 +50,10 @@ def stderr_error(result):
     return payload["error"]
 
 
+def stderr_message(result):
+    return json.loads(result.stderr.strip().splitlines()[-1])["message"]
+
+
 class TestPool:
     def test_holder_writes_csv_and_moments(self, runner, tmp_path):
         a = density_csv(tmp_path, "a.csv", -2.5, 1.0)
@@ -189,6 +193,35 @@ class TestPool:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "multiplicative", "--q0", "Q0", "--weights", "0.3,0.3"],
+             "multiplicative pooling does not take weights"),
+            (["--kind", "generalized-linear", "--weights", "0.5,0.5"],
+             "generalized-linear pooling requires q0"),
+            (["--kind", "generalized-linear", "--q0", "Q0", "--weights", "0.3,0.3"],
+             "generalized-linear pooling requires w0"),
+            (["--kind", "generalized-log-linear", "--weights", "0.5,0.5"],
+             "generalized-log-linear pooling requires xi0"),
+            (["--kind", "linear"], "linear pooling requires weights"),
+            (["--kind", "linear", "--weights", "0.5,0.5", "--chi", "log"],
+             "linear pooling does not take chi"),
+            (["--kind", "linear", "--weights", "0.5,0.5", "--chi-alpha", "2"],
+             "--chi-alpha requires --chi power"),
+        ],
+    )
+    def test_flags_must_match_the_kind(self, runner, tmp_path, flags, message):
+        a = density_csv(tmp_path, "a.csv", -1.0, 1.0)
+        b = density_csv(tmp_path, "b.csv", 1.0, 1.0)
+        q0 = density_csv(tmp_path, "q0.csv", 0.0, 4.0)
+        flags = [q0 if f == "Q0" else f for f in flags]
+        result = runner.invoke(main, ["pool", *flags, a, b, "-o", str(tmp_path / "fused.csv")])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == message
+        assert not (tmp_path / "fused.csv").exists()
+
 
 class TestDivergence:
     def test_kl_self_is_zero(self, runner, tmp_path):
@@ -233,6 +266,22 @@ class TestDivergence:
             main, ["divergence", "--kind", "chi", "--chi", "power", a, a]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "kl", "--alpha", "3"], "kl divergence does not take alpha"),
+            (["--kind", "kl", "--chi", "log"], "kl divergence does not take chi"),
+            (["--kind", "l2", "--chi-alpha", "2"], "--chi-alpha requires --chi power"),
+        ],
+    )
+    def test_flag_the_kind_ignores_exits_2(self, runner, tmp_path, flags, message):
+        a = density_csv(tmp_path, "a.csv", 0.0, 1.0)
+        b = density_csv(tmp_path, "b.csv", 0.5, 1.0)
+        result = runner.invoke(main, ["divergence", *flags, a, b])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == message
 
 
 class TestWeights:
@@ -345,6 +394,18 @@ class TestAxiomCheck:
         )
         assert result.exit_code == 2
         assert stderr_error(result) == "UnsupportedAxiomError"
+
+    def test_weights_for_a_kind_without_weights_exit_2(self, runner):
+        result = runner.invoke(
+            main,
+            [
+                "axiom-check", "--kind", "multiplicative", "--weights", "0.5,0.5",
+                "--axiom", "A1", "--trials", "2",
+            ],
+        )
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == "multiplicative pooling does not take weights"
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_bad_tol_exits_2(self, runner, tol):

@@ -263,3 +263,19 @@ class TestDispatcher:
         for alpha in (np.nan, np.inf):
             with pytest.raises(ValueError, match="alpha must be finite"):
                 D.DivergenceSpec(D.DivergenceKind.REVERSE_ALPHA, alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "kind, fields, ignored",
+        [
+            (D.DivergenceKind.KL, {"alpha": 3.0}, "alpha"),
+            (D.DivergenceKind.KL, {"chi": ChiTransform(ChiKind.LOG)}, "chi"),
+            (D.DivergenceKind.REVERSE_KL, {"alpha": 0.5}, "alpha"),
+            (D.DivergenceKind.L2, {"chi": ChiTransform(ChiKind.IDENTITY)}, "chi"),
+            (D.DivergenceKind.PEARSON_CHI2, {"alpha": 2.0}, "alpha"),
+            (D.DivergenceKind.ALPHA, {"alpha": 0.5, "chi": ChiTransform(ChiKind.LOG)}, "chi"),
+            (D.DivergenceKind.CHI_DISTANCE, {"alpha": 0.5, "chi": ChiTransform(ChiKind.LOG)}, "alpha"),
+        ],
+    )
+    def test_field_the_kind_ignores_rejected(self, kind, fields, ignored):
+        with pytest.raises(ValueError, match=f"^{kind.value} divergence does not take {ignored}$"):
+            D.DivergenceSpec(kind, **fields)

@@ -414,3 +414,53 @@ class TestDispatcher:
         for spec, expected in cases:
             got = P.pool(spec, mirror_pair)
             np.testing.assert_array_equal(got.values, expected.values)
+
+
+# the optional PoolingSpec fields each kind reads, written out independently of the dispatch table
+_READS = {
+    P.PoolingKind.LINEAR: {"weights"},
+    P.PoolingKind.GENERALIZED_LINEAR: {"weights", "q0", "w0"},
+    P.PoolingKind.LOG_LINEAR: {"weights"},
+    P.PoolingKind.GENERALIZED_LOG_LINEAR: {"weights", "xi0"},
+    P.PoolingKind.HOLDER: {"weights", "alpha"},
+    P.PoolingKind.INVERSE_LINEAR: {"weights"},
+    P.PoolingKind.MULTIPLICATIVE: {"q0"},
+    P.PoolingKind.GENERALIZED_MULTIPLICATIVE: {"weights", "q0"},
+    P.PoolingKind.DICTATORSHIP: {"dictator"},
+    P.PoolingKind.DOGMATIC: {"q0"},
+    P.PoolingKind.CHI_TRANSFORM: {"weights", "chi"},
+}
+
+
+class TestExactFields:
+    @pytest.fixture(scope="class")
+    def field_values(self):
+        return {
+            "weights": np.array([0.5, 0.5]),
+            "alpha": 2.0,
+            "q0": gauss_grid(0.0, 4.0),
+            "w0": 0.0,
+            "xi0": np.ones(2048),
+            "dictator": 1,
+            "chi": P.ChiTransform(P.ChiKind.LOG),
+        }
+
+    def test_every_kind_listed(self):
+        assert set(_READS) == set(P.PoolingKind)
+        for kind, reads in _READS.items():
+            assert set(P.fields_read(kind)) == reads
+
+    @pytest.mark.parametrize("kind", list(P.PoolingKind), ids=lambda k: k.value)
+    def test_spec_must_set_exactly_the_fields_read(self, kind, field_values, mirror_pair):
+        reads = _READS[kind]
+        full = {name: field_values[name] for name in reads}
+        # the complete spec pools; it must not trip the field check
+        P.pool(P.PoolingSpec(kind, **full), mirror_pair)
+        for name in reads:
+            spec = P.PoolingSpec(kind, **{**full, name: None})
+            with pytest.raises(ValueError, match=f"^{kind.value} pooling requires {name}$"):
+                P.pool(spec, mirror_pair)
+        for name in set(field_values) - reads:
+            spec = P.PoolingSpec(kind, **full, **{name: field_values[name]})
+            with pytest.raises(ValueError, match=f"^{kind.value} pooling does not take {name}$"):
+                P.pool(spec, mirror_pair)
