@@ -20,7 +20,7 @@ import numpy as np
 from . import grid as gridmod
 from .errors import UnsupportedAxiomError
 from .grid import Grid, GridDensity, OpinionProfile, event_probability
-from .pooling import PoolingKind, PoolingSpec, bayes_update, fields_read, pool
+from .pooling import PoolingKind, PoolingSpec, bayes_update, check_fields, fields_read, pool
 
 DEFAULT_TOL = 1e-6
 DEFAULT_TRIALS = 100
@@ -602,7 +602,9 @@ def check_axiom(
     Raises
     ------
     ValueError
-        Unless trials >= 1 and tol is finite and nonnegative.
+        Unless trials >= 1 and tol is finite and nonnegative, and unless the
+        spec sets exactly the fields its kind reads, counting the companions
+        as set. This check comes before the n.a. verdict.
     UnsupportedAxiomError
         Where the expected matrix says n.a. (zero-probability events against
         rules needing a positive profile), and for A2 against such a transform.
@@ -612,6 +614,10 @@ def check_axiom(
         raise ValueError("trials must be at least 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    reads = fields_read(spec.kind)
+    # the companions are drawn per trial, so they count as set whatever the caller passed
+    drawn = {name: True for name in ("q0", "xi0") if name in reads}
+    check_fields(dataclasses.replace(spec, **drawn), reads, "pooling")
     if spec.kind is PoolingKind.CHI_TRANSFORM:
         unsupported = axiom is Axiom.A2 and spec.chi is not None and spec.chi.needs_positive
     else:

@@ -319,7 +319,8 @@ def supra_cmd(model_path, private_shared, y_text, mode):
     click.echo(_json_line(payload))
 
 
-FIG4_ALPHAS = (-1.0, 0.5, 1.0, 2.0)
+# power-mean exponents of the fig4 sweep; 0 stands for the log-linear limit
+FIG4_ALPHAS = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
 
 def _fig4_panel(path, g1: Gaussian, g2: Gaussian) -> None:
@@ -328,16 +329,12 @@ def _fig4_panel(path, g1: Gaussian, g2: Gaussian) -> None:
     q1, q2 = common_grid(g1, g2, points=_grid_points())
     profile = OpinionProfile((q1, q2))
     w = np.array([0.5, 0.5])
-    columns = {
-        "theta": q1.grid.axes[0],
-        "q1": q1.values,
-        "q2": q2.values,
-        "holder_alpha_-1": holder_pool(profile, w, -1.0).values,
-        "log_linear": log_linear_pool(profile, w).values,
-        "holder_alpha_0.5": holder_pool(profile, w, 0.5).values,
-        "holder_alpha_1": holder_pool(profile, w, 1.0).values,
-        "holder_alpha_2": holder_pool(profile, w, 2.0).values,
-    }
+    columns = {"theta": q1.grid.axes[0], "q1": q1.values, "q2": q2.values}
+    for alpha in FIG4_ALPHAS:
+        if alpha == 0.0:
+            columns["log_linear"] = log_linear_pool(profile, w).values
+        else:
+            columns[f"holder_alpha_{alpha:g}"] = holder_pool(profile, w, alpha).values
     names = list(columns)
     rows = [",".join(names)]
     data = np.column_stack([columns[c] for c in names])

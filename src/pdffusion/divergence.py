@@ -178,9 +178,8 @@ def chi_distance(p, q, chi: ChiTransform) -> float:
     require both densities strictly positive.
     """
     p, q = _as_grid_pair(p, q)
-    if chi.needs_positive:
-        if not (float(p.values.min()) > 0.0 and float(q.values.min()) > 0.0):
-            raise PositivityError(f"{chi.kind.value} transform distance needs positive densities")
+    if chi.needs_positive and not (p.positive and q.positive):
+        raise PositivityError(f"{chi.kind.value} transform distance needs positive densities")
     with np.errstate(over="ignore"):
         diff = _apply_chi(chi, p.values) - _apply_chi(chi, q.values)
         return p.grid.integral(diff, diff)

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .gaussian import Gaussian
-from .grid import NORMALIZATION_TOL, Grid, GridDensity
+from .grid import Grid, GridDensity
 from .supra import LinearGaussianModel
 
 FLOAT_FMT = "%.17g"
@@ -44,13 +44,9 @@ def read_density_csv(path) -> GridDensity:
         values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
     if values.size != int(np.prod(shape)):
         raise ValueError(f"{path}: {values.size} values for grid shape {shape}")
-    grid = Grid(lower, upper, shape)
-    values = values.reshape(grid.shape)
-    # tag densities that already integrate to one so they can enter operations
-    # that insist on normalized inputs; the constructor rejects non-finite values
-    with np.errstate(invalid="ignore"):
-        normalized = abs(grid.integral(values) - 1.0) <= NORMALIZATION_TOL
-    return GridDensity(grid, values, normalized)
+    # a file that integrates to one reads as normalized (GridDensity.normalized),
+    # so it can enter operations that insist on normalized inputs
+    return GridDensity(Grid(lower, upper, shape), values)
 
 
 def write_gaussian_json(path, g: Gaussian) -> None:

@@ -127,10 +127,10 @@ def _log_pdf(g: Gaussian, coords) -> np.ndarray:
     return quad
 
 
-def default_grid_bounds(g: Gaussian, half_width_sigmas: float = DEFAULT_HALF_WIDTH_SIGMAS):
-    """Per-dimension bounds mean +- the given multiple of the marginal std."""
-    std = np.sqrt(np.diag(g.cov))
-    return g.mean - half_width_sigmas * std, g.mean + half_width_sigmas * std
+def default_grid_bounds(g: Gaussian):
+    """Per-dimension bounds mean +- ``DEFAULT_HALF_WIDTH_SIGMAS`` marginal stds."""
+    half_width = DEFAULT_HALF_WIDTH_SIGMAS * np.sqrt(np.diag(g.cov))
+    return g.mean - half_width, g.mean + half_width
 
 
 def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:

@@ -10,8 +10,9 @@ also contracts one axis at a time, ``w0 @ t @ w1``. A :class:`GridDensity`
 pairs a grid with node values and validates only those; it adopts a
 read-only, owned, C-contiguous float64 array of grid shape without a copy,
 which is how kernels hand over a full-grid result (see :func:`frozen`), and
-copies anything else. Every other module reduces its non closed-form work
-to these objects.
+copies anything else. Whether a density is strictly positive and whether it
+integrates to one are read off its values here and nowhere else. Every other
+module reduces its non closed-form work to these objects.
 """
 from __future__ import annotations
 
@@ -165,13 +166,14 @@ class GridDensity:
     like the grid. A float64 array of grid shape that is read-only,
     C-contiguous and owns its data (``base is None``) is adopted as it is;
     anything else is copied and the copy frozen, so no writable caller
-    array aliases a density. ``normalized`` claims that the values integrate
-    to one, which is enforced to 1e-9.
+    array aliases a density. ``positive`` tells whether every value is
+    strictly positive; ``normalized`` whether the values integrate to one
+    within 1e-9, computed when first read.
     """
 
     grid: Grid
     values: np.ndarray
-    normalized: bool = False
+    positive: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
@@ -186,12 +188,12 @@ class GridDensity:
         if lo < 0.0:
             raise ValueError("density values must be nonnegative")
         object.__setattr__(self, "values", values)
-        if self.normalized:
-            total = self.grid.integral(values)
-            if abs(total - 1.0) > NORMALIZATION_TOL:
-                raise NotNormalizedError(
-                    f"density claims to be normalized but integrates to {total!r}"
-                )
+        object.__setattr__(self, "positive", bool(lo > 0.0))
+
+    @cached_property
+    def normalized(self) -> bool:
+        """Whether the values integrate to one within ``NORMALIZATION_TOL``."""
+        return abs(self.grid.integral(self.values) - 1.0) <= NORMALIZATION_TOL
 
     @property
     def quad_weights(self) -> np.ndarray:
@@ -237,7 +239,7 @@ def normalize(d: GridDensity) -> GridDensity:
     total = integrate(d)
     if not np.isfinite(total) or total <= DEGENERATE_INTEGRAL:
         raise DegenerateError(f"cannot normalize density with integral {total!r}")
-    return GridDensity(d.grid, frozen(d.values / total), normalized=True)
+    return GridDensity(d.grid, frozen(d.values / total))
 
 
 def moments(d: GridDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +254,7 @@ def moments(d: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     NotNormalizedError
-        If ``d`` is not marked normalized.
+        If ``d`` does not integrate to one.
     """
     if not d.normalized:
         raise NotNormalizedError("moments require a normalized density")
@@ -304,13 +306,12 @@ def require_same_grid(*grids: Grid) -> None:
 class OpinionProfile:
     """An ordered collection of agent densities on a shared grid.
 
-    The ``positive`` flag records whether every value of every member is
-    strictly positive; pooling functions that divide by or take logarithms
-    of agent densities require it.
+    ``positive`` tells whether every member is strictly positive
+    (:attr:`GridDensity.positive`); pooling functions that divide by or take
+    logarithms of agent densities require it.
     """
 
     densities: tuple[GridDensity, ...]
-    positive: bool = field(init=False)
 
     def __post_init__(self):
         densities = tuple(self.densities)
@@ -318,8 +319,10 @@ class OpinionProfile:
             raise ValueError("an opinion profile needs at least one agent")
         require_same_grid(*(q.grid for q in densities))
         object.__setattr__(self, "densities", densities)
-        positive = all(float(q.values.min()) > 0.0 for q in densities)
-        object.__setattr__(self, "positive", positive)
+
+    @property
+    def positive(self) -> bool:
+        return all(q.positive for q in self.densities)
 
     @property
     def K(self) -> int:

@@ -138,14 +138,12 @@ def linear_pool(
     if q0 is None:
         w = check_simplex(weights, profile.K)
         combined = _weighted_sum(w, profile.values)
-        flag = all(q.normalized for q in profile.densities)
-        return GridDensity(profile.grid, gridmod.frozen(combined), normalized=flag)
+        return GridDensity(profile.grid, gridmod.frozen(combined))
     gridmod.require_same_grid(profile.grid, q0.grid)
     full = check_simplex(np.concatenate([[float(w0)], np.atleast_1d(weights)]), profile.K + 1)
     combined = _weighted_sum(full[1:], profile.values)
     combined += full[0] * q0.values
-    flag = all(q.normalized for q in profile.densities) and q0.normalized
-    return GridDensity(profile.grid, gridmod.frozen(combined), normalized=flag)
+    return GridDensity(profile.grid, gridmod.frozen(combined))
 
 
 def _check_xi0(profile: OpinionProfile, xi0) -> np.ndarray:
@@ -225,7 +223,7 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     """
     _require_positive(profile, "multiplicative pooling")
     gridmod.require_same_grid(profile.grid, q0.grid)
-    if not float(q0.values.min()) > 0.0:
+    if not q0.positive:
         raise PositivityError("calibrating pdf must be strictly positive")
     K = profile.K
     w = np.ones(K) if weights is None else np.atleast_1d(np.asarray(weights, dtype=np.float64))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from pdffusion.axioms import (
 )
 from pdffusion.errors import UnsupportedAxiomError
 from pdffusion.grid import event_probability, integrate
-from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec
+from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, fields_read
 
 TRIALS = 25
 
@@ -101,6 +103,24 @@ class TestReportContract:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             check_axiom(linear(), Axiom.A1, trials=1, tol=tol)
 
+    @pytest.mark.parametrize("axiom", [Axiom.A1, Axiom.A2])
+    def test_spec_fields_checked_before_the_verdict(self, axiom):
+        # A2 is n.a. for multiplicative pooling; the field error still comes first
+        spec = PoolingSpec(PoolingKind.MULTIPLICATIVE, weights=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="^multiplicative pooling does not take weights$"):
+            check_axiom(spec, axiom, trials=1)
+
+    def test_drawn_companions_count_as_supplied(self):
+        # q0 is drawn by the harness, so only the missing w0 is reported
+        missing = PoolingSpec(PoolingKind.GENERALIZED_LINEAR, weights=np.array([0.4, 0.4]))
+        with pytest.raises(ValueError, match="^generalized-linear pooling requires w0$"):
+            check_axiom(missing, Axiom.A1, trials=1)
+        assert check_axiom(dataclasses.replace(missing, w0=0.2), Axiom.A1, trials=2).passed
+        # a companion the kind does not read is still refused
+        spec = PoolingSpec(PoolingKind.LOG_LINEAR, weights=np.array([0.5, 0.5]), xi0=np.ones(512))
+        with pytest.raises(ValueError, match="^log-linear pooling does not take xi0$"):
+            check_axiom(spec, Axiom.A1, trials=1)
+
     def test_axiom_accepts_string(self):
         rep = check_axiom(linear((0.5, 0.5)), "A1", trials=5, seed=0)
         assert rep.axiom is Axiom.A1
@@ -147,7 +167,8 @@ class TestZeroEvents:
         ],
     )
     def test_positive_only_kinds_not_applicable(self, kind):
-        spec = PoolingSpec(kind, weights=np.array([0.5, 0.5]), alpha=2.0)
+        given = {"weights": np.array([0.5, 0.5]), "alpha": 2.0}
+        spec = PoolingSpec(kind, **{f: v for f, v in given.items() if f in fields_read(kind)})
         with pytest.raises(UnsupportedAxiomError):
             check_axiom(spec, Axiom.A2, trials=1)
 

@@ -395,12 +395,14 @@ class TestAxiomCheck:
         assert result.exit_code == 2
         assert stderr_error(result) == "UnsupportedAxiomError"
 
-    def test_weights_for_a_kind_without_weights_exit_2(self, runner):
+    # A2 is n.a. for multiplicative pooling: the field error must come first
+    @pytest.mark.parametrize("axiom", ["A1", "A2"])
+    def test_weights_for_a_kind_without_weights_exit_2(self, runner, axiom):
         result = runner.invoke(
             main,
             [
                 "axiom-check", "--kind", "multiplicative", "--weights", "0.5,0.5",
-                "--axiom", "A1", "--trials", "2",
+                "--axiom", axiom, "--trials", "2",
             ],
         )
         assert result.exit_code == 2

@@ -68,6 +68,13 @@ class TestKL:
         with pytest.raises(NotNormalizedError):
             D.kl(p, p)
 
+    def test_unit_mass_samples_need_no_normalize(self):
+        # ones on [0, 1] integrate to exactly one
+        p = from_samples([0.0], [1.0], (64,), np.ones(64))
+        q = from_samples([0.0], [1.0], (64,), np.linspace(0.5, 1.5, 64))
+        assert D.kl(p, p) == 0.0
+        assert D.kl(p, q) > 0.0
+
 
 class TestFDivergence:
     def test_xlogx_recovers_kl(self, std_pair):

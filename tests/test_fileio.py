@@ -47,6 +47,24 @@ class TestDensityCsv:
         fileio.write_density_csv(path, d)
         assert not fileio.read_density_csv(path).normalized
 
+    def test_mass_is_integrated_only_when_asked(self, tmp_path, monkeypatch):
+        d = to_grid(Gaussian([0.5], [[2.0]]), [-8.0], [8.0], (256,))
+        path = tmp_path / "d.csv"
+        fileio.write_density_csv(path, d)
+        calls = []
+        integral = Grid.integral
+
+        def counted(self, *factors, **kwargs):
+            calls.append(factors)
+            return integral(self, *factors, **kwargs)
+
+        monkeypatch.setattr(Grid, "integral", counted)
+        back = fileio.read_density_csv(path)
+        assert calls == []
+        assert back.normalized
+        assert back.normalized
+        assert len(calls) == 1
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0\n2.0\n")

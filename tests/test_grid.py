@@ -102,9 +102,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_samples([0.0], [1.0], (32,), np.zeros(32))
 
-    def test_false_normalization_claim_rejected(self):
-        with pytest.raises(NotNormalizedError):
-            GridDensity(UNIT, np.full(32, 3.0), normalized=True)
+    @pytest.mark.parametrize("low", [0.0, -0.0, 5e-324, 1.0], ids=["zero", "negative-zero", "subnormal", "one"])
+    def test_positive_is_a_strictly_positive_minimum(self, low):
+        vals = np.ones(32)
+        vals[7] = low
+        d = GridDensity(UNIT, vals)
+        assert d.positive == (d.values.min() > 0.0)
+        assert d.positive == (low > 0.0)
+        assert OpinionProfile((d,)).positive == d.positive
+        ones = GridDensity(UNIT, np.ones(32))
+        assert OpinionProfile((ones, d)).positive == d.positive
+
+    def test_normalized_is_read_off_the_values(self):
+        assert GridDensity(UNIT, np.ones(32)).normalized
+        assert not GridDensity(UNIT, np.full(32, 3.0)).normalized
+        assert not GridDensity(UNIT, np.full(32, 1.0 + 2e-9)).normalized
+
+    def test_takes_no_normalized_argument(self):
+        with pytest.raises(TypeError):
+            GridDensity(UNIT, np.ones(32), normalized=True)
 
 
 def _readonly(arr):
@@ -353,9 +369,15 @@ class TestNormalize:
 
 class TestMoments:
     def test_requires_normalized(self):
-        d = from_samples([0.0], [1.0], (32,), np.ones(32))
+        d = from_samples([0.0], [1.0], (32,), np.full(32, 2.0))
         with pytest.raises(NotNormalizedError):
             moments(d)
+
+    def test_unit_mass_samples_need_no_normalize(self):
+        # ones on [0, 1] integrate to exactly one
+        d = from_samples([0.0], [1.0], (32,), np.ones(32))
+        mean, _ = moments(d)
+        assert mean[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_moments(self):
         d = normalize(from_samples([0.0], [1.0], (2048,), np.ones(2048)))
