@@ -194,8 +194,9 @@ def divergence_cmd(kind, alpha, chi, chi_alpha, inputs):
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @wrap_errors
 def weights_cmd(method, criterion, max_iter, tol, inputs):
-    """Select pooling weights; prints a WeightResult as JSON. min-kld weights are fixed
-    only to --tol: their trailing digits follow summation order and are not byte-stable."""
+    """Select pooling weights; prints a WeightResult as JSON. min-kld and ci weights,
+    objective and iterations are fixed only by --tol: their trailing digits and the
+    iteration count follow summation order and are not byte-stable."""
     if method == "ci":
         gaussians = [read_gaussian_json(p) for p in inputs]
         result = wmod.ci_weights(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdffusion import divergence
 from pdffusion import weights as W
 from pdffusion.divergence import kl
 from pdffusion.errors import DegenerateError, DimensionError, NonConvergenceError, PositivityError
@@ -39,6 +40,32 @@ def min_kld_sweep(prof, step):
 
 def one_d_profile(means_vars):
     return OpinionProfile(common_grid(*(Gaussian([m], [[v]]) for m, v in means_vars)))
+
+
+# three 2-D agents whose trace and log-det optima lie on the face w_0 = 0
+CI_PROBLEM_COVS = [
+    [[2.438, -1.081], [-1.081, 1.686]],
+    [[2.195, -0.695], [-0.695, 0.542]],
+    [[1.701, 1.617], [1.617, 2.206]],
+]
+
+
+def ci_sweep(covs, criterion):
+    """Smallest CI size over a 1/200 simplex lattice and its three edges at 1e-5 spacing, K=3."""
+    ticks = np.linspace(0.0, 1.0, 201)
+    a, b = np.meshgrid(ticks, ticks, indexing="ij")
+    keep = a + b <= 1.0 + 1e-12
+    lattice = [np.column_stack([a[keep], b[keep], np.clip(1.0 - a[keep] - b[keep], 0.0, None)])]
+    t = np.linspace(0.0, 1.0, 100001)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        edge = np.zeros((t.size, 3))
+        edge[:, i], edge[:, j] = t, 1.0 - t
+        lattice.append(edge)
+    points = np.concatenate(lattice)
+    precision = np.einsum("nk,kij->nij", points, np.linalg.inv(np.asarray(covs)))
+    if criterion is W.CICriterion.TRACE:
+        return float(np.trace(np.linalg.inv(precision), axis1=1, axis2=2).min())
+    return float((-np.linalg.slogdet(precision)[1]).min())
 
 
 class TestSimplexProjection:
@@ -177,6 +204,62 @@ class TestMinKldWeights:
         assert res.converged
         assert np.sum(res.weights) == pytest.approx(1.0, abs=1e-12)
 
+    def test_two_d_problem_takes_few_evaluations_and_no_kl_calls(self, monkeypatch):
+        calls = []
+
+        def counted_kl(p, q):
+            calls.append((p, q))
+            return kl(p, q)
+
+        monkeypatch.setattr(divergence, "kl", counted_kl)
+        gs = [
+            Gaussian([0.9, -1.29], [[0.413, -0.134], [-0.134, 1.064]]),
+            Gaussian([1.8, -1.04], [[0.798, -0.242], [-0.242, 1.058]]),
+            Gaussian([2.26, -1.92], [[0.627, -0.24], [-0.24, 1.435]]),
+        ]
+        res = W.min_kld_weights(OpinionProfile(common_grid(*gs)))
+        assert res.converged
+        assert res.evaluations <= 6
+        assert calls == []
+
+    def test_objective_matches_pairwise_kl(self):
+        # the KLD coefficients are read off the agents' logs; the objective
+        # they give must equal the one built from kl
+        prof = one_d_profile([(0.87, 2.815), (0.74, 1.895), (1.4, 2.005), (1.31, 1.041)])
+        res = W.min_kld_weights(prof)
+        logs = np.stack([np.log(q.values) for q in prof.densities])
+        D = np.array([[kl(p, q) for q in prof.densities] for p in prof.densities])
+        s = res.weights @ logs
+        expected = s.max() + np.log(prof.grid.integral(np.exp(s - s.max()))) + res.weights @ D.mean(axis=0)
+        assert res.objective == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "profile, expected",
+        [
+            pytest.param(
+                lambda: one_d_profile([(0.87, 2.815), (0.74, 1.895), (1.4, 2.005), (1.31, 1.041)]),
+                [0.35172851, 0.24357072, 0.31749894, 0.08720183],
+                id="four-agents",
+            ),
+            pytest.param(
+                lambda: OpinionProfile((gauss_grid(0.0, 1.0), gauss_grid(0.0, 4.0), gauss_grid(0.0, 9.0))),
+                [0.06203590, 0.40567566, 0.53228844],
+                id="three-nested-variances",
+            ),
+        ],
+    )
+    def test_singular_hessian_keeps_its_weights(self, profile, expected):
+        # 1-D Gaussian log-densities span {1, x, x^2}, so these agents are
+        # affinely dependent: the Hessian is singular and the optimal
+        # weights form a segment of equal objective. The minimum-norm Newton
+        # step never moves along it, so the path fixes the point returned.
+        # With four agents no step clips and it is the optimum nearest to
+        # uniform weights; with the nested variances the first step clips
+        # at w_0 = 0.
+        res = W.min_kld_weights(profile())
+        assert res.converged
+        np.testing.assert_allclose(res.weights, expected, atol=1e-5)
+
     def test_nonconvergence_carries_best_iterate(self):
         prof = OpinionProfile((gauss_grid(0.0, 1.0), gauss_grid(0.0, 4.0), gauss_grid(0.0, 9.0)))
         with pytest.raises(NonConvergenceError) as einfo:
@@ -290,6 +373,30 @@ class TestCiWeights:
         else:
             sizes = -np.linalg.slogdet(precision)[1]
         assert abs(res.objective - sizes.min()) <= 1e-9
+
+    @pytest.mark.parametrize("criterion", list(W.CICriterion))
+    def test_rotated_face_optimum_matches_sweep(self, criterion):
+        # iterates land at w_0 of order 1e-17 on the way to the face w_0 = 0;
+        # counting such a weight as free of its bound stalls the line search
+        sweep = ci_sweep(CI_PROBLEM_COVS, criterion)  # the CI sizes are rotation invariant
+        for seed in range(50):
+            a = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
+            rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+            gs = [Gaussian([0.0, 0.0], rot @ np.asarray(c) @ rot.T) for c in CI_PROBLEM_COVS]
+            res = W.ci_weights(gs, criterion)
+            assert res.converged
+            assert abs(res.objective - sweep) <= 1e-9, seed
+
+    @pytest.mark.parametrize("criterion", list(W.CICriterion))
+    def test_five_two_d_agents_take_few_evaluations(self, criterion):
+        # five 2-D precisions span at most the 3-D space of symmetric 2x2
+        # matrices: the Hessian is singular, and the Newton step from uniform
+        # weights is many simplex widths long. Started at full length, the
+        # line search takes 71 (trace) and 75 (log-det) evaluations here
+        covs = [a @ a.T + 0.3 * np.eye(2) for a in np.random.default_rng(5).normal(size=(5, 2, 2))]
+        res = W.ci_weights([Gaussian([0.0, 0.0], c) for c in covs], criterion)
+        assert res.converged
+        assert res.evaluations <= 25
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
