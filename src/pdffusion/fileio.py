@@ -10,6 +10,7 @@ bit-exactly and outputs are byte-reproducible.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
@@ -41,7 +42,10 @@ def read_density_csv(path) -> GridDensity:
         lower = [float(v) for v in fields[1 : 1 + dims]]
         upper = [float(v) for v in fields[1 + dims : 1 + 2 * dims]]
         shape = tuple(int(v) for v in fields[1 + 2 * dims :])
-        values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+        with warnings.catch_warnings():
+            # a file without values is reported below, with its grid shape
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
     if values.size != int(np.prod(shape)):
         raise ValueError(f"{path}: {values.size} values for grid shape {shape}")
     # a file that integrates to one reads as normalized (GridDensity.normalized),

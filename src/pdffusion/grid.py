@@ -13,9 +13,22 @@ which is how kernels hand over a full-grid result (see :func:`frozen`), and
 copies anything else. Whether a density is strictly positive and whether it
 integrates to one are read off its values here and nowhere else. Every other
 module reduces its non closed-form work to these objects.
+
+Importing this module fixes glibc's two heap thresholds at the values that
+glibc's own dynamic rule reaches once a 32 MiB block has been freed: blocks
+up to 32 MiB come from the heap, and the heap top is given back to the kernel
+only when more than 64 MiB of it is free. Left to the default, the free top
+left behind by one 2-D operation (its member arrays, the profile's stack and
+the result, 4 to 7 MB on a 257x257 grid) is trimmed, and the next operation
+takes a page fault on every page of it again. The price is up to 64 MiB of
+freed heap that stays resident. Off glibc, and when the environment sets a
+malloc threshold or any ``glibc.malloc.`` tunable, the process keeps its own
+policy and nothing is changed.
 """
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,6 +49,44 @@ MIN_POINTS_PER_DIM = 16
 DEGENERATE_INTEGRAL = float(np.finfo(np.float64).eps)
 
 NORMALIZATION_TOL = 1e-9
+
+# mallopt(3) parameters and the caps of glibc's dynamic thresholds on 64-bit
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+# environment variables by which a user sets glibc's malloc policy
+_MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_MMAP_MAX_")
+
+
+def _keep_freed_heap_mapped() -> bool:
+    """Fix glibc's mmap and trim thresholds; True when both were set.
+
+    Both are set, since setting either one turns glibc's dynamic rule off.
+    Stands down off glibc, when ``mallopt`` is missing or refuses a value,
+    and when the environment already sets the malloc policy.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return False
+    if not libc or not libc.startswith("glibc"):
+        return False
+    if any(var in os.environ for var in _MALLOC_ENV):
+        return False
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    )
+
+
+_keep_freed_heap_mapped()
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:

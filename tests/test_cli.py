@@ -4,15 +4,11 @@ import hashlib
 import json
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import pdffusion
 from pdffusion.cli import main
 from pdffusion.fileio import (
     read_density_csv,
@@ -611,31 +607,18 @@ class TestOneDimensionalOutputsPinned:
         )
 
 
-def run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this pdffusion."""
-    src = str(Path(pdffusion.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=dict(os.environ, PYTHONPATH=path, **SMALL_ENV),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
-def test_cli_import_skips_scipy_stats():
+def test_cli_import_skips_scipy_stats(run_python):
     # numpy is the only linear-algebra library; the CLI must not pay for scipy
     code = (
         "import pdffusion.cli, sys; "
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
         "assert not loaded, loaded"
     )
-    result = run_python(code)
+    result = run_python(code, env=dict(os.environ, **SMALL_ENV))
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_runs_without_scipy(tmp_path):
+def test_cli_runs_without_scipy(run_python, tmp_path):
     # a None entry in sys.modules makes every scipy import raise ImportError
     code = """
 import sys
@@ -654,5 +637,20 @@ for args in (
 """
     a = gauss_json(tmp_path, "a.json", 0.0, 1.0)
     b = gauss_json(tmp_path, "b.json", 1.0, 4.0)
-    result = run_python(code, a, b, str(tmp_path / "fused.csv"))
+    result = run_python(code, a, b, str(tmp_path / "fused.csv"), env=dict(os.environ, **SMALL_ENV))
     assert result.returncode == 0, result.stderr
+
+
+def test_header_only_csv_prints_one_json_line(run_python, tmp_path):
+    # loadtxt warns about a file with no values; stderr holds only the error
+    empty = tmp_path / "e.csv"
+    empty.write_text("# 1,-1,1,16\n")
+    code = "import sys; from pdffusion.cli import main; main(sys.argv[1:])"
+    result = run_python(code, "divergence", "--kind", "kl", str(empty), str(empty))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert json.loads(result.stderr) == {
+        "error": "ValueError",
+        "message": f"{empty}: 0 values for grid shape (16,)",
+    }

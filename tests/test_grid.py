@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ctypes
+import os
 import re
 import tracemalloc
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdffusion import grid
 from pdffusion.errors import (
     DegenerateError,
     DimensionError,
@@ -515,3 +518,89 @@ class TestOpinionProfile:
     def test_needs_at_least_one_agent(self):
         with pytest.raises(ValueError):
             OpinionProfile(())
+
+
+# ten 2-D fusions on a 257x257 grid after two to warm up: five members by
+# to_grid, their Holder pool and one KL; prints the minor page faults taken
+FUSION_FAULTS = """
+import resource
+
+from pdffusion.divergence import kl
+from pdffusion.gaussian import Gaussian, to_grid
+from pdffusion.grid import OpinionProfile
+from pdffusion.pooling import holder_pool
+
+gs = [Gaussian([0.4 * k - 0.8, 0.3 - 0.15 * k], [[1.0 + 0.2 * k, 0.3], [0.3, 1.5]]) for k in range(5)]
+
+
+def fuse():
+    members = tuple(to_grid(g, [-8.0, -8.0], [8.0, 8.0], (257, 257)) for g in gs)
+    kl(members[0], holder_pool(OpinionProfile(members), (0.2,) * 5, 3.0))
+
+
+fuse()
+fuse()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    fuse()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def fusion_faults(run_python, **malloc_env) -> int:
+    """Faults of FUSION_FAULTS in a fresh interpreter, under ``malloc_env`` only.
+
+    Earlier tests in this process may already have raised glibc's dynamic
+    thresholds, so only a new process starts from glibc's defaults.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    result = run_python(FUSION_FAULTS, env=dict(env, OPENBLAS_NUM_THREADS="1", **malloc_env))
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+def unrecognized(name):
+    raise ValueError("unrecognized configuration name")
+
+
+class TestHeapThresholds:
+    needs_glibc = pytest.mark.skipif(not on_glibc(), reason="the heap thresholds are glibc's")
+
+    @needs_glibc
+    def test_repeated_2d_fusions_keep_their_pages(self, run_python):
+        # with glibc's default thresholds the freed heap top is trimmed after
+        # each fusion and refaulted by the next: over 1,000 faults per fusion
+        assert fusion_faults(run_python) < 200
+
+    @needs_glibc
+    def test_malloc_env_keeps_the_users_policy(self, run_python):
+        # a 128 KiB mmap threshold maps each 528 KB array afresh, so every
+        # fusion faults its arrays in again
+        assert fusion_faults(run_python, MALLOC_MMAP_THRESHOLD_="131072") >= 500 * 10
+
+    @pytest.mark.parametrize(
+        "confstr",
+        [lambda name: None, lambda name: "musl 1.2.4", unrecognized],
+        ids=["unset", "other-libc", "unrecognized"],
+    )
+    def test_stands_down_off_glibc(self, monkeypatch, confstr):
+        opened = []
+        monkeypatch.setattr(os, "confstr", confstr)
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args: opened.append(args))
+        assert grid._keep_freed_heap_mapped() is False
+        assert opened == []
+
+    def test_stands_down_under_a_malloc_tunable(self, monkeypatch):
+        opened = []
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args: opened.append(args))
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.arena_max=2")
+        assert grid._keep_freed_heap_mapped() is False
+        assert opened == []
