@@ -69,8 +69,25 @@ def _as_grid_pair(p, q) -> tuple[GridDensity, GridDensity]:
 
 def _check_dominates(p: GridDensity, q: GridDensity, what: str) -> None:
     # absolute continuity on the grid: q must be positive wherever p is
-    if np.any((p.values > 0.0) & (q.values == 0.0)):
+    if not q.positive and np.any((p.values > 0.0) & (q.values == 0.0)):
         raise SupportError(f"{what}: first density has mass where the second vanishes")
+
+
+def _support(*densities: GridDensity):
+    """The ``where=`` mask of the nodes where every density is positive, and a
+    buffer for terms there, zero elsewhere.
+
+    When every density is positive the mask is ``True``, which numpy's
+    ufuncs run as no mask, and the buffer is left unset: every node is
+    written. The terms are the same bits either way.
+    """
+    values = densities[0].values
+    if all(d.positive for d in densities):
+        return True, np.empty_like(values)
+    mask = values > 0.0
+    for d in densities[1:]:
+        mask &= d.values > 0.0
+    return mask, np.zeros_like(values)
 
 
 def f_divergence(p, q, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -102,8 +119,7 @@ def kl(p, q) -> float:
     p, q = _as_grid_pair(p, q)
     _check_dominates(p, q, "KL divergence")
     pv, qv = p.values, q.values
-    pos = pv > 0.0
-    terms = np.zeros_like(pv)
+    pos, terms = _support(p)
     np.divide(pv, qv, out=terms, where=pos)
     np.log(terms, out=terms, where=pos)
     np.multiply(pv, terms, out=terms, where=pos)
@@ -130,8 +146,7 @@ def alpha_div(p, q, alpha: float) -> float:
     elif alpha < 0.0:
         _check_dominates(q, p, "alpha-divergence")
     pv, qv = p.values, q.values
-    both = (pv > 0.0) & (qv > 0.0)
-    terms = np.zeros_like(pv)
+    both, terms = _support(p, q)
     log_q = np.empty_like(qv)
     np.log(pv, out=terms, where=both)
     np.multiply(alpha, terms, out=terms, where=both)
@@ -156,8 +171,7 @@ def pearson_chi2(p, q) -> float:
     """Pearson chi-squared divergence: integral (p - q)^2 / q."""
     p, q = _as_grid_pair(p, q)
     _check_dominates(p, q, "Pearson chi-squared")
-    pos = q.values > 0.0
-    terms = np.zeros_like(p.values)
+    pos, terms = _support(q)
     np.subtract(p.values, q.values, out=terms, where=pos)
     np.multiply(terms, terms, out=terms, where=pos)
     np.divide(terms, q.values, out=terms, where=pos)
@@ -200,8 +214,7 @@ def entropy(p) -> float:
     (p,) = gaussmod.common_grid(p)
     if not p.normalized:
         raise NotNormalizedError("entropy is defined for normalized densities")
-    pos = p.values > 0.0
-    terms = np.zeros_like(p.values)
+    pos, terms = _support(p)
     np.log(p.values, out=terms, where=pos)
     np.multiply(p.values, terms, out=terms, where=pos)
     return -p.grid.integral(terms)
@@ -214,8 +227,7 @@ def cross_entropy(p, q) -> float:
     """
     p, q = _as_grid_pair(p, q)
     _check_dominates(p, q, "cross-entropy")
-    pos = p.values > 0.0
-    terms = np.zeros_like(p.values)
+    pos, terms = _support(p)
     np.log(q.values, out=terms, where=pos)
     np.multiply(p.values, terms, out=terms, where=pos)
     return -p.grid.integral(terms)

@@ -1,10 +1,11 @@
 """Reading and writing densities, Gaussians and fusion models.
 
 Grid densities travel as CSV with a single header line
-``# dims,lower...,upper...,shape...`` followed by one value per node in
-row-major order. Gaussians and linear fusion models travel as JSON.
-All floats are written with 17 significant digits so files round-trip
-bit-exactly and outputs are byte-reproducible.
+``# dims,lower...,upper...,shape...`` followed by one value per line, one
+line per node in row-major order; a line with several values is rejected.
+Gaussians and linear fusion models travel as JSON. All floats are written
+with 17 significant digits so files round-trip bit-exactly and outputs are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ def read_density_csv(path) -> GridDensity:
         with warnings.catch_warnings():
             # a file without values is reported below, with its grid shape
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+            values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+    if values.shape[1] != 1:
+        raise ValueError(f"{path}: {values.shape[1]} values on a line; the format has one per line")
+    values = values.reshape(-1)
     if values.size != int(np.prod(shape)):
         raise ValueError(f"{path}: {values.size} values for grid shape {shape}")
     # a file that integrates to one reads as normalized (GridDensity.normalized),

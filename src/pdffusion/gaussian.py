@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as gridmod
-from .errors import DimensionError, SimplexError, SingularityError
+from .errors import DegenerateError, DimensionError, SimplexError, SingularityError
 from .grid import Grid, GridDensity
 
 SYMMETRY_TOL = 1e-10
@@ -24,11 +24,18 @@ DEFAULT_POINTS_1D = 2048
 DEFAULT_POINTS_2D = 257
 DEFAULT_HALF_WIDTH_SIGMAS = 8.0
 
+LOG_2PI = float(np.log(2.0 * np.pi))
+
 
 def cholesky(mat: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor; ValueError if non-finite, else SingularityError unless PD."""
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{what} has non-finite entries")
+    return _finite_cholesky(mat, what)
+
+
+def _finite_cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    """``cholesky`` of a matrix known to be finite."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
@@ -70,18 +77,19 @@ class Gaussian:
     chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64)).copy()
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=np.float64)).copy()
+        # mean is copied here and cov by symmetrize, so no caller array is kept
+        mean = np.array(self.mean, dtype=np.float64, ndmin=1)
+        cov = np.atleast_2d(np.asarray(self.cov, dtype=np.float64))
         if mean.ndim != 1 or cov.ndim != 2:
             raise DimensionError("mean must be a vector and cov a matrix")
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise DimensionError(f"cov shape {cov.shape} does not match mean length {d}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and cov must be finite")
         require_symmetric(cov, "cov")
         cov = symmetrize(cov)
-        chol = cholesky(cov, "cov")
+        chol = _finite_cholesky(cov, "cov")
         for arr in (mean, cov, chol):
             arr.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -105,13 +113,18 @@ def log_pdf(g: Gaussian, points) -> np.ndarray:
     return _log_pdf(g, [x[..., j] for j in range(g.dim)])
 
 
+def _log_norm(g: Gaussian) -> float:
+    """log of the normalizing constant, sum_i log L_ii + (dim / 2) log(2 pi)."""
+    return np.log(g.chol.diagonal()).sum() + 0.5 * g.dim * LOG_2PI
+
+
 def _log_pdf(g: Gaussian, coords) -> np.ndarray:
     """``log_pdf`` at the points spanned by one broadcastable array per coordinate.
 
     L^{-1} is lower triangular, so z_i = sum_{j <= i} L^{-1}[i, j] (x_j - mean_j)
-    broadcasts over x_0 .. x_i only: on an open mesh, z_0 spans one axis. Only
-    the last z spans every point; the quadratic form and the log-density are
-    accumulated in place in it, so the result is the one array of that size.
+    broadcasts over x_0 .. x_i only. Only the last z spans every point; the
+    quadratic form and the log-density are accumulated in place in it, so the
+    result is the one array of that size.
     """
     inv = np.linalg.inv(g.chol)
     centered = [x - m for x, m in zip(coords, g.mean)]
@@ -121,10 +134,45 @@ def _log_pdf(g: Gaussian, coords) -> np.ndarray:
         np.multiply(z, z, out=z)
         z += quad
         quad = z
-    log_norm = np.sum(np.log(np.diag(g.chol))) + 0.5 * g.dim * np.log(2.0 * np.pi)
     quad *= -0.5
-    quad -= log_norm
+    quad -= _log_norm(g)
     return quad
+
+
+def _grid_log_pdf(g: Gaussian, grid: Grid) -> np.ndarray:
+    """``log_pdf`` at every node of ``grid``, a fresh array of grid shape.
+
+    In one dimension this is ``_log_pdf`` on the axis. In two, with u and v
+    the centered coordinates of the two axes, z_0 = L^{-1}[0, 0] u, a =
+    L^{-1}[1, 0] u and b = L^{-1}[1, 1] v, the log-density at node (i, j)
+    expands into row terms, a cross term and column terms,
+
+        -(z_0,i^2 + (a_i + b_j)^2) / 2 - log_norm
+            = [-(z_0,i^2 + a_i^2) / 2 - log_norm] - a_i b_j - b_j^2 / 2,
+
+    so one (n0 x 3) @ (3 x n1) product writes the whole array in one pass.
+    The expansion is not bit for bit ``log_pdf``: where a and b nearly
+    cancel it loses some ulps of a^2 + b^2. As a = -rho z_0 / sqrt(1 - rho^2),
+    with rho the correlation, and z_0^2 <= 2 |log p + log_norm|, that is an
+    absolute error of order eps |log p + log_norm| rho^2 / (1 - rho^2). For
+    |rho| <= 0.97 and standard deviations from 1e-3 to 1e3 it stays below
+    1e-13 * max(1, |log p|); narrower Gaussians, with a larger |log_norm|,
+    come closer to that bound.
+    """
+    if grid.dims == 1:
+        return _log_pdf(g, grid.axes)
+    (l00, _), (l10, l11) = g.chol.tolist()
+    u, v = (x - m for x, m in zip(grid.axes, g.mean.tolist()))
+    z0, a, b = u / l00, u * (-l10 / (l00 * l11)), v / l11
+    rows = np.empty((u.size, 3))
+    rows[:, 0] = -0.5 * (z0 * z0 + a * a) - _log_norm(g)
+    rows[:, 1] = -a
+    rows[:, 2] = 1.0
+    cols = np.empty((3, v.size))
+    cols[0] = 1.0
+    cols[1] = b
+    cols[2] = -0.5 * (b * b)
+    return rows @ cols
 
 
 def default_grid_bounds(g: Gaussian):
@@ -137,7 +185,11 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
     """Sample ``g`` on a uniform grid and renormalize to absorb truncation.
 
     Defaults: bounds at mean +- 8 marginal standard deviations, 2048 nodes in
-    one dimension, 257 per dimension in two.
+    one dimension, 257 per dimension in two. In one dimension the values are
+    those of ``log_pdf`` on the nodes, exponentiated and normalized, bit for
+    bit; in two, the log-density is one matrix product (see
+    ``_grid_log_pdf``), within 1e-13 * max(1, |log p|) of ``log_pdf`` for
+    |rho| <= 0.97 and standard deviations from 1e-3 to 1e3.
 
     Raises
     ------
@@ -160,10 +212,15 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
 
 def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:
     """``g`` sampled at the nodes of ``grid``, renormalized."""
-    values = _log_pdf(g, np.ix_(*grid.axes))
-    d = GridDensity(grid, gridmod.frozen(np.exp(values, out=values)))
-    gridmod.require_mass(d)
-    return gridmod.normalize(d)
+    values = _grid_log_pdf(g, grid)
+    np.exp(values, out=values)
+    try:
+        return gridmod.adopt_normalized(grid, values)
+    except DegenerateError as exc:
+        degenerate = exc
+    # a Gaussian whose mass lies off the grid underflows to zero at every node
+    gridmod.require_mass(GridDensity(grid, values))
+    raise degenerate
 
 
 def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:

@@ -14,6 +14,15 @@ copies anything else. Whether a density is strictly positive and whether it
 integrates to one are read off its values here and nowhere else. Every other
 module reduces its non closed-form work to these objects.
 
+:func:`normalize` divides a density's values into a new array, since the
+density keeps its own. The kernels that compute a fresh full-grid array
+(``gaussian.to_grid``, the normalized pools and ``pooling.bayes_update``)
+hand it to :func:`adopt_normalized` instead, which divides it in place: the
+array was allocated by the kernel and no reference to it has left the
+kernel, so no caller can see it change, and the density adopts it as its
+values. The division is the same as in :func:`normalize`, so both give the
+same bits, with one full-grid pass and one allocation less.
+
 Importing this module fixes glibc's two heap thresholds at the values that
 glibc's own dynamic rule reaches once a 32 MiB block has been freed: blocks
 up to 32 MiB come from the heap, and the heap top is given back to the kernel
@@ -28,6 +37,7 @@ policy and nothing is changed.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -112,8 +122,8 @@ class Grid:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=np.float64))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
+        lower = tuple(np.atleast_1d(np.asarray(self.lower, dtype=np.float64)).tolist())
+        upper = tuple(np.atleast_1d(np.asarray(self.upper, dtype=np.float64)).tolist())
         shape = tuple(int(n) for n in np.atleast_1d(self.shape))
         if not (len(lower) == len(upper) == len(shape)):
             raise DimensionError(
@@ -121,14 +131,16 @@ class Grid:
             )
         if len(shape) not in (1, 2):
             raise DimensionError(f"grids support 1 or 2 dimensions, got {len(shape)}")
-        if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
+        if not all(map(math.isfinite, lower + upper)):
             raise DomainError("domain bounds must be finite")
-        if np.any(upper <= lower):
-            raise DomainError(f"upper bounds must exceed lower bounds, got {lower} .. {upper}")
+        if any(hi <= lo for lo, hi in zip(lower, upper)):
+            raise DomainError(
+                f"upper bounds must exceed lower bounds, got {np.array(lower)} .. {np.array(upper)}"
+            )
         if any(n < MIN_POINTS_PER_DIM for n in shape):
             raise ValueError(f"each dimension needs at least {MIN_POINTS_PER_DIM} nodes, got {shape}")
-        object.__setattr__(self, "lower", tuple(lower.tolist()))
-        object.__setattr__(self, "upper", tuple(upper.tolist()))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "shape", shape)
 
     @cached_property
@@ -279,7 +291,7 @@ def integrate(d: GridDensity) -> float:
 
 
 def normalize(d: GridDensity) -> GridDensity:
-    """Scale ``d`` so it integrates to one.
+    """Scale ``d`` so it integrates to one, into a new array.
 
     Raises
     ------
@@ -287,10 +299,29 @@ def normalize(d: GridDensity) -> GridDensity:
         If the integral is at or below machine epsilon, i.e. the
         normalization constant is undefined.
     """
-    total = integrate(d)
+    return GridDensity(d.grid, frozen(d.values / _normalizer(d.grid, d.values)))
+
+
+def adopt_normalized(grid: Grid, values: np.ndarray) -> GridDensity:
+    """``normalize(GridDensity(grid, values))``, dividing ``values`` in place.
+
+    ``values`` is a fresh, writable, C-contiguous float64 array of grid
+    shape that only the caller holds; the result adopts it. Raises what
+    that expression raises: ValueError for non-finite or negative values,
+    then :class:`DegenerateError`.
+    """
+    total = _normalizer(grid, values)
+    values /= total
+    return GridDensity(grid, frozen(values))
+
+
+def _normalizer(grid: Grid, values: np.ndarray) -> float:
+    """The trapezoid integral of ``values``; raises unless it can normalize them."""
+    total = grid.integral(values)
     if not np.isfinite(total) or total <= DEGENERATE_INTEGRAL:
+        GridDensity(grid, values)  # invalid values raise ValueError first, as in GridDensity
         raise DegenerateError(f"cannot normalize density with integral {total!r}")
-    return GridDensity(d.grid, frozen(d.values / total))
+    return total
 
 
 def moments(d: GridDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -392,6 +423,18 @@ class OpinionProfile:
         memory with any member: the pooling kernels use it as scratch.
         """
         return np.stack([q.values for q in self.densities])
+
+    @property
+    def log_values(self) -> np.ndarray:
+        """The members' log-densities stacked like :attr:`values`, fresh on each access.
+
+        Each member's log is written straight into its row of the stack.
+        Meant for strictly positive profiles: a zero value logs to -inf.
+        """
+        stack = np.empty((self.K,) + self.grid.shape)
+        for q, row in zip(self.densities, stack):
+            np.log(q.values, out=row)
+        return stack
 
     def permuted(self, order) -> OpinionProfile:
         """The profile with agents reordered by the given permutation."""

@@ -108,7 +108,7 @@ def _require_positive(profile: OpinionProfile, op: str) -> None:
 
 def _finish(profile: OpinionProfile, values: np.ndarray) -> GridDensity:
     """Normalize ``values``, a fresh full-grid array the density adopts."""
-    return gridmod.normalize(GridDensity(profile.grid, gridmod.frozen(values)))
+    return gridmod.adopt_normalized(profile.grid, values)
 
 
 def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -165,8 +165,7 @@ def log_linear_pool(profile: OpinionProfile, weights, xi0=None) -> GridDensity:
     """
     _require_positive(profile, "log-linear pooling")
     w = check_simplex(weights, profile.K)
-    stack = profile.values
-    logs = _weighted_sum(w, np.log(stack, out=stack))
+    logs = _weighted_sum(w, profile.log_values)
     if xi0 is not None:
         logs += np.log(_check_xi0(profile, xi0))
     logs -= logs.max()
@@ -190,11 +189,17 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
     if alpha < 0.0:
         _require_positive(profile, "negative-exponent Holder pooling")
     w = check_simplex(weights, profile.K)
-    stack = profile.values
     # factor out the pointwise max so ratios stay in [0, 1] before powering;
-    # where the max is 0 every ratio stays 0, and so does the result
-    m = stack.max(axis=0)
-    np.divide(stack, m, out=stack, where=m > 0.0)
+    # where the max is 0 every member is 0: dividing by 1 there keeps the
+    # ratios 0, and so the result. With a positive member the max is positive.
+    members = [q.values for q in profile.densities]
+    m = members[0].copy()
+    for v in members[1:]:
+        np.maximum(m, v, out=m)
+    divisor = m if any(q.positive for q in profile.densities) else np.where(m > 0.0, m, 1.0)
+    stack = np.empty((profile.K,) + m.shape)
+    for v, row in zip(members, stack):
+        np.divide(v, divisor, out=row)
     stack **= alpha
     combined = _weighted_sum(w, stack)
     combined **= 1.0 / alpha
@@ -232,8 +237,7 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     if not np.all(np.isfinite(w)):
         raise SimplexError("weights must be finite")
     log_q0 = np.log(q0.values)
-    weighted = profile.values
-    np.log(weighted, out=weighted)
+    weighted = profile.log_values
     weighted -= log_q0
     weighted *= w.reshape((K,) + (1,) * profile.grid.dims)
     worst = max(float(weighted.max()), -float(weighted.min()))
@@ -268,7 +272,7 @@ def bayes_update(q: GridDensity, ell) -> GridDensity:
         raise GridMismatchError(f"likelihood shape {ell.shape} does not match grid {q.grid.shape}")
     if np.any(ell < 0.0) or not np.all(np.isfinite(ell)):
         raise ValueError("likelihood values must be finite and nonnegative")
-    return gridmod.normalize(GridDensity(q.grid, gridmod.frozen(q.values * ell)))
+    return gridmod.adopt_normalized(q.grid, q.values * ell)
 
 
 def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> GridDensity:

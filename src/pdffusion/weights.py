@@ -156,10 +156,11 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     if not all(q.normalized for q in profile.densities):
         raise NotNormalizedError("divergences are defined between normalized densities")
     K = profile.K
-    logs = profile.values.reshape(K, -1)
+    logs = profile.log_values.reshape(K, -1)
     quad = profile.grid.quad_weights.reshape(-1)
-    scratch = logs * quad  # one K x N buffer: quad * q here, logs * p in each Hessian
-    np.log(logs, out=logs)
+    # one K x N buffer: quad * q here, logs * p in each Hessian
+    scratch = profile.values.reshape(K, -1)
+    scratch *= quad
     M = scratch @ logs.T
     # b_j, the coefficient of w_j in the KLD average, is column j's mean of D
     b = (M.trace() - M.sum(axis=0)) / K

@@ -279,6 +279,14 @@ class TestDivergence:
         assert stderr_error(result) == "ValueError"
         assert stderr_message(result) == message
 
+    def test_csv_with_several_values_on_a_line_exits_2(self, runner, tmp_path):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("# 1,-1,1,16\n" + "0.5 0.5\n" * 8)
+        result = runner.invoke(main, ["divergence", "--kind", "kl", str(rows), str(rows)])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == f"{rows}: 2 values on a line; the format has one per line"
+
 
 class TestWeights:
     def test_min_kld_converges(self, runner, tmp_path):

@@ -181,6 +181,86 @@ class TestMaskedTerms:
                 assert D.alpha_div(p, q, alpha) == (integral - 1.0) / (alpha * (alpha - 1.0))
 
 
+class TestMaskFreeTerms:
+    """On strictly positive densities the kernels run their ufuncs without
+    masks; that must give the explicitly masked form's bits, and with zeros
+    in p or q the masked form itself must still run."""
+
+    @staticmethod
+    def masked(pv, qv, rule):
+        """Each integrand as an explicitly masked ufunc sequence, zeros elsewhere."""
+        terms = np.zeros_like(pv)
+        if rule == "kl":
+            pos = pv > 0.0
+            np.divide(pv, qv, out=terms, where=pos)
+            np.log(terms, out=terms, where=pos)
+            np.multiply(pv, terms, out=terms, where=pos)
+        elif rule == "cross-entropy":
+            pos = pv > 0.0
+            np.log(qv, out=terms, where=pos)
+            np.multiply(pv, terms, out=terms, where=pos)
+        elif rule == "pearson":
+            pos = qv > 0.0
+            np.subtract(pv, qv, out=terms, where=pos)
+            np.multiply(terms, terms, out=terms, where=pos)
+            np.divide(terms, qv, out=terms, where=pos)
+        else:
+            alpha = rule
+            both = (pv > 0.0) & (qv > 0.0)
+            log_q = np.empty_like(qv)
+            np.log(pv, out=terms, where=both)
+            np.multiply(alpha, terms, out=terms, where=both)
+            np.log(qv, out=log_q, where=both)
+            np.multiply(1.0 - alpha, log_q, out=log_q, where=both)
+            np.add(terms, log_q, out=terms, where=both)
+            np.exp(terms, out=terms, where=both)
+        return terms
+
+    def assert_bitwise(self, p, q, alphas=(-0.5, 0.3, 2.0)):
+        pv, qv, grid = p.values, q.values, p.grid
+        assert D.kl(p, q) == grid.integral(self.masked(pv, qv, "kl"))
+        assert D.cross_entropy(p, q) == -grid.integral(self.masked(pv, qv, "cross-entropy"))
+        assert D.pearson_chi2(p, q) == grid.integral(self.masked(pv, qv, "pearson"))
+        for alpha in alphas:
+            integral = grid.integral(self.masked(pv, qv, alpha))
+            assert D.alpha_div(p, q, alpha) == (integral - 1.0) / (alpha * (alpha - 1.0))
+
+    def test_positive_pairs_match_the_masked_form(self):
+        rng = np.random.default_rng(8)
+        one_d = (random_mixture(rng), random_mixture(rng))
+        box = ([-6.0, -6.0], [6.0, 6.0], (129, 129))
+        two_d = (
+            to_grid(Gaussian([0.5, -0.5], [[1.0, 0.6], [0.6, 2.0]]), *box),
+            to_grid(Gaussian([-0.3, 0.2], [[1.5, -0.2], [-0.2, 0.8]]), *box),
+        )
+        for p, q in (one_d, two_d):
+            assert p.positive and q.positive
+            self.assert_bitwise(p, q)
+
+    def test_shared_zeros_keep_the_zero_log_zero_convention(self):
+        x = np.linspace(0.0, 1.0, 64)
+        p_vals, q_vals = 1.0 + x, 2.0 - x
+        p_vals[:32] = 0.0
+        q_vals[:16] = 0.0
+        p = normalize(from_samples([0.0], [1.0], (64,), p_vals))
+        q = normalize(from_samples([0.0], [1.0], (64,), q_vals))
+        assert not (p.positive or q.positive)
+        # q has mass where p vanishes, so no negative order
+        self.assert_bitwise(p, q, alphas=(0.3, 2.0))
+        assert np.isfinite(D.kl(p, q)) and np.isfinite(D.cross_entropy(p, q))
+
+    def test_mass_where_q_vanishes_is_a_support_error(self):
+        vals = np.ones(64)
+        vals[:16] = 0.0
+        q = normalize(from_samples([0.0], [1.0], (64,), vals))
+        p = normalize(from_samples([0.0], [1.0], (64,), np.linspace(1.0, 2.0, 64)))
+        for divergence in (D.kl, D.cross_entropy, D.pearson_chi2, lambda a, b: D.alpha_div(a, b, 2.0)):
+            with pytest.raises(SupportError):
+                divergence(p, q)
+        with pytest.raises(SupportError):
+            D.alpha_div(q, p, -0.5)
+
+
 class TestQuadraticDistances:
     def test_l2_self_zero(self):
         rng = np.random.default_rng(1)

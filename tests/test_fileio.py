@@ -77,6 +77,24 @@ class TestDensityCsv:
         with pytest.raises(ValueError):
             fileio.read_density_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, per_line",
+        [("0.5 0.5\n" * 8, 2), (" ".join(["0.0625"] * 16) + "\n", 16)],
+        ids=["eight-lines-of-two", "one-line-of-sixteen"],
+    )
+    def test_several_values_on_a_line_rejected(self, tmp_path, body, per_line):
+        # the right number of values, but not one per line
+        path = tmp_path / "rows.csv"
+        path.write_text("# 1,0,1,16\n" + body)
+        with pytest.raises(ValueError, match=f"{per_line} values on a line"):
+            fileio.read_density_csv(path)
+
+    def test_one_value_per_line_reads_bit_for_bit(self, tmp_path):
+        values = np.random.default_rng(5).lognormal(size=16)
+        path = tmp_path / "col.csv"
+        path.write_text("# 1,0,1,16\n" + "".join("%.17g\n" % v for v in values))
+        np.testing.assert_array_equal(fileio.read_density_csv(path).values, values)
+
 
 class TestGaussianJson:
     def test_round_trip(self, tmp_path):

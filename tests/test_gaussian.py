@@ -201,6 +201,28 @@ class TestToGrid:
         error = np.abs(np.log(d.values) - expected)
         assert np.all(error <= 1e-13 * np.maximum(1.0, np.abs(expected)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mean=st.tuples(*[st.floats(-5.0, 5.0)] * 2),
+        log10_sigma=st.tuples(*[st.floats(-3.0, 3.0)] * 2),
+        rho=st.floats(-0.97, 0.97),
+    )
+    def test_2d_product_form_tracks_log_pdf(self, mean, log10_sigma, rho):
+        # narrow to wide, up to |rho| = 0.97: the bound of the fixed cases above
+        s0, s1 = 10.0 ** np.array(log10_sigma)
+        g = G.Gaussian(mean, [[s0 * s0, rho * s0 * s1], [rho * s0 * s1, s1 * s1]])
+        d = G.to_grid(g)
+        nodes = np.stack(np.meshgrid(*d.grid.axes, indexing="ij"), axis=-1)
+        raw = np.exp(G.log_pdf(g, nodes))
+        with np.errstate(divide="ignore"):
+            expected = np.log(raw / d.grid.integral(raw))
+            got = np.log(d.values)
+        # below e^-700 the values approach the subnormals and lose precision
+        normal = expected > -700.0
+        error = np.abs(got[normal] - expected[normal])
+        assert np.all(error <= 1e-13 * np.maximum(1.0, np.abs(expected[normal])))
+        assert np.all(d.values[~normal] < 1e-300)
+
 
 class TestCommonGrid:
     def test_grid_input_fixes_the_grid(self):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from pdffusion import divergence as D
 from pdffusion import pooling as P
 from pdffusion.errors import (
     BoundednessError,
+    DegenerateError,
     GridMismatchError,
     PositivityError,
     SimplexError,
@@ -162,6 +166,25 @@ class TestHolderPool:
         for alpha in (-1.0, 0.5, 1.0, 2.0):
             fused = P.holder_pool(mirror_pair, [0.0, 1.0], alpha)
             assert np.max(np.abs(fused.values - q.values)) < 1e-12
+
+    @pytest.mark.parametrize("one_positive", [False, True], ids=["shared-zeros", "one-positive-member"])
+    def test_zeros_match_the_masked_power_mean_bit_for_bit(self, one_positive):
+        # where every member vanishes the pointwise max is 0; the ratios there
+        # are 0, as the masked division gives, and so is the pool
+        x = np.linspace(0.0, 1.0, 64)
+        a, b = 1.0 + x, 2.0 - x
+        a[:16] = b[:24] = 0.0
+        if one_positive:
+            a = 1.0 + x
+        prof = OpinionProfile(tuple(normalize(from_samples([0.0], [1.0], (64,), v)) for v in (a, b)))
+        w, alpha = np.array([0.3, 0.7]), 2.5
+        stack = prof.values
+        m = stack.max(axis=0)
+        np.divide(stack, m, out=stack, where=m > 0.0)
+        combined = np.tensordot(w, stack**alpha, axes=1) ** (1.0 / alpha) * m
+        fused = P.holder_pool(prof, w, alpha)
+        np.testing.assert_array_equal(fused.values, combined / prof.grid.integral(combined))
+        assert one_positive or np.all(fused.values[:16] == 0.0)
 
     def test_inverse_linear_is_alpha_minus_one(self, mirror_pair):
         inv = P.inverse_linear_pool(mirror_pair, [0.4, 0.6])
@@ -323,6 +346,20 @@ def _grid2(mu, cov, n=65):
     return to_grid(Gaussian(mu, cov), [-7.0, -7.0], [7.0, 7.0], (n, n))
 
 
+@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+def profile_and_q0(request):
+    """Three positive agents and a calibrating q0 on one grid."""
+    if request.param == 1:
+        members = (gauss_grid(-1.0, 1.0), gauss_grid(0.5, 2.0), gauss_grid(1.5, 0.7))
+        return OpinionProfile(members), gauss_grid(0.0, 3.0)
+    members = (
+        _grid2([-1.0, 0.5], [[1.0, 0.3], [0.3, 1.5]]),
+        _grid2([0.5, -0.5], [[2.0, -0.4], [-0.4, 1.0]]),
+        _grid2([0.0, 1.0], [[1.2, 0.0], [0.0, 0.8]]),
+    )
+    return OpinionProfile(members), _grid2([0.0, 0.0], [[3.0, 0.5], [0.5, 3.0]])
+
+
 class TestNoAliasing:
     """The kernels work in place in the profile's fresh stack and in their own
     output; none of it may reach a member, ``q0`` or a later call."""
@@ -346,18 +383,6 @@ class TestNoAliasing:
         "bayes-update": lambda prof, q0: P.bayes_update(prof.densities[0], q0.values),
     }
 
-    @pytest.fixture(scope="class", params=[1, 2], ids=["1d", "2d"])
-    def profile_and_q0(self, request):
-        if request.param == 1:
-            members = (gauss_grid(-1.0, 1.0), gauss_grid(0.5, 2.0), gauss_grid(1.5, 0.7))
-            return OpinionProfile(members), gauss_grid(0.0, 3.0)
-        members = (
-            _grid2([-1.0, 0.5], [[1.0, 0.3], [0.3, 1.5]]),
-            _grid2([0.5, -0.5], [[2.0, -0.4], [-0.4, 1.0]]),
-            _grid2([0.0, 1.0], [[1.2, 0.0], [0.0, 0.8]]),
-        )
-        return OpinionProfile(members), _grid2([0.0, 0.0], [[3.0, 0.5], [0.5, 3.0]])
-
     @pytest.mark.parametrize("rule", list(RULES))
     def test_pooling_leaves_inputs_alone(self, profile_and_q0, rule):
         prof, q0 = profile_and_q0
@@ -370,6 +395,7 @@ class TestNoAliasing:
             assert v.tobytes() == b.tobytes()
             assert not np.shares_memory(first.values, v)
         assert not first.values.flags.writeable
+        assert first.values.base is None
         assert not np.shares_memory(first.values, second.values)
 
     def test_profile_values_is_a_fresh_writable_stack(self, profile_and_q0):
@@ -379,6 +405,98 @@ class TestNoAliasing:
         assert not np.shares_memory(stack, prof.values)
         for q in prof.densities:
             assert not np.shares_memory(stack, q.values)
+
+
+def _digest(arr: np.ndarray) -> str:
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+class TestInPlaceNormalization:
+    """The kernels divide their own fresh array in place to normalize it
+    (``grid.adopt_normalized``); ``normalize`` divides into a copy. Neither
+    may change an input, and every result is read-only and owns its values."""
+
+    SPECS = {
+        P.PoolingKind.LINEAR: dict(weights=[0.2, 0.5, 0.3]),
+        P.PoolingKind.GENERALIZED_LINEAR: dict(weights=[0.1, 0.3, 0.2], q0=True, w0=0.4),
+        P.PoolingKind.LOG_LINEAR: dict(weights=[0.2, 0.5, 0.3]),
+        P.PoolingKind.GENERALIZED_LOG_LINEAR: dict(weights=[0.2, 0.5, 0.3], xi0=True),
+        P.PoolingKind.HOLDER: dict(weights=[0.2, 0.5, 0.3], alpha=3.0),
+        P.PoolingKind.INVERSE_LINEAR: dict(weights=[0.2, 0.5, 0.3]),
+        P.PoolingKind.MULTIPLICATIVE: dict(q0=True),
+        P.PoolingKind.GENERALIZED_MULTIPLICATIVE: dict(weights=[0.5, -0.3, 1.2], q0=True),
+        P.PoolingKind.DICTATORSHIP: dict(dictator=2),
+        P.PoolingKind.DOGMATIC: dict(q0=True),
+        P.PoolingKind.CHI_TRANSFORM: dict(weights=[0.2, 0.5, 0.3], chi=P.ChiTransform(P.ChiKind.RECIPROCAL)),
+    }
+    DIVERGENCES = {
+        D.DivergenceKind.KL: {},
+        D.DivergenceKind.REVERSE_KL: {},
+        D.DivergenceKind.ALPHA: dict(alpha=0.3),
+        D.DivergenceKind.REVERSE_ALPHA: dict(alpha=2.0),
+        D.DivergenceKind.PEARSON_CHI2: {},
+        D.DivergenceKind.L2: {},
+        D.DivergenceKind.CHI_DISTANCE: dict(chi=P.ChiTransform(P.ChiKind.LOG)),
+    }
+
+    @staticmethod
+    def digests(prof, q0):
+        return [_digest(q.values) for q in prof.densities] + [_digest(q0.values)]
+
+    @staticmethod
+    def assert_frozen_and_owned(d):
+        assert not d.values.flags.writeable
+        assert d.values.base is None and d.values.flags.owndata
+
+    def test_every_pooling_kind_leaves_inputs_alone(self, profile_and_q0):
+        prof, q0 = profile_and_q0
+        before = self.digests(prof, q0)
+        assert set(self.SPECS) == set(P.PoolingKind)
+        for kind, fields in self.SPECS.items():
+            fields = dict(fields)
+            if "q0" in fields:
+                fields["q0"] = q0
+            if "xi0" in fields:
+                fields["xi0"] = q0.values
+            fused = P.pool(P.PoolingSpec(kind, **fields), prof)
+            assert self.digests(prof, q0) == before, kind
+            self.assert_frozen_and_owned(fused)
+
+    def test_every_divergence_leaves_inputs_alone(self, profile_and_q0):
+        prof, q0 = profile_and_q0
+        before = self.digests(prof, q0)
+        p, q = prof.densities[:2]
+        assert set(self.DIVERGENCES) == set(D.DivergenceKind)
+        for kind, fields in self.DIVERGENCES.items():
+            D.evaluate(D.DivergenceSpec(kind, **fields), p, q)
+            assert self.digests(prof, q0) == before, kind
+        D.cross_entropy(p, q0)
+        D.entropy(q0)
+        assert self.digests(prof, q0) == before
+
+    def test_normalize_divides_into_a_copy(self, profile_and_q0):
+        _, q0 = profile_and_q0
+        raw = GridDensity(q0.grid, q0.values * 3.0)
+        before = _digest(raw.values)
+        scaled = normalize(raw)
+        assert _digest(raw.values) == before
+        assert not np.shares_memory(scaled.values, raw.values)
+        self.assert_frozen_and_owned(scaled)
+        np.testing.assert_array_equal(scaled.values, raw.values / integrate(raw))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gaussian_off_the_grid_is_all_zero(self, dim):
+        far = Gaussian(np.full(dim, 100.0), np.eye(dim))
+        with pytest.raises(ValueError, match="^density values are all zero$"):
+            to_grid(far, [-8.0] * dim, [8.0] * dim, (32,) * dim)
+
+    def test_sub_epsilon_pool_is_degenerate(self):
+        # the harmonic mean of two far-apart agents integrates to about 3e-17
+        prof = OpinionProfile(
+            (gauss_grid(-6.0, 0.5, -12.0, 12.0, 512), gauss_grid(6.0, 0.5, -12.0, 12.0, 512))
+        )
+        with pytest.raises(DegenerateError, match="^cannot normalize density with integral"):
+            P.inverse_linear_pool(prof, [0.5, 0.5])
 
 
 class TestDispatcher:
