@@ -188,24 +188,35 @@ def divergence_cmd(kind, alpha, chi, chi_alpha, inputs):
     required=True,
     type=click.Choice(["min-kld", "discrepancy", "ci"]),
 )
-@click.option("--criterion", type=click.Choice([c.value for c in wmod.CICriterion]), default="trace")
-@click.option("--max-iter", type=int, default=500)
-@click.option("--tol", type=float, default=1e-6)
+@click.option(
+    "--criterion",
+    type=click.Choice([c.value for c in wmod.CICriterion]),
+    default=None,
+    help="ci only; trace when unset",
+)
+@click.option("--max-iter", type=int, default=None, help="min-kld and ci only; 500 when unset")
+@click.option("--tol", type=float, default=None, help="min-kld and ci only; 1e-6 when unset")
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @wrap_errors
 def weights_cmd(method, criterion, max_iter, tol, inputs):
     """Select pooling weights; prints a WeightResult as JSON. min-kld and ci weights,
     objective and iterations are fixed only by --tol: their trailing digits and the
-    iteration count follow summation order and are not byte-stable."""
+    iteration count follow summation order and are not byte-stable. A flag the
+    method does not read exits 2."""
+    reads = {"min-kld": ("max-iter", "tol"), "discrepancy": (), "ci": ("criterion", "max-iter", "tol")}[method]
+    given = {"criterion": criterion, "max-iter": max_iter, "tol": tol}
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            raise ValueError(f"{method} weights do not take --{flag}")
+    budget = {k: v for k, v in (("max_iter", max_iter), ("tol", tol)) if v is not None}
     if method == "ci":
         gaussians = [read_gaussian_json(p) for p in inputs]
-        result = wmod.ci_weights(
-            gaussians, criterion=wmod.CICriterion(criterion), max_iter=max_iter, tol=tol
-        )
+        criterion = wmod.CICriterion(criterion or "trace")
+        result = wmod.ci_weights(gaussians, criterion=criterion, **budget)
     else:
         profile = OpinionProfile(_load_on_common_grid(inputs))
         if method == "min-kld":
-            result = wmod.min_kld_weights(profile, max_iter=max_iter, tol=tol)
+            result = wmod.min_kld_weights(profile, **budget)
         else:
             vec = wmod.discrepancy_weights(profile)
             click.echo(_json_line({"weights": vec.tolist()}))

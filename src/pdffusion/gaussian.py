@@ -181,6 +181,11 @@ def default_grid_bounds(g: Gaussian):
     return g.mean - half_width, g.mean + half_width
 
 
+# the grid of the last to_grid call, reused with its axes and weights while the
+# box repeats, as it does for every member of a profile; one entry, no more
+_last_grid: Grid | None = None
+
+
 def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
     """Sample ``g`` on a uniform grid and renormalize to absorb truncation.
 
@@ -189,7 +194,9 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
     those of ``log_pdf`` on the nodes, exponentiated and normalized, bit for
     bit; in two, the log-density is one matrix product (see
     ``_grid_log_pdf``), within 1e-13 * max(1, |log p|) of ``log_pdf`` for
-    |rho| <= 0.97 and standard deviations from 1e-3 to 1e3.
+    |rho| <= 0.97 and standard deviations from 1e-3 to 1e3. A call on the
+    previous call's bounds and shape returns a density on that call's
+    :class:`Grid` object, whose axes and weights are already built.
 
     Raises
     ------
@@ -207,7 +214,13 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
     shape = tuple(int(n) for n in np.atleast_1d(shape))
     if len(shape) != g.dim:
         raise DimensionError(f"grid shape {shape} does not match Gaussian dim {g.dim}")
-    return _on_grid(g, Grid(lower, upper, shape))
+    global _last_grid
+    grid, last = Grid(lower, upper, shape), _last_grid  # one read: another thread may replace it
+    if grid == last:
+        grid = last
+    else:
+        _last_grid = grid
+    return _on_grid(g, grid)
 
 
 def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:

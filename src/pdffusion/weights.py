@@ -9,11 +9,17 @@ is always uniform weights, is exposed for verification.
 
 Both optimized schemes run through one projected Newton descent over the
 simplex, driven by the objective's exact gradient and K x K Hessian; from
-uniform weights it reaches the optimum in a handful of evaluations.
+uniform weights it reaches the optimum in a handful of evaluations. The
+derivatives are computed only where the descent uses them: the gradient at
+accepted iterates, the Hessian before a Newton step, so a line-search trial
+or the final iterate costs one evaluation of the value. The min-KLD
+Hessian is read off the K(K+1)/2 pairwise products of the agents'
+log-densities, formed once per call at the cost of as many grid arrays.
 """
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +35,11 @@ ARMIJO_C = 1e-4
 MIN_STEP = 1e-13
 ACTIVE_EPS = 1e-2  # Bertsekas' epsilon-bar: only weights this close to zero are held at it
 HESSIAN_RCOND = 1e-10  # Hessian eigenvalues below this share of the largest count as zero
+
+# an objective maps weights to its value and zero-argument callables for its
+# gradient and Hessian there, which hold until its next evaluation
+Derivative = Callable[[], np.ndarray]
+Objective = Callable[[np.ndarray], tuple[float, Derivative, Derivative]]
 
 
 @dataclass(frozen=True)
@@ -69,29 +80,32 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _minimize_on_simplex(
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]], K: int, max_iter: int, tol: float
-) -> WeightResult:
+def _minimize_on_simplex(objective: Objective, K: int, max_iter: int, tol: float) -> WeightResult:
     """Projected Newton descent from uniform weights (Bertsekas, SIAM J. Control Optim. 20(2), 1982).
 
-    ``objective`` returns the value, exact gradient g and exact Hessian. A
+    ``objective`` returns the value and two zero-argument callables giving
+    the exact gradient g and exact Hessian there. The gradient is asked for
+    at accepted iterates only, the Hessian only before a Newton step, so a
+    line-search trial and the final iterate cost their value alone. A
     weight within ACTIVE_EPS of zero that the projected gradient step clips
     to zero is active: it heads for zero, its mass spread over the free
-    weights, which take the minimum-norm Newton step (the pseudo-inverse of
-    their tangent-projected Hessian applied to -g), or -g where that is no
-    descent direction. ``w + step * d`` is projected onto the simplex, the
-    step halved from 1 (less if a weight would move by more than 1) until
-    the Armijo condition holds. Where the Hessian is singular the minimizer
-    is not unique; the minimum-norm step, like a gradient step, never moves
+    weights, which take the minimum-norm Newton step (their tangent-projected
+    Hessian inverted on the eigenvalues above HESSIAN_RCOND times the
+    largest in magnitude, applied to -g), or -g where that is no descent
+    direction. ``w + step * d`` is projected onto the simplex, the step
+    halved from 1 (less if a weight would move by more than 1) until the
+    Armijo condition holds. Where the Hessian is singular the minimizer is
+    not unique; the minimum-norm step, like a gradient step, never moves
     along the flat directions. Convergence is declared when the residual
     ``|w - P(w - g)|`` drops below tol.
     """
     if not (max_iter >= 1 and np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"need max_iter >= 1 and a finite tol > 0, got {max_iter=}, {tol=}")
     w = np.full(K, 1.0 / K)
-    f, g, H = objective(w)
+    f, gradient, hessian = objective(w)
     evaluations, residual = 1, np.inf
     for it in range(max_iter + 1):
+        g = gradient()
         g = g - g.mean()  # tangent component along the simplex
         p = project_to_simplex(w - g)
         residual = float(np.linalg.norm(w - p))
@@ -103,15 +117,17 @@ def _minimize_on_simplex(
         free = ~active
         n = int(free.sum())
         tangent = np.eye(n) - 1.0 / n
-        h_inv = np.linalg.pinv(tangent @ H[np.ix_(free, free)] @ tangent, rcond=HESSIAN_RCOND, hermitian=True)
+        lam, vecs = np.linalg.eigh(tangent @ hessian()[np.ix_(free, free)] @ tangent)
+        keep = np.abs(lam) > HESSIAN_RCOND * np.abs(lam).max()
+        vecs = vecs[:, keep]
         d = np.where(active, -w, 0.0)
-        d[free] = w[active].sum() / n - h_inv @ g[free]
+        d[free] = w[active].sum() / n - vecs @ ((g[free] @ vecs) / lam[keep])
         if g @ d >= 0.0:
             d = -g
         step = min(1.0, 1.0 / float(np.abs(d).max()))
         while True:
             trial = project_to_simplex(w + step * d)
-            f_trial, g_trial, H_trial = objective(trial)
+            f_trial, gradient, hessian = objective(trial)
             evaluations += 1
             if f_trial <= f - ARMIJO_C * float(g @ (w - trial)):
                 break
@@ -121,11 +137,65 @@ def _minimize_on_simplex(
                     f"line search stalled at iteration {it + 1} with residual {residual:.3e}",
                     result=WeightResult(w, f, it, False, residual, evaluations),
                 )
-        w, f, g, H = trial, f_trial, g_trial, H_trial
+        w, f = trial, f_trial
     raise NonConvergenceError(
         f"no convergence in {max_iter} iterations, residual {residual:.3e}",
         result=WeightResult(w, f, max_iter, False, residual, evaluations),
     )
+
+
+def _min_kld_objective(profile: OpinionProfile) -> Objective:
+    """The min-KLD objective of a validated profile, with lazy derivatives.
+
+    The value at w is the log normalizer of the unnormalized geometric
+    mean, m + log z with z the integral of exp(w @ logs - m), plus w @ b.
+    The gradient is the pooled mean of each log-density plus its KLD
+    coefficient b, the Hessian their pooled covariance: the pooled means of
+    the pairwise products l_a l_b, formed once, minus the outer product of
+    the means. Each pooled mean is one matrix-vector product with the
+    quadrature-weighted exp, divided by z only on its K or K(K+1)/2 entries.
+    Every evaluation writes that exp into one buffer, so its derivatives
+    hold until the next evaluation.
+    """
+    K = profile.K
+    logs = profile.log_values.reshape(K, -1)
+    quad = profile.grid.quad_weights.reshape(-1)
+    rows, cols = np.triu_indices(K)
+    prods = np.empty((rows.size, logs.shape[1]))
+    # b_j, the coefficient of w_j in the KLD average, is column j's mean of
+    # D[a, b] = M[a, a] - M[a, b], M[a, b] the integral of q_a log q_b: it
+    # needs only the trace of M and its column sums, the integrals of each
+    # log q_b against the agents' sum. The first two rows of prods serve as
+    # scratch: quad * q_a and that sum
+    mass, total = prods[0], prods[1]
+    total.fill(0.0)
+    trace = 0.0
+    for q, log_q in zip(profile.densities, logs):
+        np.multiply(q.values.reshape(-1), quad, out=mass)
+        trace += float(mass @ log_q)
+        total += mass
+    b = (trace - logs @ total) / K
+    for row, a, c in zip(prods, rows, cols):
+        np.multiply(logs[a], logs[c], out=row)
+    p = np.empty(logs.shape[1])  # every evaluation's buffer: s, then the pooled weights quad * exp(s - m)
+
+    def objective(w: np.ndarray) -> tuple[float, Derivative, Derivative]:
+        np.dot(w, logs, out=p)
+        m = p.max()
+        np.subtract(p, m, out=p)
+        np.exp(p, out=p)
+        np.multiply(p, quad, out=p)
+        z = float(p.sum())
+        mean = functools.cache(lambda: logs @ p / z)
+
+        def hessian() -> np.ndarray:
+            second = np.empty((K, K))
+            second[rows, cols] = second[cols, rows] = prods @ p / z
+            return second - np.outer(mean(), mean())
+
+        return m + np.log(z) + float(w @ b), lambda: mean() + b, hessian
+
+    return objective
 
 
 def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1e-6) -> WeightResult:
@@ -133,10 +203,13 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
 
     The objective splits into the log normalizer of the unnormalized
     geometric mean plus a weighted average of pairwise KLDs, read off the
-    agent log-densities taken once: KL(q_a || q_b) = M[a, a] - M[a, b], with
-    M[a, b] the integral of q_a log q_b. Each evaluation is one weighted sum
-    of log-densities; the gradient is the pooled mean of each log-density
-    plus its KLD coefficient, the Hessian their pooled covariance.
+    agent log-densities taken once (see ``_min_kld_objective``). Each value
+    is one weighted sum of log-densities and one exp pass; the gradient,
+    computed at accepted iterates only, adds one pass over the K
+    log-densities, and the Hessian, computed before each Newton step, one
+    over their K(K+1)/2 pairwise products. Memory: the K log-densities, the
+    K(K+1)/2 products and one evaluation buffer live for the whole call,
+    K(K+1)/2 + K + 1 grid arrays, and nothing else of grid size is allocated.
 
     Raises
     ------
@@ -155,31 +228,7 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
         raise ValueError("weight selection needs at least two agents")
     if not all(q.normalized for q in profile.densities):
         raise NotNormalizedError("divergences are defined between normalized densities")
-    K = profile.K
-    logs = profile.log_values.reshape(K, -1)
-    quad = profile.grid.quad_weights.reshape(-1)
-    # one K x N buffer: quad * q here, logs * p in each Hessian
-    scratch = profile.values.reshape(K, -1)
-    scratch *= quad
-    M = scratch @ logs.T
-    # b_j, the coefficient of w_j in the KLD average, is column j's mean of D
-    b = (M.trace() - M.sum(axis=0)) / K
-
-    def objective(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        # one buffer: s, then the pooled weights quad * exp(s - m), then p / z
-        p = w @ logs
-        m = p.max()
-        p -= m
-        np.exp(p, out=p)
-        p *= quad
-        z = float(p.sum())
-        p /= z
-        # a log normalizer's gradient is the pooled mean of log q_j, its Hessian their covariance
-        mean = logs @ p
-        np.multiply(logs, p, out=scratch)
-        return m + np.log(z) + float(w @ b), mean + b, scratch @ logs.T - np.outer(mean, mean)
-
-    return _minimize_on_simplex(objective, K, max_iter, tol)
+    return _minimize_on_simplex(_min_kld_objective(profile), profile.K, max_iter, tol)
 
 
 def reverse_kld_objective(profile: OpinionProfile, w) -> float:
@@ -242,15 +291,22 @@ def ci_weights(
     d = gaussians[0].dim
     precisions = np.stack([cho_inverse(g.chol) for g in gaussians]).reshape(K, d * d)
 
-    def objective(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def objective(w: np.ndarray) -> tuple[float, Derivative, Derivative]:
         cov = pd_inverse((w @ precisions).reshape(d, d), "combined precision")
         if criterion is CICriterion.TRACE:
             sq = cov @ cov
-            hess = 2.0 * (precisions @ np.kron(sq, cov) @ precisions.T)
-            return float(np.trace(cov)), -(precisions @ sq.reshape(-1)), hess
+            return (
+                float(np.trace(cov)),
+                lambda: -(precisions @ sq.reshape(-1)),
+                lambda: 2.0 * (precisions @ np.kron(sq, cov) @ precisions.T),
+            )
         sign, logdet = np.linalg.slogdet(cov)
         if sign <= 0:
             raise DegenerateError("fused covariance lost positive definiteness")
-        return float(logdet), -(precisions @ cov.reshape(-1)), precisions @ np.kron(cov, cov) @ precisions.T
+        return (
+            float(logdet),
+            lambda: -(precisions @ cov.reshape(-1)),
+            lambda: precisions @ np.kron(cov, cov) @ precisions.T,
+        )
 
     return _minimize_on_simplex(objective, K, max_iter, tol)

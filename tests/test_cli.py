@@ -352,6 +352,33 @@ class TestWeights:
         # the tighter estimate should dominate
         assert payload["weights"][0] > payload["weights"][1]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "min-kld", "--criterion", "logdet"], "min-kld weights do not take --criterion"),
+            (["--method", "discrepancy", "--criterion", "trace"], "discrepancy weights do not take --criterion"),
+            (["--method", "discrepancy", "--max-iter", "3"], "discrepancy weights do not take --max-iter"),
+            (["--method", "discrepancy", "--tol", "5"], "discrepancy weights do not take --tol"),
+        ],
+    )
+    def test_unread_flag_exits_2(self, runner, tmp_path, flags, message):
+        a = gauss_json(tmp_path, "a.json", 0.0, 1.0)
+        b = gauss_json(tmp_path, "b.json", 1.0, 2.0)
+        result = runner.invoke(main, ["weights", *flags, a, b], env=SMALL_ENV)
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == message
+
+    @pytest.mark.parametrize("method", ["min-kld", "ci"])
+    def test_unset_budget_and_criterion_take_the_defaults(self, runner, tmp_path, method):
+        a = gauss_json(tmp_path, "a.json", 0.0, 1.0)
+        b = gauss_json(tmp_path, "b.json", 1.0, 4.0)
+        explicit = ["--max-iter", "500", "--tol", "1e-6"] + (["--criterion", "trace"] if method == "ci" else [])
+        unset = runner.invoke(main, ["weights", "--method", method, a, b], env=SMALL_ENV)
+        spelled = runner.invoke(main, ["weights", "--method", method, *explicit, a, b], env=SMALL_ENV)
+        assert unset.exit_code == spelled.exit_code == 0
+        assert unset.output == spelled.output
+
 
 class TestAxiomCheck:
     def test_pass_report(self, runner):

@@ -176,6 +176,22 @@ class TestToGrid:
         with pytest.raises(DimensionError):
             G.to_grid(g)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_repeated_box_reuses_the_grid(self, dim):
+        a = G.Gaussian(np.full(dim, 0.3), np.diag(np.linspace(1.0, 2.0, dim)))
+        b = G.Gaussian(np.full(dim, -0.4), np.diag(np.linspace(0.5, 1.5, dim)))
+        lower, upper, shape = np.full(dim, -6.0), np.full(dim, 5.0), (64,) * dim
+        first = G.to_grid(a, lower, upper, shape)
+        second = G.to_grid(b, tuple(lower), list(upper), shape)
+        assert second.grid is first.grid
+        other = G.to_grid(b, lower, upper + 1.0, shape)
+        assert other.grid is not first.grid
+        assert G.to_grid(a, lower, upper + 1.0, shape).grid is other.grid
+        for g, d in ((a, first), (b, second)):
+            fresh = G._on_grid(g, Grid(lower, upper, shape))
+            assert fresh.grid is not d.grid
+            np.testing.assert_array_equal(d.values, fresh.values)
+
     @pytest.mark.parametrize("mean, var", [(0.3, 1.7), (-4.0, 0.01), (12.0, 30.0)])
     def test_1d_values_are_log_pdf_on_the_nodes_bit_for_bit(self, mean, var):
         g = G.Gaussian([mean], [[var]])

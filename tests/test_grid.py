@@ -30,6 +30,7 @@ from pdffusion.grid import (
     normalize,
 )
 from pdffusion.pooling import holder_pool
+from pdffusion.weights import min_kld_weights
 
 INV_SQRT_2PI = 0.3989422804014327
 INV_2PI = 0.15915494309189535
@@ -192,8 +193,8 @@ class TestOwnership:
             GridDensity(UNIT, vals)
 
 
-def _peak_over_output(fn) -> float:
-    """Traced peak allocation of ``fn()`` over the bytes of the density it returns."""
+def _peak_over_output(fn, output_bytes=None) -> float:
+    """Traced peak allocation of ``fn()`` over the bytes of the density it returns, or ``output_bytes``."""
     fn()  # caches and lazy set-up are not what is measured
     tracemalloc.start()
     try:
@@ -202,7 +203,7 @@ def _peak_over_output(fn) -> float:
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    return peak / out.values.nbytes
+    return peak / (out.values.nbytes if output_bytes is None else output_bytes)
 
 
 class TestAllocationBudget:
@@ -212,11 +213,14 @@ class TestAllocationBudget:
     full-grid result once: to_grid peaks at 1 output (the log-density,
     exponentiated and normalized in place), normalize at 1 (its copy), and a
     two-agent Holder pool at 4 (the pointwise max, the stack of ratios and
-    the result).
+    the result). Minimum-KLD weights, which return no density, are counted
+    in grid arrays: K log-densities, their K(K+1)/2 pairwise products and
+    one evaluation buffer.
     """
 
     G = Gaussian([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]])
     H = Gaussian([-0.5, 0.4], [[1.5, -0.3], [-0.3, 0.9]])
+    J = Gaussian([0.1, 0.6], [[0.8, 0.2], [0.2, 1.2]])
 
     def test_to_grid(self):
         assert _peak_over_output(lambda: to_grid(self.G)) <= 1.5
@@ -231,6 +235,12 @@ class TestAllocationBudget:
         b = to_grid(self.H, a.grid.lower, a.grid.upper, a.grid.shape)
         prof = OpinionProfile((a, b))
         assert _peak_over_output(lambda: holder_pool(prof, [0.4, 0.6], 2.0)) <= 5.0
+
+    def test_min_kld_weights_of_three(self):
+        a = to_grid(self.G)
+        prof = OpinionProfile((a, *(to_grid(g, a.grid.lower, a.grid.upper, a.grid.shape) for g in (self.H, self.J))))
+        K = prof.K
+        assert _peak_over_output(lambda: min_kld_weights(prof), a.values.nbytes) <= K * (K + 1) / 2 + K + 2
 
 
 class TestGrid:

@@ -270,6 +270,121 @@ class TestMinKldWeights:
         assert not best.converged
 
 
+def counted_quadratic(A, c):
+    """0.5 (w - c)' A (w - c) as an optimizer objective, and its call counts."""
+    calls = {"value": 0, "gradient": 0, "hessian": 0}
+
+    def objective(w):
+        calls["value"] += 1
+        r = w - c
+
+        def gradient():
+            calls["gradient"] += 1
+            return A @ r
+
+        def hessian():
+            calls["hessian"] += 1
+            return A
+
+        return 0.5 * float(r @ A @ r), gradient, hessian
+
+    return objective, calls
+
+
+class TestLazyDerivatives:
+    @pytest.mark.parametrize(
+        "A, c, backtracks",
+        [
+            (np.diag([1.0, 2.0, 3.0]), np.array([0.2, 0.3, 0.5]), 0),
+            (
+                np.array([[1.388, -1.039, -0.813], [-1.039, 1.118, 0.991], [-0.813, 0.991, 1.098]]),
+                np.array([1.62, 0.64, 1.07]),
+                1,
+            ),
+        ],
+        ids=["interior-optimum", "backtrack"],
+    )
+    def test_derivatives_only_where_used(self, A, c, backtracks):
+        # the gradient is read at the start and at each accepted iterate, the
+        # Hessian once per Newton step; every value evaluation counts, the
+        # rejected line-search trials included
+        objective, calls = counted_quadratic(A, c)
+        res = W._minimize_on_simplex(objective, 3, 100, 1e-10)
+        assert res.converged
+        assert calls["hessian"] == res.iterations
+        assert calls["gradient"] == res.iterations + 1
+        assert calls["value"] == res.evaluations == res.iterations + 1 + backtracks
+
+
+# (means, covariances) of the weight problems of perfbench/grid_fusion.py, in its table coordinates
+BENCH_MIN_KLD = {
+    "2d": [
+        ([0.9, -1.29], [[0.413, -0.134], [-0.134, 1.064]]),
+        ([1.8, -1.04], [[0.798, -0.242], [-0.242, 1.058]]),
+        ([2.26, -1.92], [[0.627, -0.24], [-0.24, 1.435]]),
+    ],
+    "1d": [([0.87], [[2.815]]), ([0.74], [[1.895]]), ([1.4], [[2.005]]), ([1.31], [[1.041]])],
+    "stall": [([-0.36], [[2.1]]), ([-0.69], [[1.45]]), ([-0.78], [[0.712]])],
+}
+BENCH_CI = [
+    ([3.06, -3.83], [[2.438, -1.081], [-1.081, 1.686]]),
+    ([-3.03, -0.35], [[2.195, -0.695], [-0.695, 0.542]]),
+    ([-0.53, -0.42], [[1.701, 1.617], [1.617, 2.206]]),
+]
+
+
+class TestBenchmarkProblems:
+    @pytest.mark.parametrize("problem, expected", [("2d", (4, 3)), ("1d", (4, 3)), ("stall", (5, 4))])
+    def test_min_kld_evaluations_and_iterations(self, problem, expected):
+        prof = OpinionProfile(common_grid(*(Gaussian(m, c) for m, c in BENCH_MIN_KLD[problem])))
+        res = W.min_kld_weights(prof)
+        assert res.converged
+        assert (res.evaluations, res.iterations) == expected
+
+    @pytest.mark.parametrize("criterion", list(W.CICriterion))
+    def test_ci_evaluations_and_iterations(self, criterion):
+        res = W.ci_weights([Gaussian(m, c) for m, c in BENCH_CI], criterion)
+        assert res.converged
+        assert (res.evaluations, res.iterations) == (5, 4)
+
+
+def plain_min_kld(profile, w):
+    """Value, gradient and Hessian of the min-KLD objective in plain NumPy."""
+    K = profile.K
+    logs = np.stack([np.log(q.values).reshape(-1) for q in profile.densities])
+    quad = profile.grid.quad_weights.reshape(-1)
+    M = (np.stack([q.values.reshape(-1) for q in profile.densities]) * quad) @ logs.T
+    b = (np.trace(M) - M.sum(axis=0)) / K
+    s = w @ logs
+    m = s.max()
+    p = quad * np.exp(s - m)
+    z = p.sum()
+    p /= z
+    mean = logs @ p
+    return m + np.log(z) + w @ b, mean + b, (logs * p) @ logs.T - np.outer(mean, mean)
+
+
+class TestMinKldDerivatives:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_match_the_plain_formulas(self, dim, K):
+        rng = np.random.default_rng(100 * dim + K)
+        gs = []
+        for _ in range(K):
+            a = rng.normal(0.0, 0.6, (dim, dim))
+            gs.append(Gaussian(rng.normal(0.0, 1.0, dim), a @ a.T + 0.5 * np.eye(dim)))
+        prof = OpinionProfile(common_grid(*gs, points=129 if dim == 2 else None))
+        objective = W._min_kld_objective(prof)
+        for w in rng.dirichlet(np.ones(K), size=3):
+            f, gradient, hessian = objective(w)
+            f0, g0, H0 = plain_min_kld(prof, w)
+            assert abs(f - f0) <= 1e-12 * abs(f0)
+            assert np.max(np.abs(gradient() - g0)) <= 1e-12 * np.max(np.abs(g0))
+            H = hessian()
+            assert np.array_equal(H, H.T)
+            assert np.max(np.abs(H - H0)) <= 1e-12 * np.max(np.abs(H0))
+
+
 BAD_BUDGETS = [(0, 1e-6), (-3, 1e-6), (500, -1.0), (500, 0.0), (500, np.nan), (500, np.inf)]
 
 
