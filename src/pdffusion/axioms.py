@@ -131,46 +131,42 @@ def _l1(template: Grid, a: GridDensity, b: GridDensity) -> float:
     return template.integral(np.abs(a.values - b.values))
 
 
-def _bump(x: np.ndarray, c: float, s: float) -> np.ndarray:
-    """Unnormalized Gaussian bump of center ``c`` and width ``s``."""
+def _bump(x: np.ndarray, c, s) -> np.ndarray:
+    """Unnormalized Gaussian bump of center ``c`` and width ``s``, broadcast against ``x``."""
     return np.exp(-0.5 * ((x - c) / s) ** 2)
 
 
-def _density(template: Grid, vals: np.ndarray) -> GridDensity:
-    return gridmod.normalize(GridDensity(template, vals))
-
-
-def _mixture_on_axis(rng, x: np.ndarray) -> np.ndarray:
-    """Unnormalized 1-3 component Gaussian mixture, strictly positive on x."""
+def _mixture_draws(rng, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, means and widths, as columns, of a random 1-3 component mixture on x."""
     n = int(rng.integers(1, 4))
     comp_w = rng.dirichlet(np.ones(n))
     span = x[-1] - x[0]
     means = rng.uniform(x[0] + 0.2 * span, x[-1] - 0.2 * span, size=n)
     sds = rng.uniform(0.3, 1.5, size=n)
-    vals = np.zeros_like(x)
-    for cw, m, s in zip(comp_w, means, sds):
-        vals += cw * _bump(x, m, s) / (s * math.sqrt(2.0 * math.pi))
-    return vals
+    return comp_w[:, None], means[:, None], sds[:, None]
+
+
+def _mixture_on_axis(rng, x: np.ndarray) -> np.ndarray:
+    """Unnormalized 1-3 component Gaussian mixture, strictly positive on x; rows summed in order."""
+    comp_w, means, sds = _mixture_draws(rng, x)
+    return (comp_w * _bump(x, means, sds) / (sds * math.sqrt(2.0 * math.pi))).sum(axis=0)
 
 
 def _random_density(rng, template: Grid, broad: bool = False) -> GridDensity:
-    if template.dims == 1:
-        vals = _mixture_on_axis(rng, template.axes[0])
+    if template.dims == 2:
         if broad:
-            # flatten toward a wide single bump so negative exponents stay tame
-            s, m = rng.uniform(1.0, 1.5), rng.uniform(-2.0, 2.0)
-            vals = _bump(template.axes[0], m, s)
-    else:
-        x1, x2 = template.axes
-        if broad:
-            s1, s2 = rng.uniform(1.0, 1.5, size=2)
-            m1, m2 = rng.uniform(-2.0, 2.0, size=2)
-            f, g = _bump(x1, m1, s1), _bump(x2, m2, s2)
+            s, m = rng.uniform(1.0, 1.5, size=2), rng.uniform(-2.0, 2.0, size=2)
+            vals = np.outer(*map(_bump, template.axes, m, s))
         else:
-            f = _mixture_on_axis(rng, x1)
-            g = _mixture_on_axis(rng, x2)
-        vals = np.outer(f, g)
-    return _density(template, vals)
+            vals = np.outer(*(_mixture_on_axis(rng, x) for x in template.axes))
+    elif broad:
+        # a wide single bump keeps negative exponents tame; the unused mixture draws keep the stream
+        _mixture_draws(rng, template.axes[0])
+        s, m = rng.uniform(1.0, 1.5), rng.uniform(-2.0, 2.0)
+        vals = _bump(template.axes[0], m, s)
+    else:
+        vals = _mixture_on_axis(rng, template.axes[0])
+    return gridmod.adopt_normalized(template, vals)
 
 
 def _random_profile(rng, K: int, template: Grid) -> OpinionProfile:
@@ -251,7 +247,7 @@ def _with_event_mass(template: Grid, cand: GridDensity, events, target: float) -
         vals[nodes] *= scale
         rest &= ~nodes
     vals[rest] *= outside_target / outside
-    return _density(template, vals)
+    return gridmod.adopt_normalized(template, vals)
 
 
 def _matched_mass_pair(
@@ -325,10 +321,9 @@ def _trial_zero_preservation(spec, rng, template, K):
     nodes = _nodes_of_cells_1d(cells)
     members = []
     for _ in range(K):
-        cand = _random_density(rng, template)
-        vals = cand.values.copy()
+        vals = _random_density(rng, template).values.copy()
         vals[nodes] = 0.0
-        members.append(_density(template, vals))
+        members.append(gridmod.adopt_normalized(template, vals))
     profile = OpinionProfile(tuple(members))
     s = _with_companions(spec, rng, template)
     v = abs(event_probability(pool(s, profile), cells))
@@ -409,7 +404,7 @@ def _trial_local_values(spec, rng, template, K):
             denom = template.integral(vals, bump)
             if abs(denom) < 1e-9 or abs(deficit / denom) * float(bump.max()) >= 0.9:
                 break
-            members.append(_density(template, vals * (1.0 + deficit / denom * bump)))
+            members.append(gridmod.adopt_normalized(template, vals * (1.0 + deficit / denom * bump)))
         else:
             break
     else:
@@ -433,7 +428,7 @@ def _modulated(template: Grid, base: OpinionProfile, b1, b2) -> list[GridDensity
             mod = 1.0 + amp * b1 + t * b2
             if mod.min() <= 0.1:
                 break
-            members.append(_density(template, q.values * mod))
+            members.append(gridmod.adopt_normalized(template, q.values * mod))
         else:
             return members
         amp *= 0.5

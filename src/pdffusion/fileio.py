@@ -37,12 +37,15 @@ def read_density_csv(path) -> GridDensity:
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing '# dims,lower...,upper...,shape...' header")
         fields = header.lstrip("#").split(",")
-        dims = int(fields[0])
+        try:
+            dims = int(fields[0])
+            lower = [float(v) for v in fields[1 : 1 + dims]]
+            upper = [float(v) for v in fields[1 + dims : 1 + 2 * dims]]
+            shape = tuple(int(v) for v in fields[1 + 2 * dims :])
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad header field: {exc}") from None
         if len(fields) != 1 + 3 * dims:
             raise ValueError(f"{path}: header has {len(fields)} fields, expected {1 + 3 * dims}")
-        lower = [float(v) for v in fields[1 : 1 + dims]]
-        upper = [float(v) for v in fields[1 + dims : 1 + 2 * dims]]
-        shape = tuple(int(v) for v in fields[1 + 2 * dims :])
         with warnings.catch_warnings():
             # a file without values is reported below, with its grid shape
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -57,6 +60,24 @@ def read_density_csv(path) -> GridDensity:
     return GridDensity(Grid(lower, upper, shape), values)
 
 
+def _json_fields(path, *names) -> list:
+    """The fields ``names`` of the JSON object in ``path``, in order."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    for name in names:
+        if not isinstance(payload, dict) or name not in payload:
+            raise ValueError(f"{path}: expected a JSON object with field {name!r}")
+    return [payload[name] for name in names]
+
+
+def _float_array(path, name: str, value) -> np.ndarray:
+    """``value``, the JSON field ``name`` of ``path``, as a float64 array."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: field {name!r} is not an array of numbers") from None
+
+
 def write_gaussian_json(path, g: Gaussian) -> None:
     payload = {"mean": g.mean.tolist(), "cov": g.cov.tolist()}
     with open(path, "w") as fh:
@@ -65,9 +86,8 @@ def write_gaussian_json(path, g: Gaussian) -> None:
 
 
 def read_gaussian_json(path) -> Gaussian:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return Gaussian(payload["mean"], payload["cov"])
+    mean, cov = _json_fields(path, "mean", "cov")
+    return Gaussian(_float_array(path, "mean", mean), _float_array(path, "cov", cov))
 
 
 def write_model_json(path, model: LinearGaussianModel) -> None:
@@ -83,12 +103,11 @@ def write_model_json(path, model: LinearGaussianModel) -> None:
 
 
 def read_model_json(path) -> LinearGaussianModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    blocks = tuple(np.asarray(b, dtype=np.float64) for b in payload["H_blocks"])
+    names = ("Sigma", "prior_mean", "prior_cov")
+    blocks, *rest = _json_fields(path, "H_blocks", *names)
+    if not isinstance(blocks, list):
+        raise ValueError(f"{path}: field 'H_blocks' is not a list of matrices")
     return LinearGaussianModel(
-        blocks,
-        np.asarray(payload["Sigma"], dtype=np.float64),
-        np.asarray(payload["prior_mean"], dtype=np.float64),
-        np.asarray(payload["prior_cov"], dtype=np.float64),
+        tuple(_float_array(path, f"H_blocks[{i}]", b) for i, b in enumerate(blocks)),
+        *(_float_array(path, name, value) for name, value in zip(names, rest)),
     )

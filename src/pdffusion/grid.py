@@ -14,14 +14,11 @@ copies anything else. Whether a density is strictly positive and whether it
 integrates to one are read off its values here and nowhere else. Every other
 module reduces its non closed-form work to these objects.
 
-:func:`normalize` divides a density's values into a new array, since the
-density keeps its own. The kernels that compute a fresh full-grid array
-(``gaussian.to_grid``, the normalized pools and ``pooling.bayes_update``)
-hand it to :func:`adopt_normalized` instead, which divides it in place: the
-array was allocated by the kernel and no reference to it has left the
-kernel, so no caller can see it change, and the density adopts it as its
-values. The division is the same as in :func:`normalize`, so both give the
-same bits, with one full-grid pass and one allocation less.
+:func:`adopt_normalized` is the one normalization: it divides a fresh array,
+which only its caller holds, in place by its integral, and a new density
+adopts it. The kernels that compute a full-grid array (``gaussian.to_grid``,
+the normalized pools, ``pooling.bayes_update``) and the axiom harness call it
+directly; :func:`normalize` hands it a copy of a density's values.
 
 Importing this module fixes glibc's two heap thresholds at the values that
 glibc's own dynamic rule reaches once a 32 MiB block has been freed: blocks
@@ -291,7 +288,7 @@ def integrate(d: GridDensity) -> float:
 
 
 def normalize(d: GridDensity) -> GridDensity:
-    """Scale ``d`` so it integrates to one, into a new array.
+    """Scale ``d`` so it integrates to one: :func:`adopt_normalized` on a copy of its values.
 
     Raises
     ------
@@ -299,29 +296,23 @@ def normalize(d: GridDensity) -> GridDensity:
         If the integral is at or below machine epsilon, i.e. the
         normalization constant is undefined.
     """
-    return GridDensity(d.grid, frozen(d.values / _normalizer(d.grid, d.values)))
+    return adopt_normalized(d.grid, d.values.copy())
 
 
 def adopt_normalized(grid: Grid, values: np.ndarray) -> GridDensity:
-    """``normalize(GridDensity(grid, values))``, dividing ``values`` in place.
+    """Divide ``values`` in place by their trapezoid integral; the result adopts them.
 
     ``values`` is a fresh, writable, C-contiguous float64 array of grid
-    shape that only the caller holds; the result adopts it. Raises what
-    that expression raises: ValueError for non-finite or negative values,
-    then :class:`DegenerateError`.
+    shape that only the caller holds. Raises ValueError for non-finite or
+    negative values, as :class:`GridDensity` does, then
+    :class:`DegenerateError` for an integral at or below machine epsilon.
     """
-    total = _normalizer(grid, values)
-    values /= total
-    return GridDensity(grid, frozen(values))
-
-
-def _normalizer(grid: Grid, values: np.ndarray) -> float:
-    """The trapezoid integral of ``values``; raises unless it can normalize them."""
     total = grid.integral(values)
     if not np.isfinite(total) or total <= DEGENERATE_INTEGRAL:
         GridDensity(grid, values)  # invalid values raise ValueError first, as in GridDensity
         raise DegenerateError(f"cannot normalize density with integral {total!r}")
-    return total
+    values /= total
+    return GridDensity(grid, frozen(values))
 
 
 def moments(d: GridDensity) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ import numpy as np
 from . import grid as gridmod
 from .errors import (
     BoundednessError,
-    DegenerateError,
     GridMismatchError,
     PositivityError,
     SimplexError,
@@ -106,11 +105,6 @@ def _require_positive(profile: OpinionProfile, op: str) -> None:
         raise PositivityError(f"{op} requires a strictly positive opinion profile")
 
 
-def _finish(profile: OpinionProfile, values: np.ndarray) -> GridDensity:
-    """Normalize ``values``, a fresh full-grid array the density adopts."""
-    return gridmod.adopt_normalized(profile.grid, values)
-
-
 def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """``np.tensordot(w, stack, axes=1)``, the same product, into a fresh owned array."""
     out = np.empty(stack.shape[1:])
@@ -169,7 +163,7 @@ def log_linear_pool(profile: OpinionProfile, weights, xi0=None) -> GridDensity:
     if xi0 is not None:
         logs += np.log(_check_xi0(profile, xi0))
     logs -= logs.max()
-    return _finish(profile, np.exp(logs, out=logs))
+    return gridmod.adopt_normalized(profile.grid, np.exp(logs, out=logs))
 
 
 def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
@@ -204,7 +198,7 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
     combined = _weighted_sum(w, stack)
     combined **= 1.0 / alpha
     combined *= m
-    return _finish(profile, combined)
+    return gridmod.adopt_normalized(profile.grid, combined)
 
 
 def inverse_linear_pool(profile: OpinionProfile, weights) -> GridDensity:
@@ -248,7 +242,7 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     logs = weighted.sum(axis=0)
     logs += log_q0
     logs -= logs.max()
-    return _finish(profile, np.exp(logs, out=logs))
+    return gridmod.adopt_normalized(profile.grid, np.exp(logs, out=logs))
 
 
 def dictatorship_pool(profile: OpinionProfile, k: int) -> GridDensity:

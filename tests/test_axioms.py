@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_acceptance import _MATRIX_SPECS
 
 from pdffusion import axioms
 from pdffusion.axioms import (
@@ -15,10 +19,13 @@ from pdffusion.axioms import (
     expected_matrix,
 )
 from pdffusion.errors import UnsupportedAxiomError
-from pdffusion.grid import event_probability, integrate
+from pdffusion.grid import GridDensity, event_probability, integrate, normalize
 from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, fields_read
 
 TRIALS = 25
+
+# regenerate with: PYTHONPATH=src python tests/test_axioms.py
+GOLDEN_REPORTS = Path(__file__).parent / "golden" / "axiom_reports_seed3.json"
 
 
 def linear(w=(0.4, 0.6)):
@@ -294,3 +301,59 @@ class TestUpdating:
 
     def test_fused_likelihood_depends_on_profile_for_averages(self):
         assert not check_axiom(linear(), Axiom.A12, trials=TRIALS, seed=12).passed
+
+
+def _seed3_reports() -> dict:
+    """``(passed, max_violation.hex())``, or "n.a.", of every matrix spec x axiom at seed 3, 3 trials."""
+    out = {}
+    for kind, specs in _MATRIX_SPECS.items():
+        for role, spec in zip(("general", "equal"), specs):
+            for axiom in Axiom:
+                try:
+                    rep = check_axiom(spec, axiom, trials=3, seed=3)
+                    entry = [rep.passed, rep.max_violation.hex()]
+                except UnsupportedAxiomError:
+                    entry = "n.a."
+                out[f"{kind.value}/{role}/{axiom.value}"] = entry
+    return out
+
+
+class TestMixture:
+    # seeds 11, 1 and 0 draw one, two and three components
+    @pytest.mark.parametrize("seed", [11, 1, 0])
+    @pytest.mark.parametrize("template", [axioms.GRID_1D, axioms.GRID_2D], ids=["512", "65"])
+    def test_broadcast_matches_the_component_loop(self, seed, template):
+        x = template.axes[0]
+        got = axioms._mixture_on_axis(np.random.default_rng(seed), x)
+        comp_w, means, sds = axioms._mixture_draws(np.random.default_rng(seed), x)
+        want = np.zeros_like(x)
+        for cw, m, s in zip(comp_w[:, 0], means[:, 0], sds[:, 0]):
+            want += cw * axioms._bump(x, m, s) / (s * math.sqrt(2.0 * math.pi))
+        np.testing.assert_array_equal(got, want)
+
+
+class TestPinnedReports:
+    def test_seed3_reports_match_the_golden_file(self):
+        assert _seed3_reports() == json.loads(GOLDEN_REPORTS.read_text())
+
+    @pytest.mark.parametrize("template", [axioms.GRID_1D, axioms.GRID_2D], ids=["1-D", "2-D"])
+    @pytest.mark.parametrize("broad", [False, True], ids=["mixture", "broad"])
+    def test_one_construction_per_density(self, monkeypatch, template, broad):
+        built = []
+        post_init = GridDensity.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GridDensity, "__post_init__", counted)
+        q = axioms._random_density(np.random.default_rng(0), template, broad=broad)
+        assert len(built) == 1
+        normalize(q)
+        assert len(built) == 2
+
+
+if __name__ == "__main__":
+    GOLDEN_REPORTS.parent.mkdir(exist_ok=True)
+    lines = (f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(_seed3_reports().items()))
+    GOLDEN_REPORTS.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -287,6 +287,31 @@ class TestDivergence:
         assert stderr_error(result) == "ValueError"
         assert stderr_message(result) == f"{rows}: 2 values on a line; the format has one per line"
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ("[1, 2]", "expected a JSON object with field 'mean'"),
+            ('"x"', "expected a JSON object with field 'mean'"),
+            ('{"mean": {"a": 1}, "cov": [[1]]}', "field 'mean' is not an array of numbers"),
+        ],
+        ids=["array", "string", "object-mean"],
+    )
+    def test_json_of_the_wrong_shape_exits_2(self, runner, tmp_path, payload, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        ok = gauss_json(tmp_path, "ok.json", 0.0, 1.0)
+        result = runner.invoke(main, ["divergence", "--kind", "kl", str(bad), ok])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == f"{bad}: {message}"
+
+    def test_csv_header_error_names_the_file(self, runner, tmp_path):
+        bare = tmp_path / "bare.csv"
+        bare.write_text("#\n" + "0.5\n" * 16)
+        result = runner.invoke(main, ["divergence", "--kind", "kl", str(bare), str(bare)])
+        assert result.exit_code == 2
+        assert stderr_message(result).startswith(f"{bare}: bad header field: ")
+
 
 class TestWeights:
     def test_min_kld_converges(self, runner, tmp_path):
@@ -568,6 +593,16 @@ class TestSupra:
         result = runner.invoke(main, ["supra", "--model", str(path)])
         assert result.exit_code == 2
         assert json.loads(result.stderr)["message"] == message
+
+    def test_model_json_of_the_wrong_shape_exits_2(self, runner, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"H_blocks": 5, "Sigma": [[1.0]], "prior_mean": [0.0], "prior_cov": [[1.0]]}'
+        )
+        result = runner.invoke(main, ["supra", "--model", str(path)])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == f"{path}: field 'H_blocks' is not a list of matrices"
 
     def test_singular_joint_noise_exits_3(self, runner, tmp_path):
         path = tmp_path / "model.json"
