@@ -71,11 +71,15 @@ def _json_fields(path, *names) -> list:
 
 
 def _float_array(path, name: str, value) -> np.ndarray:
-    """``value``, the JSON field ``name`` of ``path``, as a float64 array."""
+    """``value``, the JSON field ``name`` of ``path``, as a float64 array of JSON numbers only."""
     try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: field {name!r} is not an array of numbers") from None
+        leaves = np.asarray(value, dtype=object)
+        # type(True) is bool: numpy alone would read true and "2.0" as numbers
+        if all(type(x) in (int, float) for x in leaves.flat):
+            return leaves.astype(np.float64)
+    except (ValueError, OverflowError):  # ragged nesting, or an integer beyond float range
+        pass
+    raise ValueError(f"{path}: field {name!r} is not an array of numbers")
 
 
 def write_gaussian_json(path, g: Gaussian) -> None:

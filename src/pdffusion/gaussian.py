@@ -31,11 +31,6 @@ def cholesky(mat: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor; ValueError if non-finite, else SingularityError unless PD."""
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{what} has non-finite entries")
-    return _finite_cholesky(mat, what)
-
-
-def _finite_cholesky(mat: np.ndarray, what: str) -> np.ndarray:
-    """``cholesky`` of a matrix known to be finite."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
@@ -89,7 +84,7 @@ class Gaussian:
             raise ValueError("mean and cov must be finite")
         require_symmetric(cov, "cov")
         cov = symmetrize(cov)
-        chol = _finite_cholesky(cov, "cov")
+        chol = cholesky(cov, "cov")
         for arr in (mean, cov, chol):
             arr.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -99,6 +94,13 @@ class Gaussian:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+def from_information(precision: np.ndarray, shift: np.ndarray, what: str) -> Gaussian:
+    """N(P^{-1} h, P^{-1}) from the information form, precision P and shift h;
+    SingularityError naming ``what`` unless P is positive definite."""
+    cov = pd_inverse(symmetrize(precision), what)
+    return Gaussian(cov @ shift, cov)
 
 
 def log_pdf(g: Gaussian, points) -> np.ndarray:
@@ -211,7 +213,7 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
         upper = hi if upper is None else upper
     if shape is None:
         shape = (DEFAULT_POINTS_1D,) if g.dim == 1 else (DEFAULT_POINTS_2D, DEFAULT_POINTS_2D)
-    shape = tuple(int(n) for n in np.atleast_1d(shape))
+    shape = tuple(np.atleast_1d(shape).tolist())
     if len(shape) != g.dim:
         raise DimensionError(f"grid shape {shape} does not match Gaussian dim {g.dim}")
     global _last_grid
@@ -262,7 +264,7 @@ def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
         boxes = [default_grid_bounds(g) for g in inputs]
         lower = np.min([lo for lo, _ in boxes], axis=0)
         upper = np.max([hi for _, hi in boxes], axis=0)
-        shape = None if points is None else (int(points),) * len(lower)
+        shape = None if points is None else (points,) * len(lower)
         out[0] = to_grid(inputs[0], lower, upper, shape)
         grids = [out[0].grid]
     return tuple(d if isinstance(d, GridDensity) else _on_grid(d, grids[0]) for d in out)
@@ -282,6 +284,13 @@ def check_simplex(weights, n: int, what: str = "weights") -> np.ndarray:
     return w
 
 
+def shared_dim(gaussians, message: str) -> int:
+    """The dimension every one of ``gaussians`` has; DimensionError(message) if they differ."""
+    if len({g.dim for g in gaussians}) > 1:
+        raise DimensionError(message)
+    return gaussians[0].dim
+
+
 def mixture_moments(gaussians, weights) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the weighted mixture of Gaussians.
 
@@ -290,15 +299,9 @@ def mixture_moments(gaussians, weights) -> tuple[np.ndarray, np.ndarray]:
     """
     gaussians = list(gaussians)
     w = check_simplex(weights, len(gaussians))
-    d = gaussians[0].dim
-    for g in gaussians:
-        if g.dim != d:
-            raise DimensionError("mixture components must share a dimension")
+    shared_dim(gaussians, "mixture components must share a dimension")
     mean = sum(wk * g.mean for wk, g in zip(w, gaussians))
-    cov = np.zeros((d, d))
-    for wk, g in zip(w, gaussians):
-        delta = g.mean - mean
-        cov = cov + wk * (g.cov + np.outer(delta, delta))
+    cov = sum(wk * (g.cov + np.outer(g.mean - mean, g.mean - mean)) for wk, g in zip(w, gaussians))
     return mean, symmetrize(cov)
 
 
@@ -321,19 +324,13 @@ def ci_fuse(gaussians, weights) -> Gaussian:
     """
     gaussians = list(gaussians)
     w = check_simplex(weights, len(gaussians))
-    d = gaussians[0].dim
-    for g in gaussians:
-        if g.dim != d:
-            raise DimensionError("fusion inputs must share a dimension")
+    shared_dim(gaussians, "fusion inputs must share a dimension")
     for k, wk in enumerate(w):
         if wk == 1.0 and np.all(np.delete(w, k) == 0.0):
             return gaussians[k]
-    precision = np.zeros((d, d))
-    shift = np.zeros(d)
+    precision = shift = 0.0
     for wk, g in zip(w, gaussians):
         pk = cho_inverse(g.chol)
         precision = precision + wk * pk
         shift = shift + wk * (pk @ g.mean)
-    precision = symmetrize(precision)
-    cov = pd_inverse(precision, "combined precision")
-    return Gaussian(cov @ shift, cov)
+    return from_information(precision, shift, "combined precision")

@@ -108,10 +108,10 @@ class Grid:
 
     ``lower`` and ``upper`` are finite per-dimension bounds with upper >
     lower, kept as tuples of floats; ``shape`` counts the nodes per
-    dimension, at least 16 each. Nodes include both endpoints, so node ``i``
-    of dimension ``d`` sits at ``lower[d] + i * (upper[d] - lower[d]) /
-    (shape[d] - 1)``. Equal grids compare equal and hash alike; derived
-    arrays are cached on first use and read-only.
+    dimension, a whole number of at least 16 each. Nodes include both
+    endpoints, so node ``i`` of dimension ``d`` sits at ``lower[d] + i *
+    (upper[d] - lower[d]) / (shape[d] - 1)``. Equal grids compare equal and
+    hash alike; derived arrays are cached on first use and read-only.
     """
 
     lower: tuple[float, ...]
@@ -121,7 +121,10 @@ class Grid:
     def __post_init__(self):
         lower = tuple(np.atleast_1d(np.asarray(self.lower, dtype=np.float64)).tolist())
         upper = tuple(np.atleast_1d(np.asarray(self.upper, dtype=np.float64)).tolist())
-        shape = tuple(int(n) for n in np.atleast_1d(self.shape))
+        counts = np.atleast_1d(self.shape).tolist()
+        if not all(float(n).is_integer() for n in counts):
+            raise ValueError(f"node counts must be whole numbers, got {counts}")
+        shape = tuple(int(n) for n in counts)
         if not (len(lower) == len(upper) == len(shape)):
             raise DimensionError(
                 f"inconsistent lengths: lower {len(lower)}, upper {len(upper)}, shape {len(shape)}"
@@ -411,7 +414,7 @@ class OpinionProfile:
         """The members' values stacked into one K x shape array, built on each access.
 
         The stack is fresh and writable on every access, and shares no
-        memory with any member: the pooling kernels use it as scratch.
+        memory with any member: the min-KLD objective uses it as scratch.
         """
         return np.stack([q.values for q in self.densities])
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, RankError, SingularityError
-from .gaussian import Gaussian, cho_inverse, cholesky, pd_inverse, require_symmetric, symmetrize
+from .gaussian import Gaussian, cho_inverse, cholesky, from_information, pd_inverse, require_symmetric, symmetrize
 from .grid import GridDensity, OpinionProfile
 from .pooling import multiplicative_pool
 
@@ -202,18 +202,21 @@ class SupraFusionResult:
 
     ``vector_weights`` (one d_theta x d_theta W_k per agent), ``G``,
     ``Sigma_tilde``, ``Sigma_hat_inv`` and ``posterior`` are always set.
-    ``scalar_weights`` holds the [0, 0] entries of the W_k exactly when
-    d_theta = 1, and is None otherwise. ``oracle`` is set when ``y`` was
-    given and the joint noise covariance is invertible.
+    ``oracle`` is set when ``y`` was given and the joint noise covariance
+    is invertible.
     """
 
     posterior: Gaussian
     oracle: Gaussian | None
-    scalar_weights: np.ndarray | None
     vector_weights: tuple[np.ndarray, ...]
     Sigma_tilde: np.ndarray
     Sigma_hat_inv: np.ndarray
     G: np.ndarray
+
+    @property
+    def scalar_weights(self) -> np.ndarray | None:
+        """The [0, 0] entries of the W_k when d_theta = 1, else None."""
+        return np.array([w[0, 0] for w in self.vector_weights]) if self.G.shape == (1, 1) else None
 
 
 def _finite_vector(x, length: int, what: str) -> np.ndarray:
@@ -248,20 +251,13 @@ def _conjugate_update(model: LinearGaussianModel, precision, shift, what: str) -
     information form: precision H^T N H and shift H^T N y, N the noise
     precision."""
     prior_prec = model.prior_precision
-    cov = pd_inverse(symmetrize(precision + prior_prec), what)
-    return Gaussian(cov @ (shift + prior_prec @ model.prior_mean), cov)
+    return from_information(precision + prior_prec, shift + prior_prec @ model.prior_mean, what)
 
 
 def _observed_update(model: LinearGaussianModel, noise_precision, y, what: str) -> Gaussian:
     """Conjugate update on the raw observation y = H theta + n."""
     H = np.vstack(model.H_blocks)
     return _conjugate_update(model, H.T @ noise_precision @ H, H.T @ noise_precision @ y, what)
-
-
-def _oracle_posterior(model: LinearGaussianModel, y: np.ndarray) -> Gaussian | None:
-    if model.noise_precision is None:
-        return None  # oracle undefined for singular joint noise
-    return _observed_update(model, model.noise_precision, y, "oracle posterior precision")
 
 
 def scalar_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
@@ -297,11 +293,12 @@ def vector_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
     posterior = _conjugate_update(model, sigma_hat_inv, ones.T @ sti @ t, "fused posterior precision")
     oracle = None
     if y is not None:
-        oracle = _oracle_posterior(model, _finite_vector(y, model.d_y, "observation"))
+        y = _finite_vector(y, model.d_y, "observation")
+        if model.noise_precision is not None:  # the oracle needs invertible joint noise
+            oracle = _observed_update(model, model.noise_precision, y, "oracle posterior precision")
     return SupraFusionResult(
         posterior=posterior,
         oracle=oracle,
-        scalar_weights=np.array([w[0, 0] for w in vector_weights]) if dt == 1 else None,
         vector_weights=tuple(vector_weights),
         Sigma_tilde=model.Sigma_tilde,
         Sigma_hat_inv=sigma_hat_inv,

@@ -13,8 +13,9 @@ uniform weights it reaches the optimum in a handful of evaluations. The
 derivatives are computed only where the descent uses them: the gradient at
 accepted iterates, the Hessian before a Newton step, so a line-search trial
 or the final iterate costs one evaluation of the value. The min-KLD
-Hessian is read off the K(K+1)/2 pairwise products of the agents'
-log-densities, formed once per call at the cost of as many grid arrays.
+coefficients come from one K x K product of the agents' quadrature masses
+and log-densities, its Hessian from their K(K+1)/2 pairwise log products,
+formed once per call at the cost of as many grid arrays.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from typing import Callable
 import numpy as np
 
 from . import divergence, pooling
-from .errors import DegenerateError, DimensionError, NonConvergenceError
+from .errors import DegenerateError, NonConvergenceError
 from .errors import NotNormalizedError, PositivityError
-from .gaussian import check_simplex, cho_inverse, pd_inverse
+from .gaussian import check_simplex, cho_inverse, pd_inverse, shared_dim
 from .grid import OpinionProfile
 
 ARMIJO_C = 1e-4
@@ -160,21 +161,15 @@ def _min_kld_objective(profile: OpinionProfile) -> Objective:
     K = profile.K
     logs = profile.log_values.reshape(K, -1)
     quad = profile.grid.quad_weights.reshape(-1)
+    # b_j, the coefficient of w_j in the KLD average, is column j's mean of
+    # D[a, b] = M[a, a] - M[a, b], M[a, b] the integral of q_a log q_b; the
+    # masses quad * q_a overwrite the profile's fresh stack, freed before prods
+    mass = profile.values.reshape(K, -1)
+    M = np.multiply(mass, quad, out=mass) @ logs.T
+    del mass
+    b = (np.trace(M) - M.sum(axis=0)) / K
     rows, cols = np.triu_indices(K)
     prods = np.empty((rows.size, logs.shape[1]))
-    # b_j, the coefficient of w_j in the KLD average, is column j's mean of
-    # D[a, b] = M[a, a] - M[a, b], M[a, b] the integral of q_a log q_b: it
-    # needs only the trace of M and its column sums, the integrals of each
-    # log q_b against the agents' sum. The first two rows of prods serve as
-    # scratch: quad * q_a and that sum
-    mass, total = prods[0], prods[1]
-    total.fill(0.0)
-    trace = 0.0
-    for q, log_q in zip(profile.densities, logs):
-        np.multiply(q.values.reshape(-1), quad, out=mass)
-        trace += float(mass @ log_q)
-        total += mass
-    b = (trace - logs @ total) / K
     for row, a, c in zip(prods, rows, cols):
         np.multiply(logs[a], logs[c], out=row)
     p = np.empty(logs.shape[1])  # every evaluation's buffer: s, then the pooled weights quad * exp(s - m)
@@ -209,7 +204,9 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     log-densities, and the Hessian, computed before each Newton step, one
     over their K(K+1)/2 pairwise products. Memory: the K log-densities, the
     K(K+1)/2 products and one evaluation buffer live for the whole call,
-    K(K+1)/2 + K + 1 grid arrays, and nothing else of grid size is allocated.
+    K(K+1)/2 + K + 1 grid arrays; the K-array scratch of the KLD coefficients
+    is freed before the products are formed, and nothing else of grid size
+    is allocated.
 
     Raises
     ------
@@ -286,9 +283,7 @@ def ci_weights(
     K = len(gaussians)
     if K < 2:
         raise ValueError("weight selection needs at least two agents")
-    if len({g.dim for g in gaussians}) > 1:
-        raise DimensionError("fusion inputs must share a dimension")
-    d = gaussians[0].dim
+    d = shared_dim(gaussians, "fusion inputs must share a dimension")
     precisions = np.stack([cho_inverse(g.chol) for g in gaussians]).reshape(K, d * d)
 
     def objective(w: np.ndarray) -> tuple[float, Derivative, Derivative]:

@@ -293,8 +293,11 @@ class TestDivergence:
             ("[1, 2]", "expected a JSON object with field 'mean'"),
             ('"x"', "expected a JSON object with field 'mean'"),
             ('{"mean": {"a": 1}, "cov": [[1]]}', "field 'mean' is not an array of numbers"),
+            ('{"mean": [true], "cov": [["2.0"]]}', "field 'mean' is not an array of numbers"),
+            ('{"mean": [0.0], "cov": [["2.0"]]}', "field 'cov' is not an array of numbers"),
+            ('{"mean": [1, true], "cov": [[1, 0], [0, 1]]}', "field 'mean' is not an array of numbers"),
         ],
-        ids=["array", "string", "object-mean"],
+        ids=["array", "string", "object-mean", "boolean-mean", "string-cov", "boolean-among-ints"],
     )
     def test_json_of_the_wrong_shape_exits_2(self, runner, tmp_path, payload, message):
         bad = tmp_path / "bad.json"
@@ -554,6 +557,17 @@ class TestSupra:
         result = runner.invoke(main, ["supra", "--private-shared", "4,1,4,4", "--y", y])
         assert result.exit_code == 2
         assert json.loads(result.stderr)["message"] == "observation entry 5 is not finite (nan)"
+
+    def test_boolean_in_model_sigma_exits_2(self, runner, tmp_path):
+        path = tmp_path / "model.json"
+        write_model_json(path, private_shared_model(2, 1, (1, 1)))
+        payload = json.loads(path.read_text())
+        payload["Sigma"][0][0] = True
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["supra", "--model", str(path)])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == f"{path}: field 'Sigma' is not an array of numbers"
 
     def test_exactly_one_source_required(self, runner, tmp_path):
         path = tmp_path / "model.json"

@@ -84,6 +84,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least 16 nodes"):
             Grid([0.0, 0.0], [1.0, 1.0], (32, 15))
 
+    @pytest.mark.parametrize("shape", [(16.9,), (20.5, 32), (32, np.nan)])
+    def test_node_counts_must_be_whole(self, shape):
+        with pytest.raises(ValueError, match="node counts must be whole numbers"):
+            Grid([0.0] * len(shape), [1.0] * len(shape), shape)
+
+    def test_whole_float_counts_are_kept(self):
+        assert Grid([0.0], [1.0], (16.0,)).shape == (16,)
+        assert to_grid(Gaussian([0.0], [[1.0]]), shape=(20.0,)).grid.shape == (20,)
+
+    def test_to_grid_rejects_a_fractional_count(self):
+        with pytest.raises(ValueError, match="node counts must be whole numbers"):
+            to_grid(Gaussian([0.0], [[1.0]]), shape=(20.5,))
+
     def test_only_one_or_two_dims(self):
         with pytest.raises(DimensionError, match="1 or 2 dimensions"):
             Grid([0.0] * 3, [1.0] * 3, (16, 16, 16))

@@ -11,6 +11,7 @@ from pdffusion.divergence import kl
 from pdffusion.errors import DegenerateError, DimensionError, NonConvergenceError, PositivityError
 from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import OpinionProfile, from_samples, normalize
+from test_gaussian import _gaussian_kl
 
 LO, HI, N = -8.0, 8.0, 1024
 
@@ -439,6 +440,30 @@ class TestDiscrepancyWeights:
         q = gauss_grid(0.0, 1.0)
         with pytest.raises(DegenerateError):
             W.discrepancy_weights(OpinionProfile((q, q)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_match_the_closed_form_kl_table(self, dim, K):
+        rng = np.random.default_rng(10 * dim + K)
+        gs = []
+        for _ in range(K):
+            a = rng.normal(0.0, 0.5, (dim, dim))
+            gs.append(Gaussian(rng.normal(0.0, 1.0, dim), a @ a.T + 0.5 * np.eye(dim)))
+        D = np.array([[_gaussian_kl(p, q) if p is not q else 0.0 for q in gs] for p in gs])
+        gamma = 1.0 / D.max(axis=1)
+        expected = gamma / gamma.sum()
+        w = W.discrepancy_weights(OpinionProfile(common_grid(*gs)))
+        assert np.max(np.abs(w - expected) / expected) <= 1e-10
+
+    def test_identical_agents_apart_get_equal_weights(self):
+        # the KL table's entries for the two copies of a are formed alike,
+        # however far apart in the profile the copies sit
+        a = Gaussian([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]])
+        b = Gaussian([-0.5, 0.4], [[1.5, -0.3], [-0.3, 0.9]])
+        qa, qb = common_grid(a, b)
+        w = W.discrepancy_weights(OpinionProfile((qa, qb, qa)))
+        assert qa.grid.shape == (257, 257)
+        assert w[0] == w[2]
 
 
 class TestCiWeights:
