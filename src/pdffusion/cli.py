@@ -57,7 +57,7 @@ def wrap_errors(fn):
             _fail(4, exc)
         except _NUMERICAL as exc:
             _fail(3, exc)
-        except (FusionError, ValueError, KeyError, IndexError, OSError, json.JSONDecodeError) as exc:
+        except (FusionError, ValueError, KeyError, IndexError, OSError) as exc:
             _fail(2, exc)
 
     return inner
@@ -161,8 +161,8 @@ def pool_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0, xi0, inputs
     q0d = None if q0 is None else densities[len(inputs)]
     spec = _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0=q0d, xi0=xi0d)
     fused = pool(spec, profile)
+    mean, cov = moments(fused)  # before writing: moments refuses an unnormalized pool
     write_density_csv(output, fused)
-    mean, cov = moments(fused)
     click.echo(_json_line({"mean": mean.tolist(), "cov": cov.tolist()}))
 
 

@@ -63,7 +63,10 @@ def read_density_csv(path) -> GridDensity:
 def _json_fields(path, *names) -> list:
     """The fields ``names`` of the JSON object in ``path``, in order."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     for name in names:
         if not isinstance(payload, dict) or name not in payload:
             raise ValueError(f"{path}: expected a JSON object with field {name!r}")

@@ -63,8 +63,8 @@ def pd_inverse(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
 class Gaussian:
     """A multivariate normal distribution N(mean, cov).
 
-    cov must be symmetric to 1e-10 times max(1, largest absolute entry)
-    and positive definite. ``chol`` is its lower Cholesky factor.
+    cov must be symmetric to 1e-10 times max(1, largest absolute entry) and positive
+    definite. ``chol`` is its lower Cholesky factor; ``from_information`` builds cov from it.
     """
 
     mean: np.ndarray
@@ -84,23 +84,32 @@ class Gaussian:
             raise ValueError("mean and cov must be finite")
         require_symmetric(cov, "cov")
         cov = symmetrize(cov)
-        chol = cholesky(cov, "cov")
-        for arr in (mean, cov, chol):
-            arr.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "chol", chol)
+        _set_fields(self, mean, cov, cholesky(cov, "cov"))
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
 
+def _set_fields(g: Gaussian, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray) -> Gaussian:
+    """Give ``g`` these mean, cov and lower factor of cov, made read-only."""
+    for name, arr in (("mean", mean), ("cov", cov), ("chol", chol)):
+        arr.flags.writeable = False
+        object.__setattr__(g, name, arr)
+    return g
+
+
 def from_information(precision: np.ndarray, shift: np.ndarray, what: str) -> Gaussian:
-    """N(P^{-1} h, P^{-1}) from the information form, precision P and shift h;
+    """N(P^{-1} h, P^{-1}) from precision P and shift h, by one factorization:
+    with J the order reversal and R R^T = J P J, ``chol`` is J R^{-T} J.
     SingularityError naming ``what`` unless P is positive definite."""
-    cov = pd_inverse(symmetrize(precision), what)
-    return Gaussian(cov @ shift, cov)
+    r = cholesky(symmetrize(precision)[::-1, ::-1], what)
+    chol = np.tril(np.linalg.inv(r).T[::-1, ::-1])  # inv rounds some zeros above the diagonal
+    cov = symmetrize(chol @ chol.T)
+    mean = cov @ shift
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("mean and cov must be finite")
+    return _set_fields(object.__new__(Gaussian), mean, cov, chol)
 
 
 def log_pdf(g: Gaussian, points) -> np.ndarray:

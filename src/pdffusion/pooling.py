@@ -7,8 +7,11 @@ the trivial dictatorship and dogmatic rules, and pooling through an
 invertible pointwise transform. Also provides the Bayesian update operator
 that the commutativity axioms are stated with.
 
-All products and powers of densities are computed in log space so that grid
-tails near 1e-300 do not underflow before they can cancel.
+Geometric averages and the multiplicative family take their products and
+powers in log space, shifted by the maximum before exp, so that grid tails
+near 1e-300 do not underflow before they can cancel. Holder pools power the
+ratios q_k / max_k q_k, which lie in [0, 1], and the Bayesian update
+multiplies density and likelihood values directly.
 """
 from __future__ import annotations
 

@@ -15,13 +15,13 @@ noise block, local precision, joint noise) is factorized once per model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, RankError, SingularityError
-from .gaussian import Gaussian, cho_inverse, cholesky, from_information, pd_inverse, require_symmetric, symmetrize
+from .gaussian import Gaussian, from_information, pd_inverse, require_symmetric, symmetrize
 from .grid import GridDensity, OpinionProfile
 from .pooling import multiplicative_pool
 
@@ -40,16 +40,12 @@ class LinearGaussianModel:
         positive semidefinite with positive definite diagonal blocks.
     prior_mean, prior_cov : Gaussian prior on theta, prior_mean finite and
         prior_cov symmetric positive definite.
-    prior_chol, noise_block_chols : lower Cholesky factors of prior_cov and
-        of each diagonal noise block, kept from validation.
     """
 
     H_blocks: tuple[np.ndarray, ...]
     Sigma: np.ndarray
     prior_mean: np.ndarray
     prior_cov: np.ndarray
-    prior_chol: np.ndarray = field(init=False, repr=False)
-    noise_block_chols: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks = tuple(np.atleast_2d(np.asarray(h, dtype=np.float64)).copy() for h in self.H_blocks)
@@ -86,19 +82,14 @@ class LinearGaussianModel:
             raise ValueError("prior mean has non-finite entries")
         require_symmetric(prior_cov, "prior covariance")
         prior_cov = symmetrize(prior_cov)
+        for arr in (*blocks, sigma, prior_mean, prior_cov):
+            arr.flags.writeable = False
         object.__setattr__(self, "H_blocks", blocks)
         object.__setattr__(self, "Sigma", sigma)
         object.__setattr__(self, "prior_mean", prior_mean)
         object.__setattr__(self, "prior_cov", prior_cov)
-        prior_chol = cholesky(prior_cov, "prior covariance")
-        noise_chols = tuple(
-            cholesky(self.sigma_block(k), f"diagonal noise block {k}") for k in range(self.K)
-        )
-        for arr in (*blocks, sigma, prior_mean, prior_cov, prior_chol, *noise_chols):
-            arr.flags.writeable = False
-        object.__setattr__(self, "prior_chol", prior_chol)
-        object.__setattr__(self, "noise_block_chols", noise_chols)
-        # materializing the reduced covariance validates its invertibility
+        # validates the prior, each noise block and the reduced covariance, in order
+        self.prior_precision
         self.sigma_tilde_inv
 
     @property
@@ -129,11 +120,11 @@ class LinearGaussianModel:
 
     @cached_property
     def prior_precision(self) -> np.ndarray:
-        return cho_inverse(self.prior_chol)
+        return pd_inverse(self.prior_cov, "prior covariance")
 
     @cached_property
     def _noise_block_inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(cho_inverse(c) for c in self.noise_block_chols)
+        return tuple(pd_inverse(self.sigma_block(k), f"diagonal noise block {k}") for k in range(self.K))
 
     @cached_property
     def noise_precision(self) -> np.ndarray | None:

@@ -1,0 +1,54 @@
+"""Closed forms for Gaussians, the references the grid computations are tested against.
+
+Each function takes ``pdffusion.gaussian.Gaussian`` values and works on
+their mean and cov alone, with numpy's general-purpose linear algebra, so
+it shares no code path with the quadrature it checks.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+
+def gaussian_kl(p, q) -> float:
+    """KL(p || q) = (tr(Sq^-1 Sp) + d^T Sq^-1 d - dim + log|Sq| - log|Sp|) / 2, d = mq - mp."""
+    q_inv = np.linalg.inv(q.cov)
+    delta = q.mean - p.mean
+    log_det_ratio = np.linalg.slogdet(q.cov)[1] - np.linalg.slogdet(p.cov)[1]
+    return 0.5 * (np.trace(q_inv @ p.cov) + delta @ q_inv @ delta - p.dim + log_det_ratio)
+
+
+def gaussian_cross_entropy(p, q) -> float:
+    """-integral p log q = KL(p || q) + (dim log(2 pi e) + log|Sp|) / 2."""
+    entropy = 0.5 * (p.dim * np.log(2.0 * np.pi * np.e) + np.linalg.slogdet(p.cov)[1])
+    return gaussian_kl(p, q) + entropy
+
+
+def gaussian_log_affinity(p, q, alpha: float) -> float:
+    """log integral p^alpha q^(1 - alpha); +inf when the integral diverges.
+
+    The integrand is exp(-x^T L x / 2 + e^T x + c) with L = alpha Sp^-1 +
+    (1 - alpha) Sq^-1 and e = alpha Sp^-1 mp + (1 - alpha) Sq^-1 mq; it
+    integrates to a finite value exactly when L is positive definite, and
+    the 2 pi factors cancel.
+    """
+    pp, pq = np.linalg.inv(p.cov), np.linalg.inv(q.cov)
+    lam = alpha * pp + (1.0 - alpha) * pq
+    if np.linalg.eigvalsh(lam)[0] <= 0.0:
+        return np.inf
+    eta = alpha * pp @ p.mean + (1.0 - alpha) * pq @ q.mean
+    return 0.5 * (
+        eta @ np.linalg.solve(lam, eta)
+        - alpha * p.mean @ pp @ p.mean
+        - (1.0 - alpha) * q.mean @ pq @ q.mean
+        - np.linalg.slogdet(lam)[1]
+        - alpha * np.linalg.slogdet(p.cov)[1]
+        - (1.0 - alpha) * np.linalg.slogdet(q.cov)[1]
+    )
+
+
+def gaussian_l2_cross(p, q) -> float:
+    """integral p q, the density of N(0, Sp + Sq) at mp - mq."""
+    cov = p.cov + q.cov
+    delta = p.mean - q.mean
+    quad = delta @ np.linalg.solve(cov, delta)
+    return float(np.exp(-0.5 * (quad + np.linalg.slogdet(2.0 * np.pi * cov)[1])))

@@ -17,7 +17,7 @@ from pdffusion.fileio import (
     write_model_json,
 )
 from pdffusion.gaussian import Gaussian, ci_fuse, to_grid
-from pdffusion.grid import from_samples
+from pdffusion.grid import GridDensity, from_samples
 from pdffusion.supra import LinearGaussianModel, private_shared_model
 
 SMALL_ENV = {"FUSION_GRID_POINTS": "128"}
@@ -182,6 +182,28 @@ class TestPool:
         assert message == "Holder exponent must be finite, got nan"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "linear", "--weights", "0.5,0.5"],
+            ["--kind", "dictatorship", "--dictator", "1"],
+            ["--kind", "dogmatic", "--q0", "Q0"],
+        ],
+        ids=["linear", "dictatorship", "dogmatic"],
+    )
+    def test_unnormalized_pool_leaves_no_output(self, runner, tmp_path, flags):
+        paths = []
+        for name, mean in (("a.csv", -1.0), ("b.csv", 1.0), ("q0.csv", 0.0)):
+            d = to_grid(Gaussian([mean], [[1.0]]), [-8.0], [8.0], (64,))
+            paths.append(tmp_path / name)
+            write_density_csv(paths[-1], GridDensity(d.grid, 2.0 * d.values))  # integrates to 2
+        flags = [str(paths[2]) if f == "Q0" else f for f in flags]
+        out = tmp_path / "fused.csv"
+        result = runner.invoke(main, ["pool", *flags, str(paths[0]), str(paths[1]), "-o", str(out)])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "NotNormalizedError"
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, runner, tmp_path):
         out = str(tmp_path / "fused.csv")
         result = runner.invoke(
@@ -308,6 +330,15 @@ class TestDivergence:
         assert stderr_error(result) == "ValueError"
         assert stderr_message(result) == f"{bad}: {message}"
 
+    def test_truncated_json_names_the_file(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"mean": [0.0] "cov": [[1.0]]}')
+        ok = gauss_json(tmp_path, "ok.json", 0.0, 1.0)
+        result = runner.invoke(main, ["divergence", "--kind", "kl", str(bad), ok])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == f"{bad}: not valid JSON: Expecting ',' delimiter: line 1 column 16 (char 15)"
+
     def test_csv_header_error_names_the_file(self, runner, tmp_path):
         bare = tmp_path / "bare.csv"
         bare.write_text("#\n" + "0.5\n" * 16)
@@ -379,6 +410,14 @@ class TestWeights:
         assert payload["converged"] is True
         # the tighter estimate should dominate
         assert payload["weights"][0] > payload["weights"][1]
+
+    def test_csv_given_to_ci_names_the_file(self, runner, tmp_path):
+        a = density_csv(tmp_path, "a.csv", 0.0, 1.0)
+        b = density_csv(tmp_path, "b.csv", 1.0, 2.0)
+        result = runner.invoke(main, ["weights", "--method", "ci", a, b])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == f"{a}: not valid JSON: Expecting value: line 1 column 1 (char 0)"
 
     @pytest.mark.parametrize(
         "flags, message",

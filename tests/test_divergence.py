@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdffusion import divergence as D
 from pdffusion.errors import NotNormalizedError, PositivityError, SupportError
-from pdffusion.gaussian import Gaussian, to_grid
+from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import from_samples, normalize
 from pdffusion.pooling import ChiKind, ChiTransform
+
+from closed_forms import gaussian_cross_entropy, gaussian_kl, gaussian_l2_cross, gaussian_log_affinity
 
 LO, HI, N = -8.0, 8.0, 2048
 
@@ -366,3 +370,78 @@ class TestDispatcher:
     def test_field_the_kind_ignores_rejected(self, kind, fields, ignored):
         with pytest.raises(ValueError, match=f"^{kind.value} divergence does not take {ignored}$"):
             D.DivergenceSpec(kind, **fields)
+
+
+def _gaussian(mean, sigma, rho=0.0) -> Gaussian:
+    """N(mean, diag(sigma) [[1, rho], [rho, 1]] diag(sigma)), or N(mean, sigma^2) in 1-D."""
+    cov = np.outer(sigma, sigma) * np.where(np.eye(len(sigma)) == 1.0, 1.0, rho)
+    return Gaussian(mean, cov)
+
+
+@st.composite
+def _gaussians(draw, dim):
+    """A Gaussian with means in [-1, 1], standard deviations in [0.5, 2] and |rho| <= 0.8."""
+    mean = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+    sigma = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    return _gaussian(mean, sigma, draw(st.floats(-0.8, 0.8)) if dim == 2 else 0.0)
+
+
+def _assert_close(value, exact):
+    assert abs(value - exact) <= max(1e-8 * abs(exact), 1e-10), (value, exact)
+
+
+def _pair_on_grid(data, dim):
+    p, q = data.draw(_gaussians(dim)), data.draw(_gaussians(dim))
+    return p, q, common_grid(p, q)
+
+
+def _positive_pair_on_grid(data, dim):
+    """A pair whose densities have no zero on the shared grid: elsewhere a
+    correlated pair underflows at the corners of the marginal box, the regime
+    of ``test_correlated_pair_outside_the_grid_regime``."""
+    p, q, (pg, qg) = _pair_on_grid(data, dim)
+    assume(pg.positive and qg.positive)
+    return p, q, (pg, qg)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+class TestGaussianClosedForms:
+    """Each divergence of two Gaussians on their shared grid against its closed form."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_kl(self, dim, data):
+        p, q, grids = _positive_pair_on_grid(data, dim)
+        _assert_close(D.kl(*grids), gaussian_kl(p, q))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), alpha=st.floats(0.2, 0.8, exclude_min=True, exclude_max=True))
+    def test_alpha(self, dim, data, alpha):
+        p, q, grids = _pair_on_grid(data, dim)
+        exact = np.expm1(gaussian_log_affinity(p, q, alpha)) / (alpha * (alpha - 1.0))
+        _assert_close(D.alpha_div(*grids, alpha), exact)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_cross_entropy(self, dim, data):
+        p, q, grids = _positive_pair_on_grid(data, dim)
+        _assert_close(D.cross_entropy(*grids), gaussian_cross_entropy(p, q))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_l2(self, dim, data):
+        p, q, grids = _pair_on_grid(data, dim)
+        exact = gaussian_l2_cross(p, p) + gaussian_l2_cross(q, q) - 2.0 * gaussian_l2_cross(p, q)
+        _assert_close(D.l2(*grids), exact)
+
+
+@pytest.mark.xfail(
+    raises=SupportError,
+    strict=True,
+    reason="ROADMAP items 3 and 11: the marginal +-8 sigma box of a wide Gaussian "
+    "reaches where a narrow correlated one underflows to zero",
+)
+def test_correlated_pair_outside_the_grid_regime():
+    p = _gaussian([1.0, 1.0], [2.0, 2.0], 0.8)
+    q = _gaussian([-1.0, 1.0], [2.0, 0.5], 0.8)
+    _assert_close(D.kl(p, q), gaussian_kl(p, q))

@@ -14,6 +14,8 @@ from pdffusion.errors import DimensionError, GridMismatchError, SimplexError, Si
 from pdffusion.grid import Grid, OpinionProfile, integrate, moments
 from pdffusion.pooling import linear_pool, log_linear_pool
 
+from closed_forms import gaussian_kl
+
 
 class TestGaussianType:
     def test_asymmetric_cov_rejected(self):
@@ -48,6 +50,53 @@ class TestCholesky:
     def test_non_positive_definite_raises_singularity_error(self, mat):
         with pytest.raises(SingularityError, match="^m is not positive definite$"):
             G.cholesky(np.array(mat), "m")
+
+
+def _lower(entries, d):
+    """The d x d lower-triangular matrix with diagonal entries |x| + 0.5 and
+    the rest of ``entries`` below it."""
+    low = np.zeros((d, d))
+    low[np.tril_indices(d)] = entries[: d * (d + 1) // 2]
+    low[np.diag_indices(d)] = np.abs(low.diagonal()) + 0.5
+    return low
+
+
+def _max_rel(a, b) -> float:
+    """max |a - b| relative to the largest entry of b."""
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestFromInformation:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        entries=st.lists(st.floats(-1.5, 1.5), min_size=6, max_size=6),
+        shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+    )
+    def test_one_factor_of_the_inverse(self, d, entries, shift):
+        low = _lower(entries, d)
+        precision, h = low @ low.T, np.array(shift[:d])
+        g = G.from_information(precision, h, "P")
+        cov = G.pd_inverse(precision)
+        ref = G.Gaussian(cov @ h, cov)
+        assert _max_rel(g.cov, ref.cov) <= 1e-12
+        # relative to the scale of P^{-1} h, which its entries may cancel below
+        assert np.max(np.abs(g.mean - ref.mean)) <= 1e-12 * np.abs(cov).max() * max(1.0, np.abs(h).max())
+        assert np.all(np.triu(g.chol, 1) == 0.0) and np.all(g.chol.diagonal() > 0.0)
+        assert _max_rel(g.chol @ g.chol.T, g.cov) <= 1e-12
+        for arr in (g.mean, g.cov, g.chol):
+            assert not arr.flags.writeable
+        indefinite = precision - 1.5 * np.linalg.eigvalsh(precision)[0] * np.eye(d)
+        with pytest.raises(SingularityError, match="^P is not positive definite$"):
+            G.from_information(indefinite, h, "P")
+        bad = precision.copy()
+        bad[d - 1, 0] = np.nan
+        with pytest.raises(ValueError, match="^P has non-finite entries$"):
+            G.from_information(bad, h, "P")
+
+    def test_repr_matches_a_constructed_gaussian(self):
+        g = G.from_information(np.array([[4.0]]), np.array([2.0]), "P")
+        assert repr(g) == repr(G.Gaussian([0.5], [[0.25]]))
 
 
 class TestEval:
@@ -385,13 +434,6 @@ class TestCiFuse:
         np.testing.assert_array_equal(G.cho_inverse(g.chol), G.pd_inverse(g.cov))
 
 
-def _gaussian_kl(p: G.Gaussian, q: G.Gaussian) -> float:
-    q_inv = np.linalg.inv(q.cov)
-    delta = q.mean - p.mean
-    log_det_ratio = np.linalg.slogdet(q.cov)[1] - np.linalg.slogdet(p.cov)[1]
-    return 0.5 * (np.trace(q_inv @ p.cov) + delta @ q_inv @ delta - p.dim + log_det_ratio)
-
-
 # pairs whose grid values stay above the float64 underflow threshold
 _CLOSED_FORM_PAIRS = {
     "narrow": (G.Gaussian([0.0], [[0.01]]), G.Gaussian([0.3], [[0.02]])),
@@ -413,8 +455,8 @@ class TestGridAgainstClosedForms:
 
     def test_kl(self, name):
         a, b, _ = self._profile(name)
-        assert kl(a, b) == pytest.approx(_gaussian_kl(a, b), rel=1e-9)
-        assert kl(b, a) == pytest.approx(_gaussian_kl(b, a), rel=1e-9)
+        assert kl(a, b) == pytest.approx(gaussian_kl(a, b), rel=1e-9)
+        assert kl(b, a) == pytest.approx(gaussian_kl(b, a), rel=1e-9)
 
     @pytest.mark.parametrize("w", [(0.3, 0.7), (0.5, 0.5)])
     def test_log_linear_pool_is_covariance_intersection(self, name, w):

@@ -98,17 +98,18 @@ class TestModelValidation:
     def test_kept_factors_are_read_only_and_out_of_repr(self):
         rng = np.random.default_rng(4)
         model = random_correlated_model(rng)
-        chol = model.prior_chol
-        np.testing.assert_allclose(chol @ chol.T, model.prior_cov, atol=1e-12)
-        assert len(model.noise_block_chols) == model.K
-        for c in (model.prior_chol, *model.noise_block_chols):
-            assert not c.flags.writeable
+        for arr in (*model.H_blocks, model.Sigma, model.prior_mean, model.prior_cov):
+            assert not arr.flags.writeable
+        # the repr shows the four inputs and nothing derived from them
         assert "chol" not in repr(model)
+        assert "precision" not in repr(model)
+        assert repr(model).count("array(") == model.K + 3
 
 
 class TestFactorizedOnce:
     """The prior, each noise block, each local precision and the joint noise
-    covariance is factorized once per model, however many fusions run on it."""
+    covariance is factorized once per model, however many fusions run on it,
+    and each fused Gaussian costs one factorization of its precision."""
 
     @pytest.fixture
     def factorized(self, monkeypatch):
@@ -120,7 +121,6 @@ class TestFactorizedOnce:
             return original(mat, what)
 
         monkeypatch.setattr(gaussian_module, "cholesky", counting)
-        monkeypatch.setattr(S, "cholesky", counting)
         return calls
 
     @pytest.mark.parametrize("d_theta, fuse", [(1, S.scalar_fusion), (2, S.vector_fusion)])
@@ -141,6 +141,37 @@ class TestFactorizedOnce:
         ]
         counts = [sum(np.array_equal(c, m) for c in factorized) for m in matrices]
         assert counts == [1] * len(matrices)
+
+    @pytest.mark.parametrize("d_theta", [1, 2, 3])
+    def test_one_per_fused_gaussian(self, factorized, d_theta):
+        rng = np.random.default_rng(5)
+        model = random_correlated_model(rng, K=3, d_yk=3, d_theta=d_theta)
+        # the prior, three noise blocks, three local precisions, the reduced covariance
+        assert len(factorized) == 8
+        y = rng.normal(size=model.d_y)
+        t, _ = S.local_statistics(model, y)
+        S.vector_fusion(model, t, y)  # the first call also inverts the joint noise
+        calls = {
+            "fusion with y": lambda: S.vector_fusion(model, t, y),
+            "fusion without y": lambda: S.vector_fusion(model, t),
+            "substituted oracle": lambda: S.substituted_oracle(model, y),
+        }
+        counts = {}
+        for name, call in calls.items():
+            before = len(factorized)
+            call()
+            counts[name] = len(factorized) - before
+        assert counts == {"fusion with y": 2, "fusion without y": 1, "substituted oracle": 1}
+
+    def test_ci_fuse_factorizes_once(self, factorized):
+        rng = np.random.default_rng(6)
+        gs = []
+        for _ in range(3):
+            a = rng.normal(size=(2, 2))
+            gs.append(Gaussian(rng.normal(size=2), a @ a.T + 0.5 * np.eye(2)))
+        before = len(factorized)
+        gaussian_module.ci_fuse(gs, [0.2, 0.3, 0.5])
+        assert len(factorized) - before == 1
 
 
 class TestLocalStatistics:

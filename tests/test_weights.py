@@ -11,7 +11,8 @@ from pdffusion.divergence import kl
 from pdffusion.errors import DegenerateError, DimensionError, NonConvergenceError, PositivityError
 from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import OpinionProfile, from_samples, normalize
-from test_gaussian import _gaussian_kl
+
+from closed_forms import gaussian_kl
 
 LO, HI, N = -8.0, 8.0, 1024
 
@@ -449,7 +450,7 @@ class TestDiscrepancyWeights:
         for _ in range(K):
             a = rng.normal(0.0, 0.5, (dim, dim))
             gs.append(Gaussian(rng.normal(0.0, 1.0, dim), a @ a.T + 0.5 * np.eye(dim)))
-        D = np.array([[_gaussian_kl(p, q) if p is not q else 0.0 for q in gs] for p in gs])
+        D = np.array([[gaussian_kl(p, q) if p is not q else 0.0 for q in gs] for p in gs])
         gamma = 1.0 / D.max(axis=1)
         expected = gamma / gamma.sum()
         w = W.discrepancy_weights(OpinionProfile(common_grid(*gs)))
