@@ -9,6 +9,7 @@ vanishes.
 
 Squared distances (`l2`, `chi_distance`) are returned squared: they are
 used as optimization objectives, where the square root adds nothing.
+Transform distances apply the `ChiTransform` itself, ``chi(values)``.
 
 Either density argument may be a closed-form Gaussian; both are put on
 one grid by `gaussian.common_grid` first, so that every comparison runs
@@ -23,9 +24,9 @@ from typing import Callable
 import numpy as np
 
 from . import gaussian as gaussmod
-from .errors import NotNormalizedError, PositivityError, SupportError
+from .errors import BoundednessError, NotNormalizedError, PositivityError, SupportError
 from .grid import GridDensity
-from .pooling import ChiKind, ChiTransform, check_fields
+from .pooling import ChiTransform, check_fields
 
 
 class DivergenceKind(enum.Enum):
@@ -189,24 +190,18 @@ def chi_distance(p, q, chi: ChiTransform) -> float:
     """Squared L2 distance between the transformed densities.
 
     chi = Identity reproduces `l2`; Log, Reciprocal and negative Power
-    require both densities strictly positive.
+    require both densities strictly positive. Raises BoundednessError when a
+    power of a density overflows, so that the integral is not finite.
     """
     p, q = _as_grid_pair(p, q)
     if chi.needs_positive and not (p.positive and q.positive):
         raise PositivityError(f"{chi.kind.value} transform distance needs positive densities")
-    with np.errstate(over="ignore"):
-        diff = _apply_chi(chi, p.values) - _apply_chi(chi, q.values)
-        return p.grid.integral(diff, diff)
-
-
-def _apply_chi(chi: ChiTransform, values: np.ndarray) -> np.ndarray:
-    if chi.kind is ChiKind.IDENTITY:
-        return values
-    if chi.kind is ChiKind.LOG:
-        return np.log(values)
-    if chi.kind is ChiKind.RECIPROCAL:
-        return 1.0 / values
-    return values**chi.alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = chi(p.values) - chi(q.values)
+        value = p.grid.integral(diff, diff)
+    if not np.isfinite(value):
+        raise BoundednessError(f"{chi.kind.value} transform distance is {value}: a density's power overflows")
+    return value
 
 
 def entropy(p) -> float:

@@ -31,7 +31,7 @@ class PositivityError(FusionError):
 
 
 class BoundednessError(FusionError):
-    """A density ratio exceeds the floating-point overflow threshold."""
+    """A density ratio, or a power of a density, exceeds the floating-point overflow threshold."""
 
 
 class SupportError(FusionError):

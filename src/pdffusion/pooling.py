@@ -60,12 +60,16 @@ class ChiKind(enum.Enum):
     POWER = "power"
 
 
+_CHI_EXPONENTS = {ChiKind.IDENTITY: 1.0, ChiKind.LOG: 0.0, ChiKind.RECIPROCAL: -1.0}
+
+
 @dataclass(frozen=True)
 class ChiTransform:
     """An invertible pointwise transform on (0, inf) used for pooling.
 
-    Identity reproduces linear pooling, Log reproduces log-linear,
-    Reciprocal reproduces inverse-linear, Power(alpha) reproduces Holder.
+    Each kind is chi(q) = q^p for its `exponent` p, with 0 standing for the
+    p -> 0 limit log q: Identity 1 (linear pooling), Log 0 (log-linear),
+    Reciprocal -1 (inverse-linear), Power(alpha) alpha (Holder).
     """
 
     kind: ChiKind
@@ -81,10 +85,16 @@ class ChiTransform:
             raise ValueError(f"alpha is only meaningful for Power, not {self.kind.value}")
 
     @property
+    def exponent(self) -> float:
+        return self.alpha if self.kind is ChiKind.POWER else _CHI_EXPONENTS[self.kind]
+
+    @property
     def needs_positive(self) -> bool:
-        return self.kind in (ChiKind.LOG, ChiKind.RECIPROCAL) or (
-            self.kind is ChiKind.POWER and self.alpha < 0
-        )
+        return self.exponent <= 0.0
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """chi(values): their log at exponent 0, else ``values ** exponent``."""
+        return np.log(values) if self.exponent == 0.0 else values**self.exponent
 
 
 @dataclass(frozen=True)
@@ -174,7 +184,8 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
 
     alpha=1 is the linear pool, alpha=-1 the inverse-linear pool, and the
     alpha->0 limit is the log-linear pool (request it explicitly: exponents
-    inside (-1e-6, 1e-6) are rejected).
+    inside (-1e-6, 1e-6) are rejected). Raises BoundednessError if alpha < 0
+    and the power of a density ratio overflows.
     """
     alpha = float(alpha)
     if not np.isfinite(alpha):
@@ -188,17 +199,21 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
     w = check_simplex(weights, profile.K)
     # factor out the pointwise max so ratios stay in [0, 1] before powering;
     # where the max is 0 every member is 0: dividing by 1 there keeps the
-    # ratios 0, and so the result. With a positive member the max is positive.
+    # ratios 0, and so the result
     members = [q.values for q in profile.densities]
     m = members[0].copy()
     for v in members[1:]:
         np.maximum(m, v, out=m)
-    divisor = m if any(q.positive for q in profile.densities) else np.where(m > 0.0, m, 1.0)
+    np.copyto(m, 1.0, where=m == 0.0)
     stack = np.empty((profile.K,) + m.shape)
     for v, row in zip(members, stack):
-        np.divide(v, divisor, out=row)
-    stack **= alpha
+        np.divide(v, m, out=row)
+    with np.errstate(over="ignore", divide="ignore"):
+        stack **= alpha
     combined = _weighted_sum(w, stack)
+    # a tiny ratio overflows a negative power; the sum then reads inf (or nan)
+    if alpha < 0.0 and not np.isfinite(combined.max()):
+        raise BoundednessError(f"a density ratio overflows at exponent {alpha:g}")
     combined **= 1.0 / alpha
     combined *= m
     return gridmod.adopt_normalized(profile.grid, combined)
@@ -279,13 +294,11 @@ def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> G
     are the linear, log-linear, inverse-linear and Holder pools, and are
     computed by them.
     """
-    if chi.kind is ChiKind.IDENTITY:
+    if chi.kind is ChiKind.IDENTITY:  # the linear pool itself, not holder_pool(1.0), for its bits
         return gridmod.normalize(linear_pool(profile, weights))
-    if chi.kind is ChiKind.LOG:
+    if chi.exponent == 0.0:
         return log_linear_pool(profile, weights)
-    if chi.kind is ChiKind.RECIPROCAL:
-        return inverse_linear_pool(profile, weights)
-    return holder_pool(profile, weights, chi.alpha)
+    return holder_pool(profile, weights, chi.exponent)
 
 
 # kind -> (spec fields the kind reads, call)

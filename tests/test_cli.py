@@ -730,6 +730,41 @@ class TestOneDimensionalOutputsPinned:
         )
 
 
+# powers of the narrow pair N(0, 0.01), N(0.05, 0.01) that overflow; A, B and
+# OUT stand for the two JSON files and the output CSV
+OVERFLOWS = [
+    ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "300", "A", "B"],  # inf
+    ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "600", "A", "B"],  # nan
+    ["pool", "--kind", "holder", "--alpha", "-400", "--weights", "0.5,0.5", "A", "B", "-o", "OUT"],
+    ["pool", "--kind", "chi-transform", "--chi", "power", "--chi-alpha", "-400", "--weights", "0.5,0.5", "A", "B", "-o", "OUT"],
+]
+
+
+def test_overflowing_power_exits_3_with_no_warning_and_no_output(run_python, tmp_path):
+    # a fresh interpreter with the default warning filters: stderr holds only the errors
+    code = """
+import json, sys
+from pdffusion.cli import main
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        print(exc.code)
+"""
+    files = {
+        "A": gauss_json(tmp_path, "a.json", 0.0, 0.01),
+        "B": gauss_json(tmp_path, "b.json", 0.05, 0.01),
+        "OUT": str(tmp_path / "h.csv"),
+    }
+    calls = [[files.get(arg, arg) for arg in args] for args in OVERFLOWS]
+    env = {k: v for k, v in os.environ.items() if k != "FUSION_GRID_POINTS"}
+    result = run_python(code, json.dumps(calls), env=env)
+    assert result.stdout.split() == ["3"] * len(calls)
+    errors = [json.loads(line)["error"] for line in result.stderr.splitlines()]
+    assert errors == ["BoundednessError"] * len(calls)
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_cli_import_skips_scipy_stats(run_python):
     # numpy is the only linear-algebra library; the CLI must not pay for scipy
     code = (

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdffusion import divergence as D
-from pdffusion.errors import NotNormalizedError, PositivityError, SupportError
+from pdffusion.errors import BoundednessError, NotNormalizedError, PositivityError, SupportError
 from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import from_samples, normalize
 from pdffusion.pooling import ChiKind, ChiTransform
@@ -293,6 +293,14 @@ class TestQuadraticDistances:
         chi = ChiTransform(ChiKind.POWER, 2.0)
         direct = float(np.sum(p.quad_weights * (p.values**2 - q.values**2) ** 2))
         assert D.chi_distance(p, q, chi) == pytest.approx(direct, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [300.0, 600.0], ids=["inf", "nan"])
+    def test_chi_power_that_overflows_raises(self, alpha):
+        # N(0, 0.01) peaks at 3.99; its 300th power overflows, and at 600 the
+        # difference of two overflowed powers is nan
+        p, q = common_grid(Gaussian([0.0], [[0.01]]), Gaussian([0.05], [[0.01]]))
+        with pytest.raises(BoundednessError, match="power transform distance"):
+            D.chi_distance(p, q, ChiTransform(ChiKind.POWER, alpha))
 
 
 class TestCrossEntropy:

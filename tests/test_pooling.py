@@ -14,7 +14,7 @@ from pdffusion.errors import (
     PositivityError,
     SimplexError,
 )
-from pdffusion.gaussian import Gaussian, to_grid
+from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import (
     GridDensity,
     OpinionProfile,
@@ -191,6 +191,48 @@ class TestHolderPool:
         hol = P.holder_pool(mirror_pair, [0.4, 0.6], -1.0)
         np.testing.assert_array_equal(inv.values, hol.values)
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("one_positive", [False, True], ids=["shared-zeros", "one-positive-member"])
+    def test_zero_maximum_matches_the_two_path_divisor(self, one_positive, alpha):
+        # the reference divides by the maximum where some member is positive
+        # everywhere, else by the maximum with its zeros replaced by 1
+        x = np.linspace(0.0, 1.0, 64)
+        a, b = 1.0 + x, 2.0 - x
+        a[:16] = b[:24] = 0.0
+        a[40:] = b[48:] = 0.0
+        if one_positive:
+            a = 1.0 + x
+        prof = OpinionProfile(tuple(normalize(from_samples([0.0], [1.0], (64,), v)) for v in (a, b)))
+        w = np.array([0.3, 0.7])
+        members = [q.values for q in prof.densities]
+        m = np.maximum(*members)
+        divisor = m if any(q.positive for q in prof.densities) else np.where(m > 0.0, m, 1.0)
+        stack = np.stack([v / divisor for v in members]) ** alpha
+        combined = (w @ stack) ** (1.0 / alpha) * m
+        fused = P.holder_pool(prof, w, alpha)
+        np.testing.assert_array_equal(fused.values, combined / prof.grid.integral(combined))
+        assert one_positive or np.all(fused.values[m == 0.0] == 0.0)
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            lambda prof: P.holder_pool(prof, [0.5, 0.5], -400.0),
+            lambda prof: P.chi_transform_pool(prof, [0.5, 0.5], P.ChiTransform(P.ChiKind.POWER, -400.0)),
+        ],
+        ids=["holder", "chi-power"],
+    )
+    def test_overflowing_negative_power_raises(self, pool):
+        # on the narrow pair N(0, 0.01), N(0.05, 0.01) the ratio to the maximum
+        # falls to about exp(-4) at the grid's edge, and its -400th power overflows
+        prof = OpinionProfile(common_grid(Gaussian([0.0], [[0.01]]), Gaussian([0.05], [[0.01]])))
+        with pytest.raises(BoundednessError, match="exponent -400"):
+            pool(prof)
+
+    def test_negative_power_below_overflow_still_pools(self):
+        prof = OpinionProfile(common_grid(Gaussian([0.0], [[0.01]]), Gaussian([0.05], [[0.01]])))
+        fused = P.holder_pool(prof, [0.5, 0.5], -100.0)
+        assert fused.positive and fused.normalized
+
 
 class TestMultiplicativePool:
     def test_conditionally_independent_fusion(self):
@@ -303,6 +345,56 @@ class TestChiTransformPool:
         fused = P.chi_transform_pool(mirror_pair, [0.5, 0.5], chi)
         hol = P.holder_pool(mirror_pair, [0.5, 0.5], 2.0)
         np.testing.assert_array_equal(fused.values, hol.values)
+
+    CHIS = [
+        (P.ChiKind.IDENTITY, None, 1.0),
+        (P.ChiKind.LOG, None, 0.0),
+        (P.ChiKind.RECIPROCAL, None, -1.0),
+        (P.ChiKind.POWER, 2.5, 2.5),
+        (P.ChiKind.POWER, -0.5, -0.5),
+    ]
+    CHI_IDS = ["identity", "log", "reciprocal", "power+", "power-"]
+
+    @pytest.mark.parametrize("kind, alpha, exponent", CHIS, ids=CHI_IDS)
+    def test_needs_positive_follows_the_kind_rule(self, kind, alpha, exponent):
+        chi = P.ChiTransform(kind, alpha)
+        rule = kind in (P.ChiKind.LOG, P.ChiKind.RECIPROCAL) or (kind is P.ChiKind.POWER and alpha < 0)
+        assert chi.needs_positive is rule
+
+    @pytest.mark.parametrize("kind, alpha, exponent", CHIS, ids=CHI_IDS)
+    def test_exponent_per_kind(self, kind, alpha, exponent):
+        chi = P.ChiTransform(kind, alpha)
+        assert chi.exponent == exponent
+        assert chi.needs_positive is (exponent <= 0.0)
+
+    @pytest.mark.parametrize("kind, alpha, exponent", CHIS, ids=CHI_IDS)
+    def test_call_matches_the_kind_expressions_bit_for_bit(self, kind, alpha, exponent):
+        rng = np.random.default_rng(5)
+        values = np.concatenate(
+            [rng.uniform(0.0, 3.0, 500), [5e-324, 2.2e-308, 1e-300, 1e-30, 1.0, 1e30, 1e300, 1.7e308]]
+        )
+        want = {
+            P.ChiKind.IDENTITY: lambda v: v,
+            P.ChiKind.LOG: np.log,
+            P.ChiKind.RECIPROCAL: lambda v: 1.0 / v,
+            P.ChiKind.POWER: lambda v: v**alpha,
+        }[kind]
+        with np.errstate(over="ignore", divide="ignore"):
+            got = P.ChiTransform(kind, alpha)(values)
+            np.testing.assert_array_equal(got, want(values))
+        assert got is not values
+
+    @pytest.mark.parametrize("kind, alpha, exponent", CHIS, ids=CHI_IDS)
+    def test_pool_is_its_family_member_bit_for_bit(self, mirror_pair, kind, alpha, exponent):
+        w = [0.3, 0.7]
+        want = {
+            P.ChiKind.IDENTITY: lambda: normalize(P.linear_pool(mirror_pair, w)),
+            P.ChiKind.LOG: lambda: P.log_linear_pool(mirror_pair, w),
+            P.ChiKind.RECIPROCAL: lambda: P.inverse_linear_pool(mirror_pair, w),
+            P.ChiKind.POWER: lambda: P.holder_pool(mirror_pair, w, alpha),
+        }[kind]()
+        got = P.chi_transform_pool(mirror_pair, w, P.ChiTransform(kind, alpha))
+        np.testing.assert_array_equal(got.values, want.values)
 
     def test_power_needs_alpha(self):
         with pytest.raises(ValueError):
