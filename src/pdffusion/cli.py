@@ -12,6 +12,7 @@ one JSON object with "error" and "message" on stderr.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -35,7 +36,7 @@ from .fileio import FLOAT_FMT, read_density_csv, read_gaussian_json, read_model_
 from .gaussian import Gaussian, common_grid
 from .grid import OpinionProfile, moments
 from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, pool
-from .supra import local_statistics, private_shared_model, vector_fusion
+from .supra import local_statistics, private_shared_model, scalar_fusion, vector_fusion
 
 _NUMERICAL = (DegenerateError, SingularityError, BoundednessError, RankError)
 
@@ -57,7 +58,7 @@ def wrap_errors(fn):
             _fail(4, exc)
         except _NUMERICAL as exc:
             _fail(3, exc)
-        except (FusionError, ValueError, KeyError, IndexError, OSError) as exc:
+        except (FusionError, ValueError, IndexError, OSError) as exc:
             _fail(2, exc)
 
     return inner
@@ -89,16 +90,15 @@ def _load_on_common_grid(paths, *loaded):
 
 
 def _chi_from_flags(chi: str | None, chi_alpha: float | None) -> ChiTransform | None:
+    """The ``--chi`` transform; ``ChiTransform`` rejects an exponent its kind does not read."""
     if chi is None:
         if chi_alpha is not None:
             raise ValueError("--chi-alpha requires --chi power")
         return None
     kind = ChiKind(chi)
-    if kind is ChiKind.POWER:
-        if chi_alpha is None:
-            raise ValueError("--chi power requires --chi-alpha")
-        return ChiTransform(kind, alpha=chi_alpha)
-    return ChiTransform(kind)
+    if kind is ChiKind.POWER and chi_alpha is None:
+        raise ValueError("--chi power requires --chi-alpha")
+    return ChiTransform(kind, alpha=chi_alpha)
 
 
 def _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0=None, xi0=None):
@@ -203,20 +203,19 @@ def weights_cmd(method, criterion, max_iter, tol, inputs):
     objective and iterations are fixed only by --tol: their trailing digits and the
     iteration count follow summation order and are not byte-stable. A flag the
     method does not read exits 2."""
-    reads = {"min-kld": ("max-iter", "tol"), "discrepancy": (), "ci": ("criterion", "max-iter", "tol")}[method]
-    given = {"criterion": criterion, "max-iter": max_iter, "tol": tol}
-    for flag, value in given.items():
-        if value is not None and flag not in reads:
-            raise ValueError(f"{method} weights do not take --{flag}")
-    budget = {k: v for k, v in (("max_iter", max_iter), ("tol", tol)) if v is not None}
+    reads = {"min-kld": ("max_iter", "tol"), "discrepancy": (), "ci": ("criterion", "max_iter", "tol")}[method]
+    criterion = None if criterion is None else wmod.CICriterion(criterion)
+    flags = {"criterion": criterion, "max_iter": max_iter, "tol": tol}
+    given = {name: value for name, value in flags.items() if value is not None}
+    for name in given:
+        if name not in reads:
+            raise ValueError(f"{method} weights do not take --{name.replace('_', '-')}")
     if method == "ci":
-        gaussians = [read_gaussian_json(p) for p in inputs]
-        criterion = wmod.CICriterion(criterion or "trace")
-        result = wmod.ci_weights(gaussians, criterion=criterion, **budget)
+        result = wmod.ci_weights([read_gaussian_json(p) for p in inputs], **given)
     else:
         profile = OpinionProfile(_load_on_common_grid(inputs))
         if method == "min-kld":
-            result = wmod.min_kld_weights(profile, **budget)
+            result = wmod.min_kld_weights(profile, **given)
         else:
             vec = wmod.discrepancy_weights(profile)
             click.echo(_json_line({"weights": vec.tolist()}))
@@ -256,13 +255,7 @@ def axiom_check_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, axiom, t
         "trials": report.trials,
         "max_violation": report.max_violation,
         "passed": report.passed,
-        "counterexample": None
-        if report.counterexample is None
-        else {
-            "trial": report.counterexample.trial,
-            "seed": report.counterexample.seed,
-            "detail": report.counterexample.detail,
-        },
+        "counterexample": None if report.counterexample is None else dataclasses.asdict(report.counterexample),
     }
     click.echo(_json_line(payload))
 
@@ -304,8 +297,6 @@ def supra_cmd(model_path, private_shared, y_text, mode):
         model = private_shared_model(len(counts) - 1, counts[0], counts[1:])
     if mode is None:
         mode = "scalar" if model.d_theta == 1 else "vector"
-    if mode == "scalar" and model.d_theta != 1:
-        raise ValueError("--scalar requires a one-dimensional parameter")
 
     y = None
     if y_text is not None:
@@ -314,7 +305,7 @@ def supra_cmd(model_path, private_shared, y_text, mode):
     else:
         t = np.zeros(model.K * model.d_theta)
 
-    res = vector_fusion(model, t, y)
+    res = (scalar_fusion if mode == "scalar" else vector_fusion)(model, t, y)
     payload = {
         "mode": mode,
         "sigma_hat_inv": res.Sigma_hat_inv.tolist(),

@@ -205,14 +205,9 @@ def chi_distance(p, q, chi: ChiTransform) -> float:
 
 
 def entropy(p) -> float:
-    """Differential entropy: minus the integral of p log p."""
+    """Differential entropy: minus the integral of p log p, the cross-entropy of p with itself."""
     (p,) = gaussmod.common_grid(p)
-    if not p.normalized:
-        raise NotNormalizedError("entropy is defined for normalized densities")
-    pos, terms = _support(p)
-    np.log(p.values, out=terms, where=pos)
-    np.multiply(p.values, terms, out=terms, where=pos)
-    return -p.grid.integral(terms)
+    return cross_entropy(p, p)
 
 
 def cross_entropy(p, q) -> float:

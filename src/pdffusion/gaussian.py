@@ -279,17 +279,17 @@ def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
     return tuple(d if isinstance(d, GridDensity) else _on_grid(d, grids[0]) for d in out)
 
 
-def check_simplex(weights, n: int, what: str = "weights") -> np.ndarray:
+def check_simplex(weights, n: int) -> np.ndarray:
     """Validate a finite nonnegative vector of length ``n`` summing to 1 within 1e-9."""
     w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
     if w.shape != (n,):
-        raise SimplexError(f"{what} must have length {n}, got {w.shape}")
+        raise SimplexError(f"weights must have length {n}, got {w.shape}")
     if not np.all(np.isfinite(w)):
-        raise SimplexError(f"{what} must be finite, got {w}")
+        raise SimplexError(f"weights must be finite, got {w}")
     if np.any(w < 0.0):
-        raise SimplexError(f"{what} must be nonnegative, got {w}")
+        raise SimplexError(f"weights must be nonnegative, got {w}")
     if abs(float(np.sum(w)) - 1.0) > SIMPLEX_TOL:
-        raise SimplexError(f"{what} must sum to 1, got sum {float(np.sum(w))!r}")
+        raise SimplexError(f"weights must sum to 1, got sum {float(np.sum(w))!r}")
     return w
 
 

@@ -324,15 +324,9 @@ def _private_shared_counts(K, r0, r) -> tuple[int, int, np.ndarray]:
     return K, r0, r.astype(np.int64)
 
 
-def private_shared_model(
-    K: int,
-    r0: int,
-    r,
-    prior_mean: float = 0.0,
-    prior_var: float = 1.0,
-) -> LinearGaussianModel:
+def private_shared_model(K: int, r0: int, r) -> LinearGaussianModel:
     """Scalar-parameter model where each agent sees r0 shared and r_k
-    private unit-variance observations of theta.
+    private unit-variance observations of theta, under a N(0, 1) prior.
 
     The shared observations occupy the leading r0 coordinates of every
     agent's block, making the cross covariance an identity on that corner.
@@ -343,7 +337,7 @@ def private_shared_model(
     shared = np.concatenate([lo + np.arange(r0) for lo in np.cumsum(sizes) - sizes])
     sigma[np.ix_(shared, shared)] = np.tile(np.eye(r0), (K, K))
     H_blocks = tuple(np.ones((n, 1)) for n in sizes)
-    return LinearGaussianModel(H_blocks, sigma, [prior_mean], [[prior_var]])
+    return LinearGaussianModel(H_blocks, sigma, [0.0], [[1.0]])
 
 
 def private_shared_weights(K: int, r0: int, r) -> np.ndarray:

@@ -2,11 +2,29 @@
 
 Each function takes ``pdffusion.gaussian.Gaussian`` values and works on
 their mean and cov alone, with numpy's general-purpose linear algebra, so
-it shares no code path with the quadrature it checks.
+it shares no code path with the quadrature it checks. ``gaussians`` draws
+the inputs of the property tests that use them.
 """
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+
+from pdffusion.gaussian import Gaussian
+
+
+def gaussian(mean, sigma, rho=0.0) -> Gaussian:
+    """N(mean, diag(sigma) [[1, rho], [rho, 1]] diag(sigma)), or N(mean, sigma^2) in 1-D."""
+    cov = np.outer(sigma, sigma) * np.where(np.eye(len(sigma)) == 1.0, 1.0, rho)
+    return Gaussian(mean, cov)
+
+
+@st.composite
+def gaussians(draw, dim, sigma=(0.5, 2.0)):
+    """A Gaussian with means in [-1, 1], standard deviations in ``sigma`` and |rho| <= 0.8."""
+    mean = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+    sd = draw(st.lists(st.floats(*sigma), min_size=dim, max_size=dim))
+    return gaussian(mean, sd, draw(st.floats(-0.8, 0.8)) if dim == 2 else 0.0)
 
 
 def gaussian_kl(p, q) -> float:
@@ -52,3 +70,26 @@ def gaussian_l2_cross(p, q) -> float:
     delta = p.mean - q.mean
     quad = delta @ np.linalg.solve(cov, delta)
     return float(np.exp(-0.5 * (quad + np.linalg.slogdet(2.0 * np.pi * cov)[1])))
+
+
+def mixture_moments(gaussians, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of sum_k w_k N(m_k, S_k), from its raw moments:
+    E x = sum_k w_k m_k and E x x^T = sum_k w_k (S_k + m_k m_k^T)."""
+    mean = sum(w * g.mean for w, g in zip(weights, gaussians))
+    second = sum(w * (g.cov + np.outer(g.mean, g.mean)) for w, g in zip(weights, gaussians))
+    return mean, second - np.outer(mean, mean)
+
+
+def gaussian_power_product(gaussians, exponents) -> tuple[np.ndarray, np.ndarray] | None:
+    """Mean and covariance of prod_k N(m_k, S_k)^(e_k), normalized; None when it is improper.
+
+    The product has precision L = sum_k e_k S_k^-1 and shift sum_k e_k S_k^-1 m_k,
+    and is a density exactly when L is positive definite. With exponents on
+    the simplex it is precision averaging (covariance intersection).
+    """
+    precisions = [np.linalg.inv(g.cov) for g in gaussians]
+    lam = sum(e * p for e, p in zip(exponents, precisions))
+    if np.linalg.eigvalsh(lam)[0] <= 0.0:
+        return None
+    shift = sum(e * p @ g.mean for e, p, g in zip(exponents, precisions, gaussians))
+    return np.linalg.solve(lam, shift), np.linalg.inv(lam)

@@ -227,6 +227,14 @@ class TestPool:
              "linear pooling does not take chi"),
             (["--kind", "linear", "--weights", "0.5,0.5", "--chi-alpha", "2"],
              "--chi-alpha requires --chi power"),
+            (["--kind", "chi-transform", "--weights", "0.5,0.5", "--chi", "identity", "--chi-alpha", "2"],
+             "alpha is only meaningful for Power, not identity"),
+            (["--kind", "chi-transform", "--weights", "0.5,0.5", "--chi", "log", "--chi-alpha", "2"],
+             "alpha is only meaningful for Power, not log"),
+            (["--kind", "chi-transform", "--weights", "0.5,0.5", "--chi", "reciprocal", "--chi-alpha", "2"],
+             "alpha is only meaningful for Power, not reciprocal"),
+            (["--kind", "linear", "--weights", "0.5,x"],
+             "could not parse '0.5,x' as comma-separated numbers"),
         ],
     )
     def test_flags_must_match_the_kind(self, runner, tmp_path, flags, message):
@@ -281,9 +289,11 @@ class TestDivergence:
     def test_chi_power_requires_chi_alpha(self, runner, tmp_path):
         a = density_csv(tmp_path, "a.csv", 0.0, 1.0)
         result = runner.invoke(
-            main, ["divergence", "--kind", "chi", "--chi", "power", a, a]
+            main, ["divergence", "--kind", "chi-distance", "--chi", "power", a, a]
         )
         assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == "--chi power requires --chi-alpha"
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -291,6 +301,12 @@ class TestDivergence:
             (["--kind", "kl", "--alpha", "3"], "kl divergence does not take alpha"),
             (["--kind", "kl", "--chi", "log"], "kl divergence does not take chi"),
             (["--kind", "l2", "--chi-alpha", "2"], "--chi-alpha requires --chi power"),
+            (["--kind", "chi-distance", "--chi", "identity", "--chi-alpha", "2"],
+             "alpha is only meaningful for Power, not identity"),
+            (["--kind", "chi-distance", "--chi", "log", "--chi-alpha", "2"],
+             "alpha is only meaningful for Power, not log"),
+            (["--kind", "chi-distance", "--chi", "reciprocal", "--chi-alpha", "2"],
+             "alpha is only meaningful for Power, not reciprocal"),
         ],
     )
     def test_flag_the_kind_ignores_exits_2(self, runner, tmp_path, flags, message):
@@ -507,6 +523,18 @@ class TestAxiomCheck:
         assert stderr_error(result) == "ValueError"
         assert stderr_message(result) == "multiplicative pooling does not take weights"
 
+    def test_chi_alpha_for_a_transform_without_exponent_exits_2(self, runner):
+        result = runner.invoke(
+            main,
+            [
+                "axiom-check", "--kind", "chi-transform", "--weights", "0.5,0.5",
+                "--chi", "log", "--chi-alpha", "2", "--axiom", "A1", "--trials", "2",
+            ],
+        )
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == "alpha is only meaningful for Power, not log"
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_bad_tol_exits_2(self, runner, tol):
         result = runner.invoke(
@@ -628,6 +656,14 @@ class TestSupra:
         write_model_json(path, model)
         result = runner.invoke(main, ["supra", "--model", str(path), "--scalar"])
         assert result.exit_code == 2
+        assert stderr_error(result) == "DimensionError"
+        assert stderr_message(result) == "scalar fusion needs a one-dimensional parameter"
+
+    def test_private_shared_needs_an_agent_count(self, runner):
+        result = runner.invoke(main, ["supra", "--private-shared", "4"])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == "--private-shared needs r0 plus at least one agent count"
 
     @pytest.mark.parametrize(
         "prior_mean, prior_cov, message",

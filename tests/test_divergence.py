@@ -11,7 +11,14 @@ from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import from_samples, normalize
 from pdffusion.pooling import ChiKind, ChiTransform
 
-from closed_forms import gaussian_cross_entropy, gaussian_kl, gaussian_l2_cross, gaussian_log_affinity
+from closed_forms import (
+    gaussian,
+    gaussian_cross_entropy,
+    gaussian_kl,
+    gaussian_l2_cross,
+    gaussian_log_affinity,
+    gaussians,
+)
 
 LO, HI, N = -8.0, 8.0, 2048
 
@@ -316,6 +323,29 @@ class TestCrossEntropy:
         # 0.5 log(2 pi e) = 1.4189385332046727
         assert D.entropy(gauss_grid(0.0, 1.0)) == pytest.approx(1.4189385332046727, abs=1e-6)
 
+    @pytest.mark.parametrize("case", ["gaussian-1d", "gaussian-2d", "grid", "grid-with-zeros"])
+    def test_entropy_is_the_cross_entropy_with_itself_bit_for_bit(self, case):
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            if case == "gaussian-1d":
+                p = Gaussian([rng.uniform(-1.0, 1.0)], [[rng.uniform(0.25, 4.0)]])
+            elif case == "gaussian-2d":
+                a = rng.normal(size=(2, 2))
+                p = Gaussian(rng.uniform(-1.0, 1.0, 2), a @ a.T + 0.5 * np.eye(2))
+            else:
+                p = random_mixture(rng)
+                if case == "grid-with-zeros":
+                    vals = p.values.copy()
+                    vals[: rng.integers(1, N // 2)] = 0.0
+                    p = normalize(from_samples([LO], [HI], (N,), vals))
+                    assert not p.positive
+            assert D.entropy(p) == D.cross_entropy(p, p)
+
+    def test_entropy_of_an_unnormalized_density_raises(self):
+        p = gauss_grid(0.0, 1.0)
+        with pytest.raises(NotNormalizedError):
+            D.entropy(from_samples([LO], [HI], (N,), 2.0 * p.values))
+
 
 class TestGaussianInterop:
     def test_gaussian_converted_to_grid_side(self, std_pair):
@@ -380,26 +410,12 @@ class TestDispatcher:
             D.DivergenceSpec(kind, **fields)
 
 
-def _gaussian(mean, sigma, rho=0.0) -> Gaussian:
-    """N(mean, diag(sigma) [[1, rho], [rho, 1]] diag(sigma)), or N(mean, sigma^2) in 1-D."""
-    cov = np.outer(sigma, sigma) * np.where(np.eye(len(sigma)) == 1.0, 1.0, rho)
-    return Gaussian(mean, cov)
-
-
-@st.composite
-def _gaussians(draw, dim):
-    """A Gaussian with means in [-1, 1], standard deviations in [0.5, 2] and |rho| <= 0.8."""
-    mean = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
-    sigma = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
-    return _gaussian(mean, sigma, draw(st.floats(-0.8, 0.8)) if dim == 2 else 0.0)
-
-
 def _assert_close(value, exact):
     assert abs(value - exact) <= max(1e-8 * abs(exact), 1e-10), (value, exact)
 
 
 def _pair_on_grid(data, dim):
-    p, q = data.draw(_gaussians(dim)), data.draw(_gaussians(dim))
+    p, q = data.draw(gaussians(dim)), data.draw(gaussians(dim))
     return p, q, common_grid(p, q)
 
 
@@ -450,6 +466,6 @@ class TestGaussianClosedForms:
     "reaches where a narrow correlated one underflows to zero",
 )
 def test_correlated_pair_outside_the_grid_regime():
-    p = _gaussian([1.0, 1.0], [2.0, 2.0], 0.8)
-    q = _gaussian([-1.0, 1.0], [2.0, 0.5], 0.8)
+    p = gaussian([1.0, 1.0], [2.0, 2.0], 0.8)
+    q = gaussian([-1.0, 1.0], [2.0, 0.5], 0.8)
     _assert_close(D.kl(p, q), gaussian_kl(p, q))

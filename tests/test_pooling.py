@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdffusion import divergence as D
 from pdffusion import pooling as P
@@ -23,6 +25,8 @@ from pdffusion.grid import (
     moments,
     normalize,
 )
+
+from closed_forms import gaussian_power_product, gaussians, mixture_moments
 
 
 def gauss_grid(mu, var, lower=-10.5, upper=10.5, n=2048):
@@ -674,3 +678,90 @@ class TestExactFields:
             spec = P.PoolingSpec(kind, **full, **{name: field_values[name]})
             with pytest.raises(ValueError, match=f"^{kind.value} pooling does not take {name}$"):
                 P.pool(spec, mirror_pair)
+
+
+def _drawn_profile(data, dim):
+    """Two or three drawn Gaussians, weights on the simplex, and the agents on
+    their shared grid, assumed free of zeros: a zero there is the underflow of
+    ROADMAP items 3 and 11, not the pool's error."""
+    agents = data.draw(st.lists(gaussians(dim), min_size=2, max_size=3))
+    raw = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(agents), max_size=len(agents))))
+    profile = OpinionProfile(common_grid(*agents))
+    assume(profile.positive)
+    return agents, raw / raw.sum(), profile
+
+
+def _assume_resolved(grid, pooled):
+    """Keep draws whose pooled Gaussian spans at least 2.5 nodes per standard
+    deviation on each axis and whose +-8 sigma box lies inside the grid."""
+    assume(pooled is not None)
+    mean, cov = pooled
+    sd = np.sqrt(np.diag(cov))
+    lower, upper = np.array(grid.lower), np.array(grid.upper)
+    assume(np.all(sd >= 2.5 * (upper - lower) / (np.array(grid.shape) - 1)))
+    assume(np.all(mean - 8.0 * sd >= lower) and np.all(mean + 8.0 * sd <= upper))
+
+
+def _assert_moments_close(got, exact):
+    for value, want in zip(got, exact):
+        assert np.all(np.abs(value - want) <= np.maximum(1e-8 * np.abs(want), 1e-10)), (value, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+class TestGaussianClosedForms:
+    """Pools of Gaussians on their shared grid against the closed-form pool."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_linear_pool_has_the_mixture_moments(self, dim, data):
+        agents, w, profile = _drawn_profile(data, dim)
+        _assert_moments_close(moments(P.linear_pool(profile, w)), mixture_moments(agents, w))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_log_linear_pool_is_precision_averaging(self, dim, data):
+        agents, w, profile = _drawn_profile(data, dim)
+        pooled = gaussian_power_product(agents, w)
+        _assume_resolved(profile.grid, pooled)
+        _assert_moments_close(moments(P.log_linear_pool(profile, w)), pooled)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_multiplicative_pool_is_the_gaussian_product(self, dim, data):
+        agents, _, profile = _drawn_profile(data, dim)
+        w = np.array(data.draw(st.lists(st.floats(0.2, 1.2), min_size=profile.K, max_size=profile.K)))
+        q0 = data.draw(gaussians(dim, sigma=(3.0, 5.0)))
+        # q0 sampled on the agents' grid: its truncated mass is a constant
+        # factor, which the pool's normalization removes
+        _, q0_grid = common_grid(profile.densities[0], q0)
+        pooled = gaussian_power_product([q0, *agents], [1.0 - w.sum(), *w])
+        _assume_resolved(profile.grid, pooled)
+        # a weighted log ratio beyond LOG_OVERFLOW is refused even where the
+        # product is proper, the regime of test_proper_product_with_a_large_log_ratio
+        ratios = np.log(profile.values) - np.log(q0_grid.values)
+        assume(np.max(np.abs(w.reshape((-1,) + (1,) * dim) * ratios)) <= P.LOG_OVERFLOW)
+        _assert_moments_close(moments(P.multiplicative_pool(profile, q0_grid, w)), pooled)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_holder_at_one_is_the_normalized_linear_pool(self, dim, data):
+        _, w, profile = _drawn_profile(data, dim)
+        want = normalize(P.linear_pool(profile, w)).values
+        np.testing.assert_allclose(P.holder_pool(profile, w, 1.0).values, want, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.xfail(
+    raises=BoundednessError,
+    strict=True,
+    reason="multiplicative_pool refuses a weighted log ratio beyond LOG_OVERFLOW (here "
+    "-756 in the narrow agent's far tail) although it shifts the log sum by its maximum "
+    "before exp and the product N(-0.910, 0.202) is proper",
+)
+def test_proper_product_with_a_large_log_ratio():
+    agents = [Gaussian([-1.0], [[0.25]]), Gaussian([1.0], [[4.0]])]
+    q0 = Gaussian([0.0], [[9.0]])
+    profile = OpinionProfile(common_grid(*agents))
+    _, q0_grid = common_grid(profile.densities[0], q0)
+    w = np.array([1.2, 1.2])
+    pooled = gaussian_power_product([q0, *agents], [1.0 - w.sum(), *w])
+    _assert_moments_close(moments(P.multiplicative_pool(profile, q0_grid, w)), pooled)
