@@ -423,7 +423,7 @@ class OpinionProfile:
         """The members' log-densities stacked like :attr:`values`, fresh on each access.
 
         Each member's log is written straight into its row of the stack.
-        Meant for strictly positive profiles: a zero value logs to -inf.
+        A zero logs to -inf, with numpy's divide warning unless the caller silences it.
         """
         stack = np.empty((self.K,) + self.grid.shape)
         for q, row in zip(self.densities, stack):

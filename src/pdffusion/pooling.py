@@ -7,11 +7,11 @@ the trivial dictatorship and dogmatic rules, and pooling through an
 invertible pointwise transform. Also provides the Bayesian update operator
 that the commutativity axioms are stated with.
 
-Geometric averages and the multiplicative family take their products and
-powers in log space, shifted by the maximum before exp, so that grid tails
-near 1e-300 do not underflow before they can cancel. Holder pools power the
-ratios q_k / max_k q_k, which lie in [0, 1], and the Bayesian update
-multiplies density and likelihood values directly.
+Power means (Holder, inverse-linear, chi-transform) and their exponent-0
+limits (log-linear, multiplicative) run through one kernel on the members'
+logs, shifted by the maximum before one exp, so that grid tails near 1e-300
+neither underflow nor overflow a power before they can cancel. The linear
+pool adds values, and the Bayesian update multiplies values directly.
 """
 from __future__ import annotations
 
@@ -21,22 +21,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import grid as gridmod
-from .errors import (
-    BoundednessError,
-    GridMismatchError,
-    PositivityError,
-    SimplexError,
-)
+from .errors import GridMismatchError, PositivityError, SimplexError
 from .gaussian import check_simplex
 from .grid import GridDensity, OpinionProfile
 
 # Holder exponents this close to zero are numerically meaningless; the limit
 # is the log-linear pool and must be requested as such.
 ALPHA_ZERO_BAND = 1e-6
-
-# exp() overflows just above 709; ratios whose log exceeds this are unbounded
-# for the purposes of the multiplicative family.
-LOG_OVERFLOW = 700.0
 
 
 class PoolingKind(enum.Enum):
@@ -125,6 +116,34 @@ def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def _power_mean(profile: OpinionProfile, w: np.ndarray, alpha: float, extra=None) -> GridDensity:
+    """Normalized weighted power mean of the members, times exp(``extra``), from their logs L.
+
+    log M_alpha = (t + log sum_k exp(alpha L_k + log w_k - t)) / alpha, with t
+    the largest term at each node, and w . L at alpha = 0. Nodes where every
+    weighted member is zero stay exactly zero.
+    """
+    with np.errstate(divide="ignore"):  # log 0 = -inf stands for the zero
+        logs = profile.log_values
+        if alpha == 0.0:
+            out = _weighted_sum(w, logs)
+        else:
+            logs *= alpha
+            logs += np.log(w).reshape((-1,) + (1,) * profile.grid.dims)
+            out = logs.max(axis=0)
+            np.copyto(out, 0.0, where=out == -np.inf)  # every term is 0: keep their sum 0, not nan
+            logs -= out
+            total = np.exp(logs, out=logs)[0]
+            for row in logs[1:]:
+                total += row
+            out += np.log(total, out=total)
+            out /= alpha
+    if extra is not None:
+        out += extra
+    out -= out.max()
+    return gridmod.adopt_normalized(profile.grid, np.exp(out, out=out))
+
+
 def linear_pool(
     profile: OpinionProfile,
     weights,
@@ -172,11 +191,8 @@ def log_linear_pool(profile: OpinionProfile, weights, xi0=None) -> GridDensity:
     """
     _require_positive(profile, "log-linear pooling")
     w = check_simplex(weights, profile.K)
-    logs = _weighted_sum(w, profile.log_values)
-    if xi0 is not None:
-        logs += np.log(_check_xi0(profile, xi0))
-    logs -= logs.max()
-    return gridmod.adopt_normalized(profile.grid, np.exp(logs, out=logs))
+    extra = None if xi0 is None else np.log(_check_xi0(profile, xi0))
+    return _power_mean(profile, w, 0.0, extra)
 
 
 def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
@@ -184,8 +200,12 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
 
     alpha=1 is the linear pool, alpha=-1 the inverse-linear pool, and the
     alpha->0 limit is the log-linear pool (request it explicitly: exponents
-    inside (-1e-6, 1e-6) are rejected). Raises BoundednessError if alpha < 0
-    and the power of a density ratio overflows.
+    inside (-1e-6, 1e-6) are rejected).
+
+    Raises
+    ------
+    PositivityError
+        If alpha < 0 and the profile has a zero.
     """
     alpha = float(alpha)
     if not np.isfinite(alpha):
@@ -196,27 +216,7 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
         )
     if alpha < 0.0:
         _require_positive(profile, "negative-exponent Holder pooling")
-    w = check_simplex(weights, profile.K)
-    # factor out the pointwise max so ratios stay in [0, 1] before powering;
-    # where the max is 0 every member is 0: dividing by 1 there keeps the
-    # ratios 0, and so the result
-    members = [q.values for q in profile.densities]
-    m = members[0].copy()
-    for v in members[1:]:
-        np.maximum(m, v, out=m)
-    np.copyto(m, 1.0, where=m == 0.0)
-    stack = np.empty((profile.K,) + m.shape)
-    for v, row in zip(members, stack):
-        np.divide(v, m, out=row)
-    with np.errstate(over="ignore", divide="ignore"):
-        stack **= alpha
-    combined = _weighted_sum(w, stack)
-    # a tiny ratio overflows a negative power; the sum then reads inf (or nan)
-    if alpha < 0.0 and not np.isfinite(combined.max()):
-        raise BoundednessError(f"a density ratio overflows at exponent {alpha:g}")
-    combined **= 1.0 / alpha
-    combined *= m
-    return gridmod.adopt_normalized(profile.grid, combined)
+    return _power_mean(profile, check_simplex(weights, profile.K), alpha)
 
 
 def inverse_linear_pool(profile: OpinionProfile, weights) -> GridDensity:
@@ -228,15 +228,14 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     """Product-of-ratios pooling against a calibrating pdf.
 
     Computes the normalization of q0^(1 - sum w) * prod q_k^{w_k}, i.e.
-    q0 * prod (q_k/q0)^{w_k}. Weights default to all ones (the plain
-    product rule) and may be arbitrary reals otherwise.
+    q0 * prod (q_k/q0)^{w_k}, in logs. Weights default to all ones (the
+    plain product rule) and may be arbitrary reals otherwise. A product
+    without a finite integral is not detected: the grid truncates it.
 
     Raises
     ------
     PositivityError
         If the profile or q0 has a zero.
-    BoundednessError
-        If some weighted log ratio exceeds the overflow threshold.
     """
     _require_positive(profile, "multiplicative pooling")
     gridmod.require_same_grid(profile.grid, q0.grid)
@@ -249,18 +248,8 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     if not np.all(np.isfinite(w)):
         raise SimplexError("weights must be finite")
     log_q0 = np.log(q0.values)
-    weighted = profile.log_values
-    weighted -= log_q0
-    weighted *= w.reshape((K,) + (1,) * profile.grid.dims)
-    worst = max(float(weighted.max()), -float(weighted.min()))
-    if worst > LOG_OVERFLOW:
-        raise BoundednessError(
-            f"weighted density ratio has log magnitude {worst:.1f}, beyond {LOG_OVERFLOW:g}"
-        )
-    logs = weighted.sum(axis=0)
-    logs += log_q0
-    logs -= logs.max()
-    return gridmod.adopt_normalized(profile.grid, np.exp(logs, out=logs))
+    log_q0 *= 1.0 - w.sum()
+    return _power_mean(profile, w, 0.0, log_q0)
 
 
 def dictatorship_pool(profile: OpinionProfile, k: int) -> GridDensity:

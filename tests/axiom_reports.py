@@ -1,7 +1,7 @@
 """All 480 pinned axiom reports: every `_MATRIX_SPECS` spec x 12 axioms at
 (seed 0, 100 trials) and at (seed 3, 20 trials).
 
-Check the reports against tests/golden/axiom_reports.json (about 15 s):
+Check the reports against tests/golden/axiom_reports.json (about 22 s):
 
     PYTHONPATH=src python tests/axiom_reports.py
 

@@ -1,11 +1,15 @@
 """Closed forms for Gaussians, the references the grid computations are tested against.
 
-Each function takes ``pdffusion.gaussian.Gaussian`` values and works on
-their mean and cov alone, with numpy's general-purpose linear algebra, so
+Each Gaussian function takes ``pdffusion.gaussian.Gaussian`` values and works
+on their mean and cov alone, with numpy's general-purpose linear algebra, so
 it shares no code path with the quadrature it checks. ``gaussians`` draws
-the inputs of the property tests that use them.
+the inputs of the property tests that use them. ``power_mean`` is the
+node-by-node reference for the power-mean pools, from numpy and the standard
+library alone.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -25,6 +29,12 @@ def gaussians(draw, dim, sigma=(0.5, 2.0)):
     mean = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
     sd = draw(st.lists(st.floats(*sigma), min_size=dim, max_size=dim))
     return gaussian(mean, sd, draw(st.floats(-0.8, 0.8)) if dim == 2 else 0.0)
+
+
+def gaussian_log_pdf(g, x) -> float:
+    """log N(x; m, S) = -((x - m)^T S^-1 (x - m) + log|2 pi S|) / 2."""
+    delta = np.asarray(x, dtype=np.float64) - g.mean
+    return -0.5 * float(delta @ np.linalg.solve(g.cov, delta) + np.linalg.slogdet(2.0 * np.pi * g.cov)[1])
 
 
 def gaussian_kl(p, q) -> float:
@@ -93,3 +103,25 @@ def gaussian_power_product(gaussians, exponents) -> tuple[np.ndarray, np.ndarray
         return None
     shift = sum(e * p @ g.mean for e, p, g in zip(exponents, precisions, gaussians))
     return np.linalg.solve(lam, shift), np.linalg.inv(lam)
+
+
+def power_mean(members, weights, alpha: float) -> np.ndarray:
+    """The weighted power mean (sum_k w_k q_k^alpha)^(1/alpha) of node values, node by node.
+
+    Each node's terms are summed with ``math.fsum`` after dividing by the
+    largest, in logs, so powers beyond the float range do not overflow. Members
+    with weight 0 drop out. A node is 0 where every remaining member is 0, and
+    for alpha < 0 where any is. ``alpha`` must not be 0.
+    """
+    members = [np.asarray(m, dtype=np.float64) for m in members]
+    out = np.empty(members[0].shape)
+    for idx in np.ndindex(out.shape):
+        terms = [(w, float(m[idx])) for w, m in zip(weights, members) if w > 0.0]
+        positive = [(w, v) for w, v in terms if v > 0.0]
+        if not positive or (alpha < 0.0 and len(positive) < len(terms)):
+            out[idx] = 0.0
+            continue
+        logs = [alpha * math.log(v) + math.log(w) for w, v in positive]
+        top = max(logs)
+        out[idx] = math.exp((top + math.log(math.fsum(math.exp(t - top) for t in logs))) / alpha)
+    return out

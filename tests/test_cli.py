@@ -16,9 +16,11 @@ from pdffusion.fileio import (
     write_gaussian_json,
     write_model_json,
 )
-from pdffusion.gaussian import Gaussian, ci_fuse, to_grid
+from pdffusion.gaussian import Gaussian, ci_fuse, common_grid, to_grid
 from pdffusion.grid import GridDensity, from_samples
 from pdffusion.supra import LinearGaussianModel, private_shared_model
+
+from closed_forms import power_mean
 
 SMALL_ENV = {"FUSION_GRID_POINTS": "128"}
 
@@ -744,10 +746,10 @@ class TestOneDimensionalOutputsPinned:
         result = runner.invoke(main, ["fig4", "-d", str(tmp_path)], env=self.DEFAULT_GRID)
         assert result.exit_code == 0
         assert sha256((tmp_path / "fig4a.csv").read_bytes()) == (
-            "93e691b9b682463f66251d18225b7b6ebee604dbb556d4b3cb70c3b8da5329d4"
+            "bf75fe7d75abe9b5cab217b98007552b66b3927c629452f96dd9370078362ea2"
         )
         assert sha256((tmp_path / "fig4b.csv").read_bytes()) == (
-            "41e6365fa0029e80a3d5208102dbc92295ccac658f568edc63dc6558a93d3693"
+            "02c6b45a666f56789b93cc1b6df51c93d6f12f1e23a6386440c7fbc403eefd6c"
         )
 
     def test_linear_pool_of_json_gaussians(self, runner, tmp_path):
@@ -766,13 +768,11 @@ class TestOneDimensionalOutputsPinned:
         )
 
 
-# powers of the narrow pair N(0, 0.01), N(0.05, 0.01) that overflow; A, B and
-# OUT stand for the two JSON files and the output CSV
+# chi-distances of the narrow pair N(0, 0.01), N(0.05, 0.01) whose powers
+# overflow; A and B stand for the two JSON files
 OVERFLOWS = [
     ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "300", "A", "B"],  # inf
     ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "600", "A", "B"],  # nan
-    ["pool", "--kind", "holder", "--alpha", "-400", "--weights", "0.5,0.5", "A", "B", "-o", "OUT"],
-    ["pool", "--kind", "chi-transform", "--chi", "power", "--chi-alpha", "-400", "--weights", "0.5,0.5", "A", "B", "-o", "OUT"],
 ]
 
 
@@ -790,7 +790,6 @@ for args in json.loads(sys.argv[1]):
     files = {
         "A": gauss_json(tmp_path, "a.json", 0.0, 0.01),
         "B": gauss_json(tmp_path, "b.json", 0.05, 0.01),
-        "OUT": str(tmp_path / "h.csv"),
     }
     calls = [[files.get(arg, arg) for arg in args] for args in OVERFLOWS]
     env = {k: v for k, v in os.environ.items() if k != "FUSION_GRID_POINTS"}
@@ -798,7 +797,27 @@ for args in json.loads(sys.argv[1]):
     assert result.stdout.split() == ["3"] * len(calls)
     errors = [json.loads(line)["error"] for line in result.stderr.splitlines()]
     assert errors == ["BoundednessError"] * len(calls)
-    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [["holder", "--alpha", "-400"], ["chi-transform", "--chi", "power", "--chi-alpha", "-400"]],
+    ids=["holder", "chi-power"],
+)
+def test_power_beyond_float_range_pools(runner, tmp_path, kind):
+    # on the same pair the -400th power of the members' ratio is beyond the
+    # float range, but their power mean is a density
+    a = gauss_json(tmp_path, "a.json", 0.0, 0.01)
+    b = gauss_json(tmp_path, "b.json", 0.05, 0.01)
+    out = tmp_path / "h.csv"
+    args = ["pool", "--kind", *kind, "--weights", "0.5,0.5", a, b, "-o", str(out)]
+    result = runner.invoke(main, args, env={"FUSION_GRID_POINTS": None})
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["cov"][0][0] == pytest.approx(0.008216196286521725, abs=1e-9)
+    members = common_grid(Gaussian([0.0], [[0.01]]), Gaussian([0.05], [[0.01]]))
+    want = power_mean([q.values for q in members], [0.5, 0.5], -400.0)
+    want /= members[0].grid.integral(want)
+    np.testing.assert_allclose(read_density_csv(out).values, want, rtol=1e-12, atol=0.0)
 
 
 def test_cli_import_skips_scipy_stats(run_python):

@@ -17,7 +17,7 @@ corpus cannot move its inputs. Left out on purpose:
   grid values underflow, divergent or near-boundary alpha integrals of
   Gaussians, improper multiplicative pools, and min-KLD weights of an
   affinely dependent profile;
-- powers of densities that overflow, which raise ``BoundednessError``.
+- chi-distances whose powers overflow, which raise ``BoundednessError``.
 
 Regenerate the inputs and the expectations with
 

@@ -225,8 +225,8 @@ class TestAllocationBudget:
     tracemalloc sees numpy's data buffers. The lean kernels write each
     full-grid result once: to_grid peaks at 1 output (the log-density,
     exponentiated and normalized in place), normalize at 1 (its copy), and a
-    two-agent Holder pool at 4 (the pointwise max, the stack of ratios and
-    the result). Minimum-KLD weights, which return no density, are counted
+    two-agent Holder pool at 3 (the stack of log terms, summed into its first
+    row, and the result). Minimum-KLD weights, which return no density, are counted
     in grid arrays: K log-densities, their K(K+1)/2 pairwise products and
     one evaluation buffer.
     """
@@ -247,7 +247,7 @@ class TestAllocationBudget:
         a = to_grid(self.G)
         b = to_grid(self.H, a.grid.lower, a.grid.upper, a.grid.shape)
         prof = OpinionProfile((a, b))
-        assert _peak_over_output(lambda: holder_pool(prof, [0.4, 0.6], 2.0)) <= 5.0
+        assert _peak_over_output(lambda: holder_pool(prof, [0.4, 0.6], 2.0)) <= 3.5
 
     def test_min_kld_weights_of_three(self):
         a = to_grid(self.G)

@@ -26,11 +26,18 @@ from pdffusion.grid import (
     normalize,
 )
 
-from closed_forms import gaussian_power_product, gaussians, mixture_moments
+from closed_forms import gaussian_power_product, gaussians, mixture_moments, power_mean
 
 
 def gauss_grid(mu, var, lower=-10.5, upper=10.5, n=2048):
     return to_grid(Gaussian([mu], [[var]]), [lower], [upper], (n,))
+
+
+def assert_is_the_power_mean(fused, prof, w, alpha):
+    """``fused`` is the normalized ``power_mean`` of the profile to 1e-12 relative, node by node."""
+    want = power_mean([q.values for q in prof.densities], w, alpha)
+    want /= prof.grid.integral(want)
+    np.testing.assert_allclose(fused.values, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +180,8 @@ class TestHolderPool:
 
     @pytest.mark.parametrize("one_positive", [False, True], ids=["shared-zeros", "one-positive-member"])
     def test_zeros_match_the_masked_power_mean_bit_for_bit(self, one_positive):
-        # where every member vanishes the pointwise max is 0; the ratios there
-        # are 0, as the masked division gives, and so is the pool
+        # where every member vanishes the pool is exactly 0, and elsewhere it is
+        # the normalized power mean of the node-by-node reference
         x = np.linspace(0.0, 1.0, 64)
         a, b = 1.0 + x, 2.0 - x
         a[:16] = b[:24] = 0.0
@@ -182,12 +189,8 @@ class TestHolderPool:
             a = 1.0 + x
         prof = OpinionProfile(tuple(normalize(from_samples([0.0], [1.0], (64,), v)) for v in (a, b)))
         w, alpha = np.array([0.3, 0.7]), 2.5
-        stack = prof.values
-        m = stack.max(axis=0)
-        np.divide(stack, m, out=stack, where=m > 0.0)
-        combined = np.tensordot(w, stack**alpha, axes=1) ** (1.0 / alpha) * m
         fused = P.holder_pool(prof, w, alpha)
-        np.testing.assert_array_equal(fused.values, combined / prof.grid.integral(combined))
+        assert_is_the_power_mean(fused, prof, w, alpha)
         assert one_positive or np.all(fused.values[:16] == 0.0)
 
     def test_inverse_linear_is_alpha_minus_one(self, mirror_pair):
@@ -198,8 +201,8 @@ class TestHolderPool:
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
     @pytest.mark.parametrize("one_positive", [False, True], ids=["shared-zeros", "one-positive-member"])
     def test_zero_maximum_matches_the_two_path_divisor(self, one_positive, alpha):
-        # the reference divides by the maximum where some member is positive
-        # everywhere, else by the maximum with its zeros replaced by 1
+        # zeros at both ends, shared by the members or not: the nodes where the
+        # maximum is 0 stay exactly 0, the rest match the node-by-node reference
         x = np.linspace(0.0, 1.0, 64)
         a, b = 1.0 + x, 2.0 - x
         a[:16] = b[:24] = 0.0
@@ -208,13 +211,9 @@ class TestHolderPool:
             a = 1.0 + x
         prof = OpinionProfile(tuple(normalize(from_samples([0.0], [1.0], (64,), v)) for v in (a, b)))
         w = np.array([0.3, 0.7])
-        members = [q.values for q in prof.densities]
-        m = np.maximum(*members)
-        divisor = m if any(q.positive for q in prof.densities) else np.where(m > 0.0, m, 1.0)
-        stack = np.stack([v / divisor for v in members]) ** alpha
-        combined = (w @ stack) ** (1.0 / alpha) * m
+        m = np.maximum(*(q.values for q in prof.densities))
         fused = P.holder_pool(prof, w, alpha)
-        np.testing.assert_array_equal(fused.values, combined / prof.grid.integral(combined))
+        assert_is_the_power_mean(fused, prof, w, alpha)
         assert one_positive or np.all(fused.values[m == 0.0] == 0.0)
 
     @pytest.mark.parametrize(
@@ -225,12 +224,14 @@ class TestHolderPool:
         ],
         ids=["holder", "chi-power"],
     )
-    def test_overflowing_negative_power_raises(self, pool):
-        # on the narrow pair N(0, 0.01), N(0.05, 0.01) the ratio to the maximum
-        # falls to about exp(-4) at the grid's edge, and its -400th power overflows
+    def test_power_beyond_float_range_matches_the_reference(self, pool):
+        # on the narrow pair N(0, 0.01), N(0.05, 0.01) the members' ratio falls
+        # to about exp(-4) at the grid's edge; its -400th power is beyond the
+        # float range, but the power mean is not
         prof = OpinionProfile(common_grid(Gaussian([0.0], [[0.01]]), Gaussian([0.05], [[0.01]])))
-        with pytest.raises(BoundednessError, match="exponent -400"):
-            pool(prof)
+        fused = pool(prof)
+        assert_is_the_power_mean(fused, prof, [0.5, 0.5], -400.0)
+        assert moments(fused)[1][0, 0] == pytest.approx(0.008216196286521725, abs=1e-12)
 
     def test_negative_power_below_overflow_still_pools(self):
         prof = OpinionProfile(common_grid(Gaussian([0.0], [[0.01]]), Gaussian([0.05], [[0.01]])))
@@ -263,13 +264,17 @@ class TestMultiplicativePool:
         fused = P.multiplicative_pool(OpinionProfile((q0, q0)), q0, [0.7, -0.4])
         np.testing.assert_allclose(fused.values, q0.values, rtol=1e-9)
 
-    def test_unbounded_ratio_rejected(self):
+    def test_large_weighted_log_ratio_is_the_gaussian_product(self):
         lo, hi, n = -35.0, 35.0, 2048
         narrow = gauss_grid(0.0, 1.0, lo, hi, n)
         wide = gauss_grid(0.0, 4.0, lo, hi, n)
-        # weighted log ratio peaks near 1.6 * 459 = 734 at the edges
-        with pytest.raises(BoundednessError):
-            P.multiplicative_pool(OpinionProfile((narrow, narrow)), wide, [1.6, 1.6])
+        # the weighted log ratio reaches 1.6 * 459 = 734 at the edges, and the
+        # pooled precision 3.2 - 2.2 / 4 is positive: a proper product
+        fused = P.multiplicative_pool(OpinionProfile((narrow, narrow)), wide, [1.6, 1.6])
+        exact = gaussian_power_product(
+            [Gaussian([0.0], [[4.0]]), Gaussian([0.0], [[1.0]]), Gaussian([0.0], [[1.0]])], [-2.2, 1.6, 1.6]
+        )
+        _assert_moments_close(moments(fused), exact)
 
     def test_grid_mismatch(self, mirror_pair):
         q0 = gauss_grid(0.0, 4.0, n=1024)
@@ -318,8 +323,6 @@ class TestBayesUpdate:
         assert pr / pl == pytest.approx(2.0, abs=0.05)
 
     def test_vanishing_overlap_rejected(self):
-        from pdffusion.errors import DegenerateError
-
         d = normalize(from_samples([0.0], [1.0], (64,), np.ones(64)))
         with pytest.raises(DegenerateError):
             P.bayes_update(d, np.zeros(64))
@@ -586,13 +589,14 @@ class TestInPlaceNormalization:
         with pytest.raises(ValueError, match="^density values are all zero$"):
             to_grid(far, [-8.0] * dim, [8.0] * dim, (32,) * dim)
 
-    def test_sub_epsilon_pool_is_degenerate(self):
-        # the harmonic mean of two far-apart agents integrates to about 3e-17
+    def test_sub_epsilon_power_mean_normalizes(self):
+        # the harmonic mean of two far-apart agents integrates to about 3e-17;
+        # shifted by its maximum in logs it normalizes like any other pool
         prof = OpinionProfile(
             (gauss_grid(-6.0, 0.5, -12.0, 12.0, 512), gauss_grid(6.0, 0.5, -12.0, 12.0, 512))
         )
-        with pytest.raises(DegenerateError, match="^cannot normalize density with integral"):
-            P.inverse_linear_pool(prof, [0.5, 0.5])
+        fused = P.inverse_linear_pool(prof, [0.5, 0.5])
+        assert_is_the_power_mean(fused, prof, [0.5, 0.5], -1.0)
 
 
 class TestDispatcher:
@@ -736,10 +740,6 @@ class TestGaussianClosedForms:
         _, q0_grid = common_grid(profile.densities[0], q0)
         pooled = gaussian_power_product([q0, *agents], [1.0 - w.sum(), *w])
         _assume_resolved(profile.grid, pooled)
-        # a weighted log ratio beyond LOG_OVERFLOW is refused even where the
-        # product is proper, the regime of test_proper_product_with_a_large_log_ratio
-        ratios = np.log(profile.values) - np.log(q0_grid.values)
-        assume(np.max(np.abs(w.reshape((-1,) + (1,) * dim) * ratios)) <= P.LOG_OVERFLOW)
         _assert_moments_close(moments(P.multiplicative_pool(profile, q0_grid, w)), pooled)
 
     @settings(max_examples=25, deadline=None)
@@ -750,18 +750,31 @@ class TestGaussianClosedForms:
         np.testing.assert_allclose(P.holder_pool(profile, w, 1.0).values, want, rtol=1e-8, atol=0.0)
 
 
-@pytest.mark.xfail(
-    raises=BoundednessError,
-    strict=True,
-    reason="multiplicative_pool refuses a weighted log ratio beyond LOG_OVERFLOW (here "
-    "-756 in the narrow agent's far tail) although it shifts the log sum by its maximum "
-    "before exp and the product N(-0.910, 0.202) is proper",
-)
 def test_proper_product_with_a_large_log_ratio():
+    # the weighted log ratio reaches -756 in the narrow agent's far tail, and
+    # the product N(-81/89, 18/89) is proper
     agents = [Gaussian([-1.0], [[0.25]]), Gaussian([1.0], [[4.0]])]
     q0 = Gaussian([0.0], [[9.0]])
     profile = OpinionProfile(common_grid(*agents))
     _, q0_grid = common_grid(profile.densities[0], q0)
     w = np.array([1.2, 1.2])
     pooled = gaussian_power_product([q0, *agents], [1.0 - w.sum(), *w])
-    _assert_moments_close(moments(P.multiplicative_pool(profile, q0_grid, w)), pooled)
+    mean, cov = moments(P.multiplicative_pool(profile, q0_grid, w))
+    _assert_moments_close((mean, cov), pooled)
+    assert abs(mean[0] + 81.0 / 89.0) <= 1e-9 and abs(cov[0, 0] - 18.0 / 89.0) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: an improper multiplicative product is not detected; the grid "
+    "truncates it to a density of variance about 80",
+)
+def test_improper_product_raises():
+    agents = [Gaussian([-1.0], [[1.0]]), Gaussian([1.0], [[1.0]])]
+    q0 = Gaussian([0.0], [[0.25]])
+    profile = OpinionProfile(common_grid(*agents))
+    _, q0_grid = common_grid(profile.densities[0], q0)
+    # the pooled precision 1 + 1 - 4 is negative: no density exists
+    assert gaussian_power_product([q0, *agents], [-1.0, 1.0, 1.0]) is None
+    with pytest.raises(BoundednessError):
+        P.multiplicative_pool(profile, q0_grid)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import linalg, stats
+from scipy import linalg
 
 from pdffusion import gaussian as gaussian_module
 from pdffusion import supra as S
@@ -10,6 +10,8 @@ from pdffusion.errors import DimensionError, RankError, SingularityError
 from pdffusion.gaussian import Gaussian, pd_inverse, to_grid
 from pdffusion.grid import OpinionProfile, moments
 from pdffusion.pooling import bayes_update
+
+from closed_forms import gaussian_log_pdf
 
 
 def random_block_diag_model(rng, K=3, d_theta=2, extra_rows=1):
@@ -461,8 +463,8 @@ class TestLikelihoodProduct:
         log_joint = np.zeros_like(thetas)
         for i, th in enumerate(thetas):
             for k in range(2):
-                log_prod[i] += w[k] * stats.norm.logpdf(t[k], loc=th, scale=np.sqrt(st[k, k]))
-            log_joint[i] = stats.multivariate_normal.logpdf(t, mean=np.full(2, th), cov=st)
+                log_prod[i] += w[k] * gaussian_log_pdf(Gaussian([th], [[st[k, k]]]), [t[k]])
+            log_joint[i] = gaussian_log_pdf(Gaussian(np.full(2, th), st), t)
         diff = log_prod - log_joint
         assert np.ptp(diff) < 1e-8
 
