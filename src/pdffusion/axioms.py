@@ -17,9 +17,8 @@ import math
 
 import numpy as np
 
-from . import grid as gridmod
 from .errors import UnsupportedAxiomError
-from .grid import Grid, GridDensity, OpinionProfile, event_probability
+from .grid import Grid, GridDensity, OpinionProfile, adopt_normalized, event_probability
 from .pooling import PoolingKind, PoolingSpec, bayes_update, check_fields, fields_read, pool
 
 DEFAULT_TOL = 1e-6
@@ -166,7 +165,7 @@ def _random_density(rng, template: Grid, broad: bool = False) -> GridDensity:
         vals = _bump(template.axes[0], m, s)
     else:
         vals = _mixture_on_axis(rng, template.axes[0])
-    return gridmod.adopt_normalized(template, vals)
+    return adopt_normalized(template, vals)
 
 
 def _random_profile(rng, K: int, template: Grid) -> OpinionProfile:
@@ -247,7 +246,7 @@ def _with_event_mass(template: Grid, cand: GridDensity, events, target: float) -
         vals[nodes] *= scale
         rest &= ~nodes
     vals[rest] *= outside_target / outside
-    return gridmod.adopt_normalized(template, vals)
+    return adopt_normalized(template, vals)
 
 
 def _matched_mass_pair(
@@ -323,7 +322,7 @@ def _trial_zero_preservation(spec, rng, template, K):
     for _ in range(K):
         vals = _random_density(rng, template).values.copy()
         vals[nodes] = 0.0
-        members.append(gridmod.adopt_normalized(template, vals))
+        members.append(adopt_normalized(template, vals))
     profile = OpinionProfile(tuple(members))
     s = _with_companions(spec, rng, template)
     v = abs(event_probability(pool(s, profile), cells))
@@ -404,7 +403,7 @@ def _trial_local_values(spec, rng, template, K):
             denom = template.integral(vals, bump)
             if abs(denom) < 1e-9 or abs(deficit / denom) * float(bump.max()) >= 0.9:
                 break
-            members.append(gridmod.adopt_normalized(template, vals * (1.0 + deficit / denom * bump)))
+            members.append(adopt_normalized(template, vals * (1.0 + deficit / denom * bump)))
         else:
             break
     else:
@@ -428,7 +427,7 @@ def _modulated(template: Grid, base: OpinionProfile, b1, b2) -> list[GridDensity
             mod = 1.0 + amp * b1 + t * b2
             if mod.min() <= 0.1:
                 break
-            members.append(gridmod.adopt_normalized(template, q.values * mod))
+            members.append(adopt_normalized(template, q.values * mod))
         else:
             return members
         amp *= 0.5

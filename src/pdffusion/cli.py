@@ -8,12 +8,18 @@ produce byte-identical outputs.
 Exit codes: 0 success (including an axiom check that finds violations),
 2 invalid input, 3 numerical failure, 4 non-convergence. Failures print
 one JSON object with "error" and "message" on stderr.
+
+A call executes only the modules its subcommand runs: the shared ones are
+imported below, and ``divergence``, ``weights``, ``axioms`` and ``supra``
+are executed on their first attribute access (see ``_deferred``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.util
+import inspect
 import json
 import os
 import sys
@@ -21,9 +27,6 @@ import sys
 import click
 import numpy as np
 
-from . import axioms as axmod
-from . import divergence as divmod_
-from . import weights as wmod
 from .errors import (
     BoundednessError,
     DegenerateError,
@@ -36,7 +39,52 @@ from .fileio import FLOAT_FMT, read_density_csv, read_gaussian_json, read_model_
 from .gaussian import Gaussian, common_grid
 from .grid import OpinionProfile, moments
 from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, pool
-from .supra import local_statistics, private_shared_model, scalar_fusion, vector_fusion
+
+
+def _deferred(name: str):
+    """The submodule ``name`` of this package, executed on first attribute access.
+
+    An imported module is returned as it is. Otherwise ``sys.modules`` gets an
+    ``importlib.util.LazyLoader`` stub, so code that reads the module from
+    there (or imports it) finds it before it runs. Only this single-threaded
+    command line process defers modules this way: before Python 3.12 the
+    first touch of a lazily loaded module is not thread-safe.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+axmod = _deferred("axioms")
+divmod_ = _deferred("divergence")
+supmod = _deferred("supra")
+wmod = _deferred("weights")
+
+
+class _EnumChoice(click.Choice):
+    """The values of the enum ``module.<enum_name>``, read the first time a call needs them.
+
+    Declaring the option thus executes no deferred module; parsing, checking or
+    documenting it does, and prints what ``click.Choice`` of the values prints.
+    """
+
+    def __init__(self, module, enum_name: str):
+        super().__init__(())
+        del self.choices  # now read through the cached property
+        self._enum = (module, enum_name)
+
+    @functools.cached_property
+    def choices(self):
+        module, enum_name = self._enum
+        return tuple(k.value for k in getattr(module, enum_name))
+
 
 _NUMERICAL = (DegenerateError, SingularityError, BoundednessError, RankError)
 
@@ -115,6 +163,11 @@ def _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0=None, xi0
     )
 
 
+def _given(**flags) -> dict:
+    """The flags set on the command line, so the library's defaults apply to the rest."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _json_line(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
@@ -167,7 +220,7 @@ def pool_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0, xi0, inputs
 
 
 @main.command("divergence")
-@click.option("--kind", required=True, type=click.Choice([k.value for k in divmod_.DivergenceKind]))
+@click.option("--kind", required=True, type=_EnumChoice(divmod_, "DivergenceKind"))
 @click.option("--alpha", type=float, default=None)
 @click.option("--chi", type=click.Choice([c.value for c in ChiKind]), default=None)
 @click.option("--chi-alpha", type=float, default=None)
@@ -190,7 +243,7 @@ def divergence_cmd(kind, alpha, chi, chi_alpha, inputs):
 )
 @click.option(
     "--criterion",
-    type=click.Choice([c.value for c in wmod.CICriterion]),
+    type=_EnumChoice(wmod, "CICriterion"),
     default=None,
     help="ci only; trace when unset",
 )
@@ -203,22 +256,18 @@ def weights_cmd(method, criterion, max_iter, tol, inputs):
     objective and iterations are fixed only by --tol: their trailing digits and the
     iteration count follow summation order and are not byte-stable. A flag the
     method does not read exits 2."""
-    reads = {"min-kld": ("max_iter", "tol"), "discrepancy": (), "ci": ("criterion", "max_iter", "tol")}[method]
+    select = getattr(wmod, method.replace("-", "_") + "_weights")
     criterion = None if criterion is None else wmod.CICriterion(criterion)
-    flags = {"criterion": criterion, "max_iter": max_iter, "tol": tol}
-    given = {name: value for name, value in flags.items() if value is not None}
+    given = _given(criterion=criterion, max_iter=max_iter, tol=tol)
     for name in given:
-        if name not in reads:
+        if name not in inspect.signature(select).parameters:
             raise ValueError(f"{method} weights do not take --{name.replace('_', '-')}")
     if method == "ci":
-        result = wmod.ci_weights([read_gaussian_json(p) for p in inputs], **given)
+        result = select([read_gaussian_json(p) for p in inputs], **given)
     else:
-        profile = OpinionProfile(_load_on_common_grid(inputs))
-        if method == "min-kld":
-            result = wmod.min_kld_weights(profile, **given)
-        else:
-            vec = wmod.discrepancy_weights(profile)
-            click.echo(_json_line({"weights": vec.tolist()}))
+        result = select(OpinionProfile(_load_on_common_grid(inputs)), **given)
+        if method == "discrepancy":
+            click.echo(_json_line({"weights": result.tolist()}))
             return
     click.echo(
         _json_line(
@@ -235,10 +284,10 @@ def weights_cmd(method, criterion, max_iter, tol, inputs):
 
 @main.command("axiom-check")
 @pooling_flags
-@click.option("--axiom", required=True, type=click.Choice([a.value for a in axmod.Axiom]))
-@click.option("--trials", type=int, default=axmod.DEFAULT_TRIALS)
+@click.option("--axiom", required=True, type=_EnumChoice(axmod, "Axiom"))
+@click.option("--trials", type=int, default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--tol", type=float, default=axmod.DEFAULT_TOL)
+@click.option("--tol", type=float, default=None)
 @wrap_errors
 def axiom_check_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, axiom, trials, seed, tol):
     """Check one axiom against one pooling rule; prints the report as JSON.
@@ -248,7 +297,7 @@ def axiom_check_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, axiom, t
     "passed" field.
     """
     spec = _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha)
-    report = axmod.check_axiom(spec, axiom, trials=trials, seed=seed, tol=tol)
+    report = axmod.check_axiom(spec, axiom, seed=seed, **_given(trials=trials, tol=tol))
     payload = {
         "axiom": report.axiom.value,
         "kind": spec.kind.value,
@@ -294,18 +343,18 @@ def supra_cmd(model_path, private_shared, y_text, mode):
         counts = _parse_floats(private_shared)
         if len(counts) < 2:
             raise ValueError("--private-shared needs r0 plus at least one agent count")
-        model = private_shared_model(len(counts) - 1, counts[0], counts[1:])
+        model = supmod.private_shared_model(len(counts) - 1, counts[0], counts[1:])
     if mode is None:
         mode = "scalar" if model.d_theta == 1 else "vector"
 
     y = None
     if y_text is not None:
         y = _parse_floats(y_text)
-        t, _ = local_statistics(model, y)
+        t, _ = supmod.local_statistics(model, y)
     else:
         t = np.zeros(model.K * model.d_theta)
 
-    res = (scalar_fusion if mode == "scalar" else vector_fusion)(model, t, y)
+    res = (supmod.scalar_fusion if mode == "scalar" else supmod.vector_fusion)(model, t, y)
     payload = {
         "mode": mode,
         "sigma_hat_inv": res.Sigma_hat_inv.tolist(),
@@ -339,12 +388,10 @@ def _fig4_panel(path, g1: Gaussian, g2: Gaussian) -> None:
         else:
             columns[f"holder_alpha_{alpha:g}"] = holder_pool(profile, w, alpha).values
     names = list(columns)
-    rows = [",".join(names)]
     data = np.column_stack([columns[c] for c in names])
-    for row in data:
-        rows.append(",".join(FLOAT_FMT % v for v in row))
+    row = ",".join([FLOAT_FMT] * len(names)) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(",".join(names) + "\n" + row * len(data) % tuple(data.ravel().tolist()))
 
 
 @main.command("fig4")

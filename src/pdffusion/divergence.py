@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import gaussian as gaussmod
 from .errors import BoundednessError, NotNormalizedError, PositivityError, SupportError
+from .gaussian import common_grid
 from .grid import GridDensity
 from .pooling import ChiTransform, check_fields
 
@@ -62,7 +62,7 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _as_grid_pair(p, q) -> tuple[GridDensity, GridDensity]:
-    p, q = gaussmod.common_grid(p, q)
+    p, q = common_grid(p, q)
     if not (p.normalized and q.normalized):
         raise NotNormalizedError("divergences are defined between normalized densities")
     return p, q
@@ -206,7 +206,7 @@ def chi_distance(p, q, chi: ChiTransform) -> float:
 
 def entropy(p) -> float:
     """Differential entropy: minus the integral of p log p, the cross-entropy of p with itself."""
-    (p,) = gaussmod.common_grid(p)
+    (p,) = common_grid(p)
     return cross_entropy(p, p)
 
 

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .gaussian import Gaussian
 from .grid import Grid, GridDensity
-from .supra import LinearGaussianModel
+
+if TYPE_CHECKING:  # supra is imported by the model functions, so density I/O does not load it
+    from .supra import LinearGaussianModel
 
 FLOAT_FMT = "%.17g"
 
@@ -25,10 +28,10 @@ FLOAT_FMT = "%.17g"
 def write_density_csv(path, d: GridDensity) -> None:
     grid = d.grid
     bounds = [FLOAT_FMT % v for v in grid.lower + grid.upper]
-    lines = ["# " + ",".join([str(grid.dims), *bounds, *map(str, grid.shape)])]
-    lines.extend(FLOAT_FMT % v for v in d.values.ravel())
+    header = "# " + ",".join([str(grid.dims), *bounds, *map(str, grid.shape)]) + "\n"
+    values = d.values.ravel().tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + (FLOAT_FMT + "\n") * len(values) % tuple(values))
 
 
 def read_density_csv(path) -> GridDensity:
@@ -110,6 +113,8 @@ def write_model_json(path, model: LinearGaussianModel) -> None:
 
 
 def read_model_json(path) -> LinearGaussianModel:
+    from .supra import LinearGaussianModel
+
     names = ("Sigma", "prior_mean", "prior_cov")
     blocks, *rest = _json_fields(path, "H_blocks", *names)
     if not isinstance(blocks, list):

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grid as gridmod
 from .errors import DegenerateError, DimensionError, SimplexError, SingularityError
-from .grid import Grid, GridDensity
+from .grid import Grid, GridDensity, adopt_normalized, require_mass, require_same_grid
 
 SYMMETRY_TOL = 1e-10
 SIMPLEX_TOL = 1e-9
@@ -239,11 +238,11 @@ def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:
     values = _grid_log_pdf(g, grid)
     np.exp(values, out=values)
     try:
-        return gridmod.adopt_normalized(grid, values)
+        return adopt_normalized(grid, values)
     except DegenerateError as exc:
         degenerate = exc
     # a Gaussian whose mass lies off the grid underflows to zero at every node
-    gridmod.require_mass(GridDensity(grid, values))
+    require_mass(GridDensity(grid, values))
     raise degenerate
 
 
@@ -268,7 +267,7 @@ def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
     out = list(inputs)
     grids = [d.grid for d in inputs if isinstance(d, GridDensity)]
     if grids:
-        gridmod.require_same_grid(*grids)
+        require_same_grid(*grids)
     else:
         boxes = [default_grid_bounds(g) for g in inputs]
         lower = np.min([lo for lo, _ in boxes], axis=0)

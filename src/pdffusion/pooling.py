@@ -20,10 +20,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import grid as gridmod
 from .errors import GridMismatchError, PositivityError, SimplexError
 from .gaussian import check_simplex
-from .grid import GridDensity, OpinionProfile
+from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, normalize, require_same_grid
 
 # Holder exponents this close to zero are numerically meaningless; the limit
 # is the log-linear pool and must be requested as such.
@@ -141,7 +140,7 @@ def _power_mean(profile: OpinionProfile, w: np.ndarray, alpha: float, extra=None
     if extra is not None:
         out += extra
     out -= out.max()
-    return gridmod.adopt_normalized(profile.grid, np.exp(out, out=out))
+    return adopt_normalized(profile.grid, np.exp(out, out=out))
 
 
 def linear_pool(
@@ -164,12 +163,12 @@ def linear_pool(
     if q0 is None:
         w = check_simplex(weights, profile.K)
         combined = _weighted_sum(w, profile.values)
-        return GridDensity(profile.grid, gridmod.frozen(combined))
-    gridmod.require_same_grid(profile.grid, q0.grid)
+        return GridDensity(profile.grid, frozen(combined))
+    require_same_grid(profile.grid, q0.grid)
     full = check_simplex(np.concatenate([[float(w0)], np.atleast_1d(weights)]), profile.K + 1)
     combined = _weighted_sum(full[1:], profile.values)
     combined += full[0] * q0.values
-    return GridDensity(profile.grid, gridmod.frozen(combined))
+    return GridDensity(profile.grid, frozen(combined))
 
 
 def _check_xi0(profile: OpinionProfile, xi0) -> np.ndarray:
@@ -238,7 +237,7 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
         If the profile or q0 has a zero.
     """
     _require_positive(profile, "multiplicative pooling")
-    gridmod.require_same_grid(profile.grid, q0.grid)
+    require_same_grid(profile.grid, q0.grid)
     if not q0.positive:
         raise PositivityError("calibrating pdf must be strictly positive")
     K = profile.K
@@ -262,7 +261,7 @@ def dictatorship_pool(profile: OpinionProfile, k: int) -> GridDensity:
 
 def dogmatic_pool(profile: OpinionProfile, q0: GridDensity) -> GridDensity:
     """The fixed density ``q0``, ignoring the profile entirely."""
-    gridmod.require_same_grid(profile.grid, q0.grid)
+    require_same_grid(profile.grid, q0.grid)
     return q0
 
 
@@ -273,7 +272,7 @@ def bayes_update(q: GridDensity, ell) -> GridDensity:
         raise GridMismatchError(f"likelihood shape {ell.shape} does not match grid {q.grid.shape}")
     if np.any(ell < 0.0) or not np.all(np.isfinite(ell)):
         raise ValueError("likelihood values must be finite and nonnegative")
-    return gridmod.adopt_normalized(q.grid, q.values * ell)
+    return adopt_normalized(q.grid, q.values * ell)
 
 
 def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> GridDensity:
@@ -284,7 +283,7 @@ def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> G
     computed by them.
     """
     if chi.kind is ChiKind.IDENTITY:  # the linear pool itself, not holder_pool(1.0), for its bits
-        return gridmod.normalize(linear_pool(profile, weights))
+        return normalize(linear_pool(profile, weights))
     if chi.exponent == 0.0:
         return log_linear_pool(profile, weights)
     return holder_pool(profile, weights, chi.exponent)

@@ -26,11 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import divergence, pooling
+from .divergence import kl
 from .errors import DegenerateError, NonConvergenceError
 from .errors import NotNormalizedError, PositivityError
 from .gaussian import check_simplex, cho_inverse, pd_inverse, shared_dim
 from .grid import OpinionProfile
+from .pooling import log_linear_pool
 
 ARMIJO_C = 1e-4
 MIN_STEP = 1e-13
@@ -234,8 +235,8 @@ def reverse_kld_objective(profile: OpinionProfile, w) -> float:
     Uniform weights minimize this for every positive profile.
     """
     w = check_simplex(w, profile.K)
-    pooled = pooling.log_linear_pool(profile, w)
-    return float(np.mean([divergence.kl(pooled, q) for q in profile.densities]))
+    pooled = log_linear_pool(profile, w)
+    return float(np.mean([kl(pooled, q) for q in profile.densities]))
 
 
 def discrepancy_weights(profile: OpinionProfile) -> np.ndarray:
@@ -252,7 +253,7 @@ def discrepancy_weights(profile: OpinionProfile) -> np.ndarray:
         raise ValueError("weight selection needs at least two agents")
     qs = profile.densities
     # D[a, b] = KL(q_a || q_b); no agent counts as its own rival
-    D = np.array([[divergence.kl(p, q) if a != b else -np.inf for b, q in enumerate(qs)] for a, p in enumerate(qs)])
+    D = np.array([[kl(p, q) if a != b else -np.inf for b, q in enumerate(qs)] for a, p in enumerate(qs)])
     worst = D.max(axis=1)
     if np.any(worst <= 0.0):
         raise DegenerateError("an agent has zero maximum discrepancy; weights are undefined")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdffusion import divergence
 from pdffusion import weights as W
 from pdffusion.divergence import kl
 from pdffusion.errors import DegenerateError, DimensionError, NonConvergenceError, PositivityError
@@ -213,7 +212,7 @@ class TestMinKldWeights:
             calls.append((p, q))
             return kl(p, q)
 
-        monkeypatch.setattr(divergence, "kl", counted_kl)
+        monkeypatch.setattr(W, "kl", counted_kl)
         gs = [
             Gaussian([0.9, -1.29], [[0.413, -0.134], [-0.134, 1.064]]),
             Gaussian([1.8, -1.04], [[0.798, -0.242], [-0.242, 1.058]]),
