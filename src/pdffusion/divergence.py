@@ -3,17 +3,20 @@
 Kullback-Leibler divergence in both directions, the alpha-divergence family
 and its argument-swapped form, Pearson chi-squared, squared L2 distance,
 squared distances in an invertible transform space, cross-entropy, and a
-generic f-divergence. All integrals use the grid's trapezoid rule. The
-0 * log 0 := 0 limit convention applies wherever the first argument
-vanishes.
+generic f-divergence.
 
 Squared distances (`l2`, `chi_distance`) are returned squared: they are
 used as optimization objectives, where the square root adds nothing.
 Transform distances apply the `ChiTransform` itself, ``chi(values)``.
 
-Either density argument may be a closed-form Gaussian; both are put on
-one grid by `gaussian.common_grid` first, so that every comparison runs
-through a single quadrature pathway.
+Every divergence is one integrand on one path, `_integral`: the pair goes
+on one grid by `gaussian.common_grid` (a closed-form Gaussian argument is
+evaluated there once), must be normalized and meet the kind's support
+rule; the integrand runs on every node without masks, and the product of
+its node arrays is integrated by the grid's trapezoid rule. Zero
+convention: where a kind's support rule lets a density vanish (0 * log 0,
+0/0, -inf + inf), a nan term counts as its limit, 0. The kinds without
+such a rule have no nan terms there.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ import numpy as np
 
 from .errors import BoundednessError, NotNormalizedError, PositivityError, SupportError
 from .gaussian import common_grid
-from .grid import GridDensity
 from .pooling import ChiTransform, check_fields
 
 
@@ -61,34 +63,31 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha may not be 0 or 1; those limits are the two KLDs")
 
 
-def _as_grid_pair(p, q) -> tuple[GridDensity, GridDensity]:
+def _integral(p, q, what: str, integrand, support: str | None = None) -> float:
+    """The path of every divergence (see the module docstring): the integral
+    of the product of the node arrays that ``integrand(p.values, q.values)`` returns.
+
+    ``support``: ``"p"``, p must vanish wherever q does, ``"q"`` the converse
+    (SupportError), ``"positive"`` both strictly positive (PositivityError).
+    """
     p, q = common_grid(p, q)
     if not (p.normalized and q.normalized):
         raise NotNormalizedError("divergences are defined between normalized densities")
-    return p, q
-
-
-def _check_dominates(p: GridDensity, q: GridDensity, what: str) -> None:
-    # absolute continuity on the grid: q must be positive wherever p is
-    if not q.positive and np.any((p.values > 0.0) & (q.values == 0.0)):
-        raise SupportError(f"{what}: first density has mass where the second vanishes")
-
-
-def _support(*densities: GridDensity):
-    """The ``where=`` mask of the nodes where every density is positive, and a
-    buffer for terms there, zero elsewhere.
-
-    When every density is positive the mask is ``True``, which numpy's
-    ufuncs run as no mask, and the buffer is left unset: every node is
-    written. The terms are the same bits either way.
-    """
-    values = densities[0].values
-    if all(d.positive for d in densities):
-        return True, np.empty_like(values)
-    mask = values > 0.0
-    for d in densities[1:]:
-        mask &= d.values > 0.0
-    return mask, np.zeros_like(values)
+    if support == "positive" and not (p.positive and q.positive):
+        raise PositivityError(f"{what} needs positive densities")
+    if support in ("p", "q"):
+        dominated, reference = (p, q) if support == "p" else (q, p)
+        if not reference.positive and np.any((dominated.values > 0.0) & (reference.values == 0.0)):
+            first, second = ("first", "second") if support == "p" else ("second", "first")
+            raise SupportError(f"{what}: {first} density has mass where the {second} vanishes")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        factors = integrand(p.values, q.values)
+        if support in ("p", "q") and not dominated.positive:
+            # the zero convention; the reference vanishes only where the dominated density does
+            vanish = dominated.values == 0.0
+            for terms in factors:
+                terms[vanish & np.isnan(terms)] = 0.0
+        return p.grid.integral(*factors)
 
 
 def f_divergence(p, q, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -98,38 +97,32 @@ def f_divergence(p, q, f: Callable[[np.ndarray], np.ndarray]) -> float:
     (f(0) undefined as 0 * log 0) contribute zero; a genuinely finite f(0)
     contributes q * f(0).
     """
-    p, q = _as_grid_pair(p, q)
-    _check_dominates(p, q, "f-divergence")
-    pos = q.values > 0.0
-    ratio = np.ones_like(p.values)
-    np.divide(p.values, q.values, out=ratio, where=pos)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fx = np.asarray(f(ratio), dtype=np.float64)
-    terms = np.zeros_like(fx)
-    ok = pos & np.isfinite(fx)
-    np.multiply(q.values, fx, out=terms, where=ok)
-    # 0 * log 0 style limits: p = 0 with non-finite f(0) contributes nothing
-    bad = pos & ~np.isfinite(fx) & (p.values > 0.0)
-    if np.any(bad):
-        raise SupportError("f produced non-finite values where p is positive")
-    return q.grid.integral(terms)
+
+    def integrand(pv, qv):
+        fx = np.asarray(f(pv / qv), dtype=np.float64)
+        finite = np.isfinite(fx)
+        if np.any(~finite & (pv > 0.0)):
+            raise SupportError("f produced non-finite values where p is positive")
+        return (np.where(finite, qv * fx, 0.0),)
+
+    return _integral(p, q, "f-divergence", integrand, "p")
+
+
+def _kl_terms(a, b):
+    # integrands reuse one buffer: a fresh full-grid temporary per ufunc costs page faults in 2-D
+    terms = np.divide(a, b)
+    np.log(terms, out=terms)
+    return (np.multiply(a, terms, out=terms),)
 
 
 def kl(p, q) -> float:
     """Kullback-Leibler divergence of p from q: integral p log(p/q)."""
-    p, q = _as_grid_pair(p, q)
-    _check_dominates(p, q, "KL divergence")
-    pv, qv = p.values, q.values
-    pos, terms = _support(p)
-    np.divide(pv, qv, out=terms, where=pos)
-    np.log(terms, out=terms, where=pos)
-    np.multiply(pv, terms, out=terms, where=pos)
-    return p.grid.integral(terms)
+    return _integral(p, q, "KL divergence", _kl_terms, "p")
 
 
 def reverse_kl(p, q) -> float:
     """KL divergence with arguments swapped: integral q log(q/p)."""
-    return kl(q, p)
+    return _integral(p, q, "KL divergence", lambda pv, qv: _kl_terms(qv, pv), "q")
 
 
 def alpha_div(p, q, alpha: float) -> float:
@@ -139,24 +132,7 @@ def alpha_div(p, q, alpha: float) -> float:
     both are excluded here and must be requested as KLDs. Pearson
     chi-squared is twice the alpha = 2 member.
     """
-    alpha = float(alpha)
-    _check_alpha(alpha)
-    p, q = _as_grid_pair(p, q)
-    if alpha > 1.0:
-        _check_dominates(p, q, "alpha-divergence")
-    elif alpha < 0.0:
-        _check_dominates(q, p, "alpha-divergence")
-    pv, qv = p.values, q.values
-    both, terms = _support(p, q)
-    log_q = np.empty_like(qv)
-    np.log(pv, out=terms, where=both)
-    np.multiply(alpha, terms, out=terms, where=both)
-    np.log(qv, out=log_q, where=both)
-    np.multiply(1.0 - alpha, log_q, out=log_q, where=both)
-    np.add(terms, log_q, out=terms, where=both)
-    np.exp(terms, out=terms, where=both)
-    integral = p.grid.integral(terms)
-    return (integral - 1.0) / (alpha * (alpha - 1.0))
+    return _alpha(p, q, alpha, reverse=False)
 
 
 def reverse_alpha_div(p, q, alpha: float) -> float:
@@ -165,25 +141,45 @@ def reverse_alpha_div(p, q, alpha: float) -> float:
     Equals alpha_div(p, q, 1 - alpha): swapping arguments is the same as
     reflecting the order parameter around one half.
     """
-    return alpha_div(q, p, alpha)
+    return _alpha(p, q, alpha, reverse=True)
+
+
+def _alpha(p, q, alpha: float, reverse: bool) -> float:
+    """alpha_div of (p, q), or of (q, p) when ``reverse``, in the caller's argument order."""
+    alpha = float(alpha)
+    _check_alpha(alpha)
+    # a^alpha b^(1-alpha) needs b > 0 wherever a > 0 when alpha > 1, and the converse when alpha < 0
+    a, b = ("q", "p") if reverse else ("p", "q")
+    support = a if alpha > 1.0 else b if alpha < 0.0 else None
+
+    def integrand(pv, qv):
+        av, bv = (qv, pv) if reverse else (pv, qv)
+        terms = alpha * np.log(av) + (1.0 - alpha) * np.log(bv)
+        return (np.exp(terms, out=terms),)
+
+    integral = _integral(p, q, "alpha-divergence", integrand, support)
+    return (integral - 1.0) / (alpha * (alpha - 1.0))
 
 
 def pearson_chi2(p, q) -> float:
     """Pearson chi-squared divergence: integral (p - q)^2 / q."""
-    p, q = _as_grid_pair(p, q)
-    _check_dominates(p, q, "Pearson chi-squared")
-    pos, terms = _support(q)
-    np.subtract(p.values, q.values, out=terms, where=pos)
-    np.multiply(terms, terms, out=terms, where=pos)
-    np.divide(terms, q.values, out=terms, where=pos)
-    return p.grid.integral(terms)
+
+    def integrand(pv, qv):
+        terms = np.subtract(pv, qv)
+        np.multiply(terms, terms, out=terms)
+        return (np.divide(terms, qv, out=terms),)
+
+    return _integral(p, q, "Pearson chi-squared", integrand, "p")
+
+
+def _squared_difference(pv, qv, chi=None):
+    diff = pv - qv if chi is None else chi(pv) - chi(qv)
+    return diff, diff
 
 
 def l2(p, q) -> float:
     """Squared L2 distance: integral (p - q)^2."""
-    p, q = _as_grid_pair(p, q)
-    diff = p.values - q.values
-    return p.grid.integral(diff, diff)
+    return _integral(p, q, "L2 distance", _squared_difference)
 
 
 def chi_distance(p, q, chi: ChiTransform) -> float:
@@ -193,14 +189,11 @@ def chi_distance(p, q, chi: ChiTransform) -> float:
     require both densities strictly positive. Raises BoundednessError when a
     power of a density overflows, so that the integral is not finite.
     """
-    p, q = _as_grid_pair(p, q)
-    if chi.needs_positive and not (p.positive and q.positive):
-        raise PositivityError(f"{chi.kind.value} transform distance needs positive densities")
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = chi(p.values) - chi(q.values)
-        value = p.grid.integral(diff, diff)
+    what = f"{chi.kind.value} transform distance"
+    support = "positive" if chi.needs_positive else None
+    value = _integral(p, q, what, lambda pv, qv: _squared_difference(pv, qv, chi), support)
     if not np.isfinite(value):
-        raise BoundednessError(f"{chi.kind.value} transform distance is {value}: a density's power overflows")
+        raise BoundednessError(f"{what} is {value}: a density's power overflows")
     return value
 
 
@@ -215,12 +208,7 @@ def cross_entropy(p, q) -> float:
 
     Decomposes as kl(p, q) + entropy(p).
     """
-    p, q = _as_grid_pair(p, q)
-    _check_dominates(p, q, "cross-entropy")
-    pos, terms = _support(p)
-    np.log(q.values, out=terms, where=pos)
-    np.multiply(p.values, terms, out=terms, where=pos)
-    return -p.grid.integral(terms)
+    return -_integral(p, q, "cross-entropy", lambda pv, qv: (pv * np.log(qv),), "p")
 
 
 # kind -> (spec fields the kind reads, call)

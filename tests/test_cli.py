@@ -17,7 +17,7 @@ from pdffusion.fileio import (
     write_model_json,
 )
 from pdffusion.gaussian import Gaussian, ci_fuse, common_grid, to_grid
-from pdffusion.grid import GridDensity, from_samples
+from pdffusion.grid import GridDensity, from_samples, normalize
 from pdffusion.supra import LinearGaussianModel, private_shared_model
 
 from closed_forms import power_mean
@@ -318,6 +318,18 @@ class TestDivergence:
         assert result.exit_code == 2
         assert stderr_error(result) == "ValueError"
         assert stderr_message(result) == message
+
+    def test_support_error_names_the_argument_with_mass(self, runner, tmp_path):
+        # reverse KL integrates b log(b / a): b has mass where a vanishes
+        vals = np.ones(64)
+        vals[:16] = 0.0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_density_csv(a, normalize(from_samples([0.0], [1.0], (64,), vals)))
+        write_density_csv(b, normalize(from_samples([0.0], [1.0], (64,), np.ones(64))))
+        result = runner.invoke(main, ["divergence", "--kind", "reverse-kl", str(a), str(b)])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "SupportError"
+        assert stderr_message(result) == "KL divergence: second density has mass where the first vanishes"
 
     def test_csv_with_several_values_on_a_line_exits_2(self, runner, tmp_path):
         rows = tmp_path / "rows.csv"

@@ -148,8 +148,8 @@ class TestAlphaDivergence:
 
 
 class TestMaskedTerms:
-    """The integrands are built with masked ufuncs; each must equal the
-    gather-and-scatter form they replace, bit for bit, zeros included."""
+    """Each integrand runs on every node; it must equal the gather-and-scatter
+    form, terms on the support nodes and zeros elsewhere, bit for bit."""
 
     @staticmethod
     def gathered(pv, qv, rule):
@@ -191,11 +191,22 @@ class TestMaskedTerms:
                 integral = grid.integral(self.gathered(pv, qv, alpha))
                 assert D.alpha_div(p, q, alpha) == (integral - 1.0) / (alpha * (alpha - 1.0))
 
+    def test_mass_where_q_vanishes_is_a_support_error(self):
+        vals = np.ones(64)
+        vals[:16] = 0.0
+        q = normalize(from_samples([0.0], [1.0], (64,), vals))
+        p = normalize(from_samples([0.0], [1.0], (64,), np.linspace(1.0, 2.0, 64)))
+        for divergence in (D.kl, D.cross_entropy, D.pearson_chi2, lambda a, b: D.alpha_div(a, b, 2.0)):
+            with pytest.raises(SupportError):
+                divergence(p, q)
+        with pytest.raises(SupportError):
+            D.alpha_div(q, p, -0.5)
+
 
 class TestMaskFreeTerms:
-    """On strictly positive densities the kernels run their ufuncs without
-    masks; that must give the explicitly masked form's bits, and with zeros
-    in p or q the masked form itself must still run."""
+    """The kernels run their ufuncs without masks; that must give the
+    explicitly masked form's bits, on positive pairs and on a pair with
+    shared zeros."""
 
     @staticmethod
     def masked(pv, qv, rule):
@@ -260,16 +271,31 @@ class TestMaskFreeTerms:
         self.assert_bitwise(p, q, alphas=(0.3, 2.0))
         assert np.isfinite(D.kl(p, q)) and np.isfinite(D.cross_entropy(p, q))
 
-    def test_mass_where_q_vanishes_is_a_support_error(self):
-        vals = np.ones(64)
-        vals[:16] = 0.0
-        q = normalize(from_samples([0.0], [1.0], (64,), vals))
-        p = normalize(from_samples([0.0], [1.0], (64,), np.linspace(1.0, 2.0, 64)))
-        for divergence in (D.kl, D.cross_entropy, D.pearson_chi2, lambda a, b: D.alpha_div(a, b, 2.0)):
-            with pytest.raises(SupportError):
-                divergence(p, q)
-        with pytest.raises(SupportError):
-            D.alpha_div(q, p, -0.5)
+
+_FIRST = "first density has mass where the second vanishes"
+_SECOND = "second density has mass where the first vanishes"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cut, full: D.kl(full, cut), f"KL divergence: {_FIRST}"),
+        (lambda cut, full: D.reverse_kl(cut, full), f"KL divergence: {_SECOND}"),
+        (lambda cut, full: D.alpha_div(full, cut, 2.0), f"alpha-divergence: {_FIRST}"),
+        (lambda cut, full: D.alpha_div(cut, full, -0.5), f"alpha-divergence: {_SECOND}"),
+        (lambda cut, full: D.reverse_alpha_div(full, cut, -0.5), f"alpha-divergence: {_FIRST}"),
+        (lambda cut, full: D.reverse_alpha_div(cut, full, 2.0), f"alpha-divergence: {_SECOND}"),
+    ],
+    ids=["kl", "reverse-kl", "alpha-2", "alpha-neg", "reverse-alpha-neg", "reverse-alpha-2"],
+)
+def test_support_error_names_the_argument_with_mass(call, message):
+    vals = np.ones(64)
+    vals[:16] = 0.0
+    cut = normalize(from_samples([0.0], [1.0], (64,), vals))
+    full = normalize(from_samples([0.0], [1.0], (64,), np.linspace(1.0, 2.0, 64)))
+    with pytest.raises(SupportError) as exc:
+        call(cut, full)
+    assert str(exc.value) == message
 
 
 class TestQuadraticDistances:
@@ -469,3 +495,45 @@ def test_correlated_pair_outside_the_grid_regime():
     p = gaussian([1.0, 1.0], [2.0, 2.0], 0.8)
     q = gaussian([-1.0, 1.0], [2.0, 0.5], 0.8)
     _assert_close(D.kl(p, q), gaussian_kl(p, q))
+
+
+@pytest.mark.xfail(
+    raises=SupportError,
+    strict=True,
+    reason="ROADMAP item 3: N(0, 0.01) underflows to zero on the shared grid where N(3, 1) has mass",
+)
+def test_kl_of_a_narrow_pair():
+    p, q = Gaussian([3.0], [[1.0]]), Gaussian([0.0], [[0.01]])
+    assert gaussian_kl(p, q) == pytest.approx(497.19741490700596, rel=1e-15)
+    _assert_close(D.kl(p, q), gaussian_kl(p, q))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: the integral of p^alpha q^(1-alpha) diverges (raise BoundednessError) "
+    "or its integrand reaches past the grid (match the closed form)",
+)
+@pytest.mark.parametrize(
+    "p, q, alpha",
+    [
+        (Gaussian([0.0], [[1.0]]), Gaussian([0.0], [[0.64]]), 3.0),
+        (Gaussian([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]]), Gaussian([0.0, 0.0], [[0.6, 0.0], [0.0, 0.6]]), 3.0),
+        (Gaussian([0.0], [[1.0]]), Gaussian([0.5], [[0.71**2]]), None),
+        (Gaussian([0.0], [[1.0]]), Gaussian([0.5], [[0.8**2]]), None),
+    ],
+    ids=["alpha-3", "alpha-3-2d", "chi2-0.71", "chi2-0.8"],
+)
+def test_divergent_or_wide_integrand(p, q, alpha):
+    """alpha_div at ``alpha``, or Pearson chi-squared, the integral of p^2/q less one, when None."""
+    exact = np.expm1(gaussian_log_affinity(p, q, 2.0 if alpha is None else alpha))
+    if alpha is not None:
+        exact /= alpha * (alpha - 1.0)
+
+    def divergence():
+        return D.pearson_chi2(p, q) if alpha is None else D.alpha_div(p, q, alpha)
+
+    if np.isinf(exact):
+        with pytest.raises(BoundednessError):
+            divergence()
+    else:
+        _assert_close(divergence(), exact)

@@ -778,3 +778,17 @@ def test_improper_product_raises():
     assert gaussian_power_product([q0, *agents], [-1.0, 1.0, 1.0]) is None
     with pytest.raises(BoundednessError):
         P.multiplicative_pool(profile, q0_grid)
+
+
+@pytest.mark.xfail(
+    raises=PositivityError,
+    strict=True,
+    reason="ROADMAP item 3: N(0, 0.01) underflows to zero on the shared grid, so the profile "
+    "is not positive",
+)
+def test_log_linear_pool_of_a_narrow_pair_is_covariance_intersection():
+    profile = OpinionProfile(common_grid(Gaussian([0.0], [[0.01]]), Gaussian([3.0], [[1.0]])))
+    mean, cov = moments(P.log_linear_pool(profile, [0.5, 0.5]))
+    # pooled precision 0.5 / 0.01 + 0.5 / 1 = 50.5
+    assert abs(mean[0] - 1.5 / 50.5) <= 1e-9
+    assert abs(cov[0, 0] - 1.0 / 50.5) <= 1e-9
