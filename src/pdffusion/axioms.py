@@ -172,17 +172,17 @@ def _random_profile(rng, K: int, template: Grid) -> OpinionProfile:
     return OpinionProfile(tuple(_random_density(rng, template) for _ in range(K)))
 
 
+def _raised_bump(rng, x: np.ndarray, min_width: float, max_height: float) -> np.ndarray:
+    """0.3 plus a bump: centre in [-3, 3], width in [min_width, 2], height in [0.5, max_height]."""
+    c = rng.uniform(-3.0, 3.0)
+    s = rng.uniform(min_width, 2.0)
+    return 0.3 + rng.uniform(0.5, max_height) * _bump(x, c, s)
+
+
 def _random_xi0(rng, template: Grid) -> np.ndarray:
-    """Bounded, strictly positive calibration function on the grid."""
-
-    def axis_part(x):
-        c = rng.uniform(-3.0, 3.0)
-        s = rng.uniform(0.8, 2.0)
-        return 0.3 + rng.uniform(0.5, 1.5) * _bump(x, c, s)
-
-    if template.dims == 1:
-        return axis_part(template.axes[0])
-    return np.outer(axis_part(template.axes[0]), axis_part(template.axes[1]))
+    """Bounded, strictly positive calibration function on the grid, a product of axis parts."""
+    parts = [_raised_bump(rng, x, 0.8, 1.5) for x in template.axes]
+    return parts[0] if template.dims == 1 else np.outer(*parts)
 
 
 def _with_companions(spec: PoolingSpec, rng, template: Grid) -> PoolingSpec:
@@ -202,13 +202,20 @@ def _with_companions(spec: PoolingSpec, rng, template: Grid) -> PoolingSpec:
     return dataclasses.replace(spec, **updates)
 
 
+def _random_run(rng, ncells: int, low: int, high: int) -> np.ndarray:
+    """Cell mask of one run: its length drawn from [low, high), then its start."""
+    length = int(rng.integers(low, high))
+    start = int(rng.integers(0, ncells - length + 1))
+    mask = np.zeros(ncells, dtype=bool)
+    mask[start : start + length] = True
+    return mask
+
+
 def _random_cells_1d(rng, ncells: int, max_total: int = 128) -> np.ndarray:
     mask = np.zeros(ncells, dtype=bool)
     pieces = int(rng.integers(1, 3))
     for _ in range(pieces):
-        length = int(rng.integers(8, 1 + max_total // pieces))
-        start = int(rng.integers(0, ncells - length + 1))
-        mask[start : start + length] = True
+        mask |= _random_run(rng, ncells, 8, 1 + max_total // pieces)
     return mask
 
 
@@ -240,7 +247,7 @@ def _with_event_mass(template: Grid, cand: GridDensity, events, target: float) -
     for cells in events:
         nodes = _nodes_of_cells_1d(cells)
         scale = target / event_probability(cand, cells)
-        covered = template.integral(cand.values, where=nodes)
+        covered = float(np.sum(template.quad_weights[nodes] * cand.values[nodes]))
         outside_target -= scale * covered
         outside -= covered
         vals[nodes] *= scale
@@ -249,44 +256,29 @@ def _with_event_mass(template: Grid, cand: GridDensity, events, target: float) -
     return adopt_normalized(template, vals)
 
 
-def _matched_mass_pair(
-    rng, template: Grid, cells: np.ndarray, K: int
-) -> tuple[OpinionProfile, OpinionProfile]:
-    """Two profiles of distinct shapes with identical per-agent event masses.
+def _matched_mass_profiles(
+    rng, template: Grid, events, K: int, copies: int
+) -> tuple[OpinionProfile, ...]:
+    """``copies`` profiles of K agents whose agents' masses agree on each disjoint event.
 
-    Each agent's pair is built from two independent draws downscaled to a
-    common event mass, so the construction never needs a retry.
+    Each agent draws ``copies`` densities, every one scaled to half the least
+    event mass among those draws, so the construction never needs a retry.
     """
-    first, second = [], []
+    agents = []
     for _ in range(K):
-        one = _random_density(rng, template)
-        two = _random_density(rng, template)
-        target = 0.5 * min(event_probability(one, cells), event_probability(two, cells))
-        first.append(_with_event_mass(template, one, [cells], target))
-        second.append(_with_event_mass(template, two, [cells], target))
-    return OpinionProfile(tuple(first)), OpinionProfile(tuple(second))
-
-
-def _equalized_profile(rng, template: Grid, events, K: int) -> OpinionProfile:
-    """A profile giving every agent identical mass on each of the disjoint ``events``."""
-    members = []
-    for _ in range(K):
-        cand = _random_density(rng, template)
-        target = 0.5 * min(event_probability(cand, cells) for cells in events)
-        members.append(_with_event_mass(template, cand, events, target))
-    return OpinionProfile(tuple(members))
+        draws = [_random_density(rng, template) for _ in range(copies)]
+        target = 0.5 * min(event_probability(q, cells) for q in draws for cells in events)
+        agents.append([_with_event_mass(template, q, events, target) for q in draws])
+    return tuple(OpinionProfile(members) for members in zip(*agents))
 
 
 def _random_likelihood(rng, x: np.ndarray) -> np.ndarray:
-    """Bounded positive likelihood: a plateau step or a Gaussian bump."""
-    if rng.random() < 0.5:
-        ell = np.full_like(x, rng.uniform(0.2, 0.6))
-        lo, hi = np.sort(rng.uniform(x[0], x[-1], size=2))
-        ell[(x >= lo) & (x <= hi)] += rng.uniform(0.5, 2.0)
-    else:
-        c = rng.uniform(-3.0, 3.0)
-        s = rng.uniform(0.5, 2.0)
-        ell = 0.3 + rng.uniform(0.5, 2.0) * _bump(x, c, s)
+    """Bounded positive likelihood: a plateau step or a raised Gaussian bump."""
+    if rng.random() >= 0.5:
+        return _raised_bump(rng, x, 0.5, 2.0)
+    ell = np.full_like(x, rng.uniform(0.2, 0.6))
+    lo, hi = np.sort(rng.uniform(x[0], x[-1], size=2))
+    ell[(x >= lo) & (x <= hi)] += rng.uniform(0.5, 2.0)
     return ell
 
 
@@ -359,7 +351,7 @@ def _event_function_residual(spec, rng, template, K, cross_events: bool):
         parts.append(abs(fused_mass - event_probability(s.q0, cells)))
 
     # same event, two engineered profiles with identical per-agent masses
-    left, right = _matched_mass_pair(rng, template, cells, K)
+    left, right = _matched_mass_profiles(rng, template, [cells], K, copies=2)
     parts.append(
         abs(
             event_probability(pool(s, left), cells)
@@ -369,7 +361,7 @@ def _event_function_residual(spec, rng, template, K, cross_events: bool):
 
     if cross_events:
         cells_a, cells_b = _disjoint_cell_pair(rng, template.shape[0] - 1)
-        both = _equalized_profile(rng, template, [cells_a, cells_b], K)
+        (both,) = _matched_mass_profiles(rng, template, [cells_a, cells_b], K, copies=1)
         fused = pool(s, both)
         parts.append(
             abs(event_probability(fused, cells_a) - event_probability(fused, cells_b))
@@ -456,20 +448,11 @@ def _trial_local_values_two_profiles(spec, rng, template, K):
     return v, f"probe-state fused ratio varies by {v:.3g} across profiles"
 
 
-def _axis_interval(rng, ncells: int) -> np.ndarray:
-    length = int(rng.integers(4, max(5, ncells // 3)))
-    start = int(rng.integers(0, ncells - length + 1))
-    mask = np.zeros(ncells, dtype=bool)
-    mask[start : start + length] = True
-    return mask
-
-
 def _trial_independence(spec, rng, template, K):
     s = _with_companions(spec, rng, template)
     profile = _random_profile(rng, K, template)
     n1, n2 = template.shape
-    ia = _axis_interval(rng, n1 - 1)
-    ib = _axis_interval(rng, n2 - 1)
+    ia, ib = (_random_run(rng, n - 1, 4, max(5, (n - 1) // 3)) for n in (n1, n2))
     full1 = np.ones(n1 - 1, dtype=bool)
     full2 = np.ones(n2 - 1, dtype=bool)
     fused = pool(s, profile)
@@ -615,7 +598,7 @@ def check_axiom(
     if spec.kind is PoolingKind.CHI_TRANSFORM:
         unsupported = axiom is Axiom.A2 and spec.chi is not None and spec.chi.needs_positive
     else:
-        unsupported = expected_matrix()[(spec.kind, axiom)] is AxiomStatus.NOT_APPLICABLE
+        unsupported = _MATRIX_ROWS[spec.kind][list(Axiom).index(axiom)] == "n"
     if unsupported:
         raise UnsupportedAxiomError(
             f"{spec.kind.value} pooling requires a strictly positive profile; "

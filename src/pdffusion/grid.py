@@ -178,23 +178,22 @@ class Grid:
             return self.axis_weights[0]
         return frozen(np.multiply.outer(*self.axis_weights))
 
-    def integral(self, *factors: np.ndarray, where: np.ndarray | None = None) -> float:
+    def integral(self, *factors: np.ndarray) -> float:
         """Trapezoid integral of the product of ``factors``, node arrays on this grid.
 
         The factors multiply into the quadrature weights from left to right.
-        ``where``, a boolean node mask, restricts the sum to the flagged
-        nodes. Unmasked in two dimensions, the product of the factors is
-        contracted with one axis's weights at a time, ``w0 @ t @ w1``.
+        In two dimensions the product of the factors is contracted with one
+        axis's weights at a time, ``w0 @ t @ w1``.
         """
-        if where is None and self.dims == 2:
+        if self.dims == 2:
             t = factors[0]
             for f in factors[1:]:
                 t = t * f
             w0, w1 = self.axis_weights
             return float(w0 @ t @ w1)
-        terms = self.quad_weights if where is None else self.quad_weights[where]
+        terms = self.quad_weights
         for f in factors:
-            terms = terms * (f if where is None else f[where])
+            terms = terms * f
         return float(np.sum(terms))
 
     def marginals(self, values: np.ndarray) -> tuple[np.ndarray, ...]:

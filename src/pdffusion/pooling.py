@@ -253,6 +253,8 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
 
 def dictatorship_pool(profile: OpinionProfile, k: int) -> GridDensity:
     """Agent ``k``'s density, 1-based, ignoring everyone else."""
+    if not float(k).is_integer():
+        raise ValueError(f"dictator index must be a whole number, got {k}")
     k = int(k)
     if not 1 <= k <= profile.K:
         raise IndexError(f"dictator index {k} outside 1..{profile.K}")

@@ -1,18 +1,20 @@
-"""All 480 pinned axiom reports: every `_MATRIX_SPECS` spec x 12 axioms at
-(seed 0, 100 trials) and at (seed 3, 20 trials).
+"""All 720 pinned axiom reports: every `_MATRIX_SPECS` spec x 12 axioms at
+(seed 0, 100 trials), (seed 3, 20 trials) and the tier-1 slice (seed 3,
+3 trials), all in tests/golden/axiom_reports.json.
 
-Check the reports against tests/golden/axiom_reports.json (about 22 s):
+Check the reports against the file (about 23 s):
 
     PYTHONPATH=src python tests/axiom_reports.py
 
-and regenerate the file after a deliberate change, then review its diff:
+and regenerate it after a deliberate change, then review its diff:
 
     PYTHONPATH=src python tests/axiom_reports.py --write
 
 Each row is ``[passed, max_violation.hex(), [trial, seed, detail] or null]``,
-or ``[error name, message]`` where the axiom does not apply. Both commands
-print the sha256 of the JSON list of rows. pytest does not collect this
-file; tier-1 replays the 3-trial seed-3 slice in test_axioms.py.
+or ``[error name, message]`` where the axiom does not apply, keyed
+``seed/trials/kind/role/axiom``. Both commands print the sha256 of the JSON
+list of the two full runs' rows. pytest does not collect this file;
+test_axioms.py replays the slice through `reports`.
 """
 from __future__ import annotations
 
@@ -26,14 +28,15 @@ from test_acceptance import _MATRIX_SPECS
 from pdffusion.axioms import Axiom, check_axiom
 from pdffusion.errors import UnsupportedAxiomError
 
-RUNS = ((0, 100), (3, 20))  # (seed, trials)
+FULL_RUNS = ((0, 100), (3, 20))  # (seed, trials)
+SLICE = (3, 3)
 GOLDEN = Path(__file__).parent / "golden" / "axiom_reports.json"
 
 
-def reports() -> dict:
-    """Row of every run x spec x axiom, keyed ``seed/kind/role/axiom``, in run order."""
+def reports(runs) -> dict:
+    """Row of every run x spec x axiom, keyed ``seed/trials/kind/role/axiom``, in run order."""
     out = {}
-    for seed, trials in RUNS:
+    for seed, trials in runs:
         for kind, specs in _MATRIX_SPECS.items():
             for role, spec in zip(("general", "equal"), specs):
                 for axiom in Axiom:
@@ -45,7 +48,7 @@ def reports() -> dict:
                         ce = rep.counterexample
                         found = None if ce is None else [ce.trial, ce.seed, ce.detail]
                         row = [rep.passed, rep.max_violation.hex(), found]
-                    out[f"{seed}/{kind.value}/{role}/{axiom.value}"] = row
+                    out[f"{seed}/{trials}/{kind.value}/{role}/{axiom.value}"] = row
     return out
 
 
@@ -54,8 +57,9 @@ def digest(rows: dict) -> str:
 
 
 def main(argv) -> int:
-    got = reports()
-    print(f"{len(got)} reports, sha256 {digest(got)}")
+    full = reports(FULL_RUNS)
+    got = {**full, **reports((SLICE,))}
+    print(f"{len(got)} reports; the {len(full)} of the full runs hash to sha256 {digest(full)}")
     if "--write" in argv:
         lines = (f"{json.dumps(k)}: {json.dumps(v)}" for k, v in got.items())
         GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")

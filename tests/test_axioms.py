@@ -3,11 +3,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from pathlib import Path
 
+import axiom_reports
 import numpy as np
 import pytest
-from test_acceptance import _MATRIX_SPECS
 
 from pdffusion import axioms
 from pdffusion.axioms import (
@@ -23,9 +22,6 @@ from pdffusion.grid import GridDensity, event_probability, integrate, normalize
 from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, fields_read
 
 TRIALS = 25
-
-# regenerate with: PYTHONPATH=src python tests/test_axioms.py
-GOLDEN_REPORTS = Path(__file__).parent / "golden" / "axiom_reports_seed3.json"
 
 
 def linear(w=(0.4, 0.6)):
@@ -128,6 +124,12 @@ class TestReportContract:
         with pytest.raises(ValueError, match="^log-linear pooling does not take xi0$"):
             check_axiom(spec, Axiom.A1, trials=1)
 
+    @pytest.mark.parametrize("dictator", [1.9, 2.5])
+    def test_fractional_dictator_rejected(self, dictator):
+        spec = PoolingSpec(PoolingKind.DICTATORSHIP, dictator=dictator)
+        with pytest.raises(ValueError, match="^dictator index must be a whole number"):
+            check_axiom(spec, Axiom.A3, trials=1)
+
     def test_axiom_accepts_string(self):
         rep = check_axiom(linear((0.5, 0.5)), "A1", trials=5, seed=0)
         assert rep.axiom is Axiom.A1
@@ -193,6 +195,29 @@ class TestZeroEvents:
             chi=ChiTransform(ChiKind.IDENTITY),
         )
         assert check_axiom(identity, Axiom.A2, trials=10, seed=4).passed
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the A2 n.a. rule is decided twice, by _MATRIX_ROWS for kinds and by "
+        "chi.needs_positive for the transform: Holder pooling at alpha 2 is n.a. for A2, "
+        "while the same pool as a power-2 transform runs A2 and passes; which verdict is "
+        "right is not decided yet",
+    )
+    def test_one_pool_gets_one_a2_verdict(self):
+        w = np.array([0.35, 0.65])
+        holder = PoolingSpec(PoolingKind.HOLDER, weights=w, alpha=2.0)
+        power = PoolingSpec(
+            PoolingKind.CHI_TRANSFORM, weights=w, chi=ChiTransform(ChiKind.POWER, 2.0)
+        )
+        verdicts = []
+        for spec in (holder, power):
+            try:
+                check_axiom(spec, Axiom.A2, trials=3, seed=0)
+            except UnsupportedAxiomError:
+                verdicts.append("n.a.")
+            else:
+                verdicts.append("ran")
+        assert verdicts[0] == verdicts[1]
 
 
 class TestEventMassScaling:
@@ -303,21 +328,6 @@ class TestUpdating:
         assert not check_axiom(linear(), Axiom.A12, trials=TRIALS, seed=12).passed
 
 
-def _seed3_reports() -> dict:
-    """``(passed, max_violation.hex())``, or "n.a.", of every matrix spec x axiom at seed 3, 3 trials."""
-    out = {}
-    for kind, specs in _MATRIX_SPECS.items():
-        for role, spec in zip(("general", "equal"), specs):
-            for axiom in Axiom:
-                try:
-                    rep = check_axiom(spec, axiom, trials=3, seed=3)
-                    entry = [rep.passed, rep.max_violation.hex()]
-                except UnsupportedAxiomError:
-                    entry = "n.a."
-                out[f"{kind.value}/{role}/{axiom.value}"] = entry
-    return out
-
-
 class TestMixture:
     # seeds 11, 1 and 0 draw one, two and three components
     @pytest.mark.parametrize("seed", [11, 1, 0])
@@ -334,7 +344,9 @@ class TestMixture:
 
 class TestPinnedReports:
     def test_seed3_reports_match_the_golden_file(self):
-        assert _seed3_reports() == json.loads(GOLDEN_REPORTS.read_text())
+        got = axiom_reports.reports((axiom_reports.SLICE,))
+        want = json.loads(axiom_reports.GOLDEN.read_text())
+        assert got == {key: want[key] for key in got}
 
     @pytest.mark.parametrize("template", [axioms.GRID_1D, axioms.GRID_2D], ids=["1-D", "2-D"])
     @pytest.mark.parametrize("broad", [False, True], ids=["mixture", "broad"])
@@ -352,8 +364,3 @@ class TestPinnedReports:
         normalize(q)
         assert len(built) == 2
 
-
-if __name__ == "__main__":
-    GOLDEN_REPORTS.parent.mkdir(exist_ok=True)
-    lines = (f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(_seed3_reports().items()))
-    GOLDEN_REPORTS.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -283,8 +283,6 @@ class TestGrid:
         # trapezoid is exact for linear integrands
         assert g.integral(x) == pytest.approx(0.5, abs=1e-15)
         assert g.integral(x, x) == float(np.sum(g.quad_weights * x * x))
-        left = x <= 0.5
-        assert g.integral(x, where=left) == float(np.sum(g.quad_weights[left] * x[left]))
 
     @pytest.mark.parametrize("n_factors", [1, 2, 3])
     def test_2d_integral_contracts_one_axis_at_a_time(self, n_factors):
@@ -293,14 +291,6 @@ class TestGrid:
         factors = [rng.lognormal(size=g.shape) for _ in range(n_factors)]
         full = float(np.sum(g.quad_weights * np.prod(factors, axis=0)))
         assert g.integral(*factors) == pytest.approx(full, rel=1e-15, abs=0.0)
-
-    def test_2d_masked_integral_is_the_masked_sum_bit_for_bit(self):
-        g = Grid([0.0, -1.0], [1.0, 2.0], (257, 129))
-        rng = np.random.default_rng(11)
-        a, b = rng.lognormal(size=(2,) + g.shape)
-        mask = rng.random(g.shape) < 0.6
-        masked_sum = float(np.sum(g.quad_weights[mask] * a[mask] * b[mask]))
-        assert g.integral(a, b, where=mask) == masked_sum
 
     def test_marginals_integrate_out_the_other_axis(self):
         g = Grid([0.0, -1.0], [1.0, 2.0], (16, 24))

@@ -284,11 +284,19 @@ class TestMultiplicativePool:
 
 class TestTrivialPools:
     def test_dictatorship_returns_chosen_agent(self, mirror_pair):
-        assert P.dictatorship_pool(mirror_pair, 2) is mirror_pair.densities[1]
+        for k in (2, 2.0, np.int64(2)):
+            assert P.dictatorship_pool(mirror_pair, k) is mirror_pair.densities[1]
         with pytest.raises(IndexError):
             P.dictatorship_pool(mirror_pair, 3)
         with pytest.raises(IndexError):
             P.dictatorship_pool(mirror_pair, 0)
+        # a fractional index is refused, not truncated to an agent
+        for k in (1.9, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="^dictator index must be a whole number"):
+                P.dictatorship_pool(mirror_pair, k)
+            spec = P.PoolingSpec(P.PoolingKind.DICTATORSHIP, dictator=k)
+            with pytest.raises(ValueError, match="^dictator index must be a whole number"):
+                P.pool(spec, mirror_pair)
 
     def test_dogmatic_ignores_profile(self, mirror_pair):
         q0 = gauss_grid(1.0, 2.0)
