@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UnsupportedAxiomError
 from .grid import Grid, GridDensity, OpinionProfile, adopt_normalized, event_probability
-from .pooling import PoolingKind, PoolingSpec, bayes_update, check_fields, fields_read, pool
+from .pooling import PoolingKind, PoolingSpec, bayes_update, fields_read, pool
 
 DEFAULT_TOL = 1e-6
 DEFAULT_TRIALS = 100
@@ -84,7 +84,7 @@ _MATRIX_ROWS = {
     PoolingKind.GENERALIZED_LINEAR: "*...s.s.....",
     PoolingKind.LOG_LINEAR: "*ns..ss.ss.s",
     PoolingKind.GENERALIZED_LOG_LINEAR: "*n....s.ss.s",
-    PoolingKind.HOLDER: "*ns..ss.....",
+    PoolingKind.HOLDER: "*ss..ss.....",  # alpha > 0; at alpha <= 0 A2 is n.a. by needs_positive
     PoolingKind.INVERSE_LINEAR: "*ns..ss.....",
     PoolingKind.MULTIPLICATIVE: "sn....s.s.ss",
     PoolingKind.GENERALIZED_MULTIPLICATIVE: "*n....s.s..s",
@@ -103,8 +103,9 @@ _STATUS_CODES = {
 def expected_matrix() -> dict[tuple[PoolingKind, Axiom], AxiomStatus]:
     """The expected status of every (pooling kind, axiom) pair.
 
-    Transform-space pooling is excluded: its behaviour follows the pool it
-    reproduces (identity: linear, log: log-linear, reciprocal:
+    The Holder row is for alpha > 0; at alpha <= 0, A2 is n.a. as the spec's
+    `needs_positive` says. Transform-space pooling is excluded: it follows the
+    pool it reproduces (identity: linear, log: log-linear, reciprocal:
     inverse-linear, power: Holder).
     """
     out = {}
@@ -120,9 +121,9 @@ _TWO_DIM_AXIOMS = (Axiom.A8, Axiom.A9)
 
 def _agent_count(spec: PoolingSpec) -> int:
     if spec.weights is not None:
-        return len(np.asarray(spec.weights).ravel())
+        return spec.weights.size
     if spec.kind is PoolingKind.DICTATORSHIP:
-        return max(2, int(spec.dictator))
+        return max(2, spec.dictator)
     return 3
 
 
@@ -579,27 +580,17 @@ def check_axiom(
     Raises
     ------
     ValueError
-        Unless trials >= 1 and tol is finite and nonnegative, and unless the
-        spec sets exactly the fields its kind reads, counting the companions
-        as set. This check comes before the n.a. verdict.
+        Unless trials >= 1 and tol is finite and nonnegative.
     UnsupportedAxiomError
-        Where the expected matrix says n.a. (zero-probability events against
-        rules needing a positive profile), and for A2 against such a transform.
+        For A2 where the spec's `needs_positive` holds: zero-probability
+        events cannot arise for a rule that needs a positive profile.
     """
     axiom = Axiom(axiom) if not isinstance(axiom, Axiom) else axiom
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    reads = fields_read(spec.kind)
-    # the companions are drawn per trial, so they count as set whatever the caller passed
-    drawn = {name: True for name in ("q0", "xi0") if name in reads}
-    check_fields(dataclasses.replace(spec, **drawn), reads, "pooling")
-    if spec.kind is PoolingKind.CHI_TRANSFORM:
-        unsupported = axiom is Axiom.A2 and spec.chi is not None and spec.chi.needs_positive
-    else:
-        unsupported = _MATRIX_ROWS[spec.kind][list(Axiom).index(axiom)] == "n"
-    if unsupported:
+    if axiom is Axiom.A2 and spec.needs_positive:
         raise UnsupportedAxiomError(
             f"{spec.kind.value} pooling requires a strictly positive profile; "
             "zero-probability events cannot arise"

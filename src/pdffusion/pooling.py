@@ -51,6 +51,31 @@ class ChiKind(enum.Enum):
 
 
 _CHI_EXPONENTS = {ChiKind.IDENTITY: 1.0, ChiKind.LOG: 0.0, ChiKind.RECIPROCAL: -1.0}
+# the power-mean exponent a pooling kind fixes: 0 for the log limits, -1 for inverse-linear
+_KIND_EXPONENTS = {
+    PoolingKind.LOG_LINEAR: 0.0,
+    PoolingKind.GENERALIZED_LOG_LINEAR: 0.0,
+    PoolingKind.MULTIPLICATIVE: 0.0,
+    PoolingKind.GENERALIZED_MULTIPLICATIVE: 0.0,
+    PoolingKind.INVERSE_LINEAR: -1.0,
+}
+
+
+def _needs_positive(exponent: float) -> bool:
+    """A power mean of exponent <= 0 (0: the log limit) needs a strictly positive profile."""
+    return exponent <= 0.0
+
+
+def _power_exponent(alpha, not_finite="Holder exponent must be finite, got {!r}",
+                    near_zero="alpha too close to 0 for a stable power mean; use log_linear_pool for the limit"):
+    """``alpha`` as a float, or ValueError: ``not_finite`` (formatted with it) unless it is
+    finite, ``near_zero`` inside the band around 0. The messages default to the Holder pool's."""
+    alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(not_finite.format(alpha))
+    if abs(alpha) < ALPHA_ZERO_BAND:
+        raise ValueError(near_zero)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -66,11 +91,13 @@ class ChiTransform:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind is ChiKind.POWER:
-            if self.alpha is not None and not np.isfinite(self.alpha):
-                raise ValueError(f"Power transform needs a finite alpha, got {self.alpha!r}")
-            if self.alpha is None or abs(self.alpha) < ALPHA_ZERO_BAND:
-                raise ValueError("Power transform needs alpha away from 0; use Log for the limit")
+        if self.kind is ChiKind.POWER:  # a missing alpha is refused as 0 is
+            alpha = _power_exponent(
+                0.0 if self.alpha is None else self.alpha,
+                "Power transform needs a finite alpha, got {!r}",
+                "Power transform needs alpha away from 0; use Log for the limit",
+            )
+            object.__setattr__(self, "alpha", alpha)
         elif self.alpha is not None:
             raise ValueError(f"alpha is only meaningful for Power, not {self.kind.value}")
 
@@ -80,7 +107,7 @@ class ChiTransform:
 
     @property
     def needs_positive(self) -> bool:
-        return self.exponent <= 0.0
+        return _needs_positive(self.exponent)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """chi(values): their log at exponent 0, else ``values ** exponent``."""
@@ -89,9 +116,10 @@ class ChiTransform:
 
 @dataclass(frozen=True)
 class PoolingSpec:
-    """Declarative description of a pooling rule, used by the axiom harness and
-    the command line front end. `pool` raises ValueError unless the spec sets
-    exactly the optional fields its kind reads (`fields_read`)."""
+    """Declarative description of a pooling rule, used by the axiom harness and the command
+    line front end. Construction raises ValueError unless the spec sets exactly the optional
+    fields its kind reads (`fields_read`), the companions q0 and xi0 aside, which `pool` needs.
+    ``weights`` becomes a read-only float64 array, ``alpha`` a float, ``dictator`` an int."""
 
     kind: PoolingKind
     weights: np.ndarray | None = None
@@ -102,9 +130,25 @@ class PoolingSpec:
     dictator: int | None = None
     chi: ChiTransform | None = None
 
+    def __post_init__(self):
+        check_fields(self, fields_read(self.kind), "pooling", optional=("q0", "xi0"))
+        if self.weights is not None:
+            object.__setattr__(self, "weights", frozen(np.array(self.weights, dtype=np.float64)))
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", _power_exponent(self.alpha))
+        if self.dictator is not None:
+            object.__setattr__(self, "dictator", _dictator_index(self.dictator))
 
-def _require_positive(profile: OpinionProfile, op: str) -> None:
-    if not profile.positive:
+    @property
+    def needs_positive(self) -> bool:
+        """Whether the pool needs a strictly positive profile, by the exponent of its power mean:
+        chi's for the transform, alpha for Holder (the one kind that sets it), else the kind's own."""
+        exponent = self.chi.exponent if self.chi is not None else _KIND_EXPONENTS.get(self.kind, self.alpha)
+        return exponent is not None and _needs_positive(exponent)
+
+
+def _require_positive(profile: OpinionProfile, exponent: float, op: str) -> None:
+    if _needs_positive(exponent) and not profile.positive:
         raise PositivityError(f"{op} requires a strictly positive opinion profile")
 
 
@@ -188,7 +232,7 @@ def log_linear_pool(profile: OpinionProfile, weights, xi0=None) -> GridDensity:
     ``xi0``, when given, is an arbitrary bounded positive function (node
     values) multiplied into the product before normalization.
     """
-    _require_positive(profile, "log-linear pooling")
+    _require_positive(profile, 0.0, "log-linear pooling")
     w = check_simplex(weights, profile.K)
     extra = None if xi0 is None else np.log(_check_xi0(profile, xi0))
     return _power_mean(profile, w, 0.0, extra)
@@ -206,15 +250,8 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
     PositivityError
         If alpha < 0 and the profile has a zero.
     """
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise ValueError(f"Holder exponent must be finite, got {alpha!r}")
-    if abs(alpha) < ALPHA_ZERO_BAND:
-        raise ValueError(
-            "alpha too close to 0 for a stable power mean; use log_linear_pool for the limit"
-        )
-    if alpha < 0.0:
-        _require_positive(profile, "negative-exponent Holder pooling")
+    alpha = _power_exponent(alpha)
+    _require_positive(profile, alpha, "negative-exponent Holder pooling")
     return _power_mean(profile, check_simplex(weights, profile.K), alpha)
 
 
@@ -236,7 +273,7 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     PositivityError
         If the profile or q0 has a zero.
     """
-    _require_positive(profile, "multiplicative pooling")
+    _require_positive(profile, 0.0, "multiplicative pooling")
     require_same_grid(profile.grid, q0.grid)
     if not q0.positive:
         raise PositivityError("calibrating pdf must be strictly positive")
@@ -251,11 +288,16 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     return _power_mean(profile, w, 0.0, log_q0)
 
 
-def dictatorship_pool(profile: OpinionProfile, k: int) -> GridDensity:
-    """Agent ``k``'s density, 1-based, ignoring everyone else."""
+def _dictator_index(k) -> int:
+    """``k`` as an int: 2.0 is 2; ValueError for 1.9 or nan."""
     if not float(k).is_integer():
         raise ValueError(f"dictator index must be a whole number, got {k}")
-    k = int(k)
+    return int(k)
+
+
+def dictatorship_pool(profile: OpinionProfile, k: int) -> GridDensity:
+    """Agent ``k``'s density, 1-based, ignoring everyone else."""
+    k = _dictator_index(k)
     if not 1 <= k <= profile.K:
         raise IndexError(f"dictator index {k} outside 1..{profile.K}")
     return profile.densities[k - 1]
@@ -312,16 +354,17 @@ def fields_read(kind: PoolingKind) -> tuple[str, ...]:
     return _DISPATCH[kind][0]
 
 
-def check_fields(spec, reads: tuple[str, ...], rule: str) -> None:
-    """Raise ValueError unless ``spec`` sets exactly the optional fields in ``reads``."""
+def check_fields(spec, reads: tuple[str, ...], rule: str, optional: tuple[str, ...] = ()) -> None:
+    """Raise ValueError unless ``spec`` sets the fields in ``reads``, those in ``optional`` aside, and no other."""
     for field in fields(spec)[1:]:  # every field but kind
-        if (getattr(spec, field.name) is None) == (field.name in reads):
+        unset = getattr(spec, field.name) is None
+        if unset == (field.name in reads) and not (unset and field.name in optional):
             verb = "requires" if field.name in reads else "does not take"
             raise ValueError(f"{spec.kind.value} {rule} {verb} {field.name}")
 
 
 def pool(spec: PoolingSpec, profile: OpinionProfile) -> GridDensity:
-    """Apply a declaratively specified pooling rule to a profile."""
+    """Apply a declaratively specified pooling rule to a profile; the companions it reads must be set."""
     reads, call = _DISPATCH[spec.kind]
     check_fields(spec, reads, "pooling")
     return call(spec, profile)

@@ -7,6 +7,8 @@ import math
 import axiom_reports
 import numpy as np
 import pytest
+import test_pooling
+from test_acceptance import _MATRIX_SPECS
 
 from pdffusion import axioms
 from pdffusion.axioms import (
@@ -17,9 +19,9 @@ from pdffusion.axioms import (
     check_axiom,
     expected_matrix,
 )
-from pdffusion.errors import UnsupportedAxiomError
-from pdffusion.grid import GridDensity, event_probability, integrate, normalize
-from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, fields_read
+from pdffusion.errors import PositivityError, UnsupportedAxiomError
+from pdffusion.grid import GridDensity, OpinionProfile, event_probability, from_samples, integrate, normalize
+from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, fields_read, pool
 
 TRIALS = 25
 
@@ -59,8 +61,10 @@ class TestExpectedMatrix:
         col7 = [matrix[(k, Axiom.A7)] for k in {k for k, _ in matrix}]
         assert col7.count(AxiomStatus.SATISFIED) == 10
         na = [pair for pair, st in matrix.items() if st is AxiomStatus.NOT_APPLICABLE]
-        assert len(na) == 6
+        # the Holder row is for alpha > 0, which pools zeros; A2 is n.a. there only at alpha <= 0
+        assert len(na) == 5
         assert all(a is Axiom.A2 for _, a in na)
+        assert (PoolingKind.HOLDER, Axiom.A2) not in na
 
 
 class TestReportContract:
@@ -109,26 +113,36 @@ class TestReportContract:
     @pytest.mark.parametrize("axiom", [Axiom.A1, Axiom.A2])
     def test_spec_fields_checked_before_the_verdict(self, axiom):
         # A2 is n.a. for multiplicative pooling; the field error still comes first
-        spec = PoolingSpec(PoolingKind.MULTIPLICATIVE, weights=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="^multiplicative pooling does not take weights$"):
+            spec = PoolingSpec(PoolingKind.MULTIPLICATIVE, weights=np.array([0.5, 0.5]))
             check_axiom(spec, axiom, trials=1)
 
     def test_drawn_companions_count_as_supplied(self):
         # q0 is drawn by the harness, so only the missing w0 is reported
-        missing = PoolingSpec(PoolingKind.GENERALIZED_LINEAR, weights=np.array([0.4, 0.4]))
         with pytest.raises(ValueError, match="^generalized-linear pooling requires w0$"):
+            missing = PoolingSpec(PoolingKind.GENERALIZED_LINEAR, weights=np.array([0.4, 0.4]))
             check_axiom(missing, Axiom.A1, trials=1)
-        assert check_axiom(dataclasses.replace(missing, w0=0.2), Axiom.A1, trials=2).passed
+        spec = PoolingSpec(PoolingKind.GENERALIZED_LINEAR, weights=np.array([0.4, 0.4]), w0=0.2)
+        assert check_axiom(spec, Axiom.A1, trials=2).passed
         # a companion the kind does not read is still refused
-        spec = PoolingSpec(PoolingKind.LOG_LINEAR, weights=np.array([0.5, 0.5]), xi0=np.ones(512))
         with pytest.raises(ValueError, match="^log-linear pooling does not take xi0$"):
+            spec = PoolingSpec(PoolingKind.LOG_LINEAR, weights=np.array([0.5, 0.5]), xi0=np.ones(512))
             check_axiom(spec, Axiom.A1, trials=1)
 
     @pytest.mark.parametrize("dictator", [1.9, 2.5])
     def test_fractional_dictator_rejected(self, dictator):
-        spec = PoolingSpec(PoolingKind.DICTATORSHIP, dictator=dictator)
         with pytest.raises(ValueError, match="^dictator index must be a whole number"):
+            spec = PoolingSpec(PoolingKind.DICTATORSHIP, dictator=dictator)
             check_axiom(spec, Axiom.A3, trials=1)
+
+    @pytest.mark.parametrize("axiom", list(Axiom), ids=lambda a: a.value)
+    @pytest.mark.parametrize("dictator", [2.0, np.int64(2)], ids=["float", "int64"])
+    def test_whole_number_dictator_reports_as_the_int(self, axiom, dictator):
+        got = check_axiom(PoolingSpec(PoolingKind.DICTATORSHIP, dictator=dictator), axiom, trials=3, seed=3)
+        want = check_axiom(PoolingSpec(PoolingKind.DICTATORSHIP, dictator=2), axiom, trials=3, seed=3)
+        assert type(got.pooling.dictator) is int
+        for field in dataclasses.fields(AxiomCheckReport):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
 
     def test_axiom_accepts_string(self):
         rep = check_axiom(linear((0.5, 0.5)), "A1", trials=5, seed=0)
@@ -176,7 +190,7 @@ class TestZeroEvents:
         ],
     )
     def test_positive_only_kinds_not_applicable(self, kind):
-        given = {"weights": np.array([0.5, 0.5]), "alpha": 2.0}
+        given = {"weights": np.array([0.5, 0.5]), "alpha": -1.0}
         spec = PoolingSpec(kind, **{f: v for f, v in given.items() if f in fields_read(kind)})
         with pytest.raises(UnsupportedAxiomError):
             check_axiom(spec, Axiom.A2, trials=1)
@@ -196,13 +210,6 @@ class TestZeroEvents:
         )
         assert check_axiom(identity, Axiom.A2, trials=10, seed=4).passed
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the A2 n.a. rule is decided twice, by _MATRIX_ROWS for kinds and by "
-        "chi.needs_positive for the transform: Holder pooling at alpha 2 is n.a. for A2, "
-        "while the same pool as a power-2 transform runs A2 and passes; which verdict is "
-        "right is not decided yet",
-    )
     def test_one_pool_gets_one_a2_verdict(self):
         w = np.array([0.35, 0.65])
         holder = PoolingSpec(PoolingKind.HOLDER, weights=w, alpha=2.0)
@@ -218,6 +225,50 @@ class TestZeroEvents:
             else:
                 verdicts.append("ran")
         assert verdicts[0] == verdicts[1]
+
+
+# every acceptance matrix spec, and the transform pool of every transform the pooling tests cover
+_RULE_SPECS = {
+    f"{kind.value}-{role}": spec
+    for kind, specs in _MATRIX_SPECS.items()
+    for role, spec in zip(("general", "equal"), specs)
+} | {
+    f"chi-{name}": PoolingSpec(PoolingKind.CHI_TRANSFORM, weights=(0.5, 0.5), chi=ChiTransform(kind, alpha))
+    for (kind, alpha, _), name in zip(test_pooling.TestChiTransformPool.CHIS, test_pooling.TestChiTransformPool.CHI_IDS)
+}
+
+
+class TestOnePositivityRule:
+    @pytest.fixture(scope="class")
+    def one_zero(self):
+        """Two agents on 64 nodes of [-5, 5]; the first is zero at one node."""
+        x = np.linspace(-5.0, 5.0, 64)
+        first, second = np.exp(-0.5 * (x + 1.0) ** 2), np.exp(-0.5 * (x - 1.0) ** 2)
+        first[20] = 0.0
+        return OpinionProfile(tuple(normalize(from_samples([-5.0], [5.0], (64,), v)) for v in (first, second)))
+
+    @pytest.mark.parametrize("spec", list(_RULE_SPECS.values()), ids=list(_RULE_SPECS))
+    def test_pool_verdict_and_spec_agree(self, spec, one_zero):
+        try:
+            check_axiom(spec, Axiom.A2, trials=1)
+        except UnsupportedAxiomError:
+            not_applicable = True
+        else:
+            not_applicable = False
+        reads = fields_read(spec.kind)
+        companions = {"q0": one_zero.densities[1]} if "q0" in reads else {}
+        companions |= {"xi0": np.ones(64)} if "xi0" in reads else {}
+        try:
+            pool(dataclasses.replace(spec, **companions), one_zero)
+        except PositivityError:
+            refused = True
+        else:
+            refused = False
+        assert [spec.needs_positive, not_applicable, refused] in ([True] * 3, [False] * 3)
+
+    def test_both_verdicts_occur(self):
+        rules = [spec.needs_positive for spec in _RULE_SPECS.values()]
+        assert True in rules and False in rules
 
 
 class TestEventMassScaling:

@@ -218,7 +218,7 @@ class TestPool:
         [
             (["--kind", "multiplicative", "--q0", "Q0", "--weights", "0.3,0.3"],
              "multiplicative pooling does not take weights"),
-            (["--kind", "generalized-linear", "--weights", "0.5,0.5"],
+            (["--kind", "generalized-linear", "--weights", "0.5,0.5", "--w0", "0.5"],
              "generalized-linear pooling requires q0"),
             (["--kind", "generalized-linear", "--q0", "Q0", "--weights", "0.3,0.3"],
              "generalized-linear pooling requires w0"),
@@ -237,6 +237,9 @@ class TestPool:
              "alpha is only meaningful for Power, not reciprocal"),
             (["--kind", "linear", "--weights", "0.5,x"],
              "could not parse '0.5,x' as comma-separated numbers"),
+            # the spec refuses the missing rule field at construction, before pool asks for q0
+            (["--kind", "generalized-linear", "--weights", "0.5,0.5"],
+             "generalized-linear pooling requires w0"),
         ],
     )
     def test_flags_must_match_the_kind(self, runner, tmp_path, flags, message):

@@ -26,7 +26,7 @@ from pdffusion.grid import (
     normalize,
 )
 
-from closed_forms import gaussian_power_product, gaussians, mixture_moments, power_mean
+from closed_forms import gaussian, gaussian_power_product, gaussians, mixture_moments, power_mean
 
 
 def gauss_grid(mu, var, lower=-10.5, upper=10.5, n=2048):
@@ -294,8 +294,8 @@ class TestTrivialPools:
         for k in (1.9, 2.5, float("nan")):
             with pytest.raises(ValueError, match="^dictator index must be a whole number"):
                 P.dictatorship_pool(mirror_pair, k)
-            spec = P.PoolingSpec(P.PoolingKind.DICTATORSHIP, dictator=k)
             with pytest.raises(ValueError, match="^dictator index must be a whole number"):
+                spec = P.PoolingSpec(P.PoolingKind.DICTATORSHIP, dictator=k)
                 P.pool(spec, mirror_pair)
 
     def test_dogmatic_ignores_profile(self, mirror_pair):
@@ -658,6 +658,24 @@ _READS = {
 }
 
 
+class TestSpecValidation:
+    def test_companions_are_optional_until_pool(self, mirror_pair):
+        spec = P.PoolingSpec(P.PoolingKind.DOGMATIC)
+        with pytest.raises(ValueError, match="^dogmatic pooling requires q0$"):
+            P.pool(spec, mirror_pair)
+
+    def test_fields_are_normalized_once(self):
+        holder = P.PoolingSpec(P.PoolingKind.HOLDER, weights=[1, 0], alpha=np.int64(2))
+        assert holder.weights.dtype == np.float64 and not holder.weights.flags.writeable
+        assert type(holder.alpha) is float and holder.alpha == 2.0
+        assert type(P.PoolingSpec(P.PoolingKind.DICTATORSHIP, dictator=2.0).dictator) is int
+
+    @pytest.mark.parametrize("alpha", [np.nan, 1e-9])
+    def test_holder_alpha_refused_at_construction(self, alpha):
+        with pytest.raises(ValueError, match="^Holder exponent must be finite|^alpha too close to 0"):
+            P.PoolingSpec(P.PoolingKind.HOLDER, weights=[0.5, 0.5], alpha=alpha)
+
+
 class TestExactFields:
     @pytest.fixture(scope="class")
     def field_values(self):
@@ -683,12 +701,12 @@ class TestExactFields:
         # the complete spec pools; it must not trip the field check
         P.pool(P.PoolingSpec(kind, **full), mirror_pair)
         for name in reads:
-            spec = P.PoolingSpec(kind, **{**full, name: None})
             with pytest.raises(ValueError, match=f"^{kind.value} pooling requires {name}$"):
+                spec = P.PoolingSpec(kind, **{**full, name: None})
                 P.pool(spec, mirror_pair)
         for name in set(field_values) - reads:
-            spec = P.PoolingSpec(kind, **full, **{name: field_values[name]})
             with pytest.raises(ValueError, match=f"^{kind.value} pooling does not take {name}$"):
+                spec = P.PoolingSpec(kind, **full, **{name: field_values[name]})
                 P.pool(spec, mirror_pair)
 
 
@@ -756,6 +774,52 @@ class TestGaussianClosedForms:
         _, w, profile = _drawn_profile(data, dim)
         want = normalize(P.linear_pool(profile, w)).values
         np.testing.assert_allclose(P.holder_pool(profile, w, 1.0).values, want, rtol=1e-8, atol=0.0)
+
+
+def _spread(values: np.ndarray) -> float:
+    return float(np.max(values) - np.min(values))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+class TestStationarity:
+    """The paper's optimization characterizations: at the pool g, the derivative in g
+    of its matched objective is constant on the grid. These objectives are convex in
+    g, so there the pool is their minimum over densities on the grid."""
+
+    @pytest.fixture
+    def drawn(self, dim):
+        """Three seeded Gaussians on [-6, 6]^dim (257 nodes, or 65 per axis) and weights."""
+        rng = np.random.default_rng(29)
+        agents = [
+            gaussian(rng.uniform(-1.0, 1.0, dim), rng.uniform(0.7, 1.4, dim), rng.uniform(-0.5, 0.5))
+            for _ in range(3)
+        ]
+        shape = (257,) if dim == 1 else (65, 65)
+        prof = OpinionProfile(tuple(to_grid(g, [-6.0] * dim, [6.0] * dim, shape) for g in agents))
+        assert prof.positive
+        return prof, rng.dirichlet(np.ones(3))
+
+    def test_linear_pool_under_kl_from_the_agents(self, drawn):
+        # sum_k w_k KL(q_k || g) has derivative -sum_k w_k q_k / g
+        prof, w = drawn
+        g = P.linear_pool(prof, w).values
+        ratio = sum(wk * q.values / g for wk, q in zip(w, prof.densities))
+        assert _spread(ratio) / np.mean(ratio) <= 1e-12
+
+    def test_log_linear_pool_under_kl_to_the_agents(self, drawn):
+        # sum_k w_k KL(g || q_k) has derivative log g - sum_k w_k log q_k + 1
+        prof, w = drawn
+        g = P.log_linear_pool(prof, w).values
+        gap = np.log(g) - sum(wk * np.log(q.values) for wk, q in zip(w, prof.densities))
+        assert _spread(gap) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 3.0])
+    def test_holder_pool_under_its_alpha_divergence(self, drawn, alpha):
+        # sum_k w_k D_alpha(q_k || g) has derivative proportional to sum_k w_k (q_k / g)^alpha
+        prof, w = drawn
+        g = P.holder_pool(prof, w, alpha).values
+        terms = sum(wk * (q.values / g) ** alpha for wk, q in zip(w, prof.densities))
+        assert _spread(terms) / np.mean(terms) <= 1e-12
 
 
 def test_proper_product_with_a_large_log_ratio():
