@@ -104,9 +104,9 @@ def expected_matrix() -> dict[tuple[PoolingKind, Axiom], AxiomStatus]:
     """The expected status of every (pooling kind, axiom) pair.
 
     The Holder row is for alpha > 0; at alpha <= 0, A2 is n.a. as the spec's
-    `needs_positive` says. Transform-space pooling is excluded: it follows the
-    pool it reproduces (identity: linear, log: log-linear, reciprocal:
-    inverse-linear, power: Holder).
+    `needs_positive` says. Transform-space pooling is excluded: its reports
+    equal those of the pool it reproduces (log: log-linear, reciprocal:
+    inverse-linear, power: Holder; identity: the linear pool's verdicts).
     """
     out = {}
     for kind, row in _MATRIX_ROWS.items():
@@ -339,7 +339,7 @@ def _event_function_residual(spec, rng, template, K, cross_events: bool):
 
     # constructive anchors where the combining function is known in closed form
     agent_masses = np.array([event_probability(q, cells) for q in profile.densities])
-    if spec.kind is PoolingKind.LINEAR:
+    if spec.exponent == 1.0 and spec.w0 is None:
         parts.append(abs(fused_mass - float(np.dot(spec.weights, agent_masses))))
     elif spec.kind is PoolingKind.DICTATORSHIP:
         parts.append(abs(fused_mass - agent_masses[spec.dictator - 1]))
@@ -497,19 +497,13 @@ def _trial_update(spec, rng, template, K, single_agent: bool):
 
 
 def _combined_likelihood(spec: PoolingSpec, ells) -> np.ndarray | None:
-    """The fused likelihood in closed form, or None for kinds without one."""
-    kind = spec.kind
-    if kind is PoolingKind.MULTIPLICATIVE:
-        return np.prod(ells, axis=0)
-    if kind in (
-        PoolingKind.LOG_LINEAR,
-        PoolingKind.GENERALIZED_LOG_LINEAR,
-        PoolingKind.GENERALIZED_MULTIPLICATIVE,
-    ):
-        return np.prod([e ** w for e, w in zip(ells, spec.weights)], axis=0)
-    if kind is PoolingKind.DICTATORSHIP:
+    """The fused likelihood in closed form, or None for pools without one."""
+    if spec.exponent == 0.0:  # a geometric pool: prod ell_k^w_k, unit weights when the spec has none
+        w = np.ones(len(ells)) if spec.weights is None else spec.weights
+        return np.prod([e**wk for e, wk in zip(ells, w)], axis=0)
+    if spec.kind is PoolingKind.DICTATORSHIP:
         return np.asarray(ells[spec.dictator - 1])
-    if kind is PoolingKind.DOGMATIC:
+    if spec.kind is PoolingKind.DOGMATIC:
         return np.ones_like(np.asarray(ells[0]))
     return None
 

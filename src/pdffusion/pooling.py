@@ -51,14 +51,6 @@ class ChiKind(enum.Enum):
 
 
 _CHI_EXPONENTS = {ChiKind.IDENTITY: 1.0, ChiKind.LOG: 0.0, ChiKind.RECIPROCAL: -1.0}
-# the power-mean exponent a pooling kind fixes: 0 for the log limits, -1 for inverse-linear
-_KIND_EXPONENTS = {
-    PoolingKind.LOG_LINEAR: 0.0,
-    PoolingKind.GENERALIZED_LOG_LINEAR: 0.0,
-    PoolingKind.MULTIPLICATIVE: 0.0,
-    PoolingKind.GENERALIZED_MULTIPLICATIVE: 0.0,
-    PoolingKind.INVERSE_LINEAR: -1.0,
-}
 
 
 def _needs_positive(exponent: float) -> bool:
@@ -116,10 +108,10 @@ class ChiTransform:
 
 @dataclass(frozen=True)
 class PoolingSpec:
-    """Declarative description of a pooling rule, used by the axiom harness and the command
-    line front end. Construction raises ValueError unless the spec sets exactly the optional
-    fields its kind reads (`fields_read`), the companions q0 and xi0 aside, which `pool` needs.
-    ``weights`` becomes a read-only float64 array, ``alpha`` a float, ``dictator`` an int."""
+    """Declarative description of a pooling rule, used by the axiom harness and the command line
+    front end. Construction raises ValueError unless the spec sets exactly the optional fields its
+    kind reads (`fields_read`), the companions q0 and xi0 aside, which `pool` needs. ``weights`` becomes
+    a read-only float64 array, ``alpha`` a float, ``dictator`` an int; `exponent` decides `needs_positive`."""
 
     kind: PoolingKind
     weights: np.ndarray | None = None
@@ -140,16 +132,17 @@ class PoolingSpec:
             object.__setattr__(self, "dictator", _dictator_index(self.dictator))
 
     @property
+    def exponent(self) -> float | None:
+        """The exponent of the power mean the spec pools by (0: the log limit): chi's, alpha, or its
+        kind's in `_DISPATCH`; None for dictatorship and dogmatic, which are not power means."""
+        if self.chi is not None:
+            return self.chi.exponent
+        return self.alpha if self.alpha is not None else _DISPATCH[self.kind][1]
+
+    @property
     def needs_positive(self) -> bool:
-        """Whether the pool needs a strictly positive profile, by the exponent of its power mean:
-        chi's for the transform, alpha for Holder (the one kind that sets it), else the kind's own."""
-        exponent = self.chi.exponent if self.chi is not None else _KIND_EXPONENTS.get(self.kind, self.alpha)
-        return exponent is not None and _needs_positive(exponent)
-
-
-def _require_positive(profile: OpinionProfile, exponent: float, op: str) -> None:
-    if _needs_positive(exponent) and not profile.positive:
-        raise PositivityError(f"{op} requires a strictly positive opinion profile")
+        """Whether the pool needs a strictly positive profile: a power mean of `exponent` <= 0."""
+        return self.exponent is not None and _needs_positive(self.exponent)
 
 
 def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -159,13 +152,16 @@ def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_mean(profile: OpinionProfile, w: np.ndarray, alpha: float, extra=None) -> GridDensity:
+def _power_mean(profile: OpinionProfile, w: np.ndarray, alpha: float, op: str, extra=None) -> GridDensity:
     """Normalized weighted power mean of the members, times exp(``extra``), from their logs L.
 
     log M_alpha = (t + log sum_k exp(alpha L_k + log w_k - t)) / alpha, with t
     the largest term at each node, and w . L at alpha = 0. Nodes where every
-    weighted member is zero stay exactly zero.
+    weighted member is zero stay exactly zero. The one home of the positivity
+    rule: at alpha <= 0 a zero in the profile raises PositivityError naming ``op``.
     """
+    if _needs_positive(alpha) and not profile.positive:
+        raise PositivityError(f"{op} requires a strictly positive opinion profile")
     with np.errstate(divide="ignore"):  # log 0 = -inf stands for the zero
         logs = profile.log_values
         if alpha == 0.0:
@@ -232,10 +228,9 @@ def log_linear_pool(profile: OpinionProfile, weights, xi0=None) -> GridDensity:
     ``xi0``, when given, is an arbitrary bounded positive function (node
     values) multiplied into the product before normalization.
     """
-    _require_positive(profile, 0.0, "log-linear pooling")
     w = check_simplex(weights, profile.K)
     extra = None if xi0 is None else np.log(_check_xi0(profile, xi0))
-    return _power_mean(profile, w, 0.0, extra)
+    return _power_mean(profile, w, 0.0, "log-linear pooling", extra)
 
 
 def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
@@ -251,8 +246,7 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
         If alpha < 0 and the profile has a zero.
     """
     alpha = _power_exponent(alpha)
-    _require_positive(profile, alpha, "negative-exponent Holder pooling")
-    return _power_mean(profile, check_simplex(weights, profile.K), alpha)
+    return _power_mean(profile, check_simplex(weights, profile.K), alpha, "negative-exponent Holder pooling")
 
 
 def inverse_linear_pool(profile: OpinionProfile, weights) -> GridDensity:
@@ -273,7 +267,6 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     PositivityError
         If the profile or q0 has a zero.
     """
-    _require_positive(profile, 0.0, "multiplicative pooling")
     require_same_grid(profile.grid, q0.grid)
     if not q0.positive:
         raise PositivityError("calibrating pdf must be strictly positive")
@@ -285,7 +278,7 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
         raise SimplexError("weights must be finite")
     log_q0 = np.log(q0.values)
     log_q0 *= 1.0 - w.sum()
-    return _power_mean(profile, w, 0.0, log_q0)
+    return _power_mean(profile, w, 0.0, "multiplicative pooling", log_q0)
 
 
 def _dictator_index(k) -> int:
@@ -333,19 +326,20 @@ def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> G
     return holder_pool(profile, weights, chi.exponent)
 
 
-# kind -> (spec fields the kind reads, call)
+# kind -> (spec fields the kind reads, exponent of its power mean, call); the exponent is None where
+# the spec supplies it (Holder's alpha, the transform's chi) and where the rule is not a power mean
 _DISPATCH = {
-    PoolingKind.LINEAR: (("weights",), lambda s, p: linear_pool(p, s.weights)),
-    PoolingKind.GENERALIZED_LINEAR: (("weights", "q0", "w0"), lambda s, p: linear_pool(p, s.weights, q0=s.q0, w0=s.w0)),
-    PoolingKind.LOG_LINEAR: (("weights",), lambda s, p: log_linear_pool(p, s.weights)),
-    PoolingKind.GENERALIZED_LOG_LINEAR: (("weights", "xi0"), lambda s, p: log_linear_pool(p, s.weights, xi0=s.xi0)),
-    PoolingKind.HOLDER: (("weights", "alpha"), lambda s, p: holder_pool(p, s.weights, s.alpha)),
-    PoolingKind.INVERSE_LINEAR: (("weights",), lambda s, p: inverse_linear_pool(p, s.weights)),
-    PoolingKind.MULTIPLICATIVE: (("q0",), lambda s, p: multiplicative_pool(p, s.q0)),
-    PoolingKind.GENERALIZED_MULTIPLICATIVE: (("weights", "q0"), lambda s, p: multiplicative_pool(p, s.q0, s.weights)),
-    PoolingKind.DICTATORSHIP: (("dictator",), lambda s, p: dictatorship_pool(p, s.dictator)),
-    PoolingKind.DOGMATIC: (("q0",), lambda s, p: dogmatic_pool(p, s.q0)),
-    PoolingKind.CHI_TRANSFORM: (("weights", "chi"), lambda s, p: chi_transform_pool(p, s.weights, s.chi)),
+    PoolingKind.LINEAR: (("weights",), 1.0, lambda s, p: linear_pool(p, s.weights)),
+    PoolingKind.GENERALIZED_LINEAR: (("weights", "q0", "w0"), 1.0, lambda s, p: linear_pool(p, s.weights, s.q0, s.w0)),
+    PoolingKind.LOG_LINEAR: (("weights",), 0.0, lambda s, p: log_linear_pool(p, s.weights)),
+    PoolingKind.GENERALIZED_LOG_LINEAR: (("weights", "xi0"), 0.0, lambda s, p: log_linear_pool(p, s.weights, s.xi0)),
+    PoolingKind.HOLDER: (("weights", "alpha"), None, lambda s, p: holder_pool(p, s.weights, s.alpha)),
+    PoolingKind.INVERSE_LINEAR: (("weights",), -1.0, lambda s, p: inverse_linear_pool(p, s.weights)),
+    PoolingKind.MULTIPLICATIVE: (("q0",), 0.0, lambda s, p: multiplicative_pool(p, s.q0)),
+    PoolingKind.GENERALIZED_MULTIPLICATIVE: (("weights", "q0"), 0.0, lambda s, p: multiplicative_pool(p, s.q0, s.weights)),
+    PoolingKind.DICTATORSHIP: (("dictator",), None, lambda s, p: dictatorship_pool(p, s.dictator)),
+    PoolingKind.DOGMATIC: (("q0",), None, lambda s, p: dogmatic_pool(p, s.q0)),
+    PoolingKind.CHI_TRANSFORM: (("weights", "chi"), None, lambda s, p: chi_transform_pool(p, s.weights, s.chi)),
 }
 
 
@@ -365,6 +359,6 @@ def check_fields(spec, reads: tuple[str, ...], rule: str, optional: tuple[str, .
 
 def pool(spec: PoolingSpec, profile: OpinionProfile) -> GridDensity:
     """Apply a declaratively specified pooling rule to a profile; the companions it reads must be set."""
-    reads, call = _DISPATCH[spec.kind]
+    reads, _, call = _DISPATCH[spec.kind]
     check_fields(spec, reads, "pooling")
     return call(spec, profile)

@@ -271,6 +271,47 @@ class TestOnePositivityRule:
         assert True in rules and False in rules
 
 
+def _slice_report(spec, axiom, seed):
+    """(passed, max_violation bits, counterexample) of a 3-trial check, or "n.a." for A2's refusal."""
+    try:
+        rep = check_axiom(spec, axiom, trials=3, seed=seed)
+    except UnsupportedAxiomError:
+        return "n.a."
+    return rep.passed, rep.max_violation.hex(), rep.counterexample
+
+
+class TestTransformsReportAsTheirPools:
+    """The harness keys its closed forms on the exponent a spec pools by, so a transform pool
+    reports exactly like the pool it reproduces, on every axiom."""
+
+    PAIRS = {
+        "log": (ChiTransform(ChiKind.LOG), {"kind": PoolingKind.LOG_LINEAR}),
+        "reciprocal": (ChiTransform(ChiKind.RECIPROCAL), {"kind": PoolingKind.INVERSE_LINEAR}),
+        "power3": (ChiTransform(ChiKind.POWER, 3.0), {"kind": PoolingKind.HOLDER, "alpha": 3.0}),
+        "power-0.5": (ChiTransform(ChiKind.POWER, -0.5), {"kind": PoolingKind.HOLDER, "alpha": -0.5}),
+    }
+    WEIGHTS = [(0.3, 0.7), (0.2, 0.5, 0.3)]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("w", WEIGHTS, ids=["K2", "K3"])
+    @pytest.mark.parametrize("chi, pool_fields", PAIRS.values(), ids=list(PAIRS))
+    def test_bit_equal_reports(self, chi, pool_fields, w, seed):
+        transform = PoolingSpec(PoolingKind.CHI_TRANSFORM, weights=w, chi=chi)
+        reproduced = PoolingSpec(weights=w, **pool_fields)
+        for axiom in Axiom:
+            got = _slice_report(transform, axiom, seed)
+            assert got == _slice_report(reproduced, axiom, seed), axiom
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("w", WEIGHTS, ids=["K2", "K3"])
+    def test_identity_gives_the_linear_verdicts(self, w, seed):
+        # normalize() moves the identity pool's bits off the linear pool's, not its verdicts
+        identity = PoolingSpec(PoolingKind.CHI_TRANSFORM, weights=w, chi=ChiTransform(ChiKind.IDENTITY))
+        for axiom in Axiom:
+            got = _slice_report(identity, axiom, seed)
+            assert got[0] == _slice_report(linear(w), axiom, seed)[0], axiom
+
+
 class TestEventMassScaling:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("two_events", [False, True], ids=["one-event", "two-events"])

@@ -282,6 +282,24 @@ class TestMultiplicativePool:
             P.multiplicative_pool(mirror_pair, q0)
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda prof: P.log_linear_pool(prof, [0.7, 0.7]), SimplexError),
+        (lambda prof: P.holder_pool(prof, [0.7, 0.7], -1.0), SimplexError),
+        (lambda prof: P.multiplicative_pool(prof, gauss_grid(0.0, 4.0, n=1024)), GridMismatchError),
+    ],
+    ids=["log-linear", "holder", "multiplicative"],
+)
+def test_positivity_is_checked_after_the_other_inputs(call, error):
+    # the power-mean kernel owns the positivity rule, so a second fault is named first
+    vals = np.ones(64)
+    vals[0] = 0.0
+    d = normalize(from_samples([0.0], [1.0], (64,), vals))
+    with pytest.raises(error):
+        call(OpinionProfile((d, d)))
+
+
 class TestTrivialPools:
     def test_dictatorship_returns_chosen_agent(self, mirror_pair):
         for k in (2, 2.0, np.int64(2)):
@@ -658,7 +676,32 @@ _READS = {
 }
 
 
+# the exponent of each kind's power mean, written out independently of the dispatch table;
+# Holder's and the transform's come from the spec (alpha -0.5, chi power 3 below)
+_EXPONENTS = {
+    P.PoolingKind.LINEAR: 1.0,
+    P.PoolingKind.GENERALIZED_LINEAR: 1.0,
+    P.PoolingKind.LOG_LINEAR: 0.0,
+    P.PoolingKind.GENERALIZED_LOG_LINEAR: 0.0,
+    P.PoolingKind.HOLDER: -0.5,
+    P.PoolingKind.INVERSE_LINEAR: -1.0,
+    P.PoolingKind.MULTIPLICATIVE: 0.0,
+    P.PoolingKind.GENERALIZED_MULTIPLICATIVE: 0.0,
+    P.PoolingKind.DICTATORSHIP: None,
+    P.PoolingKind.DOGMATIC: None,
+    P.PoolingKind.CHI_TRANSFORM: 3.0,
+}
+
+
 class TestSpecValidation:
+    @pytest.mark.parametrize("kind", list(P.PoolingKind), ids=lambda k: k.value)
+    def test_exponent_per_kind(self, kind):
+        chi = P.ChiTransform(P.ChiKind.POWER, 3.0)
+        given = {"weights": [0.5, 0.5], "alpha": -0.5, "w0": 0.5, "dictator": 1, "chi": chi}
+        spec = P.PoolingSpec(kind, **{f: v for f, v in given.items() if f in _READS[kind]})
+        assert spec.exponent == _EXPONENTS[kind]
+        assert spec.needs_positive is (spec.exponent is not None and spec.exponent <= 0.0)
+
     def test_companions_are_optional_until_pool(self, mirror_pair):
         spec = P.PoolingSpec(P.PoolingKind.DOGMATIC)
         with pytest.raises(ValueError, match="^dogmatic pooling requires q0$"):
@@ -820,6 +863,56 @@ class TestStationarity:
         g = P.holder_pool(prof, w, alpha).values
         terms = sum(wk * (q.values / g) ** alpha for wk, q in zip(w, prof.densities))
         assert _spread(terms) / np.mean(terms) <= 1e-12
+
+
+# the two KL characterizations: pool -> the divergence whose weighted sum over the agents it minimizes
+_KL_OBJECTIVES = {
+    "linear": (P.linear_pool, lambda q, g: D.kl(q, g)),  # sum_k w_k KL(q_k || g)
+    "log-linear": (P.log_linear_pool, lambda q, g: D.kl(g, q)),  # sum_k w_k KL(g || q_k)
+}
+
+
+def _assert_no_step_lowers(rule, prof, w, h):
+    """Moving the pool g to (1 - t) g + t h lowers its matched objective by at most 1e-12."""
+    pool, divergence = _KL_OBJECTIVES[rule]
+    g = pool(prof, w)
+
+    def objective(d):
+        return sum(wk * divergence(q, d) for wk, q in zip(w, prof.densities))
+
+    at_pool = objective(g)
+    for t in (1e-3, 0.1, 0.5, 0.9):
+        moved = GridDensity(prof.grid, (1.0 - t) * g.values + t * h.values)
+        assert objective(moved) >= at_pool - 1e-12, t
+
+
+@pytest.mark.parametrize("rule", list(_KL_OBJECTIVES))
+class TestKlCharacterizations:
+    """The linear pool minimizes sum_k w_k KL(q_k || g) over densities g, the log-linear
+    pool sum_k w_k KL(g || q_k): no step from the pool toward another density lowers it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_1d_profiles(self, rule, data):
+        def drawn():
+            mean, sd = data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(0.7, 2.0))
+            return to_grid(gaussian([mean], [sd]), [-10.0], [10.0], (512,))
+
+        K = data.draw(st.integers(2, 4))
+        prof = OpinionProfile(tuple(drawn() for _ in range(K)))
+        raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=K, max_size=K)))
+        w = 0.05 + (1.0 - 0.05 * K) * raw / raw.sum()  # every weight at least 0.05
+        _assert_no_step_lowers(rule, prof, w, drawn())
+
+    def test_seeded_2d_profile(self, rule):
+        rng = np.random.default_rng(31)
+
+        def drawn():
+            g = gaussian(rng.uniform(-2.0, 2.0, 2), rng.uniform(0.7, 2.0, 2), rng.uniform(-0.5, 0.5))
+            return to_grid(g, [-10.0] * 2, [10.0] * 2, (65, 65))
+
+        prof = OpinionProfile(tuple(drawn() for _ in range(3)))
+        _assert_no_step_lowers(rule, prof, rng.dirichlet(np.ones(3)), drawn())
 
 
 def test_proper_product_with_a_large_log_ratio():

@@ -261,6 +261,33 @@ class TestMinKldWeights:
         assert res.converged
         np.testing.assert_allclose(res.weights, expected, atol=1e-5)
 
+    @staticmethod
+    def nested_variances_and_nearest_uniform_optimum():
+        """N(0,1), N(0,4), N(0,9) on [-8, 8], the min-KLD result, and the point of its optimal
+        face nearest uniform weights. The grid log-densities span {1, x^2}, so the objective
+        depends on w only through a . w, a_k = 1/v_k: the face is {1 . w = 1, a . w = a . w*}."""
+        variances = np.array([1.0, 4.0, 9.0])
+        prof = OpinionProfile(tuple(gauss_grid(0.0, v) for v in variances))
+        res = W.min_kld_weights(prof)
+        A = np.vstack([np.ones(3), 1.0 / variances])
+        uniform = np.full(3, 1.0 / 3.0)
+        nearest = uniform - A.T @ np.linalg.solve(A @ A.T, A @ (uniform - res.weights))
+        return prof, res, nearest
+
+    def test_nested_variances_face_is_flat(self):
+        prof, res, nearest = self.nested_variances_and_nearest_uniform_optimum()
+        assert np.all(nearest > 0.0)
+        assert W._min_kld_objective(prof)(nearest)[0] == pytest.approx(res.objective, abs=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9: min-KLD weights are not unique on a flat optimal face; the point "
+        "returned depends on where the first clipped step lands, 0.031 from the nearest-uniform optimum",
+    )
+    def test_nested_variances_give_the_nearest_uniform_optimum(self):
+        _, res, nearest = self.nested_variances_and_nearest_uniform_optimum()
+        np.testing.assert_allclose(res.weights, nearest, atol=1e-6)
+
     def test_nonconvergence_carries_best_iterate(self):
         prof = OpinionProfile((gauss_grid(0.0, 1.0), gauss_grid(0.0, 4.0), gauss_grid(0.0, 9.0)))
         with pytest.raises(NonConvergenceError) as einfo:
