@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import UnsupportedAxiomError
+from .gaussian import whole_number
 from .grid import Grid, GridDensity, OpinionProfile, adopt_normalized, event_probability
 from .pooling import PoolingKind, PoolingSpec, bayes_update, fields_read, pool
 
@@ -105,8 +106,8 @@ def expected_matrix() -> dict[tuple[PoolingKind, Axiom], AxiomStatus]:
 
     The Holder row is for alpha > 0; at alpha <= 0, A2 is n.a. as the spec's
     `needs_positive` says. Transform-space pooling is excluded: its reports
-    equal those of the pool it reproduces (log: log-linear, reciprocal:
-    inverse-linear, power: Holder; identity: the linear pool's verdicts).
+    equal those of the pool it reproduces (`pooling._CHI_POOLS`); identity,
+    which normalizes the linear pool, shares its verdicts.
     """
     out = {}
     for kind, row in _MATRIX_ROWS.items():
@@ -574,12 +575,13 @@ def check_axiom(
     Raises
     ------
     ValueError
-        Unless trials >= 1 and tol is finite and nonnegative.
+        Unless trials is a whole number >= 1 and tol is finite and nonnegative.
     UnsupportedAxiomError
         For A2 where the spec's `needs_positive` holds: zero-probability
         events cannot arise for a rule that needs a positive profile.
     """
     axiom = Axiom(axiom) if not isinstance(axiom, Axiom) else axiom
+    trials = whole_number(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not (math.isfinite(tol) and tol >= 0.0):

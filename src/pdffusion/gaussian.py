@@ -292,6 +292,13 @@ def check_simplex(weights, n: int) -> np.ndarray:
     return w
 
 
+def whole_number(value, what: str) -> int:
+    """``value`` as an int: 2.0 is 2; ValueError naming ``what`` for 1.9, inf or nan."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value}")
+    return int(value)
+
+
 def shared_dim(gaussians, message: str) -> int:
     """The dimension every one of ``gaussians`` has; DimensionError(message) if they differ."""
     if len({g.dim for g in gaussians}) > 1:

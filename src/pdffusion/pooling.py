@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import GridMismatchError, PositivityError, SimplexError
-from .gaussian import check_simplex
+from .gaussian import check_simplex, whole_number
 from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, normalize, require_same_grid
 
 # Holder exponents this close to zero are numerically meaningless; the limit
@@ -50,7 +50,9 @@ class ChiKind(enum.Enum):
     POWER = "power"
 
 
-_CHI_EXPONENTS = {ChiKind.IDENTITY: 1.0, ChiKind.LOG: 0.0, ChiKind.RECIPROCAL: -1.0}
+# the pool each transform reproduces; a transform's exponent and its pooling are that pool's
+_CHI_POOLS = {ChiKind.IDENTITY: PoolingKind.LINEAR, ChiKind.LOG: PoolingKind.LOG_LINEAR,
+              ChiKind.RECIPROCAL: PoolingKind.INVERSE_LINEAR, ChiKind.POWER: PoolingKind.HOLDER}
 
 
 def _needs_positive(exponent: float) -> bool:
@@ -75,8 +77,7 @@ class ChiTransform:
     """An invertible pointwise transform on (0, inf) used for pooling.
 
     Each kind is chi(q) = q^p for its `exponent` p, with 0 standing for the
-    p -> 0 limit log q: Identity 1 (linear pooling), Log 0 (log-linear),
-    Reciprocal -1 (inverse-linear), Power(alpha) alpha (Holder).
+    p -> 0 limit log q: the exponent of the pool it reproduces (`_CHI_POOLS`).
     """
 
     kind: ChiKind
@@ -94,8 +95,8 @@ class ChiTransform:
             raise ValueError(f"alpha is only meaningful for Power, not {self.kind.value}")
 
     @property
-    def exponent(self) -> float:
-        return self.alpha if self.kind is ChiKind.POWER else _CHI_EXPONENTS[self.kind]
+    def exponent(self) -> float:  # Power's alpha, else that of the pool it reproduces in _DISPATCH
+        return self.alpha if self.alpha is not None else _DISPATCH[_CHI_POOLS[self.kind]][1]
 
     @property
     def needs_positive(self) -> bool:
@@ -129,7 +130,7 @@ class PoolingSpec:
         if self.alpha is not None:
             object.__setattr__(self, "alpha", _power_exponent(self.alpha))
         if self.dictator is not None:
-            object.__setattr__(self, "dictator", _dictator_index(self.dictator))
+            object.__setattr__(self, "dictator", whole_number(self.dictator, "dictator index"))
 
     @property
     def exponent(self) -> float | None:
@@ -281,16 +282,9 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     return _power_mean(profile, w, 0.0, "multiplicative pooling", log_q0)
 
 
-def _dictator_index(k) -> int:
-    """``k`` as an int: 2.0 is 2; ValueError for 1.9 or nan."""
-    if not float(k).is_integer():
-        raise ValueError(f"dictator index must be a whole number, got {k}")
-    return int(k)
-
-
 def dictatorship_pool(profile: OpinionProfile, k: int) -> GridDensity:
     """Agent ``k``'s density, 1-based, ignoring everyone else."""
-    k = _dictator_index(k)
+    k = whole_number(k, "dictator index")
     if not 1 <= k <= profile.K:
         raise IndexError(f"dictator index {k} outside 1..{profile.K}")
     return profile.densities[k - 1]
@@ -313,17 +307,14 @@ def bayes_update(q: GridDensity, ell) -> GridDensity:
 
 
 def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> GridDensity:
-    """Pool by averaging in transform space: chi^{-1}(sum w_k chi(q_k)).
+    """Pool by averaging in transform space: chi^{-1}(sum w_k chi(q_k)), normalized.
 
-    The result is normalized. Identity, Log, Reciprocal and Power(alpha)
-    are the linear, log-linear, inverse-linear and Holder pools, and are
-    computed by them.
+    Computed, validated and refused as the pool ``chi`` reproduces (`_CHI_POOLS`);
+    the linear pool's result is passed through `normalize`.
     """
-    if chi.kind is ChiKind.IDENTITY:  # the linear pool itself, not holder_pool(1.0), for its bits
-        return normalize(linear_pool(profile, weights))
-    if chi.exponent == 0.0:
-        return log_linear_pool(profile, weights)
-    return holder_pool(profile, weights, chi.exponent)
+    kind = _CHI_POOLS[chi.kind]
+    pooled = _DISPATCH[kind][2](PoolingSpec(kind, weights=weights, alpha=chi.alpha), profile)
+    return normalize(pooled) if kind is PoolingKind.LINEAR else pooled
 
 
 # kind -> (spec fields the kind reads, exponent of its power mean, call); the exponent is None where

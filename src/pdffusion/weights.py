@@ -29,7 +29,7 @@ import numpy as np
 from .divergence import kl
 from .errors import DegenerateError, NonConvergenceError
 from .errors import NotNormalizedError, PositivityError
-from .gaussian import check_simplex, cho_inverse, pd_inverse, shared_dim
+from .gaussian import check_simplex, cho_inverse, pd_inverse, shared_dim, whole_number
 from .grid import OpinionProfile
 from .pooling import log_linear_pool
 
@@ -101,6 +101,7 @@ def _minimize_on_simplex(objective: Objective, K: int, max_iter: int, tol: float
     along the flat directions. Convergence is declared when the residual
     ``|w - P(w - g)|`` drops below tol.
     """
+    max_iter = whole_number(max_iter, "max_iter")
     if not (max_iter >= 1 and np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"need max_iter >= 1 and a finite tol > 0, got {max_iter=}, {tol=}")
     w = np.full(K, 1.0 / K)
@@ -216,7 +217,7 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     NotNormalizedError
         If any agent density does not integrate to one.
     ValueError
-        Unless max_iter >= 1 and tol is finite and positive.
+        Unless max_iter is a whole number >= 1 and tol is finite and positive.
     NonConvergenceError
         After max_iter iterations; the error carries the best iterate.
     """
@@ -276,7 +277,7 @@ def ci_weights(
     DimensionError
         If the agents differ in dimension.
     ValueError
-        Unless max_iter >= 1 and tol is finite and positive.
+        Unless max_iter is a whole number >= 1 and tol is finite and positive.
     NonConvergenceError
         After max_iter iterations; the error carries the best iterate.
     """

@@ -104,6 +104,17 @@ class TestReportContract:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             check_axiom(linear(), Axiom.A1, trials=0)
+        for trials in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^trials must be a whole number"):
+                check_axiom(linear(), Axiom.A3, trials=trials)
+
+    @pytest.mark.parametrize("whole, count", [(3.0, 3), (True, 1), (np.int64(3), 3)], ids=["float", "bool", "int64"])
+    def test_whole_trials_report_as_the_int(self, whole, count):
+        spec = linear()
+        got = check_axiom(spec, Axiom.A3, trials=whole, seed=3)
+        want = check_axiom(spec, Axiom.A3, trials=count, seed=3)
+        assert type(got.trials) is int
+        assert got == want
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_tol_validated(self, tol):

@@ -4,12 +4,24 @@ import hashlib
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdffusion.cli import main
+from pdffusion.errors import (
+    BoundednessError,
+    DegenerateError,
+    FusionError,
+    NonConvergenceError,
+    RankError,
+    SingularityError,
+)
 from pdffusion.fileio import (
     read_density_csv,
     write_density_csv,
@@ -17,7 +29,8 @@ from pdffusion.fileio import (
     write_model_json,
 )
 from pdffusion.gaussian import Gaussian, ci_fuse, common_grid, to_grid
-from pdffusion.grid import GridDensity, from_samples, normalize
+from pdffusion.grid import GridDensity, OpinionProfile, from_samples, moments, normalize
+from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, fields_read, pool
 from pdffusion.supra import LinearGaussianModel, private_shared_model
 
 from closed_forms import power_mean
@@ -252,6 +265,121 @@ class TestPool:
         assert stderr_error(result) == "ValueError"
         assert stderr_message(result) == message
         assert not (tmp_path / "fused.csv").exists()
+
+
+CORPUS_INPUTS = Path(__file__).parent / "golden" / "cli" / "inputs"
+# the corpus's grid CSVs by dimension: z1 and z2 hold zeros, xi is a positive calibration function
+CSVS = {1: ("a.csv", "b.csv", "c.csv", "z1.csv", "z2.csv"), 2: ("a2.csv", "b2.csv")}
+XI0S = {1: ("xi.csv", "c.csv", "z1.csv"), 2: ("a2.csv", "b2.csv")}
+# every pooling kind, the transform once per chi kind
+KIND_CHOICES = [(k, None) for k in PoolingKind if k is not PoolingKind.CHI_TRANSFORM] + [
+    (PoolingKind.CHI_TRANSFORM, c) for c in ChiKind
+]
+EXPONENTS = st.floats(-3.0, 3.0).filter(lambda a: abs(a) >= 0.05)
+
+
+def _simplex(counts) -> list[float]:
+    return [c / sum(counts) for c in counts]
+
+
+@st.composite
+def pool_calls(draw):
+    """A valid ``pool`` call: (kind, input names, flag -> value), each value as the library takes it."""
+    kind, chi = draw(st.sampled_from(KIND_CHOICES))
+    dim = draw(st.sampled_from([1, 2]))
+    inputs = draw(st.lists(st.sampled_from(CSVS[dim]), min_size=2, max_size=3))
+    K = len(inputs)
+    flags = {}
+    reads = fields_read(kind)
+    counts = st.integers(0, 10)
+    if kind is PoolingKind.GENERALIZED_MULTIPLICATIVE:  # arbitrary real weights
+        flags["weights"] = draw(st.lists(st.floats(-1.0, 2.0), min_size=K, max_size=K))
+    elif kind is PoolingKind.GENERALIZED_LINEAR:
+        w = _simplex(draw(st.lists(counts, min_size=K + 1, max_size=K + 1).filter(any)))
+        flags["w0"], flags["weights"] = w[0], w[1:]
+    elif "weights" in reads:
+        flags["weights"] = _simplex(draw(st.lists(counts, min_size=K, max_size=K).filter(any)))
+    if "alpha" in reads:
+        flags["alpha"] = draw(EXPONENTS)
+    if "dictator" in reads:
+        flags["dictator"] = draw(st.integers(1, K))
+    if "q0" in reads:
+        flags["q0"] = draw(st.sampled_from(CSVS[dim]))
+    if "xi0" in reads:
+        flags["xi0"] = draw(st.sampled_from(XI0S[dim]))
+    if chi is not None:
+        flags["chi"] = chi
+        if chi is ChiKind.POWER:
+            flags["chi_alpha"] = draw(EXPONENTS)
+    return kind, inputs, flags
+
+
+def _cli_args(kind, inputs, flags, out):
+    args = ["pool", "--kind", kind.value]
+    for name, value in flags.items():
+        option = "--" + name.replace("_", "-")
+        if name == "weights":
+            args += [option, ",".join(repr(float(w)) for w in value)]
+        elif name in ("q0", "xi0"):
+            args += [option, str(CORPUS_INPUTS / value)]
+        elif name == "chi":
+            args += [option, value.value]
+        else:
+            args += [option, repr(value)]
+    return args + [str(CORPUS_INPUTS / name) for name in inputs] + ["-o", str(out)]
+
+
+def _read(name):
+    return read_density_csv(CORPUS_INPUTS / name)
+
+
+def _library_pool(kind, inputs, flags, out):
+    """(exit code, stdout) of the call done with the library, writing the pooled CSV to ``out``."""
+    try:
+        spec = PoolingSpec(
+            kind,
+            weights=flags.get("weights"),
+            alpha=flags.get("alpha"),
+            q0=_read(flags["q0"]) if "q0" in flags else None,
+            w0=flags.get("w0"),
+            xi0=_read(flags["xi0"]).values if "xi0" in flags else None,
+            dictator=flags.get("dictator"),
+            chi=ChiTransform(flags["chi"], flags.get("chi_alpha")) if "chi" in flags else None,
+        )
+        fused = pool(spec, OpinionProfile(tuple(_read(name) for name in inputs)))
+        mean, cov = moments(fused)
+        write_density_csv(out, fused)
+    except NonConvergenceError:
+        return 4, ""
+    except (DegenerateError, SingularityError, BoundednessError, RankError):
+        return 3, ""
+    except FusionError:
+        return 2, ""
+    line = json.dumps({"mean": mean.tolist(), "cov": cov.tolist()}, sort_keys=True, separators=(", ", ": "))
+    return 0, line + "\n"
+
+
+class TestPoolEqualsTheLibrary:
+    """``pool`` on the corpus CSVs prints and writes what the library computes, or exits with its error's code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool_calls())
+    @example((PoolingKind.CHI_TRANSFORM, ["a.csv", "b.csv"], {"weights": [0.3, 0.7], "chi": ChiKind.IDENTITY}))
+    @example((PoolingKind.CHI_TRANSFORM, ["z1.csv", "z2.csv"], {"weights": [0.3, 0.7], "chi": ChiKind.IDENTITY}))
+    @example((PoolingKind.CHI_TRANSFORM, ["a.csv", "b.csv"], {"weights": [0.3, 0.7], "chi": ChiKind.LOG}))
+    @example((PoolingKind.CHI_TRANSFORM, ["a.csv", "c.csv"], {"weights": [0.3, 0.7], "chi": ChiKind.RECIPROCAL}))
+    @example((PoolingKind.CHI_TRANSFORM, ["a2.csv", "b2.csv"], {"weights": [0.5, 0.5], "chi": ChiKind.POWER, "chi_alpha": 2}))
+    def test_pool(self, call):
+        kind, inputs, flags = call
+        with tempfile.TemporaryDirectory() as tmp:
+            cli_out, lib_out = Path(tmp) / "cli.csv", Path(tmp) / "lib.csv"
+            result = CliRunner().invoke(main, _cli_args(kind, inputs, flags, cli_out))
+            code, stdout = _library_pool(kind, inputs, flags, lib_out)
+            assert (result.exit_code, result.stdout) == (code, stdout), result.stderr
+            if code == 0:
+                assert cli_out.read_bytes() == lib_out.read_bytes()
+            else:
+                assert not cli_out.exists()
 
 
 class TestDivergence:

@@ -18,7 +18,7 @@ from pdffusion.errors import (
     GridMismatchError,
     NotNormalizedError,
 )
-from pdffusion.gaussian import Gaussian, to_grid
+from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import (
     Grid,
     GridDensity,
@@ -254,6 +254,25 @@ class TestAllocationBudget:
         prof = OpinionProfile((a, *(to_grid(g, a.grid.lower, a.grid.upper, a.grid.shape) for g in (self.H, self.J))))
         K = prof.K
         assert _peak_over_output(lambda: min_kld_weights(prof), a.values.nbytes) <= K * (K + 1) / 2 + K + 2
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 9: min-KLD holds the K(K+1)/2 pairwise products of the log-densities, "
+        "36 grid arrays at K=8, and peaks at 45 grid arrays",
+    )
+    def test_min_kld_weights_of_eight_stays_within_the_span(self):
+        # with the constant, a 2-D Gaussian profile's log-densities span r = 6 functions, whatever K is
+        rng = np.random.default_rng(0)
+        gs = []
+        for _ in range(8):
+            a = rng.normal(size=(2, 2))
+            gs.append(Gaussian(rng.uniform(-1.0, 1.0, 2), a @ a.T + 0.5 * np.eye(2)))
+        prof = OpinionProfile(common_grid(*gs))
+        assert prof.grid.shape == (257, 257)
+        K, r = prof.K, 6
+        grid_array = prof.densities[0].values.nbytes
+        assert _peak_over_output(lambda: min_kld_weights(prof), grid_array) <= (r - 1) * r / 2 + K + 2
 
 
 class TestGrid:

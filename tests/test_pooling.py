@@ -12,6 +12,7 @@ from pdffusion import pooling as P
 from pdffusion.errors import (
     BoundednessError,
     DegenerateError,
+    FusionError,
     GridMismatchError,
     PositivityError,
     SimplexError,
@@ -354,30 +355,66 @@ class TestBayesUpdate:
             P.bayes_update(d, np.zeros(64))
 
 
+def zeros_pair():
+    """Two 64-node members with zeros, shared on the first 16 nodes and one member's on 8 more."""
+    x = np.linspace(0.0, 1.0, 64)
+    a, b = 1.0 + x, 2.0 - x
+    a[:16] = b[:24] = 0.0
+    return OpinionProfile(tuple(normalize(from_samples([0.0], [1.0], (64,), v)) for v in (a, b)))
+
+
 class TestChiTransformPool:
+    @staticmethod
+    def assert_reproduces(profile, w, chi, want):
+        """Both ways to pool by ``chi`` give ``want``'s values bit for bit."""
+        np.testing.assert_array_equal(P.chi_transform_pool(profile, w, chi).values, want.values)
+        spec = P.PoolingSpec(P.PoolingKind.CHI_TRANSFORM, weights=w, chi=chi)
+        np.testing.assert_array_equal(P.pool(spec, profile).values, want.values)
+
     def test_identity_matches_linear(self, mirror_pair):
         chi = P.ChiTransform(P.ChiKind.IDENTITY)
-        fused = P.chi_transform_pool(mirror_pair, [0.3, 0.7], chi)
-        lin = P.linear_pool(mirror_pair, [0.3, 0.7])
-        assert np.max(np.abs(fused.values - lin.values)) < 1e-12
+        for prof in (mirror_pair, zeros_pair()):
+            self.assert_reproduces(prof, [0.3, 0.7], chi, normalize(P.linear_pool(prof, [0.3, 0.7])))
 
     def test_log_matches_log_linear(self, mirror_pair):
         chi = P.ChiTransform(P.ChiKind.LOG)
-        fused = P.chi_transform_pool(mirror_pair, [0.5, 0.5], chi)
-        ll = P.log_linear_pool(mirror_pair, [0.5, 0.5])
-        np.testing.assert_allclose(fused.values, ll.values, rtol=1e-10)
+        self.assert_reproduces(mirror_pair, [0.5, 0.5], chi, P.log_linear_pool(mirror_pair, [0.5, 0.5]))
 
     def test_reciprocal_matches_inverse_linear(self, mirror_pair):
         chi = P.ChiTransform(P.ChiKind.RECIPROCAL)
-        fused = P.chi_transform_pool(mirror_pair, [0.4, 0.6], chi)
-        inv = P.inverse_linear_pool(mirror_pair, [0.4, 0.6])
-        np.testing.assert_allclose(fused.values, inv.values, rtol=1e-9, atol=1e-300)
+        self.assert_reproduces(mirror_pair, [0.4, 0.6], chi, P.inverse_linear_pool(mirror_pair, [0.4, 0.6]))
 
     def test_power_matches_holder(self, mirror_pair):
-        chi = P.ChiTransform(P.ChiKind.POWER, 2.0)
-        fused = P.chi_transform_pool(mirror_pair, [0.5, 0.5], chi)
-        hol = P.holder_pool(mirror_pair, [0.5, 0.5], 2.0)
-        np.testing.assert_array_equal(fused.values, hol.values)
+        for alpha in (2.0, 0.5, -0.5):
+            chi = P.ChiTransform(P.ChiKind.POWER, alpha)
+            for prof in (mirror_pair, zeros_pair()) if alpha > 0.0 else (mirror_pair,):
+                self.assert_reproduces(prof, [0.5, 0.5], chi, P.holder_pool(prof, [0.5, 0.5], alpha))
+
+    @pytest.mark.parametrize(
+        "chi, reproduced",
+        [
+            (P.ChiTransform(P.ChiKind.IDENTITY), lambda prof, w: normalize(P.linear_pool(prof, w))),
+            (P.ChiTransform(P.ChiKind.LOG), P.log_linear_pool),
+            (P.ChiTransform(P.ChiKind.RECIPROCAL), P.inverse_linear_pool),
+            (P.ChiTransform(P.ChiKind.POWER, -0.5), lambda prof, w: P.holder_pool(prof, w, -0.5)),
+        ],
+        ids=["identity", "log", "reciprocal", "power-"],
+    )
+    def test_refuses_as_the_pool_it_reproduces(self, mirror_pair, chi, reproduced):
+        def outcome(fn, prof, w):
+            try:
+                return fn(prof, w).values.tobytes()
+            except FusionError as exc:
+                return type(exc), str(exc)
+
+        # off the simplex, of the wrong length, not finite; and zeros, which only a positive exponent pools
+        cases = [(mirror_pair, [0.7, 0.7]), (mirror_pair, [0.5]), (mirror_pair, [0.5, np.nan]), (zeros_pair(), [0.5, 0.5])]
+        for prof, w in cases:
+            assert outcome(lambda p, v: P.chi_transform_pool(p, v, chi), prof, w) == outcome(reproduced, prof, w)
+        # weights are a field the reproduced pool's spec requires
+        pool_name = {"identity": "linear", "log": "log-linear", "reciprocal": "inverse-linear", "power": "holder"}
+        with pytest.raises(ValueError, match=f"^{pool_name[chi.kind.value]} pooling requires weights$"):
+            P.chi_transform_pool(mirror_pair, None, chi)
 
     CHIS = [
         (P.ChiKind.IDENTITY, None, 1.0),

@@ -413,7 +413,10 @@ class TestMinKldDerivatives:
             assert np.max(np.abs(H - H0)) <= 1e-12 * np.max(np.abs(H0))
 
 
-BAD_BUDGETS = [(0, 1e-6), (-3, 1e-6), (500, -1.0), (500, 0.0), (500, np.nan), (500, np.inf)]
+BAD_BUDGETS = [
+    (0, 1e-6), (-3, 1e-6), (500, -1.0), (500, 0.0), (500, np.nan), (500, np.inf),
+    (2.5, 1e-6), (np.inf, 1e-6), (np.nan, 1e-6),
+]
 
 
 class TestBudget:
@@ -428,6 +431,21 @@ class TestBudget:
         gs = [Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]), Gaussian([0.5], [[0.7]])]
         with pytest.raises(ValueError, match="max_iter"):
             W.ci_weights(gs, max_iter=max_iter, tol=tol)
+
+    @pytest.mark.parametrize("whole, count", [(3.0, 3), (True, 1), (np.int64(3), 3)], ids=["float", "bool", "int64"])
+    def test_whole_budget_runs_as_the_int(self, whole, count):
+        # a whole count is carried as an int: same weights, or the same NonConvergenceError
+        prof = OpinionProfile((gauss_grid(0.0, 1.0), gauss_grid(1.0, 2.0), gauss_grid(0.5, 0.7)))
+        gs = [Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[2.0]]), Gaussian([0.5], [[0.7]])]
+        for method, data in ((W.min_kld_weights, prof), (W.ci_weights, gs)):
+            outcomes = []
+            for max_iter in (whole, count):
+                try:
+                    res = method(data, max_iter=max_iter, tol=1e-12)
+                    outcomes.append((res.weights.tolist(), res.iterations, res.evaluations))
+                except NonConvergenceError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], method.__name__
 
 
 class TestReverseKldObjective:
