@@ -12,6 +12,12 @@ one JSON object with "error" and "message" on stderr.
 A call executes only the modules its subcommand runs: the shared ones are
 imported below, and ``divergence``, ``weights``, ``axioms`` and ``supra``
 are executed on their first attribute access (see ``_deferred``).
+
+``run`` is the process entry of ``python -m pdffusion.cli`` and of the
+``pdffusion`` console script: it ends the process once the call's output is
+out, without interpreter teardown, so ``atexit`` handlers do not run. Code
+that embeds the CLI, and its tests, call the click group ``main``, which
+never ends the process itself.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import inspect
 import json
 import os
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -108,6 +115,8 @@ def wrap_errors(fn):
             _fail(3, exc)
         except (FusionError, ValueError, IndexError, OSError) as exc:
             _fail(2, exc)
+        except MemoryError as exc:  # numpy raises a private subclass; the line names the builtin
+            _fail(2, MemoryError(str(exc)))
 
     return inner
 
@@ -414,5 +423,32 @@ def fig4_cmd(output_dir):
     click.echo(_json_line({"written": ["fig4a.csv", "fig4b.csv"], "dir": output_dir}))
 
 
+def _flushed() -> bool:
+    """Whether stdout and stderr flushed; either is None when its descriptor was closed."""
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        return False
+    return True
+
+
+def run() -> NoReturn:
+    """Run one call of ``main``; once stdout and stderr are flushed, ``os._exit`` with its status.
+
+    Every file a command writes is closed before it returns. A status that is
+    not an int, or a failed flush (a broken pipe), ends the call through
+    ``SystemExit`` and the interpreter's teardown instead.
+    """
+    try:
+        main()  # in standalone mode click never returns: it raises SystemExit
+    except SystemExit as exc:
+        status = exc.code
+    if isinstance(status, int) and _flushed():
+        os._exit(status)
+    raise SystemExit(status)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -10,6 +10,9 @@ exits with the program's status. An audit hook on the ``exec`` event sees
 each module body as it runs, whether an import runs it or the first
 attribute access of a lazily loaded module does. The package is found the
 way the program finds it: on PYTHONPATH or as an installed distribution.
+While the program runs, ``os._exit(status)`` raises ``SystemExit(status)``,
+so a program that ends its process that way (``pdffusion.cli.run``) still
+leaves OUT written.
 """
 from __future__ import annotations
 
@@ -31,8 +34,12 @@ def main() -> int:
         if os.path.dirname(filename) == package_dir:
             ran.add(os.path.splitext(os.path.basename(filename))[0])
 
+    def exit_through_system_exit(status):
+        raise SystemExit(status)
+
     sys.addaudithook(hook)
     status = 0
+    os_exit, os._exit = os._exit, exit_through_system_exit
     try:
         if program[0] == "-c":
             exec(compile(program[1], "<string>", "exec"), {"__name__": "__main__"})
@@ -41,6 +48,8 @@ def main() -> int:
             runpy.run_path(program[0], run_name="__main__")
     except SystemExit as exc:
         status = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+    finally:
+        os._exit = os_exit
     with open(out, "w") as fh:
         json.dump(sorted(ran - {"__init__"}), fh)
     return status

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdffusion.cli import main
+from pdffusion.divergence import DivergenceKind, DivergenceSpec, evaluate
 from pdffusion.errors import (
     BoundednessError,
     DegenerateError,
@@ -23,6 +25,7 @@ from pdffusion.errors import (
     SingularityError,
 )
 from pdffusion.fileio import (
+    FLOAT_FMT,
     read_density_csv,
     write_density_csv,
     write_gaussian_json,
@@ -333,9 +336,22 @@ def _read(name):
     return read_density_csv(CORPUS_INPUTS / name)
 
 
+def _library_exit(call):
+    """(0, what ``call()`` returns), or (the CLI's exit code for the FusionError it raises, "")."""
+    try:
+        return 0, call()
+    except NonConvergenceError:
+        return 4, ""
+    except (DegenerateError, SingularityError, BoundednessError, RankError):
+        return 3, ""
+    except FusionError:
+        return 2, ""
+
+
 def _library_pool(kind, inputs, flags, out):
     """(exit code, stdout) of the call done with the library, writing the pooled CSV to ``out``."""
-    try:
+
+    def call():
         spec = PoolingSpec(
             kind,
             weights=flags.get("weights"),
@@ -349,14 +365,10 @@ def _library_pool(kind, inputs, flags, out):
         fused = pool(spec, OpinionProfile(tuple(_read(name) for name in inputs)))
         mean, cov = moments(fused)
         write_density_csv(out, fused)
-    except NonConvergenceError:
-        return 4, ""
-    except (DegenerateError, SingularityError, BoundednessError, RankError):
-        return 3, ""
-    except FusionError:
-        return 2, ""
-    line = json.dumps({"mean": mean.tolist(), "cov": cov.tolist()}, sort_keys=True, separators=(", ", ": "))
-    return 0, line + "\n"
+        line = json.dumps({"mean": mean.tolist(), "cov": cov.tolist()}, sort_keys=True, separators=(", ", ": "))
+        return line + "\n"
+
+    return _library_exit(call)
 
 
 class TestPoolEqualsTheLibrary:
@@ -380,6 +392,45 @@ class TestPoolEqualsTheLibrary:
                 assert cli_out.read_bytes() == lib_out.read_bytes()
             else:
                 assert not cli_out.exists()
+
+
+ALPHAS = EXPONENTS.filter(lambda a: abs(a - 1.0) >= 0.05)
+
+
+@st.composite
+def divergence_calls(draw):
+    """A valid ``divergence`` call: (kind, two input names, flag -> value), each value as the library takes it."""
+    kind = draw(st.sampled_from(DivergenceKind))
+    dim = draw(st.sampled_from([1, 2]))
+    inputs = draw(st.lists(st.sampled_from(CSVS[dim]), min_size=2, max_size=2))
+    flags = {}
+    if kind in (DivergenceKind.ALPHA, DivergenceKind.REVERSE_ALPHA):
+        flags["alpha"] = draw(ALPHAS)
+    if kind is DivergenceKind.CHI_DISTANCE:
+        flags["chi"] = draw(st.sampled_from(ChiKind))
+        if flags["chi"] is ChiKind.POWER:
+            flags["chi_alpha"] = draw(EXPONENTS)
+    return kind, inputs, flags
+
+
+class TestDivergenceEqualsTheLibrary:
+    """``divergence`` on the corpus CSVs prints what the library computes, or exits with its error's code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(divergence_calls())
+    @example((DivergenceKind.REVERSE_KL, ["a.csv", "c.csv"], {}))
+    @example((DivergenceKind.REVERSE_ALPHA, ["a.csv", "c.csv"], {"alpha": 0.5}))
+    @example((DivergenceKind.CHI_DISTANCE, ["a2.csv", "b2.csv"], {"chi": ChiKind.POWER, "chi_alpha": -0.5}))
+    def test_divergence(self, call):
+        kind, inputs, flags = call
+        args = ["divergence", "--kind", kind.value]
+        for name, value in flags.items():
+            args += ["--" + name.replace("_", "-"), value.value if name == "chi" else repr(value)]
+        result = CliRunner().invoke(main, args + [str(CORPUS_INPUTS / name) for name in inputs])
+        chi = ChiTransform(flags["chi"], flags.get("chi_alpha")) if "chi" in flags else None
+        spec = DivergenceSpec(kind, alpha=flags.get("alpha"), chi=chi)
+        code, value = _library_exit(lambda: evaluate(spec, *map(_read, inputs)))
+        assert (result.exit_code, result.stdout) == (code, FLOAT_FMT % value + "\n" if code == 0 else ""), result.stderr
 
 
 class TestDivergence:
@@ -764,6 +815,15 @@ class TestSupra:
         assert stderr_error(result) == "ValueError"
         assert "finite whole numbers" in json.loads(result.stderr)["message"]
 
+    def test_unallocatable_model_exits_2(self, runner):
+        # 1e9 private observations need a 6.94 EiB noise covariance, which numpy
+        # refuses before allocating anything
+        result = runner.invoke(main, ["supra", "--private-shared", "4,1e9,4,4"])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "MemoryError"
+        assert result.stderr.count("\n") == 1
+        assert "6.94 EiB" in stderr_message(result)
+
     def test_non_finite_observation_exit_2(self, runner):
         y = ",".join(["0"] * 5 + ["nan"] + ["0"] * 15)
         result = runner.invoke(main, ["supra", "--private-shared", "4,1,4,4", "--y", y])
@@ -940,6 +1000,44 @@ for args in json.loads(sys.argv[1]):
     assert result.stdout.split() == ["3"] * len(calls)
     errors = [json.loads(line)["error"] for line in result.stderr.splitlines()]
     assert errors == ["BoundednessError"] * len(calls)
+
+
+# a call through the fast exit of `python -m pdffusion.cli` and through main with
+# the interpreter's teardown: (arguments, whether stdout is closed, exit status)
+ENTRY_CASES = {
+    "pool": (["pool", "--kind", "linear", "--weights", "0.3,0.7", "a.csv", "b.csv", "-o", "out.csv"], False, 0),
+    "fig4": (["fig4", "-d", "figs"], False, 0),
+    "overflow": (OVERFLOWS[1], False, 3),
+    "unread-flag": (["weights", "--method", "min-kld", "--criterion", "logdet", "a.csv", "b.csv"], False, 2),
+    "help": (["--help"], False, 0),
+    "closed-stdout": (["supra", "--private-shared", "4,1,4,4"], True, 0),
+}
+# the prog_name click gives `python -m pdffusion.cli`, which `-c` would print as "-c"
+TEARDOWN = "import sys; from pdffusion.cli import main; main(sys.argv[1:], prog_name='python -m pdffusion.cli')"
+
+
+@pytest.mark.parametrize("args, close_stdout, status", ENTRY_CASES.values(), ids=ENTRY_CASES)
+def test_entry_points_end_a_call_alike(run_process, tmp_path, args, close_stdout, status):
+    inputs = {
+        "A": gauss_json(tmp_path, "a.json", 0.0, 0.01),
+        "B": gauss_json(tmp_path, "b.json", 0.05, 0.01),
+        "a.csv": str(CORPUS_INPUTS / "a.csv"),
+        "b.csv": str(CORPUS_INPUTS / "b.csv"),
+    }
+    args = [inputs.get(arg, arg) for arg in args]
+    env = {k: v for k, v in os.environ.items() if k != "FUSION_GRID_POINTS"}
+    ends = {}
+    for name, entry in (("fast-exit", ["-m", "pdffusion.cli"]), ("teardown", ["-c", TEARDOWN])):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        argv = [sys.executable, *entry, *args]
+        if close_stdout:
+            argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+        result = run_process(argv, env=env, cwd=cwd)
+        written = {str(f.relative_to(cwd)): f.read_bytes() for f in sorted(cwd.rglob("*")) if f.is_file()}
+        ends[name] = (result.returncode, result.stdout, result.stderr, written)
+    assert ends["fast-exit"] == ends["teardown"]
+    assert ends["fast-exit"][0] == status, ends["fast-exit"][2]
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,16 @@ def test_pool_call_runs_no_deferred_module(tmp_path):
     assert (tmp_path / "out.csv").exists()
 
 
+def test_console_script_that_calls_run_writes_its_footprint(tmp_path):
+    # run() ends its process with os._exit; the tool turns that into SystemExit and still writes OUT
+    script = tmp_path / "pdffusion"
+    script.write_text("import sys\nfrom pdffusion.cli import run\nif __name__ == '__main__':\n    sys.exit(run())\n")
+    args = ["pool", "--kind", "linear", "--weights", "0.5,0.5", str(INPUTS / "a.json"), str(INPUTS / "b.json")]
+    ran = _footprint(tmp_path, str(script), *args, "-o", str(tmp_path / "out.csv"))
+    assert ran == SHARED
+    assert (tmp_path / "out.csv").exists()
+
+
 def test_deferred_subcommand_runs_its_module(tmp_path):
     # the counterpart of the pool check: the footprint does see a deferred module run
     args = ["divergence", "--kind", "kl", str(INPUTS / "a.csv"), str(INPUTS / "b.csv")]
