@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import UnsupportedAxiomError
-from .gaussian import whole_number
+from .errors import UnsupportedAxiomError, whole_number
 from .grid import Grid, GridDensity, OpinionProfile, adopt_normalized, event_probability
 from .pooling import PoolingKind, PoolingSpec, bayes_update, fields_read, pool
 

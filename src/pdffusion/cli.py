@@ -6,8 +6,9 @@ JSON files; results go to files or stdout. Identical inputs and seeds
 produce byte-identical outputs.
 
 Exit codes: 0 success (including an axiom check that finds violations),
-2 invalid input, 3 numerical failure, 4 non-convergence. Failures print
-one JSON object with "error" and "message" on stderr.
+1 stdout's reader went away (nothing is printed), 2 invalid input,
+3 numerical failure, 4 non-convergence. Failures other than status 1
+print one JSON object with "error" and "message" on stderr.
 
 A call executes only the modules its subcommand runs: the shared ones are
 imported below, and ``divergence``, ``weights``, ``axioms`` and ``supra``
@@ -113,6 +114,8 @@ def wrap_errors(fn):
             _fail(4, exc)
         except _NUMERICAL as exc:
             _fail(3, exc)
+        except BrokenPipeError:  # stdout's reader went away: click ends the call with status 1
+            raise
         except (FusionError, ValueError, IndexError, OSError) as exc:
             _fail(2, exc)
         except MemoryError as exc:  # numpy raises a private subclass; the line names the builtin

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundednessError, NotNormalizedError, PositivityError, SupportError
+from .errors import BoundednessError, NotNormalizedError, PositivityError, SupportError, finite_number
 from .gaussian import common_grid
 from .pooling import ChiTransform, check_fields
 
@@ -43,7 +43,7 @@ class DivergenceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """A divergence by kind, with exactly the fields that kind reads set."""
+    """A divergence by kind, with exactly the fields that kind reads set; ``alpha`` becomes a float."""
 
     kind: DivergenceKind
     alpha: float | None = None
@@ -53,14 +53,10 @@ class DivergenceSpec:
         reads = _DISPATCH[self.kind][0]
         check_fields(self, reads, "divergence")
         if "alpha" in reads:
-            _check_alpha(self.alpha)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    if alpha in (0.0, 1.0):
-        raise ValueError("alpha may not be 0 or 1; those limits are the two KLDs")
+            alpha = finite_number(self.alpha, "alpha")
+            if alpha in (0.0, 1.0):
+                raise ValueError("alpha may not be 0 or 1; those limits are the two KLDs")
+            object.__setattr__(self, "alpha", alpha)
 
 
 def _integral(p, q, what: str, integrand, support: str | None = None) -> float:
@@ -146,8 +142,7 @@ def reverse_alpha_div(p, q, alpha: float) -> float:
 
 def _alpha(p, q, alpha: float, reverse: bool) -> float:
     """alpha_div of (p, q), or of (q, p) when ``reverse``, in the caller's argument order."""
-    alpha = float(alpha)
-    _check_alpha(alpha)
+    alpha = DivergenceSpec(DivergenceKind.ALPHA, alpha=float(alpha)).alpha  # None stays a TypeError
     # a^alpha b^(1-alpha) needs b > 0 wherever a > 0 when alpha > 1, and the converse when alpha < 0
     a, b = ("q", "p") if reverse else ("p", "q")
     support = a if alpha > 1.0 else b if alpha < 0.0 else None

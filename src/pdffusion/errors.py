@@ -1,5 +1,10 @@
-"""Exception hierarchy shared by all pdffusion modules."""
+"""Exception hierarchy shared by all pdffusion modules, and the one check of each kind of input
+they share: whole numbers, finite numbers, finite vectors and points of the probability simplex."""
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class FusionError(Exception):
@@ -64,3 +69,40 @@ class NonConvergenceError(FusionError):
 
 class UnsupportedAxiomError(FusionError):
     """The requested axiom is not applicable to the given pooling function."""
+
+
+def whole_number(value, what: str) -> int:
+    """``value`` as an int: 2.0 is 2; ValueError naming ``what`` for 1.9, inf or nan."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value}")
+    return int(value)
+
+
+def finite_number(value, what: str) -> float:
+    """``value`` as a float: "2" is 2.0; ValueError naming ``what`` unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def finite_vector(x, length: int, what: str, error: type[Exception] | None = None) -> np.ndarray:
+    """``x`` as a fresh float vector; DimensionError naming ``what`` unless it has ``length``
+    entries, ValueError naming its first non-finite entry, or ``error`` for both when given."""
+    x = np.array(x, dtype=np.float64, ndmin=1)
+    if x.shape != (length,):
+        raise (error or DimensionError)(f"{what} length {x.shape}, expected ({length},)")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise (error or ValueError)(f"{what} entry {bad[0]} is not finite ({x[bad[0]]})")
+    return x
+
+
+def check_simplex(weights, n: int) -> np.ndarray:
+    """``weights`` as a finite nonnegative vector of length ``n`` summing to 1 within 1e-9, else SimplexError."""
+    w = finite_vector(weights, n, "weights", SimplexError)
+    if np.any(w < 0.0):
+        raise SimplexError(f"weights must be nonnegative, got {w}")
+    if abs(float(np.sum(w)) - 1.0) > 1e-9:
+        raise SimplexError(f"weights must sum to 1, got sum {float(np.sum(w))!r}")
+    return w

@@ -4,7 +4,8 @@ Log-densities from each Gaussian's kept Cholesky factor,
 conversion to quadrature grids, moment matching of weighted mixtures, the
 covariance intersection rule (precision averaging, the closed-form
 counterpart of log-linear pooling), and the package's symmetry and
-positive-definiteness checks for every covariance-like matrix.
+positive-definiteness checks for every covariance-like matrix (`symmetric`,
+`cholesky`); the checks of numbers, vectors and weights live in `errors`.
 """
 from __future__ import annotations
 
@@ -12,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, SimplexError, SingularityError
+from .errors import DegenerateError, DimensionError, SingularityError, check_simplex
 from .grid import Grid, GridDensity, adopt_normalized, require_mass, require_same_grid
 
 SYMMETRY_TOL = 1e-10
-SIMPLEX_TOL = 1e-9
 
 # to_grid defaults: node counts per dimension and half-width in standard deviations
 DEFAULT_POINTS_1D = 2048
@@ -36,10 +36,14 @@ def cholesky(mat: np.ndarray, what: str) -> np.ndarray:
         raise SingularityError(f"{what} is not positive definite") from exc
 
 
-def require_symmetric(mat: np.ndarray, what: str) -> None:
-    """ValueError unless max|A - A.T| <= 1e-10 * max(1, max|A|)."""
+def symmetric(mat: np.ndarray, what: str) -> np.ndarray:
+    """``symmetrize(mat)``; ValueError naming ``what`` if it has non-finite entries or
+    max|A - A.T| > 1e-10 * max(1, max|A|)."""
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} has non-finite entries")
     if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"{what} is not symmetric")
+    return symmetrize(mat)
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -79,10 +83,9 @@ class Gaussian:
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise DimensionError(f"cov shape {cov.shape} does not match mean length {d}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("mean and cov must be finite")
-        require_symmetric(cov, "cov")
-        cov = symmetrize(cov)
+        if not np.isfinite(mean).all():
+            raise ValueError("mean has non-finite entries")
+        cov = symmetric(cov, "cov")
         _set_fields(self, mean, cov, cholesky(cov, "cov"))
 
     @property
@@ -276,27 +279,6 @@ def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
         out[0] = to_grid(inputs[0], lower, upper, shape)
         grids = [out[0].grid]
     return tuple(d if isinstance(d, GridDensity) else _on_grid(d, grids[0]) for d in out)
-
-
-def check_simplex(weights, n: int) -> np.ndarray:
-    """Validate a finite nonnegative vector of length ``n`` summing to 1 within 1e-9."""
-    w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-    if w.shape != (n,):
-        raise SimplexError(f"weights must have length {n}, got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise SimplexError(f"weights must be finite, got {w}")
-    if np.any(w < 0.0):
-        raise SimplexError(f"weights must be nonnegative, got {w}")
-    if abs(float(np.sum(w)) - 1.0) > SIMPLEX_TOL:
-        raise SimplexError(f"weights must sum to 1, got sum {float(np.sum(w))!r}")
-    return w
-
-
-def whole_number(value, what: str) -> int:
-    """``value`` as an int: 2.0 is 2; ValueError naming ``what`` for 1.9, inf or nan."""
-    if not float(value).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value}")
-    return int(value)
 
 
 def shared_dim(gaussians, message: str) -> int:

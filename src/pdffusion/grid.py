@@ -47,6 +47,7 @@ from .errors import (
     DomainError,
     GridMismatchError,
     NotNormalizedError,
+    whole_number,
 )
 
 # Grids smaller than this per dimension are rejected outright.
@@ -121,10 +122,7 @@ class Grid:
     def __post_init__(self):
         lower = tuple(np.atleast_1d(np.asarray(self.lower, dtype=np.float64)).tolist())
         upper = tuple(np.atleast_1d(np.asarray(self.upper, dtype=np.float64)).tolist())
-        counts = np.atleast_1d(self.shape).tolist()
-        if not all(float(n).is_integer() for n in counts):
-            raise ValueError(f"node counts must be whole numbers, got {counts}")
-        shape = tuple(int(n) for n in counts)
+        shape = tuple(whole_number(n, "node count") for n in np.atleast_1d(self.shape).tolist())
         if not (len(lower) == len(upper) == len(shape)):
             raise DimensionError(
                 f"inconsistent lengths: lower {len(lower)}, upper {len(upper)}, shape {len(shape)}"

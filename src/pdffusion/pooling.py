@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import GridMismatchError, PositivityError, SimplexError
-from .gaussian import check_simplex, whole_number
+from .errors import check_simplex, finite_number, finite_vector, whole_number
 from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, normalize, require_same_grid
 
 # Holder exponents this close to zero are numerically meaningless; the limit
@@ -60,15 +60,11 @@ def _needs_positive(exponent: float) -> bool:
     return exponent <= 0.0
 
 
-def _power_exponent(alpha, not_finite="Holder exponent must be finite, got {!r}",
-                    near_zero="alpha too close to 0 for a stable power mean; use log_linear_pool for the limit"):
-    """``alpha`` as a float, or ValueError: ``not_finite`` (formatted with it) unless it is
-    finite, ``near_zero`` inside the band around 0. The messages default to the Holder pool's."""
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise ValueError(not_finite.format(alpha))
+def _power_exponent(alpha, what: str = "Holder exponent") -> float:
+    """``alpha`` as a finite float (`finite_number`); ValueError naming ``what`` inside the band around 0."""
+    alpha = finite_number(alpha, what)
     if abs(alpha) < ALPHA_ZERO_BAND:
-        raise ValueError(near_zero)
+        raise ValueError(f"{what} too close to 0 for a stable power mean; request its log limit instead")
     return alpha
 
 
@@ -85,11 +81,7 @@ class ChiTransform:
 
     def __post_init__(self):
         if self.kind is ChiKind.POWER:  # a missing alpha is refused as 0 is
-            alpha = _power_exponent(
-                0.0 if self.alpha is None else self.alpha,
-                "Power transform needs a finite alpha, got {!r}",
-                "Power transform needs alpha away from 0; use Log for the limit",
-            )
+            alpha = _power_exponent(0.0 if self.alpha is None else self.alpha, "Power transform alpha")
             object.__setattr__(self, "alpha", alpha)
         elif self.alpha is not None:
             raise ValueError(f"alpha is only meaningful for Power, not {self.kind.value}")
@@ -271,12 +263,7 @@ def multiplicative_pool(profile: OpinionProfile, q0: GridDensity, weights=None) 
     require_same_grid(profile.grid, q0.grid)
     if not q0.positive:
         raise PositivityError("calibrating pdf must be strictly positive")
-    K = profile.K
-    w = np.ones(K) if weights is None else np.atleast_1d(np.asarray(weights, dtype=np.float64))
-    if w.shape != (K,):
-        raise SimplexError(f"weights must have length {K}, got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise SimplexError("weights must be finite")
+    w = np.ones(profile.K) if weights is None else finite_vector(weights, profile.K, "weights", SimplexError)
     log_q0 = np.log(q0.values)
     log_q0 *= 1.0 - w.sum()
     return _power_mean(profile, w, 0.0, "multiplicative pooling", log_q0)

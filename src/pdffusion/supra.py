@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, RankError, SingularityError
-from .gaussian import Gaussian, from_information, pd_inverse, require_symmetric, symmetrize
+from .errors import DimensionError, RankError, SingularityError, finite_vector, whole_number
+from .gaussian import Gaussian, from_information, pd_inverse, symmetric, symmetrize
 from .grid import GridDensity, OpinionProfile
 from .pooling import multiplicative_pool
 
@@ -64,24 +64,18 @@ class LinearGaussianModel:
             if np.linalg.matrix_rank(h) < d_theta:
                 raise RankError(f"H block {k} is column rank deficient")
         d_y = sum(h.shape[0] for h in blocks)
-        sigma = np.atleast_2d(np.asarray(self.Sigma, dtype=np.float64)).copy()
+        sigma = np.atleast_2d(np.asarray(self.Sigma, dtype=np.float64))
         if sigma.shape != (d_y, d_y):
             raise DimensionError(f"Sigma shape {sigma.shape}, expected ({d_y}, {d_y})")
-        if not np.all(np.isfinite(sigma)):
-            raise ValueError("Sigma has non-finite entries")
-        require_symmetric(sigma, "Sigma")
-        sigma = symmetrize(sigma)
+        sigma = symmetric(sigma, "Sigma")
         eigs = np.linalg.eigvalsh(sigma)
         if eigs[0] < PSD_TOL * max(1.0, eigs[-1]):
             raise ValueError(f"Sigma has negative eigenvalue {eigs[0]:.3e}")
-        prior_mean = np.atleast_1d(np.asarray(self.prior_mean, dtype=np.float64)).copy()
-        prior_cov = np.atleast_2d(np.asarray(self.prior_cov, dtype=np.float64)).copy()
-        if prior_mean.shape != (d_theta,) or prior_cov.shape != (d_theta, d_theta):
+        prior_mean = finite_vector(self.prior_mean, d_theta, "prior mean")
+        prior_cov = np.atleast_2d(np.asarray(self.prior_cov, dtype=np.float64))
+        if prior_cov.shape != (d_theta, d_theta):
             raise DimensionError("prior dimensions do not match the parameter dimension")
-        if not np.all(np.isfinite(prior_mean)):
-            raise ValueError("prior mean has non-finite entries")
-        require_symmetric(prior_cov, "prior covariance")
-        prior_cov = symmetrize(prior_cov)
+        prior_cov = symmetric(prior_cov, "prior covariance")
         for arr in (*blocks, sigma, prior_mean, prior_cov):
             arr.flags.writeable = False
         object.__setattr__(self, "H_blocks", blocks)
@@ -210,21 +204,9 @@ class SupraFusionResult:
         return np.array([w[0, 0] for w in self.vector_weights]) if self.G.shape == (1, 1) else None
 
 
-def _finite_vector(x, length: int, what: str) -> np.ndarray:
-    """``x`` as a float vector; DimensionError unless it has ``length``
-    entries, ValueError naming its first non-finite entry."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.shape != (length,):
-        raise DimensionError(f"{what} length {x.shape}, expected ({length},)")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"{what} entry {bad[0]} is not finite ({x[bad[0]]})")
-    return x
-
-
 def local_statistics(model: LinearGaussianModel, y) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Per-agent statistics t_k = V_k y_k, stacked, plus the maps V_k."""
-    y = _finite_vector(y, model.d_y, "observation")
+    y = finite_vector(y, model.d_y, "observation")
     parts = [v @ y[lo:hi] for v, (lo, hi) in zip(model.V_blocks, model.spans)]
     return np.concatenate(parts), model.V_blocks
 
@@ -269,7 +251,7 @@ def vector_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
     covariance is invertible, the oracle posterior is filled in as well.
     """
     dt, K = model.d_theta, model.K
-    t = _finite_vector(t, K * dt, "statistic")
+    t = finite_vector(t, K * dt, "statistic")
     sti = model.sigma_tilde_inv
     ones = model.ones_kron
     _, sigma_hat_inv = global_likelihood_params(model)
@@ -284,7 +266,7 @@ def vector_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
     posterior = _conjugate_update(model, sigma_hat_inv, ones.T @ sti @ t, "fused posterior precision")
     oracle = None
     if y is not None:
-        y = _finite_vector(y, model.d_y, "observation")
+        y = finite_vector(y, model.d_y, "observation")
         if model.noise_precision is not None:  # the oracle needs invertible joint noise
             oracle = _observed_update(model, model.noise_precision, y, "oracle posterior precision")
     return SupraFusionResult(
@@ -304,24 +286,22 @@ def substituted_oracle(model: LinearGaussianModel, y) -> Gaussian:
     This reproduces the fused posterior exactly: the substitution is what
     discarding the raw observations in favor of the local statistics costs.
     """
-    y = _finite_vector(y, model.d_y, "observation")
+    y = finite_vector(y, model.d_y, "observation")
     M = model.V.T @ model.sigma_tilde_inv @ model.V
     return _observed_update(model, M, y, "substituted posterior precision")
 
 
 def _private_shared_counts(K, r0, r) -> tuple[int, int, np.ndarray]:
-    """K, r0 and the r_k as ints. ValueError unless each is a finite whole
-    number, r0 >= 0 and every r_k >= 1; DimensionError unless there are K r_k."""
+    """K, r0 and the r_k as ints. ValueError unless each is a whole number
+    (`whole_number`), r0 >= 0 and every r_k >= 1; DimensionError unless there are K r_k."""
+    K, r0 = whole_number(K, "K"), whole_number(r0, "shared count")
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    counts = np.concatenate([[K, r0], r.ravel()])
-    if not np.all(np.isfinite(counts)) or np.any(counts != np.round(counts)):
-        raise ValueError(f"counts must be finite whole numbers, got K={K}, r0={r0}, r={r.tolist()}")
-    K, r0 = int(K), int(r0)
+    counts = [whole_number(n, "private count") for n in r.ravel().tolist()]
     if K < 1 or r.shape != (K,):
         raise DimensionError(f"need K={K} private counts, got {r.size}")
-    if r0 < 0 or np.any(r < 1):
+    if r0 < 0 or min(counts) < 1:
         raise ValueError("private counts must be positive and the shared count nonnegative")
-    return K, r0, r.astype(np.int64)
+    return K, r0, np.array(counts, dtype=np.int64)
 
 
 def private_shared_model(K: int, r0: int, r) -> LinearGaussianModel:

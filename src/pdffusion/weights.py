@@ -27,9 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .divergence import kl
-from .errors import DegenerateError, NonConvergenceError
-from .errors import NotNormalizedError, PositivityError
-from .gaussian import check_simplex, cho_inverse, pd_inverse, shared_dim, whole_number
+from .errors import DegenerateError, NonConvergenceError, NotNormalizedError, PositivityError
+from .errors import check_simplex, whole_number
+from .gaussian import cho_inverse, pd_inverse, shared_dim
 from .grid import OpinionProfile
 from .pooling import log_linear_pool
 
@@ -195,6 +195,14 @@ def _min_kld_objective(profile: OpinionProfile) -> Objective:
     return objective
 
 
+def _check_profile(profile: OpinionProfile, what: str) -> None:
+    """PositivityError naming ``what`` unless the profile is strictly positive; ValueError for one agent."""
+    if not profile.positive:
+        raise PositivityError(f"{what} need a strictly positive profile")
+    if profile.K < 2:
+        raise ValueError("weight selection needs at least two agents")
+
+
 def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1e-6) -> WeightResult:
     """Weights minimizing the average KLD from the agents to their log-linear pool.
 
@@ -221,10 +229,7 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     NonConvergenceError
         After max_iter iterations; the error carries the best iterate.
     """
-    if not profile.positive:
-        raise PositivityError("minimum-KLD weights need a strictly positive profile")
-    if profile.K < 2:
-        raise ValueError("weight selection needs at least two agents")
+    _check_profile(profile, "minimum-KLD weights")
     if not all(q.normalized for q in profile.densities):
         raise NotNormalizedError("divergences are defined between normalized densities")
     return _minimize_on_simplex(_min_kld_objective(profile), profile.K, max_iter, tol)
@@ -248,10 +253,7 @@ def discrepancy_weights(profile: OpinionProfile) -> np.ndarray:
     DegenerateError
         If some agent's maximum discrepancy is zero (identical agents).
     """
-    if not profile.positive:
-        raise PositivityError("discrepancy weights need a strictly positive profile")
-    if profile.K < 2:
-        raise ValueError("weight selection needs at least two agents")
+    _check_profile(profile, "discrepancy weights")
     qs = profile.densities
     # D[a, b] = KL(q_a || q_b); no agent counts as its own rival
     D = np.array([[kl(p, q) if a != b else -np.inf for b, q in enumerate(qs)] for a, p in enumerate(qs)])

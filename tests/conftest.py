@@ -15,12 +15,13 @@ def _run(argv, env=None, **kwargs):
 
     The child gets ``env`` (by default this process's environment) with this
     pdffusion's source directory first on PYTHONPATH; ``kwargs`` go to
-    ``subprocess.run``.
+    ``subprocess.run``, and may name another ``stdout`` or ``stderr``.
     """
     env = dict(os.environ if env is None else env)
     src = str(Path(pdffusion.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(argv, env=env, capture_output=True, timeout=120, **kwargs)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run(argv, env=env, timeout=120, **kwargs)
 
 
 def _run_python(code, *args, env=None):

@@ -813,7 +813,7 @@ class TestSupra:
         result = runner.invoke(main, ["supra", "--private-shared", counts])
         assert result.exit_code == 2
         assert stderr_error(result) == "ValueError"
-        assert "finite whole numbers" in json.loads(result.stderr)["message"]
+        assert "must be a whole number" in json.loads(result.stderr)["message"]
 
     def test_unallocatable_model_exits_2(self, runner):
         # 1e9 private observations need a 6.94 EiB noise covariance, which numpy
@@ -873,7 +873,7 @@ class TestSupra:
     @pytest.mark.parametrize(
         "prior_mean, prior_cov, message",
         [
-            ("[NaN, 0.0]", "[[1.0, 0.0], [0.0, 1.0]]", "prior mean has non-finite entries"),
+            ("[NaN, 0.0]", "[[1.0, 0.0], [0.0, 1.0]]", "prior mean entry 0 is not finite (nan)"),
             ("[0.0, 0.0]", "[[NaN, 0.0], [0.0, 1.0]]", "prior covariance has non-finite entries"),
             ("[0.0, 0.0]", "[[1.0, 0.9], [-0.5, 1.0]]", "prior covariance is not symmetric"),
         ],
@@ -1038,6 +1038,23 @@ def test_entry_points_end_a_call_alike(run_process, tmp_path, args, close_stdout
         ends[name] = (result.returncode, result.stdout, result.stderr, written)
     assert ends["fast-exit"] == ends["teardown"]
     assert ends["fast-exit"][0] == status, ends["fast-exit"][2]
+
+
+@pytest.mark.parametrize(
+    "args", [["supra", "--private-shared", "4,1,4,4"], ["fig4", "-d", "figs"]], ids=["supra", "fig4"]
+)
+def test_broken_stdout_pipe_ends_a_call_with_status_1(run_process, tmp_path, args):
+    # the pipe's read end is closed before the call starts, so its output write always fails
+    for name, entry in (("fast-exit", ["-m", "pdffusion.cli"]), ("teardown", ["-c", TEARDOWN])):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_process([sys.executable, *entry, *args], cwd=cwd, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, b""), name
 
 
 @pytest.mark.parametrize(

@@ -419,6 +419,19 @@ class TestDispatcher:
             with pytest.raises(ValueError, match="alpha must be finite"):
                 D.DivergenceSpec(D.DivergenceKind.REVERSE_ALPHA, alpha=alpha)
 
+    @pytest.mark.parametrize("kind", [D.DivergenceKind.ALPHA, D.DivergenceKind.REVERSE_ALPHA])
+    def test_spec_alpha_is_a_float(self, kind):
+        # as a PoolingSpec's alpha is
+        for alpha in (2, "2", np.int64(2), np.float32(2.0)):
+            spec = D.DivergenceSpec(kind, alpha=alpha)
+            assert type(spec.alpha) is float and spec.alpha == 2.0
+        for alpha in ("two", "nan", -np.inf):
+            with pytest.raises(ValueError):
+                D.DivergenceSpec(kind, alpha=alpha)
+        for alpha in (0, "1", 1.0):
+            with pytest.raises(ValueError, match="^alpha may not be 0 or 1; those limits are the two KLDs$"):
+                D.DivergenceSpec(kind, alpha=alpha)
+
     @pytest.mark.parametrize(
         "kind, fields, ignored",
         [

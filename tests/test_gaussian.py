@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pdffusion import gaussian as G
 from pdffusion.divergence import kl
-from pdffusion.errors import DimensionError, GridMismatchError, SimplexError, SingularityError
+from pdffusion.errors import DimensionError, GridMismatchError, SimplexError, SingularityError, check_simplex
 from pdffusion.grid import Grid, OpinionProfile, integrate, moments
 from pdffusion.pooling import linear_pool, log_linear_pool
 
@@ -381,7 +381,7 @@ class TestMixtureMoments:
     def test_non_finite_weights_rejected(self):
         for w in ([np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]):
             with pytest.raises(SimplexError):
-                G.check_simplex(w, 2)
+                check_simplex(w, 2)
 
 
 class TestCiFuse:

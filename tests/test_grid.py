@@ -86,7 +86,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("shape", [(16.9,), (20.5, 32), (32, np.nan)])
     def test_node_counts_must_be_whole(self, shape):
-        with pytest.raises(ValueError, match="node counts must be whole numbers"):
+        with pytest.raises(ValueError, match="node count must be a whole number"):
             Grid([0.0] * len(shape), [1.0] * len(shape), shape)
 
     def test_whole_float_counts_are_kept(self):
@@ -94,7 +94,7 @@ class TestConstruction:
         assert to_grid(Gaussian([0.0], [[1.0]]), shape=(20.0,)).grid.shape == (20,)
 
     def test_to_grid_rejects_a_fractional_count(self):
-        with pytest.raises(ValueError, match="node counts must be whole numbers"):
+        with pytest.raises(ValueError, match="node count must be a whole number"):
             to_grid(Gaussian([0.0], [[1.0]]), shape=(20.5,))
 
     def test_only_one_or_two_dims(self):

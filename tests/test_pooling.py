@@ -282,6 +282,12 @@ class TestMultiplicativePool:
         with pytest.raises(GridMismatchError):
             P.multiplicative_pool(mirror_pair, q0)
 
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0], [1.0, np.nan], [np.inf, 1.0]])
+    def test_weights_of_the_wrong_length_or_not_finite(self, mirror_pair, weights):
+        # any real weights are allowed, but one per agent and finite
+        with pytest.raises(SimplexError):
+            P.multiplicative_pool(mirror_pair, gauss_grid(0.0, 4.0), weights)
+
 
 @pytest.mark.parametrize(
     "call, error",
@@ -474,7 +480,7 @@ class TestChiTransformPool:
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_power_alpha_must_be_finite(self, alpha):
-        with pytest.raises(ValueError, match="finite alpha"):
+        with pytest.raises(ValueError, match="Power transform alpha must be finite"):
             P.ChiTransform(P.ChiKind.POWER, alpha)
 
 
@@ -752,7 +758,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("alpha", [np.nan, 1e-9])
     def test_holder_alpha_refused_at_construction(self, alpha):
-        with pytest.raises(ValueError, match="^Holder exponent must be finite|^alpha too close to 0"):
+        with pytest.raises(ValueError, match="^Holder exponent must be finite|^Holder exponent too close to 0"):
             P.PoolingSpec(P.PoolingKind.HOLDER, weights=[0.5, 0.5], alpha=alpha)
 
 

@@ -94,7 +94,7 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_prior_mean_rejected(self, bad):
-        with pytest.raises(ValueError, match="prior mean has non-finite entries"):
+        with pytest.raises(ValueError, match="prior mean entry 1 is not finite"):
             S.LinearGaussianModel((np.eye(2),), np.eye(2), [0.0, bad], np.eye(2))
 
     def test_kept_factors_are_read_only_and_out_of_repr(self):
@@ -415,9 +415,9 @@ class TestPrivateShared:
         ],
     )
     def test_non_integral_counts_rejected(self, K, r0, r):
-        with pytest.raises(ValueError, match="finite whole numbers"):
+        with pytest.raises(ValueError, match="must be a whole number"):
             S.private_shared_model(K, r0, r)
-        with pytest.raises(ValueError, match="finite whole numbers"):
+        with pytest.raises(ValueError, match="must be a whole number"):
             S.private_shared_weights(K, r0, r)
 
     def test_integral_floats_accepted(self):

@@ -180,8 +180,12 @@ class TestMinKldWeights:
         vals = np.ones(64)
         vals[0] = 0.0
         d = normalize(from_samples([0.0], [1.0], (64,), vals))
-        with pytest.raises(PositivityError):
+        with pytest.raises(PositivityError, match="^minimum-KLD weights need a strictly positive profile$"):
             W.min_kld_weights(OpinionProfile((d, d)))
+
+    def test_one_agent_refused(self):
+        with pytest.raises(ValueError, match="^weight selection needs at least two agents$"):
+            W.min_kld_weights(OpinionProfile((gauss_grid(0.0, 1.0),)))
 
     def test_stall_profile_converges(self):
         # projected descent with finite-difference gradients stalled here
@@ -481,6 +485,17 @@ class TestDiscrepancyWeights:
         w = W.discrepancy_weights(OpinionProfile((gauss_grid(0.0, 1.0), gauss_grid(2.0, 1.0))))
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-9)
 
+    def test_positivity_required(self):
+        vals = np.ones(64)
+        vals[0] = 0.0
+        d = normalize(from_samples([0.0], [1.0], (64,), vals))
+        with pytest.raises(PositivityError, match="^discrepancy weights need a strictly positive profile$"):
+            W.discrepancy_weights(OpinionProfile((d, d)))
+
+    def test_one_agent_refused(self):
+        with pytest.raises(ValueError, match="^weight selection needs at least two agents$"):
+            W.discrepancy_weights(OpinionProfile((gauss_grid(0.0, 1.0),)))
+
     def test_identical_agents_degenerate(self):
         q = gauss_grid(0.0, 1.0)
         with pytest.raises(DegenerateError):
@@ -582,6 +597,10 @@ class TestCiWeights:
         res = W.ci_weights([Gaussian([0.0, 0.0], c) for c in covs], criterion)
         assert res.converged
         assert res.evaluations <= 25
+
+    def test_one_agent_refused(self):
+        with pytest.raises(ValueError, match="^weight selection needs at least two agents$"):
+            W.ci_weights([Gaussian([0.0], [[1.0]])])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
