@@ -43,7 +43,7 @@ from .errors import (
     RankError,
     SingularityError,
 )
-from .fileio import FLOAT_FMT, read_density_csv, read_gaussian_json, read_model_json, write_density_csv
+from .fileio import FLOAT_FMT, gaussian_payload, read_density_csv, read_gaussian_json, read_model_json, write_density_csv
 from .gaussian import Gaussian, common_grid
 from .grid import OpinionProfile, moments
 from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, pool
@@ -226,9 +226,9 @@ def pool_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0, xi0, inputs
     q0d = None if q0 is None else densities[len(inputs)]
     spec = _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0=q0d, xi0=xi0d)
     fused = pool(spec, profile)
-    mean, cov = moments(fused)  # before writing: moments refuses an unnormalized pool
+    payload = gaussian_payload(*moments(fused))  # before writing: moments refuses an unnormalized pool
     write_density_csv(output, fused)
-    click.echo(_json_line({"mean": mean.tolist(), "cov": cov.tolist()}))
+    click.echo(_json_line(payload))
 
 
 @main.command("divergence")
@@ -281,17 +281,9 @@ def weights_cmd(method, criterion, max_iter, tol, inputs):
         if method == "discrepancy":
             click.echo(_json_line({"weights": result.tolist()}))
             return
-    click.echo(
-        _json_line(
-            {
-                "weights": result.weights.tolist(),
-                "objective": result.objective,
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "gradient_norm": result.gradient_norm,
-            }
-        )
-    )
+    payload = dataclasses.asdict(result)  # the printed form predates the evaluation count and keeps its fields
+    del payload["evaluations"]
+    click.echo(_json_line({**payload, "weights": result.weights.tolist()}))
 
 
 @main.command("axiom-check")
@@ -310,21 +302,9 @@ def axiom_check_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, axiom, t
     """
     spec = _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha)
     report = axmod.check_axiom(spec, axiom, seed=seed, **_given(trials=trials, tol=tol))
-    payload = {
-        "axiom": report.axiom.value,
-        "kind": spec.kind.value,
-        "trials": report.trials,
-        "max_violation": report.max_violation,
-        "passed": report.passed,
-        "counterexample": None if report.counterexample is None else dataclasses.asdict(report.counterexample),
-    }
-    click.echo(_json_line(payload))
-
-
-def _gaussian_payload(g: Gaussian | None):
-    if g is None:
-        return None
-    return {"mean": g.mean.tolist(), "cov": g.cov.tolist()}
+    payload = dataclasses.asdict(report)  # the report, its spec named by kind
+    del payload["pooling"]
+    click.echo(_json_line({**payload, "axiom": report.axiom.value, "kind": spec.kind.value}))
 
 
 @main.command("supra")
@@ -378,8 +358,8 @@ def supra_cmd(model_path, private_shared, y_text, mode):
         payload["weights"] = [w.tolist() for w in res.vector_weights]
         payload["G"] = res.G.tolist()
     if y is not None:
-        payload["posterior"] = _gaussian_payload(res.posterior)
-        payload["oracle"] = _gaussian_payload(res.oracle)
+        payload["posterior"] = gaussian_payload(res.posterior.mean, res.posterior.cov)
+        payload["oracle"] = None if res.oracle is None else gaussian_payload(res.oracle.mean, res.oracle.cov)
     click.echo(_json_line(payload))
 
 

@@ -59,6 +59,12 @@ class DivergenceSpec:
             object.__setattr__(self, "alpha", alpha)
 
 
+def require_normalized(*densities) -> None:
+    """NotNormalizedError unless every density integrates to one, as a divergence's arguments must."""
+    if not all(d.normalized for d in densities):
+        raise NotNormalizedError("divergences are defined between normalized densities")
+
+
 def _integral(p, q, what: str, integrand, support: str | None = None) -> float:
     """The path of every divergence (see the module docstring): the integral
     of the product of the node arrays that ``integrand(p.values, q.values)`` returns.
@@ -67,8 +73,7 @@ def _integral(p, q, what: str, integrand, support: str | None = None) -> float:
     (SupportError), ``"positive"`` both strictly positive (PositivityError).
     """
     p, q = common_grid(p, q)
-    if not (p.normalized and q.normalized):
-        raise NotNormalizedError("divergences are defined between normalized densities")
+    require_normalized(p, q)
     if support == "positive" and not (p.positive and q.positive):
         raise PositivityError(f"{what} needs positive densities")
     if support in ("p", "q"):

@@ -3,9 +3,11 @@
 Grid densities travel as CSV with a single header line
 ``# dims,lower...,upper...,shape...`` followed by one value per line, one
 line per node in row-major order; a line with several values is rejected.
-Gaussians and linear fusion models travel as JSON. All floats are written
-with 17 significant digits so files round-trip bit-exactly and outputs are
-byte-reproducible.
+Gaussians and linear fusion models travel as JSON, written by one writer.
+`gaussian_payload` alone makes the ``{"mean", "cov"}`` object that Gaussian
+files and the command line's moments and posteriors share. All floats are
+written with 17 significant digits so files round-trip bit-exactly and
+outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -88,11 +90,19 @@ def _float_array(path, name: str, value) -> np.ndarray:
     raise ValueError(f"{path}: field {name!r} is not an array of numbers")
 
 
-def write_gaussian_json(path, g: Gaussian) -> None:
-    payload = {"mean": g.mean.tolist(), "cov": g.cov.tolist()}
+def gaussian_payload(mean: np.ndarray, cov: np.ndarray) -> dict:
+    """The JSON object of a Gaussian, or of a density's moments: ``{"mean": [...], "cov": [[...]]}``."""
+    return {"mean": mean.tolist(), "cov": cov.tolist()}
+
+
+def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
+
+
+def write_gaussian_json(path, g: Gaussian) -> None:
+    _write_json(path, gaussian_payload(g.mean, g.cov))
 
 
 def read_gaussian_json(path) -> Gaussian:
@@ -100,26 +110,22 @@ def read_gaussian_json(path) -> Gaussian:
     return Gaussian(_float_array(path, "mean", mean), _float_array(path, "cov", cov))
 
 
+# a model file's fields besides H_blocks, in the order LinearGaussianModel takes them
+_MODEL_ARRAYS = ("Sigma", "prior_mean", "prior_cov")
+
+
 def write_model_json(path, model: LinearGaussianModel) -> None:
-    payload = {
-        "H_blocks": [h.tolist() for h in model.H_blocks],
-        "Sigma": model.Sigma.tolist(),
-        "prior_mean": model.prior_mean.tolist(),
-        "prior_cov": model.prior_cov.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    arrays = {name: getattr(model, name).tolist() for name in _MODEL_ARRAYS}
+    _write_json(path, {"H_blocks": [h.tolist() for h in model.H_blocks], **arrays})
 
 
 def read_model_json(path) -> LinearGaussianModel:
     from .supra import LinearGaussianModel
 
-    names = ("Sigma", "prior_mean", "prior_cov")
-    blocks, *rest = _json_fields(path, "H_blocks", *names)
+    blocks, *rest = _json_fields(path, "H_blocks", *_MODEL_ARRAYS)
     if not isinstance(blocks, list):
         raise ValueError(f"{path}: field 'H_blocks' is not a list of matrices")
     return LinearGaussianModel(
         tuple(_float_array(path, f"H_blocks[{i}]", b) for i, b in enumerate(blocks)),
-        *(_float_array(path, name, value) for name, value in zip(names, rest)),
+        *(_float_array(path, name, value) for name, value in zip(_MODEL_ARRAYS, rest)),
     )

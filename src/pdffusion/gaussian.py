@@ -3,9 +3,9 @@
 Log-densities from each Gaussian's kept Cholesky factor,
 conversion to quadrature grids, moment matching of weighted mixtures, the
 covariance intersection rule (precision averaging, the closed-form
-counterpart of log-linear pooling), and the package's symmetry and
-positive-definiteness checks for every covariance-like matrix (`symmetric`,
-`cholesky`); the checks of numbers, vectors and weights live in `errors`.
+counterpart of log-linear pooling), and the checks of every covariance-like
+matrix: `symmetric` (conversion, size, finiteness, symmetry) and `cholesky`
+(positive definiteness); `errors` checks numbers, vectors and weights.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, SingularityError, check_simplex
+from .errors import DegenerateError, DimensionError, SingularityError, check_simplex, finite_vector
 from .grid import Grid, GridDensity, adopt_normalized, require_mass, require_same_grid
 
 SYMMETRY_TOL = 1e-10
@@ -36,9 +36,12 @@ def cholesky(mat: np.ndarray, what: str) -> np.ndarray:
         raise SingularityError(f"{what} is not positive definite") from exc
 
 
-def symmetric(mat: np.ndarray, what: str) -> np.ndarray:
-    """``symmetrize(mat)``; ValueError naming ``what`` if it has non-finite entries or
-    max|A - A.T| > 1e-10 * max(1, max|A|)."""
+def symmetric(mat, what: str, n: int) -> np.ndarray:
+    """``symmetrize(mat)`` of ``mat`` as a float matrix; DimensionError naming ``what`` unless it is
+    n x n, ValueError if it has non-finite entries or max|A - A.T| > 1e-10 * max(1, max|A|)."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
+    if mat.shape != (n, n):
+        raise DimensionError(f"{what} shape {mat.shape}, expected ({n}, {n})")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{what} has non-finite entries")
     if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(mat))):
@@ -75,17 +78,9 @@ class Gaussian:
     chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # mean is copied here and cov by symmetrize, so no caller array is kept
-        mean = np.array(self.mean, dtype=np.float64, ndmin=1)
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=np.float64))
-        if mean.ndim != 1 or cov.ndim != 2:
-            raise DimensionError("mean must be a vector and cov a matrix")
-        d = mean.shape[0]
-        if cov.shape != (d, d):
-            raise DimensionError(f"cov shape {cov.shape} does not match mean length {d}")
-        if not np.isfinite(mean).all():
-            raise ValueError("mean has non-finite entries")
-        cov = symmetric(cov, "cov")
+        # mean is copied by finite_vector and cov by symmetrize, so no caller array is kept
+        mean = finite_vector(self.mean, np.size(self.mean), "mean")
+        cov = symmetric(self.cov, "cov", mean.size)
         _set_fields(self, mean, cov, cholesky(cov, "cov"))
 
     @property

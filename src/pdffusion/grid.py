@@ -11,8 +11,10 @@ pairs a grid with node values and validates only those; it adopts a
 read-only, owned, C-contiguous float64 array of grid shape without a copy,
 which is how kernels hand over a full-grid result (see :func:`frozen`), and
 copies anything else. Whether a density is strictly positive and whether it
-integrates to one are read off its values here and nowhere else. Every other
-module reduces its non closed-form work to these objects.
+integrates to one are read off its values here and nowhere else, and an array
+given for a grid's nodes (a calibration function, a likelihood) is checked
+against its shape by :func:`grid_shaped`. Every other module reduces its non
+closed-form work to these objects.
 
 :func:`adopt_normalized` is the one normalization: it divides a fresh array,
 which only its caller holds, in place by its integral, and a new density
@@ -373,6 +375,14 @@ def require_same_grid(*grids: Grid) -> None:
     for other in grids[1:]:
         if other != first:
             raise GridMismatchError(f"grids differ: {first} vs {other}")
+
+
+def grid_shaped(values, grid: Grid, what: str) -> np.ndarray:
+    """``values`` as a float array; :class:`GridMismatchError` naming ``what`` unless it has ``grid``'s shape."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != grid.shape:
+        raise GridMismatchError(f"{what} shape {values.shape} does not match grid {grid.shape}")
+    return values
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import GridMismatchError, PositivityError, SimplexError
+from .errors import PositivityError, SimplexError
 from .errors import check_simplex, finite_number, finite_vector, whole_number
-from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, normalize, require_same_grid
+from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, grid_shaped, normalize, require_same_grid
 
 # Holder exponents this close to zero are numerically meaningless; the limit
 # is the log-linear pool and must be requested as such.
@@ -80,9 +80,10 @@ class ChiTransform:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind is ChiKind.POWER:  # a missing alpha is refused as 0 is
-            alpha = _power_exponent(0.0 if self.alpha is None else self.alpha, "Power transform alpha")
-            object.__setattr__(self, "alpha", alpha)
+        if self.kind is ChiKind.POWER:
+            if self.alpha is None:
+                raise ValueError("Power transform requires alpha")
+            object.__setattr__(self, "alpha", _power_exponent(self.alpha, "Power transform alpha"))
         elif self.alpha is not None:
             raise ValueError(f"alpha is only meaningful for Power, not {self.kind.value}")
 
@@ -205,13 +206,9 @@ def linear_pool(
 
 
 def _check_xi0(profile: OpinionProfile, xi0) -> np.ndarray:
-    xi = np.asarray(xi0, dtype=np.float64)
-    if xi.shape != profile.grid.shape:
-        raise GridMismatchError(f"xi0 shape {xi.shape} does not match grid {profile.grid.shape}")
-    if not np.all(np.isfinite(xi)):
-        raise PositivityError("xi0 must be finite (bounded on the grid)")
-    if np.any(xi <= 0.0):
-        raise PositivityError("xi0 must be strictly positive")
+    xi = grid_shaped(xi0, profile.grid, "xi0")
+    if not (np.all(np.isfinite(xi)) and np.all(xi > 0.0)):
+        raise PositivityError("xi0 must be finite and strictly positive")
     return xi
 
 
@@ -285,9 +282,7 @@ def dogmatic_pool(profile: OpinionProfile, q0: GridDensity) -> GridDensity:
 
 def bayes_update(q: GridDensity, ell) -> GridDensity:
     """Multiply a density by a nonnegative likelihood and renormalize."""
-    ell = np.asarray(ell, dtype=np.float64)
-    if ell.shape != q.grid.shape:
-        raise GridMismatchError(f"likelihood shape {ell.shape} does not match grid {q.grid.shape}")
+    ell = grid_shaped(ell, q.grid, "likelihood")
     if np.any(ell < 0.0) or not np.all(np.isfinite(ell)):
         raise ValueError("likelihood values must be finite and nonnegative")
     return adopt_normalized(q.grid, q.values * ell)

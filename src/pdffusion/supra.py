@@ -64,18 +64,12 @@ class LinearGaussianModel:
             if np.linalg.matrix_rank(h) < d_theta:
                 raise RankError(f"H block {k} is column rank deficient")
         d_y = sum(h.shape[0] for h in blocks)
-        sigma = np.atleast_2d(np.asarray(self.Sigma, dtype=np.float64))
-        if sigma.shape != (d_y, d_y):
-            raise DimensionError(f"Sigma shape {sigma.shape}, expected ({d_y}, {d_y})")
-        sigma = symmetric(sigma, "Sigma")
+        sigma = symmetric(self.Sigma, "Sigma", d_y)
         eigs = np.linalg.eigvalsh(sigma)
         if eigs[0] < PSD_TOL * max(1.0, eigs[-1]):
             raise ValueError(f"Sigma has negative eigenvalue {eigs[0]:.3e}")
         prior_mean = finite_vector(self.prior_mean, d_theta, "prior mean")
-        prior_cov = np.atleast_2d(np.asarray(self.prior_cov, dtype=np.float64))
-        if prior_cov.shape != (d_theta, d_theta):
-            raise DimensionError("prior dimensions do not match the parameter dimension")
-        prior_cov = symmetric(prior_cov, "prior covariance")
+        prior_cov = symmetric(self.prior_cov, "prior covariance", d_theta)
         for arr in (*blocks, sigma, prior_mean, prior_cov):
             arr.flags.writeable = False
         object.__setattr__(self, "H_blocks", blocks)
@@ -345,12 +339,8 @@ def multiplicative_posterior_fusion(
 
 
 def expfam_fuse_statistics(t_list, t0) -> np.ndarray:
-    """Sum the local natural statistics onto the prior statistic."""
-    t0 = np.atleast_1d(np.asarray(t0, dtype=np.float64))
-    out = t0.copy()
+    """Sum the local natural statistics onto the prior statistic, all finite vectors of one length."""
+    out = finite_vector(t0, np.size(t0), "prior statistic")
     for i, t in enumerate(t_list):
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if t.shape != t0.shape:
-            raise DimensionError(f"statistic {i} has shape {t.shape}, expected {t0.shape}")
-        out = out + t
+        out += finite_vector(t, out.size, f"statistic {i}")
     return out

@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .divergence import kl
-from .errors import DegenerateError, NonConvergenceError, NotNormalizedError, PositivityError
+from .divergence import kl, require_normalized
+from .errors import DegenerateError, NonConvergenceError, PositivityError
 from .errors import check_simplex, whole_number
 from .gaussian import cho_inverse, pd_inverse, shared_dim
 from .grid import OpinionProfile
@@ -195,12 +195,20 @@ def _min_kld_objective(profile: OpinionProfile) -> Objective:
     return objective
 
 
+def _agent_count(agents) -> int:
+    """``len(agents)``; ValueError for fewer than two, between which there is nothing to weigh."""
+    if len(agents) < 2:
+        raise ValueError("weight selection needs at least two agents")
+    return len(agents)
+
+
 def _check_profile(profile: OpinionProfile, what: str) -> None:
-    """PositivityError naming ``what`` unless the profile is strictly positive; ValueError for one agent."""
+    """PositivityError naming ``what`` unless the profile is strictly positive, ValueError for one
+    agent, then NotNormalizedError unless it is normalized, as the KLDs that weigh it need."""
     if not profile.positive:
         raise PositivityError(f"{what} need a strictly positive profile")
-    if profile.K < 2:
-        raise ValueError("weight selection needs at least two agents")
+    _agent_count(profile.densities)
+    require_normalized(*profile.densities)
 
 
 def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1e-6) -> WeightResult:
@@ -230,8 +238,6 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
         After max_iter iterations; the error carries the best iterate.
     """
     _check_profile(profile, "minimum-KLD weights")
-    if not all(q.normalized for q in profile.densities):
-        raise NotNormalizedError("divergences are defined between normalized densities")
     return _minimize_on_simplex(_min_kld_objective(profile), profile.K, max_iter, tol)
 
 
@@ -284,9 +290,7 @@ def ci_weights(
         After max_iter iterations; the error carries the best iterate.
     """
     gaussians = list(gaussians)
-    K = len(gaussians)
-    if K < 2:
-        raise ValueError("weight selection needs at least two agents")
+    K = _agent_count(gaussians)
     d = shared_dim(gaussians, "fusion inputs must share a dimension")
     precisions = np.stack([cho_inverse(g.chol) for g in gaussians]).reshape(K, d * d)
 

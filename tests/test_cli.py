@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdffusion.axioms import Axiom, check_axiom
 from pdffusion.cli import main
 from pdffusion.divergence import DivergenceKind, DivergenceSpec, evaluate
 from pdffusion.errors import (
@@ -27,6 +29,7 @@ from pdffusion.errors import (
 from pdffusion.fileio import (
     FLOAT_FMT,
     read_density_csv,
+    read_gaussian_json,
     write_density_csv,
     write_gaussian_json,
     write_model_json,
@@ -35,6 +38,7 @@ from pdffusion.gaussian import Gaussian, ci_fuse, common_grid, to_grid
 from pdffusion.grid import GridDensity, OpinionProfile, from_samples, moments, normalize
 from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, fields_read, pool
 from pdffusion.supra import LinearGaussianModel, private_shared_model
+from pdffusion.weights import CICriterion, ci_weights, discrepancy_weights, min_kld_weights
 
 from closed_forms import power_mean
 
@@ -285,13 +289,8 @@ def _simplex(counts) -> list[float]:
     return [c / sum(counts) for c in counts]
 
 
-@st.composite
-def pool_calls(draw):
-    """A valid ``pool`` call: (kind, input names, flag -> value), each value as the library takes it."""
-    kind, chi = draw(st.sampled_from(KIND_CHOICES))
-    dim = draw(st.sampled_from([1, 2]))
-    inputs = draw(st.lists(st.sampled_from(CSVS[dim]), min_size=2, max_size=3))
-    K = len(inputs)
+def _rule_flags(draw, kind, chi, K) -> dict:
+    """The flags of a valid pooling rule of ``kind`` (and transform ``chi``) for ``K`` agents, less --q0 and --xi0."""
     flags = {}
     reads = fields_read(kind)
     counts = st.integers(0, 10)
@@ -306,29 +305,46 @@ def pool_calls(draw):
         flags["alpha"] = draw(EXPONENTS)
     if "dictator" in reads:
         flags["dictator"] = draw(st.integers(1, K))
-    if "q0" in reads:
-        flags["q0"] = draw(st.sampled_from(CSVS[dim]))
-    if "xi0" in reads:
-        flags["xi0"] = draw(st.sampled_from(XI0S[dim]))
     if chi is not None:
         flags["chi"] = chi
         if chi is ChiKind.POWER:
             flags["chi_alpha"] = draw(EXPONENTS)
+    return flags
+
+
+@st.composite
+def pool_calls(draw):
+    """A valid ``pool`` call: (kind, input names, flag -> value), each value as the library takes it."""
+    kind, chi = draw(st.sampled_from(KIND_CHOICES))
+    dim = draw(st.sampled_from([1, 2]))
+    inputs = draw(st.lists(st.sampled_from(CSVS[dim]), min_size=2, max_size=3))
+    flags = _rule_flags(draw, kind, chi, len(inputs))
+    reads = fields_read(kind)
+    if "q0" in reads:
+        flags["q0"] = draw(st.sampled_from(CSVS[dim]))
+    if "xi0" in reads:
+        flags["xi0"] = draw(st.sampled_from(XI0S[dim]))
     return kind, inputs, flags
 
 
-def _cli_args(kind, inputs, flags, out):
-    args = ["pool", "--kind", kind.value]
+def _flag_args(flags) -> list[str]:
+    """The command line options that set ``flags``, in their order."""
+    args = []
     for name, value in flags.items():
         option = "--" + name.replace("_", "-")
         if name == "weights":
             args += [option, ",".join(repr(float(w)) for w in value)]
         elif name in ("q0", "xi0"):
             args += [option, str(CORPUS_INPUTS / value)]
-        elif name == "chi":
+        elif name in ("chi", "criterion"):
             args += [option, value.value]
         else:
             args += [option, repr(value)]
+    return args
+
+
+def _cli_args(kind, inputs, flags, out):
+    args = ["pool", "--kind", kind.value, *_flag_args(flags)]
     return args + [str(CORPUS_INPUTS / name) for name in inputs] + ["-o", str(out)]
 
 
@@ -348,6 +364,11 @@ def _library_exit(call):
         return 2, ""
 
 
+def _json_line(payload) -> str:
+    """``payload`` as the CLI prints it: one sorted JSON line."""
+    return json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
+
+
 def _library_pool(kind, inputs, flags, out):
     """(exit code, stdout) of the call done with the library, writing the pooled CSV to ``out``."""
 
@@ -365,8 +386,7 @@ def _library_pool(kind, inputs, flags, out):
         fused = pool(spec, OpinionProfile(tuple(_read(name) for name in inputs)))
         mean, cov = moments(fused)
         write_density_csv(out, fused)
-        line = json.dumps({"mean": mean.tolist(), "cov": cov.tolist()}, sort_keys=True, separators=(", ", ": "))
-        return line + "\n"
+        return _json_line({"mean": mean.tolist(), "cov": cov.tolist()})
 
     return _library_exit(call)
 
@@ -423,14 +443,104 @@ class TestDivergenceEqualsTheLibrary:
     @example((DivergenceKind.CHI_DISTANCE, ["a2.csv", "b2.csv"], {"chi": ChiKind.POWER, "chi_alpha": -0.5}))
     def test_divergence(self, call):
         kind, inputs, flags = call
-        args = ["divergence", "--kind", kind.value]
-        for name, value in flags.items():
-            args += ["--" + name.replace("_", "-"), value.value if name == "chi" else repr(value)]
+        args = ["divergence", "--kind", kind.value, *_flag_args(flags)]
         result = CliRunner().invoke(main, args + [str(CORPUS_INPUTS / name) for name in inputs])
         chi = ChiTransform(flags["chi"], flags.get("chi_alpha")) if "chi" in flags else None
         spec = DivergenceSpec(kind, alpha=flags.get("alpha"), chi=chi)
         code, value = _library_exit(lambda: evaluate(spec, *map(_read, inputs)))
         assert (result.exit_code, result.stdout) == (code, FLOAT_FMT % value + "\n" if code == 0 else ""), result.stderr
+
+
+# the corpus's Gaussian JSON files, which ci weights read
+JSONS = ("a.json", "b.json")
+
+
+@st.composite
+def weights_calls(draw):
+    """A valid ``weights`` call: (method, input names, flag -> value), only the flags the method reads, each drawn or unset."""
+    method = draw(st.sampled_from(["min-kld", "discrepancy", "ci"]))
+    dim = draw(st.sampled_from([1, 2]))
+    names = JSONS if method == "ci" else CSVS[dim]
+    inputs = draw(st.lists(st.sampled_from(names), min_size=2, max_size=3))
+    drawn = {}
+    if method == "ci":
+        drawn["criterion"] = st.sampled_from(CICriterion)
+    if method != "discrepancy":
+        drawn["max_iter"] = st.integers(1, 30)
+        drawn["tol"] = st.floats(1e-10, 1e-2)
+    flags = {name: draw(value) for name, value in drawn.items() if draw(st.booleans())}
+    return method, inputs, flags
+
+
+def _library_weights(method, inputs, flags) -> tuple[int, str]:
+    """(exit code, stdout) of the ``weights`` call done with the library, the unset flags left to its defaults."""
+
+    def call():
+        if method == "discrepancy":
+            w = discrepancy_weights(OpinionProfile(tuple(map(_read, inputs))))
+            return _json_line({"weights": w.tolist()})
+        if method == "ci":
+            res = ci_weights([read_gaussian_json(CORPUS_INPUTS / name) for name in inputs], **flags)
+        else:
+            res = min_kld_weights(OpinionProfile(tuple(map(_read, inputs))), **flags)
+        fields = ("objective", "iterations", "converged", "gradient_norm")
+        return _json_line({"weights": res.weights.tolist(), **{f: getattr(res, f) for f in fields}})
+
+    return _library_exit(call)
+
+
+class TestWeightsEqualsTheLibrary:
+    """``weights`` on the corpus inputs prints what the library selects, or exits with its error's code.
+
+    Both sides run the same numerics in one process, so min-KLD and ci
+    weights are compared at every printed digit.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights_calls())
+    @example(("min-kld", ["a.csv", "z1.csv"], {}))
+    @example(("min-kld", ["a.csv", "b.csv", "c.csv"], {"max_iter": 1}))
+    @example(("min-kld", ["a2.csv", "b2.csv"], {"tol": 1e-3}))
+    @example(("discrepancy", ["a.csv", "a.csv"], {}))
+    @example(("ci", ["a.json", "b.json"], {"criterion": CICriterion.LOGDET, "max_iter": 2, "tol": 1e-9}))
+    def test_weights(self, call):
+        method, inputs, flags = call
+        args = ["weights", "--method", method, *_flag_args(flags)]
+        result = CliRunner().invoke(main, args + [str(CORPUS_INPUTS / name) for name in inputs])
+        code, stdout = _library_weights(method, inputs, flags)
+        assert (result.exit_code, result.stdout) == (code, stdout), result.stderr
+
+
+@st.composite
+def axiom_calls(draw):
+    """A valid ``axiom-check`` call: (kind, rule flags, axiom, trials, seed)."""
+    kind, chi = draw(st.sampled_from(KIND_CHOICES))
+    flags = _rule_flags(draw, kind, chi, draw(st.integers(2, 3)))
+    return kind, flags, draw(st.sampled_from(Axiom)), draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestAxiomCheckEqualsTheLibrary:
+    """``axiom-check`` prints ``check_axiom``'s report, its spec named by kind, or exits with its error's code."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(axiom_calls())
+    @example((PoolingKind.HOLDER, {"weights": [0.35, 0.65], "alpha": -1.0}, Axiom.A2, 3, 0))
+    @example((PoolingKind.LINEAR, {"weights": [0.4, 0.6]}, Axiom.A1, 3, 5))
+    @example((PoolingKind.CHI_TRANSFORM, {"weights": [0.3, 0.7], "chi": ChiKind.LOG}, Axiom.A12, 2, 3))
+    def test_axiom_check(self, call):
+        kind, flags, axiom, trials, seed = call
+        args = ["axiom-check", "--kind", kind.value, *_flag_args(flags), "--axiom", axiom.value]
+        result = CliRunner().invoke(main, args + ["--trials", str(trials), "--seed", str(seed)])
+        chi = ChiTransform(flags["chi"], flags.get("chi_alpha")) if "chi" in flags else None
+        spec = PoolingSpec(kind, **{k: v for k, v in flags.items() if k not in ("chi", "chi_alpha")}, chi=chi)
+
+        def call_library():
+            payload = dataclasses.asdict(check_axiom(spec, axiom, trials=trials, seed=seed))
+            payload["kind"] = payload.pop("pooling")["kind"].value
+            return _json_line({**payload, "axiom": axiom.value})
+
+        code, stdout = _library_exit(call_library)
+        assert (result.exit_code, result.stdout) == (code, stdout), result.stderr
 
 
 class TestDivergence:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdffusion import divergence as D
@@ -550,3 +550,82 @@ def test_divergent_or_wide_integrand(p, q, alpha):
             divergence()
     else:
         _assert_close(divergence(), exact)
+
+
+def _bumps(rng, lower, upper, n, zeros=0):
+    """A random positive three-bump density normalized on its own 1-D grid; ``zeros`` leading nodes set to 0."""
+    x = np.linspace(lower, upper, n)
+    width = upper - lower
+    vals = np.zeros(n)
+    for _ in range(3):
+        mu = rng.uniform(lower + 0.2 * width, upper - 0.2 * width)
+        sd = rng.uniform(0.08, 0.3) * width
+        vals += rng.uniform(0.2, 1.0) * np.exp(-0.5 * ((x - mu) / sd) ** 2)
+    vals[:zeros] = 0.0
+    return normalize(from_samples([lower], [upper], (n,), vals))
+
+
+def _product(dx, dy):
+    """The separable 2-D density dx(x) dy(y) on the tensor grid of their two 1-D grids."""
+    lower, upper = dx.grid.lower + dy.grid.lower, dx.grid.upper + dy.grid.upper
+    return from_samples(lower, upper, (dx.grid.shape[0], dy.grid.shape[0]), np.multiply.outer(dx.values, dy.values))
+
+
+def _l2_terms(p, q):
+    """The three terms of the squared L2 distance, the integrals of p^2, p q and q^2."""
+    return tuple(p.grid.integral(a.values, b.values) for a, b in ((p, p), (p, q), (q, q)))
+
+
+def _assert_relative(value, exact, tol=1e-12):
+    assert abs(value - exact) <= tol * abs(exact), (value, exact)
+
+
+class TestSeparableTwoDimensional:
+    """For p = p_x (x) p_y and q = q_x (x) q_y on a tensor grid, the tensor trapezoid rule of a
+    product is the product of the 1-D rules, so each 2-D divergence follows from four 1-D ones:
+    KL, reverse KL and cross-entropy add; the alpha-affinity, 1 + chi^2 and each L2 term multiply.
+    No closed form is needed, and the 1-D densities need not be Gaussian."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(16, 160), st.integers(16, 160)),
+        lower=st.tuples(st.floats(-6.0, 0.0), st.floats(-6.0, 0.0)),
+        width=st.tuples(st.floats(4.0, 12.0), st.floats(4.0, 12.0)),
+        zeros=st.booleans(),
+        alpha=st.floats(-1.5, 2.5).filter(lambda a: min(abs(a), abs(a - 1.0)) >= 0.05),
+    )
+    # equal node counts on unequal spacings: axes swapped anywhere fail by value, not by shape
+    @example(seed=7, shape=(64, 64), lower=(-4.0, -1.0), width=(8.0, 12.0), zeros=False, alpha=0.5)
+    @example(seed=8, shape=(64, 64), lower=(-4.0, -1.0), width=(8.0, 12.0), zeros=True, alpha=2.5)
+    def test_divergences_of_products(self, seed, shape, lower, width, zeros, alpha):
+        rng = np.random.default_rng(seed)
+        (nx, ny), (lx, ly), (wx, wy) = shape, lower, width
+        # p_x vanishes on its first nodes: only the kinds whose support rule lets p vanish see it
+        px = _bumps(rng, lx, lx + wx, nx, zeros=nx // 4 if zeros else 0)
+        qx = _bumps(rng, lx, lx + wx, nx)
+        py, qy = _bumps(rng, ly, ly + wy, ny), _bumps(rng, ly, ly + wy, ny)
+        p, q = _product(px, py), _product(qx, qy)
+        assert p.normalized and q.normalized
+        assert p.positive != zeros and q.positive
+
+        for fn in (D.kl, D.cross_entropy) if zeros else (D.kl, D.reverse_kl, D.cross_entropy):
+            _assert_relative(fn(p, q), fn(px, qx) + fn(py, qy))
+
+        def affinity(a, b):
+            return 1.0 + alpha * (alpha - 1.0) * D.alpha_div(a, b, alpha)
+
+        if alpha > 0.0 or not zeros:  # at alpha < 0 q must vanish wherever p does
+            _assert_relative(affinity(p, q), affinity(px, qx) * affinity(py, qy))
+
+        def one_plus_chi2(a, b):
+            return 1.0 + D.pearson_chi2(a, b)
+
+        _assert_relative(one_plus_chi2(p, q), one_plus_chi2(px, qx) * one_plus_chi2(py, qy))
+
+        terms = [tx * ty for tx, ty in zip(_l2_terms(px, qx), _l2_terms(py, qy))]
+        for term, exact in zip(_l2_terms(p, q), terms):
+            _assert_relative(term, exact)
+        # l2 sums the terms with signs +, -2, +; its round-off scales with their magnitudes
+        pp, pq, qq = terms
+        assert abs(D.l2(p, q) - (pp - 2.0 * pq + qq)) <= 1e-12 * (pp + 2.0 * pq + qq)

@@ -32,8 +32,10 @@ class TestGaussianType:
             G.Gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"^cov shape \(1, 1\), expected \(2, 2\)$"):
             G.Gaussian([0.0, 0.0], [[1.0]])
+        with pytest.raises(DimensionError, match=r"^mean length \(2, 1\), expected \(2,\)$"):
+            G.Gaussian([[0.0], [0.0]], np.eye(2))
 
     def test_scalar_inputs_promoted(self):
         g = G.Gaussian(0.0, 1.0)

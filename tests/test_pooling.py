@@ -135,7 +135,14 @@ class TestLogLinearPool:
     def test_xi0_must_be_positive(self, mirror_pair):
         xi0 = np.ones(2048)
         xi0[5] = 0.0
-        with pytest.raises(PositivityError):
+        with pytest.raises(PositivityError, match="^xi0 must be finite and strictly positive$"):
+            P.log_linear_pool(mirror_pair, [0.5, 0.5], xi0=xi0)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_xi0_must_be_finite_and_positive(self, mirror_pair, bad):
+        xi0 = np.ones(2048)
+        xi0[5] = bad
+        with pytest.raises(PositivityError, match="^xi0 must be finite and strictly positive$"):
             P.log_linear_pool(mirror_pair, [0.5, 0.5], xi0=xi0)
 
 
@@ -473,7 +480,7 @@ class TestChiTransformPool:
         np.testing.assert_array_equal(got.values, want.values)
 
     def test_power_needs_alpha(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Power transform requires alpha$"):
             P.ChiTransform(P.ChiKind.POWER)
         with pytest.raises(ValueError):
             P.ChiTransform(P.ChiKind.LOG, 2.0)

@@ -77,6 +77,18 @@ class TestModelValidation:
         assert eigs[0] < 1e-12
         assert model.K == 3
 
+    @pytest.mark.parametrize(
+        "sigma, prior_cov, message",
+        [
+            (np.eye(3), np.eye(2), r"^Sigma shape \(3, 3\), expected \(2, 2\)$"),
+            (np.eye(2), np.eye(2), r"^prior covariance shape \(2, 2\), expected \(1, 1\)$"),
+            (np.eye(2), [1.0, 1.0], r"^prior covariance shape \(1, 2\), expected \(1, 1\)$"),
+        ],
+    )
+    def test_matrix_of_the_wrong_size_names_the_expected_shape(self, sigma, prior_cov, message):
+        with pytest.raises(DimensionError, match=message):
+            S.LinearGaussianModel((np.ones((1, 1)), np.ones((1, 1))), sigma, np.zeros(1), prior_cov)
+
     def test_prior_must_be_pd(self):
         with pytest.raises(SingularityError):
             S.LinearGaussianModel((np.ones((1, 1)),), np.eye(1), np.zeros(1), np.zeros((1, 1)))
@@ -520,3 +532,10 @@ class TestExpfam:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             S.expfam_fuse_statistics([(1.0,), (2.0, 3.0)], (0.0,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistic_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^statistic 1 entry 0 is not finite"):
+            S.expfam_fuse_statistics([(1.0, 2.0), (bad, 4.0)], (0.0, 0.0))
+        with pytest.raises(ValueError, match=r"^prior statistic entry 1 is not finite"):
+            S.expfam_fuse_statistics([(1.0, 2.0)], (0.0, bad))
