@@ -14,6 +14,7 @@ the command line loads just the modules its subcommand runs that way.
 from __future__ import annotations
 
 import importlib
+import os
 
 __version__ = "0.1.0"
 
@@ -125,3 +126,18 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _one_blas_thread() -> None:
+    """One thread per BLAS pool unless the user set a count; a process entry calls it before numpy
+    loads. A CLI call multiplies by vectors and K-row matrices, which more threads do not speed up."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+
+
+def _console_script() -> None:
+    """The ``pdffusion`` console script: ``cli.run`` with one BLAS thread."""
+    _one_blas_thread()
+    from .cli import run
+
+    run()

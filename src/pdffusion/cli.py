@@ -16,7 +16,8 @@ are executed on their first attribute access (see ``_deferred``).
 
 ``run`` is the process entry of ``python -m pdffusion.cli`` and of the
 ``pdffusion`` console script: it ends the process once the call's output is
-out, without interpreter teardown, so ``atexit`` handlers do not run. Code
+out, without interpreter teardown, so ``atexit`` handlers do not run; both
+entries first ask for one BLAS thread (``pdffusion._one_blas_thread``). Code
 that embeds the CLI, and its tests, call the click group ``main``, which
 never ends the process itself.
 """
@@ -31,6 +32,11 @@ import json
 import os
 import sys
 from typing import NoReturn
+
+if __name__ == "__main__":  # `python -m pdffusion.cli`, before numpy is imported
+    from . import _one_blas_thread
+
+    _one_blas_thread()
 
 import click
 import numpy as np

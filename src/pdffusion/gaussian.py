@@ -38,10 +38,11 @@ def cholesky(mat: np.ndarray, what: str) -> np.ndarray:
 
 def symmetric(mat, what: str, n: int) -> np.ndarray:
     """``symmetrize(mat)`` of ``mat`` as a float matrix; DimensionError naming ``what`` unless it is
-    n x n, ValueError if it has non-finite entries or max|A - A.T| > 1e-10 * max(1, max|A|)."""
+    n x n with n >= 1, ValueError if it has non-finite entries or max|A - A.T| > 1e-10 * max(1, max|A|)."""
     mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    if mat.shape != (n, n):
-        raise DimensionError(f"{what} shape {mat.shape}, expected ({n}, {n})")
+    if n < 1 or mat.shape != (n, n):
+        expected = f"({n}, {n})" if n >= 1 else "at least (1, 1)"
+        raise DimensionError(f"{what} shape {mat.shape}, expected {expected}")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{what} has non-finite entries")
     if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(mat))):

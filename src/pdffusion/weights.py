@@ -14,8 +14,8 @@ derivatives are computed only where the descent uses them: the gradient at
 accepted iterates, the Hessian before a Newton step, so a line-search trial
 or the final iterate costs one evaluation of the value. The min-KLD
 coefficients come from one K x K product of the agents' quadrature masses
-and log-densities, its Hessian from their K(K+1)/2 pairwise log products,
-formed once per call at the cost of as many grid arrays.
+and log-densities, each Hessian from one K x K product of the
+log-densities with their pooled weights: 2K + 1 grid arrays per call.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 from .divergence import kl, require_normalized
 from .errors import DegenerateError, NonConvergenceError, PositivityError
 from .errors import check_simplex, whole_number
-from .gaussian import cho_inverse, pd_inverse, shared_dim
+from .gaussian import cho_inverse, pd_inverse, shared_dim, symmetrize
 from .grid import OpinionProfile
 from .pooling import log_linear_pool
 
@@ -153,27 +153,22 @@ def _min_kld_objective(profile: OpinionProfile) -> Objective:
     The value at w is the log normalizer of the unnormalized geometric
     mean, m + log z with z the integral of exp(w @ logs - m), plus w @ b.
     The gradient is the pooled mean of each log-density plus its KLD
-    coefficient b, the Hessian their pooled covariance: the pooled means of
-    the pairwise products l_a l_b, formed once, minus the outer product of
-    the means. Each pooled mean is one matrix-vector product with the
-    quadrature-weighted exp, divided by z only on its K or K(K+1)/2 entries.
-    Every evaluation writes that exp into one buffer, so its derivatives
-    hold until the next evaluation.
+    coefficient b, the Hessian their pooled covariance: the K x K product of
+    the log-densities weighted by the pooled weights with the log-densities,
+    minus the outer product of the means. Each is divided by z only on its
+    K or K x K entries. Every evaluation writes the quadrature-weighted exp
+    into one buffer, so its derivatives hold until the next evaluation.
+    Memory: the K log-densities, a K-row scratch and that buffer, 2K + 1 grid arrays.
     """
     K = profile.K
     logs = profile.log_values.reshape(K, -1)
     quad = profile.grid.quad_weights.reshape(-1)
     # b_j, the coefficient of w_j in the KLD average, is column j's mean of
     # D[a, b] = M[a, a] - M[a, b], M[a, b] the integral of q_a log q_b; the
-    # masses quad * q_a overwrite the profile's fresh stack, freed before prods
-    mass = profile.values.reshape(K, -1)
-    M = np.multiply(mass, quad, out=mass) @ logs.T
-    del mass
+    # masses quad * q_a overwrite the profile's fresh stack, each Hessian's scratch
+    scratch = profile.values.reshape(K, -1)
+    M = np.multiply(scratch, quad, out=scratch) @ logs.T
     b = (np.trace(M) - M.sum(axis=0)) / K
-    rows, cols = np.triu_indices(K)
-    prods = np.empty((rows.size, logs.shape[1]))
-    for row, a, c in zip(prods, rows, cols):
-        np.multiply(logs[a], logs[c], out=row)
     p = np.empty(logs.shape[1])  # every evaluation's buffer: s, then the pooled weights quad * exp(s - m)
 
     def objective(w: np.ndarray) -> tuple[float, Derivative, Derivative]:
@@ -186,9 +181,7 @@ def _min_kld_objective(profile: OpinionProfile) -> Objective:
         mean = functools.cache(lambda: logs @ p / z)
 
         def hessian() -> np.ndarray:
-            second = np.empty((K, K))
-            second[rows, cols] = second[cols, rows] = prods @ p / z
-            return second - np.outer(mean(), mean())
+            return symmetrize(np.multiply(logs, p, out=scratch) @ logs.T) / z - np.outer(mean(), mean())
 
         return m + np.log(z) + float(w @ b), lambda: mean() + b, hessian
 
@@ -219,12 +212,11 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     agent log-densities taken once (see ``_min_kld_objective``). Each value
     is one weighted sum of log-densities and one exp pass; the gradient,
     computed at accepted iterates only, adds one pass over the K
-    log-densities, and the Hessian, computed before each Newton step, one
-    over their K(K+1)/2 pairwise products. Memory: the K log-densities, the
-    K(K+1)/2 products and one evaluation buffer live for the whole call,
-    K(K+1)/2 + K + 1 grid arrays; the K-array scratch of the KLD coefficients
-    is freed before the products are formed, and nothing else of grid size
-    is allocated.
+    log-densities, and the Hessian, computed before each Newton step, two.
+    Memory: the K log-densities, a K-array scratch (the KLD coefficients'
+    masses, then each Hessian's weighted log-densities) and one evaluation
+    buffer live for the whole call, 2K + 1 grid arrays, and nothing else of
+    grid size is allocated.
 
     Raises
     ------

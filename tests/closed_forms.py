@@ -82,6 +82,24 @@ def gaussian_l2_cross(p, q) -> float:
     return float(np.exp(-0.5 * (quad + np.linalg.slogdet(2.0 * np.pi * cov)[1])))
 
 
+def gaussian_log_normalizer(gaussians, weights) -> float:
+    """log integral prod_k N(m_k, S_k)^(w_k) = A(sum_k w_k eta_k) - sum_k w_k A(eta_k).
+
+    eta = (P m, -P / 2), with P = S^-1, are the natural parameters and
+    A(eta) = (m^T P m - log|P| + dim log(2 pi)) / 2 the log-partition function.
+    The pooled precision sum_k w_k P_k must be positive definite.
+    """
+
+    def log_partition(precision, shift):
+        dim = len(shift)
+        return 0.5 * (shift @ np.linalg.solve(precision, shift) - np.linalg.slogdet(precision)[1] + dim * np.log(2.0 * np.pi))
+
+    precisions = [np.linalg.inv(g.cov) for g in gaussians]
+    shifts = [p @ g.mean for p, g in zip(precisions, gaussians)]
+    pooled = log_partition(sum(w * p for w, p in zip(weights, precisions)), sum(w * h for w, h in zip(weights, shifts)))
+    return float(pooled - sum(w * log_partition(p, h) for w, p, h in zip(weights, precisions, shifts)))
+
+
 def mixture_moments(gaussians, weights) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of sum_k w_k N(m_k, S_k), from its raw moments:
     E x = sum_k w_k m_k and E x x^T = sum_k w_k (S_k + m_k m_k^T)."""

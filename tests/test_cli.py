@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +42,7 @@ from pdffusion.supra import LinearGaussianModel, private_shared_model
 from pdffusion.weights import CICriterion, ci_weights, discrepancy_weights, min_kld_weights
 
 from closed_forms import power_mean
+from separable import bumps, product
 
 SMALL_ENV = {"FUSION_GRID_POINTS": "128"}
 
@@ -449,6 +451,28 @@ class TestDivergenceEqualsTheLibrary:
         spec = DivergenceSpec(kind, alpha=flags.get("alpha"), chi=chi)
         code, value = _library_exit(lambda: evaluate(spec, *map(_read, inputs)))
         assert (result.exit_code, result.stdout) == (code, FLOAT_FMT % value + "\n" if code == 0 else ""), result.stderr
+
+
+def test_divergence_of_separable_csvs_is_the_sum_of_the_axes(runner, tmp_path):
+    # KL of products is the sum of the two 1-D KLs: this reads 2-D CSVs end to end,
+    # on unequal node counts so that swapped axes fail by shape
+    rng = np.random.default_rng(21)
+    densities = {
+        "px": bumps(rng, -3.0, 5.0, 61),
+        "qx": bumps(rng, -3.0, 5.0, 61),
+        "py": bumps(rng, -1.0, 9.0, 44),
+        "qy": bumps(rng, -1.0, 9.0, 44),
+    }
+    densities["p"] = product(densities["px"], densities["py"])
+    densities["q"] = product(densities["qx"], densities["qy"])
+    printed = {}
+    for name, d in densities.items():
+        write_density_csv(tmp_path / f"{name}.csv", d)
+    for p, q in (("px", "qx"), ("py", "qy"), ("p", "q")):
+        result = runner.invoke(main, ["divergence", "--kind", "kl", str(tmp_path / f"{p}.csv"), str(tmp_path / f"{q}.csv")])
+        assert result.exit_code == 0, result.output
+        printed[p] = float(result.stdout)
+    assert abs(printed["p"] - (printed["px"] + printed["py"])) <= 1e-13 * printed["p"]
 
 
 # the corpus's Gaussian JSON files, which ci weights read
@@ -1165,6 +1189,73 @@ def test_broken_stdout_pipe_ends_a_call_with_status_1(run_process, tmp_path, arg
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (1, b""), name
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the console script's "module:function", which pip's wrapper imports and calls
+CONSOLE_TARGET = re.search(
+    r'^pdffusion = "(.+)"$', (Path(__file__).parents[1] / "pyproject.toml").read_text(), re.MULTILINE
+)[1]
+# runs one process entry, "-m" or the console target, on the arguments that follow;
+# its last stderr line holds the call's status and the thread variables that the
+# first import of numpy saw (an audit hook reads them when numpy starts to load)
+ENTRY_PROBE = f"""
+import importlib, json, os, runpy, sys
+seen = []
+def hook(event, args):
+    if event == "import" and args[0] == "numpy" and not seen:
+        seen.append({{var: os.environ.get(var) for var in {BLAS_VARS!r}}})
+sys.addaudithook(hook)
+def exit_through_system_exit(status):
+    raise SystemExit(status)
+os._exit = exit_through_system_exit
+entry, sys.argv = sys.argv[1], ["pdffusion", *sys.argv[2:]]
+try:
+    if entry == "-m":
+        runpy.run_module("pdffusion.cli", run_name="__main__", alter_sys=True)
+    else:
+        module, name = entry.split(":")
+        getattr(importlib.import_module(module), name)()
+except SystemExit as exc:
+    status = exc.code
+print(json.dumps([status, *seen]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("entry", ["-m", CONSOLE_TARGET], ids=["python-m", "console-script"])
+@pytest.mark.parametrize(
+    "user, seen",
+    [
+        ({}, dict.fromkeys(BLAS_VARS, "1")),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}),
+        (dict.fromkeys(BLAS_VARS, "3"), dict.fromkeys(BLAS_VARS, "3")),
+    ],
+    ids=["unset", "openblas-set", "all-set"],
+)
+def test_process_entry_gives_numpy_one_blas_thread_unless_the_user_chose(run_process, entry, user, seen):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    argv = [sys.executable, "-c", ENTRY_PROBE, entry, "supra", "--private-shared", "4,1,4,4"]
+    result = run_process(argv, env={**env, **user}, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stderr.splitlines()[-1]) == [0, seen]
+
+
+def test_embedding_code_keeps_its_environment(run_python):
+    # importing the package and the CLI, and calling main, set no thread variable
+    code = """
+import os
+before = dict(os.environ)
+import pdffusion, pdffusion.cli
+pdffusion.kl
+try:
+    pdffusion.cli.main(["supra", "--private-shared", "4,1,4,4"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())
+"""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    result = run_python(code, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from closed_forms import (
     gaussian_log_affinity,
     gaussians,
 )
+from separable import assert_relative, bumps, product
 
 LO, HI, N = -8.0, 8.0, 2048
 
@@ -552,32 +553,9 @@ def test_divergent_or_wide_integrand(p, q, alpha):
         _assert_close(divergence(), exact)
 
 
-def _bumps(rng, lower, upper, n, zeros=0):
-    """A random positive three-bump density normalized on its own 1-D grid; ``zeros`` leading nodes set to 0."""
-    x = np.linspace(lower, upper, n)
-    width = upper - lower
-    vals = np.zeros(n)
-    for _ in range(3):
-        mu = rng.uniform(lower + 0.2 * width, upper - 0.2 * width)
-        sd = rng.uniform(0.08, 0.3) * width
-        vals += rng.uniform(0.2, 1.0) * np.exp(-0.5 * ((x - mu) / sd) ** 2)
-    vals[:zeros] = 0.0
-    return normalize(from_samples([lower], [upper], (n,), vals))
-
-
-def _product(dx, dy):
-    """The separable 2-D density dx(x) dy(y) on the tensor grid of their two 1-D grids."""
-    lower, upper = dx.grid.lower + dy.grid.lower, dx.grid.upper + dy.grid.upper
-    return from_samples(lower, upper, (dx.grid.shape[0], dy.grid.shape[0]), np.multiply.outer(dx.values, dy.values))
-
-
 def _l2_terms(p, q):
     """The three terms of the squared L2 distance, the integrals of p^2, p q and q^2."""
     return tuple(p.grid.integral(a.values, b.values) for a, b in ((p, p), (p, q), (q, q)))
-
-
-def _assert_relative(value, exact, tol=1e-12):
-    assert abs(value - exact) <= tol * abs(exact), (value, exact)
 
 
 class TestSeparableTwoDimensional:
@@ -602,30 +580,30 @@ class TestSeparableTwoDimensional:
         rng = np.random.default_rng(seed)
         (nx, ny), (lx, ly), (wx, wy) = shape, lower, width
         # p_x vanishes on its first nodes: only the kinds whose support rule lets p vanish see it
-        px = _bumps(rng, lx, lx + wx, nx, zeros=nx // 4 if zeros else 0)
-        qx = _bumps(rng, lx, lx + wx, nx)
-        py, qy = _bumps(rng, ly, ly + wy, ny), _bumps(rng, ly, ly + wy, ny)
-        p, q = _product(px, py), _product(qx, qy)
+        px = bumps(rng, lx, lx + wx, nx, zeros=nx // 4 if zeros else 0)
+        qx = bumps(rng, lx, lx + wx, nx)
+        py, qy = bumps(rng, ly, ly + wy, ny), bumps(rng, ly, ly + wy, ny)
+        p, q = product(px, py), product(qx, qy)
         assert p.normalized and q.normalized
         assert p.positive != zeros and q.positive
 
         for fn in (D.kl, D.cross_entropy) if zeros else (D.kl, D.reverse_kl, D.cross_entropy):
-            _assert_relative(fn(p, q), fn(px, qx) + fn(py, qy))
+            assert_relative(fn(p, q), fn(px, qx) + fn(py, qy))
 
         def affinity(a, b):
             return 1.0 + alpha * (alpha - 1.0) * D.alpha_div(a, b, alpha)
 
         if alpha > 0.0 or not zeros:  # at alpha < 0 q must vanish wherever p does
-            _assert_relative(affinity(p, q), affinity(px, qx) * affinity(py, qy))
+            assert_relative(affinity(p, q), affinity(px, qx) * affinity(py, qy))
 
         def one_plus_chi2(a, b):
             return 1.0 + D.pearson_chi2(a, b)
 
-        _assert_relative(one_plus_chi2(p, q), one_plus_chi2(px, qx) * one_plus_chi2(py, qy))
+        assert_relative(one_plus_chi2(p, q), one_plus_chi2(px, qx) * one_plus_chi2(py, qy))
 
         terms = [tx * ty for tx, ty in zip(_l2_terms(px, qx), _l2_terms(py, qy))]
         for term, exact in zip(_l2_terms(p, q), terms):
-            _assert_relative(term, exact)
+            assert_relative(term, exact)
         # l2 sums the terms with signs +, -2, +; its round-off scales with their magnitudes
         pp, pq, qq = terms
         assert abs(D.l2(p, q) - (pp - 2.0 * pq + qq)) <= 1e-12 * (pp + 2.0 * pq + qq)

@@ -37,6 +37,11 @@ class TestGaussianType:
         with pytest.raises(DimensionError, match=r"^mean length \(2, 1\), expected \(2,\)$"):
             G.Gaussian([[0.0], [0.0]], np.eye(2))
 
+    def test_empty_cov_rejected(self):
+        # the empty matrix has no largest entry to scale the symmetry check by
+        with pytest.raises(DimensionError, match=r"^cov shape \(0, 0\), expected at least \(1, 1\)$"):
+            G.Gaussian([], np.zeros((0, 0)))
+
     def test_scalar_inputs_promoted(self):
         g = G.Gaussian(0.0, 1.0)
         assert g.dim == 1

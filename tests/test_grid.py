@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdffusion import grid
@@ -31,6 +31,8 @@ from pdffusion.grid import (
 )
 from pdffusion.pooling import holder_pool
 from pdffusion.weights import min_kld_weights
+
+from separable import EQUAL_COUNTS, assert_relative, axes, bumps, product
 
 INV_SQRT_2PI = 0.3989422804014327
 INV_2PI = 0.15915494309189535
@@ -227,8 +229,8 @@ class TestAllocationBudget:
     exponentiated and normalized in place), normalize at 1 (its copy), and a
     two-agent Holder pool at 3 (the stack of log terms, summed into its first
     row, and the result). Minimum-KLD weights, which return no density, are counted
-    in grid arrays: K log-densities, their K(K+1)/2 pairwise products and
-    one evaluation buffer.
+    in grid arrays: K log-densities, a K-row scratch stack and one evaluation
+    buffer, 2K + 1 whatever the span of the log-densities.
     """
 
     G = Gaussian([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]])
@@ -253,14 +255,8 @@ class TestAllocationBudget:
         a = to_grid(self.G)
         prof = OpinionProfile((a, *(to_grid(g, a.grid.lower, a.grid.upper, a.grid.shape) for g in (self.H, self.J))))
         K = prof.K
-        assert _peak_over_output(lambda: min_kld_weights(prof), a.values.nbytes) <= K * (K + 1) / 2 + K + 2
+        assert _peak_over_output(lambda: min_kld_weights(prof), a.values.nbytes) <= 2 * K + 2
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 9: min-KLD holds the K(K+1)/2 pairwise products of the log-densities, "
-        "36 grid arrays at K=8, and peaks at 45 grid arrays",
-    )
     def test_min_kld_weights_of_eight_stays_within_the_span(self):
         # with the constant, a 2-D Gaussian profile's log-densities span r = 6 functions, whatever K is
         rng = np.random.default_rng(0)
@@ -637,3 +633,34 @@ class TestHeapThresholds:
         monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.arena_max=2")
         assert grid._keep_freed_heap_mapped() is False
         assert opened == []
+
+
+class TestSeparableTwoDimensional:
+    """A product density dx(x) dy(y) has the 1-D means and variances and a covariance cross
+    term of 0, and a rectangle of cells has the product of the two 1-D probabilities: the
+    tensor trapezoid rule of a product is the product of the 1-D rules."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), grids=axes(), zeros=st.booleans())
+    @example(seed=7, grids=EQUAL_COUNTS, zeros=False)
+    @example(seed=8, grids=EQUAL_COUNTS, zeros=True)
+    def test_moments_and_rectangles_of_products(self, seed, grids, zeros):
+        rng = np.random.default_rng(seed)
+        (nx, lx, ux), (ny, ly, uy) = grids
+        # dx vanishes on its first nodes in half the cases
+        dx, dy = bumps(rng, lx, ux, nx, zeros=nx // 4 if zeros else 0), bumps(rng, ly, uy, ny)
+        d = product(dx, dy)
+        mean, cov = moments(d)
+        for axis, factor in enumerate((dx, dy)):
+            (mu,), ((var,),) = moments(factor)
+            assert abs(mean[axis] - mu) <= 1e-12 * max(abs(factor.grid.lower[0]), abs(factor.grid.upper[0]))
+            assert_relative(cov[axis, axis], var)
+        assert cov[0, 1] == cov[1, 0]
+        assert abs(cov[0, 1]) <= 1e-12 * np.sqrt(cov[0, 0] * cov[1, 1])
+
+        (i0, i1), (j0, j1) = np.sort(rng.choice(nx, 2, replace=False)), np.sort(rng.choice(ny, 2, replace=False))
+        cells = np.zeros((nx - 1, ny - 1), dtype=bool)
+        cells[i0:i1, j0:j1] = True
+        cx, cy = np.zeros(nx - 1, dtype=bool), np.zeros(ny - 1, dtype=bool)
+        cx[i0:i1], cy[j0:j1] = True, True
+        assert_relative(event_probability(d, cells), event_probability(dx, cx) * event_probability(dy, cy))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -98,9 +99,11 @@ def test_pool_call_runs_no_deferred_module(tmp_path):
 
 
 def test_console_script_that_calls_run_writes_its_footprint(tmp_path):
-    # run() ends its process with os._exit; the tool turns that into SystemExit and still writes OUT
+    # run() ends its process with os._exit; the tool turns that into SystemExit and still writes OUT.
+    # The script imports and calls pyproject's target, as pip's wrapper does
+    module, name = re.search(r'^pdffusion = "(.+):(.+)"$', (HERE.parent / "pyproject.toml").read_text(), re.M).groups()
     script = tmp_path / "pdffusion"
-    script.write_text("import sys\nfrom pdffusion.cli import run\nif __name__ == '__main__':\n    sys.exit(run())\n")
+    script.write_text(f"import sys\nfrom {module} import {name}\nif __name__ == '__main__':\n    sys.exit({name}())\n")
     args = ["pool", "--kind", "linear", "--weights", "0.5,0.5", str(INPUTS / "a.json"), str(INPUTS / "b.json")]
     ran = _footprint(tmp_path, str(script), *args, "-o", str(tmp_path / "out.csv"))
     assert ran == SHARED

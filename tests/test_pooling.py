@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdffusion import divergence as D
@@ -28,6 +28,7 @@ from pdffusion.grid import (
 )
 
 from closed_forms import gaussian, gaussian_power_product, gaussians, mixture_moments, power_mean
+from separable import EQUAL_COUNTS, axes, bumps, product
 
 
 def gauss_grid(mu, var, lower=-10.5, upper=10.5, n=2048):
@@ -993,6 +994,46 @@ def test_improper_product_raises():
     assert gaussian_power_product([q0, *agents], [-1.0, 1.0, 1.0]) is None
     with pytest.raises(BoundednessError):
         P.multiplicative_pool(profile, q0_grid)
+
+
+class TestSeparableTwoDimensional:
+    """The log-linear pool, the generalized log-linear pool with a separable xi0 and the
+    multiplicative pool with a separable q0 of a profile of products p_k(x) r_k(y) are the
+    products of the pools of the p_k and of the r_k: each normalizes a product of powers, and
+    the tensor trapezoid rule normalizes a product by the product of the 1-D rules. The linear
+    and Holder pools do not factor."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), grids=axes(), K=st.integers(2, 4))
+    @example(seed=7, grids=EQUAL_COUNTS, K=3)
+    def test_pools_of_products(self, seed, grids, K):
+        rng = np.random.default_rng(seed)
+        (nx, lx, ux), (ny, ly, uy) = grids
+        xs = tuple(bumps(rng, lx, ux, nx) for _ in range(K))
+        ys = tuple(bumps(rng, ly, uy, ny) for _ in range(K))
+        prof = OpinionProfile(tuple(map(product, xs, ys)))
+        px, py = OpinionProfile(xs), OpinionProfile(ys)
+        w = rng.dirichlet(np.ones(K))
+        xi_x, xi_y = rng.uniform(0.5, 2.0, nx), rng.uniform(0.5, 2.0, ny)
+        q0x, q0y = bumps(rng, lx, ux, nx), bumps(rng, ly, uy, ny)
+        reals = rng.uniform(-0.5, 1.5, K)
+        pools = [
+            (P.log_linear_pool(prof, w), P.log_linear_pool(px, w), P.log_linear_pool(py, w)),
+            (
+                P.log_linear_pool(prof, w, np.multiply.outer(xi_x, xi_y)),
+                P.log_linear_pool(px, w, xi_x),
+                P.log_linear_pool(py, w, xi_y),
+            ),
+            (
+                P.multiplicative_pool(prof, product(q0x, q0y), reals),
+                P.multiplicative_pool(px, q0x, reals),
+                P.multiplicative_pool(py, q0y, reals),
+            ),
+        ]
+        for pooled, fx, fy in pools:
+            assert pooled.grid == prof.grid
+            gap = np.max(np.abs(pooled.values - np.multiply.outer(fx.values, fy.values)))
+            assert gap <= 1e-12 * np.max(pooled.values)
 
 
 @pytest.mark.xfail(

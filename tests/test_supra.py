@@ -89,6 +89,10 @@ class TestModelValidation:
         with pytest.raises(DimensionError, match=message):
             S.LinearGaussianModel((np.ones((1, 1)), np.ones((1, 1))), sigma, np.zeros(1), prior_cov)
 
+    def test_no_parameter_names_the_empty_prior_covariance(self):
+        with pytest.raises(DimensionError, match=r"^prior covariance shape \(0, 0\), expected at least \(1, 1\)$"):
+            S.LinearGaussianModel((np.zeros((1, 0)),), np.eye(1), [], np.zeros((0, 0)))
+
     def test_prior_must_be_pd(self):
         with pytest.raises(SingularityError):
             S.LinearGaussianModel((np.ones((1, 1)),), np.eye(1), np.zeros(1), np.zeros((1, 1)))

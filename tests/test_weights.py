@@ -11,7 +11,7 @@ from pdffusion.errors import DegenerateError, DimensionError, NonConvergenceErro
 from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import OpinionProfile, from_samples, normalize
 
-from closed_forms import gaussian_kl
+from closed_forms import gaussian_kl, gaussian_log_normalizer
 
 LO, HI, N = -8.0, 8.0, 1024
 
@@ -415,6 +415,41 @@ class TestMinKldDerivatives:
             H = hessian()
             assert np.array_equal(H, H.T)
             assert np.max(np.abs(H - H0)) <= 1e-12 * np.max(np.abs(H0))
+
+
+def random_gaussians(rng, dim, K):
+    gs = []
+    for _ in range(K):
+        a = rng.normal(0.0, 0.6, (dim, dim))
+        gs.append(Gaussian(rng.normal(0.0, 1.0, dim), a @ a.T + 0.5 * np.eye(dim)))
+    return gs
+
+
+class TestMinKldClosedForm:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_objective_is_the_gaussian_log_normalizer_plus_kld_average(self, dim, K):
+        # on the Gaussians' common grid (2048 or 257 x 257 nodes) the objective is
+        # log integral prod_k q_k^(w_k) + sum_j w_j b_j, b_j the mean over a of KL(q_a || q_j)
+        rng = np.random.default_rng(10 * dim + K)
+        gs = random_gaussians(rng, dim, K)
+        objective = W._min_kld_objective(OpinionProfile(common_grid(*gs)))
+        b = np.array([np.mean([gaussian_kl(qa, qj) for qa in gs]) for qj in gs])
+        for w in rng.dirichlet(np.ones(K), size=3):
+            exact = gaussian_log_normalizer(gs, w) + w @ b
+            assert abs(objective(w)[0] - exact) <= 1e-10 * abs(exact)
+
+    def test_permuting_the_agents_permutes_the_weights(self):
+        gs = random_gaussians(np.random.default_rng(5), 2, 3)
+        prof = OpinionProfile(common_grid(*gs))
+        res = W.min_kld_weights(prof)
+        # the optimum is unique: the Hessian is positive definite along the simplex there
+        tangent = np.eye(3) - 1.0 / 3.0
+        lam = np.linalg.eigvalsh(tangent @ W._min_kld_objective(prof)(res.weights)[2]() @ tangent)
+        assert lam[1] > 1e-3 * lam[2]
+        for order in ([0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]):
+            permuted = W.min_kld_weights(prof.permuted(order))
+            np.testing.assert_allclose(permuted.weights, res.weights[order], rtol=0.0, atol=1e-12)
 
 
 BAD_BUDGETS = [
