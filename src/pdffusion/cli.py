@@ -48,6 +48,7 @@ from .errors import (
     NonConvergenceError,
     RankError,
     SingularityError,
+    whole_number,
 )
 from .fileio import FLOAT_FMT, gaussian_payload, read_density_csv, read_gaussian_json, read_model_json, write_density_csv
 from .gaussian import Gaussian, common_grid
@@ -140,7 +141,7 @@ def _parse_floats(text: str) -> np.ndarray:
 def _grid_points() -> int | None:
     """Nodes per axis for grids built from Gaussians; None keeps the defaults."""
     points = os.environ.get("FUSION_GRID_POINTS")
-    return None if points is None else int(points)
+    return None if points is None else whole_number(points, "FUSION_GRID_POINTS")
 
 
 def _load_density(path):

@@ -96,7 +96,8 @@ def f_divergence(p, q, f: Callable[[np.ndarray], np.ndarray]) -> float:
 
     Where p vanishes, terms whose limit convention makes them vanish
     (f(0) undefined as 0 * log 0) contribute zero; a genuinely finite f(0)
-    contributes q * f(0).
+    contributes q * f(0), and an infinite one where q has mass is a
+    SupportError, since the divergence is infinite.
     """
 
     def integrand(pv, qv):
@@ -104,6 +105,8 @@ def f_divergence(p, q, f: Callable[[np.ndarray], np.ndarray]) -> float:
         finite = np.isfinite(fx)
         if np.any(~finite & (pv > 0.0)):
             raise SupportError("f produced non-finite values where p is positive")
+        if np.any(np.isinf(fx) & (qv > 0.0)):
+            raise SupportError("f-divergence: second density has mass where the first vanishes")
         return (np.where(finite, qv * fx, 0.0),)
 
     return _integral(p, q, "f-divergence", integrand, "p")

@@ -72,10 +72,14 @@ class UnsupportedAxiomError(FusionError):
 
 
 def whole_number(value, what: str) -> int:
-    """``value`` as an int: 2.0 is 2; ValueError naming ``what`` for 1.9, inf or nan."""
-    if not float(value).is_integer():
+    """``value`` as an int: 2.0 and "2.0" are 2; ValueError naming ``what`` for 1.9, inf, nan or "abc"."""
+    try:
+        number = float(value)
+    except ValueError:  # a string that is no number
+        number = math.nan
+    if not number.is_integer():
         raise ValueError(f"{what} must be a whole number, got {value}")
-    return int(value)
+    return int(number) if isinstance(value, str) else int(value)
 
 
 def finite_number(value, what: str) -> float:

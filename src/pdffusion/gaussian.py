@@ -1,15 +1,16 @@
 """Closed-form Gaussian machinery.
 
-Log-densities from each Gaussian's kept Cholesky factor,
-conversion to quadrature grids, moment matching of weighted mixtures, the
-covariance intersection rule (precision averaging, the closed-form
-counterpart of log-linear pooling), and the checks of every covariance-like
-matrix: `symmetric` (conversion, size, finiteness, symmetry) and `cholesky`
-(positive definiteness); `errors` checks numbers, vectors and weights.
+Log-densities from each Gaussian's kept Cholesky factor, conversion to quadrature grids
+(``_grid_for`` is the one rule that decides a Gaussian's grid), moment matching of
+weighted mixtures, the covariance intersection rule (precision averaging, the
+closed-form counterpart of log-linear pooling), and the checks of every covariance-like
+matrix: `symmetric` (conversion, size, finiteness, symmetry) and `cholesky` (positive
+definiteness); `errors` checks numbers, vectors and weights.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .grid import Grid, GridDensity, adopt_normalized, require_mass, require_sam
 
 SYMMETRY_TOL = 1e-10
 
-# to_grid defaults: node counts per dimension and half-width in standard deviations
+# the defaults of _grid_for: node counts per dimension and half-width in standard deviations
 DEFAULT_POINTS_1D = 2048
 DEFAULT_POINTS_2D = 257
 DEFAULT_HALF_WIDTH_SIGMAS = 8.0
@@ -184,52 +185,54 @@ def _grid_log_pdf(g: Gaussian, grid: Grid) -> np.ndarray:
     return rows @ cols
 
 
-def default_grid_bounds(g: Gaussian):
-    """Per-dimension bounds mean +- ``DEFAULT_HALF_WIDTH_SIGMAS`` marginal stds."""
-    half_width = DEFAULT_HALF_WIDTH_SIGMAS * np.sqrt(np.diag(g.cov))
-    return g.mean - half_width, g.mean + half_width
+def _grid_for(gaussians, lower=None, upper=None, shape=None) -> Grid:
+    """The grid of ``gaussians``, all of one dimension: the one rule that puts Gaussians on a grid.
+
+    Missing bounds are the union of the boxes mean +- ``DEFAULT_HALF_WIDTH_SIGMAS``
+    marginal standard deviations; a missing shape is ``DEFAULT_POINTS_1D`` nodes
+    in one dimension, ``DEFAULT_POINTS_2D`` per axis in two. A grid equal to the
+    previous call's is that call's :class:`Grid` object, with its axes and
+    weights already built. DimensionError above 2 dimensions or for a shape of
+    another length.
+    """
+    dim = gaussians[0].dim
+    if dim > 2:
+        raise DimensionError(f"grids support at most 2 dimensions, Gaussian has {dim}")
+    if lower is None or upper is None:
+        half = [DEFAULT_HALF_WIDTH_SIGMAS * np.sqrt(np.diag(g.cov)) for g in gaussians]
+        lower = np.min([g.mean - h for g, h in zip(gaussians, half)], axis=0) if lower is None else lower
+        upper = np.max([g.mean + h for g, h in zip(gaussians, half)], axis=0) if upper is None else upper
+    if shape is None:
+        shape = (DEFAULT_POINTS_1D,) if dim == 1 else (DEFAULT_POINTS_2D, DEFAULT_POINTS_2D)
+    shape = tuple(np.atleast_1d(shape).tolist())
+    if len(shape) != dim:
+        raise DimensionError(f"grid shape {shape} does not match Gaussian dim {dim}")
+    return _reused(Grid(lower, upper, shape))
 
 
-# the grid of the last to_grid call, reused with its axes and weights while the
-# box repeats, as it does for every member of a profile; one entry, no more
-_last_grid: Grid | None = None
+@lru_cache(maxsize=1)
+def _reused(grid: Grid) -> Grid:
+    """``grid``, or the equal grid of the previous call; one entry, no more."""
+    return grid
 
 
 def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
     """Sample ``g`` on a uniform grid and renormalize to absorb truncation.
 
-    Defaults: bounds at mean +- 8 marginal standard deviations, 2048 nodes in
-    one dimension, 257 per dimension in two. In one dimension the values are
-    those of ``log_pdf`` on the nodes, exponentiated and normalized, bit for
-    bit; in two, the log-density is one matrix product (see
-    ``_grid_log_pdf``), within 1e-13 * max(1, |log p|) of ``log_pdf`` for
-    |rho| <= 0.97 and standard deviations from 1e-3 to 1e3. A call on the
-    previous call's bounds and shape returns a density on that call's
-    :class:`Grid` object, whose axes and weights are already built.
+    The grid is ``_grid_for([g], lower, upper, shape)``: by default ±8
+    marginal standard deviations, 2048 nodes in one dimension and 257 per
+    dimension in two. In one dimension the values are those of ``log_pdf`` on
+    the nodes, exponentiated and normalized, bit for bit; in two, the
+    log-density is one matrix product (see ``_grid_log_pdf``), within 1e-13 *
+    max(1, |log p|) of ``log_pdf`` for |rho| <= 0.97 and standard deviations
+    from 1e-3 to 1e3.
 
     Raises
     ------
     DimensionError
         For dimensions above 2.
     """
-    if g.dim > 2:
-        raise DimensionError(f"grids support at most 2 dimensions, Gaussian has {g.dim}")
-    if lower is None or upper is None:
-        lo, hi = default_grid_bounds(g)
-        lower = lo if lower is None else lower
-        upper = hi if upper is None else upper
-    if shape is None:
-        shape = (DEFAULT_POINTS_1D,) if g.dim == 1 else (DEFAULT_POINTS_2D, DEFAULT_POINTS_2D)
-    shape = tuple(np.atleast_1d(shape).tolist())
-    if len(shape) != g.dim:
-        raise DimensionError(f"grid shape {shape} does not match Gaussian dim {g.dim}")
-    global _last_grid
-    grid, last = Grid(lower, upper, shape), _last_grid  # one read: another thread may replace it
-    if grid == last:
-        grid = last
-    else:
-        _last_grid = grid
-    return _on_grid(g, grid)
+    return _on_grid(g, _grid_for([g], lower, upper, shape))
 
 
 def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:
@@ -249,8 +252,8 @@ def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
     """Every input on one shared grid, with Gaussians evaluated on it.
 
     Grid inputs fix the grid, and all of them must share it. Without one,
-    the grid is the union of the Gaussians' default_grid_bounds boxes with
-    ``points`` nodes per axis, or to_grid's default node counts when
+    the grid is ``_grid_for`` of the Gaussians: the union of their boxes,
+    with ``points`` nodes per axis, or the default node counts when
     ``points`` is None. All outputs hold the same :class:`Grid` object.
 
     Raises
@@ -263,18 +266,13 @@ def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
     dims = {d.grid.dims if isinstance(d, GridDensity) else d.dim for d in inputs}
     if len(dims) > 1:
         raise DimensionError(f"inputs mix dimensions {sorted(dims)}")
-    out = list(inputs)
     grids = [d.grid for d in inputs if isinstance(d, GridDensity)]
     if grids:
         require_same_grid(*grids)
+        grid = grids[0]
     else:
-        boxes = [default_grid_bounds(g) for g in inputs]
-        lower = np.min([lo for lo, _ in boxes], axis=0)
-        upper = np.max([hi for _, hi in boxes], axis=0)
-        shape = None if points is None else (points,) * len(lower)
-        out[0] = to_grid(inputs[0], lower, upper, shape)
-        grids = [out[0].grid]
-    return tuple(d if isinstance(d, GridDensity) else _on_grid(d, grids[0]) for d in out)
+        grid = _grid_for(inputs, shape=None if points is None else (points,) * inputs[0].dim)
+    return tuple(d if isinstance(d, GridDensity) else _on_grid(d, grid) for d in inputs)
 
 
 def shared_dim(gaussians, message: str) -> int:

@@ -51,6 +51,9 @@ class LinearGaussianModel:
         blocks = tuple(np.atleast_2d(np.asarray(h, dtype=np.float64)).copy() for h in self.H_blocks)
         if not blocks:
             raise DimensionError("need at least one agent block")
+        for k, h in enumerate(blocks):
+            if h.ndim != 2:
+                raise DimensionError(f"H block {k} has shape {h.shape}, expected a matrix")
         d_theta = blocks[0].shape[1]
         for k, h in enumerate(blocks):
             if h.shape[1] != d_theta:
@@ -287,11 +290,13 @@ def substituted_oracle(model: LinearGaussianModel, y) -> Gaussian:
 
 def _private_shared_counts(K, r0, r) -> tuple[int, int, np.ndarray]:
     """K, r0 and the r_k as ints. ValueError unless each is a whole number
-    (`whole_number`), r0 >= 0 and every r_k >= 1; DimensionError unless there are K r_k."""
+    (`whole_number`), r0 >= 0 and every r_k >= 1; DimensionError unless K >= 1 and there are K r_k."""
     K, r0 = whole_number(K, "K"), whole_number(r0, "shared count")
+    if K < 1:
+        raise DimensionError(f"need at least one agent, got K={K}")
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     counts = [whole_number(n, "private count") for n in r.ravel().tolist()]
-    if K < 1 or r.shape != (K,):
+    if r.shape != (K,):
         raise DimensionError(f"need K={K} private counts, got {r.size}")
     if r0 < 0 or min(counts) < 1:
         raise ValueError("private counts must be positive and the shared count nonnegative")

@@ -568,6 +568,22 @@ class TestAxiomCheckEqualsTheLibrary:
 
 
 class TestDivergence:
+    def test_grid_points_may_be_a_whole_float(self, runner, tmp_path):
+        a = gauss_json(tmp_path, "a.json", 0.0, 1.0)
+        b = gauss_json(tmp_path, "b.json", 1.0, 2.0)
+        as_float = runner.invoke(main, ["divergence", "--kind", "kl", a, b], env={"FUSION_GRID_POINTS": "64.0"})
+        as_int = runner.invoke(main, ["divergence", "--kind", "kl", a, b], env={"FUSION_GRID_POINTS": "64"})
+        assert as_float.exit_code == 0
+        assert as_float.output == as_int.output
+
+    def test_grid_points_that_are_no_number_name_the_variable(self, runner, tmp_path):
+        a = gauss_json(tmp_path, "a.json", 0.0, 1.0)
+        b = gauss_json(tmp_path, "b.json", 1.0, 2.0)
+        result = runner.invoke(main, ["divergence", "--kind", "kl", a, b], env={"FUSION_GRID_POINTS": "abc"})
+        assert result.exit_code == 2
+        assert stderr_error(result) == "ValueError"
+        assert stderr_message(result) == "FUSION_GRID_POINTS must be a whole number, got abc"
+
     def test_kl_self_is_zero(self, runner, tmp_path):
         a = density_csv(tmp_path, "a.csv", 0.3, 1.2)
         result = runner.invoke(main, ["divergence", "--kind", "kl", a, a])
@@ -1031,6 +1047,17 @@ class TestSupra:
         assert result.exit_code == 2
         assert stderr_error(result) == "ValueError"
         assert stderr_message(result) == f"{path}: field 'H_blocks' is not a list of matrices"
+
+    def test_model_block_that_is_no_matrix_exits_2(self, runner, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"H_blocks": [[[[1.0], [0.0]], [[0.0], [1.0]]]], "Sigma": [[1.0, 0.0], [0.0, 1.0]], '
+            '"prior_mean": [0.0, 0.0], "prior_cov": [[1.0, 0.0], [0.0, 1.0]]}'
+        )
+        result = runner.invoke(main, ["supra", "--model", str(path)])
+        assert result.exit_code == 2
+        assert stderr_error(result) == "DimensionError"
+        assert stderr_message(result) == "H block 0 has shape (2, 2, 1), expected a matrix"
 
     def test_singular_joint_noise_exits_3(self, runner, tmp_path):
         path = tmp_path / "model.json"

@@ -100,6 +100,32 @@ class TestFDivergence:
         p = random_mixture(rng)
         assert D.f_divergence(p, p, lambda x: x * np.log(x)) == pytest.approx(0.0, abs=1e-10)
 
+    def test_infinite_f_at_zero_where_q_has_mass_is_a_support_error(self):
+        # -log t is +inf at t = 0: p vanishes for |x| >= 2, where q has mass
+        x = np.linspace(-5.0, 5.0, 64)
+        p = normalize(from_samples([-5.0], [5.0], (64,), (np.abs(x) < 2.0).astype(float)))
+        q = normalize(from_samples([-5.0], [5.0], (64,), np.exp(-0.5 * x * x)))
+        message = "f-divergence: second density has mass where the first vanishes"
+        with pytest.raises(SupportError, match=f"^{message}$"):
+            D.f_divergence(p, q, lambda t: -np.log(t))
+        with pytest.raises(SupportError):
+            D.reverse_kl(p, q)
+
+    @pytest.mark.parametrize(
+        "f, divergence",
+        [
+            (lambda t: t * np.log(t), D.kl),
+            (lambda t: (t - 1.0) ** 2, D.pearson_chi2),
+            (lambda t: -np.log(t), D.reverse_kl),
+        ],
+        ids=["t-log-t", "squared-gap", "minus-log-t"],
+    )
+    def test_named_f_matches_its_divergence_on_positive_pairs(self, std_pair, f, divergence):
+        rng = np.random.default_rng(7)
+        for p, q in (std_pair, (random_mixture(rng), random_mixture(rng))):
+            assert p.positive and q.positive
+            assert D.f_divergence(p, q, f) == pytest.approx(divergence(p, q), rel=1e-9, abs=1e-12)
+
     def test_total_variation_flavor(self, std_pair):
         p, q = std_pair
         val = D.f_divergence(p, q, lambda x: np.abs(x - 1.0))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +332,64 @@ class TestCommonGrid:
         np.testing.assert_allclose(qa.grid.lower, [-8.0, -15.0])
         np.testing.assert_allclose(qa.grid.upper, [11.0, 17.0])
         assert G.common_grid(a, b)[0].grid.shape == (G.DEFAULT_POINTS_2D, G.DEFAULT_POINTS_2D)
+
+
+class TestOneGridRule:
+    """``to_grid`` and ``common_grid`` put Gaussians on a grid by one rule."""
+
+    @pytest.mark.parametrize(
+        "mean, cov", [([0.3], [[1.7]]), ([0.5, -0.3], [[1.0, 0.6], [0.6, 2.0]])]
+    )
+    def test_one_gaussian_lands_alike_through_both(self, mean, cov):
+        g = G.Gaussian(mean, cov)
+        alone, (shared,) = G.to_grid(g), G.common_grid(g)
+        assert alone.grid == shared.grid
+        np.testing.assert_array_equal(alone.values, shared.values)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_union_box_then_to_grid_reuses_the_grid(self, dim):
+        a = G.Gaussian(np.full(dim, -2.5), np.eye(dim))
+        b = G.Gaussian(np.full(dim, 2.5), 4.0 * np.eye(dim))
+        qa, _ = G.common_grid(a, b, points=64)
+        c = G.Gaussian(np.full(dim, 0.7), 0.5 * np.eye(dim))
+        assert G.to_grid(c, qa.grid.lower, qa.grid.upper, qa.grid.shape).grid is qa.grid
+
+    def test_both_entries_reject_three_dimensions_alike(self):
+        g = G.Gaussian(np.zeros(3), np.eye(3))
+        messages = []
+        for call in (G.to_grid, G.common_grid):
+            with pytest.raises(DimensionError) as info:
+                call(g)
+            messages.append(str(info.value))
+        assert messages == ["grids support at most 2 dimensions, Gaussian has 3"] * 2
+
+    def test_threads_alternating_boxes_get_their_own_grids(self):
+        # more threads than cores, switching often: a reuse that handed one
+        # thread the grid another thread just made would put a density on the wrong box
+        g = G.Gaussian([0.1], [[1.3]])
+        boxes = [((-6.0,), (5.0,)), ((-7.0,), (6.5,))]
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        start, wrong = threading.Barrier(n_threads), []
+
+        def run(lower, upper):
+            start.wait()
+            for _ in range(500):
+                d = G.to_grid(g, lower, upper, (64,))
+                if (d.grid.lower, d.grid.upper) != (lower, upper):
+                    wrong.append(d.grid)
+
+        threads = [threading.Thread(target=run, args=boxes[i % 2]) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestMixtureMoments:

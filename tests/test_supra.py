@@ -47,6 +47,13 @@ class TestModelValidation:
         with pytest.raises(DimensionError):
             S.LinearGaussianModel((np.ones((1, 2)),), np.eye(1), np.zeros(2), np.eye(2))
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_block_that_is_no_matrix_rejected(self, k):
+        blocks = [np.eye(2), np.eye(2)]
+        blocks[k] = np.ones((2, 2, 1))
+        with pytest.raises(DimensionError, match=rf"^H block {k} has shape \(2, 2, 1\), expected a matrix$"):
+            S.LinearGaussianModel(tuple(blocks), np.eye(4), [0.0, 0.0], np.eye(2))
+
     def test_asymmetric_sigma_rejected(self):
         sigma = np.eye(2)
         sigma[0, 1] = 0.5
@@ -449,6 +456,12 @@ class TestPrivateShared:
         for build in (S.private_shared_model, S.private_shared_weights):
             with pytest.raises(ValueError, match="private counts must be positive"):
                 build(3, r0, r)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_no_agent_is_named_by_the_agent_count(self, K):
+        for build in (S.private_shared_model, S.private_shared_weights):
+            with pytest.raises(DimensionError, match=rf"^need at least one agent, got K={K}$"):
+                build(K, 4, ())
 
     def test_weights_count_mismatch(self):
         for build in (S.private_shared_model, S.private_shared_weights):
