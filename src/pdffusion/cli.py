@@ -7,8 +7,9 @@ produce byte-identical outputs.
 
 Exit codes: 0 success (including an axiom check that finds violations),
 1 stdout's reader went away (nothing is printed), 2 invalid input,
-3 numerical failure, 4 non-convergence. Failures other than status 1
-print one JSON object with "error" and "message" on stderr.
+3 numerical failure, 4 non-convergence. A library or input-file error
+prints one JSON object with "error" and "message" on stderr; a command
+line that click cannot parse prints click's usage message, also with 2.
 
 A call executes only the modules its subcommand runs: the shared ones are
 imported below, and ``divergence``, ``weights``, ``axioms`` and ``supra``
@@ -28,7 +29,6 @@ import dataclasses
 import functools
 import importlib.util
 import inspect
-import json
 import os
 import sys
 from typing import NoReturn
@@ -50,10 +50,11 @@ from .errors import (
     SingularityError,
     whole_number,
 )
-from .fileio import FLOAT_FMT, gaussian_payload, read_density_csv, read_gaussian_json, read_model_json, write_density_csv
+from .fileio import FLOAT_FMT, gaussian_payload, json_line, read_density, read_density_csv, read_gaussian_json
+from .fileio import read_model_json, write_density_csv, write_rows
 from .gaussian import Gaussian, common_grid
 from .grid import OpinionProfile, moments
-from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, pool
+from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, holder_pool, log_linear_pool, pool
 
 
 def _deferred(name: str):
@@ -105,8 +106,7 @@ _NUMERICAL = (DegenerateError, SingularityError, BoundednessError, RankError)
 
 
 def _fail(code: int, exc: BaseException) -> None:
-    line = json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True)
-    click.echo(line, err=True)
+    click.echo(json_line({"error": type(exc).__name__, "message": str(exc)}), err=True)
     sys.exit(code)
 
 
@@ -144,16 +144,9 @@ def _grid_points() -> int | None:
     return None if points is None else whole_number(points, "FUSION_GRID_POINTS")
 
 
-def _load_density(path):
-    """Grid CSV or Gaussian JSON, told apart by extension."""
-    if str(path).endswith(".json"):
-        return read_gaussian_json(path)
-    return read_density_csv(path)
-
-
 def _load_on_common_grid(paths, *loaded):
     """Load densities and put them, and any already ``loaded`` ones, on one shared grid."""
-    return common_grid(*(_load_density(p) for p in paths), *loaded, points=_grid_points())
+    return common_grid(*(read_density(p) for p in paths), *loaded, points=_grid_points())
 
 
 def _chi_from_flags(chi: str | None, chi_alpha: float | None) -> ChiTransform | None:
@@ -185,10 +178,6 @@ def _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0=None, xi0
 def _given(**flags) -> dict:
     """The flags set on the command line, so the library's defaults apply to the rest."""
     return {name: value for name, value in flags.items() if value is not None}
-
-
-def _json_line(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
 # the flags that define a pooling rule; `pool` adds its --q0 and --xi0 files
@@ -235,7 +224,7 @@ def pool_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0, xi0, inputs
     fused = pool(spec, profile)
     payload = gaussian_payload(*moments(fused))  # before writing: moments refuses an unnormalized pool
     write_density_csv(output, fused)
-    click.echo(_json_line(payload))
+    click.echo(json_line(payload))
 
 
 @main.command("divergence")
@@ -286,11 +275,11 @@ def weights_cmd(method, criterion, max_iter, tol, inputs):
     else:
         result = select(OpinionProfile(_load_on_common_grid(inputs)), **given)
         if method == "discrepancy":
-            click.echo(_json_line({"weights": result.tolist()}))
+            click.echo(json_line({"weights": result.tolist()}))
             return
     payload = dataclasses.asdict(result)  # the printed form predates the evaluation count and keeps its fields
     del payload["evaluations"]
-    click.echo(_json_line({**payload, "weights": result.weights.tolist()}))
+    click.echo(json_line({**payload, "weights": result.weights.tolist()}))
 
 
 @main.command("axiom-check")
@@ -311,7 +300,7 @@ def axiom_check_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, axiom, t
     report = axmod.check_axiom(spec, axiom, seed=seed, **_given(trials=trials, tol=tol))
     payload = dataclasses.asdict(report)  # the report, its spec named by kind
     del payload["pooling"]
-    click.echo(_json_line({**payload, "axiom": report.axiom.value, "kind": spec.kind.value}))
+    click.echo(json_line({**payload, "axiom": report.axiom.value, "kind": spec.kind.value}))
 
 
 @main.command("supra")
@@ -367,7 +356,7 @@ def supra_cmd(model_path, private_shared, y_text, mode):
     if y is not None:
         payload["posterior"] = gaussian_payload(res.posterior.mean, res.posterior.cov)
         payload["oracle"] = None if res.oracle is None else gaussian_payload(res.oracle.mean, res.oracle.cov)
-    click.echo(_json_line(payload))
+    click.echo(json_line(payload))
 
 
 # power-mean exponents of the fig4 sweep; 0 stands for the log-linear limit
@@ -375,8 +364,6 @@ FIG4_ALPHAS = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
 
 def _fig4_panel(path, g1: Gaussian, g2: Gaussian) -> None:
-    from .pooling import holder_pool, log_linear_pool
-
     q1, q2 = common_grid(g1, g2, points=_grid_points())
     profile = OpinionProfile((q1, q2))
     w = np.array([0.5, 0.5])
@@ -386,11 +373,7 @@ def _fig4_panel(path, g1: Gaussian, g2: Gaussian) -> None:
             columns["log_linear"] = log_linear_pool(profile, w).values
         else:
             columns[f"holder_alpha_{alpha:g}"] = holder_pool(profile, w, alpha).values
-    names = list(columns)
-    data = np.column_stack([columns[c] for c in names])
-    row = ",".join([FLOAT_FMT] * len(names)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n" + row * len(data) % tuple(data.ravel().tolist()))
+    write_rows(path, ",".join(columns), np.column_stack(list(columns.values())))
 
 
 @main.command("fig4")
@@ -410,7 +393,7 @@ def fig4_cmd(output_dir):
     _fig4_panel(
         os.path.join(output_dir, "fig4b.csv"), Gaussian([0.0], [[5.0]]), Gaussian([0.0], [[0.5]])
     )
-    click.echo(_json_line({"written": ["fig4a.csv", "fig4b.csv"], "dir": output_dir}))
+    click.echo(json_line({"written": ["fig4a.csv", "fig4b.csv"], "dir": output_dir}))
 
 
 def _flushed() -> bool:

@@ -72,10 +72,10 @@ class UnsupportedAxiomError(FusionError):
 
 
 def whole_number(value, what: str) -> int:
-    """``value`` as an int: 2.0 and "2.0" are 2; ValueError naming ``what`` for 1.9, inf, nan or "abc"."""
+    """``value`` as an int: 2.0 and "2.0" are 2; ValueError naming ``what`` for 1.9, inf, nan, "abc" or 10**400."""
     try:
         number = float(value)
-    except ValueError:  # a string that is no number
+    except (ValueError, OverflowError):  # a string that is no number, or an int beyond the float range
         number = math.nan
     if not number.is_integer():
         raise ValueError(f"{what} must be a whole number, got {value}")

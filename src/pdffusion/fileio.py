@@ -1,13 +1,15 @@
-"""Reading and writing densities, Gaussians and fusion models.
+"""Reading and writing densities, Gaussians and fusion models; no other module knows a byte format.
 
-Grid densities travel as CSV with a single header line
-``# dims,lower...,upper...,shape...`` followed by one value per line, one
-line per node in row-major order; a line with several values is rejected.
-Gaussians and linear fusion models travel as JSON, written by one writer.
-`gaussian_payload` alone makes the ``{"mean", "cov"}`` object that Gaussian
-files and the command line's moments and posteriors share. All floats are
-written with 17 significant digits so files round-trip bit-exactly and
-outputs are byte-reproducible.
+Density CSV: a header line ``# dims,lower...,upper...,shape...``, then one value
+per line, one line per node in row-major order; several values on a line, or
+values all zero, are rejected. The fig4 table: a line of column names, then one
+comma-separated row per node; both CSVs come from one row writer, `write_rows`.
+JSON files (Gaussians, linear fusion models) and the command line's result and
+error lines are each one `json_line`; `gaussian_payload` alone makes the
+``{"mean", "cov"}`` object of Gaussian files, moments and posteriors, and
+`read_density` reads a ``.json`` file as a Gaussian, any other as a density CSV.
+Floats are written with 17 significant digits so files round-trip bit-exactly
+and outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .gaussian import Gaussian
-from .grid import Grid, GridDensity
+from .grid import GridDensity, from_samples
 
 if TYPE_CHECKING:  # supra is imported by the model functions, so density I/O does not load it
     from .supra import LinearGaussianModel
@@ -27,13 +29,22 @@ if TYPE_CHECKING:  # supra is imported by the model functions, so density I/O do
 FLOAT_FMT = "%.17g"
 
 
+def json_line(payload) -> str:
+    """``payload`` as one line of JSON with sorted keys: the form of every JSON file and printed line."""
+    return json.dumps(payload, sort_keys=True)
+
+
+def write_rows(path, header: str, data: np.ndarray) -> None:
+    """Write the line ``header``, then each row of the 2-D ``data`` as comma-separated FLOAT_FMT values."""
+    row = ",".join([FLOAT_FMT] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + row * len(data) % tuple(data.ravel().tolist()))
+
+
 def write_density_csv(path, d: GridDensity) -> None:
     grid = d.grid
     bounds = [FLOAT_FMT % v for v in grid.lower + grid.upper]
-    header = "# " + ",".join([str(grid.dims), *bounds, *map(str, grid.shape)]) + "\n"
-    values = d.values.ravel().tolist()
-    with open(path, "w") as fh:
-        fh.write(header + (FLOAT_FMT + "\n") * len(values) % tuple(values))
+    write_rows(path, "# " + ",".join([str(grid.dims), *bounds, *map(str, grid.shape)]), d.values.reshape(-1, 1))
 
 
 def read_density_csv(path) -> GridDensity:
@@ -62,7 +73,7 @@ def read_density_csv(path) -> GridDensity:
         raise ValueError(f"{path}: {values.size} values for grid shape {shape}")
     # a file that integrates to one reads as normalized (GridDensity.normalized),
     # so it can enter operations that insist on normalized inputs
-    return GridDensity(Grid(lower, upper, shape), values)
+    return from_samples(lower, upper, shape, values)
 
 
 def _json_fields(path, *names) -> list:
@@ -97,8 +108,7 @@ def gaussian_payload(mean: np.ndarray, cov: np.ndarray) -> dict:
 
 def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_line(payload) + "\n")
 
 
 def write_gaussian_json(path, g: Gaussian) -> None:
@@ -108,6 +118,13 @@ def write_gaussian_json(path, g: Gaussian) -> None:
 def read_gaussian_json(path) -> Gaussian:
     mean, cov = _json_fields(path, "mean", "cov")
     return Gaussian(_float_array(path, "mean", mean), _float_array(path, "cov", cov))
+
+
+def read_density(path) -> GridDensity | Gaussian:
+    """A Gaussian from a ``.json`` file, a grid density from any other (a density CSV)."""
+    if str(path).endswith(".json"):
+        return read_gaussian_json(path)
+    return read_density_csv(path)
 
 
 # a model file's fields besides H_blocks, in the order LinearGaussianModel takes them

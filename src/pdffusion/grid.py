@@ -264,7 +264,7 @@ class GridDensity:
 
 
 def from_samples(lower, upper, shape, values) -> GridDensity:
-    """Build an unnormalized :class:`GridDensity` on a new grid from raw node samples.
+    """Build a :class:`GridDensity` on a new grid from raw node samples, without normalizing them.
 
     Raises
     ------

@@ -1340,6 +1340,50 @@ for args in (
     assert result.returncode == 0, result.stderr
 
 
+BEYOND_FLOAT = 10**400
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["axiom-check", "--kind", "linear", "--weights", "0.5,0.5", "--axiom", "A4", "--trials", str(BEYOND_FLOAT)], "trials"),
+        (["pool", "--kind", "dictatorship", "--dictator", str(BEYOND_FLOAT), "a.csv", "b.csv", "-o", "out.csv"], "dictator index"),
+        (["weights", "--method", "min-kld", "--max-iter", str(BEYOND_FLOAT), "a.csv", "b.csv"], "max_iter"),
+    ],
+    ids=["trials", "dictator", "max-iter"],
+)
+def test_whole_number_beyond_float_range_exits_2(runner, tmp_path, monkeypatch, args, what):
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_bytes((CORPUS_INPUTS / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, repr(result.exception)
+    message = f"{what} must be a whole number, got {BEYOND_FLOAT}"
+    assert result.stderr == json.dumps({"error": "ValueError", "message": message}) + "\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pool", "--kind", "holder", "--alpha", "2", "--weights", "0.5,0.5", "zero.csv", "b.csv"],
+        ["pool", "--kind", "dogmatic", "--q0", "c.csv", "zero.csv"],
+        ["pool", "--kind", "dictatorship", "--dictator", "2", "zero.csv", "b.csv"],
+        ["pool", "--kind", "generalized-log-linear", "--weights", "0.5,0.5", "--xi0", "zero.csv", "a.csv", "b.csv"],
+    ],
+    ids=["holder", "dogmatic", "dictatorship", "xi0"],
+)
+def test_all_zero_csv_is_no_density(runner, tmp_path, monkeypatch, args):
+    for name in ("a.csv", "b.csv", "c.csv"):
+        (tmp_path / name).write_bytes((CORPUS_INPUTS / name).read_bytes())
+    (tmp_path / "zero.csv").write_text("# 1,-8,8,64\n" + "0\n" * 64)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [*args, "-o", "out.csv"])
+    assert (result.exit_code, result.stdout) == (2, ""), repr(result.exception)
+    assert json.loads(result.stderr) == {"error": "ValueError", "message": "density values are all zero"}
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_header_only_csv_prints_one_json_line(run_python, tmp_path):
     # loadtxt warns about a file with no values; stderr holds only the error
     empty = tmp_path / "e.csv"

@@ -95,6 +95,12 @@ class TestDensityCsv:
         path.write_text("# 1,0,1,16\n" + "".join("%.17g\n" % v for v in values))
         np.testing.assert_array_equal(fileio.read_density_csv(path).values, values)
 
+    def test_all_zero_values_are_no_density(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("# 1,-8,8,64\n" + "0\n" * 64)
+        with pytest.raises(ValueError, match="^density values are all zero$"):
+            fileio.read_density_csv(path)
+
 
 class TestGaussianJson:
     def test_round_trip(self, tmp_path):
@@ -104,6 +110,11 @@ class TestGaussianJson:
         back = fileio.read_gaussian_json(path)
         np.testing.assert_array_equal(back.mean, g.mean)
         np.testing.assert_array_equal(back.cov, g.cov)
+
+    def test_bytes_pinned(self, tmp_path):
+        path = tmp_path / "g.json"
+        fileio.write_gaussian_json(path, Gaussian([0.1], [[2.0]]))
+        assert path.read_bytes() == b'{"cov": [[2.0]], "mean": [0.1]}\n'
 
 
 class TestModelJson:
@@ -117,6 +128,15 @@ class TestModelJson:
         for a, b in zip(back.H_blocks, model.H_blocks):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(back.prior_cov, model.prior_cov)
+
+    def test_bytes_pinned(self, tmp_path):
+        path = tmp_path / "m.json"
+        fileio.write_model_json(path, private_shared_model(2, 1, [1, 1]))
+        assert path.read_bytes() == (
+            b'{"H_blocks": [[[1.0], [1.0]], [[1.0], [1.0]]], '
+            b'"Sigma": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], '
+            b'"prior_cov": [[1.0]], "prior_mean": [0.0]}\n'
+        )
 
     def test_validation_runs_on_read(self, tmp_path):
         path = tmp_path / "bad.json"
