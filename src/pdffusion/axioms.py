@@ -564,8 +564,8 @@ def check_axiom(
     trials : int
         Number of independent random scenarios.
     seed : int
-        Seed for the scenario stream; identical inputs give identical
-        reports.
+        Seed for the scenario stream, a whole number >= 0; identical
+        inputs give identical reports.
     tol : float
         Largest residual still counted as agreement. Probabilities are
         compared absolutely, densities in L1, fused-value ratios
@@ -574,7 +574,8 @@ def check_axiom(
     Raises
     ------
     ValueError
-        Unless trials is a whole number >= 1 and tol is finite and nonnegative.
+        Unless trials is a whole number >= 1, seed a whole number >= 0 and
+        tol finite and nonnegative.
     UnsupportedAxiomError
         For A2 where the spec's `needs_positive` holds: zero-probability
         events cannot arise for a rule that needs a positive profile.
@@ -583,6 +584,9 @@ def check_axiom(
     trials = whole_number(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    seed = whole_number(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if axiom is Axiom.A2 and spec.needs_positive:

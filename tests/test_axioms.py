@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import axiom_reports
 import numpy as np
@@ -107,6 +108,19 @@ class TestReportContract:
         for trials in (2.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="^trials must be a whole number"):
                 check_axiom(linear(), Axiom.A3, trials=trials)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be at least 0, got -1"), (2.5, "seed must be a whole number, got 2.5")],
+        ids=["negative", "fraction"],
+    )
+    def test_seed_validated(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_axiom(linear(), Axiom.A4, trials=3, seed=seed)
+
+    def test_whole_seed_reports_as_the_int(self):
+        spec = linear()
+        assert check_axiom(spec, Axiom.A3, trials=3, seed=3.0) == check_axiom(spec, Axiom.A3, trials=3, seed=3)
 
     @pytest.mark.parametrize("whole, count", [(3.0, 3), (True, 1), (np.int64(3), 3)], ids=["float", "bool", "int64"])
     def test_whole_trials_report_as_the_int(self, whole, count):
