@@ -149,19 +149,36 @@ def reverse_alpha_div(p, q, alpha: float) -> float:
 
 
 def _alpha(p, q, alpha: float, reverse: bool) -> float:
-    """alpha_div of (p, q), or of (q, p) when ``reverse``, in the caller's argument order."""
+    """alpha_div of (p, q), or of (q, p) when ``reverse``, in the caller's argument order.
+
+    Near the KL limits, |alpha (alpha - 1)| < 0.01, integral a^alpha b^(1-alpha)
+    less one would keep only round-off; the integrand is that difference instead,
+    with r = log a - log b: b expm1(alpha r) near 0, a expm1((alpha - 1) r) near 1.
+    """
     alpha = DivergenceSpec(DivergenceKind.ALPHA, alpha=float(alpha)).alpha  # None stays a TypeError
     # a^alpha b^(1-alpha) needs b > 0 wherever a > 0 when alpha > 1, and the converse when alpha < 0
     a, b = ("q", "p") if reverse else ("p", "q")
     support = a if alpha > 1.0 else b if alpha < 0.0 else None
+    near_kl = abs(alpha * (alpha - 1.0)) < 1e-2
+    # the order parameter of the expm1 form, and what its integral is divided by
+    step, scale = (alpha - 1.0, alpha) if alpha > 0.5 else (alpha, alpha - 1.0)
 
     def integrand(pv, qv):
         av, bv = (qv, pv) if reverse else (pv, qv)
-        terms = alpha * np.log(av) + (1.0 - alpha) * np.log(bv)
-        return (np.exp(terms, out=terms),)
+        if not near_kl:
+            terms = alpha * np.log(av) + (1.0 - alpha) * np.log(bv)
+            return (np.exp(terms, out=terms),)
+        r = np.log(av) - np.log(bv)
+        # expm1(step r) / step, read as r where step r underflows: a subnormal alpha keeps its digits
+        terms = np.where(np.abs(step * r) < np.finfo(float).tiny, r, np.expm1(step * r) / step)
+        terms *= av if alpha > 0.5 else bv
+        # a nan term is 0 * inf or 0 * nan, where a density vanishes: its limit is 0
+        terms[np.isnan(terms)] = 0.0
+        return (terms,)
 
     integral = _integral(p, q, "alpha-divergence", integrand, support)
-    return (integral - 1.0) / (alpha * (alpha - 1.0))
+    # + 0.0: a pair that agrees integrates to 0.0, which a negative scale would print as -0
+    return integral / scale + 0.0 if near_kl else (integral - 1.0) / (alpha * (alpha - 1.0))
 
 
 def pearson_chi2(p, q) -> float:

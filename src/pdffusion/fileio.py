@@ -10,11 +10,18 @@ error lines are each one `json_line`; `gaussian_payload` alone makes the
 `read_density` reads a ``.json`` file as a Gaussian, any other as a density CSV.
 Floats are written with 17 significant digits so files round-trip bit-exactly
 and outputs are byte-reproducible.
+
+One writer, `_write_text`, rewrites an existing file in place, without
+truncating it first: it stays the same file with the same mode, a symlink is
+followed, and a longer regular file is cut to the new length. So a call killed
+mid-write can leave the new bytes followed by the old file's tail.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 import warnings
 from typing import TYPE_CHECKING
 
@@ -34,11 +41,22 @@ def json_line(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` in place (see the module docstring): the one writer of every file."""
+    data = text.encode()
+    # not truncated on open: freeing the old blocks took 35 to 70 ms a call on ext4 mounted with discard
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        st = os.fstat(fh.fileno())
+        # the byte count, not tell(): a pipe or a device has no position
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            fh.truncate(len(data))
+
+
 def write_rows(path, header: str, data: np.ndarray) -> None:
     """Write the line ``header``, then each row of the 2-D ``data`` as comma-separated FLOAT_FMT values."""
     row = ",".join([FLOAT_FMT] * data.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + row * len(data) % tuple(data.ravel().tolist()))
+    _write_text(path, header + "\n" + row * len(data) % tuple(data.ravel().tolist()))
 
 
 def write_density_csv(path, d: GridDensity) -> None:
@@ -107,8 +125,7 @@ def gaussian_payload(mean: np.ndarray, cov: np.ndarray) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_line(payload) + "\n")
+    _write_text(path, json_line(payload) + "\n")
 
 
 def write_gaussian_json(path, g: Gaussian) -> None:

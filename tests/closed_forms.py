@@ -54,24 +54,24 @@ def gaussian_cross_entropy(p, q) -> float:
 def gaussian_log_affinity(p, q, alpha: float) -> float:
     """log integral p^alpha q^(1 - alpha); +inf when the integral diverges.
 
-    The integrand is exp(-x^T L x / 2 + e^T x + c) with L = alpha Sp^-1 +
-    (1 - alpha) Sq^-1 and e = alpha Sp^-1 mp + (1 - alpha) Sq^-1 mq; it
-    integrates to a finite value exactly when L is positive definite, and
-    the 2 pi factors cancel.
+    With d = mp - mq, M = (1 - alpha) Sp + alpha Sq and mu the eigenvalues
+    of Sp^-1 Sq, it is -(alpha (1 - alpha) d^T M^-1 d + sum(log1p(alpha (mu -
+    1)) - alpha log mu)) / 2. The integral is finite exactly when M is
+    positive definite, that is when every 1 + alpha (mu - 1) > 0. Each term
+    is O(alpha) without cancelling a constant, so the value keeps its digits
+    as alpha nears 0; above one half it is the log affinity of (q, p) at
+    1 - alpha, so it keeps them as alpha nears 1.
     """
-    pp, pq = np.linalg.inv(p.cov), np.linalg.inv(q.cov)
-    lam = alpha * pp + (1.0 - alpha) * pq
-    if np.linalg.eigvalsh(lam)[0] <= 0.0:
+    if alpha > 0.5:
+        return gaussian_log_affinity(q, p, 1.0 - alpha)
+    chol = np.linalg.cholesky(p.cov)
+    # L^-1 Sq L^-T, symmetric, with the eigenvalues of Sp^-1 Sq
+    mu = np.linalg.eigvalsh(np.linalg.solve(chol, np.linalg.solve(chol, q.cov).T))
+    if np.any(1.0 + alpha * (mu - 1.0) <= 0.0):
         return np.inf
-    eta = alpha * pp @ p.mean + (1.0 - alpha) * pq @ q.mean
-    return 0.5 * (
-        eta @ np.linalg.solve(lam, eta)
-        - alpha * p.mean @ pp @ p.mean
-        - (1.0 - alpha) * q.mean @ pq @ q.mean
-        - np.linalg.slogdet(lam)[1]
-        - alpha * np.linalg.slogdet(p.cov)[1]
-        - (1.0 - alpha) * np.linalg.slogdet(q.cov)[1]
-    )
+    delta = p.mean - q.mean
+    quadratic = alpha * (1.0 - alpha) * delta @ np.linalg.solve((1.0 - alpha) * p.cov + alpha * q.cov, delta)
+    return -0.5 * (quadratic + np.sum(np.log1p(alpha * (mu - 1.0)) - alpha * np.log(mu)))
 
 
 def gaussian_l2_cross(p, q) -> float:

@@ -41,7 +41,7 @@ from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, f
 from pdffusion.supra import LinearGaussianModel, private_shared_model
 from pdffusion.weights import CICriterion, ci_weights, discrepancy_weights, min_kld_weights
 
-from closed_forms import power_mean
+from closed_forms import gaussian_kl, power_mean
 from separable import bumps, product
 
 SMALL_ENV = {"FUSION_GRID_POINTS": "128"}
@@ -597,6 +597,16 @@ class TestDivergence:
         assert result.exit_code == 0
         # closed form: squared mean gap over two
         assert abs(float(result.output) - 12.5) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["alpha", "reverse-alpha"])
+    def test_subnormal_alpha_prints_its_kl_limit(self, runner, kind):
+        # 1e-320 is a subnormal float; the call printed -0 when the limit was lost to round-off
+        p, q = str(CORPUS_INPUTS / "a.json"), str(CORPUS_INPUTS / "b.json")
+        args = ["divergence", "--kind", kind, "--alpha", "1e-320", *((p, q) if kind == "alpha" else (q, p))]
+        result = runner.invoke(main, args, env={"FUSION_GRID_POINTS": "2048"})
+        assert result.exit_code == 0, result.stderr
+        kl_qp = gaussian_kl(Gaussian([1.5], [[2.0]]), Gaussian([-1.0], [[1.0]]))
+        assert float(result.stdout) == pytest.approx(kl_qp, rel=1e-12)
 
     def test_alpha_requires_alpha_flag(self, runner, tmp_path):
         a = density_csv(tmp_path, "a.csv", 0.0, 1.0)
@@ -1216,6 +1226,33 @@ def test_broken_stdout_pipe_ends_a_call_with_status_1(run_process, tmp_path, arg
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (1, b""), name
+
+
+POOL_TO = ["pool", "--kind", "linear", "--weights", "0.3,0.7", "a.csv", "b.csv", "-o"]
+
+
+def test_output_that_is_no_regular_file_is_written_alike(run_process, tmp_path):
+    # a pipe and a device have no length to cut and no position to ask for
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_bytes((CORPUS_INPUTS / name).read_bytes())
+    to_file = run_process([sys.executable, "-m", "pdffusion.cli", *POOL_TO, "out.csv"], cwd=tmp_path)
+    assert to_file.returncode == 0, to_file.stderr
+    # stdout is a pipe: the CSV goes down it, then the printed moments
+    to_pipe = run_process([sys.executable, "-m", "pdffusion.cli", *POOL_TO, "/dev/stdout"], cwd=tmp_path)
+    assert (to_pipe.returncode, to_pipe.stderr) == (0, b"")
+    assert to_pipe.stdout == (tmp_path / "out.csv").read_bytes() + to_file.stdout
+    to_null = run_process([sys.executable, "-m", "pdffusion.cli", *POOL_TO, os.devnull], cwd=tmp_path)
+    assert (to_null.returncode, to_null.stdout, to_null.stderr) == (0, to_file.stdout, b"")
+
+
+def test_failed_pool_leaves_an_existing_output_untouched(runner, tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_bytes((CORPUS_INPUTS / "a.csv").read_bytes())
+    mass2 = str(CORPUS_INPUTS / "mass2.csv")  # integrates to 2
+    result = runner.invoke(main, ["pool", "--kind", "linear", "--weights", "0.5,0.5", mass2, mass2, "-o", str(out)])
+    assert result.exit_code == 2
+    assert stderr_error(result) == "NotNormalizedError"
+    assert out.read_bytes() == (CORPUS_INPUTS / "a.csv").read_bytes()
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -525,6 +525,26 @@ class TestGaussianClosedForms:
         _assert_close(D.l2(*grids), exact)
 
 
+@pytest.mark.parametrize("alpha", [1e-300, -1e-300, 1e-16, -1e-16, 1e-12, 1.0 - 1e-12, 1.0 - 1.1e-16])
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (Gaussian([-1.0], [[1.0]]), Gaussian([1.5], [[2.0]])),
+        (gaussian([0.3, -0.2], [1.0, 0.9], 0.3), gaussian([-0.4, 0.5], [1.2, 0.8], -0.2)),
+    ],
+    ids=["1d", "2d"],
+)
+def test_alpha_near_its_kl_limits_keeps_its_digits(p, q, alpha):
+    # (integral - 1) / (alpha (alpha - 1)) kept only the integral's round-off here:
+    # 1.6% off at 1e-16, -0 at 1e-300
+    exact = np.expm1(gaussian_log_affinity(p, q, alpha)) / (alpha * (alpha - 1.0))
+    limit = gaussian_kl(q, p) if alpha < 0.5 else gaussian_kl(p, q)
+    assert exact == pytest.approx(limit, rel=1e-11)
+    for value in (D.alpha_div(p, q, alpha), D.reverse_alpha_div(q, p, alpha)):
+        assert value > 0.0
+        assert abs(value - exact) <= 1e-10 * exact, (value, exact)
+
+
 @pytest.mark.xfail(
     raises=SupportError,
     strict=True,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -147,3 +150,68 @@ class TestModelJson:
         )
         with pytest.raises(RankError):
             fileio.read_model_json(path)
+
+
+# each writer with a longer and a shorter value: (write, longer, shorter)
+OVERWRITES = {
+    "density-csv-2d-then-1d": (
+        fileio.write_density_csv,
+        to_grid(Gaussian([0.0, 1.0], np.eye(2)), [-6.0, -5.0], [6.0, 7.0], (33, 49)),
+        to_grid(Gaussian([0.5], [[2.0]]), [-8.0], [8.0], (64,)),
+    ),
+    "rows": (
+        lambda path, data: fileio.write_rows(path, "x,y,z", data),
+        np.linspace(-1.0, 1.0, 60).reshape(20, 3) / 7.0,
+        np.arange(6.0).reshape(2, 3),
+    ),
+    "gaussian-json": (
+        fileio.write_gaussian_json,
+        Gaussian([1.0 / 3.0, -2.0], [[2.0, 0.3], [0.3, 1.0]]),
+        Gaussian([0.1], [[2.0]]),
+    ),
+    "model-json": (
+        fileio.write_model_json,
+        private_shared_model(3, 4, (1, 4, 4)),
+        private_shared_model(2, 1, [1, 1]),
+    ),
+}
+
+
+class TestOverwrite:
+    """Every writer rewrites an existing file in place, to exactly the bytes of a fresh write."""
+
+    @pytest.mark.parametrize("write, longer, shorter", OVERWRITES.values(), ids=OVERWRITES)
+    def test_gives_the_bytes_of_a_fresh_write(self, tmp_path, write, longer, shorter):
+        fresh = {}
+        for name, value in (("longer", longer), ("shorter", shorter)):
+            write(tmp_path / name, value)
+            fresh[name] = (tmp_path / name).read_bytes()
+        assert len(fresh["shorter"]) < len(fresh["longer"])
+        path = tmp_path / "out"
+        # shorter over longer is cut to its length; longer over shorter grows
+        for name in ("longer", "shorter", "longer"):
+            write(path, longer if name == "longer" else shorter)
+            assert path.read_bytes() == fresh[name]
+
+    def test_keeps_the_file_and_its_mode(self, tmp_path):
+        path = tmp_path / "g.json"
+        fileio.write_gaussian_json(path, Gaussian([0.1], [[2.0]]))
+        (tmp_path / "ref").write_text("")
+        # a new file gets the mode open(path, "w") gives it
+        assert path.stat().st_mode == (tmp_path / "ref").stat().st_mode
+        path.chmod(0o600)
+        before = path.stat()
+        fileio.write_gaussian_json(path, Gaussian([0.2], [[3.0]]))  # the same size
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+        assert path.read_bytes() == b'{"cov": [[3.0]], "mean": [0.2]}\n'
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        write, longer, shorter = OVERWRITES["density-csv-2d-then-1d"]
+        write(tmp_path / "fresh.csv", shorter)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        write(target, longer)
+        link.symlink_to(target)
+        write(link, shorter)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
