@@ -54,7 +54,7 @@ from .fileio import FLOAT_FMT, gaussian_payload, json_line, read_density, read_d
 from .fileio import read_model_json, write_density_csv, write_rows
 from .gaussian import Gaussian, common_grid
 from .grid import OpinionProfile, moments
-from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, holder_pool, log_linear_pool, pool
+from .pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, holder_pool, pool
 
 
 def _deferred(name: str):
@@ -359,7 +359,7 @@ def supra_cmd(model_path, private_shared, y_text, mode):
     click.echo(json_line(payload))
 
 
-# power-mean exponents of the fig4 sweep; 0 stands for the log-linear limit
+# power-mean exponents of the fig4 sweep; 0 is the log-linear limit, in its column "log_linear"
 FIG4_ALPHAS = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
 
@@ -369,10 +369,7 @@ def _fig4_panel(path, g1: Gaussian, g2: Gaussian) -> None:
     w = np.array([0.5, 0.5])
     columns = {"theta": q1.grid.axes[0], "q1": q1.values, "q2": q2.values}
     for alpha in FIG4_ALPHAS:
-        if alpha == 0.0:
-            columns["log_linear"] = log_linear_pool(profile, w).values
-        else:
-            columns[f"holder_alpha_{alpha:g}"] = holder_pool(profile, w, alpha).values
+        columns["log_linear" if alpha == 0.0 else f"holder_alpha_{alpha:g}"] = holder_pool(profile, w, alpha).values
     write_rows(path, ",".join(columns), np.column_stack(list(columns.values())))
 
 

@@ -53,10 +53,7 @@ class DivergenceSpec:
         reads = _DISPATCH[self.kind][0]
         check_fields(self, reads, "divergence")
         if "alpha" in reads:
-            alpha = finite_number(self.alpha, "alpha")
-            if alpha in (0.0, 1.0):
-                raise ValueError("alpha may not be 0 or 1; those limits are the two KLDs")
-            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "alpha", finite_number(self.alpha, "alpha"))
 
 
 def require_normalized(*densities) -> None:
@@ -89,6 +86,13 @@ def _integral(p, q, what: str, integrand, support: str | None = None) -> float:
             for terms in factors:
                 terms[vanish & np.isnan(terms)] = 0.0
         return p.grid.integral(*factors)
+
+
+def _bounded(value: float, what: str) -> float:
+    """``value``; BoundednessError naming ``what`` when a density's power overflowed it to inf or nan."""
+    if not np.isfinite(value):
+        raise BoundednessError(f"{what} is {value}: a density's power overflows")
+    return value
 
 
 def f_divergence(p, q, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -132,9 +136,9 @@ def reverse_kl(p, q) -> float:
 def alpha_div(p, q, alpha: float) -> float:
     """Alpha-divergence (integral p^a q^(1-a) - 1) / (a(a-1)).
 
-    The alpha -> 1 limit is kl(p, q) and the alpha -> 0 limit is kl(q, p);
-    both are excluded here and must be requested as KLDs. Pearson
-    chi-squared is twice the alpha = 2 member.
+    alpha = 1 is its limit kl(p, q) and alpha = 0 its limit kl(q, p), with
+    their support rules. Pearson chi-squared is twice the alpha = 2 member.
+    Raises BoundednessError when a density's power overflows the integral.
     """
     return _alpha(p, q, alpha, reverse=False)
 
@@ -142,8 +146,8 @@ def alpha_div(p, q, alpha: float) -> float:
 def reverse_alpha_div(p, q, alpha: float) -> float:
     """Alpha-divergence with the arguments swapped.
 
-    Equals alpha_div(p, q, 1 - alpha): swapping arguments is the same as
-    reflecting the order parameter around one half.
+    Equals alpha_div(p, q, 1 - alpha), as swapping the arguments reflects the
+    order parameter around one half: alpha = 1 is reverse_kl(p, q), alpha = 0 kl(p, q).
     """
     return _alpha(p, q, alpha, reverse=True)
 
@@ -155,10 +159,10 @@ def _alpha(p, q, alpha: float, reverse: bool) -> float:
     less one would keep only round-off; the integrand is that difference instead,
     with r = log a - log b: b expm1(alpha r) near 0, a expm1((alpha - 1) r) near 1.
     """
-    alpha = DivergenceSpec(DivergenceKind.ALPHA, alpha=float(alpha)).alpha  # None stays a TypeError
-    # a^alpha b^(1-alpha) needs b > 0 wherever a > 0 when alpha > 1, and the converse when alpha < 0
+    alpha = finite_number(alpha, "alpha")  # None stays a TypeError
+    # a^alpha b^(1-alpha) needs b > 0 wherever a > 0 when alpha >= 1 (1: KL(a||b)), and the converse when alpha <= 0
     a, b = ("q", "p") if reverse else ("p", "q")
-    support = a if alpha > 1.0 else b if alpha < 0.0 else None
+    support = a if alpha >= 1.0 else b if alpha <= 0.0 else None
     near_kl = abs(alpha * (alpha - 1.0)) < 1e-2
     # the order parameter of the expm1 form, and what its integral is divided by
     step, scale = (alpha - 1.0, alpha) if alpha > 0.5 else (alpha, alpha - 1.0)
@@ -178,7 +182,8 @@ def _alpha(p, q, alpha: float, reverse: bool) -> float:
 
     integral = _integral(p, q, "alpha-divergence", integrand, support)
     # + 0.0: a pair that agrees integrates to 0.0, which a negative scale would print as -0
-    return integral / scale + 0.0 if near_kl else (integral - 1.0) / (alpha * (alpha - 1.0))
+    value = integral / scale + 0.0 if near_kl else (integral - 1.0) / (alpha * (alpha - 1.0))
+    return _bounded(value, "alpha-divergence")
 
 
 def pearson_chi2(p, q) -> float:
@@ -211,10 +216,7 @@ def chi_distance(p, q, chi: ChiTransform) -> float:
     """
     what = f"{chi.kind.value} transform distance"
     support = "positive" if chi.needs_positive else None
-    value = _integral(p, q, what, lambda pv, qv: _squared_difference(pv, qv, chi), support)
-    if not np.isfinite(value):
-        raise BoundednessError(f"{what} is {value}: a density's power overflows")
-    return value
+    return _bounded(_integral(p, q, what, lambda pv, qv: _squared_difference(pv, qv, chi), support), what)
 
 
 def entropy(p) -> float:

@@ -24,8 +24,8 @@ from .errors import PositivityError, SimplexError
 from .errors import check_simplex, finite_number, finite_vector, whole_number
 from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, grid_shaped, normalize, require_same_grid
 
-# Holder exponents this close to zero are numerically meaningless; the limit
-# is the log-linear pool and must be requested as such.
+# nonzero Holder exponents this close to zero are numerically meaningless;
+# 0 itself is their limit, the log-linear pool
 ALPHA_ZERO_BAND = 1e-6
 
 
@@ -61,10 +61,10 @@ def _needs_positive(exponent: float) -> bool:
 
 
 def _power_exponent(alpha, what: str = "Holder exponent") -> float:
-    """``alpha`` as a finite float (`finite_number`); ValueError naming ``what`` inside the band around 0."""
+    """``alpha`` as a finite float (`finite_number`); ValueError naming ``what`` inside the band around 0, 0 aside."""
     alpha = finite_number(alpha, what)
-    if abs(alpha) < ALPHA_ZERO_BAND:
-        raise ValueError(f"{what} too close to 0 for a stable power mean; request its log limit instead")
+    if 0.0 < abs(alpha) < ALPHA_ZERO_BAND:
+        raise ValueError(f"{what} too close to 0 for a stable power mean; 0 itself is its log limit")
     return alpha
 
 
@@ -226,17 +226,17 @@ def log_linear_pool(profile: OpinionProfile, weights, xi0=None) -> GridDensity:
 def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
     """Normalized weighted power mean with exponent ``alpha``.
 
-    alpha=1 is the linear pool, alpha=-1 the inverse-linear pool, and the
-    alpha->0 limit is the log-linear pool (request it explicitly: exponents
-    inside (-1e-6, 1e-6) are rejected).
+    alpha=1 is the linear pool, alpha=-1 the inverse-linear pool, and
+    alpha=0, its limit, the log-linear pool; other exponents inside
+    (-1e-6, 1e-6) are rejected.
 
     Raises
     ------
     PositivityError
-        If alpha < 0 and the profile has a zero.
+        If alpha <= 0 and the profile has a zero.
     """
     alpha = _power_exponent(alpha)
-    return _power_mean(profile, check_simplex(weights, profile.K), alpha, "negative-exponent Holder pooling")
+    return _power_mean(profile, check_simplex(weights, profile.K), alpha, "Holder pooling")
 
 
 def inverse_linear_pool(profile: OpinionProfile, weights) -> GridDensity:

@@ -2,7 +2,7 @@
 (seed 0, 100 trials), (seed 3, 20 trials) and the tier-1 slice (seed 3,
 3 trials), all in tests/golden/axiom_reports.json.
 
-Check the reports against the file (about 23 s):
+Check the reports against the file (7 to 8 s on 2 vCPU):
 
     PYTHONPATH=src python tests/axiom_reports.py
 

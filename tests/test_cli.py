@@ -16,8 +16,9 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pdffusion.errors as errors_module
 from pdffusion.axioms import Axiom, check_axiom
-from pdffusion.cli import main
+from pdffusion.cli import _NUMERICAL, main
 from pdffusion.divergence import DivergenceKind, DivergenceSpec, evaluate
 from pdffusion.errors import (
     BoundednessError,
@@ -41,6 +42,7 @@ from pdffusion.pooling import ChiKind, ChiTransform, PoolingKind, PoolingSpec, f
 from pdffusion.supra import LinearGaussianModel, private_shared_model
 from pdffusion.weights import CICriterion, ci_weights, discrepancy_weights, min_kld_weights
 
+import test_cli_corpus as corpus
 from closed_forms import gaussian_kl, power_mean
 from separable import bumps, product
 
@@ -1434,3 +1436,70 @@ def test_header_only_csv_prints_one_json_line(run_python, tmp_path):
         "error": "ValueError",
         "message": f"{empty}: 0 values for grid shape (16,)",
     }
+
+
+# the flags that take numbers, and the values that replace one of them: out of range, not
+# finite, subnormal, huge, fractional, empty, a list, a list holding nan, and no number
+NUMERIC_FLAGS = (
+    "--weights", "--alpha", "--w0", "--dictator", "--chi-alpha", "--trials", "--seed", "--tol", "--max-iter", "--y",
+    "--private-shared",
+)
+ODD_VALUES = ("-1", "0", "1e400", "-1e400", "nan", "inf", "1e-320", "1e23", "2.5", "", "1,2,3", "0.5,nan", "abc")
+# --trials and --max-iter set the run time: a huge one is a long request, not an invalid one
+BOUNDED_FLAGS = ("--trials", "--max-iter")
+# the error each documented exit status names on stderr: 3 numerical failures, 4 non-convergence, 2 the rest
+NUMERICAL_ERRORS = {error.__name__ for error in _NUMERICAL}
+CLI_ERRORS = {
+    2: {"ValueError", "IndexError", "OSError", "MemoryError"}
+    | {name for name in dir(errors_module) if name.endswith("Error")} - NUMERICAL_ERRORS - {"NonConvergenceError"},
+    3: NUMERICAL_ERRORS,
+    4: {"NonConvergenceError"},
+}
+# corpus calls with a numeric flag to replace: (row id, arguments)
+PERTURBABLE = [(case_id, args) for case_id, args in corpus.CASES if set(args) & set(NUMERIC_FLAGS)]
+
+
+def _bounded(flag: str, value: str) -> bool:
+    """Whether ``value`` keeps ``flag``'s run short: at most a few trials or iterations."""
+    return flag not in BOUNDED_FLAGS or not value.lstrip("-").isdigit() or int(value) <= 10
+
+
+@st.composite
+def perturbed_calls(draw):
+    """A corpus call with one numeric flag's value replaced by an odd one: (row id, arguments)."""
+    case_id, args = draw(st.sampled_from(PERTURBABLE))
+    at = draw(st.sampled_from([i for i, arg in enumerate(args) if arg in NUMERIC_FLAGS]))
+    value = draw(st.sampled_from(ODD_VALUES).filter(lambda v: _bounded(args[at], v)))
+    return case_id, [*args[: at + 1], value, *args[at + 2 :]]
+
+
+def _numbers(value):
+    """Every number in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [n for item in value for n in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_calls())
+@example(("divergence-reverse-alpha", ["divergence", "--kind", "reverse-alpha", "--alpha", "50", "a.csv", "b.csv"]))
+@example(("divergence-alpha", ["divergence", "--kind", "alpha", "--alpha", "1e23", "a.csv", "b.csv"]))
+def test_an_odd_number_exits_0_with_finite_numbers_or_fails_as_documented(call):
+    # in process, on the corpus inputs and grid: an odd value in one flag gives a
+    # result, a documented error line, or click's usage message, never a traceback or inf
+    case_id, args = call
+    with tempfile.TemporaryDirectory() as tmp:
+        got = corpus.run_case(corpus.in_process, case_id, args, Path(tmp))
+    code, stdout, stderr = got["exit_code"], got["stdout"], got["stderr"]
+    if code == 0:
+        numbers = [n for line in stdout.splitlines() for n in _numbers(json.loads(line))]
+        assert numbers and all(math.isfinite(n) for n in numbers), stdout
+    elif code == 2 and stderr.startswith("Usage: "):
+        assert "\nError: " in stderr and stdout == "", stderr
+    else:
+        assert code in CLI_ERRORS and stdout == "", (code, stderr)
+        assert stderr.count("\n") == 1, stderr
+        payload = json.loads(stderr)
+        assert set(payload) == {"error", "message"} and payload["error"] in CLI_ERRORS[code], (code, payload)

@@ -93,6 +93,8 @@ CASES = [
     ("pool-json-chi-reciprocal", ["pool", "--kind", "chi-transform", "--chi", "reciprocal", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-log-linear", ["pool", "--kind", "log-linear", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-chi-log", ["pool", "--kind", "chi-transform", "--chi", "log", *W, "a.json", "b.json", "-o", "out.csv"]),
+    ("pool-json-holder-0", ["pool", "--kind", "holder", "--alpha", "0", *W, "a.json", "b.json", "-o", "out.csv"]),
+    ("pool-json-chi-power-0", ["pool", "--kind", "chi-transform", "--chi", "power", "--chi-alpha", "0", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-holder-2", ["pool", "--kind", "holder", "--alpha", "2", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-chi-power-2", ["pool", "--kind", "chi-transform", "--chi", "power", "--chi-alpha", "2", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-holder-neg400-narrow", ["pool", "--kind", "holder", "--alpha", "-400", "--weights", "0.5,0.5", "narrow-a.json", "narrow-b.json", "-o", "out.csv"]),
@@ -100,6 +102,8 @@ CASES = [
     ("divergence-reverse-kl", ["divergence", "--kind", "reverse-kl", "a.csv", "b.csv"]),
     ("divergence-alpha", ["divergence", "--kind", "alpha", "--alpha", "0.5", "a.csv", "b.csv"]),
     ("divergence-reverse-alpha", ["divergence", "--kind", "reverse-alpha", "--alpha", "0.3", "a.csv", "b.csv"]),
+    ("divergence-alpha-0", ["divergence", "--kind", "alpha", "--alpha", "0", "a.csv", "b.csv"]),
+    ("divergence-alpha-1", ["divergence", "--kind", "alpha", "--alpha", "1", "a.csv", "b.csv"]),
     ("divergence-pearson-chi2", ["divergence", "--kind", "pearson-chi2", "a.csv", "c.csv"]),
     ("divergence-l2", ["divergence", "--kind", "l2", "z1.csv", "z2.csv"]),
     ("divergence-2d-kl", ["divergence", "--kind", "kl", "a2.csv", "b2.csv"]),
@@ -136,6 +140,7 @@ CASES = [
     ("invalid-axiom-check-holder-neg1-A2", ["axiom-check", "--kind", "holder", "--alpha", "-1", "--weights", "0.35,0.65", "--axiom", "A2", "--trials", "3"]),
     ("invalid-all-zero-density", ["pool", "--kind", "holder", "--alpha", "2", "--weights", "0.5,0.5", "zero.csv", "flat.csv", "-o", "out.csv"]),
     ("invalid-pool-not-normalized", ["pool", "--kind", "linear", "--weights", "0.5,0.5", "mass2.csv", "mass2.csv", "-o", "out.csv"]),
+    ("invalid-alpha-overflow", ["divergence", "--kind", "reverse-alpha", "--alpha", "50", "a.csv", "b.csv"]),
 ]
 
 # per-row changes to ENV, recorded in the corpus. None unsets a variable: the
@@ -148,10 +153,13 @@ ROW_ENV = {
 }
 
 # rows whose results agree in all but the "kind" they print: a chi transform
-# pools, and its axiom report reads, as the pool it reproduces
+# pools, and its axiom report reads, as the pool it reproduces, and an
+# exponent 0 is its log limit
 SAME_RESULT = [
     ("pool-json-chi-reciprocal", "pool-json-inverse-linear"),
     ("pool-json-chi-log", "pool-json-log-linear"),
+    ("pool-json-holder-0", "pool-json-log-linear"),
+    ("pool-json-chi-power-0", "pool-json-chi-log"),
     ("pool-json-chi-power-2", "pool-json-holder-2"),
     ("axiom-check-chi-log-A12", "axiom-check-log-linear-A12"),
 ]
@@ -346,6 +354,23 @@ def test_transforms_agree_with_the_pools_they_reproduce():
     expected = load_expected()
     for chi, pooled in SAME_RESULT:
         assert without_kind(expected[chi]) == without_kind(expected[pooled]), (chi, pooled)
+
+
+def test_alpha_divergence_rows_at_0_and_1_print_the_kl_rows():
+    # the alpha family's limits: alpha = 0 is KL(q || p), alpha = 1 is KL(p || q)
+    expected = load_expected()
+    for limit, kl in (("divergence-alpha-0", "divergence-reverse-kl"), ("divergence-alpha-1", "divergence-kl")):
+        value, want = float(expected[limit]["stdout"]), float(expected[kl]["stdout"])
+        assert abs(value - want) <= 1e-15 * want, (limit, value, want)
+
+
+def test_supra_model_row_pins_the_oracle():
+    # the paper's exactness result: with block-diagonal noise the fused posterior
+    # is the all-data oracle, so the replays check it through the installed entry points
+    row = json.loads(load_expected()["supra-model-y"]["stdout"])
+    for key in ("mean", "cov"):
+        gap = np.max(np.abs(np.array(row["posterior"][key]) - np.array(row["oracle"][key])))
+        assert gap <= 1e-12, (key, gap)
 
 
 def test_replay_through_python_m_matches(monkeypatch):

@@ -154,17 +154,54 @@ class TestAlphaDivergence:
         p, q = random_mixture(rng), random_mixture(rng)
         assert 2.0 * D.alpha_div(p, q, 2.0) == pytest.approx(D.pearson_chi2(p, q), abs=1e-8)
 
-    def test_forbidden_orders(self, std_pair):
-        p, q = std_pair
-        for alpha in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                D.alpha_div(p, q, alpha)
+    def test_orders_0_and_1_are_the_kl_limits(self):
+        # the near-KL integrand reads a zero step as r: at alpha = 1 it integrates p log(p/q)
+        vals = np.ones(64)
+        vals[:16] = 0.0
+        cut = normalize(from_samples([0.0], [1.0], (64,), vals))
+        full = normalize(from_samples([0.0], [1.0], (64,), np.linspace(1.0, 2.0, 64)))
+        pairs = [
+            common_grid(Gaussian([-1.0], [[1.0]]), Gaussian([1.5], [[2.0]])),
+            common_grid(gaussian([0.3, -0.2], [1.0, 0.9], 0.3), gaussian([-0.4, 0.5], [1.2, 0.8], -0.2)),
+        ]
+        for p, q in pairs:
+            assert_relative(D.alpha_div(p, q, 1.0), D.kl(p, q), 1e-15)
+            assert_relative(D.alpha_div(p, q, 0.0), D.reverse_kl(p, q), 1e-15)
+            assert_relative(D.reverse_alpha_div(p, q, 1.0), D.reverse_kl(p, q), 1e-15)
+            assert_relative(D.reverse_alpha_div(p, q, 0.0), D.kl(p, q), 1e-15)
+        # each limit keeps its KL's support rule, and the zero convention where it holds
+        assert_relative(D.alpha_div(cut, full, 1.0), D.kl(cut, full), 1e-15)
+        assert_relative(D.reverse_alpha_div(full, cut, 1.0), D.reverse_kl(full, cut), 1e-15)
+        limits = [
+            (lambda: D.alpha_div(full, cut, 1.0), lambda: D.kl(full, cut)),
+            (lambda: D.alpha_div(cut, full, 0.0), lambda: D.reverse_kl(cut, full)),
+            (lambda: D.reverse_alpha_div(cut, full, 1.0), lambda: D.reverse_kl(cut, full)),
+            (lambda: D.reverse_alpha_div(full, cut, 0.0), lambda: D.kl(full, cut)),
+        ]
+        for limit, kl in limits:
+            with pytest.raises(SupportError) as want:
+                kl()
+            with pytest.raises(SupportError) as got:
+                limit()
+            # the same argument named: "alpha-divergence: first density ..." as "KL divergence: first density ..."
+            assert str(got.value).split(": ")[1] == str(want.value).split(": ")[1]
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_nonfinite_alpha_rejected(self, std_pair, alpha):
         p, q = std_pair
         with pytest.raises(ValueError, match="alpha must be finite"):
             D.alpha_div(p, q, alpha)
+
+    @pytest.mark.parametrize(
+        "divergence, alpha",
+        [(D.reverse_alpha_div, 50.0), (D.alpha_div, 400.0), (D.alpha_div, 1e23), (D.alpha_div, -400.0)],
+        ids=["reverse-50", "400", "1e23", "-400"],
+    )
+    def test_power_that_overflows_raises(self, divergence, alpha):
+        # p^alpha q^(1 - alpha) overflows on the grid's finite tails: float's inf, not the exact integral's
+        p, q = gauss_grid(-1.0, 1.0), gauss_grid(1.5, 2.0)
+        with pytest.raises(BoundednessError, match="^alpha-divergence is inf: a density's power overflows$"):
+            divergence(p, q, alpha)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(5)
@@ -354,6 +391,11 @@ class TestQuadraticDistances:
         direct = float(np.sum(p.quad_weights * (p.values**2 - q.values**2) ** 2))
         assert D.chi_distance(p, q, chi) == pytest.approx(direct, rel=1e-14)
 
+    def test_chi_power_0_is_the_log_distance(self, std_pair):
+        # the power transform's exponent 0 is its limit, the log
+        power = D.chi_distance(*std_pair, ChiTransform(ChiKind.POWER, 0.0))
+        assert power == D.chi_distance(*std_pair, ChiTransform(ChiKind.LOG))
+
     @pytest.mark.parametrize("alpha", [300.0, 600.0], ids=["inf", "nan"])
     def test_chi_power_that_overflows_raises(self, alpha):
         # N(0, 0.01) peaks at 3.99; its 300th power overflows, and at 600 the
@@ -438,8 +480,7 @@ class TestDispatcher:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             D.DivergenceSpec(D.DivergenceKind.ALPHA)
-        with pytest.raises(ValueError):
-            D.DivergenceSpec(D.DivergenceKind.ALPHA, alpha=1.0)
+        assert D.DivergenceSpec(D.DivergenceKind.ALPHA, alpha=1.0).alpha == 1.0
         with pytest.raises(ValueError):
             D.DivergenceSpec(D.DivergenceKind.CHI_DISTANCE)
         for alpha in (np.nan, np.inf):
@@ -447,7 +488,7 @@ class TestDispatcher:
                 D.DivergenceSpec(D.DivergenceKind.REVERSE_ALPHA, alpha=alpha)
 
     @pytest.mark.parametrize("kind", [D.DivergenceKind.ALPHA, D.DivergenceKind.REVERSE_ALPHA])
-    def test_spec_alpha_is_a_float(self, kind):
+    def test_spec_alpha_is_a_float(self, std_pair, kind):
         # as a PoolingSpec's alpha is
         for alpha in (2, "2", np.int64(2), np.float32(2.0)):
             spec = D.DivergenceSpec(kind, alpha=alpha)
@@ -455,9 +496,12 @@ class TestDispatcher:
         for alpha in ("two", "nan", -np.inf):
             with pytest.raises(ValueError):
                 D.DivergenceSpec(kind, alpha=alpha)
+        # 0 and 1 are the family's limits, the two KLDs
+        limits = {0.0: D.reverse_kl, 1.0: D.kl} if kind is D.DivergenceKind.ALPHA else {0.0: D.kl, 1.0: D.reverse_kl}
         for alpha in (0, "1", 1.0):
-            with pytest.raises(ValueError, match="^alpha may not be 0 or 1; those limits are the two KLDs$"):
-                D.DivergenceSpec(kind, alpha=alpha)
+            spec = D.DivergenceSpec(kind, alpha=alpha)
+            assert type(spec.alpha) is float and spec.alpha in limits
+            assert_relative(D.evaluate(spec, *std_pair), limits[spec.alpha](*std_pair), 1e-15)
 
     @pytest.mark.parametrize(
         "kind, fields, ignored",

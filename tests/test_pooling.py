@@ -163,6 +163,25 @@ class TestHolderPool:
         with pytest.raises(ValueError):
             P.holder_pool(mirror_pair, [0.5, 0.5], 1e-9)
 
+    def test_alpha_zero_is_the_log_linear_pool(self, mirror_pair):
+        for w in ([0.5, 0.5], [0.3, 0.7]):
+            ll = P.log_linear_pool(mirror_pair, w)
+            np.testing.assert_array_equal(P.holder_pool(mirror_pair, w, 0.0).values, ll.values)
+            spec = P.PoolingSpec(P.PoolingKind.HOLDER, weights=w, alpha=0)
+            np.testing.assert_array_equal(P.pool(spec, mirror_pair).values, ll.values)
+        # and needs the log-linear pool's positive profile
+        with pytest.raises(PositivityError, match="^Holder pooling requires a strictly positive opinion profile$"):
+            P.holder_pool(zeros_pair(), [0.5, 0.5], 0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-9, -1e-9, np.nan])
+    def test_only_zero_passes_the_band(self, mirror_pair, alpha):
+        with pytest.raises(ValueError, match="^Holder exponent "):
+            P.holder_pool(mirror_pair, [0.5, 0.5], alpha)
+        with pytest.raises(ValueError, match="^Holder exponent "):
+            P.PoolingSpec(P.PoolingKind.HOLDER, weights=[0.5, 0.5], alpha=alpha)
+        with pytest.raises(ValueError, match="^Power transform alpha "):
+            P.ChiTransform(P.ChiKind.POWER, alpha)
+
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_nonfinite_alpha_rejected_at_entry(self, mirror_pair, alpha):
         with pytest.raises(ValueError, match="Holder exponent must be finite"):
@@ -393,6 +412,13 @@ class TestChiTransformPool:
     def test_log_matches_log_linear(self, mirror_pair):
         chi = P.ChiTransform(P.ChiKind.LOG)
         self.assert_reproduces(mirror_pair, [0.5, 0.5], chi, P.log_linear_pool(mirror_pair, [0.5, 0.5]))
+
+    def test_power_zero_matches_log(self, mirror_pair):
+        # exponent 0 is the power transform's limit: the log transform, and so the log-linear pool
+        chi = P.ChiTransform(P.ChiKind.POWER, 0.0)
+        assert chi.exponent == 0.0 and chi.needs_positive
+        want = P.chi_transform_pool(mirror_pair, [0.3, 0.7], P.ChiTransform(P.ChiKind.LOG))
+        self.assert_reproduces(mirror_pair, [0.3, 0.7], chi, want)
 
     def test_reciprocal_matches_inverse_linear(self, mirror_pair):
         chi = P.ChiTransform(P.ChiKind.RECIPROCAL)
