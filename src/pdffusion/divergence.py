@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BoundednessError, NotNormalizedError, PositivityError, SupportError, finite_number
 from .gaussian import common_grid
-from .pooling import ChiTransform, check_fields
+from .pooling import NEAR_LIMIT, ChiTransform, check_fields, over_step
 
 
 class DivergenceKind(enum.Enum):
@@ -163,7 +163,7 @@ def _alpha(p, q, alpha: float, reverse: bool) -> float:
     # a^alpha b^(1-alpha) needs b > 0 wherever a > 0 when alpha >= 1 (1: KL(a||b)), and the converse when alpha <= 0
     a, b = ("q", "p") if reverse else ("p", "q")
     support = a if alpha >= 1.0 else b if alpha <= 0.0 else None
-    near_kl = abs(alpha * (alpha - 1.0)) < 1e-2
+    near_kl = abs(alpha * (alpha - 1.0)) < NEAR_LIMIT
     # the order parameter of the expm1 form, and what its integral is divided by
     step, scale = (alpha - 1.0, alpha) if alpha > 0.5 else (alpha, alpha - 1.0)
 
@@ -173,8 +173,7 @@ def _alpha(p, q, alpha: float, reverse: bool) -> float:
             terms = alpha * np.log(av) + (1.0 - alpha) * np.log(bv)
             return (np.exp(terms, out=terms),)
         r = np.log(av) - np.log(bv)
-        # expm1(step r) / step, read as r where step r underflows: a subnormal alpha keeps its digits
-        terms = np.where(np.abs(step * r) < np.finfo(float).tiny, r, np.expm1(step * r) / step)
+        terms = over_step(np.expm1, step, r)  # expm1(step r) / step
         terms *= av if alpha > 0.5 else bv
         # a nan term is 0 * inf or 0 * nan, where a density vanishes: its limit is 0
         terms[np.isnan(terms)] = 0.0

@@ -27,8 +27,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import FusionError
 from .gaussian import Gaussian
-from .grid import GridDensity, from_samples
+from .grid import Grid, GridDensity, from_samples
 
 if TYPE_CHECKING:  # supra is imported by the model functions, so density I/O does not load it
     from .supra import LinearGaussianModel
@@ -80,6 +81,10 @@ def read_density_csv(path) -> GridDensity:
             raise ValueError(f"{path}: bad header field: {exc}") from None
         if len(fields) != 1 + 3 * dims:
             raise ValueError(f"{path}: header has {len(fields)} fields, expected {1 + 3 * dims}")
+        try:  # the header's grid before its values, so that a bad grid is reported as itself
+            Grid(lower, upper, shape)
+        except (FusionError, ValueError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         with warnings.catch_warnings():
             # a file without values is reported below, with its grid shape
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

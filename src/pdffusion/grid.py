@@ -113,8 +113,10 @@ class Grid:
     lower, kept as tuples of floats; ``shape`` counts the nodes per
     dimension, a whole number of at least 16 each. Nodes include both
     endpoints, so node ``i`` of dimension ``d`` sits at ``lower[d] + i *
-    (upper[d] - lower[d]) / (shape[d] - 1)``. Equal grids compare equal and
-    hash alike; derived arrays are cached on first use and read-only.
+    (upper[d] - lower[d]) / (shape[d] - 1)``; that spacing must exceed the
+    float spacing at the larger |bound|, or nodes would round onto one
+    coordinate (DomainError). Equal grids compare equal and hash alike;
+    derived arrays are cached on first use and read-only.
     """
 
     lower: tuple[float, ...]
@@ -139,6 +141,9 @@ class Grid:
             )
         if any(n < MIN_POINTS_PER_DIM for n in shape):
             raise ValueError(f"each dimension needs at least {MIN_POINTS_PER_DIM} nodes, got {shape}")
+        for lo, hi, n in zip(lower, upper, shape):
+            if not (hi - lo) / (n - 1) > math.ulp(max(abs(lo), abs(hi))):
+                raise DomainError(f"{n} nodes on [{lo!r}, {hi!r}] are closer than the float spacing there")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "shape", shape)

@@ -24,9 +24,7 @@ from .errors import PositivityError, SimplexError
 from .errors import check_simplex, finite_number, finite_vector, whole_number
 from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, grid_shaped, normalize, require_same_grid
 
-# nonzero Holder exponents this close to zero are numerically meaningless;
-# 0 itself is their limit, the log-linear pool
-ALPHA_ZERO_BAND = 1e-6
+NEAR_LIMIT = 1e-2  # |alpha| (|alpha (alpha - 1)| for a divergence) below which an alpha family takes its expm1 form
 
 
 class PoolingKind(enum.Enum):
@@ -60,12 +58,10 @@ def _needs_positive(exponent: float) -> bool:
     return exponent <= 0.0
 
 
-def _power_exponent(alpha, what: str = "Holder exponent") -> float:
-    """``alpha`` as a finite float (`finite_number`); ValueError naming ``what`` inside the band around 0, 0 aside."""
-    alpha = finite_number(alpha, what)
-    if 0.0 < abs(alpha) < ALPHA_ZERO_BAND:
-        raise ValueError(f"{what} too close to 0 for a stable power mean; 0 itself is its log limit")
-    return alpha
+def over_step(f, step: float, x: np.ndarray) -> np.ndarray:
+    """f(step x) / step for f = expm1 or log1p, read as x where step x underflows: a subnormal step keeps its digits."""
+    y = step * x
+    return np.where(np.abs(y) < np.finfo(float).tiny, x, f(y) / step)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class ChiTransform:
         if self.kind is ChiKind.POWER:
             if self.alpha is None:
                 raise ValueError("Power transform requires alpha")
-            object.__setattr__(self, "alpha", _power_exponent(self.alpha, "Power transform alpha"))
+            object.__setattr__(self, "alpha", finite_number(self.alpha, "Power transform alpha"))
         elif self.alpha is not None:
             raise ValueError(f"alpha is only meaningful for Power, not {self.kind.value}")
 
@@ -121,7 +117,7 @@ class PoolingSpec:
         if self.weights is not None:
             object.__setattr__(self, "weights", frozen(np.array(self.weights, dtype=np.float64)))
         if self.alpha is not None:
-            object.__setattr__(self, "alpha", _power_exponent(self.alpha))
+            object.__setattr__(self, "alpha", finite_number(self.alpha, "Holder exponent"))
         if self.dictator is not None:
             object.__setattr__(self, "dictator", whole_number(self.dictator, "dictator index"))
 
@@ -150,16 +146,28 @@ def _power_mean(profile: OpinionProfile, w: np.ndarray, alpha: float, op: str, e
     """Normalized weighted power mean of the members, times exp(``extra``), from their logs L.
 
     log M_alpha = (t + log sum_k exp(alpha L_k + log w_k - t)) / alpha, with t
-    the largest term at each node, and w . L at alpha = 0. Nodes where every
-    weighted member is zero stay exactly zero. The one home of the positivity
-    rule: at alpha <= 0 a zero in the profile raises PositivityError naming ``op``.
+    the largest term at each node, and w . L at alpha = 0. Below `NEAR_LIMIT`
+    that form keeps only eps |L| / |alpha| of its digits, so there log M_alpha =
+    m + log1p(sum_k w_k expm1(alpha (L_k - m))) / alpha, with m the largest of the
+    positively weighted L_k at each node for alpha > 0 and the smallest for
+    alpha < 0, and each quotient by alpha read through `over_step`: continuous
+    through 0, down to a subnormal alpha. Nodes where every weighted member is
+    zero stay exactly zero. The one home of the positivity rule: at alpha <= 0
+    a zero in the profile raises PositivityError naming ``op``.
     """
     if _needs_positive(alpha) and not profile.positive:
         raise PositivityError(f"{op} requires a strictly positive opinion profile")
-    with np.errstate(divide="ignore"):  # log 0 = -inf stands for the zero
+    with np.errstate(divide="ignore", over="ignore"):  # -inf stands for log 0, as for a log below the float range
         logs = profile.log_values
         if alpha == 0.0:
             out = _weighted_sum(w, logs)
+        elif abs(alpha) < NEAR_LIMIT:  # m + log1p(sum_k w_k expm1(alpha (L_k - m))) / alpha, each expm1 in [-1, 0]
+            logs, w = logs[w > 0.0], w[w > 0.0]
+            out = logs.max(axis=0) if alpha > 0.0 else logs.min(axis=0)
+            np.copyto(out, 0.0, where=out == -np.inf)  # every member is 0: the fmax below keeps it 0
+            logs -= out
+            total = _weighted_sum(w, over_step(np.expm1, alpha, logs))  # -1/alpha, or -inf, for a zero member
+            out += over_step(lambda y: np.log1p(np.fmax(y, -1.0)), alpha, total)
         else:
             logs *= alpha
             logs += np.log(w).reshape((-1,) + (1,) * profile.grid.dims)
@@ -227,15 +235,15 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
     """Normalized weighted power mean with exponent ``alpha``.
 
     alpha=1 is the linear pool, alpha=-1 the inverse-linear pool, and
-    alpha=0, its limit, the log-linear pool; other exponents inside
-    (-1e-6, 1e-6) are rejected.
+    alpha=0, its limit, the log-linear pool; every finite exponent is taken,
+    and the pool is continuous through 0 (see `_power_mean`).
 
     Raises
     ------
     PositivityError
         If alpha <= 0 and the profile has a zero.
     """
-    alpha = _power_exponent(alpha)
+    alpha = finite_number(alpha, "Holder exponent")
     return _power_mean(profile, check_simplex(weights, profile.K), alpha, "Holder pooling")
 
 

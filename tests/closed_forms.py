@@ -123,14 +123,20 @@ def gaussian_power_product(gaussians, exponents) -> tuple[np.ndarray, np.ndarray
     return np.linalg.solve(lam, shift), np.linalg.inv(lam)
 
 
-def power_mean(members, weights, alpha: float) -> np.ndarray:
+def power_mean(members, weights, alpha: float, near_zero: bool | None = None) -> np.ndarray:
     """The weighted power mean (sum_k w_k q_k^alpha)^(1/alpha) of node values, node by node.
 
-    Each node's terms are summed with ``math.fsum`` after dividing by the
-    largest, in logs, so powers beyond the float range do not overflow. Members
-    with weight 0 drop out. A node is 0 where every remaining member is 0, and
-    for alpha < 0 where any is. ``alpha`` must not be 0.
+    Far from 0 each node's terms are summed with ``math.fsum`` after dividing
+    by the largest, in logs, so powers beyond the float range do not overflow.
+    Near 0 (``near_zero``, by default |alpha| < 1e-2) the mean is m + log1p(s) /
+    alpha in logs, with s = sum_k w_k expm1(alpha (log q_k - m)) by ``math.fsum``
+    and m the largest log for alpha > 0, the smallest for alpha < 0; a product
+    with alpha or a quotient by it below 1e-5 in size is its series, so a
+    subnormal alpha keeps its digits. Members with weight 0 drop out. A node is
+    0 where every remaining member is 0, and for alpha < 0 where any is.
+    ``alpha`` must not be 0.
     """
+    near_zero = abs(alpha) < 1e-2 if near_zero is None else near_zero
     members = [np.asarray(m, dtype=np.float64) for m in members]
     out = np.empty(members[0].shape)
     for idx in np.ndindex(out.shape):
@@ -138,8 +144,27 @@ def power_mean(members, weights, alpha: float) -> np.ndarray:
         positive = [(w, v) for w, v in terms if v > 0.0]
         if not positive or (alpha < 0.0 and len(positive) < len(terms)):
             out[idx] = 0.0
-            continue
-        logs = [alpha * math.log(v) + math.log(w) for w, v in positive]
-        top = max(logs)
-        out[idx] = math.exp((top + math.log(math.fsum(math.exp(t - top) for t in logs))) / alpha)
+        elif near_zero:
+            out[idx] = _near_zero_mean([(w, math.log(v) if v > 0.0 else -math.inf) for w, v in terms], alpha)
+        else:
+            logs = [alpha * math.log(v) + math.log(w) for w, v in positive]
+            top = max(logs)
+            out[idx] = math.exp((top + math.log(math.fsum(math.exp(t - top) for t in logs))) / alpha)
     return out
+
+
+def _near_zero_mean(terms, alpha: float) -> float:
+    """exp(m + log1p(sum_k w_k expm1(alpha (L_k - m))) / alpha) of (w_k, L_k) pairs, some L_k finite."""
+    m = (max if alpha > 0.0 else min)(L for _, L in terms if L > -math.inf)
+    if any(L == -math.inf for _, L in terms):  # alpha > 0; each zero member adds -w_k to s
+        s = math.fsum(w * math.expm1(alpha * (L - m)) for w, L in terms)
+        return math.exp(m + math.log1p(s) / alpha) if s > -1.0 else 0.0
+    # sum_k w_k expm1(alpha x_k) / alpha and log1p(alpha t) / alpha, each as its series for a small product
+    t = math.fsum(w * _expm1_over(alpha, L - m) for w, L in terms)
+    y = alpha * t
+    return math.exp(m + (t * (1.0 - y / 2.0 + y * y / 3.0) if abs(y) < 1e-5 else math.log1p(y) / alpha))
+
+
+def _expm1_over(alpha: float, x: float) -> float:
+    y = alpha * x
+    return x * (1.0 + y / 2.0 + y * y / 6.0) if abs(y) < 1e-5 else math.expm1(y) / alpha

@@ -1423,6 +1423,27 @@ def test_all_zero_csv_is_no_density(runner, tmp_path, monkeypatch, args):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "means, code",
+    [((1e17, 1.00000000000000016e17), 2), ((1e15, 1e15 + 1.0), 2), ((1e13, 1e13 + 1.0), 0)],
+    ids=["1e17-16-apart", "1e15-1-apart", "1e13-1-apart"],
+)
+def test_gaussians_far_from_0_need_a_grid_that_float64_resolves(runner, tmp_path, means, code):
+    # the default 2048 nodes on mean +- 8: spaced about 0.0083, below the float spacing
+    # 0.125 at 1e15, so the nodes would collapse and KL print 0.4995 for 0.5; at 1e13 they do not
+    paths = []
+    for i, mean in enumerate(means):
+        paths.append(str(tmp_path / f"g{i}.json"))
+        Path(paths[-1]).write_text(json.dumps({"mean": [mean], "cov": [[1.0]]}))
+    result = runner.invoke(main, ["divergence", "--kind", "kl", *paths])
+    assert result.exit_code == code, (result.stdout, result.stderr)
+    if code == 2:
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "DomainError" and "closer than the float spacing" in payload["message"], payload
+    else:
+        assert float(result.stdout) == pytest.approx(0.5, abs=1e-6)
+
+
 def test_header_only_csv_prints_one_json_line(run_python, tmp_path):
     # loadtxt warns about a file with no values; stderr holds only the error
     empty = tmp_path / "e.csv"
@@ -1486,9 +1507,13 @@ def _numbers(value):
 @given(perturbed_calls())
 @example(("divergence-reverse-alpha", ["divergence", "--kind", "reverse-alpha", "--alpha", "50", "a.csv", "b.csv"]))
 @example(("divergence-alpha", ["divergence", "--kind", "alpha", "--alpha", "1e23", "a.csv", "b.csv"]))
+# a subnormal exponent: a Holder pool of a profile with zeros, and a power transform's distance
+@example(("pool-holder-2-zeros", ["pool", "--kind", "holder", "--alpha", "1e-320", *corpus.W, "z1.csv", "z2.csv", "-o", "out.csv"]))
+@example(("chi-distance-power-2-zeros", ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "1e-320", "z1.csv", "z2.csv"]))
 def test_an_odd_number_exits_0_with_finite_numbers_or_fails_as_documented(call):
     # in process, on the corpus inputs and grid: an odd value in one flag gives a
-    # result, a documented error line, or click's usage message, never a traceback or inf
+    # result, a documented error line, or click's usage message, never a traceback or inf;
+    # a divergence is at least 0, weights lie on the simplex, and a failed call writes no file
     case_id, args = call
     with tempfile.TemporaryDirectory() as tmp:
         got = corpus.run_case(corpus.in_process, case_id, args, Path(tmp))
@@ -1496,7 +1521,14 @@ def test_an_odd_number_exits_0_with_finite_numbers_or_fails_as_documented(call):
     if code == 0:
         numbers = [n for line in stdout.splitlines() for n in _numbers(json.loads(line))]
         assert numbers and all(math.isfinite(n) for n in numbers), stdout
-    elif code == 2 and stderr.startswith("Usage: "):
+        if args[0] == "divergence":
+            assert float(stdout) >= 0.0, stdout
+        if args[0] == "weights":
+            weights = json.loads(stdout)["weights"]
+            assert min(weights) >= -1e-9 and abs(math.fsum(weights) - 1.0) <= 1e-9, weights
+        return
+    assert got["files"] == {}, (code, got["files"])
+    if code == 2 and stderr.startswith("Usage: "):
         assert "\nError: " in stderr and stdout == "", stderr
     else:
         assert code in CLI_ERRORS and stdout == "", (code, stderr)

@@ -24,7 +24,8 @@ through pdffusion, so regenerating the corpus cannot move its inputs. Left
 out on purpose:
 
 - 2-D JSON outputs, which are promised only to 1e-12 (the grid log-density
-  is a BLAS product);
+  is a BLAS product), but for the two log-linear pools that pin covariance
+  intersection;
 - ``min-kld`` and ``ci`` weights, which are fixed only to ``--tol``;
 - calls whose output is known to be wrong today: a narrow Gaussian whose
   grid values underflow, divergent or near-boundary alpha integrals of
@@ -94,10 +95,13 @@ CASES = [
     ("pool-json-log-linear", ["pool", "--kind", "log-linear", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-chi-log", ["pool", "--kind", "chi-transform", "--chi", "log", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-holder-0", ["pool", "--kind", "holder", "--alpha", "0", *W, "a.json", "b.json", "-o", "out.csv"]),
+    ("pool-json-holder-1e-9", ["pool", "--kind", "holder", "--alpha", "1e-9", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-chi-power-0", ["pool", "--kind", "chi-transform", "--chi", "power", "--chi-alpha", "0", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-holder-2", ["pool", "--kind", "holder", "--alpha", "2", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-chi-power-2", ["pool", "--kind", "chi-transform", "--chi", "power", "--chi-alpha", "2", *W, "a.json", "b.json", "-o", "out.csv"]),
     ("pool-json-holder-neg400-narrow", ["pool", "--kind", "holder", "--alpha", "-400", "--weights", "0.5,0.5", "narrow-a.json", "narrow-b.json", "-o", "out.csv"]),
+    ("pool-json-2d-log-linear", ["pool", "--kind", "log-linear", *W, "a2.json", "b2.json", "-o", "out.csv"]),
+    ("pool-json-2d-log-linear-correlated", ["pool", "--kind", "log-linear", "--weights", "0.4,0.6", "c2.json", "d2.json", "-o", "out.csv"]),
     ("divergence-kl", ["divergence", "--kind", "kl", "a.csv", "b.csv"]),
     ("divergence-reverse-kl", ["divergence", "--kind", "reverse-kl", "a.csv", "b.csv"]),
     ("divergence-alpha", ["divergence", "--kind", "alpha", "--alpha", "0.5", "a.csv", "b.csv"]),
@@ -114,6 +118,7 @@ CASES = [
     ("chi-distance-power-2-zeros", ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "2", "z1.csv", "z2.csv"]),
     ("chi-distance-json-power-neg0.5", ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "-0.5", "a.json", "b.json"]),
     ("chi-distance-json-power-600-overflow", ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "600", "narrow-a.json", "narrow-b.json"]),
+    ("divergence-chi-distance-power-1e-7", ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "1e-7", "a.json", "b.json"]),
     ("weights-discrepancy", ["weights", "--method", "discrepancy", "a.csv", "b.csv", "c.csv"]),
     ("axiom-check-linear-A2", ["axiom-check", "--kind", "linear", "--weights", "0.5,0.5", "--axiom", "A2", "--trials", "3"]),
     ("axiom-check-holder-A1", ["axiom-check", "--kind", "holder", "--alpha", "0.5", "--weights", "0.3,0.7", "--axiom", "A1", "--trials", "3", "--seed", "1"]),
@@ -144,10 +149,12 @@ CASES = [
 ]
 
 # per-row changes to ENV, recorded in the corpus. None unsets a variable: the
-# narrow-pair rows build their Gaussians on the default grid, as a call made
-# without FUSION_GRID_POINTS does
+# narrow-pair and 2-D JSON rows build their Gaussians on the default grid, as a
+# call made without FUSION_GRID_POINTS does
 ROW_ENV = {
     "pool-json-holder-neg400-narrow": {"FUSION_GRID_POINTS": None},
+    "pool-json-2d-log-linear": {"FUSION_GRID_POINTS": None},
+    "pool-json-2d-log-linear-correlated": {"FUSION_GRID_POINTS": None},
     "chi-distance-json-power-600-overflow": {"FUSION_GRID_POINTS": None},
     "invalid-grid-points": {"FUSION_GRID_POINTS": "abc"},
 }
@@ -214,6 +221,12 @@ def _input_files() -> dict[str, str]:
         # powers of this pair overflow
         "narrow-a.json": _json({"mean": [0.0], "cov": [[0.01]]}),
         "narrow-b.json": _json({"mean": [0.05], "cov": [[0.01]]}),
+        # 2-D pairs whose log-linear pool is covariance intersection; the second is
+        # correlated (rho about 0.9), where the grid log-density has its largest rounding error
+        "a2.json": _json({"mean": [0.5, -0.3], "cov": [[1.0, 0.3], [0.3, 2.0]]}),
+        "b2.json": _json({"mean": [-0.4, 0.6], "cov": [[1.5, -0.2], [-0.2, 0.8]]}),
+        "c2.json": _json({"mean": [0.5, -0.3], "cov": [[1.0, 0.9], [0.9, 1.0]]}),
+        "d2.json": _json({"mean": [0.3, -0.1], "cov": [[1.1, 0.9215], [0.9215, 0.95]]}),
         "list.json": _json([1, 2]),
         "bool.json": _json({"mean": [True], "cov": [[2.0]]}),  # numpy would read true as 1.0
         # two observation blocks with independent (block-diagonal) noise, where
@@ -371,6 +384,23 @@ def test_supra_model_row_pins_the_oracle():
     for key in ("mean", "cov"):
         gap = np.max(np.abs(np.array(row["posterior"][key]) - np.array(row["oracle"][key])))
         assert gap <= 1e-12, (key, gap)
+
+
+def test_2d_log_linear_rows_pin_covariance_intersection():
+    # the log-linear pool of Gaussians is covariance intersection: precisions
+    # averaged by the weights, on the 257 x 257 grid of each row
+    expected = load_expected()
+    for case_id in ("pool-json-2d-log-linear", "pool-json-2d-log-linear-correlated"):
+        args = expected[case_id]["args"]
+        weights = [float(v) for v in args[args.index("--weights") + 1].split(",")]
+        inputs = [json.loads((INPUTS / name).read_text()) for name in args[-4:-2]]
+        precisions = [w * np.linalg.inv(g["cov"]) for w, g in zip(weights, inputs)]
+        cov = np.linalg.inv(sum(precisions))
+        mean = cov @ sum(p @ g["mean"] for p, g in zip(precisions, inputs))
+        row = json.loads(expected[case_id]["stdout"])
+        for key, want in (("mean", mean), ("cov", cov)):
+            gap = np.max(np.abs(np.array(row[key]) - want))
+            assert gap <= 1e-9, (case_id, key, gap)
 
 
 def test_replay_through_python_m_matches(monkeypatch):

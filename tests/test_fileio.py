@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdffusion import fileio
-from pdffusion.errors import RankError
+from pdffusion.errors import DimensionError, DomainError, RankError
 from pdffusion.gaussian import Gaussian, to_grid
 from pdffusion.grid import Grid, GridDensity
 from pdffusion.supra import private_shared_model
@@ -73,6 +73,23 @@ class TestDensityCsv:
         path.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError):
             fileio.read_density_csv(path)
+
+    @pytest.mark.parametrize(
+        "header, error, message",
+        [
+            ("# 1,-1,1,-16", ValueError, "each dimension needs at least 16 nodes, got (-16,)"),
+            ("# 3,0,0,0,1,1,1,16,16,16", DimensionError, "grids support 1 or 2 dimensions, got 3"),
+            ("# 1,1,-1,16", DomainError, "upper bounds must exceed lower bounds, got [1.] .. [-1.]"),
+        ],
+        ids=["negative-count", "three-dims", "upper-below-lower"],
+    )
+    def test_header_grid_checked_before_the_values(self, tmp_path, header, error, message):
+        # a file without values is reported by its grid's fault, not by its value count
+        path = tmp_path / "grid.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(error) as caught:
+            fileio.read_density_csv(path)
+        assert type(caught.value) is error and str(caught.value) == f"{path}: {message}"
 
     def test_value_count_checked(self, tmp_path):
         path = tmp_path / "short.csv"

@@ -80,6 +80,15 @@ class TestConstruction:
         with pytest.raises(DomainError, match="finite"):
             Grid([0.0], [np.nan], (32,))
 
+    def test_nodes_must_be_apart_in_float64(self):
+        # 2048 nodes on 17 units spaced 0.0083, below the float spacing 0.125 at 1e15:
+        # most would round onto one coordinate; at 1e13 (spacing 0.002) they stay apart
+        with pytest.raises(DomainError, match=r"^2048 nodes on \[999999999999992.0, 1000000000000009.0\] are closer"):
+            Grid([1e15 - 8.0], [1e15 + 9.0], (2048,))
+        with pytest.raises(DomainError, match="closer than the float spacing"):
+            Grid([0.0, 1e15 - 8.0], [1.0, 1e15 + 9.0], (16, 2048))
+        assert len(set(Grid([1e13 - 8.0], [1e13 + 9.0], (2048,)).axes[0].tolist())) == 2048
+
     def test_minimum_resolution(self):
         with pytest.raises(ValueError, match="at least 16 nodes"):
             Grid([0.0], [1.0], (8,))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -159,9 +160,9 @@ class TestHolderPool:
         l1 = float(np.sum(mirror_pair.grid.quad_weights * np.abs(hol.values - ll.values)))
         assert l1 < 1e-2
 
-    def test_alpha_zero_band_rejected(self, mirror_pair):
-        with pytest.raises(ValueError):
-            P.holder_pool(mirror_pair, [0.5, 0.5], 1e-9)
+    def test_alpha_near_zero_is_the_power_mean(self, mirror_pair):
+        # no band around 0: 1e-9 pools, to the node-by-node reference's near-0 form
+        assert_is_the_power_mean(P.holder_pool(mirror_pair, [0.5, 0.5], 1e-9), mirror_pair, [0.5, 0.5], 1e-9)
 
     def test_alpha_zero_is_the_log_linear_pool(self, mirror_pair):
         for w in ([0.5, 0.5], [0.3, 0.7]):
@@ -174,13 +175,21 @@ class TestHolderPool:
             P.holder_pool(zeros_pair(), [0.5, 0.5], 0.0)
 
     @pytest.mark.parametrize("alpha", [1e-9, -1e-9, np.nan])
-    def test_only_zero_passes_the_band(self, mirror_pair, alpha):
-        with pytest.raises(ValueError, match="^Holder exponent "):
-            P.holder_pool(mirror_pair, [0.5, 0.5], alpha)
-        with pytest.raises(ValueError, match="^Holder exponent "):
-            P.PoolingSpec(P.PoolingKind.HOLDER, weights=[0.5, 0.5], alpha=alpha)
-        with pytest.raises(ValueError, match="^Power transform alpha "):
-            P.ChiTransform(P.ChiKind.POWER, alpha)
+    def test_alpha_is_checked_for_finiteness_alone(self, mirror_pair, alpha):
+        # holder_pool, a Holder spec and a power transform take every finite exponent, and pool alike
+        w = [0.5, 0.5]
+        calls = [
+            ("Holder exponent", lambda: P.holder_pool(mirror_pair, w, alpha)),
+            ("Holder exponent", lambda: P.pool(P.PoolingSpec(P.PoolingKind.HOLDER, weights=w, alpha=alpha), mirror_pair)),
+            ("Power transform alpha", lambda: P.chi_transform_pool(mirror_pair, w, P.ChiTransform(P.ChiKind.POWER, alpha))),
+        ]
+        if np.isnan(alpha):
+            for what, call in calls:
+                with pytest.raises(ValueError, match=f"^{what} must be finite, got nan$"):
+                    call()
+        else:
+            for _, call in calls:
+                np.testing.assert_array_equal(call().values, calls[0][1]().values)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_nonfinite_alpha_rejected_at_entry(self, mirror_pair, alpha):
@@ -265,6 +274,72 @@ class TestHolderPool:
         prof = OpinionProfile(common_grid(Gaussian([0.0], [[0.01]]), Gaussian([0.05], [[0.01]])))
         fused = P.holder_pool(prof, [0.5, 0.5], -100.0)
         assert fused.positive and fused.normalized
+
+
+# the exponents of the near-0 form, from the subnormal to just inside NEAR_LIMIT
+NEAR_ZERO = [sign * a for a in (5e-324, 1e-300, 1e-16, 1e-9, 1e-6, 1e-3, 9e-3) for sign in (1.0, -1.0)]
+# the third agent has weight 0 and drops out
+THREE_WEIGHTS = np.array([0.45, 0.55, 0.0])
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+def three_agents(request):
+    """Three Gaussians on their shared grid: 512 nodes in 1-D, 33 x 33 in 2-D."""
+    if request.param == 1:
+        agents = [gaussian([0.0], [1.0]), gaussian([1.0], [2.0]), gaussian([-3.0], [0.8])]
+        return OpinionProfile(common_grid(*agents, points=512))
+    agents = [gaussian([0.0, 0.5], [1.0, 0.8], 0.3), gaussian([1.0, -0.5], [1.5, 1.0], -0.4), gaussian([-2.0, 1.0], [0.5, 0.5])]
+    return OpinionProfile(common_grid(*agents, points=33))
+
+
+def _three_bumps():
+    """Bumps that vanish outside (-4, 2), (-3, 5) and (1, 7), on 64 nodes: with `THREE_WEIGHTS`,
+    the member weighted 0 vanishes where the others do not."""
+    x = np.linspace(-8.0, 8.0, 64)
+    values = [np.maximum(0.0, 1.0 - ((x - mid) / half) ** 2) for mid, half in ((-1.0, 3.0), (1.0, 4.0), (4.0, 3.0))]
+    return OpinionProfile(tuple(normalize(from_samples([-8.0], [8.0], (64,), v)) for v in values))
+
+
+def _assert_is_the_near_zero_mean(prof, w, alpha):
+    """The Holder pool is the normalized closed-form power mean to 1e-12 relative on nodes
+    above 1e-12 of its peak, and exactly 0 where every weighted member is; no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fused = P.holder_pool(prof, w, alpha).values
+    want = power_mean([q.values for q in prof.densities], w, alpha)
+    want /= prof.grid.integral(want)
+    top = want > 1e-12 * want.max()
+    np.testing.assert_allclose(fused[top], want[top], rtol=1e-12, atol=0.0)
+    vanish = np.all([q.values == 0.0 for q, wk in zip(prof.densities, w) if wk > 0.0], axis=0)
+    assert np.all(fused[vanish] == 0.0)
+
+
+class TestNearTheLogLimit:
+    """Holder pools at 0 < |alpha| < NEAR_LIMIT, where the pool runs on log1p and expm1."""
+
+    @pytest.mark.parametrize("alpha", [1e-2, -1e-2, 0.5, -0.5, 3.0, -400.0])
+    def test_the_closed_forms_agree_far_from_0(self, three_agents, alpha):
+        profiles = [three_agents] + ([_three_bumps()] if alpha > 0.0 else [])
+        for prof in profiles:
+            members = [q.values for q in prof.densities]
+            far = power_mean(members, THREE_WEIGHTS, alpha, near_zero=False)
+            near = power_mean(members, THREE_WEIGHTS, alpha, near_zero=True)
+            np.testing.assert_allclose(near, far, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", NEAR_ZERO)
+    def test_holder_pool_is_the_closed_form(self, three_agents, alpha):
+        _assert_is_the_near_zero_mean(three_agents, THREE_WEIGHTS, alpha)
+
+    @pytest.mark.parametrize("alpha", [a for a in NEAR_ZERO if a > 0.0] + [1e-320])
+    def test_zeros_in_the_profile(self, alpha):
+        # a zero of a weighted member sends its expm1 term to -1, and its quotient by alpha to -1/alpha
+        # or, for a subnormal alpha, past the float range
+        _assert_is_the_near_zero_mean(_three_bumps(), THREE_WEIGHTS, alpha)
+
+    @pytest.mark.parametrize("alpha", [5e-324, -5e-324, 1e-300, -1e-300])
+    def test_a_tiny_alpha_is_the_log_linear_pool(self, three_agents, alpha):
+        want = P.log_linear_pool(three_agents, THREE_WEIGHTS).values
+        np.testing.assert_allclose(P.holder_pool(three_agents, THREE_WEIGHTS, alpha).values, want, rtol=1e-13, atol=0.0)
 
 
 class TestMultiplicativePool:
@@ -790,9 +865,9 @@ class TestSpecValidation:
         assert type(holder.alpha) is float and holder.alpha == 2.0
         assert type(P.PoolingSpec(P.PoolingKind.DICTATORSHIP, dictator=2.0).dictator) is int
 
-    @pytest.mark.parametrize("alpha", [np.nan, 1e-9])
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
     def test_holder_alpha_refused_at_construction(self, alpha):
-        with pytest.raises(ValueError, match="^Holder exponent must be finite|^Holder exponent too close to 0"):
+        with pytest.raises(ValueError, match="^Holder exponent must be finite"):
             P.PoolingSpec(P.PoolingKind.HOLDER, weights=[0.5, 0.5], alpha=alpha)
 
 
