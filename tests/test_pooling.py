@@ -870,6 +870,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^Holder exponent must be finite"):
             P.PoolingSpec(P.PoolingKind.HOLDER, weights=[0.5, 0.5], alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-9, -1e-9])
+    def test_holder_alpha_near_zero_accepted_at_construction(self, alpha):
+        # no band around 0: a finite exponent is stored as given, not refused or rounded to 0
+        spec = P.PoolingSpec(P.PoolingKind.HOLDER, weights=[0.5, 0.5], alpha=alpha)
+        assert type(spec.alpha) is float and spec.alpha == alpha
+
 
 class TestExactFields:
     @pytest.fixture(scope="class")
