@@ -14,9 +14,8 @@ on one grid by `gaussian.common_grid` (a closed-form Gaussian argument is
 evaluated there once), must be normalized and meet the kind's support
 rule; the integrand runs on every node without masks, and the product of
 its node arrays is integrated by the grid's trapezoid rule. Zero
-convention: where a kind's support rule lets a density vanish (0 * log 0,
-0/0, -inf + inf), a nan term counts as its limit, 0. The kinds without
-such a rule have no nan terms there.
+convention, kept by `_integral` alone: a nan term at a node where either
+density vanishes (0 * log 0, 0/0, 0 * inf) counts as its limit, 0.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import BoundednessError, NotNormalizedError, PositivityError, SupportError, finite_number
 from .gaussian import common_grid
-from .pooling import NEAR_LIMIT, ChiTransform, check_fields, over_step
+from .pooling import ChiTransform, check_fields, over_step
 
 
 class DivergenceKind(enum.Enum):
@@ -68,6 +67,7 @@ def _integral(p, q, what: str, integrand, support: str | None = None) -> float:
 
     ``support``: ``"p"``, p must vanish wherever q does, ``"q"`` the converse
     (SupportError), ``"positive"`` both strictly positive (PositivityError).
+    The one home of the zero convention: a nan term where p or q vanishes is 0.
     """
     p, q = common_grid(p, q)
     require_normalized(p, q)
@@ -80,9 +80,8 @@ def _integral(p, q, what: str, integrand, support: str | None = None) -> float:
             raise SupportError(f"{what}: {first} density has mass where the {second} vanishes")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         factors = integrand(p.values, q.values)
-        if support in ("p", "q") and not dominated.positive:
-            # the zero convention; the reference vanishes only where the dominated density does
-            vanish = dominated.values == 0.0
+        if not (p.positive and q.positive):  # the zero convention
+            vanish = (p.values == 0.0) | (q.values == 0.0)
             for terms in factors:
                 terms[vanish & np.isnan(terms)] = 0.0
         return p.grid.integral(*factors)
@@ -106,12 +105,11 @@ def f_divergence(p, q, f: Callable[[np.ndarray], np.ndarray]) -> float:
 
     def integrand(pv, qv):
         fx = np.asarray(f(pv / qv), dtype=np.float64)
-        finite = np.isfinite(fx)
-        if np.any(~finite & (pv > 0.0)):
+        if np.any(~np.isfinite(fx) & (pv > 0.0)):
             raise SupportError("f produced non-finite values where p is positive")
         if np.any(np.isinf(fx) & (qv > 0.0)):
             raise SupportError("f-divergence: second density has mass where the first vanishes")
-        return (np.where(finite, qv * fx, 0.0),)
+        return (qv * fx,)
 
     return _integral(p, q, "f-divergence", integrand, "p")
 
@@ -134,55 +132,40 @@ def reverse_kl(p, q) -> float:
 
 
 def alpha_div(p, q, alpha: float) -> float:
-    """Alpha-divergence (integral p^a q^(1-a) - 1) / (a(a-1)).
+    """Alpha-divergence (integral p^a q^(1-a) - 1) / (a(a-1)), one integrand for every finite a.
 
-    alpha = 1 is its limit kl(p, q) and alpha = 0 its limit kl(q, p), with
-    their support rules. Pearson chi-squared is twice the alpha = 2 member.
-    Raises BoundednessError when a density's power overflows the integral.
-    """
-    return _alpha(p, q, alpha, reverse=False)
-
-
-def reverse_alpha_div(p, q, alpha: float) -> float:
-    """Alpha-divergence with the arguments swapped.
-
-    Equals alpha_div(p, q, 1 - alpha), as swapping the arguments reflects the
-    order parameter around one half: alpha = 1 is reverse_kl(p, q), alpha = 0 kl(p, q).
-    """
-    return _alpha(p, q, alpha, reverse=True)
-
-
-def _alpha(p, q, alpha: float, reverse: bool) -> float:
-    """alpha_div of (p, q), or of (q, p) when ``reverse``, in the caller's argument order.
-
-    Near the KL limits, |alpha (alpha - 1)| < 0.01, integral a^alpha b^(1-alpha)
-    less one would keep only round-off; the integrand is that difference instead,
-    with r = log a - log b: b expm1(alpha r) near 0, a expm1((alpha - 1) r) near 1.
+    With r = log p - log q and the integrals of p and q both one, it is the
+    integral of q expm1(a r) / (a(a-1)) for a <= 1/2 and of p expm1((a-1) r) /
+    (a(a-1)) above, each quotient by the step read through `over_step`: no
+    term cancels a constant, so the digits hold near and at the limits,
+    alpha = 1, kl(p, q), and alpha = 0, kl(q, p), each with its support rule.
+    Identical inputs give exactly 0. Pearson chi-squared is twice the alpha = 2
+    member. Raises BoundednessError when a density's power overflows the integral.
     """
     alpha = finite_number(alpha, "alpha")  # None stays a TypeError
-    # a^alpha b^(1-alpha) needs b > 0 wherever a > 0 when alpha >= 1 (1: KL(a||b)), and the converse when alpha <= 0
-    a, b = ("q", "p") if reverse else ("p", "q")
-    support = a if alpha >= 1.0 else b if alpha <= 0.0 else None
-    near_kl = abs(alpha * (alpha - 1.0)) < NEAR_LIMIT
-    # the order parameter of the expm1 form, and what its integral is divided by
+    # p^alpha q^(1-alpha) needs q > 0 wherever p > 0 when alpha >= 1 (1: KL(p||q)), and the converse when alpha <= 0
+    support = "p" if alpha >= 1.0 else "q" if alpha <= 0.0 else None
+    # the order parameter of the expm1 form, the density it weighs, and what its integral is divided by
     step, scale = (alpha - 1.0, alpha) if alpha > 0.5 else (alpha, alpha - 1.0)
 
     def integrand(pv, qv):
-        av, bv = (qv, pv) if reverse else (pv, qv)
-        if not near_kl:
-            terms = alpha * np.log(av) + (1.0 - alpha) * np.log(bv)
-            return (np.exp(terms, out=terms),)
-        r = np.log(av) - np.log(bv)
+        r = np.log(pv)
+        r -= np.log(qv)
         terms = over_step(np.expm1, step, r)  # expm1(step r) / step
-        terms *= av if alpha > 0.5 else bv
-        # a nan term is 0 * inf or 0 * nan, where a density vanishes: its limit is 0
-        terms[np.isnan(terms)] = 0.0
+        terms *= pv if alpha > 0.5 else qv
         return (terms,)
 
-    integral = _integral(p, q, "alpha-divergence", integrand, support)
     # + 0.0: a pair that agrees integrates to 0.0, which a negative scale would print as -0
-    value = integral / scale + 0.0 if near_kl else (integral - 1.0) / (alpha * (alpha - 1.0))
-    return _bounded(value, "alpha-divergence")
+    return _bounded(_integral(p, q, "alpha-divergence", integrand, support) / scale + 0.0, "alpha-divergence")
+
+
+def reverse_alpha_div(p, q, alpha: float) -> float:
+    """Alpha-divergence with the arguments swapped: alpha_div(p, q, 1 - alpha).
+
+    Swapping the arguments reflects the order parameter around one half:
+    alpha = 1 is reverse_kl(p, q), alpha = 0 kl(p, q).
+    """
+    return alpha_div(p, q, 1.0 - finite_number(alpha, "alpha"))
 
 
 def pearson_chi2(p, q) -> float:

@@ -74,6 +74,20 @@ def gaussian_log_affinity(p, q, alpha: float) -> float:
     return -0.5 * (quadratic + np.sum(np.log1p(alpha * (mu - 1.0)) - alpha * np.log(mu)))
 
 
+def gaussian_alpha_divergence(p, q, alpha: float) -> float:
+    """D_alpha(p || q) = expm1(log integral p^alpha q^(1 - alpha)) / (alpha (alpha - 1)).
+
+    +inf where alpha Sp^-1 + (1 - alpha) Sq^-1 is not positive definite, as
+    the integral diverges there; its limits KL(q || p) at alpha = 0 and
+    KL(p || q) at alpha = 1.
+    """
+    if alpha == 0.0:
+        return gaussian_kl(q, p)
+    if alpha == 1.0:
+        return gaussian_kl(p, q)
+    return float(np.expm1(gaussian_log_affinity(p, q, alpha)) / (alpha * (alpha - 1.0)))
+
+
 def gaussian_l2_cross(p, q) -> float:
     """integral p q, the density of N(0, Sp + Sq) at mp - mq."""
     cov = p.cov + q.cov

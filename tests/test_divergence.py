@@ -13,10 +13,10 @@ from pdffusion.pooling import ChiKind, ChiTransform
 
 from closed_forms import (
     gaussian,
+    gaussian_alpha_divergence,
     gaussian_cross_entropy,
     gaussian_kl,
     gaussian_l2_cross,
-    gaussian_log_affinity,
     gaussians,
 )
 from separable import assert_relative, bumps, product
@@ -211,6 +211,12 @@ class TestAlphaDivergence:
                 assert D.alpha_div(p, q, alpha) >= -1e-9
 
 
+def alpha_form(alpha, pv, qv):
+    """alpha_div's integrand weight expm1(step (log p - log q)) / step: its step, its weight,
+    and what its integral is divided by, alpha (alpha - 1) / step."""
+    return (alpha - 1.0, pv, alpha) if alpha > 0.5 else (alpha, qv, alpha - 1.0)
+
+
 class TestMaskedTerms:
     """Each integrand runs on every node; it must equal the gather-and-scatter
     form, terms on the support nodes and zeros elsewhere, bit for bit."""
@@ -230,9 +236,12 @@ class TestMaskedTerms:
             diff = pv[pos] - qv[pos]
             terms[pos] = diff * diff / qv[pos]
         else:
-            alpha = rule
-            both = pos & (qv > 0.0)
-            terms[both] = np.exp(alpha * np.log(pv[both]) + (1.0 - alpha) * np.log(qv[both]))
+            # the expm1 integrand, weight expm1(step (log p - log q)) / step, on the nodes where its weight has mass
+            step, weight, _ = alpha_form(rule, pv, qv)
+            pos = weight > 0.0
+            with np.errstate(divide="ignore"):  # log 0 where the other density vanishes
+                r = np.log(pv[pos]) - np.log(qv[pos])
+            terms[pos] = weight[pos] * (np.expm1(step * r) / step)
         return terms
 
     @pytest.fixture(scope="class")
@@ -252,8 +261,8 @@ class TestMaskedTerms:
             assert D.cross_entropy(p, q) == -grid.integral(self.gathered(pv, qv, "cross-entropy"))
             assert D.pearson_chi2(p, q) == grid.integral(self.gathered(pv, qv, "pearson"))
             for alpha in (0.5, 2.0):
-                integral = grid.integral(self.gathered(pv, qv, alpha))
-                assert D.alpha_div(p, q, alpha) == (integral - 1.0) / (alpha * (alpha - 1.0))
+                scale = alpha_form(alpha, pv, qv)[2]
+                assert D.alpha_div(p, q, alpha) == grid.integral(self.gathered(pv, qv, alpha)) / scale
 
     def test_mass_where_q_vanishes_is_a_support_error(self):
         vals = np.ones(64)
@@ -291,15 +300,17 @@ class TestMaskFreeTerms:
             np.multiply(terms, terms, out=terms, where=pos)
             np.divide(terms, qv, out=terms, where=pos)
         else:
-            alpha = rule
-            both = (pv > 0.0) & (qv > 0.0)
+            step, weight, _ = alpha_form(rule, pv, qv)
+            pos = weight > 0.0
             log_q = np.empty_like(qv)
-            np.log(pv, out=terms, where=both)
-            np.multiply(alpha, terms, out=terms, where=both)
-            np.log(qv, out=log_q, where=both)
-            np.multiply(1.0 - alpha, log_q, out=log_q, where=both)
-            np.add(terms, log_q, out=terms, where=both)
-            np.exp(terms, out=terms, where=both)
+            with np.errstate(divide="ignore"):  # log 0 where the other density vanishes
+                np.log(pv, out=terms, where=pos)
+                np.log(qv, out=log_q, where=pos)
+            np.subtract(terms, log_q, out=terms, where=pos)
+            np.multiply(step, terms, out=terms, where=pos)
+            np.expm1(terms, out=terms, where=pos)
+            np.divide(terms, step, out=terms, where=pos)
+            np.multiply(weight, terms, out=terms, where=pos)
         return terms
 
     def assert_bitwise(self, p, q, alphas=(-0.5, 0.3, 2.0)):
@@ -308,8 +319,8 @@ class TestMaskFreeTerms:
         assert D.cross_entropy(p, q) == -grid.integral(self.masked(pv, qv, "cross-entropy"))
         assert D.pearson_chi2(p, q) == grid.integral(self.masked(pv, qv, "pearson"))
         for alpha in alphas:
-            integral = grid.integral(self.masked(pv, qv, alpha))
-            assert D.alpha_div(p, q, alpha) == (integral - 1.0) / (alpha * (alpha - 1.0))
+            scale = alpha_form(alpha, pv, qv)[2]
+            assert D.alpha_div(p, q, alpha) == grid.integral(self.masked(pv, qv, alpha)) / scale
 
     def test_positive_pairs_match_the_masked_form(self):
         rng = np.random.default_rng(8)
@@ -552,8 +563,7 @@ class TestGaussianClosedForms:
     @given(data=st.data(), alpha=st.floats(0.2, 0.8, exclude_min=True, exclude_max=True))
     def test_alpha(self, dim, data, alpha):
         p, q, grids = _pair_on_grid(data, dim)
-        exact = np.expm1(gaussian_log_affinity(p, q, alpha)) / (alpha * (alpha - 1.0))
-        _assert_close(D.alpha_div(*grids, alpha), exact)
+        _assert_close(D.alpha_div(*grids, alpha), gaussian_alpha_divergence(p, q, alpha))
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -581,7 +591,7 @@ class TestGaussianClosedForms:
 def test_alpha_near_its_kl_limits_keeps_its_digits(p, q, alpha):
     # (integral - 1) / (alpha (alpha - 1)) kept only the integral's round-off here:
     # 1.6% off at 1e-16, -0 at 1e-300
-    exact = np.expm1(gaussian_log_affinity(p, q, alpha)) / (alpha * (alpha - 1.0))
+    exact = gaussian_alpha_divergence(p, q, alpha)
     limit = gaussian_kl(q, p) if alpha < 0.5 else gaussian_kl(p, q)
     assert exact == pytest.approx(limit, rel=1e-11)
     for value in (D.alpha_div(p, q, alpha), D.reverse_alpha_div(q, p, alpha)):
@@ -629,9 +639,7 @@ def test_kl_of_a_narrow_pair():
 )
 def test_divergent_or_wide_integrand(p, q, alpha):
     """alpha_div at ``alpha``, or Pearson chi-squared, the integral of p^2/q less one, when None."""
-    exact = np.expm1(gaussian_log_affinity(p, q, 2.0 if alpha is None else alpha))
-    if alpha is not None:
-        exact /= alpha * (alpha - 1.0)
+    exact = 2.0 * gaussian_alpha_divergence(p, q, 2.0) if alpha is None else gaussian_alpha_divergence(p, q, alpha)
 
     def divergence():
         return D.pearson_chi2(p, q) if alpha is None else D.alpha_div(p, q, alpha)
