@@ -1425,12 +1425,13 @@ def test_all_zero_csv_is_no_density(runner, tmp_path, monkeypatch, args):
 
 @pytest.mark.parametrize(
     "means, code",
-    [((1e17, 1.00000000000000016e17), 2), ((1e15, 1e15 + 1.0), 2), ((1e13, 1e13 + 1.0), 0)],
-    ids=["1e17-16-apart", "1e15-1-apart", "1e13-1-apart"],
+    [((1e17, 1.00000000000000016e17), 2), ((1e15, 1e15 + 1.0), 2), ((1e13, 1e13 + 1.0), 2), ((1e9, 1e9 + 1.0), 0)],
+    ids=["1e17-16-apart", "1e15-1-apart", "1e13-1-apart", "1e9-1-apart"],
 )
 def test_gaussians_far_from_0_need_a_grid_that_float64_resolves(runner, tmp_path, means, code):
     # the default 2048 nodes on mean +- 8: spaced about 0.0083, below the float spacing
-    # 0.125 at 1e15, so the nodes would collapse and KL print 0.4995 for 0.5; at 1e13 they do not
+    # 0.125 at 1e15, so the nodes would collapse and KL print 0.4995 for 0.5; at 1e13
+    # (float spacing 0.002) they round unevenly and KL printed 0.50000006; at 1e9 they are even
     paths = []
     for i, mean in enumerate(means):
         paths.append(str(tmp_path / f"g{i}.json"))
@@ -1441,7 +1442,7 @@ def test_gaussians_far_from_0_need_a_grid_that_float64_resolves(runner, tmp_path
         payload = json.loads(result.stderr)
         assert payload["error"] == "DomainError" and "closer than the float spacing" in payload["message"], payload
     else:
-        assert float(result.stdout) == pytest.approx(0.5, abs=1e-6)
+        assert abs(float(result.stdout) - 0.5) <= 1e-9
 
 
 def test_header_only_csv_prints_one_json_line(run_python, tmp_path):

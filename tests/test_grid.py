@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import re
 import tracemalloc
@@ -82,12 +83,21 @@ class TestConstruction:
 
     def test_nodes_must_be_apart_in_float64(self):
         # 2048 nodes on 17 units spaced 0.0083, below the float spacing 0.125 at 1e15:
-        # most would round onto one coordinate; at 1e13 (spacing 0.002) they stay apart
+        # most would round onto one coordinate; at 1e13 (float spacing 0.002) they round
+        # unevenly; at 1e9 (1.2e-7, 2^16 times closer than the nodes) they are accepted
         with pytest.raises(DomainError, match=r"^2048 nodes on \[999999999999992.0, 1000000000000009.0\] are closer"):
             Grid([1e15 - 8.0], [1e15 + 9.0], (2048,))
         with pytest.raises(DomainError, match="closer than the float spacing"):
             Grid([0.0, 1e15 - 8.0], [1.0, 1e15 + 9.0], (16, 2048))
-        assert len(set(Grid([1e13 - 8.0], [1e13 + 9.0], (2048,)).axes[0].tolist())) == 2048
+        with pytest.raises(DomainError, match="closer than the float spacing"):
+            Grid([1e13 - 8.0], [1e13 + 9.0], (2048,))
+        assert len(set(Grid([1e9 - 8.0], [1e9 + 9.0], (2048,)).axes[0].tolist())) == 2048
+
+    def test_node_spacing_rule_is_2_to_the_15_float_spacings(self):
+        ulp = math.ulp(1024.0)
+        Grid([1024.0 - 15 * 2**15 * ulp], [1024.0], (16,))
+        with pytest.raises(DomainError, match="^16 nodes on .* are closer than the float spacing there allows"):
+            Grid([1024.0 - 15 * (2**15 - 1) * ulp], [1024.0], (16,))
 
     def test_minimum_resolution(self):
         with pytest.raises(ValueError, match="at least 16 nodes"):
