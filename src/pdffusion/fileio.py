@@ -66,6 +66,14 @@ def write_density_csv(path, d: GridDensity) -> None:
     write_rows(path, "# " + ",".join([str(grid.dims), *bounds, *map(str, grid.shape)]), d.values.reshape(-1, 1))
 
 
+def _from_file(path, build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on what was read from ``path``; its error is raised again, same class, with "<path>: " in front."""
+    try:
+        return build(*args, **kwargs)
+    except (FusionError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_density_csv(path) -> GridDensity:
     with open(path) as fh:
         header = fh.readline().strip()
@@ -81,14 +89,11 @@ def read_density_csv(path) -> GridDensity:
             raise ValueError(f"{path}: bad header field: {exc}") from None
         if len(fields) != 1 + 3 * dims:
             raise ValueError(f"{path}: header has {len(fields)} fields, expected {1 + 3 * dims}")
-        try:  # the header's grid before its values, so that a bad grid is reported as itself
-            Grid(lower, upper, shape)
-        except (FusionError, ValueError) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+        _from_file(path, Grid, lower, upper, shape)  # the header's grid before its values, so a bad grid is reported as itself
         with warnings.catch_warnings():
             # a file without values is reported below, with its grid shape
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+            values = _from_file(path, np.loadtxt, fh, dtype=np.float64, ndmin=2)
     if values.shape[1] != 1:
         raise ValueError(f"{path}: {values.shape[1]} values on a line; the format has one per line")
     values = values.reshape(-1)
@@ -96,7 +101,7 @@ def read_density_csv(path) -> GridDensity:
         raise ValueError(f"{path}: {values.size} values for grid shape {shape}")
     # a file that integrates to one reads as normalized (GridDensity.normalized),
     # so it can enter operations that insist on normalized inputs
-    return from_samples(lower, upper, shape, values)
+    return _from_file(path, from_samples, lower, upper, shape, values)
 
 
 def _json_fields(path, *names) -> list:
@@ -139,7 +144,7 @@ def write_gaussian_json(path, g: Gaussian) -> None:
 
 def read_gaussian_json(path) -> Gaussian:
     mean, cov = _json_fields(path, "mean", "cov")
-    return Gaussian(_float_array(path, "mean", mean), _float_array(path, "cov", cov))
+    return _from_file(path, Gaussian, _float_array(path, "mean", mean), _float_array(path, "cov", cov))
 
 
 def read_density(path) -> GridDensity | Gaussian:
@@ -164,7 +169,9 @@ def read_model_json(path) -> LinearGaussianModel:
     blocks, *rest = _json_fields(path, "H_blocks", *_MODEL_ARRAYS)
     if not isinstance(blocks, list):
         raise ValueError(f"{path}: field 'H_blocks' is not a list of matrices")
-    return LinearGaussianModel(
+    return _from_file(
+        path,
+        LinearGaussianModel,
         tuple(_float_array(path, f"H_blocks[{i}]", b) for i, b in enumerate(blocks)),
         *(_float_array(path, name, value) for name, value in zip(_MODEL_ARRAYS, rest)),
     )

@@ -1048,7 +1048,7 @@ class TestSupra:
         )
         result = runner.invoke(main, ["supra", "--model", str(path)])
         assert result.exit_code == 2
-        assert json.loads(result.stderr)["message"] == message
+        assert json.loads(result.stderr)["message"] == f"{path}: {message}"
 
     def test_model_json_of_the_wrong_shape_exits_2(self, runner, tmp_path):
         path = tmp_path / "model.json"
@@ -1069,7 +1069,7 @@ class TestSupra:
         result = runner.invoke(main, ["supra", "--model", str(path)])
         assert result.exit_code == 2
         assert stderr_error(result) == "DimensionError"
-        assert stderr_message(result) == "H block 0 has shape (2, 2, 1), expected a matrix"
+        assert stderr_message(result) == f"{path}: H block 0 has shape (2, 2, 1), expected a matrix"
 
     def test_singular_joint_noise_exits_3(self, runner, tmp_path):
         path = tmp_path / "model.json"
@@ -1419,7 +1419,7 @@ def test_all_zero_csv_is_no_density(runner, tmp_path, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, [*args, "-o", "out.csv"])
     assert (result.exit_code, result.stdout) == (2, ""), repr(result.exception)
-    assert json.loads(result.stderr) == {"error": "ValueError", "message": "density values are all zero"}
+    assert json.loads(result.stderr) == {"error": "ValueError", "message": "zero.csv: density values are all zero"}
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -1536,3 +1536,79 @@ def test_an_odd_number_exits_0_with_finite_numbers_or_fails_as_documented(call):
         assert stderr.count("\n") == 1, stderr
         payload = json.loads(stderr)
         assert set(payload) == {"error", "message"} and payload["error"] in CLI_ERRORS[code], (code, payload)
+
+
+# corpus calls that succeed, each with the input files it reads: (row id, arguments, files)
+_CORPUS_ROWS = corpus.load_expected()
+FILE_CALLS = [
+    (case_id, args, sorted({arg for arg in args if (corpus.INPUTS / arg).is_file()}))
+    for case_id, args in corpus.CASES
+    if _CORPUS_ROWS[case_id]["exit_code"] == 0 and any((corpus.INPUTS / arg).is_file() for arg in args)
+]
+CSV_PERTURBATIONS = ("nan", "inf", "-inf", "negative", "text", "second-column", "truncated", "all-zero", "header")
+GAUSSIAN_PERTURBATIONS = ("cov-shape", "nan-cov", "not-positive-definite", "string-mean", "cut-off")
+MODEL_PERTURBATIONS = ("prior-cov-shape", "nan-prior-cov", "not-positive-definite", "string-prior-mean", "cut-off")
+
+
+def _perturbed_csv(text: str, how: str, at: int) -> str:
+    """The density CSV ``text`` perturbed ``how``, at its value line ``at``."""
+    header, *lines = text.splitlines()
+    if how == "header":  # a lower bound that is no number
+        header = header.replace(",", ",x", 1)
+    elif how == "truncated":
+        lines = lines[:at]
+    elif how == "all-zero":
+        lines = ["0"] * len(lines)
+    elif how == "second-column":
+        lines[at] += "," + lines[at]
+    else:
+        lines[at] = {"negative": "-0.5", "text": "abc"}.get(how, how)
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _perturbed_json(text: str, how: str) -> str:
+    """The Gaussian or model JSON ``text`` perturbed ``how``."""
+    if how == "cut-off":
+        return text[: len(text) // 2]
+    payload = json.loads(text)
+    cov, mean = ("prior_cov", "prior_mean") if "prior_cov" in payload else ("cov", "mean")
+    d = len(payload[mean])
+    payload.update({
+        "cov-shape": {cov: [[1.0] * (d + 1)]},
+        "nan-cov": {cov: [[math.nan] * d] * d},
+        "not-positive-definite": {cov: (-np.eye(d)).tolist()},
+        "string-mean": {mean: "abc"},
+    }[how.replace("prior-", "").replace("-prior", "")])
+    return json.dumps(payload)
+
+
+@st.composite
+def perturbed_files(draw):
+    """A corpus call and one of its input files perturbed: (row id, arguments, file name, new text)."""
+    case_id, args, files = draw(st.sampled_from(FILE_CALLS))
+    name = draw(st.sampled_from(files))
+    text = (corpus.INPUTS / name).read_text()
+    if name.endswith(".csv"):
+        at = draw(st.integers(0, text.count("\n") - 2))
+        return case_id, args, name, _perturbed_csv(text, draw(st.sampled_from(CSV_PERTURBATIONS)), at)
+    kinds = MODEL_PERTURBATIONS if name.startswith("model") else GAUSSIAN_PERTURBATIONS
+    return case_id, args, name, _perturbed_json(text, draw(st.sampled_from(kinds)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_files())
+# a value that is no number, and a second column: numpy's message named no file
+@example(("divergence-kl", dict(corpus.CASES)["divergence-kl"], "a.csv", "# 1,-8,8,64\n" + "abc\n" * 64))
+@example(("pool-json-linear", dict(corpus.CASES)["pool-json-linear"], "b.json", '{"mean": [1.5], "cov": [[2.0, 0.0]]}'))
+def test_a_perturbed_input_file_fails_naming_it(call):
+    # in process, on the corpus inputs: a file whose content is not a valid density,
+    # Gaussian or model fails with one documented error line that names the file, and no output
+    case_id, args, name, text = call
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / name).write_text(text)  # run_case copies the other inputs beside it
+        got = corpus.run_case(corpus.in_process, case_id, args, Path(tmp))
+    code, stderr = got["exit_code"], got["stderr"]
+    assert code in (2, 3) and got["stdout"] == "" and got["files"] == {}, (code, got)
+    assert stderr.count("\n") == 1, stderr
+    payload = json.loads(stderr)
+    assert payload["error"] in CLI_ERRORS[code] and name in payload["message"], (code, payload)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import stat
 
 import numpy as np
@@ -118,7 +119,7 @@ class TestDensityCsv:
     def test_all_zero_values_are_no_density(self, tmp_path):
         path = tmp_path / "zero.csv"
         path.write_text("# 1,-8,8,64\n" + "0\n" * 64)
-        with pytest.raises(ValueError, match="^density values are all zero$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: density values are all zero$"):
             fileio.read_density_csv(path)
 
 
