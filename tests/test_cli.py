@@ -1612,3 +1612,37 @@ def test_a_perturbed_input_file_fails_naming_it(call):
     assert stderr.count("\n") == 1, stderr
     payload = json.loads(stderr)
     assert payload["error"] in CLI_ERRORS[code] and name in payload["message"], (code, payload)
+
+
+# the corpus inputs that are positive normalized densities on their grids
+POSITIVE_INPUTS = (
+    "a.csv", "b.csv", "c.csv", "flat.csv", "a2.csv", "b2.csv",
+    "a.json", "b.json", "narrow-a.json", "narrow-b.json", "a2.json", "b2.json", "c2.json", "d2.json",
+)
+SELF_ALPHAS = ("-400", "-0.5", "0", "1e-300", "0.3", "1", "2", "50")
+# the flags of each divergence kind that reads any
+SELF_FLAGS = {
+    "alpha": [["--alpha", alpha] for alpha in SELF_ALPHAS],
+    "reverse-alpha": [["--alpha", alpha] for alpha in SELF_ALPHAS],
+    "chi-distance": [["--chi", chi] for chi in ("identity", "log", "reciprocal")]
+    + [["--chi", "power", "--chi-alpha", alpha] for alpha in ("-0.5", "0", "1e-7", "2")],
+}
+
+
+@st.composite
+def self_divergences(draw):
+    """A divergence call of any kind on one positive corpus input given twice."""
+    kind = draw(st.sampled_from([kind.value for kind in DivergenceKind]))
+    name = draw(st.sampled_from(POSITIVE_INPUTS))
+    return ["divergence", "--kind", kind, *draw(st.sampled_from(SELF_FLAGS.get(kind, [[]]))), name, name]
+
+
+@settings(max_examples=100, deadline=None)
+@given(self_divergences())
+# (integral - 1) / (alpha (alpha - 1)) printed -5.5511151231257827e-17 and -0 for these
+@example(["divergence", "--kind", "alpha", "--alpha", "2", "a.json", "a.json"])
+@example(["divergence", "--kind", "alpha", "--alpha", "0.3", "a.json", "a.json"])
+def test_every_divergence_of_an_input_with_itself_prints_0(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        got = corpus.run_case(corpus.in_process, "self", args, Path(tmp))
+    assert (got["exit_code"], got["stdout"], got["stderr"]) == (0, "0\n", ""), (args, got)

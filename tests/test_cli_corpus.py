@@ -108,6 +108,9 @@ CASES = [
     ("divergence-reverse-alpha", ["divergence", "--kind", "reverse-alpha", "--alpha", "0.3", "a.csv", "b.csv"]),
     ("divergence-alpha-0", ["divergence", "--kind", "alpha", "--alpha", "0", "a.csv", "b.csv"]),
     ("divergence-alpha-1", ["divergence", "--kind", "alpha", "--alpha", "1", "a.csv", "b.csv"]),
+    # a divergence of an input with itself is 0, never -0 or a round-off
+    ("divergence-alpha-2-self", ["divergence", "--kind", "alpha", "--alpha", "2", "a.json", "a.json"]),
+    ("divergence-reverse-alpha-self", ["divergence", "--kind", "reverse-alpha", "--alpha", "0.3", "a.csv", "a.csv"]),
     ("divergence-pearson-chi2", ["divergence", "--kind", "pearson-chi2", "a.csv", "c.csv"]),
     ("divergence-l2", ["divergence", "--kind", "l2", "z1.csv", "z2.csv"]),
     ("divergence-2d-kl", ["divergence", "--kind", "kl", "a2.csv", "b2.csv"]),
@@ -149,9 +152,10 @@ CASES = [
 ]
 
 # per-row changes to ENV, recorded in the corpus. None unsets a variable: the
-# narrow-pair and 2-D JSON rows build their Gaussians on the default grid, as a
-# call made without FUSION_GRID_POINTS does
+# narrow-pair, 2-D JSON and alpha-2 self rows build their Gaussians on the default
+# grid, as a call made without FUSION_GRID_POINTS does
 ROW_ENV = {
+    "divergence-alpha-2-self": {"FUSION_GRID_POINTS": None},
     "pool-json-holder-neg400-narrow": {"FUSION_GRID_POINTS": None},
     "pool-json-2d-log-linear": {"FUSION_GRID_POINTS": None},
     "pool-json-2d-log-linear-correlated": {"FUSION_GRID_POINTS": None},
