@@ -145,7 +145,7 @@ def alpha_div(p, q, alpha: float) -> float:
     alpha = finite_number(alpha, "alpha")  # None stays a TypeError
     # p^alpha q^(1-alpha) needs q > 0 wherever p > 0 when alpha >= 1 (1: KL(p||q)), and the converse when alpha <= 0
     support = "p" if alpha >= 1.0 else "q" if alpha <= 0.0 else None
-    # the order parameter of the expm1 form, the density it weighs, and what its integral is divided by
+    # the order parameter of the expm1 form, and what its integral is divided by
     step, scale = (alpha - 1.0, alpha) if alpha > 0.5 else (alpha, alpha - 1.0)
 
     def integrand(pv, qv):

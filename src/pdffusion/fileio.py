@@ -67,7 +67,7 @@ def write_density_csv(path, d: GridDensity) -> None:
 
 
 def _from_file(path, build, *args, **kwargs):
-    """``build(*args, **kwargs)`` on what was read from ``path``; its error is raised again, same class, with "<path>: " in front."""
+    """``build(*args, **kwargs)`` on what ``path`` holds; its error is raised again, same class, path in front."""
     try:
         return build(*args, **kwargs)
     except (FusionError, ValueError) as exc:
@@ -89,7 +89,8 @@ def read_density_csv(path) -> GridDensity:
             raise ValueError(f"{path}: bad header field: {exc}") from None
         if len(fields) != 1 + 3 * dims:
             raise ValueError(f"{path}: header has {len(fields)} fields, expected {1 + 3 * dims}")
-        _from_file(path, Grid, lower, upper, shape)  # the header's grid before its values, so a bad grid is reported as itself
+        # the header's grid before its values, so that a bad grid is reported as itself
+        _from_file(path, Grid, lower, upper, shape)
         with warnings.catch_warnings():
             # a file without values is reported below, with its grid shape
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

@@ -150,10 +150,7 @@ class Grid:
             raise ValueError(f"each dimension needs at least {MIN_POINTS_PER_DIM} nodes, got {shape}")
         for lo, hi, n in zip(lower, upper, shape):
             if not (hi - lo) / (n - 1) >= MIN_SPACING_ULPS * math.ulp(max(abs(lo), abs(hi))):
-                raise DomainError(
-                    f"{n} nodes on [{lo!r}, {hi!r}] are closer than the float spacing there allows: "
-                    f"they must be 2^15 of its steps apart to round evenly"
-                )
+                raise DomainError(f"{n} nodes on [{lo!r}, {hi!r}] are closer than the float spacing there allows")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "shape", shape)

@@ -24,7 +24,7 @@ from .errors import PositivityError, SimplexError
 from .errors import check_simplex, finite_number, finite_vector, whole_number
 from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, grid_shaped, normalize, require_same_grid
 
-NEAR_LIMIT = 1e-2  # |alpha| (|alpha (alpha - 1)| for a divergence) below which an alpha family takes its expm1 form
+NEAR_LIMIT = 1e-2  # |alpha| below which the power mean takes its log1p/expm1 form
 
 
 class PoolingKind(enum.Enum):

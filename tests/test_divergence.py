@@ -203,6 +203,20 @@ class TestAlphaDivergence:
         with pytest.raises(BoundednessError, match="^alpha-divergence is inf: a density's power overflows$"):
             divergence(p, q, alpha)
 
+    @pytest.mark.parametrize("alpha", [-1e300, -400.0, -0.5, 0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0 - 2**-53, 1.0, 2.0, 50.0, 1e300])
+    def test_a_density_with_itself_is_exactly_0(self, alpha):
+        # r = log p - log p is 0 on every node where p has mass, and the zero convention takes the rest
+        vals = np.ones(64)
+        vals[:16] = 0.0
+        densities = [
+            random_mixture(np.random.default_rng(4)),
+            to_grid(gaussian([0.3, -0.2], [1.0, 0.9], 0.3), [-6.0, -6.0], [6.0, 6.0], (65, 65)),
+            normalize(from_samples([0.0], [1.0], (64,), vals)),
+        ]
+        for p in densities:
+            for value in (D.alpha_div(p, p, alpha), D.reverse_alpha_div(p, p, alpha)):
+                assert value == 0.0 and np.copysign(1.0, value) == 1.0, value
+
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(5)
         for alpha in (-1.0, 0.3, 0.5, 2.0):
