@@ -1538,16 +1538,21 @@ def test_an_odd_number_exits_0_with_finite_numbers_or_fails_as_documented(call):
         assert set(payload) == {"error", "message"} and payload["error"] in CLI_ERRORS[code], (code, payload)
 
 
-# corpus calls that succeed, each with the input files it reads: (row id, arguments, files)
+def _inputs_read(args: list[str]) -> list[str]:
+    """The corpus input files among a call's arguments."""
+    return sorted({arg for arg in args if (corpus.INPUTS / arg).is_file()})
+
+
+# corpus calls that succeed and read input files: (row id, arguments, files)
 _CORPUS_ROWS = corpus.load_expected()
 FILE_CALLS = [
-    (case_id, args, sorted({arg for arg in args if (corpus.INPUTS / arg).is_file()}))
+    (case_id, args, _inputs_read(args))
     for case_id, args in corpus.CASES
-    if _CORPUS_ROWS[case_id]["exit_code"] == 0 and any((corpus.INPUTS / arg).is_file() for arg in args)
+    if _CORPUS_ROWS[case_id]["exit_code"] == 0 and _inputs_read(args)
 ]
 CSV_PERTURBATIONS = ("nan", "inf", "-inf", "negative", "text", "second-column", "truncated", "all-zero", "header")
-GAUSSIAN_PERTURBATIONS = ("cov-shape", "nan-cov", "not-positive-definite", "string-mean", "cut-off")
-MODEL_PERTURBATIONS = ("prior-cov-shape", "nan-prior-cov", "not-positive-definite", "string-prior-mean", "cut-off")
+# of a Gaussian's mean and cov, or a model's prior mean and prior cov
+JSON_PERTURBATIONS = ("cov-shape", "nan-cov", "not-positive-definite", "string-mean", "cut-off")
 
 
 def _perturbed_csv(text: str, how: str, at: int) -> str:
@@ -1567,7 +1572,7 @@ def _perturbed_csv(text: str, how: str, at: int) -> str:
 
 
 def _perturbed_json(text: str, how: str) -> str:
-    """The Gaussian or model JSON ``text`` perturbed ``how``."""
+    """The Gaussian or model JSON ``text`` perturbed ``how``: in its prior, for a model."""
     if how == "cut-off":
         return text[: len(text) // 2]
     payload = json.loads(text)
@@ -1578,7 +1583,7 @@ def _perturbed_json(text: str, how: str) -> str:
         "nan-cov": {cov: [[math.nan] * d] * d},
         "not-positive-definite": {cov: (-np.eye(d)).tolist()},
         "string-mean": {mean: "abc"},
-    }[how.replace("prior-", "").replace("-prior", "")])
+    }[how])
     return json.dumps(payload)
 
 
@@ -1591,8 +1596,7 @@ def perturbed_files(draw):
     if name.endswith(".csv"):
         at = draw(st.integers(0, text.count("\n") - 2))
         return case_id, args, name, _perturbed_csv(text, draw(st.sampled_from(CSV_PERTURBATIONS)), at)
-    kinds = MODEL_PERTURBATIONS if name.startswith("model") else GAUSSIAN_PERTURBATIONS
-    return case_id, args, name, _perturbed_json(text, draw(st.sampled_from(kinds)))
+    return case_id, args, name, _perturbed_json(text, draw(st.sampled_from(JSON_PERTURBATIONS)))
 
 
 @settings(max_examples=150, deadline=None)

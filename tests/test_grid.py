@@ -92,11 +92,10 @@ class TestConstruction:
         with pytest.raises(DomainError, match="closer than the float spacing"):
             Grid([1e13 - 8.0], [1e13 + 9.0], (2048,))
         assert len(set(Grid([1e9 - 8.0], [1e9 + 9.0], (2048,)).axes[0].tolist())) == 2048
-
-    def test_node_spacing_rule_is_2_to_the_15_float_spacings(self):
+        # the rule's edge: 16 nodes exactly 2^15 float spacings apart, and one spacing less
         ulp = math.ulp(1024.0)
         Grid([1024.0 - 15 * 2**15 * ulp], [1024.0], (16,))
-        with pytest.raises(DomainError, match="^16 nodes on .* are closer than the float spacing there allows"):
+        with pytest.raises(DomainError, match="^16 nodes on .* are closer than the float spacing there allows$"):
             Grid([1024.0 - 15 * (2**15 - 1) * ulp], [1024.0], (16,))
 
     def test_minimum_resolution(self):
