@@ -105,8 +105,7 @@ def expected_matrix() -> dict[tuple[PoolingKind, Axiom], AxiomStatus]:
 
     The Holder row is for alpha > 0; at alpha <= 0, A2 is n.a. as the spec's
     `needs_positive` says. Transform-space pooling is excluded: its reports
-    equal those of the pool it reproduces (`pooling._CHI_POOLS`); identity,
-    which normalizes the linear pool, shares its verdicts.
+    equal those of the pool it reproduces (`pooling._CHI_POOLS`), bit for bit.
     """
     out = {}
     for kind, row in _MATRIX_ROWS.items():
@@ -590,8 +589,10 @@ def check_axiom(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if axiom is Axiom.A2 and spec.needs_positive:
+        alpha = spec.alpha if spec.chi is None else spec.chi.alpha  # an exponent the caller set
+        at = "" if alpha is None else f" at alpha {alpha!r}"
         raise UnsupportedAxiomError(
-            f"{spec.kind.value} pooling requires a strictly positive profile; "
+            f"{spec.kind.value} pooling{at} requires a strictly positive profile; "
             "zero-probability events cannot arise"
         )
     template = GRID_2D if axiom in _TWO_DIM_AXIOMS else GRID_1D

@@ -61,12 +61,13 @@ def require_normalized(*densities) -> None:
         raise NotNormalizedError("divergences are defined between normalized densities")
 
 
-def _integral(p, q, what: str, integrand, support: str | None = None) -> float:
+def _integral(p, q, what: str, integrand, support: str | None = None, swapped: bool = False) -> float:
     """The path of every divergence (see the module docstring): the integral
     of the product of the node arrays that ``integrand(p.values, q.values)`` returns.
 
     ``support``: ``"p"``, p must vanish wherever q does, ``"q"`` the converse
     (SupportError), ``"positive"`` both strictly positive (PositivityError).
+    ``swapped``: a reverse divergence's pair, handed over as (q, p); SupportError names the caller's order.
     The one home of the zero convention: a nan term where p or q vanishes is 0.
     """
     p, q = common_grid(p, q)
@@ -76,7 +77,7 @@ def _integral(p, q, what: str, integrand, support: str | None = None) -> float:
     if support in ("p", "q"):
         dominated, reference = (p, q) if support == "p" else (q, p)
         if not reference.positive and np.any((dominated.values > 0.0) & (reference.values == 0.0)):
-            first, second = ("first", "second") if support == "p" else ("second", "first")
+            first, second = ("first", "second") if (support == "p") != swapped else ("second", "first")
             raise SupportError(f"{what}: {first} density has mass where the {second} vanishes")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         factors = integrand(p.values, q.values)
@@ -127,21 +128,11 @@ def kl(p, q) -> float:
 
 
 def reverse_kl(p, q) -> float:
-    """KL divergence with arguments swapped: integral q log(q/p)."""
-    return _integral(p, q, "KL divergence", lambda pv, qv: _kl_terms(qv, pv), "q")
+    """KL divergence with the arguments swapped, kl(q, p): integral q log(q/p)."""
+    return _integral(q, p, "KL divergence", _kl_terms, "p", swapped=True)
 
 
-def alpha_div(p, q, alpha: float) -> float:
-    """Alpha-divergence (integral p^a q^(1-a) - 1) / (a(a-1)), one integrand for every finite a.
-
-    With r = log p - log q and the integrals of p and q both one, it is the
-    integral of q expm1(a r) / (a(a-1)) for a <= 1/2 and of p expm1((a-1) r) /
-    (a(a-1)) above, each quotient by the step read through `over_step`: no
-    term cancels a constant, so the digits hold near and at the limits,
-    alpha = 1, kl(p, q), and alpha = 0, kl(q, p), each with its support rule.
-    Identical inputs give exactly 0. Pearson chi-squared is twice the alpha = 2
-    member. Raises BoundednessError when a density's power overflows the integral.
-    """
+def _alpha(p, q, alpha, swapped: bool = False) -> float:
     alpha = finite_number(alpha, "alpha")  # None stays a TypeError
     # p^alpha q^(1-alpha) needs q > 0 wherever p > 0 when alpha >= 1 (1: KL(p||q)), and the converse when alpha <= 0
     support = "p" if alpha >= 1.0 else "q" if alpha <= 0.0 else None
@@ -156,16 +147,27 @@ def alpha_div(p, q, alpha: float) -> float:
         return (terms,)
 
     # + 0.0: a pair that agrees integrates to 0.0, which a negative scale would print as -0
-    return _bounded(_integral(p, q, "alpha-divergence", integrand, support) / scale + 0.0, "alpha-divergence")
+    return _bounded(_integral(p, q, "alpha-divergence", integrand, support, swapped) / scale + 0.0, "alpha-divergence")
+
+
+def alpha_div(p, q, alpha: float) -> float:
+    """Alpha-divergence (integral p^a q^(1-a) - 1) / (a(a-1)), one integrand for every finite a.
+
+    With r = log p - log q and the integrals of p and q both one, it is the
+    integral of q expm1(a r) / (a(a-1)) for a <= 1/2 and of p expm1((a-1) r) /
+    (a(a-1)) above, each quotient by the step read through `over_step`: no
+    term cancels a constant, so the digits hold near and at the limits,
+    alpha = 1, kl(p, q), and alpha = 0, kl(q, p), each with its support rule.
+    Identical inputs give exactly 0. Pearson chi-squared is twice the alpha = 2
+    member. Raises BoundednessError when a density's power overflows the integral.
+    """
+    return _alpha(p, q, alpha)
 
 
 def reverse_alpha_div(p, q, alpha: float) -> float:
-    """Alpha-divergence with the arguments swapped: alpha_div(p, q, 1 - alpha).
-
-    Swapping the arguments reflects the order parameter around one half:
-    alpha = 1 is reverse_kl(p, q), alpha = 0 kl(p, q).
-    """
-    return alpha_div(p, q, 1.0 - finite_number(alpha, "alpha"))
+    """Alpha-divergence with the arguments swapped: alpha_div(q, p, alpha), bit for bit. It equals
+    alpha_div(p, q, 1 - alpha), but 1 - alpha drops alpha's low digits; alpha = 1 is reverse_kl(p, q)."""
+    return _alpha(q, p, alpha, swapped=True)
 
 
 def pearson_chi2(p, q) -> float:
@@ -196,7 +198,7 @@ def chi_distance(p, q, chi: ChiTransform) -> float:
     require both densities strictly positive. Raises BoundednessError when a
     power of a density overflows, so that the integral is not finite.
     """
-    what = f"{chi.kind.value} transform distance"
+    what = f"{chi.kind.value} transform distance" + ("" if chi.alpha is None else f" at alpha {chi.alpha!r}")
     support = "positive" if chi.needs_positive else None
     return _bounded(_integral(p, q, what, lambda pv, qv: _squared_difference(pv, qv, chi), support), what)
 

@@ -116,7 +116,8 @@ class Grid:
     lower, kept as tuples of floats; ``shape`` counts the nodes per
     dimension, a whole number of at least 16 each. Nodes include both
     endpoints, so node ``i`` of dimension ``d`` sits at ``lower[d] + i *
-    (upper[d] - lower[d]) / (shape[d] - 1)``; that spacing must be at least
+    (upper[d] - lower[d]) / (shape[d] - 1)``; that spacing must be finite
+    (DomainError where ``upper[d] - lower[d]`` overflows) and at least
     `MIN_SPACING_ULPS` (2^15) float spacings at the larger |bound|
     (DomainError). Closer nodes round unevenly, or onto one coordinate, while
     the trapezoid weights assume even spacing. At 2^15, on unit-variance
@@ -149,7 +150,10 @@ class Grid:
         if any(n < MIN_POINTS_PER_DIM for n in shape):
             raise ValueError(f"each dimension needs at least {MIN_POINTS_PER_DIM} nodes, got {shape}")
         for lo, hi, n in zip(lower, upper, shape):
-            if not (hi - lo) / (n - 1) >= MIN_SPACING_ULPS * math.ulp(max(abs(lo), abs(hi))):
+            spacing = (hi - lo) / (n - 1)
+            if spacing == math.inf:
+                raise DomainError(f"the span of [{lo!r}, {hi!r}] overflows float64")
+            if not spacing >= MIN_SPACING_ULPS * math.ulp(max(abs(lo), abs(hi))):
                 raise DomainError(f"{n} nodes on [{lo!r}, {hi!r}] are closer than the float spacing there allows")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)

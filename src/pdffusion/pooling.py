@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import PositivityError, SimplexError
 from .errors import check_simplex, finite_number, finite_vector, whole_number
-from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, grid_shaped, normalize, require_same_grid
+from .grid import GridDensity, OpinionProfile, adopt_normalized, frozen, grid_shaped, require_same_grid
 
 NEAR_LIMIT = 1e-2  # |alpha| below which the power mean takes its log1p/expm1 form
 
@@ -244,7 +244,7 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
         If alpha <= 0 and the profile has a zero.
     """
     alpha = finite_number(alpha, "Holder exponent")
-    return _power_mean(profile, check_simplex(weights, profile.K), alpha, "Holder pooling")
+    return _power_mean(profile, check_simplex(weights, profile.K), alpha, f"Holder pooling at alpha {alpha!r}")
 
 
 def inverse_linear_pool(profile: OpinionProfile, weights) -> GridDensity:
@@ -299,12 +299,11 @@ def bayes_update(q: GridDensity, ell) -> GridDensity:
 def chi_transform_pool(profile: OpinionProfile, weights, chi: ChiTransform) -> GridDensity:
     """Pool by averaging in transform space: chi^{-1}(sum w_k chi(q_k)), normalized.
 
-    Computed, validated and refused as the pool ``chi`` reproduces (`_CHI_POOLS`);
-    the linear pool's result is passed through `normalize`.
+    The pool ``chi`` reproduces (`_CHI_POOLS`), computed, validated, refused and
+    returned as that pool does: identity is `linear_pool`, bit for bit.
     """
     kind = _CHI_POOLS[chi.kind]
-    pooled = _DISPATCH[kind][2](PoolingSpec(kind, weights=weights, alpha=chi.alpha), profile)
-    return normalize(pooled) if kind is PoolingKind.LINEAR else pooled
+    return _DISPATCH[kind][2](PoolingSpec(kind, weights=weights, alpha=chi.alpha), profile)
 
 
 # kind -> (spec fields the kind reads, exponent of its power mean, call); the exponent is None where

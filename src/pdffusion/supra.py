@@ -203,7 +203,7 @@ class SupraFusionResult:
 
 def local_statistics(model: LinearGaussianModel, y) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Per-agent statistics t_k = V_k y_k, stacked, plus the maps V_k."""
-    y = finite_vector(y, model.d_y, "observation")
+    y = finite_vector(y, model.d_y, "model observation")
     parts = [v @ y[lo:hi] for v, (lo, hi) in zip(model.V_blocks, model.spans)]
     return np.concatenate(parts), model.V_blocks
 
@@ -263,7 +263,7 @@ def vector_fusion(model: LinearGaussianModel, t, y=None) -> SupraFusionResult:
     posterior = _conjugate_update(model, sigma_hat_inv, ones.T @ sti @ t, "fused posterior precision")
     oracle = None
     if y is not None:
-        y = finite_vector(y, model.d_y, "observation")
+        y = finite_vector(y, model.d_y, "model observation")
         if model.noise_precision is not None:  # the oracle needs invertible joint noise
             oracle = _observed_update(model, model.noise_precision, y, "oracle posterior precision")
     return SupraFusionResult(
@@ -283,7 +283,7 @@ def substituted_oracle(model: LinearGaussianModel, y) -> Gaussian:
     This reproduces the fused posterior exactly: the substitution is what
     discarding the raw observations in favor of the local statistics costs.
     """
-    y = finite_vector(y, model.d_y, "observation")
+    y = finite_vector(y, model.d_y, "model observation")
     M = model.V.T @ model.sigma_tilde_inv @ model.V
     return _observed_update(model, M, y, "substituted posterior precision")
 

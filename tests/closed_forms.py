@@ -137,6 +137,16 @@ def gaussian_power_product(gaussians, exponents) -> tuple[np.ndarray, np.ndarray
     return np.linalg.solve(lam, shift), np.linalg.inv(lam)
 
 
+def ci_sizes(covs, weights, trace: bool) -> np.ndarray:
+    """The covariance-intersection size at each row of ``weights``: tr C, or log|C| when not ``trace``,
+    with C = (sum_k w_k S_k^-1)^-1 the inverse of the weighted precision of the covariances S_k."""
+    precisions = np.linalg.inv(np.asarray(covs, dtype=np.float64))
+    precision = np.einsum("nk,kij->nij", np.atleast_2d(weights), precisions)
+    if trace:
+        return np.trace(np.linalg.inv(precision), axis1=1, axis2=2)
+    return -np.linalg.slogdet(precision)[1]
+
+
 def power_mean(members, weights, alpha: float, near_zero: bool | None = None) -> np.ndarray:
     """The weighted power mean (sum_k w_k q_k^alpha)^(1/alpha) of node values, node by node.
 

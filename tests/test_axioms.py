@@ -310,6 +310,7 @@ class TestTransformsReportAsTheirPools:
     reports exactly like the pool it reproduces, on every axiom."""
 
     PAIRS = {
+        "identity": (ChiTransform(ChiKind.IDENTITY), {"kind": PoolingKind.LINEAR}),
         "log": (ChiTransform(ChiKind.LOG), {"kind": PoolingKind.LOG_LINEAR}),
         "reciprocal": (ChiTransform(ChiKind.RECIPROCAL), {"kind": PoolingKind.INVERSE_LINEAR}),
         "power3": (ChiTransform(ChiKind.POWER, 3.0), {"kind": PoolingKind.HOLDER, "alpha": 3.0}),
@@ -326,15 +327,6 @@ class TestTransformsReportAsTheirPools:
         for axiom in Axiom:
             got = _slice_report(transform, axiom, seed)
             assert got == _slice_report(reproduced, axiom, seed), axiom
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize("w", WEIGHTS, ids=["K2", "K3"])
-    def test_identity_gives_the_linear_verdicts(self, w, seed):
-        # normalize() moves the identity pool's bits off the linear pool's, not its verdicts
-        identity = PoolingSpec(PoolingKind.CHI_TRANSFORM, weights=w, chi=ChiTransform(ChiKind.IDENTITY))
-        for axiom in Axiom:
-            got = _slice_report(identity, axiom, seed)
-            assert got[0] == _slice_report(linear(w), axiom, seed)[0], axiom
 
 
 class TestEventMassScaling:

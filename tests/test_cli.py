@@ -990,7 +990,7 @@ class TestSupra:
         y = ",".join(["0"] * 5 + ["nan"] + ["0"] * 15)
         result = runner.invoke(main, ["supra", "--private-shared", "4,1,4,4", "--y", y])
         assert result.exit_code == 2
-        assert json.loads(result.stderr)["message"] == "observation entry 5 is not finite (nan)"
+        assert json.loads(result.stderr)["message"] == "model observation entry 5 is not finite (nan)"
 
     def test_boolean_in_model_sigma_exits_2(self, runner, tmp_path):
         path = tmp_path / "model.json"
@@ -1445,6 +1445,21 @@ def test_gaussians_far_from_0_need_a_grid_that_float64_resolves(runner, tmp_path
         assert abs(float(result.stdout) - 0.5) <= 1e-9
 
 
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 28: linspace nodes round unevenly where the grid straddles a power of two, "
+    "which the 2^15-ulp spacing rule does not bound; it printed 0.4999999942862024",
+)
+def test_gaussians_across_a_power_of_two_keep_their_kl(runner, tmp_path):
+    # the default 2048 nodes on [2^30 - 7.5, 2^30 + 9.5], 3.5e4 float spacings apart, and the mirror at -2^30
+    for centre in (2.0**30 + 0.5, -(2.0**30) + 0.5):
+        paths = [str(gauss_json(tmp_path, f"g{i}.json", centre + i, 1.0)) for i in range(2)]
+        result = runner.invoke(main, ["divergence", "--kind", "kl", *paths])
+        assert result.exit_code == 0, (result.stdout, result.stderr)
+        assert abs(float(result.stdout) - 0.5) <= 1e-12, (centre, result.stdout)
+
+
 def test_header_only_csv_prints_one_json_line(run_python, tmp_path):
     # loadtxt warns about a file with no values; stderr holds only the error
     empty = tmp_path / "e.csv"
@@ -1477,8 +1492,24 @@ CLI_ERRORS = {
     3: NUMERICAL_ERRORS,
     4: {"NonConvergenceError"},
 }
+_CORPUS_ROWS = corpus.load_expected()
 # corpus calls with a numeric flag to replace: (row id, arguments)
 PERTURBABLE = [(case_id, args) for case_id, args in corpus.CASES if set(args) & set(NUMERIC_FLAGS)]
+# the library's names for what each numeric flag sets; an error line names the flag, one of
+# these, or the value as typed
+LIBRARY_NAMES = {
+    "--weights": ("weights",),
+    "--w0": ("weights",),  # entry 0 of the weights with w0
+    "--alpha": ("alpha", "Holder exponent"),
+    "--chi-alpha": ("alpha",),  # "Power transform alpha"
+    "--dictator": ("dictator index",),
+    "--trials": ("trials",),
+    "--seed": ("seed",),
+    "--tol": ("tol",),
+    "--max-iter": ("max_iter",),
+    "--y": ("observation",),
+    "--private-shared": ("shared count", "private count", "model"),  # the counts of the private-shared model
+}
 
 
 def _bounded(flag: str, value: str) -> bool:
@@ -1492,7 +1523,7 @@ def perturbed_calls(draw):
     case_id, args = draw(st.sampled_from(PERTURBABLE))
     at = draw(st.sampled_from([i for i, arg in enumerate(args) if arg in NUMERIC_FLAGS]))
     value = draw(st.sampled_from(ODD_VALUES).filter(lambda v: _bounded(args[at], v)))
-    return case_id, [*args[: at + 1], value, *args[at + 2 :]]
+    return case_id, [*args[: at + 1], value, *args[at + 2 :]], args[at]
 
 
 def _numbers(value):
@@ -1506,16 +1537,27 @@ def _numbers(value):
 
 @settings(max_examples=60, deadline=None)
 @given(perturbed_calls())
-@example(("divergence-reverse-alpha", ["divergence", "--kind", "reverse-alpha", "--alpha", "50", "a.csv", "b.csv"]))
-@example(("divergence-alpha", ["divergence", "--kind", "alpha", "--alpha", "1e23", "a.csv", "b.csv"]))
+@example(("divergence-reverse-alpha", ["divergence", "--kind", "reverse-alpha", "--alpha", "50", "a.csv", "b.csv"], "--alpha"))
+@example(("divergence-alpha", ["divergence", "--kind", "alpha", "--alpha", "1e23", "a.csv", "b.csv"], "--alpha"))
 # a subnormal exponent: a Holder pool of a profile with zeros, and a power transform's distance
-@example(("pool-holder-2-zeros", ["pool", "--kind", "holder", "--alpha", "1e-320", *corpus.W, "z1.csv", "z2.csv", "-o", "out.csv"]))
-@example(("chi-distance-power-2-zeros", ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "1e-320", "z1.csv", "z2.csv"]))
+@example(("pool-holder-2-zeros", ["pool", "--kind", "holder", "--alpha", "1e-320", *corpus.W, "z1.csv", "z2.csv", "-o", "out.csv"], "--alpha"))
+@example(("chi-distance-power-2-zeros", ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "1e-320", "z1.csv", "z2.csv"], "--chi-alpha"))
+# messages that named no flag before: an exponent at or below 0 on zeros, a power that
+# overflows, and an observation longer than the private-shared model's; an empty list flag
+# names its value, which shows quoted
+@example(("axiom-check-holder-2-A2", ["axiom-check", "--kind", "holder", "--alpha", "-1", "--weights", "0.35,0.65", "--axiom", "A2", "--trials", "3"], "--alpha"))
+@example(("pool-holder-2-zeros", ["pool", "--kind", "holder", "--alpha", "0", *corpus.W, "z1.csv", "z2.csv", "-o", "out.csv"], "--alpha"))
+@example(("chi-distance-power-2-zeros", ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "-1", "z1.csv", "z2.csv"], "--chi-alpha"))
+@example(("chi-distance-json-power-600-overflow", ["divergence", "--kind", "chi-distance", "--chi", "power", "--chi-alpha", "1e23", "narrow-a.json", "narrow-b.json"], "--chi-alpha"))
+@example(("supra-y", ["supra", "--private-shared", "", "--y", corpus.Y21], "--private-shared"))
+@example(("supra-y", ["supra", "--private-shared", "1,2,3", "--y", corpus.Y21], "--private-shared"))
 def test_an_odd_number_exits_0_with_finite_numbers_or_fails_as_documented(call):
     # in process, on the corpus inputs and grid: an odd value in one flag gives a
     # result, a documented error line, or click's usage message, never a traceback or inf;
-    # a divergence is at least 0, weights lie on the simplex, and a failed call writes no file
-    case_id, args = call
+    # a divergence is at least 0, weights lie on the simplex, and a failed call writes no file.
+    # An error line names the flag, the library's name for it, or the value as typed, unless
+    # the corpus row fails already and the call fails as the row does
+    case_id, args, flag = call
     with tempfile.TemporaryDirectory() as tmp:
         got = corpus.run_case(corpus.in_process, case_id, args, Path(tmp))
     code, stdout, stderr = got["exit_code"], got["stdout"], got["stderr"]
@@ -1536,6 +1578,10 @@ def test_an_odd_number_exits_0_with_finite_numbers_or_fails_as_documented(call):
         assert stderr.count("\n") == 1, stderr
         payload = json.loads(stderr)
         assert set(payload) == {"error", "message"} and payload["error"] in CLI_ERRORS[code], (code, payload)
+        value = args[args.index(flag) + 1]
+        names = [flag, *LIBRARY_NAMES[flag], value or "''"]  # an empty value, as typed, shows quoted
+        named = any(name in payload["message"] for name in names)
+        assert named or stderr == _CORPUS_ROWS[case_id]["stderr"], (flag, value, payload)
 
 
 def _inputs_read(args: list[str]) -> list[str]:
@@ -1544,13 +1590,14 @@ def _inputs_read(args: list[str]) -> list[str]:
 
 
 # corpus calls that succeed and read input files: (row id, arguments, files)
-_CORPUS_ROWS = corpus.load_expected()
 FILE_CALLS = [
     (case_id, args, _inputs_read(args))
     for case_id, args in corpus.CASES
     if _CORPUS_ROWS[case_id]["exit_code"] == 0 and _inputs_read(args)
 ]
-CSV_PERTURBATIONS = ("nan", "inf", "-inf", "negative", "text", "second-column", "truncated", "all-zero", "header")
+CSV_PERTURBATIONS = (
+    "nan", "inf", "-inf", "negative", "text", "second-column", "truncated", "all-zero", "header", "span-overflow",
+)
 # of a Gaussian's mean and cov, or a model's prior mean and prior cov
 JSON_PERTURBATIONS = ("cov-shape", "nan-cov", "not-positive-definite", "string-mean", "cut-off")
 
@@ -1560,6 +1607,8 @@ def _perturbed_csv(text: str, how: str, at: int) -> str:
     header, *lines = text.splitlines()
     if how == "header":  # a lower bound that is no number
         header = header.replace(",", ",x", 1)
+    elif how == "span-overflow":  # finite bounds whose span is beyond the float range
+        header = "# 1,-1e308,1e308,16"
     elif how == "truncated":
         lines = lines[:at]
     elif how == "all-zero":
@@ -1604,6 +1653,8 @@ def perturbed_files(draw):
 # a value that is no number, and a second column: numpy's message named no file
 @example(("divergence-kl", dict(corpus.CASES)["divergence-kl"], "a.csv", "# 1,-8,8,64\n" + "abc\n" * 64))
 @example(("pool-json-linear", dict(corpus.CASES)["pool-json-linear"], "b.json", '{"mean": [1.5], "cov": [[2.0, 0.0]]}'))
+# bounds whose span overflows: numpy warned twice on stderr, then blamed normalization
+@example(("divergence-kl", dict(corpus.CASES)["divergence-kl"], "a.csv", "# 1,-1e308,1e308,16\n" + "1\n" * 16))
 def test_a_perturbed_input_file_fails_naming_it(call):
     # in process, on the corpus inputs: a file whose content is not a valid density,
     # Gaussian or model fails with one documented error line that names the file, and no output

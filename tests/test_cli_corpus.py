@@ -149,6 +149,7 @@ CASES = [
     ("invalid-all-zero-density", ["pool", "--kind", "holder", "--alpha", "2", "--weights", "0.5,0.5", "zero.csv", "flat.csv", "-o", "out.csv"]),
     ("invalid-pool-not-normalized", ["pool", "--kind", "linear", "--weights", "0.5,0.5", "mass2.csv", "mass2.csv", "-o", "out.csv"]),
     ("invalid-alpha-overflow", ["divergence", "--kind", "reverse-alpha", "--alpha", "50", "a.csv", "b.csv"]),
+    ("invalid-grid-span-overflow", ["divergence", "--kind", "kl", "wide.csv", "wide.csv"]),
 ]
 
 # per-row changes to ENV, recorded in the corpus. None unsets a variable: the
@@ -218,6 +219,7 @@ def _input_files() -> dict[str, str]:
         "zero.csv": _csv(np.zeros(64), -8.0, 8.0),
         "flat.csv": _csv(np.full(64, 0.0625), -8.0, 8.0),  # integrates to 1
         "mass2.csv": _csv(np.full(64, 0.125), -8.0, 8.0),  # integrates to 2
+        "wide.csv": _csv(np.full(16, 0.5), -1e308, 1e308),  # finite bounds whose span overflows
         "a2.csv": _csv(_trapezoid_normalized(np.exp(-0.5 * (u**2 + v**2 - u * v) / 1.5), -6.0, 6.0), -6.0, 6.0),
         "b2.csv": _csv(_trapezoid_normalized(np.exp(-0.5 * ((u - 1.0) ** 2 + (v + 0.5) ** 2 / 2.0)), -6.0, 6.0), -6.0, 6.0),
         "a.json": _json({"mean": [-1.0], "cov": [[1.0]]}),
@@ -393,14 +395,15 @@ def test_supra_model_row_pins_the_oracle():
 def test_2d_log_linear_rows_pin_covariance_intersection():
     # the log-linear pool of Gaussians is covariance intersection: precisions
     # averaged by the weights, on the 257 x 257 grid of each row
+    from closed_forms import gaussian_power_product  # here: the replay runs without hypothesis
+    from pdffusion.gaussian import Gaussian
+
     expected = load_expected()
     for case_id in ("pool-json-2d-log-linear", "pool-json-2d-log-linear-correlated"):
         args = expected[case_id]["args"]
         weights = [float(v) for v in args[args.index("--weights") + 1].split(",")]
         inputs = [json.loads((INPUTS / name).read_text()) for name in args[-4:-2]]
-        precisions = [w * np.linalg.inv(g["cov"]) for w, g in zip(weights, inputs)]
-        cov = np.linalg.inv(sum(precisions))
-        mean = cov @ sum(p @ g["mean"] for p, g in zip(precisions, inputs))
+        mean, cov = gaussian_power_product([Gaussian(g["mean"], g["cov"]) for g in inputs], weights)
         row = json.loads(expected[case_id]["stdout"])
         for key, want in (("mean", mean), ("cov", cov)):
             gap = np.max(np.abs(np.array(row[key]) - want))

@@ -186,6 +186,21 @@ class TestAlphaDivergence:
             # the same argument named: "alpha-divergence: first density ..." as "KL divergence: first density ..."
             assert str(got.value).split(": ")[1] == str(want.value).split(": ")[1]
 
+    def test_reverse_alpha_is_alpha_on_the_swapped_pair_down_to_tiny_orders(self):
+        # q is p cut off at x >= 1, so alpha D tends to p's mass where q vanishes (0.1702 here).
+        # Taken as alpha_div(p, q, 1 - alpha), the order dropped alpha's low digits: 1.7033e14
+        # for 1.70198e14 at alpha = 1e-15, and below 2^-54 a SupportError, as 1 - alpha is 1
+        x = np.linspace(-5.0, 5.0, 64)
+        bell = np.exp(-0.5 * x**2)
+        p = normalize(from_samples([-5.0], [5.0], (64,), bell))
+        q = normalize(from_samples([-5.0], [5.0], (64,), np.where(x >= 1.0, 0.0, bell)))
+        cut_off = 1.0 - p.grid.integral(np.where(q.values > 0.0, p.values, 0.0))
+        for alpha in (1e-3, 1e-6, 1e-9, 1e-12, 1e-13, 1e-15, 1e-17, 1e-30, 1e-100, 1e-300):
+            got = D.reverse_alpha_div(p, q, alpha)
+            assert_relative(got, D.alpha_div(q, p, alpha), 1e-15)
+            if alpha <= 1e-13:  # above, the O(alpha) term shows
+                assert abs(alpha * got - cut_off) <= 1e-12, (alpha, got)
+
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_nonfinite_alpha_rejected(self, std_pair, alpha):
         p, q = std_pair

@@ -80,6 +80,9 @@ class TestConstruction:
             Grid([-np.inf], [0.0], (32,))
         with pytest.raises(DomainError, match="finite"):
             Grid([0.0], [np.nan], (32,))
+        # finite bounds whose span overflows: the spacing, and numpy's node arithmetic, would be inf
+        with pytest.raises(DomainError, match=r"^the span of \[-1e\+308, 1e\+308\] overflows float64$"):
+            Grid([0.0, -1e308], [1.0, 1e308], (16, 16))
 
     def test_nodes_must_be_apart_in_float64(self):
         # 2048 nodes on 17 units spaced 0.0083, below the float spacing 0.125 at 1e15:

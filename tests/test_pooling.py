@@ -171,7 +171,7 @@ class TestHolderPool:
             spec = P.PoolingSpec(P.PoolingKind.HOLDER, weights=w, alpha=0)
             np.testing.assert_array_equal(P.pool(spec, mirror_pair).values, ll.values)
         # and needs the log-linear pool's positive profile
-        with pytest.raises(PositivityError, match="^Holder pooling requires a strictly positive opinion profile$"):
+        with pytest.raises(PositivityError, match="^Holder pooling at alpha 0.0 requires a strictly positive opinion profile$"):
             P.holder_pool(zeros_pair(), [0.5, 0.5], 0.0)
 
     @pytest.mark.parametrize("alpha", [1e-9, -1e-9, np.nan])
@@ -480,9 +480,12 @@ class TestChiTransformPool:
         np.testing.assert_array_equal(P.pool(spec, profile).values, want.values)
 
     def test_identity_matches_linear(self, mirror_pair):
+        # 1-D, 2-D and a profile with zeros: the linear pool itself, not a renormalized copy
         chi = P.ChiTransform(P.ChiKind.IDENTITY)
-        for prof in (mirror_pair, zeros_pair()):
-            self.assert_reproduces(prof, [0.3, 0.7], chi, normalize(P.linear_pool(prof, [0.3, 0.7])))
+        agents = (gaussian([0.0, 0.5], [1.0, 0.8], 0.3), gaussian([1.0, -0.5], [1.5, 1.0]))
+        two_d = OpinionProfile(common_grid(*agents, points=33))
+        for prof in (mirror_pair, two_d, zeros_pair()):
+            self.assert_reproduces(prof, [0.3, 0.7], chi, P.linear_pool(prof, [0.3, 0.7]))
 
     def test_log_matches_log_linear(self, mirror_pair):
         chi = P.ChiTransform(P.ChiKind.LOG)
@@ -508,7 +511,7 @@ class TestChiTransformPool:
     @pytest.mark.parametrize(
         "chi, reproduced",
         [
-            (P.ChiTransform(P.ChiKind.IDENTITY), lambda prof, w: normalize(P.linear_pool(prof, w))),
+            (P.ChiTransform(P.ChiKind.IDENTITY), P.linear_pool),
             (P.ChiTransform(P.ChiKind.LOG), P.log_linear_pool),
             (P.ChiTransform(P.ChiKind.RECIPROCAL), P.inverse_linear_pool),
             (P.ChiTransform(P.ChiKind.POWER, -0.5), lambda prof, w: P.holder_pool(prof, w, -0.5)),
@@ -573,7 +576,7 @@ class TestChiTransformPool:
     def test_pool_is_its_family_member_bit_for_bit(self, mirror_pair, kind, alpha, exponent):
         w = [0.3, 0.7]
         want = {
-            P.ChiKind.IDENTITY: lambda: normalize(P.linear_pool(mirror_pair, w)),
+            P.ChiKind.IDENTITY: lambda: P.linear_pool(mirror_pair, w),
             P.ChiKind.LOG: lambda: P.log_linear_pool(mirror_pair, w),
             P.ChiKind.RECIPROCAL: lambda: P.inverse_linear_pool(mirror_pair, w),
             P.ChiKind.POWER: lambda: P.holder_pool(mirror_pair, w, alpha),

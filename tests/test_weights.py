@@ -11,7 +11,7 @@ from pdffusion.errors import DegenerateError, DimensionError, NonConvergenceErro
 from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import OpinionProfile, from_samples, normalize
 
-from closed_forms import gaussian_kl, gaussian_log_normalizer
+from closed_forms import ci_sizes, gaussian_kl, gaussian_log_normalizer
 
 LO, HI, N = -8.0, 8.0, 1024
 
@@ -62,11 +62,7 @@ def ci_sweep(covs, criterion):
         edge = np.zeros((t.size, 3))
         edge[:, i], edge[:, j] = t, 1.0 - t
         lattice.append(edge)
-    points = np.concatenate(lattice)
-    precision = np.einsum("nk,kij->nij", points, np.linalg.inv(np.asarray(covs)))
-    if criterion is W.CICriterion.TRACE:
-        return float(np.trace(np.linalg.inv(precision), axis1=1, axis2=2).min())
-    return float((-np.linalg.slogdet(precision)[1]).min())
+    return float(ci_sizes(covs, np.concatenate(lattice), criterion is W.CICriterion.TRACE).min())
 
 
 class TestSimplexProjection:
@@ -601,12 +597,8 @@ class TestCiWeights:
         gs = [Gaussian(np.zeros(len(c)), c) for c in covs]
         res = W.ci_weights(gs, criterion)
         assert res.converged
-        w1 = np.linspace(0.0, 1.0, 100001)[:, None, None]
-        precision = w1 * np.linalg.inv(gs[0].cov) + (1.0 - w1) * np.linalg.inv(gs[1].cov)
-        if criterion is W.CICriterion.TRACE:
-            sizes = np.trace(np.linalg.inv(precision), axis1=1, axis2=2)
-        else:
-            sizes = -np.linalg.slogdet(precision)[1]
+        w1 = np.linspace(0.0, 1.0, 100001)
+        sizes = ci_sizes(covs, np.column_stack([w1, 1.0 - w1]), criterion is W.CICriterion.TRACE)
         assert abs(res.objective - sizes.min()) <= 1e-9
 
     @pytest.mark.parametrize("criterion", list(W.CICriterion))
