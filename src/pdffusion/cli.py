@@ -131,11 +131,11 @@ def wrap_errors(fn):
     return inner
 
 
-def _parse_floats(text: str) -> np.ndarray:
+def _parse_floats(text: str, flag: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(",")])
     except ValueError:
-        raise ValueError(f"could not parse {text!r} as comma-separated numbers")
+        raise ValueError(f"could not parse {flag} {text!r} as comma-separated numbers")
 
 
 def _grid_points() -> int | None:
@@ -145,8 +145,9 @@ def _grid_points() -> int | None:
 
 
 def _load_on_common_grid(paths, *loaded):
-    """Load densities and put them, and any already ``loaded`` ones, on one shared grid."""
-    return common_grid(*(read_density(p) for p in paths), *loaded, points=_grid_points())
+    """Load densities and put them, and ``loaded`` (path, density) pairs, on one grid; a mismatch names both files."""
+    named = [(p, read_density(p)) for p in paths] + list(loaded)
+    return common_grid(*(d for _, d in named), points=_grid_points(), names=[p for p, _ in named])
 
 
 def _chi_from_flags(chi: str | None, chi_alpha: float | None) -> ChiTransform | None:
@@ -165,7 +166,7 @@ def _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0=None, xi0
     """A PoolingSpec from the pooling flags; ``q0`` and ``xi0`` are loaded densities."""
     return PoolingSpec(
         kind=PoolingKind(kind),
-        weights=_parse_floats(weights) if weights else None,
+        weights=_parse_floats(weights, "--weights") if weights else None,
         alpha=alpha,
         q0=q0,
         w0=w0,
@@ -217,7 +218,7 @@ def pool_cmd(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0, xi0, inputs
     """
     xi0d = None if xi0 is None else read_density_csv(xi0)
     paths = inputs + (() if q0 is None else (q0,))
-    densities = _load_on_common_grid(paths, *(() if xi0d is None else (xi0d,)))
+    densities = _load_on_common_grid(paths, *(() if xi0d is None else ((xi0, xi0d),)))
     profile = OpinionProfile(densities[: len(inputs)])
     q0d = None if q0 is None else densities[len(inputs)]
     spec = _build_spec(kind, weights, alpha, w0, dictator, chi, chi_alpha, q0=q0d, xi0=xi0d)
@@ -328,7 +329,7 @@ def supra_cmd(model_path, private_shared, y_text, mode):
     if model_path is not None:
         model = read_model_json(model_path)
     else:
-        counts = _parse_floats(private_shared)
+        counts = _parse_floats(private_shared, "--private-shared")
         if len(counts) < 2:
             raise ValueError("--private-shared needs r0 plus at least one agent count")
         model = supmod.private_shared_model(len(counts) - 1, counts[0], counts[1:])
@@ -337,7 +338,7 @@ def supra_cmd(model_path, private_shared, y_text, mode):
 
     y = None
     if y_text is not None:
-        y = _parse_floats(y_text)
+        y = _parse_floats(y_text, "--y")
         t, _ = supmod.local_statistics(model, y)
     else:
         t = np.zeros(model.K * model.d_theta)

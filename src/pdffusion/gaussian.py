@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, SingularityError, check_simplex, finite_vector
+from .errors import DegenerateError, DimensionError, DomainError, SingularityError, check_simplex, finite_vector
 from .grid import Grid, GridDensity, adopt_normalized, require_mass, require_same_grid
 
 SYMMETRY_TOL = 1e-10
@@ -120,7 +120,7 @@ def log_pdf(g: Gaussian, points) -> np.ndarray:
     x = np.asarray(points, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] != g.dim:
         raise DimensionError(f"points of shape {x.shape} against Gaussian of dim {g.dim}")
-    return _log_pdf(g, [x[..., j] for j in range(g.dim)])
+    return _log_pdf(g, [x[..., j] - m for j, m in enumerate(g.mean)])
 
 
 def _log_norm(g: Gaussian) -> float:
@@ -128,8 +128,8 @@ def _log_norm(g: Gaussian) -> float:
     return np.log(g.chol.diagonal()).sum() + 0.5 * g.dim * LOG_2PI
 
 
-def _log_pdf(g: Gaussian, coords) -> np.ndarray:
-    """``log_pdf`` at the points spanned by one broadcastable array per coordinate.
+def _log_pdf(g: Gaussian, centered) -> np.ndarray:
+    """``log_pdf`` at the points spanned by one broadcastable array of x_j - mean_j per coordinate.
 
     L^{-1} is lower triangular, so z_i = sum_{j <= i} L^{-1}[i, j] (x_j - mean_j)
     broadcasts over x_0 .. x_i only. Only the last z spans every point; the
@@ -137,7 +137,6 @@ def _log_pdf(g: Gaussian, coords) -> np.ndarray:
     result is the one array of that size.
     """
     inv = np.linalg.inv(g.chol)
-    centered = [x - m for x, m in zip(coords, g.mean)]
     quad = 0.0
     for i in range(g.dim):
         z = np.asarray(sum(inv[i, j] * centered[j] for j in range(i + 1)))
@@ -152,8 +151,10 @@ def _log_pdf(g: Gaussian, coords) -> np.ndarray:
 def _grid_log_pdf(g: Gaussian, grid: Grid) -> np.ndarray:
     """``log_pdf`` at every node of ``grid``, a fresh array of grid shape.
 
-    In one dimension this is ``_log_pdf`` on the axis. In two, with u and v
-    the centered coordinates of the two axes, z_0 = L^{-1}[0, 0] u, a =
+    Each coordinate is offset + (centre - mean), which keeps its digits far
+    from 0 (see :class:`Grid`); where the centre is 0 it is x - mean at
+    ``grid.axes``. In one dimension this is ``_log_pdf`` of the centred axis.
+    In two, with u and v the centred axes, z_0 = L^{-1}[0, 0] u, a =
     L^{-1}[1, 0] u and b = L^{-1}[1, 1] v, the log-density at node (i, j)
     expands into row terms, a cross term and column terms,
 
@@ -161,7 +162,7 @@ def _grid_log_pdf(g: Gaussian, grid: Grid) -> np.ndarray:
             = [-(z_0,i^2 + a_i^2) / 2 - log_norm] - a_i b_j - b_j^2 / 2,
 
     so one (n0 x 3) @ (3 x n1) product writes the whole array in one pass.
-    The expansion is not bit for bit ``log_pdf``: where a and b nearly
+    The expansion is not bit for bit ``_log_pdf``: where a and b nearly
     cancel it loses some ulps of a^2 + b^2. As a = -rho z_0 / sqrt(1 - rho^2),
     with rho the correlation, and z_0^2 <= 2 |log p + log_norm|, that is an
     absolute error of order eps |log p + log_norm| rho^2 / (1 - rho^2). For
@@ -169,10 +170,11 @@ def _grid_log_pdf(g: Gaussian, grid: Grid) -> np.ndarray:
     1e-13 * max(1, |log p|); narrower Gaussians, with a larger |log_norm|,
     come closer to that bound.
     """
+    centered = [x + (c - m) for x, c, m in zip(grid.offsets, grid.centre, g.mean.tolist())]
     if grid.dims == 1:
-        return _log_pdf(g, grid.axes)
+        return _log_pdf(g, centered)
     (l00, _), (l10, l11) = g.chol.tolist()
-    u, v = (x - m for x, m in zip(grid.axes, g.mean.tolist()))
+    u, v = centered
     z0, a, b = u / l00, u * (-l10 / (l00 * l11)), v / l11
     rows = np.empty((u.size, 3))
     rows[:, 0] = -0.5 * (z0 * z0 + a * a) - _log_norm(g)
@@ -189,25 +191,43 @@ def _grid_for(gaussians, lower=None, upper=None, shape=None) -> Grid:
     """The grid of ``gaussians``, all of one dimension: the one rule that puts Gaussians on a grid.
 
     Missing bounds are the union of the boxes mean +- ``DEFAULT_HALF_WIDTH_SIGMAS``
-    marginal standard deviations; a missing shape is ``DEFAULT_POINTS_1D`` nodes
+    marginal standard deviations, each bound moved out one float spacing where
+    rounding put it inside its box; a missing shape is ``DEFAULT_POINTS_1D`` nodes
     in one dimension, ``DEFAULT_POINTS_2D`` per axis in two. A grid equal to the
-    previous call's is that call's :class:`Grid` object, with its axes and
+    previous call's is that call's :class:`Grid` object, with its offsets and
     weights already built. DimensionError above 2 dimensions or for a shape of
-    another length.
+    another length; DomainError where missing bounds would come from a box
+    narrower than the float spacing at its mean: bounds moved out to that
+    spacing can lie thousands of standard deviations apart, with the nodes
+    spaced wider than one.
     """
     dim = gaussians[0].dim
     if dim > 2:
         raise DimensionError(f"grids support at most 2 dimensions, Gaussian has {dim}")
     if lower is None or upper is None:
         half = [DEFAULT_HALF_WIDTH_SIGMAS * np.sqrt(np.diag(g.cov)) for g in gaussians]
-        lower = np.min([g.mean - h for g, h in zip(gaussians, half)], axis=0) if lower is None else lower
-        upper = np.max([g.mean + h for g, h in zip(gaussians, half)], axis=0) if upper is None else upper
+        for g, h in zip(gaussians, half):
+            for mean, width in zip(g.mean.tolist(), (2.0 * h).tolist()):
+                if width < np.spacing(abs(mean)):
+                    raise DomainError(
+                        f"the box mean +- {DEFAULT_HALF_WIDTH_SIGMAS:g} sd at {mean!r} is {width!r} wide, "
+                        f"narrower than the float spacing {float(np.spacing(abs(mean)))!r} there"
+                    )
+        lower = np.min([_box_bound(g.mean, -h) for g, h in zip(gaussians, half)], axis=0) if lower is None else lower
+        upper = np.max([_box_bound(g.mean, h) for g, h in zip(gaussians, half)], axis=0) if upper is None else upper
     if shape is None:
         shape = (DEFAULT_POINTS_1D,) if dim == 1 else (DEFAULT_POINTS_2D, DEFAULT_POINTS_2D)
     shape = tuple(np.atleast_1d(shape).tolist())
     if len(shape) != dim:
         raise DimensionError(f"grid shape {shape} does not match Gaussian dim {dim}")
     return _reused(Grid(lower, upper, shape))
+
+
+def _box_bound(mean: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``mean + step``, one float spacing further along ``step`` where rounding fell short (Knuth's two-sum error)."""
+    bound = mean + step
+    error = (mean - (bound - (bound - mean))) + (step - (bound - mean))
+    return np.where(error * step > 0.0, np.nextafter(bound, step * np.inf), bound)
 
 
 @lru_cache(maxsize=1)
@@ -221,16 +241,18 @@ def to_grid(g: Gaussian, lower=None, upper=None, shape=None) -> GridDensity:
 
     The grid is ``_grid_for([g], lower, upper, shape)``: by default ±8
     marginal standard deviations, 2048 nodes in one dimension and 257 per
-    dimension in two. In one dimension the values are those of ``log_pdf`` on
-    the nodes, exponentiated and normalized, bit for bit; in two, the
-    log-density is one matrix product (see ``_grid_log_pdf``), within 1e-13 *
-    max(1, |log p|) of ``log_pdf`` for |rho| <= 0.97 and standard deviations
-    from 1e-3 to 1e3.
+    dimension in two. In one dimension the values are ``log_pdf`` of ``g``
+    moved by -centre at the grid's offsets, which is ``log_pdf`` on the nodes
+    where the centre is 0, exponentiated and normalized, bit for bit; in two,
+    one matrix product (see ``_grid_log_pdf``) within 1e-13 * max(1, |log p|)
+    of that for |rho| <= 0.97 and standard deviations from 1e-3 to 1e3.
 
     Raises
     ------
     DimensionError
         For dimensions above 2.
+    DomainError
+        Without bounds, where ``g``'s box is narrower than the float spacing at its mean.
     """
     return _on_grid(g, _grid_for([g], lower, upper, shape))
 
@@ -248,10 +270,11 @@ def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:
     raise degenerate
 
 
-def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
+def common_grid(*inputs, points=None, names=None) -> tuple[GridDensity, ...]:
     """Every input on one shared grid, with Gaussians evaluated on it.
 
-    Grid inputs fix the grid, and all of them must share it. Without one,
+    Grid inputs fix the grid, and all of them must share it; ``names``, one
+    per input, words a mismatch (see ``require_same_grid``). Without one,
     the grid is ``_grid_for`` of the Gaussians: the union of their boxes,
     with ``points`` nodes per axis, or the default node counts when
     ``points`` is None. All outputs hold the same :class:`Grid` object.
@@ -266,9 +289,10 @@ def common_grid(*inputs, points=None) -> tuple[GridDensity, ...]:
     dims = {d.grid.dims if isinstance(d, GridDensity) else d.dim for d in inputs}
     if len(dims) > 1:
         raise DimensionError(f"inputs mix dimensions {sorted(dims)}")
-    grids = [d.grid for d in inputs if isinstance(d, GridDensity)]
+    gridded = [i for i, d in enumerate(inputs) if isinstance(d, GridDensity)]
+    grids = [inputs[i].grid for i in gridded]
     if grids:
-        require_same_grid(*grids)
+        require_same_grid(*grids, names=None if names is None else [names[i] for i in gridded])
         grid = grids[0]
     else:
         grid = _grid_for(inputs, shape=None if points is None else (points,) * inputs[0].dim)

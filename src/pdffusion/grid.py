@@ -2,19 +2,19 @@
 
 A :class:`Grid` holds the bounds and node counts of a uniform rectangular
 grid in one or two dimensions. It is the one place that validates them, and
-it builds its node coordinates and trapezoid weights once for all densities
-on it. It owns the trapezoid rule: the per-axis weights, :meth:`Grid.integral`
-over all nodes, and :meth:`Grid.marginals`, which integrates out all but one
-axis so that moments need only per-axis vectors. An unmasked 2-D integral
-also contracts one axis at a time, ``w0 @ t @ w1``. A :class:`GridDensity`
-pairs a grid with node values and validates only those; it adopts a
-read-only, owned, C-contiguous float64 array of grid shape without a copy,
-which is how kernels hand over a full-grid result (see :func:`frozen`), and
-copies anything else. Whether a density is strictly positive and whether it
-integrates to one are read off its values here and nowhere else, and an array
-given for a grid's nodes (a calibration function, a likelihood) is checked
-against its shape by :func:`grid_shaped`. Every other module reduces its non
-closed-form work to these objects.
+it builds its node coordinates, offsets and trapezoid weights once for all
+densities on it. It owns the trapezoid rule: the per-axis weights,
+:meth:`Grid.integral` over all nodes, and :meth:`Grid.marginals`, which
+integrates out all but one axis so that moments need only per-axis vectors.
+An unmasked 2-D integral also contracts one axis at a time, ``w0 @ t @ w1``.
+A :class:`GridDensity` pairs a grid with node values and validates only
+those; it adopts a read-only, owned, C-contiguous float64 array of grid
+shape without a copy, which is how kernels hand over a full-grid result (see
+:func:`frozen`), and copies anything else. Whether a density is strictly
+positive and whether it integrates to one are read off its values here and
+nowhere else, and an array given for a grid's nodes (a calibration function,
+a likelihood) is checked against its shape by :func:`grid_shaped`. Every
+other module reduces its non closed-form work to these objects.
 
 :func:`adopt_normalized` is the one normalization: it divides a fresh array,
 which only its caller holds, in place by its integral, and a new density
@@ -54,9 +54,6 @@ from .errors import (
 
 # Grids smaller than this per dimension are rejected outright.
 MIN_POINTS_PER_DIM = 16
-
-# Node spacing, in float spacings (ulp) at the larger |bound|, below which rounding moves nodes off even spacing.
-MIN_SPACING_ULPS = 2**15
 
 # Integrals at or below this are treated as an undefined normalization constant.
 DEGENERATE_INTEGRAL = float(np.finfo(np.float64).eps)
@@ -116,15 +113,13 @@ class Grid:
     lower, kept as tuples of floats; ``shape`` counts the nodes per
     dimension, a whole number of at least 16 each. Nodes include both
     endpoints, so node ``i`` of dimension ``d`` sits at ``lower[d] + i *
-    (upper[d] - lower[d]) / (shape[d] - 1)``; that spacing must be finite
-    (DomainError where ``upper[d] - lower[d]`` overflows) and at least
-    `MIN_SPACING_ULPS` (2^15) float spacings at the larger |bound|
-    (DomainError). Closer nodes round unevenly, or onto one coordinate, while
-    the trapezoid weights assume even spacing. At 2^15, on unit-variance
-    Gaussian pairs of 2048 nodes, the rounding moved KL and variance by at
-    most 1e-9 relative, and by up to 1.2e-8 where the grid straddles a
-    power of two. Equal grids compare equal and hash alike; derived arrays
-    are cached on first use and read-only.
+    (upper[d] - lower[d]) / (shape[d] - 1)``; that spacing must be a
+    positive float (DomainError where ``upper[d] - lower[d]`` overflows or
+    the spacing rounds to 0). Densities are evaluated at ``centre +
+    offsets``, which keep even spacing however far from 0 the bounds lie;
+    ``axes`` round to the float spacing there. Where the bounds are symmetric
+    about 0, the offsets are ``axes`` bit for bit. Equal grids compare equal
+    and hash alike; derived arrays are cached on first use and read-only.
     """
 
     lower: tuple[float, ...]
@@ -153,8 +148,8 @@ class Grid:
             spacing = (hi - lo) / (n - 1)
             if spacing == math.inf:
                 raise DomainError(f"the span of [{lo!r}, {hi!r}] overflows float64")
-            if not spacing >= MIN_SPACING_ULPS * math.ulp(max(abs(lo), abs(hi))):
-                raise DomainError(f"{n} nodes on [{lo!r}, {hi!r}] are closer than the float spacing there allows")
+            if spacing == 0.0:
+                raise DomainError(f"the spacing of {n} nodes on [{lo!r}, {hi!r}] rounds to 0")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "shape", shape)
@@ -170,10 +165,23 @@ class Grid:
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
-        """Node coordinates per dimension."""
+        """Node coordinates per dimension, each rounded to the float spacing where it lies."""
         return tuple(
             frozen(np.linspace(self.lower[d], self.upper[d], self.shape[d]))
             for d in range(self.dims)
+        )
+
+    @cached_property
+    def centre(self) -> tuple[float, ...]:
+        """Midpoint of the bounds per dimension; exactly 0 where they are symmetric about 0."""
+        return tuple(0.5 * lo + 0.5 * hi for lo, hi in zip(self.lower, self.upper))
+
+    @cached_property
+    def offsets(self) -> tuple[np.ndarray, ...]:
+        """Node coordinates per dimension less the centre, evenly spaced about 0."""
+        return tuple(
+            frozen(np.linspace(lo - c, hi - c, n))
+            for lo, hi, c, n in zip(self.lower, self.upper, self.centre, self.shape)
         )
 
     @cached_property
@@ -351,14 +359,14 @@ def moments(d: GridDensity) -> tuple[np.ndarray, np.ndarray]:
         raise NotNormalizedError("moments require a normalized density")
     grid, v = d.grid, d.values
     weights = grid.axis_weights
-    # means and variances need only each axis's marginal mass
+    # means and variances need only each axis's marginal mass; the mean is the centre plus the mean offset
     masses = [w * m for w, m in zip(weights, grid.marginals(v))]
-    mean = np.array([np.sum(m * x) for m, x in zip(masses, grid.axes)])
-    centered = [x - mu for x, mu in zip(grid.axes, mean)]
+    shift = [np.sum(m * x) for m, x in zip(masses, grid.offsets)]
+    centered = [x - s for x, s in zip(grid.offsets, shift)]
     cov = np.diag([np.sum(m * c**2) for m, c in zip(masses, centered)])
     if grid.dims == 2:
         cov[0, 1] = cov[1, 0] = (weights[0] * centered[0]) @ v @ (weights[1] * centered[1])
-    return mean, cov
+    return np.add(grid.centre, shift), cov
 
 
 def event_probability(d: GridDensity, cells: np.ndarray) -> float:
@@ -385,12 +393,15 @@ def event_probability(d: GridDensity, cells: np.ndarray) -> float:
     return float(np.sum(mass[cells]))
 
 
-def require_same_grid(*grids: Grid) -> None:
-    """Raise :class:`GridMismatchError` unless all grids are equal."""
-    first = grids[0]
-    for other in grids[1:]:
-        if other != first:
-            raise GridMismatchError(f"grids differ: {first} vs {other}")
+def require_same_grid(*grids: Grid, names=None) -> None:
+    """Raise :class:`GridMismatchError` unless all grids are equal, naming the first that differs and the first.
+
+    ``names`` labels the grids, one each (the CLI passes file names); by default they are numbered from 0.
+    """
+    names = names or [f"grid {i}" for i in range(len(grids))]
+    for name, other in zip(names[1:], grids[1:]):
+        if other != grids[0]:
+            raise GridMismatchError(f"grids differ: {name} has {other}, {names[0]} has {grids[0]}")
 
 
 def grid_shaped(values, grid: Grid, what: str) -> np.ndarray:

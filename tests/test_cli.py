@@ -260,7 +260,7 @@ class TestPool:
             (["--kind", "chi-transform", "--weights", "0.5,0.5", "--chi", "reciprocal", "--chi-alpha", "2"],
              "alpha is only meaningful for Power, not reciprocal"),
             (["--kind", "linear", "--weights", "0.5,x"],
-             "could not parse '0.5,x' as comma-separated numbers"),
+             "could not parse --weights '0.5,x' as comma-separated numbers"),
             # the spec refuses the missing rule field at construction, before pool asks for q0
             (["--kind", "generalized-linear", "--weights", "0.5,0.5"],
              "generalized-linear pooling requires w0"),
@@ -1111,9 +1111,9 @@ def sha256(data: bytes) -> str:
 class TestOneDimensionalOutputsPinned:
     """1-D CLI outputs at the default grids, pinned byte for byte.
 
-    The expected bytes come from the full-mesh `to_grid` and `moments`
-    (numpy 2.4, x86-64); evaluating one axis at a time must not change any
-    1-D arithmetic.
+    The expected bytes come from `to_grid` and `moments` evaluated at the
+    grid's centre plus offsets (numpy 2.4, x86-64). fig4's grids are
+    symmetric about 0, where that is the arithmetic at the axes.
     """
 
     DEFAULT_GRID = {"FUSION_GRID_POINTS": None}
@@ -1138,9 +1138,9 @@ class TestOneDimensionalOutputsPinned:
             env=self.DEFAULT_GRID,
         )
         assert result.exit_code == 0
-        assert result.output == '{"cov": [[3.4399999999998867]], "mean": [1.0999999999999996]}\n'
+        assert result.output == '{"cov": [[3.4399999999998867]], "mean": [1.1]}\n'
         assert sha256(out.read_bytes()) == (
-            "2cf8a8910cbca1e6319a1704193212afa2f946ec60ff12883f4cdd42ffb82c67"
+            "893e1a8f6e813ef994241475f0c7534f7a574a5460a4c1fb9ccf8ce20d2dae83"
         )
 
 
@@ -1424,40 +1424,92 @@ def test_all_zero_csv_is_no_density(runner, tmp_path, monkeypatch, args):
 
 
 @pytest.mark.parametrize(
-    "means, code",
-    [((1e17, 1.00000000000000016e17), 2), ((1e15, 1e15 + 1.0), 2), ((1e13, 1e13 + 1.0), 2), ((1e9, 1e9 + 1.0), 0)],
-    ids=["1e17-16-apart", "1e15-1-apart", "1e13-1-apart", "1e9-1-apart"],
+    "args",
+    [
+        ["pool", "--kind", "linear", "--weights", "0.2,0.3,0.5", "a.csv", "b.csv", "off.csv"],
+        ["pool", "--kind", "generalized-log-linear", "--weights", "0.5,0.5", "--xi0", "off.csv", "a.csv", "b.csv"],
+        ["pool", "--kind", "dogmatic", "--q0", "off.csv", "a.json", "a.csv"],
+    ],
+    ids=["agent", "xi0", "q0"],
 )
-def test_gaussians_far_from_0_need_a_grid_that_float64_resolves(runner, tmp_path, means, code):
-    # the default 2048 nodes on mean +- 8: spaced about 0.0083, below the float spacing
-    # 0.125 at 1e15, so the nodes would collapse and KL print 0.4995 for 0.5; at 1e13
-    # (float spacing 0.002) they round unevenly and KL printed 0.50000006; at 1e9 they are even
-    paths = []
-    for i, mean in enumerate(means):
-        paths.append(str(tmp_path / f"g{i}.json"))
-        Path(paths[-1]).write_text(json.dumps({"mean": [mean], "cov": [[1.0]]}))
+def test_a_grid_mismatch_names_both_files(runner, tmp_path, monkeypatch, args):
+    for name in ("a.csv", "b.csv", "off.csv", "a.json"):
+        (tmp_path / name).write_bytes((CORPUS_INPUTS / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [*args, "-o", "out.csv"])
+    assert (result.exit_code, result.stdout) == (2, ""), repr(result.exception)
+    off, a = "Grid(lower=(-6.0,), upper=(6.0,), shape=(64,))", "Grid(lower=(-8.0,), upper=(8.0,), shape=(64,))"
+    message = f"grids differ: off.csv has {off}, a.csv has {a}"
+    assert json.loads(result.stderr) == {"error": "GridMismatchError", "message": message}
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--private-shared", "", "--y", "1"], "--private-shared"),
+        (["--private-shared", "4,1,4,4", "--y", ""], "--y"),
+    ],
+)
+def test_an_unparseable_list_names_its_flag(runner, args, flag):
+    result = runner.invoke(main, ["supra", *args])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr) == {"error": "ValueError", "message": f"could not parse {flag} '' as comma-separated numbers"}
+
+
+@pytest.mark.parametrize(
+    "pair, expected",
+    [
+        (((1e17, 1.0), (1.00000000000000016e17, 1.0)), 128.0),
+        (((1e15, 1.0), (1e15 + 1.0, 1.0)), 0.5),
+        (((1e13, 1.0), (1e13 + 1.0, 1.0)), 0.5),
+        (((1e9, 1.0), (1e9 + 1.0, 1.0)), 0.5),
+        (((1e15, 2.5e-9), (1e15, 3.6e-9)), None),
+        (((1e17, 2.5e-5), (1e17, 3.6e-5)), None),
+        (((1e17, 1e-24), (1e17, 1e-24)), None),
+    ],
+    ids=["1e17-16-apart", "1e15-1-apart", "1e13-1-apart", "1e9-1-apart", "1e15-sd-5e-5", "1e17-sd-5e-3", "1e17-sd-1e-12"],
+)
+def test_gaussians_far_from_0_need_a_grid_that_float64_resolves(runner, tmp_path, pair, expected):
+    # the default 2048 nodes on the union of the mean +- 8 sd boxes are spaced about 0.0083 sd,
+    # below the float spacing at 1e15 (0.125) and at 1e17 (16), where the node coordinates
+    # collapse; the densities are evaluated at the grid's centre plus offsets, which keep the
+    # spacing. At 1e17 the boxes' bounds round by up to 8, and move out where that cut into a
+    # box. A box narrower than the float spacing at its mean (the rows expecting None) is
+    # refused: bounds moved out to that spacing would put the nodes wider apart than the sd
+    paths = [gauss_json(tmp_path, f"g{i}.json", *g) for i, g in enumerate(pair)]
     result = runner.invoke(main, ["divergence", "--kind", "kl", *paths])
-    assert result.exit_code == code, (result.stdout, result.stderr)
-    if code == 2:
+    if expected is None:
+        assert (result.exit_code, result.stdout) == (2, ""), result.stdout
         payload = json.loads(result.stderr)
-        assert payload["error"] == "DomainError" and "closer than the float spacing" in payload["message"], payload
+        assert payload["error"] == "DomainError" and "narrower than the float spacing" in payload["message"], payload
     else:
-        assert abs(float(result.stdout) - 0.5) <= 1e-9
+        assert result.exit_code == 0, (result.stdout, result.stderr)
+        assert abs(float(result.stdout) - expected) <= 1e-12 * expected, result.stdout
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="ROADMAP item 28: linspace nodes round unevenly where the grid straddles a power of two, "
-    "which the 2^15-ulp spacing rule does not bound; it printed 0.4999999942862024",
-)
 def test_gaussians_across_a_power_of_two_keep_their_kl(runner, tmp_path):
-    # the default 2048 nodes on [2^30 - 7.5, 2^30 + 9.5], 3.5e4 float spacings apart, and the mirror at -2^30
+    # the default 2048 nodes on [2^30 - 7.5, 2^30 + 9.5], and the mirror at -2^30; the node
+    # coordinates round unevenly across the power of two, the offsets about the centre do not
     for centre in (2.0**30 + 0.5, -(2.0**30) + 0.5):
         paths = [str(gauss_json(tmp_path, f"g{i}.json", centre + i, 1.0)) for i in range(2)]
         result = runner.invoke(main, ["divergence", "--kind", "kl", *paths])
         assert result.exit_code == 0, (result.stdout, result.stderr)
         assert abs(float(result.stdout) - 0.5) <= 1e-12, (centre, result.stdout)
+
+
+def test_a_csv_far_from_0_pools_to_its_moments(runner, tmp_path):
+    # N(1e15, 1) on [1e15 - 8, 1e15 + 9], written by numpy alone from the nodes' distances to
+    # the mean; its 2048 nodes are closer than the float spacing at 1e15 (0.125)
+    lower, upper, n = 1e15 - 8.0, 1e15 + 9.0, 2048
+    values = np.exp(-0.5 * np.linspace(-8.0, 9.0, n) ** 2) / math.sqrt(2.0 * math.pi)
+    far = tmp_path / "far.csv"
+    far.write_text("\n".join([f"# 1,{lower!r},{upper!r},{n}", *map(repr, values.tolist())]) + "\n")
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["pool", "--kind", "log-linear", "--weights", "0.5,0.5", str(far), str(far), "-o", str(out)])
+    assert result.exit_code == 0, (result.stdout, result.stderr)
+    moments = json.loads(result.stdout)
+    assert abs(moments["mean"][0] - 1e15) <= 1e-9 and abs(moments["cov"][0][0] - 1.0) <= 1e-9, moments
 
 
 def test_header_only_csv_prints_one_json_line(run_python, tmp_path):

@@ -150,6 +150,7 @@ CASES = [
     ("invalid-pool-not-normalized", ["pool", "--kind", "linear", "--weights", "0.5,0.5", "mass2.csv", "mass2.csv", "-o", "out.csv"]),
     ("invalid-alpha-overflow", ["divergence", "--kind", "reverse-alpha", "--alpha", "50", "a.csv", "b.csv"]),
     ("invalid-grid-span-overflow", ["divergence", "--kind", "kl", "wide.csv", "wide.csv"]),
+    ("invalid-grid-mismatch-names-the-files", ["pool", "--kind", "linear", "--weights", "0.2,0.3,0.5", "a.csv", "b.csv", "off.csv", "-o", "out.csv"]),
 ]
 
 # per-row changes to ENV, recorded in the corpus. None unsets a variable: the
@@ -220,6 +221,7 @@ def _input_files() -> dict[str, str]:
         "flat.csv": _csv(np.full(64, 0.0625), -8.0, 8.0),  # integrates to 1
         "mass2.csv": _csv(np.full(64, 0.125), -8.0, 8.0),  # integrates to 2
         "wide.csv": _csv(np.full(16, 0.5), -1e308, 1e308),  # finite bounds whose span overflows
+        "off.csv": _csv(_trapezoid_normalized(np.exp(-0.5 * np.linspace(-6.0, 6.0, 64) ** 2), -6.0, 6.0), -6.0, 6.0),
         "a2.csv": _csv(_trapezoid_normalized(np.exp(-0.5 * (u**2 + v**2 - u * v) / 1.5), -6.0, 6.0), -6.0, 6.0),
         "b2.csv": _csv(_trapezoid_normalized(np.exp(-0.5 * ((u - 1.0) ** 2 + (v + 0.5) ** 2 / 2.0)), -6.0, 6.0), -6.0, 6.0),
         "a.json": _json({"mean": [-1.0], "cov": [[1.0]]}),
@@ -295,10 +297,17 @@ def in_process(args: list[str], env: dict, workdir: Path) -> tuple[int, str, str
 
 
 def through(command: list[str]):
-    """A ``call`` that runs ``command`` and the arguments as a fresh process."""
+    """A ``call`` that runs ``command`` and the arguments as a fresh process.
+
+    Each call runs in its own directory, so a relative ``PYTHONPATH`` entry is
+    made absolute against the working directory of this process.
+    """
 
     def call(args: list[str], env: dict, workdir: Path) -> tuple[int, str, str]:
         child_env = dict(os.environ)
+        if "PYTHONPATH" in child_env:
+            entries = child_env["PYTHONPATH"].split(os.pathsep)
+            child_env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) if p else p for p in entries)
         for name, value in env.items():
             if value is None:
                 child_env.pop(name, None)
@@ -419,6 +428,17 @@ def test_replay_through_python_m_matches(monkeypatch):
     # the two rows that write files replay twice, the second time over their own outputs
     names = ("supra", "invalid-axiom-check-negative-seed", "pool-2d-log-linear", "fig4")
     rows = [case for case in CASES if case[0] in names]
+    assert replay([sys.executable, "-m", "pdffusion.cli"], rows) == []
+
+
+def test_replay_with_a_relative_pythonpath(monkeypatch):
+    import pdffusion
+
+    # PYTHONPATH=src from the directory that holds src, as the tier-1 command sets it
+    src = Path(pdffusion.__file__).resolve().parents[1]
+    monkeypatch.chdir(src.parent)
+    monkeypatch.setenv("PYTHONPATH", src.name)
+    rows = [case for case in CASES if case[0] == "divergence-kl"]
     assert replay([sys.executable, "-m", "pdffusion.cli"], rows) == []
 
 

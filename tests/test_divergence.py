@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdffusion import divergence as D
-from pdffusion.errors import BoundednessError, NotNormalizedError, PositivityError, SupportError
+from pdffusion.errors import BoundednessError, DomainError, NotNormalizedError, PositivityError, SupportError
 from pdffusion.gaussian import Gaussian, common_grid, to_grid
 from pdffusion.grid import from_samples, normalize
 from pdffusion.pooling import ChiKind, ChiTransform
@@ -626,6 +626,41 @@ def test_alpha_near_its_kl_limits_keeps_its_digits(p, q, alpha):
     for value in (D.alpha_div(p, q, alpha), D.reverse_alpha_div(q, p, alpha)):
         assert value > 0.0
         assert abs(value - exact) <= 1e-10 * exact, (value, exact)
+
+
+# centres anywhere up to 1e15 in magnitude, and just past a power of two, where node
+# coordinates rounded to the float spacing there would be spaced unevenly
+FAR_CENTRES = st.one_of(
+    st.floats(-1e15, 1e15),
+    st.builds(lambda k, sign: sign * 2.0**k + 0.5, st.integers(1, 49), st.sampled_from([-1.0, 1.0])),
+)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kl_far_from_0_matches_its_closed_form(dim, data):
+    # sigma in [0.7, 1.4] times a scale down to 2^-60 and |rho| <= 0.3 keep both densities
+    # above the underflow on the shared box, and shifts of at least sigma / 3 keep KL away from
+    # 0 where they do not round away at the centre. A Gaussian whose box mean +- 8 sigma is
+    # narrower than the float spacing at its mean has no grid: DomainError
+    def draw(strategy):
+        return np.array(data.draw(st.lists(strategy, min_size=dim, max_size=dim)))
+
+    centre = draw(FAR_CENTRES)
+    scale = 2.0 ** data.draw(st.just(0.0) | st.floats(-60.0, 0.0))
+    shift = scale * draw(st.floats(0.5, 2.0) | st.floats(-2.0, -0.5))
+    rho = [data.draw(st.floats(-0.3, 0.3)) if dim == 2 else 0.0 for _ in range(2)]
+    p = gaussian(centre, scale * draw(st.floats(0.7, 1.4)), rho[0])
+    q = gaussian(centre + shift, scale * draw(st.floats(0.7, 1.4)), rho[1])
+    assume(np.any(q.mean != p.mean))
+    narrow = any(16.0 * s < np.spacing(abs(m)) for g in (p, q) for m, s in zip(g.mean, np.sqrt(np.diag(g.cov))))
+    if narrow:
+        with pytest.raises(DomainError, match="narrower than the float spacing"):
+            D.kl(p, q)
+    else:
+        exact = gaussian_kl(p, q)
+        assert abs(D.kl(p, q) - exact) <= 1e-12 * exact, (p, q)
 
 
 @pytest.mark.xfail(

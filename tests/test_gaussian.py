@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from pdffusion import gaussian as G
 from pdffusion.divergence import kl
-from pdffusion.errors import DimensionError, GridMismatchError, SimplexError, SingularityError, check_simplex
+from pdffusion.errors import DimensionError, DomainError, GridMismatchError, SimplexError, SingularityError, check_simplex
 from pdffusion.grid import Grid, OpinionProfile, integrate, moments
 from pdffusion.pooling import linear_pool, log_linear_pool
 
@@ -202,6 +203,13 @@ class TestLogPdf:
             g.chol[0, 0] = 1.0
 
 
+def centred_log_pdf(g, grid) -> np.ndarray:
+    """``log_pdf`` of ``g`` at the grid's nodes taken as centre + offset, as ``to_grid`` takes them:
+    ``g`` moved by -centre, at the offsets, whose x - mean is offset + (centre - mean) bit for bit."""
+    moved = G.Gaussian(g.mean - np.array(grid.centre), g.cov)
+    return G.log_pdf(moved, np.stack(np.meshgrid(*grid.offsets, indexing="ij"), axis=-1))
+
+
 class TestToGrid:
     def test_default_1d_moments(self):
         d = G.to_grid(G.Gaussian([0.0], [[1.0]]))
@@ -249,12 +257,17 @@ class TestToGrid:
             assert fresh.grid is not d.grid
             np.testing.assert_array_equal(d.values, fresh.values)
 
-    @pytest.mark.parametrize("mean, var", [(0.3, 1.7), (-4.0, 0.01), (12.0, 30.0)])
+    @pytest.mark.parametrize("mean, var", [(0.3, 1.7), (-4.0, 0.01), (12.0, 30.0), (1e15, 1.0)])
     def test_1d_values_are_log_pdf_on_the_nodes_bit_for_bit(self, mean, var):
         g = G.Gaussian([mean], [[var]])
         d = G.to_grid(g)
-        raw = np.exp(G.log_pdf(g, d.grid.axes[0][:, None]))
+        raw = np.exp(centred_log_pdf(g, d.grid))
         np.testing.assert_array_equal(d.values, raw / d.grid.integral(raw))
+        if abs(mean) < 100.0:
+            # where the grid's centre is 0 its nodes are its axes
+            d = G.to_grid(g, [-60.0], [60.0], (4096,))
+            raw = np.exp(G.log_pdf(g, d.grid.axes[0][:, None]))
+            np.testing.assert_array_equal(d.values, raw / d.grid.integral(raw))
 
     @pytest.mark.parametrize(
         "mean, cov",
@@ -285,8 +298,7 @@ class TestToGrid:
         s0, s1 = 10.0 ** np.array(log10_sigma)
         g = G.Gaussian(mean, [[s0 * s0, rho * s0 * s1], [rho * s0 * s1, s1 * s1]])
         d = G.to_grid(g)
-        nodes = np.stack(np.meshgrid(*d.grid.axes, indexing="ij"), axis=-1)
-        raw = np.exp(G.log_pdf(g, nodes))
+        raw = np.exp(centred_log_pdf(g, d.grid))
         with np.errstate(divide="ignore"):
             expected = np.log(raw / d.grid.integral(raw))
             got = np.log(d.values)
@@ -353,6 +365,34 @@ class TestOneGridRule:
         qa, _ = G.common_grid(a, b, points=64)
         c = G.Gaussian(np.full(dim, 0.7), 0.5 * np.eye(dim))
         assert G.to_grid(c, qa.grid.lower, qa.grid.upper, qa.grid.shape).grid is qa.grid
+
+    @pytest.mark.parametrize("mean", [1e17, -1e17, 1e17 + 16.0, 3.0])
+    def test_box_bounds_round_outward(self, mean):
+        # mean -+ 8 rounds to the float spacing there (16 at 1e17); a bound that rounded
+        # into the box moves out by one spacing, so the box holds mean -+ 8 exactly
+        grid = G._grid_for([G.Gaussian([mean], [[1.0]])])
+        (lo,), (hi,) = grid.lower, grid.upper
+        for bound in (lo, hi):
+            assert 0 <= abs(Fraction(bound) - Fraction(mean)) - 8 <= Fraction(math.ulp(mean))
+        if mean == 3.0:
+            assert (lo, hi) == (-5.0, 11.0)
+
+    @pytest.mark.parametrize(
+        "mean, sd, dim", [(1e15, 5e-5, 1), (1e17, 0.005, 1), (1e17, 1e-12, 1), (-1e15, 5e-5, 2), (1e17, 0.9, 1)]
+    )
+    def test_a_box_narrower_than_the_float_spacing_has_no_grid(self, mean, sd, dim):
+        # moving its bounds out to the float spacing (0.125 at 1e15, 16 at 1e17) would space 2048
+        # nodes wider than the Gaussian; at 1e17 and sd 0.9 the box is 14.4 wide, under 16
+        g = G.Gaussian(np.full(dim, mean), sd * sd * np.eye(dim))
+        message = f"the box mean +- 8 sd at {mean!r} is {16.0 * sd!r} wide, narrower than the float spacing"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            G.to_grid(g)
+
+    def test_a_box_as_wide_as_the_float_spacing_keeps_its_kl(self):
+        # sd 1 at 1e17: the box is 16 wide, one float spacing, and its lower bound, which rounds to the mean, moves out to mean - 16
+        p, q = G.Gaussian([1e17], [[1.0]]), G.Gaussian([1e17], [[1.44]])
+        assert G._grid_for([p, q]).lower == (1e17 - 16.0,)
+        assert abs(kl(p, q) - gaussian_kl(p, q)) <= 1e-12 * gaussian_kl(p, q)
 
     def test_both_entries_reject_three_dimensions_alike(self):
         g = G.Gaussian(np.zeros(3), np.eye(3))

@@ -5,13 +5,14 @@ import math
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdffusion import grid
+from pdffusion import axioms, grid
 from pdffusion.errors import (
     DegenerateError,
     DimensionError,
@@ -29,11 +30,28 @@ from pdffusion.grid import (
     integrate,
     moments,
     normalize,
+    require_same_grid,
 )
 from pdffusion.pooling import holder_pool
 from pdffusion.weights import min_kld_weights
 
 from separable import EQUAL_COUNTS, assert_relative, axes, bumps, product
+
+
+def _csv_grid(path: Path) -> Grid:
+    """The grid of a density CSV, from its header line ``# dims,lower...,upper...,shape...``."""
+    fields = path.read_text().splitlines()[0][1:].split(",")
+    d = int(fields[0])
+    bounds = [float(v) for v in fields[1 : 1 + 2 * d]]
+    return Grid(bounds[:d], bounds[d:], [int(n) for n in fields[1 + 2 * d :]])
+
+
+# the grids of the golden CLI corpus's CSV inputs, but the one whose span overflows
+CORPUS_GRIDS = {
+    path.name: _csv_grid(path)
+    for path in (Path(__file__).parent / "golden" / "cli" / "inputs").glob("*.csv")
+    if path.name != "wide.csv"
+}
 
 INV_SQRT_2PI = 0.3989422804014327
 INV_2PI = 0.15915494309189535
@@ -85,21 +103,21 @@ class TestConstruction:
             Grid([0.0, -1e308], [1.0, 1e308], (16, 16))
 
     def test_nodes_must_be_apart_in_float64(self):
-        # 2048 nodes on 17 units spaced 0.0083, below the float spacing 0.125 at 1e15:
-        # most would round onto one coordinate; at 1e13 (float spacing 0.002) they round
-        # unevenly; at 1e9 (1.2e-7, 2^16 times closer than the nodes) they are accepted
-        with pytest.raises(DomainError, match=r"^2048 nodes on \[999999999999992.0, 1000000000000009.0\] are closer"):
-            Grid([1e15 - 8.0], [1e15 + 9.0], (2048,))
-        with pytest.raises(DomainError, match="closer than the float spacing"):
-            Grid([0.0, 1e15 - 8.0], [1.0, 1e15 + 9.0], (16, 2048))
-        with pytest.raises(DomainError, match="closer than the float spacing"):
-            Grid([1e13 - 8.0], [1e13 + 9.0], (2048,))
-        assert len(set(Grid([1e9 - 8.0], [1e9 + 9.0], (2048,)).axes[0].tolist())) == 2048
-        # the rule's edge: 16 nodes exactly 2^15 float spacings apart, and one spacing less
-        ulp = math.ulp(1024.0)
-        Grid([1024.0 - 15 * 2**15 * ulp], [1024.0], (16,))
-        with pytest.raises(DomainError, match="^16 nodes on .* are closer than the float spacing there allows$"):
-            Grid([1024.0 - 15 * (2**15 - 1) * ulp], [1024.0], (16,))
+        # a spacing that rounds to 0 puts every node on one coordinate
+        with pytest.raises(DomainError, match=r"^the spacing of 16 nodes on \[0.0, 5e-324\] rounds to 0$"):
+            Grid([0.0], [5e-324], (16,))
+        with pytest.raises(DomainError, match="rounds to 0"):
+            Grid([0.0, 0.0], [1.0, 1e-322], (16, 2048))
+        # 2048 nodes on 17 units are spaced 0.0083, below the float spacing at 1e15 (0.125),
+        # where most node coordinates round onto one another; the offsets about the centre
+        # keep the spacing at every centre, across a power of two too
+        for middle in (1e9, 2.0**30, 1e13, 1e15):
+            g = Grid([middle - 8.0], [middle + 9.0], (2048,))
+            assert g.centre == (middle + 0.5,)
+            np.testing.assert_allclose(np.diff(g.offsets[0]), g.spacing[0], rtol=1e-12)
+        g = Grid([0.0, 1e15 - 8.0], [1.0, 1e15 + 9.0], (16, 2048))
+        np.testing.assert_array_equal(g.offsets[1], Grid([1e15 - 8.0], [1e15 + 9.0], (2048,)).offsets[0])
+        assert len(set(g.axes[1].tolist())) < 200
 
     def test_minimum_resolution(self):
         with pytest.raises(ValueError, match="at least 16 nodes"):
@@ -311,6 +329,19 @@ class TestGrid:
             assert not arr.flags.writeable
         np.testing.assert_array_equal(g.quad_weights, np.multiply.outer(*g.axis_weights))
         np.testing.assert_array_equal(g.axes[1], np.linspace(0.0, 2.0, 24))
+        assert g.offsets is g.offsets and g.centre == (0.5, 1.0)
+        np.testing.assert_array_equal(g.offsets[1], np.linspace(-1.0, 1.0, 24))
+
+    @pytest.mark.parametrize(
+        "template",
+        [axioms.GRID_1D, axioms.GRID_2D, *(CORPUS_GRIDS[name] for name in sorted(CORPUS_GRIDS))],
+        ids=["axioms-1d", "axioms-2d", *sorted(CORPUS_GRIDS)],
+    )
+    def test_offsets_are_the_axes_where_the_centre_is_0(self, template):
+        # so densities on grids symmetric about 0 keep their bytes
+        assert template.centre == (0.0,) * template.dims
+        for offsets, axis in zip(template.offsets, template.axes):
+            assert offsets.tobytes() == axis.tobytes()
 
     def test_integral_is_the_trapezoid_sum(self):
         g = Grid([0.0], [1.0], (17,))
@@ -554,8 +585,13 @@ class TestOpinionProfile:
     def test_grid_mismatch_rejected(self):
         a = std_normal_1d(2049)
         b = std_normal_1d(2048)
-        with pytest.raises(GridMismatchError):
-            OpinionProfile((a, b))
+        # the first grid that differs is named against the first, by position by default
+        message = f"grids differ: grid 2 has {b.grid}, grid 0 has {a.grid}"
+        with pytest.raises(GridMismatchError, match=re.escape(message)):
+            OpinionProfile((a, a, b))
+        message = f"grids differ: b.csv has {b.grid}, a.csv has {a.grid}"
+        with pytest.raises(GridMismatchError, match=re.escape(message)):
+            require_same_grid(a.grid, b.grid, names=["a.csv", "b.csv"])
 
     def test_permuted(self):
         a = std_normal_1d()
