@@ -187,7 +187,7 @@ def _grid_log_pdf(g: Gaussian, grid: Grid) -> np.ndarray:
     return rows @ cols
 
 
-def _grid_for(gaussians, lower=None, upper=None, shape=None) -> Grid:
+def _grid_for(gaussians, lower=None, upper=None, shape=None, names=None) -> Grid:
     """The grid of ``gaussians``, all of one dimension: the one rule that puts Gaussians on a grid.
 
     Missing bounds are the union of the boxes mean +- ``DEFAULT_HALF_WIDTH_SIGMAS``
@@ -199,18 +199,20 @@ def _grid_for(gaussians, lower=None, upper=None, shape=None) -> Grid:
     another length; DomainError where missing bounds would come from a box
     narrower than the float spacing at its mean: bounds moved out to that
     spacing can lie thousands of standard deviations apart, with the nodes
-    spaced wider than one.
+    spaced wider than one. ``names``, one per Gaussian, starts that refusal
+    with the offending one's.
     """
     dim = gaussians[0].dim
     if dim > 2:
         raise DimensionError(f"grids support at most 2 dimensions, Gaussian has {dim}")
     if lower is None or upper is None:
         half = [DEFAULT_HALF_WIDTH_SIGMAS * np.sqrt(np.diag(g.cov)) for g in gaussians]
-        for g, h in zip(gaussians, half):
+        for i, (g, h) in enumerate(zip(gaussians, half)):
             for mean, width in zip(g.mean.tolist(), (2.0 * h).tolist()):
                 if width < np.spacing(abs(mean)):
                     raise DomainError(
-                        f"the box mean +- {DEFAULT_HALF_WIDTH_SIGMAS:g} sd at {mean!r} is {width!r} wide, "
+                        ("" if names is None else f"{names[i]}: ")
+                        + f"the box mean +- {DEFAULT_HALF_WIDTH_SIGMAS:g} sd at {mean!r} is {width!r} wide, "
                         f"narrower than the float spacing {float(np.spacing(abs(mean)))!r} there"
                     )
         lower = np.min([_box_bound(g.mean, -h) for g, h in zip(gaussians, half)], axis=0) if lower is None else lower
@@ -273,18 +275,20 @@ def _on_grid(g: Gaussian, grid: Grid) -> GridDensity:
 def common_grid(*inputs, points=None, names=None) -> tuple[GridDensity, ...]:
     """Every input on one shared grid, with Gaussians evaluated on it.
 
-    Grid inputs fix the grid, and all of them must share it; ``names``, one
-    per input, words a mismatch (see ``require_same_grid``). Without one,
+    Grid inputs fix the grid, and all of them must share it. Without one,
     the grid is ``_grid_for`` of the Gaussians: the union of their boxes,
     with ``points`` nodes per axis, or the default node counts when
     ``points`` is None. All outputs hold the same :class:`Grid` object.
+    ``names``, one per input, name the inputs in either refusal below.
 
     Raises
     ------
     DimensionError
         If the inputs differ in dimension.
     GridMismatchError
-        If two grid inputs live on different grids.
+        If two grid inputs live on different grids (see ``require_same_grid``).
+    DomainError
+        If a Gaussian's box is narrower than the float spacing at its mean (see ``_grid_for``).
     """
     dims = {d.grid.dims if isinstance(d, GridDensity) else d.dim for d in inputs}
     if len(dims) > 1:
@@ -295,7 +299,7 @@ def common_grid(*inputs, points=None, names=None) -> tuple[GridDensity, ...]:
         require_same_grid(*grids, names=None if names is None else [names[i] for i in gridded])
         grid = grids[0]
     else:
-        grid = _grid_for(inputs, shape=None if points is None else (points,) * inputs[0].dim)
+        grid = _grid_for(inputs, shape=None if points is None else (points,) * inputs[0].dim, names=names)
     return tuple(d if isinstance(d, GridDensity) else _on_grid(d, grid) for d in inputs)
 
 

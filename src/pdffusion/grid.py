@@ -448,7 +448,7 @@ class OpinionProfile:
         """The members' values stacked into one K x shape array, built on each access.
 
         The stack is fresh and writable on every access, and shares no
-        memory with any member: the min-KLD objective uses it as scratch.
+        memory with any member.
         """
         return np.stack([q.values for q in self.densities])
 

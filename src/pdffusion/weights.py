@@ -13,9 +13,11 @@ uniform weights it reaches the optimum in a handful of evaluations. The
 derivatives are computed only where the descent uses them: the gradient at
 accepted iterates, the Hessian before a Newton step, so a line-search trial
 or the final iterate costs one evaluation of the value. The min-KLD
-coefficients come from one K x K product of the agents' quadrature masses
-and log-densities, each Hessian from one K x K product of the
-log-densities with their pooled weights: 2K + 1 grid arrays per call.
+coefficients come from a K x K product of the agents' quadrature masses
+and log-densities, each Hessian from a K x K product of the log-densities
+with their pooled weights; both sweep the grid in blocks of BLOCK nodes.
+A call holds the K log-densities, one evaluation buffer and a K x BLOCK
+scratch.
 """
 from __future__ import annotations
 
@@ -37,6 +39,9 @@ ARMIJO_C = 1e-4
 MIN_STEP = 1e-13
 ACTIVE_EPS = 1e-2  # Bertsekas' epsilon-bar: only weights this close to zero are held at it
 HESSIAN_RCOND = 1e-10  # Hessian eigenvalues below this share of the largest count as zero
+# nodes per block of the min-KLD objective's K x K products: one block of the
+# K log rows and its K-row scratch stay in a core's L2, where the whole stack does not
+BLOCK = 8192
 
 # an objective maps weights to its value and zero-argument callables for its
 # gradient and Hessian there, which hold until its next evaluation
@@ -158,18 +163,30 @@ def _min_kld_objective(profile: OpinionProfile) -> Objective:
     minus the outer product of the means. Each is divided by z only on its
     K or K x K entries. Every evaluation writes the quadrature-weighted exp
     into one buffer, so its derivatives hold until the next evaluation.
-    Memory: the K log-densities, a K-row scratch and that buffer, 2K + 1 grid arrays.
+    The two K x K products, the coefficients' at set-up and each Hessian's,
+    sweep the grid one block of BLOCK nodes at a time through a K x BLOCK
+    scratch. Memory: the K log-densities, that buffer and the scratch.
     """
     K = profile.K
-    logs = profile.log_values.reshape(K, -1)
     quad = profile.grid.quad_weights.reshape(-1)
+    n = quad.size
+    blocks = [slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK)]
+    logs = np.empty((K, n))
+    scratch = np.empty((K, min(BLOCK, n)))
+    values = [q.values.reshape(-1) for q in profile.densities]
     # b_j, the coefficient of w_j in the KLD average, is column j's mean of
-    # D[a, b] = M[a, a] - M[a, b], M[a, b] the integral of q_a log q_b; the
-    # masses quad * q_a overwrite the profile's fresh stack, each Hessian's scratch
-    scratch = profile.values.reshape(K, -1)
-    M = np.multiply(scratch, quad, out=scratch) @ logs.T
+    # D[a, b] = M[a, a] - M[a, b], M[a, b] the integral of q_a log q_b;
+    # each block writes its logs and adds its masses quad * q_a times them to M
+    M = np.zeros((K, K))
+    for blk in blocks:
+        L = logs[:, blk]
+        S = scratch[:, : L.shape[1]]
+        for v, log_row, mass_row in zip(values, L, S):
+            np.log(v[blk], out=log_row)
+            np.multiply(v[blk], quad[blk], out=mass_row)
+        M += S @ L.T
     b = (np.trace(M) - M.sum(axis=0)) / K
-    p = np.empty(logs.shape[1])  # every evaluation's buffer: s, then the pooled weights quad * exp(s - m)
+    p = np.empty(n)  # every evaluation's buffer: s, then the pooled weights quad * exp(s - m)
 
     def objective(w: np.ndarray) -> tuple[float, Derivative, Derivative]:
         np.dot(w, logs, out=p)
@@ -181,7 +198,14 @@ def _min_kld_objective(profile: OpinionProfile) -> Objective:
         mean = functools.cache(lambda: logs @ p / z)
 
         def hessian() -> np.ndarray:
-            return symmetrize(np.multiply(logs, p, out=scratch) @ logs.T) / z - np.outer(mean(), mean())
+            H = np.zeros((K, K))
+            for blk in blocks:
+                L = logs[:, blk]
+                S = scratch[:, : L.shape[1]]
+                for log_row, row in zip(L, S):  # row by row: numpy buffers a K-row multiply on a short block
+                    np.multiply(log_row, p[blk], out=row)
+                H += S @ L.T
+            return symmetrize(H) / z - np.outer(mean(), mean())
 
         return m + np.log(z) + float(w @ b), lambda: mean() + b, hessian
 
@@ -212,11 +236,11 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
     agent log-densities taken once (see ``_min_kld_objective``). Each value
     is one weighted sum of log-densities and one exp pass; the gradient,
     computed at accepted iterates only, adds one pass over the K
-    log-densities, and the Hessian, computed before each Newton step, two.
-    Memory: the K log-densities, a K-array scratch (the KLD coefficients'
-    masses, then each Hessian's weighted log-densities) and one evaluation
-    buffer live for the whole call, 2K + 1 grid arrays, and nothing else of
-    grid size is allocated.
+    log-densities, and the Hessian, computed before each Newton step, one
+    more, a block of BLOCK nodes at a time. Memory: the K log-densities, one
+    evaluation buffer and a K x BLOCK scratch (each block's KLD-coefficient
+    masses, then its weighted log-densities for each Hessian) live for the
+    whole call, and nothing else of grid size is allocated.
 
     Raises
     ------

@@ -1476,13 +1476,15 @@ def test_gaussians_far_from_0_need_a_grid_that_float64_resolves(runner, tmp_path
     # collapse; the densities are evaluated at the grid's centre plus offsets, which keep the
     # spacing. At 1e17 the boxes' bounds round by up to 8, and move out where that cut into a
     # box. A box narrower than the float spacing at its mean (the rows expecting None) is
-    # refused: bounds moved out to that spacing would put the nodes wider apart than the sd
+    # refused: bounds moved out to that spacing would put the nodes wider apart than the sd.
+    # The refusal names the file of the first such box
     paths = [gauss_json(tmp_path, f"g{i}.json", *g) for i, g in enumerate(pair)]
     result = runner.invoke(main, ["divergence", "--kind", "kl", *paths])
     if expected is None:
         assert (result.exit_code, result.stdout) == (2, ""), result.stdout
         payload = json.loads(result.stderr)
         assert payload["error"] == "DomainError" and "narrower than the float spacing" in payload["message"], payload
+        assert payload["message"].startswith(f"{paths[0]}: the box mean +- 8 sd at "), payload
     else:
         assert result.exit_code == 0, (result.stdout, result.stderr)
         assert abs(float(result.stdout) - expected) <= 1e-12 * expected, result.stdout

@@ -382,10 +382,11 @@ class TestOneGridRule:
     )
     def test_a_box_narrower_than_the_float_spacing_has_no_grid(self, mean, sd, dim):
         # moving its bounds out to the float spacing (0.125 at 1e15, 16 at 1e17) would space 2048
-        # nodes wider than the Gaussian; at 1e17 and sd 0.9 the box is 14.4 wide, under 16
+        # nodes wider than the Gaussian; at 1e17 and sd 0.9 the box is 14.4 wide, under 16. A call
+        # without names starts the message with the box
         g = G.Gaussian(np.full(dim, mean), sd * sd * np.eye(dim))
         message = f"the box mean +- 8 sd at {mean!r} is {16.0 * sd!r} wide, narrower than the float spacing"
-        with pytest.raises(DomainError, match=re.escape(message)):
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
             G.to_grid(g)
 
     def test_a_box_as_wide_as_the_float_spacing_keeps_its_kl(self):

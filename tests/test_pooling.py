@@ -342,6 +342,65 @@ class TestNearTheLogLimit:
         np.testing.assert_allclose(P.holder_pool(three_agents, THREE_WEIGHTS, alpha).values, want, rtol=1e-13, atol=0.0)
 
 
+def holder_stationarity(d, w, alpha):
+    """(1/alpha) log sum_k w_k exp(alpha d_k) per node, over the members weighted above 0.
+
+    Below 1e-20 in size, alpha 0 included, it is its limit sum_k w_k d_k: the next term of its
+    series, alpha times half the weighted variance of d, is below float64 resolution there. Up
+    to 1 it reads log1p and expm1, so a small alpha keeps its digits; beyond, the largest
+    alpha d_k is factored out, so no power leaves the float range.
+    """
+    d, w = d[w > 0.0], w[w > 0.0, None]
+    if abs(alpha) < 1e-20:
+        return (w * d).sum(axis=0)
+    if abs(alpha) <= 1.0:
+        return np.log1p((w * np.expm1(alpha * d)).sum(axis=0)) / alpha
+    top = d.max(axis=0) if alpha > 0.0 else d.min(axis=0)
+    return top + np.log((w * np.exp(alpha * (d - top))).sum(axis=0)) / alpha
+
+
+@st.composite
+def holder_cases(draw):
+    """A positive 1-D (256 nodes) or 2-D (33 x 33) profile of 2 to 4 Gaussians, weights on the
+    simplex (zeros and subnormals included) and an exponent from the whole line."""
+    dim, K = draw(st.sampled_from([1, 2])), draw(st.integers(2, 4))
+    vector = lambda lo, hi: draw(st.lists(st.floats(lo, hi), min_size=dim, max_size=dim))
+    # sd ratio at most 1.6 and |rho| <= 0.4: no member underflows on the union of the boxes
+    agents = [gaussian(vector(-1.0, 1.0), vector(0.8, 1.25), draw(st.floats(-0.4, 0.4)) if dim == 2 else 0.0) for _ in range(K)]
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K)))
+    assume(w.sum() > 0.0)
+    alpha = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300]),
+            st.floats(-1.0, 1.0),
+            st.floats(-30.0, 30.0),
+            st.floats(-1e300, 1e300),
+        )
+    )
+    return OpinionProfile(common_grid(*agents, points=256 if dim == 1 else 33)), w / w.sum(), alpha
+
+
+class TestHolderStationarity:
+    """The Holder pool minimizes sum_k w_k D_alpha(p_k || phi) over densities phi, so it is stationary:
+    R = sum_k w_k (p_k / phi)^alpha is constant on phi's support, and at alpha = 0 so is
+    sum_k w_k log(p_k / phi) (Amari, Neural Computation 19(10), 2007)."""
+
+    @given(holder_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_the_pool_keeps_its_residual_constant(self, case):
+        # Q = log(R) / alpha is log Z, Z the pool's normalizer, at every node where phi is above
+        # 1e-8 of its peak; its spread stays below 1e-12. For |alpha| <= 30 so does |alpha| times
+        # it, the relative spread of R; beyond, the pool's log phi, good to about 1e-14, carries
+        # |alpha| times that into R, past 1e-12 for a float64 pool
+        prof, w, alpha = case
+        assert prof.positive
+        phi = P.holder_pool(prof, w, alpha).values
+        top = phi > 1e-8 * phi.max()
+        q = holder_stationarity(np.log(prof.values[:, top] / phi[top]), w, alpha)
+        spread = float(q.max() - q.min())
+        assert spread * (abs(alpha) if 1.0 < abs(alpha) <= 30.0 else 1.0) <= 1e-12, (spread, alpha, w)
+
+
 class TestMultiplicativePool:
     def test_conditionally_independent_fusion(self):
         # two agents observe theta with noise vars 1 and 0.25, prior N(0.3, 2);
