@@ -9,9 +9,10 @@ that the commutativity axioms are stated with.
 
 Power means (Holder, inverse-linear, chi-transform) and their exponent-0
 limits (log-linear, multiplicative) run through one kernel on the members'
-logs, shifted by the maximum before one exp, so that grid tails near 1e-300
-neither underflow nor overflow a power before they can cancel. The linear
-pool adds values, and the Bayesian update multiplies values directly.
+logs. At a non-zero exponent each log is shifted, in log-density units, by its
+extreme at each node before it is scaled, so that neither tails near 1e-300 nor
+an exponent near the float limit overflow a power. The linear pool adds values,
+and the Bayesian update multiplies values directly.
 """
 from __future__ import annotations
 
@@ -145,15 +146,16 @@ def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
 def _power_mean(profile: OpinionProfile, w: np.ndarray, alpha: float, op: str, extra=None) -> GridDensity:
     """Normalized weighted power mean of the members, times exp(``extra``), from their logs L.
 
-    log M_alpha = (t + log sum_k exp(alpha L_k + log w_k - t)) / alpha, with t
-    the largest term at each node, and w . L at alpha = 0. Below `NEAR_LIMIT`
-    that form keeps only eps |L| / |alpha| of its digits, so there log M_alpha =
-    m + log1p(sum_k w_k expm1(alpha (L_k - m))) / alpha, with m the largest of the
-    positively weighted L_k at each node for alpha > 0 and the smallest for
-    alpha < 0, and each quotient by alpha read through `over_step`: continuous
-    through 0, down to a subnormal alpha. Nodes where every weighted member is
-    zero stay exactly zero. The one home of the positivity rule: at alpha <= 0
-    a zero in the profile raises PositivityError naming ``op``.
+    log M_0 = w . L. At alpha != 0 each member's row z_k, in log-density units, is shifted
+    by the rows' extreme m at each node (the largest for alpha > 0, the smallest for alpha < 0)
+    before it is scaled by alpha, so every alpha (z_k - m) <= 0 at every finite alpha.
+    From `NEAR_LIMIT` on, z_k = L_k + log(w_k) / alpha and log M_alpha = m + log(sum_k
+    exp(alpha (z_k - m))) / alpha. Below it, where that quotient by alpha magnifies
+    rounding, z_k = L_k over the positively weighted members, log M_alpha = m + log1p(sum_k
+    w_k expm1(alpha (z_k - m))) / alpha, and each quotient is read through `over_step`:
+    continuous through 0, down to a subnormal alpha. Nodes where every weighted member is
+    zero stay exactly zero. The one home of the positivity rule: at alpha <= 0 a zero in
+    the profile raises PositivityError naming ``op``.
     """
     if _needs_positive(alpha) and not profile.positive:
         raise PositivityError(f"{op} requires a strictly positive opinion profile")
@@ -161,24 +163,23 @@ def _power_mean(profile: OpinionProfile, w: np.ndarray, alpha: float, op: str, e
         logs = profile.log_values
         if alpha == 0.0:
             out = _weighted_sum(w, logs)
-        elif abs(alpha) < NEAR_LIMIT:  # m + log1p(sum_k w_k expm1(alpha (L_k - m))) / alpha, each expm1 in [-1, 0]
-            logs, w = logs[w > 0.0], w[w > 0.0]
-            out = logs.max(axis=0) if alpha > 0.0 else logs.min(axis=0)
-            np.copyto(out, 0.0, where=out == -np.inf)  # every member is 0: the fmax below keeps it 0
-            logs -= out
-            total = _weighted_sum(w, over_step(np.expm1, alpha, logs))  # -1/alpha, or -inf, for a zero member
-            out += over_step(lambda y: np.log1p(np.fmax(y, -1.0)), alpha, total)
         else:
-            logs *= alpha
-            logs += np.log(w).reshape((-1,) + (1,) * profile.grid.dims)
-            out = logs.max(axis=0)
-            np.copyto(out, 0.0, where=out == -np.inf)  # every term is 0: keep their sum 0, not nan
+            if near := abs(alpha) < NEAR_LIMIT:  # the weights multiply the expm1 terms
+                logs, w = logs[w > 0.0], w[w > 0.0]
+            else:  # z_k = L_k + log(w_k) / alpha, which is +-inf for a weight 0: never the extreme
+                logs += (np.log(w) / alpha).reshape((-1,) + (1,) * profile.grid.dims)
+            out = logs.max(axis=0) if alpha > 0.0 else logs.min(axis=0)  # the extreme m, in log-density units
+            np.copyto(out, 0.0, where=out == -np.inf)  # every weighted member is 0: the node stays 0, not nan
             logs -= out
-            total = np.exp(logs, out=logs)[0]
-            for row in logs[1:]:
-                total += row
-            out += np.log(total, out=total)
-            out /= alpha
+            if near:  # m + log1p(sum_k w_k expm1(alpha (L_k - m))) / alpha, each expm1 in [-1, 0]
+                total = _weighted_sum(w, over_step(np.expm1, alpha, logs))  # -1/alpha, or -inf, for a zero member
+                out += over_step(lambda y: np.log1p(np.fmax(y, -1.0)), alpha, total)
+            else:  # m + log(sum_k exp(alpha (z_k - m))) / alpha, each exp in [0, 1]
+                logs *= alpha
+                total = np.exp(logs, out=logs)[0]
+                for row in logs[1:]:
+                    total += row
+                out += np.divide(np.log(total, out=total), alpha, out=total)
     if extra is not None:
         out += extra
     out -= out.max()
@@ -236,7 +237,9 @@ def holder_pool(profile: OpinionProfile, weights, alpha: float) -> GridDensity:
 
     alpha=1 is the linear pool, alpha=-1 the inverse-linear pool, and
     alpha=0, its limit, the log-linear pool; every finite exponent is taken,
-    and the pool is continuous through 0 (see `_power_mean`).
+    and the pool is continuous through 0 (see `_power_mean`). By |alpha| = 1e307 it is,
+    to float precision, its extreme: the normalized pointwise max (alpha > 0) or min
+    (alpha < 0) of the positively weighted members.
 
     Raises
     ------

@@ -10,7 +10,10 @@ runner, and
     python tests/test_cli_corpus.py --replay python -m pdffusion.cli
 
 replays every row as a fresh process of the named command, names each row
-that does not match, and exits 1 if any does. A row that writes a file
+that does not match, and exits 1 if any does. For a row whose stdout differs
+but prints the same text around its numbers, it also names the largest
+relative difference of the printed numbers from the pinned ones, so the rows
+a change moves can be listed from one run. A row that writes a file
 replays twice in one directory, so the second run writes over the first
 run's outputs and must leave the same bytes. The replay needs only numpy,
 click and the standard library, so it runs where only the package's runtime
@@ -44,7 +47,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -76,6 +81,9 @@ CASES = [
     ("pool-holder-neg0.5", ["pool", "--kind", "holder", "--alpha", "-0.5", *W, "a.csv", "b.csv", "-o", "out.csv"]),
     ("pool-holder-2-zeros", ["pool", "--kind", "holder", "--alpha", "2", *W, "z1.csv", "z2.csv", "-o", "out.csv"]),
     ("pool-holder-3-zeros", ["pool", "--kind", "holder", "--alpha", "3", *W, "z1.csv", "a.csv", "-o", "out.csv"]),
+    # alpha log p is beyond the float range: the normalized max and min pools
+    ("pool-holder-1e307", ["pool", "--kind", "holder", "--alpha=1e307", *W, "a.csv", "b.csv", "-o", "out.csv"]),
+    ("pool-holder-neg1e307", ["pool", "--kind", "holder", "--alpha=-1e307", *W, "a.csv", "b.csv", "-o", "out.csv"]),
     ("pool-inverse-linear", ["pool", "--kind", "inverse-linear", *W, "a.csv", "b.csv", "-o", "out.csv"]),
     ("pool-multiplicative", ["pool", "--kind", "multiplicative", "--q0", "c.csv", "a.csv", "b.csv", "-o", "out.csv"]),
     ("pool-generalized-multiplicative", ["pool", "--kind", "generalized-multiplicative", "--weights", "0.6,0.7", "--q0", "c.csv", "a.csv", "b.csv", "-o", "out.csv"]),
@@ -328,6 +336,18 @@ def pinned(row: dict) -> dict:
     return {key: row[key] for key in RESULT_KEYS}
 
 
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_relative_difference(got: str, want: str) -> float | None:
+    """max |g - w| / |w| over the numbers printed in ``got`` and pinned in ``want``, paired in
+    order (inf where w is 0 and g is not); None unless the text around the numbers is the same."""
+    if NUMBER.split(got) != NUMBER.split(want):
+        return None
+    pairs = zip(map(float, NUMBER.findall(got)), map(float, NUMBER.findall(want)))
+    return max((abs(g - w) / abs(w) if w else (0.0 if g == w else math.inf) for g, w in pairs), default=0.0)
+
+
 def replay(command: list[str], cases=CASES) -> list[str]:
     """Run ``cases`` through ``command``; the ids of the rows that differ from the corpus, each named on stderr.
 
@@ -344,7 +364,9 @@ def replay(command: list[str], cases=CASES) -> list[str]:
                 got = run_case(call, case_id, args, Path(tmp))
                 if got != want:
                     differ = [key for key in RESULT_KEYS if got[key] != want[key]]
-                    print(f"{case_id}{run}: {', '.join(differ)} differ; got {json.dumps(got)[:400]}", file=sys.stderr)
+                    gap = largest_relative_difference(got["stdout"], want["stdout"]) if "stdout" in differ else None
+                    moved = "" if gap is None else f"; printed numbers at most {gap:.3g} relative from the pinned"
+                    print(f"{case_id}{run}: {', '.join(differ)} differ{moved}; got {json.dumps(got)[:400]}", file=sys.stderr)
                     mismatched.append(case_id)
                     break
     return mismatched
@@ -419,6 +441,23 @@ def test_2d_log_linear_rows_pin_covariance_intersection():
             assert gap <= 1e-9, (case_id, key, gap)
 
 
+def test_holder_rows_at_the_float_limit_pin_the_max_and_min_pools():
+    # at alpha = +-1e307 the Holder pool is the normalized pointwise max or min of the members
+    from pdffusion.fileio import read_density_csv
+    from pdffusion.grid import GridDensity, moments, normalize
+
+    a, b = (read_density_csv(INPUTS / name) for name in ("a.csv", "b.csv"))
+    expected = load_expected()
+    for case_id, extreme in (("pool-holder-1e307", np.maximum), ("pool-holder-neg1e307", np.minimum)):
+        mean, cov = moments(normalize(GridDensity(a.grid, extreme(a.values, b.values))))
+        row = expected[case_id]
+        assert row["exit_code"] == 0 and row["stderr"] == "", case_id
+        printed = json.loads(row["stdout"])
+        for key, want in (("mean", mean), ("cov", cov)):
+            gap = np.max(np.abs(np.array(printed[key]) - want) / np.abs(want))
+            assert gap <= 1e-14, (case_id, key, gap)
+
+
 def test_replay_through_python_m_matches(monkeypatch):
     import pdffusion
 
@@ -445,6 +484,27 @@ def test_replay_with_a_relative_pythonpath(monkeypatch):
 def test_replay_names_a_row_whose_bytes_differ(capsys):
     assert replay([sys.executable, "-c", "print('other')"], CASES[:1]) == ["pool-linear"]
     assert capsys.readouterr().err.startswith("pool-linear: stdout, files differ;")
+
+
+def test_replay_names_how_far_the_printed_numbers_moved(capsys):
+    # the pinned KL, 1.6590713126395398, printed 4 units in its last place higher
+    assert replay([sys.executable, "-c", "print('1.6590713126395407')"], [("divergence-kl", [])]) == ["divergence-kl"]
+    assert capsys.readouterr().err.startswith(
+        "divergence-kl: stdout differ; printed numbers at most 5.35e-16 relative from the pinned; got "
+    )
+
+
+def test_largest_relative_difference():
+    cases = [
+        ('{"cov": [[2.5]], "mean": [-1e-3]}', '{"cov": [[2.0]], "mean": [-1e-3]}', 0.25),
+        ("[0.0, 1.0]", "[0.0, 1.0]", 0.0),
+        ("[1.0, 5e-324]", "[1.0, 0.0]", math.inf),
+        # the text around the numbers differs, or their count does
+        ('{"axiom": "A2", "passed": true}', '{"axiom": "A2", "passed": false}', None),
+        ("[1.0, 2.0]", "[1.0]", None),
+    ]
+    for got, want, gap in cases:
+        assert largest_relative_difference(got, want) == gap, (got, want)
 
 
 def test_replay_names_a_row_whose_second_run_differs(monkeypatch, capsys):

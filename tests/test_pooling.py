@@ -275,6 +275,26 @@ class TestHolderPool:
         fused = P.holder_pool(prof, [0.5, 0.5], -100.0)
         assert fused.positive and fused.normalized
 
+    @pytest.mark.parametrize("alpha", [1e307, -1e307, np.finfo(float).max, -np.finfo(float).max])
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            lambda prof, alpha: P.holder_pool(prof, [0.3, 0.7], alpha),
+            lambda prof, alpha: P.chi_transform_pool(prof, [0.3, 0.7], P.ChiTransform(P.ChiKind.POWER, alpha)),
+        ],
+        ids=["holder", "chi-power"],
+    )
+    def test_an_exponent_at_the_float_limit_is_the_max_or_min_pool(self, pool, alpha):
+        # alpha log p is beyond the float range on most nodes; each log row is shifted by
+        # its extreme before the scale by alpha, so the pool is the normalized pointwise
+        # max (alpha > 0) or min (alpha < 0) of the members, with no numpy warning
+        prof = OpinionProfile(common_grid(Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[1.69]])))
+        fused = pool(prof, alpha).values
+        extreme = prof.values.max(axis=0) if alpha > 0.0 else prof.values.min(axis=0)
+        want = extreme / prof.grid.integral(extreme)
+        top = fused > 1e-8 * fused.max()
+        np.testing.assert_allclose(fused[top], want[top], rtol=1e-14, atol=0.0)
+
 
 # the exponents of the near-0 form, from the subnormal to just inside NEAR_LIMIT
 NEAR_ZERO = [sign * a for a in (5e-324, 1e-300, 1e-16, 1e-9, 1e-6, 1e-3, 9e-3) for sign in (1.0, -1.0)]
@@ -347,8 +367,9 @@ def holder_stationarity(d, w, alpha):
 
     Below 1e-20 in size, alpha 0 included, it is its limit sum_k w_k d_k: the next term of its
     series, alpha times half the weighted variance of d, is below float64 resolution there. Up
-    to 1 it reads log1p and expm1, so a small alpha keeps its digits; beyond, the largest
-    alpha d_k is factored out, so no power leaves the float range.
+    to 1 it reads log1p and expm1, so a small alpha keeps its digits; beyond, the extreme d_k
+    is factored out before the scale by alpha, so a power that leaves the float range is a
+    term below the extreme's, and goes to 0.
     """
     d, w = d[w > 0.0], w[w > 0.0, None]
     if abs(alpha) < 1e-20:
@@ -356,13 +377,14 @@ def holder_stationarity(d, w, alpha):
     if abs(alpha) <= 1.0:
         return np.log1p((w * np.expm1(alpha * d)).sum(axis=0)) / alpha
     top = d.max(axis=0) if alpha > 0.0 else d.min(axis=0)
-    return top + np.log((w * np.exp(alpha * (d - top))).sum(axis=0)) / alpha
+    with np.errstate(over="ignore"):
+        return top + np.log((w * np.exp(alpha * (d - top))).sum(axis=0)) / alpha
 
 
 @st.composite
 def holder_cases(draw):
     """A positive 1-D (256 nodes) or 2-D (33 x 33) profile of 2 to 4 Gaussians, weights on the
-    simplex (zeros and subnormals included) and an exponent from the whole line."""
+    simplex (zeros and subnormals included) and an exponent from the whole finite line."""
     dim, K = draw(st.sampled_from([1, 2])), draw(st.integers(2, 4))
     vector = lambda lo, hi: draw(st.lists(st.floats(lo, hi), min_size=dim, max_size=dim))
     # sd ratio at most 1.6 and |rho| <= 0.4: no member underflows on the union of the boxes
@@ -374,7 +396,7 @@ def holder_cases(draw):
             st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300]),
             st.floats(-1.0, 1.0),
             st.floats(-30.0, 30.0),
-            st.floats(-1e300, 1e300),
+            st.floats(allow_nan=False, allow_infinity=False),
         )
     )
     return OpinionProfile(common_grid(*agents, points=256 if dim == 1 else 33)), w / w.sum(), alpha
