@@ -456,7 +456,8 @@ class OpinionProfile:
     def log_values(self) -> np.ndarray:
         """The members' log-densities stacked like :attr:`values`, fresh on each access.
 
-        Each member's log is written straight into its row of the stack.
+        The one place where a profile's logs are taken, for the pools and for
+        min-KLD weights; each member's log is written straight into its row.
         A zero logs to -inf, with numpy's divide warning unless the caller silences it.
         """
         stack = np.empty((self.K,) + self.grid.shape)

@@ -13,11 +13,10 @@ uniform weights it reaches the optimum in a handful of evaluations. The
 derivatives are computed only where the descent uses them: the gradient at
 accepted iterates, the Hessian before a Newton step, so a line-search trial
 or the final iterate costs one evaluation of the value. The min-KLD
-coefficients come from a K x K product of the agents' quadrature masses
-and log-densities, each Hessian from a K x K product of the log-densities
-with their pooled weights; both sweep the grid in blocks of BLOCK nodes.
-A call holds the K log-densities, one evaluation buffer and a K x BLOCK
-scratch.
+objective reads the profile's one log stack, ``OpinionProfile.log_values``,
+as the power-mean pools do, and writes its blocked K x K product once, for
+the coefficients and every Hessian. A call holds the K log-densities, one
+evaluation buffer and a K x BLOCK scratch.
 """
 from __future__ import annotations
 
@@ -163,30 +162,34 @@ def _min_kld_objective(profile: OpinionProfile) -> Objective:
     minus the outer product of the means. Each is divided by z only on its
     K or K x K entries. Every evaluation writes the quadrature-weighted exp
     into one buffer, so its derivatives hold until the next evaluation.
-    The two K x K products, the coefficients' at set-up and each Hessian's,
-    sweep the grid one block of BLOCK nodes at a time through a K x BLOCK
-    scratch. Memory: the K log-densities, that buffer and the scratch.
+    The log rows are the profile's ``log_values``, reshaped without a copy.
+    One local ``products(rows, weights)`` sweeps BLOCK-node blocks through a
+    K x BLOCK scratch: the coefficients call it with the member values and
+    the quadrature weights, each Hessian with the log rows and the buffer.
+    Memory: the K log-densities, that buffer and the scratch.
     """
     K = profile.K
     quad = profile.grid.quad_weights.reshape(-1)
-    n = quad.size
-    blocks = [slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK)]
-    logs = np.empty((K, n))
-    scratch = np.empty((K, min(BLOCK, n)))
-    values = [q.values.reshape(-1) for q in profile.densities]
+    logs = profile.log_values.reshape(K, -1)
+    blocks = [slice(lo, lo + BLOCK) for lo in range(0, quad.size, BLOCK)]
+    scratch = np.empty((K, min(BLOCK, quad.size)))
+
+    def products(rows, weights: np.ndarray) -> np.ndarray:
+        """The K x K sums over the nodes of rows[a] * weights * logs[b], one block at a time."""
+        out = np.zeros((K, K))
+        for blk in blocks:
+            L = logs[:, blk]
+            S = scratch[:, : L.shape[1]]
+            for row, s in zip(rows, S):  # row by row: numpy buffers a K-row multiply on a short block
+                np.multiply(row[blk], weights[blk], out=s)
+            out += S @ L.T
+        return out
+
     # b_j, the coefficient of w_j in the KLD average, is column j's mean of
-    # D[a, b] = M[a, a] - M[a, b], M[a, b] the integral of q_a log q_b;
-    # each block writes its logs and adds its masses quad * q_a times them to M
-    M = np.zeros((K, K))
-    for blk in blocks:
-        L = logs[:, blk]
-        S = scratch[:, : L.shape[1]]
-        for v, log_row, mass_row in zip(values, L, S):
-            np.log(v[blk], out=log_row)
-            np.multiply(v[blk], quad[blk], out=mass_row)
-        M += S @ L.T
+    # D[a, b] = M[a, a] - M[a, b], M[a, b] the integral of q_a log q_b
+    M = products([q.values.reshape(-1) for q in profile.densities], quad)
     b = (np.trace(M) - M.sum(axis=0)) / K
-    p = np.empty(n)  # every evaluation's buffer: s, then the pooled weights quad * exp(s - m)
+    p = np.empty(quad.size)  # every evaluation's buffer: s, then the pooled weights quad * exp(s - m)
 
     def objective(w: np.ndarray) -> tuple[float, Derivative, Derivative]:
         np.dot(w, logs, out=p)
@@ -198,14 +201,7 @@ def _min_kld_objective(profile: OpinionProfile) -> Objective:
         mean = functools.cache(lambda: logs @ p / z)
 
         def hessian() -> np.ndarray:
-            H = np.zeros((K, K))
-            for blk in blocks:
-                L = logs[:, blk]
-                S = scratch[:, : L.shape[1]]
-                for log_row, row in zip(L, S):  # row by row: numpy buffers a K-row multiply on a short block
-                    np.multiply(log_row, p[blk], out=row)
-                H += S @ L.T
-            return symmetrize(H) / z - np.outer(mean(), mean())
+            return symmetrize(products(logs, p)) / z - np.outer(mean(), mean())
 
         return m + np.log(z) + float(w @ b), lambda: mean() + b, hessian
 
@@ -233,14 +229,13 @@ def min_kld_weights(profile: OpinionProfile, max_iter: int = 500, tol: float = 1
 
     The objective splits into the log normalizer of the unnormalized
     geometric mean plus a weighted average of pairwise KLDs, read off the
-    agent log-densities taken once (see ``_min_kld_objective``). Each value
-    is one weighted sum of log-densities and one exp pass; the gradient,
-    computed at accepted iterates only, adds one pass over the K
-    log-densities, and the Hessian, computed before each Newton step, one
-    more, a block of BLOCK nodes at a time. Memory: the K log-densities, one
-    evaluation buffer and a K x BLOCK scratch (each block's KLD-coefficient
-    masses, then its weighted log-densities for each Hessian) live for the
-    whole call, and nothing else of grid size is allocated.
+    profile's one log stack, ``log_values`` (see ``_min_kld_objective``).
+    Each value is one weighted sum of log-densities and one exp pass; the
+    gradient, at accepted iterates only, adds one pass over the K log rows,
+    and the Hessian, before each Newton step, one call of the one blocked
+    K x K product. Memory: the K log-densities, one evaluation buffer and a
+    K x BLOCK scratch live for the whole call; nothing else of grid size is
+    allocated.
 
     Raises
     ------

@@ -329,6 +329,25 @@ class TestTransformsReportAsTheirPools:
             assert got == _slice_report(reproduced, axiom, seed), axiom
 
 
+class TestHolderEndpoints:
+    """The Holder pool is the linear pool at alpha = 1 and the log-linear pool at alpha = 0, so it
+    meets the axioms that characterize them there: the setwise event-function properties A4 and A5
+    (McConway, JASA 76(374), 1981), and factorization A9 and update commutativity A10 (Genest,
+    McConway and Schervish, Ann. Statist. 14(2), 1986). Near each endpoint the worst violation
+    grows linearly in the distance to it."""
+
+    @staticmethod
+    def worst(alpha, axiom):
+        spec = PoolingSpec(PoolingKind.HOLDER, weights=np.array([0.3, 0.7]), alpha=alpha)
+        return check_axiom(spec, axiom, trials=20, seed=0).max_violation
+
+    @pytest.mark.parametrize("axiom, star", [("A4", 1.0), ("A5", 1.0), ("A9", 0.0), ("A10", 0.0)])
+    def test_violation_is_linear_in_the_distance_to_the_endpoint(self, axiom, star):
+        assert self.worst(star, axiom) < 1e-14
+        slopes = [self.worst(star + d, axiom) / abs(d) for d in (1e-3, -1e-3, 1e-5, -1e-5, 1e-7)]
+        assert max(slopes) <= 1.01 * min(slopes), slopes
+
+
 class TestEventMassScaling:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("two_events", [False, True], ids=["one-event", "two-events"])

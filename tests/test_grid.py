@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import re
@@ -32,7 +33,7 @@ from pdffusion.grid import (
     normalize,
     require_same_grid,
 )
-from pdffusion.pooling import holder_pool
+from pdffusion.pooling import holder_pool, linear_pool, log_linear_pool
 from pdffusion.weights import BLOCK, min_kld_weights
 
 from separable import EQUAL_COUNTS, assert_relative, axes, bumps, product
@@ -266,6 +267,15 @@ def _min_kld_budget(profile) -> float:
     return K + 1 + K * min(BLOCK, nodes) / nodes + 0.25
 
 
+def _random_gaussians(rng, K):
+    """K 2-D Gaussians, means in [-1, 1]^2, covariances A A^T + I/2 with A standard normal."""
+    gs = []
+    for _ in range(K):
+        a = rng.normal(size=(2, 2))
+        gs.append(Gaussian(rng.uniform(-1.0, 1.0, 2), a @ a.T + 0.5 * np.eye(2)))
+    return gs
+
+
 class TestAllocationBudget:
     """Peak memory of the 257x257 kernels, in multiples of their output.
 
@@ -273,7 +283,8 @@ class TestAllocationBudget:
     full-grid result once: to_grid peaks at 1 output (the log-density,
     exponentiated and normalized in place), normalize at 1 (its copy), and a
     two-agent Holder pool at 3 (the stack of log terms, summed into its first
-    row, and the result). Minimum-KLD weights, which return no density, are counted
+    row, and the result), and a K-agent linear, log-linear or Holder pool at
+    K + 1 (the stack and the result). Minimum-KLD weights, which return no density, are counted
     in grid arrays: K log-densities, one evaluation buffer and a K x BLOCK
     scratch, K + 1 + K * BLOCK / nodes (4.37 at K = 3, 9.99 at K = 8 on
     66049 nodes); a quarter of a grid array more covers the K x K and
@@ -298,18 +309,23 @@ class TestAllocationBudget:
         prof = OpinionProfile((a, b))
         assert _peak_over_output(lambda: holder_pool(prof, [0.4, 0.6], 2.0)) <= 3.5
 
+    @pytest.mark.parametrize(
+        "pooled",
+        [linear_pool, log_linear_pool, functools.partial(holder_pool, alpha=2.0)],
+        ids=["linear", "log-linear", "holder-2"],
+    )
+    def test_pools_of_five(self, pooled):
+        prof = OpinionProfile(common_grid(*_random_gaussians(np.random.default_rng(0), 5)))
+        assert prof.grid.shape == (257, 257)
+        assert _peak_over_output(lambda: pooled(prof, np.full(5, 0.2))) <= prof.K + 1.5
+
     def test_min_kld_weights_of_three(self):
         a = to_grid(self.G)
         prof = OpinionProfile((a, *(to_grid(g, a.grid.lower, a.grid.upper, a.grid.shape) for g in (self.H, self.J))))
         assert _peak_over_output(lambda: min_kld_weights(prof), a.values.nbytes) <= _min_kld_budget(prof)
 
     def test_min_kld_weights_of_eight(self):
-        rng = np.random.default_rng(0)
-        gs = []
-        for _ in range(8):
-            a = rng.normal(size=(2, 2))
-            gs.append(Gaussian(rng.uniform(-1.0, 1.0, 2), a @ a.T + 0.5 * np.eye(2)))
-        prof = OpinionProfile(common_grid(*gs))
+        prof = OpinionProfile(common_grid(*_random_gaussians(np.random.default_rng(0), 8)))
         assert prof.grid.shape == (257, 257)
         grid_array = prof.densities[0].values.nbytes
         assert _peak_over_output(lambda: min_kld_weights(prof), grid_array) <= _min_kld_budget(prof)

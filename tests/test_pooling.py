@@ -423,6 +423,54 @@ class TestHolderStationarity:
         assert spread * (abs(alpha) if 1.0 < abs(alpha) <= 30.0 else 1.0) <= 1e-12, (spread, alpha, w)
 
 
+CHIS = [P.ChiTransform(P.ChiKind.IDENTITY), P.ChiTransform(P.ChiKind.LOG), P.ChiTransform(P.ChiKind.RECIPROCAL),
+        P.ChiTransform(P.ChiKind.POWER, 0.5), P.ChiTransform(P.ChiKind.POWER, 2.0)]
+
+
+def chi_stationarity(prof, w, chi):
+    """On the nodes where the transform pool phi is above 1e-8 of its peak: the ratio
+    chi^-1(s) / phi, s = sum_k w_k chi(p_k); the residual r = (chi(phi) - s) chi'(phi) of
+    the transform distance sum_k w_k integral (chi(p_k) - chi(phi))^2 under integral phi = 1;
+    and chi(phi) chi'(phi), the size of r's terms."""
+    phi = P.chi_transform_pool(prof, w, chi).values
+    top = phi > 1e-8 * phi.max()
+    phi, a = phi[top], chi.exponent
+    s = np.tensordot(w, chi(prof.values[:, top]), axes=1)
+    slope = 1.0 / phi if a == 0.0 else a * phi ** (a - 1.0)
+    inverse = np.exp(s) if a == 0.0 else s ** (1.0 / a)
+    return inverse / phi, (chi(phi) - s) * slope, chi(phi) * slope
+
+
+class TestChiStationarity:
+    """A transform pool chi^-1(sum_k w_k chi(p_k)) / Z minimizes the transform distance before it is
+    normalized. Normalized, it is stationary under integral phi = 1 only where its residual
+    (chi(phi) - s) chi'(phi) is constant: for chi = p^a that residual is a (1 - Z^a) phi^(2a - 1), for
+    chi = log it is -log(Z) / phi, so only the identity (Z = 1) and the square root (a = 1/2) are."""
+
+    @given(holder_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_the_pool_is_the_normalized_transform_mean(self, case):
+        prof, w, _ = case
+        for chi in CHIS:
+            ratio, _, _ = chi_stationarity(prof, w, chi)
+            assert np.ptp(ratio) <= 1e-12 * ratio.max(), (chi, w)
+
+    @given(holder_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_identity_and_square_root_keep_their_residual_constant(self, case):
+        # relative to the size of its terms: at one-hot weights Z = 1 and the residual is rounding alone
+        prof, w, _ = case
+        for chi in (CHIS[0], CHIS[3]):
+            _, r, size = chi_stationarity(prof, w, chi)
+            assert np.ptp(r) <= 1e-11 * np.abs(size).max(), (chi, w)
+
+    @pytest.mark.parametrize("chi", [CHIS[1], CHIS[2], CHIS[4]], ids=["log", "reciprocal", "power-2"])
+    def test_the_other_pools_are_not_stationary(self, mirror_pair, chi):
+        # criterion 5's mirror profile: the residual sweeps its whole size across the support
+        _, r, _ = chi_stationarity(mirror_pair, np.array([0.5, 0.5]), chi)
+        assert np.ptp(r) > 0.5 * np.abs(r).max()
+
+
 class TestMultiplicativePool:
     def test_conditionally_independent_fusion(self):
         # two agents observe theta with noise vars 1 and 0.25, prior N(0.3, 2);
