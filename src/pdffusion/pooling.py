@@ -60,9 +60,11 @@ def _needs_positive(exponent: float) -> bool:
 
 
 def over_step(f, step: float, x: np.ndarray) -> np.ndarray:
-    """f(step x) / step for f = expm1 or log1p, read as x where step x underflows: a subnormal step keeps its digits."""
-    y = step * x
-    return np.where(np.abs(y) < np.finfo(float).tiny, x, f(y) / step)
+    """f(step x) / step for f = expm1 or log1p, read as x where step x underflows: a subnormal step keeps its digits.
+    Written over ``x``; one more buffer holds the product, which ``f`` overwrites through ``out``."""
+    y = np.multiply(x, step)
+    mask = ~(np.abs(y, out=y) < np.finfo(float).tiny)  # a nan product is no underflow: it stays nan
+    return np.divide(f(np.multiply(x, step, out=y), out=y), step, out=x, where=mask)
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,8 @@ def _power_mean(profile: OpinionProfile, w: np.ndarray, alpha: float, op: str, e
             out = _weighted_sum(w, logs)
         else:
             if near := abs(alpha) < NEAR_LIMIT:  # the weights multiply the expm1 terms
-                logs, w = logs[w > 0.0], w[w > 0.0]
+                if not w.all():  # only then a copy: the positively weighted rows
+                    logs, w = logs[w > 0.0], w[w > 0.0]
             else:  # z_k = L_k + log(w_k) / alpha, which is +-inf for a weight 0: never the extreme
                 logs += (np.log(w) / alpha).reshape((-1,) + (1,) * profile.grid.dims)
             out = logs.max(axis=0) if alpha > 0.0 else logs.min(axis=0)  # the extreme m, in log-density units
@@ -173,7 +176,7 @@ def _power_mean(profile: OpinionProfile, w: np.ndarray, alpha: float, op: str, e
             logs -= out
             if near:  # m + log1p(sum_k w_k expm1(alpha (L_k - m))) / alpha, each expm1 in [-1, 0]
                 total = _weighted_sum(w, over_step(np.expm1, alpha, logs))  # -1/alpha, or -inf, for a zero member
-                out += over_step(lambda y: np.log1p(np.fmax(y, -1.0)), alpha, total)
+                out += over_step(lambda y, out: np.log1p(np.fmax(y, -1.0, out=out), out=out), alpha, total)
             else:  # m + log(sum_k exp(alpha (z_k - m))) / alpha, each exp in [0, 1]
                 logs *= alpha
                 total = np.exp(logs, out=logs)[0]

@@ -4,8 +4,8 @@ Three schemes: weights inversely proportional to each agent's worst-case
 KLD against the others; weights minimizing the average KLD from the agents
 to the log-linear pool (a convex objective over the simplex); and
 covariance intersection weights minimizing the trace or log-determinant of
-the fused covariance. The reverse form of the KLD objective, whose optimum
-is always uniform weights, is exposed for verification.
+the covariance fused by ``gaussian.ci_fuse``. The reverse form of the KLD
+objective, whose optimum is always uniform weights, is exposed for verification.
 
 Both optimized schemes run through one projected Newton descent over the
 simplex, driven by the objective's exact gradient and K x K Hessian; from
@@ -30,7 +30,7 @@ import numpy as np
 from .divergence import kl, require_normalized
 from .errors import DegenerateError, NonConvergenceError, PositivityError
 from .errors import check_simplex, whole_number
-from .gaussian import cho_inverse, pd_inverse, shared_dim, symmetrize
+from .gaussian import cho_inverse, ci_fuse, shared_dim, symmetrize
 from .grid import OpinionProfile
 from .pooling import log_linear_pool
 
@@ -286,10 +286,11 @@ def ci_weights(
 ) -> WeightResult:
     """Covariance intersection weights minimizing fused covariance size.
 
-    criterion TRACE minimizes the trace of the fused covariance
-    C = (sum_k w_k P_k)^-1, with P_k the agent precisions, and LOGDET its
-    log-determinant. Their gradients are -tr(C P_i C) and -tr(C P_i), their
-    Hessians 2 tr(C P_i C P_j C) and tr(C P_i C P_j).
+    Each evaluation is one ``ci_fuse(gaussians, w)``: TRACE minimizes the trace
+    of its covariance C = (sum_k w_k P_k)^-1, P_k the agent precisions, and
+    LOGDET its log-determinant, 2 sum_i log chol_ii of its kept factor. Their
+    gradients are -tr(C P_i C) and -tr(C P_i), their Hessians 2 tr(C P_i C P_j C)
+    and tr(C P_i C P_j), the only formulas that read the P_k.
 
     Raises
     ------
@@ -306,7 +307,8 @@ def ci_weights(
     precisions = np.stack([cho_inverse(g.chol) for g in gaussians]).reshape(K, d * d)
 
     def objective(w: np.ndarray) -> tuple[float, Derivative, Derivative]:
-        cov = pd_inverse((w @ precisions).reshape(d, d), "combined precision")
+        fused = ci_fuse(gaussians, w)
+        cov = fused.cov
         if criterion is CICriterion.TRACE:
             sq = cov @ cov
             return (
@@ -314,11 +316,8 @@ def ci_weights(
                 lambda: -(precisions @ sq.reshape(-1)),
                 lambda: 2.0 * (precisions @ np.kron(sq, cov) @ precisions.T),
             )
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            raise DegenerateError("fused covariance lost positive definiteness")
         return (
-            float(logdet),
+            2.0 * float(np.log(fused.chol.diagonal()).sum()),
             lambda: -(precisions @ cov.reshape(-1)),
             lambda: precisions @ np.kron(cov, cov) @ precisions.T,
         )

@@ -19,6 +19,7 @@ from closed_forms import (
     gaussian_l2_cross,
     gaussians,
 )
+import reference
 from separable import assert_relative, bumps, product
 
 LO, HI, N = -8.0, 8.0, 2048
@@ -626,6 +627,26 @@ def test_alpha_near_its_kl_limits_keeps_its_digits(p, q, alpha):
     for value in (D.alpha_div(p, q, alpha), D.reverse_alpha_div(q, p, alpha)):
         assert value > 0.0
         assert abs(value - exact) <= 1e-10 * exact, (value, exact)
+
+
+# each kernel's rounding on smooth positive 1-D pairs against tests/reference.py, in eps
+# times the sum of |terms|: the worst of 12000 draws of the property below (6.3, 2.5, 2.6
+# and 4.3), rounded up by at most 4x
+ROUNDING_BOUNDS = {"kl": 16.0, "l2": 8.0, "pearson_chi2": 8.0, ("alpha_div", 0.3): 12.0}
+# alpha_div at 2, by log span (worst 3.8, 32, 244 and 553): its r = log p - log q carries an
+# absolute error of up to an ulp of the larger |log| into expm1(r), where pearson_chi2, twice
+# the same divergence written as (p - q)^2 / q, keeps within its bound of 8 at every span
+ALPHA_2_BOUNDS = {5.0: 12.0, 50.0: 96.0, 300.0: 768.0, 700.0: 1536.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=reference.smooth_pairs())
+def test_kernels_round_within_their_bounds(pair):
+    span, p, q = pair
+    exact = reference.divergences(p, q, (0.3, 2.0))
+    for key, bound in {**ROUNDING_BOUNDS, ("alpha_div", 2.0): ALPHA_2_BOUNDS[span]}.items():
+        name, *alpha = key if isinstance(key, tuple) else (key,)
+        assert reference.rounding(getattr(D, name)(p, q, *alpha), exact[key]) <= bound, key
 
 
 # centres anywhere up to 1e15 in magnitude, and just past a power of two, where node

@@ -33,7 +33,7 @@ from pdffusion.grid import (
     normalize,
     require_same_grid,
 )
-from pdffusion.pooling import holder_pool, linear_pool, log_linear_pool
+from pdffusion.pooling import NEAR_LIMIT, holder_pool, linear_pool, log_linear_pool
 from pdffusion.weights import BLOCK, min_kld_weights
 
 from separable import EQUAL_COUNTS, assert_relative, axes, bumps, product
@@ -284,11 +284,15 @@ class TestAllocationBudget:
     exponentiated and normalized in place), normalize at 1 (its copy), and a
     two-agent Holder pool at 3 (the stack of log terms, summed into its first
     row, and the result), and a K-agent linear, log-linear or Holder pool at
-    K + 1 (the stack and the result). Minimum-KLD weights, which return no density, are counted
-    in grid arrays: K log-densities, one evaluation buffer and a K x BLOCK
-    scratch, K + 1 + K * BLOCK / nodes (4.37 at K = 3, 9.99 at K = 8 on
-    66049 nodes); a quarter of a grid array more covers the K x K and
-    K-vector temporaries.
+    K + 1 (the stack and the result). Below NEAR_LIMIT a K-agent Holder pool
+    takes the expm1 form, whose `over_step` writes over its argument with one
+    product buffer and a boolean mask beside it: the stack, the extreme, the
+    product and the mask, 2K + 1 + K/8 (11.63 at K = 5; a weight 0 drops its
+    row from the stack's copy and from the product, 9.51), within 2K + 2.
+    Minimum-KLD weights, which return no density, are counted in grid arrays:
+    K log-densities, one evaluation buffer and a K x BLOCK scratch, K + 1 +
+    K * BLOCK / nodes (4.37 at K = 3, 9.99 at K = 8 on 66049 nodes); a
+    quarter of a grid array more covers the K x K and K-vector temporaries.
     """
 
     G = Gaussian([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]])
@@ -318,6 +322,16 @@ class TestAllocationBudget:
         prof = OpinionProfile(common_grid(*_random_gaussians(np.random.default_rng(0), 5)))
         assert prof.grid.shape == (257, 257)
         assert _peak_over_output(lambda: pooled(prof, np.full(5, 0.2))) <= prof.K + 1.5
+
+    @pytest.mark.parametrize(
+        "weights, alpha",
+        [(np.full(5, 0.2), 1e-3), ([0.0, 0.25, 0.25, 0.25, 0.25], -1e-3)],
+        ids=["uniform", "one-weight-0"],
+    )
+    def test_near_holder_pools_of_five(self, weights, alpha):
+        prof = OpinionProfile(common_grid(*_random_gaussians(np.random.default_rng(0), 5)))
+        assert abs(alpha) < NEAR_LIMIT
+        assert _peak_over_output(lambda: holder_pool(prof, weights, alpha)) <= 2 * prof.K + 2
 
     def test_min_kld_weights_of_three(self):
         a = to_grid(self.G)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pdffusion import weights as W
 from pdffusion.divergence import kl
 from pdffusion.errors import DegenerateError, DimensionError, NonConvergenceError, PositivityError
-from pdffusion.gaussian import Gaussian, common_grid, to_grid
+from pdffusion.gaussian import Gaussian, ci_fuse, common_grid, to_grid
 from pdffusion.grid import OpinionProfile, from_samples, normalize
 
 from closed_forms import ci_sizes, gaussian_kl, gaussian_log_normalizer
@@ -642,6 +642,43 @@ class TestCiWeights:
         b = Gaussian([0.0, 0.0], np.diag([4.0, 1.0]))
         res = W.ci_weights([a, b], W.CICriterion.LOGDET)
         np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-3)
+
+
+class TestCiWeightsFuseThroughCiFuse:
+    """Each objective evaluation of ci_weights is one ``ci_fuse`` call, and the value it returns
+    is the size of that call's fused covariance, bit for bit."""
+
+    PROBLEMS = {
+        "bench-2d": [Gaussian(m, c) for m, c in BENCH_CI],
+        "1d-pair": [Gaussian([0.3], [[1.2]]), Gaussian([-0.4], [[0.7]])],
+    }
+
+    @staticmethod
+    def size(fused, criterion):
+        if criterion is W.CICriterion.TRACE:
+            return float(np.trace(fused.cov))
+        return 2.0 * float(np.log(fused.chol.diagonal()).sum())
+
+    @pytest.mark.parametrize("criterion", list(W.CICriterion))
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_one_fusion_per_evaluation(self, monkeypatch, problem, criterion):
+        calls = []
+
+        def counted(gaussians, weights):
+            calls.append(weights)
+            return ci_fuse(gaussians, weights)
+
+        monkeypatch.setattr(W, "ci_fuse", counted)
+        res = W.ci_weights(self.PROBLEMS[problem], criterion)
+        assert res.converged
+        assert len(calls) == res.evaluations
+
+    @pytest.mark.parametrize("criterion", list(W.CICriterion))
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_objective_is_the_fused_size(self, problem, criterion):
+        gs = self.PROBLEMS[problem]
+        res = W.ci_weights(gs, criterion)
+        assert res.objective == self.size(ci_fuse(gs, res.weights), criterion)
 
 
 class TestConvexity:
